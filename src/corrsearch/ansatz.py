@@ -4,7 +4,10 @@ A family models the distribution of the N-1 "satellite" electrons given
 one conditioning electron at r, for a fixed one-particle density rho.
 Families expose the unnormalized log density (used by the sampler), the
 conditioning-point score grad_r log f~ (used by the Fisher estimator),
-and explicit normalization operations.
+and explicit normalization operations.  The sampler moves one satellite
+per step and passes that move as a hint, so families with pair sums can
+return the chain's current value plus the change in the O(S) terms that
+involve the moved satellite instead of all O(S^2) terms.
 
 Pairwise repulsion enters through the density-weighted kernel
 
@@ -46,8 +49,11 @@ def pair_energy(density: Density, space: SpaceSpec, x: np.ndarray, y: np.ndarray
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    num = density.value(x) * density.value(y)
-    delta = x - y
+    return _weighted_kernel(space, density.value(x) * density.value(y), x - y)
+
+
+def _weighted_kernel(space: SpaceSpec, num: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """E_H from the density product num = rho(x) rho(y) and delta = x - y."""
     d2 = np.sum(delta * delta, axis=-1)
     if space.dim == 3:
         with np.errstate(divide="ignore"):
@@ -84,16 +90,56 @@ def _satellite_pairs(n_sat: int):
     return np.triu_indices(n_sat, k=1)
 
 
+def _hinted_pair_log(ansatz, r, satellites, moved, gamma: float, beta: float) -> np.ndarray:
+    """log f~ = support - gamma sum_n E_H(r, s_n) - beta sum_{i<j} E_H(s_i, s_j)
+    from a move hint (see ConditionalAnsatz): log_old plus the change of
+    the support term and the S terms that involve the moved satellite k.
+    The current state has finite log f~, so every old term is finite and
+    the E_H conventions carry over: a new coincidence gives -inf.  With a
+    single satellite the full evaluation has one term and is the cheaper
+    one, so the families use the hint from two satellites on."""
+    k, old, log_old = moved
+    density, space = ansatz.density, ansatz.space
+    n_sat = ansatz.n_satellites
+    flat = satellites.reshape(-1, ansatz.dim)  # satellite j of chain c at row c S + j
+    first = np.arange(k.size) * n_sat
+    new = np.take(flat, first + k, axis=0)
+    ends = np.stack([new, old])  # (2, m, d): the move's new and old position
+    rho_ends = density.value(ends)
+    total = np.where(space.in_omega(new), log_old, -np.inf)
+    if gamma > 0.0:
+        e = _weighted_kernel(space, density.value(r) * rho_ends, ends - r)
+        total = total - gamma * (e[0] - e[1])
+    if beta > 0.0 and n_sat >= 2:
+        j = np.arange(n_sat - 1)
+        others = np.take(flat, first[:, None] + j + (j >= k[:, None]), axis=0)  # j != k
+        e = _weighted_kernel(
+            space, rho_ends[..., None] * density.value(others), ends[:, :, None, :] - others
+        )
+        total = total - beta * np.sum(e[0] - e[1], axis=-1)
+    return total
+
+
 # ---------------------------------------------------------------------------
 # families
 # ---------------------------------------------------------------------------
 
 
 class ConditionalAnsatz:
-    """Base class; subclasses define log_unnormalized and score.
+    """Base class; subclasses define log_unnormalized, score and start_candidate.
 
     Shape conventions: r has shape (..., d), satellites (..., S, d) with
     S = N - 1; both return results of shape (...) resp. (..., d).
+
+    log_unnormalized(r, satellites, moved=None) takes an optional move
+    hint moved = (k, old, log_old) from the sampler, for m chains with r
+    of shape (m, d) and satellites (m, S, d): satellites is the full
+    proposal, which differs from chain c's current state only in
+    satellite k[c] (integer array (m,)), whose current position was
+    old[c] (array (m, d)); log_old (m,) is the current, finite value.  A
+    family may return log_old plus the change in the terms that involve
+    satellite k, or ignore the hint and evaluate the proposal in full;
+    both give the same value up to rounding.
     """
 
     family: str = "base"
@@ -124,15 +170,24 @@ class ConditionalAnsatz:
         """
         return self.n_satellites < 2
 
-    def log_unnormalized(self, r: np.ndarray, satellites: np.ndarray) -> np.ndarray:
+    def log_unnormalized(self, r: np.ndarray, satellites: np.ndarray, moved=None) -> np.ndarray:
         raise NotImplementedError
 
     def score(self, r: np.ndarray, satellites: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def initial_satellites(self, r: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """A starting configuration with finite log f~."""
+    def start_candidate(self, r: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One draw of a starting configuration (S, d); it may have f~ = 0."""
         raise NotImplementedError
+
+    def initial_satellites(self, r: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """A starting configuration with finite log f~: the first finite
+        one among successive start candidates drawn from rng."""
+        for _ in range(100):
+            sats = self.start_candidate(r, rng)
+            if np.isfinite(self.log_unnormalized(r, sats)):
+                return sats
+        raise EstimatorError("could not find a finite starting configuration")
 
     def params_dict(self) -> dict:
         return {"family": self.family}
@@ -182,8 +237,10 @@ class PairwiseBiparametric(ConditionalAnsatz):
     def fermionic_compatible(self) -> bool:
         return self.n_satellites < 2 or (self.gamma > 0.0 and self.beta > 0.0)
 
-    def log_unnormalized(self, r, satellites):
+    def log_unnormalized(self, r, satellites, moved=None):
         r, satellites = self._check_shapes(r, satellites)
+        if moved is not None and self.n_satellites > 1:
+            return _hinted_pair_log(self, r, satellites, moved, self.gamma, self.beta)
         total = self._support_log(satellites)
         if self.gamma > 0.0:
             e_cond = pair_energy(self.density, self.space, r[..., None, :], satellites)
@@ -203,12 +260,8 @@ class PairwiseBiparametric(ConditionalAnsatz):
         g = pair_energy_grad_x(self.density, self.space, r[..., None, :], satellites)
         return -self.gamma * np.sum(g, axis=-2)
 
-    def initial_satellites(self, r, rng):
-        for _ in range(100):
-            sats = self.space.uniform_omega(self.n_satellites, rng)
-            if np.isfinite(self.log_unnormalized(r, sats)):
-                return sats
-        raise EstimatorError("could not find a finite starting configuration")
+    def start_candidate(self, r, rng):
+        return self.space.uniform_omega(self.n_satellites, rng)
 
     def params_dict(self):
         return {"family": self.family, "gamma": self.gamma, "beta": self.beta}
@@ -224,8 +277,10 @@ class SimpleFactorized(ConditionalAnsatz):
     family = "simple"
     confined = True
 
-    def log_unnormalized(self, r, satellites):
+    def log_unnormalized(self, r, satellites, moved=None):
         r, satellites = self._check_shapes(r, satellites)
+        if moved is not None and self.n_satellites > 1:
+            return _hinted_pair_log(self, r, satellites, moved, 1.0, 0.0)
         e_cond = pair_energy(self.density, self.space, r[..., None, :], satellites)
         return self._support_log(satellites) - np.sum(e_cond, axis=-1)
 
@@ -234,12 +289,8 @@ class SimpleFactorized(ConditionalAnsatz):
         g = pair_energy_grad_x(self.density, self.space, r[..., None, :], satellites)
         return -np.sum(g, axis=-2)
 
-    def initial_satellites(self, r, rng):
-        for _ in range(100):
-            sats = self.space.uniform_omega(self.n_satellites, rng)
-            if np.isfinite(self.log_unnormalized(r, sats)):
-                return sats
-        raise EstimatorError("could not find a finite starting configuration")
+    def start_candidate(self, r, rng):
+        return self.space.uniform_omega(self.n_satellites, rng)
 
 
 class FrozenOrbitalProduct(ConditionalAnsatz):
@@ -253,7 +304,7 @@ class FrozenOrbitalProduct(ConditionalAnsatz):
     family = "frozen"
     confined = False
 
-    def log_unnormalized(self, r, satellites):
+    def log_unnormalized(self, r, satellites, moved=None):
         r, satellites = self._check_shapes(r, satellites)
         vals = self.density.value(satellites) / self.n_electrons
         with np.errstate(divide="ignore"):
@@ -264,7 +315,7 @@ class FrozenOrbitalProduct(ConditionalAnsatz):
         shape = np.broadcast_shapes(r.shape, satellites.shape[:-2] + (self.dim,))
         return np.zeros(shape)
 
-    def initial_satellites(self, r, rng):
+    def start_candidate(self, r, rng):
         return self.density.sample(self.n_satellites, rng)
 
 
@@ -285,7 +336,7 @@ class GaussianToy(ConditionalAnsatz):
             raise AnsatzError("width must be positive")
         self.width = float(width)
 
-    def log_unnormalized(self, r, satellites):
+    def log_unnormalized(self, r, satellites, moved=None):
         r, satellites = self._check_shapes(r, satellites)
         delta = satellites - r[..., None, :]
         return -np.sum(delta * delta, axis=(-2, -1)) / (2.0 * self.width**2)
@@ -295,7 +346,7 @@ class GaussianToy(ConditionalAnsatz):
         delta = satellites - r[..., None, :]
         return np.sum(delta, axis=-2) / self.width**2
 
-    def initial_satellites(self, r, rng):
+    def start_candidate(self, r, rng):
         r = np.asarray(r, dtype=float)
         return r[None, :] + self.width * rng.standard_normal((self.n_satellites, self.dim))
 

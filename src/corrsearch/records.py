@@ -17,9 +17,6 @@ from . import __version__
 
 TRACE_COLUMNS = ("iteration", "zeta", "gamma", "beta", "energy", "stderr")
 
-SWEEP_COLUMNS = ("zeta", "gamma", "beta", "total", "stderr", "weizsacker",
-                 "fisher", "coulomb", "external")
-
 
 @dataclass
 class RunRecord:

@@ -1,14 +1,19 @@
 """Metropolis sampling of satellite configurations from f(. | r).
 
-Moves displace one uniformly chosen satellite by a Gaussian step and
-accept with probability min(1, f~'/f~).  Proposals with f~ = 0 (outside
-the support, or at a coincidence) are always rejected.
+Chains run in lockstep blocks.  Each step displaces one uniformly chosen
+satellite per chain by a Gaussian step and accepts with probability
+min(1, f~'/f~).  Proposals with f~ = 0 (outside the support, or at a
+coincidence) are always rejected.  The proposal is written into the
+chain state in place and evaluated with one `log_unnormalized` call that
+carries the move as a hint (moved satellite, its old position, the
+current log f~), so a family can add only the terms that involve the
+moved satellite; rejected moves are then undone.
 
 Randomness discipline: every chain owns a private generator derived from
-the master seed and the chain index through a counter-based seed split,
-and consumes a fixed number of variates per step regardless of the
-accept/reject outcome.  Batch results are therefore bit-identical for
-any chunking of the chain set across workers.
+the master seed and the chain index through a counter-based seed split.
+It draws the chain's start first and then a fixed number of variates per
+step, regardless of the accept/reject outcome.  Batch results are
+therefore bit-identical for any chunking of the chain set across workers.
 """
 
 from __future__ import annotations
@@ -88,60 +93,6 @@ class SamplerSettings:
 ACCEPTANCE_WINDOW = (0.2, 0.5)
 
 
-@dataclass
-class ChainState:
-    """Single-chain bookkeeping for the reference step implementation."""
-
-    r: np.ndarray
-    satellites: np.ndarray
-    log_f: float
-    steps: int = 0
-    accepted: int = 0
-
-    @property
-    def acceptance_rate(self) -> float:
-        return self.accepted / self.steps if self.steps else 0.0
-
-
-def init_chain(ansatz: ConditionalAnsatz, r: np.ndarray, rng: np.random.Generator) -> ChainState:
-    r = np.asarray(r, dtype=float)
-    sats = ansatz.initial_satellites(r, rng)
-    logf = float(ansatz.log_unnormalized(r, sats))
-    return ChainState(r=r, satellites=sats, log_f=logf)
-
-
-def metropolis_step(
-    chain: ChainState,
-    ansatz: ConditionalAnsatz,
-    sigma: float,
-    rng: np.random.Generator,
-) -> ChainState:
-    """One single-satellite Metropolis move.  Consumes exactly one index,
-    one normal vector and one uniform from rng, on every step."""
-    k = int(rng.integers(ansatz.n_satellites))
-    step = sigma * rng.standard_normal(ansatz.dim)
-    u = rng.random()
-    proposal = np.array(chain.satellites, copy=True)
-    proposal[k] += step
-    log_new = float(ansatz.log_unnormalized(chain.r, proposal))
-    accept = np.log(u) < (log_new - chain.log_f)
-    if accept:
-        return ChainState(
-            r=chain.r,
-            satellites=proposal,
-            log_f=log_new,
-            steps=chain.steps + 1,
-            accepted=chain.accepted + 1,
-        )
-    return ChainState(
-        r=chain.r,
-        satellites=chain.satellites,
-        log_f=chain.log_f,
-        steps=chain.steps + 1,
-        accepted=chain.accepted,
-    )
-
-
 # ---------------------------------------------------------------------------
 # vectorized batch engine
 # ---------------------------------------------------------------------------
@@ -170,39 +121,51 @@ def _chain_block(ansatz, r_block, settings, chain_indices, collectors):
     n_sat = ansatz.n_satellites
     total_steps = settings.burn_in + settings.samples * settings.thinning
 
-    # per-chain variates, each drawn from that chain's own stream in a
-    # fixed order so the sequence is independent of everything else
+    # every chain draws from its own stream in a fixed order (start, then
+    # step variates), so its sequence is independent of everything else;
+    # one block call checks all first start candidates, and the rare chain
+    # whose candidate has f~ = 0 redraws its start on the same stream
+    rngs = [substream(settings.seed, _NS_CHAIN, int(chain_id)) for chain_id in chain_indices]
+    cur = np.empty((m, n_sat, d))
+    for j, rng in enumerate(rngs):
+        cur[j] = ansatz.start_candidate(r_block[j], rng)
+    log_cur = ansatz.log_unnormalized(r_block, cur)
+    redo = np.flatnonzero(~np.isfinite(log_cur))
+    if redo.size:
+        for j in redo:
+            cur[j] = ansatz.initial_satellites(r_block[j], rngs[j])
+        log_cur[redo] = ansatz.log_unnormalized(r_block[redo], cur[redo])
+        if not np.all(np.isfinite(log_cur)):
+            raise EstimatorError("chain initialization produced zero-weight states")
+
     sat_idx = np.empty((total_steps, m), dtype=np.int64)
     normals = np.empty((total_steps, m, d))
     unifs = np.empty((total_steps, m))
-    cur = np.empty((m, n_sat, d))
-    for j, chain_id in enumerate(chain_indices):
-        rng = substream(settings.seed, _NS_CHAIN, int(chain_id))
-        cur[j] = ansatz.initial_satellites(r_block[j], rng)
+    for j, rng in enumerate(rngs):
         sat_idx[:, j] = rng.integers(n_sat, size=total_steps)
         normals[:, j] = rng.standard_normal((total_steps, d))
         unifs[:, j] = rng.random(total_steps)
 
-    log_cur = ansatz.log_unnormalized(r_block, cur)
-    if not np.all(np.isfinite(log_cur)):
-        raise EstimatorError("chain initialization produced zero-weight states")
-
     sigma = np.full(m, settings.sigma)
     accepted_window = np.zeros(m)
     accepted_meas = np.zeros(m)
-    rows = np.arange(m)
+    cur_flat = cur.reshape(m * n_sat, d)  # view: satellite j of chain c at row c S + j
+    first = np.arange(m) * n_sat
     kept = np.empty((settings.samples, m, n_sat, d))
     k_out = 0
 
     for t in range(total_steps):
-        proposal = cur.copy()
-        proposal[rows, sat_idx[t]] += sigma[:, None] * normals[t]
-        log_new = ansatz.log_unnormalized(r_block, proposal)
+        # the proposal is made in place and undone where it is rejected
+        k = sat_idx[t]
+        moved_rows = first + k
+        old = np.take(cur_flat, moved_rows, axis=0)
+        new = old + sigma[:, None] * normals[t]
+        cur_flat[moved_rows] = new
+        log_new = ansatz.log_unnormalized(r_block, cur, moved=(k, old, log_cur))
         with np.errstate(invalid="ignore"):
             accept = np.log(unifs[t]) < (log_new - log_cur)
-        if accept.any():
-            cur[accept] = proposal[accept]
-            log_cur = np.where(accept, log_new, log_cur)
+        cur_flat[moved_rows] = np.where(accept[:, None], new, old)
+        log_cur = np.where(accept, log_new, log_cur)
 
         in_burn = t < settings.burn_in
         if in_burn:
@@ -367,7 +330,3 @@ def run_chain(
 def sample_conditioning_points(density: Density, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draws from the one-particle probability density rho/N, shape (n, d)."""
     return density.sample(n, rng)
-
-
-def sample_conditioning_point(density: Density, rng: np.random.Generator) -> np.ndarray:
-    return density.sample(1, rng)[0]

@@ -190,6 +190,77 @@ def test_permutation_symmetry():
             )
 
 
+def _hint_family(name, n, dim):
+    density = ExponentialDensity(zeta=1.0, n_electrons=n, dim=dim)
+    space = SpaceSpec(dim=dim, radius=4.0, n_electrons=n)
+    if name == "pairwise-beta0":
+        return PairwiseBiparametric(density, space, gamma=0.8, beta=0.0)
+    if name == "pairwise":
+        return PairwiseBiparametric(density, space, gamma=0.8, beta=1.5)
+    if name == "test-mode":
+        return PairwiseBiparametric(density, space, gamma=0.0, beta=1.5, test_mode=True)
+    if name == "simple":
+        return SimpleFactorized(density, space)
+    if name == "frozen":
+        return FrozenOrbitalProduct(density, space)
+    return GaussianToy(density, space, width=0.7)
+
+
+HINT_CASES = [
+    (name, n, dim)
+    for name in ("pairwise-beta0", "pairwise")
+    for n in (2, 3, 6)
+    for dim in (3, 1)
+] + [
+    (name, n, dim)
+    for name in ("test-mode", "simple", "frozen", "gaussian-toy")
+    for n in (2, 6)
+    for dim in (3, 1)
+]
+
+
+@pytest.mark.parametrize("name,n,dim", HINT_CASES)
+def test_move_hint_matches_full_evaluation(name, n, dim):
+    # random single-satellite move sequences, walked like the sampler: the
+    # hinted value of each proposal against the full evaluation of it, and
+    # the accepted hinted value carried forward as the next log_old.  A
+    # carried value is a running sum of term changes, so its rounding error
+    # scales with the largest |log f~| the chain has held, not with the
+    # current value (which can be far smaller); that is the relative scale
+    ans = _hint_family(name, n, dim)
+    n_sat, m = ans.n_satellites, 64
+    rng = np.random.default_rng(n * 10 + dim)
+    rows = np.arange(m)
+    r = ans.density.sample(m, rng)
+    cur = np.stack([ans.initial_satellites(r[c], rng) for c in range(m)])
+    log_cur = ans.log_unnormalized(r, cur)
+    scale = np.abs(log_cur)
+    for step in range(300):
+        k = rng.integers(n_sat, size=m)
+        old = cur[rows, k]
+        new = old + 0.6 * rng.standard_normal((m, dim))
+        # exact zero-weight targets: onto r, onto another satellite, outside omega
+        kind = step % 4
+        if kind == 1:
+            new[::5] = r[::5]
+        elif kind == 2 and n_sat >= 2:
+            new[::5] = cur[rows, (k + 1) % n_sat][::5]
+        elif kind == 3:
+            new[::5] = 1.5 * ans.space.omega_radius
+        proposal = cur.copy()
+        proposal[rows, k] = new
+        hinted = ans.log_unnormalized(r, proposal, moved=(k, old, log_cur))
+        full = ans.log_unnormalized(r, proposal)
+        np.testing.assert_array_equal(np.isneginf(hinted), np.isneginf(full))
+        finite = np.isfinite(full)
+        err = np.abs(hinted[finite] - full[finite])
+        assert np.all(err <= 1e-12 * np.maximum(np.abs(full), scale)[finite])
+        accept = np.log(rng.random(m)) < hinted - log_cur
+        cur[accept] = proposal[accept]
+        log_cur = np.where(accept, hinted, log_cur)
+        scale = np.maximum(scale, np.abs(log_cur))
+
+
 def test_parameter_validation():
     density, space = he_pair()
     with pytest.raises(AnsatzError):

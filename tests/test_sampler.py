@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from corrsearch.ansatz import ConditionalAnsatz, EstimatorError
+from corrsearch.ansatz import ConditionalAnsatz, EstimatorError, PairwiseBiparametric
 from corrsearch.domain import ExponentialDensity, SpaceSpec, Tabulated1DDensity
 from corrsearch.sampler import (
-    ChainState,
+    _NS_CHAIN,
     SamplerSettings,
     batch_means_stderr,
     effective_sample_size,
-    init_chain,
-    metropolis_step,
     run_chain,
     run_conditional_batch,
     sample_conditioning_points,
@@ -34,7 +32,7 @@ class StepTarget(ConditionalAnsatz):
     family = "step-toy"
     WEIGHTS = np.array([1.0, 2.0, 3.0, 2.0, 1.0])
 
-    def log_unnormalized(self, r, satellites):
+    def log_unnormalized(self, r, satellites, moved=None):
         r, satellites = self._check_shapes(r, satellites)
         s = satellites[..., 0, 0]
         bins = np.clip(np.floor(s).astype(int), 0, 4)
@@ -47,7 +45,7 @@ class StepTarget(ConditionalAnsatz):
         r, satellites = self._check_shapes(r, satellites)
         return np.zeros(satellites.shape[:-2] + (1,))
 
-    def initial_satellites(self, r, rng):
+    def start_candidate(self, r, rng):
         return np.array([[2.5]])
 
 
@@ -56,7 +54,7 @@ class NormalTarget(ConditionalAnsatz):
 
     family = "normal-toy"
 
-    def log_unnormalized(self, r, satellites):
+    def log_unnormalized(self, r, satellites, moved=None):
         r, satellites = self._check_shapes(r, satellites)
         s = satellites[..., 0, 0]
         return -0.5 * s * s
@@ -65,7 +63,7 @@ class NormalTarget(ConditionalAnsatz):
         r, satellites = self._check_shapes(r, satellites)
         return np.zeros(satellites.shape[:-2] + (1,))
 
-    def initial_satellites(self, r, rng):
+    def start_candidate(self, r, rng):
         return np.array([[0.0]])
 
 
@@ -74,7 +72,7 @@ class ConstTarget(NormalTarget):
 
     family = "const-toy"
 
-    def log_unnormalized(self, r, satellites):
+    def log_unnormalized(self, r, satellites, moved=None):
         r, satellites = self._check_shapes(r, satellites)
         return np.zeros(satellites.shape[:-2])
 
@@ -84,12 +82,12 @@ class PointTarget(NormalTarget):
 
     family = "point-toy"
 
-    def log_unnormalized(self, r, satellites):
+    def log_unnormalized(self, r, satellites, moved=None):
         r, satellites = self._check_shapes(r, satellites)
         s = satellites[..., 0, 0]
         return np.where(s == 0.5, 0.0, -np.inf)
 
-    def initial_satellites(self, r, rng):
+    def start_candidate(self, r, rng):
         return np.array([[0.5]])
 
 
@@ -98,55 +96,113 @@ class PointTarget(NormalTarget):
 # ---------------------------------------------------------------------------
 
 
+def _last_sample(r_block, kept):
+    return kept[-1, :, 0, 0]
+
+
 def test_equal_density_always_accepted():
     density, space = line_pair()
     ansatz = ConstTarget(density, space)
-    rng = np.random.default_rng(0)
-    chain = init_chain(ansatz, np.array([0.0]), rng)
-    for _ in range(200):
-        chain = metropolis_step(chain, ansatz, 1.0, rng)
-    assert chain.accepted == chain.steps == 200
-    assert chain.acceptance_rate == 1.0
+    settings = SamplerSettings(sigma=1.0, burn_in=0, samples=200, thinning=1, seed=0, tune=False)
+    batch = run_conditional_batch(ansatz, np.zeros((16, 1)), settings, {"s": _last_sample})
+    np.testing.assert_array_equal(batch.acceptance, 1.0)
 
 
 def test_zero_weight_proposal_always_rejected():
     density, space = line_pair()
     ansatz = PointTarget(density, space)
-    rng = np.random.default_rng(0)
-    chain = init_chain(ansatz, np.array([0.0]), rng)
-    for _ in range(300):
-        chain = metropolis_step(chain, ansatz, 2.0, rng)
-    assert chain.accepted == 0
-    assert chain.satellites[0, 0] == 0.5
-    assert chain.log_f == 0.0
+    settings = SamplerSettings(sigma=2.0, burn_in=0, samples=300, thinning=1, seed=0, tune=False)
+    collect = {"s": lambda r_block, kept: kept[..., 0, 0]}
+    batch = run_conditional_batch(ansatz, np.zeros((16, 1)), settings, collect)
+    np.testing.assert_array_equal(batch.acceptance, 0.0)
+    np.testing.assert_array_equal(batch.values["s"], 0.5)
+
+
+class HalfTarget(NormalTarget):
+    """Support [0.5, 1); start candidates uniform on [0, 1), so about half
+    of the first candidates have zero weight."""
+
+    family = "half-toy"
+
+    def log_unnormalized(self, r, satellites, moved=None):
+        r, satellites = self._check_shapes(r, satellites)
+        s = satellites[..., 0, 0]
+        return np.where((s >= 0.5) & (s < 1.0), 0.0, -np.inf)
+
+    def start_candidate(self, r, rng):
+        return rng.random((1, 1))
+
+
+def test_zero_weight_start_candidates_are_redrawn():
+    # a step of 1e-300 leaves every chain at its start, which must be the
+    # first finite candidate of the chain's own stream
+    density, space = line_pair()
+    ansatz = HalfTarget(density, space)
+    settings = SamplerSettings(sigma=1e-300, burn_in=0, samples=1, thinning=1, seed=3, tune=False)
+    batch = run_conditional_batch(ansatz, np.zeros((64, 1)), settings, {"s": _last_sample})
+    expected, redrawn = [], 0
+    for chain in range(64):
+        rng = substream(3, _NS_CHAIN, chain)
+        cand = rng.random((1, 1))
+        redrawn += cand[0, 0] < 0.5
+        while cand[0, 0] < 0.5:
+            cand = rng.random((1, 1))
+        expected.append(cand[0, 0])
+    assert redrawn > 0
+    np.testing.assert_array_equal(batch.values["s"], expected)
+
+
+class StaleCheckPairwise(PairwiseBiparametric):
+    """Records, at every hinted call of a one-block run, how far the carried
+    log_old is from a full evaluation of the chain's current state, relative
+    to the largest |log f~| the chain has held (the scale of a running sum's
+    rounding error)."""
+
+    scale = 0.0
+    worst = 0.0
+
+    def log_unnormalized(self, r, satellites, moved=None):
+        if moved is not None:
+            k, old, log_old = moved
+            current = np.array(satellites, copy=True)
+            current[np.arange(k.size), k] = old
+            full = super().log_unnormalized(r, current)
+            self.scale = np.maximum(self.scale, np.abs(full))
+            err = np.abs(log_old - full) / self.scale
+            self.worst = max(self.worst, float(err.max()))
+        return super().log_unnormalized(r, satellites, moved)
 
 
 def test_chain_log_f_never_stale():
-    density, space = line_pair()
-    ansatz = NormalTarget(density, space)
-    rng = np.random.default_rng(4)
-    chain = init_chain(ansatz, np.array([0.0]), rng)
-    for _ in range(100):
-        chain = metropolis_step(chain, ansatz, 0.8, rng)
-        assert chain.log_f == ansatz.log_unnormalized(chain.r, chain.satellites)
-    assert chain.accepted <= chain.steps
+    # the kernel carries log f~ of each chain from step to step through the
+    # move hint; after every accept and reject it must still be the value
+    # of the state the chain is in
+    density = ExponentialDensity(zeta=1.0, n_electrons=4)
+    space = SpaceSpec(dim=3, radius=3.0, n_electrons=4)
+    ansatz = StaleCheckPairwise(density, space, gamma=1.0, beta=2.0)
+    settings = SamplerSettings(sigma=0.5, burn_in=100, samples=100, thinning=2, seed=4)
+    points = density.sample(64, np.random.default_rng(4))
+    batch = run_conditional_batch(ansatz, points, settings, {"s": _last_sample})
+    assert 0.0 < batch.mean_acceptance < 1.0
+    assert ansatz.worst <= 1e-12
 
 
 def test_detailed_balance_step_target():
     # empirical transition matrix between the 5 bins against the known
-    # stationary law pi = (1,2,3,2,1)/9
+    # stationary law pi = (1,2,3,2,1)/9, from about 1e6 transitions between
+    # consecutive kept samples of 2048 lockstep chains
     density, space = line_pair()
     ansatz = StepTarget(density, space)
-    rng = np.random.default_rng(12)
-    chain = init_chain(ansatz, np.array([0.0]), rng)
-    counts = np.zeros((5, 5))
-    bin_of = lambda c: int(np.floor(c.satellites[0, 0]))
-    prev = bin_of(chain)
-    for _ in range(1_000_000):
-        chain = metropolis_step(chain, ansatz, 1.5, rng)
-        cur = bin_of(chain)
-        counts[prev, cur] += 1.0
-        prev = cur
+    settings = SamplerSettings(sigma=1.5, burn_in=16, samples=500, thinning=1, seed=12, tune=False)
+
+    def transitions(r_block, kept):
+        bins = np.floor(kept[:, :, 0, 0]).astype(np.int64)
+        pair = 5 * bins[:-1] + bins[1:]  # (K - 1, m)
+        return np.stack([np.sum(pair == c, axis=0) for c in range(25)])  # (25, m)
+
+    batch = run_conditional_batch(ansatz, np.zeros((2048, 1)), settings, {"n": transitions})
+    counts = batch.values["n"].sum(axis=1).reshape(5, 5).astype(float)
+    assert counts.sum() >= 1e6
     p_hat = counts / counts.sum(axis=1, keepdims=True)
     pi = StepTarget.WEIGHTS / StepTarget.WEIGHTS.sum()
     residual = np.abs(pi @ p_hat - pi).max()
@@ -248,6 +304,29 @@ def test_worker_count_does_not_change_results():
     np.testing.assert_array_equal(outs[0].values["m"], outs[1].values["m"])
     np.testing.assert_array_equal(outs[0].values["m"], outs[2].values["m"])
     np.testing.assert_array_equal(outs[0].acceptance, outs[2].acceptance)
+
+
+def test_worker_count_and_rerun_pairwise_n6():
+    # the hinted kernel path: N = 6 with satellite pairs, over two blocks
+    density = ExponentialDensity(zeta=1.5, n_electrons=6)
+    space = SpaceSpec(dim=3, radius=3.0, n_electrons=6)
+    ansatz = PairwiseBiparametric(density, space, gamma=1.0, beta=1.0)
+    points = density.sample(1536, np.random.default_rng(6))
+    collect = {
+        "m": lambda r_block, kept: kept.mean(axis=(0, 2, 3)),
+        "last": lambda r_block, kept: kept[-1].reshape(kept.shape[1], -1).T,
+    }
+    outs = []
+    for workers in (1, 2, 4, 1):
+        settings = SamplerSettings(
+            sigma=0.5, burn_in=64, samples=16, thinning=2, seed=23, workers=workers
+        )
+        outs.append(run_conditional_batch(ansatz, points, settings, collect))
+    for other in outs[1:]:
+        for name in collect:
+            np.testing.assert_array_equal(outs[0].values[name], other.values[name])
+        np.testing.assert_array_equal(outs[0].acceptance, other.acceptance)
+        np.testing.assert_array_equal(outs[0].sigma_final, other.sigma_final)
 
 
 def test_rerun_is_bit_identical():
