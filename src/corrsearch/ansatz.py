@@ -126,7 +126,7 @@ def _hinted_pair_log(ansatz, r, satellites, moved, gamma: float, beta: float) ->
 
 
 class ConditionalAnsatz:
-    """Base class; subclasses define log_unnormalized, score and start_candidate.
+    """Base class; subclasses define log_unnormalized, score and start_candidates.
 
     Shape conventions: r has shape (..., d), satellites (..., S, d) with
     S = N - 1; both return results of shape (...) resp. (..., d).
@@ -176,15 +176,17 @@ class ConditionalAnsatz:
     def score(self, r: np.ndarray, satellites: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def start_candidate(self, r: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One draw of a starting configuration (S, d); it may have f~ = 0."""
+    def start_candidates(self, r: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One starting configuration per conditioning point of r (m, d),
+        drawn from rng in one go, shape (m, S, d); some may have f~ = 0."""
         raise NotImplementedError
 
     def initial_satellites(self, r: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """A starting configuration with finite log f~: the first finite
-        one among successive start candidates drawn from rng."""
+        """A starting configuration (S, d) for the point r (d,) with finite
+        log f~: the first finite one among successive start candidates."""
+        r = np.asarray(r, dtype=float)
         for _ in range(100):
-            sats = self.start_candidate(r, rng)
+            sats = self.start_candidates(r[None, :], rng)[0]
             if np.isfinite(self.log_unnormalized(r, sats)):
                 return sats
         raise EstimatorError("could not find a finite starting configuration")
@@ -260,8 +262,9 @@ class PairwiseBiparametric(ConditionalAnsatz):
         g = pair_energy_grad_x(self.density, self.space, r[..., None, :], satellites)
         return -self.gamma * np.sum(g, axis=-2)
 
-    def start_candidate(self, r, rng):
-        return self.space.uniform_omega(self.n_satellites, rng)
+    def start_candidates(self, r, rng):
+        shape = (len(r), self.n_satellites, self.dim)
+        return self.space.uniform_omega(shape[0] * shape[1], rng).reshape(shape)
 
     def params_dict(self):
         return {"family": self.family, "gamma": self.gamma, "beta": self.beta}
@@ -289,8 +292,9 @@ class SimpleFactorized(ConditionalAnsatz):
         g = pair_energy_grad_x(self.density, self.space, r[..., None, :], satellites)
         return -np.sum(g, axis=-2)
 
-    def start_candidate(self, r, rng):
-        return self.space.uniform_omega(self.n_satellites, rng)
+    def start_candidates(self, r, rng):
+        shape = (len(r), self.n_satellites, self.dim)
+        return self.space.uniform_omega(shape[0] * shape[1], rng).reshape(shape)
 
 
 class FrozenOrbitalProduct(ConditionalAnsatz):
@@ -315,8 +319,9 @@ class FrozenOrbitalProduct(ConditionalAnsatz):
         shape = np.broadcast_shapes(r.shape, satellites.shape[:-2] + (self.dim,))
         return np.zeros(shape)
 
-    def start_candidate(self, r, rng):
-        return self.density.sample(self.n_satellites, rng)
+    def start_candidates(self, r, rng):
+        shape = (len(r), self.n_satellites, self.dim)
+        return self.density.sample(shape[0] * shape[1], rng).reshape(shape)
 
 
 class GaussianToy(ConditionalAnsatz):
@@ -346,9 +351,11 @@ class GaussianToy(ConditionalAnsatz):
         delta = satellites - r[..., None, :]
         return np.sum(delta, axis=-2) / self.width**2
 
-    def start_candidate(self, r, rng):
+    def start_candidates(self, r, rng):
         r = np.asarray(r, dtype=float)
-        return r[None, :] + self.width * rng.standard_normal((self.n_satellites, self.dim))
+        return r[:, None, :] + self.width * rng.standard_normal(
+            (len(r), self.n_satellites, self.dim)
+        )
 
     def params_dict(self):
         return {"family": self.family, "width": self.width}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 from .ansatz import FAMILIES
 from .domain import (
@@ -280,17 +280,7 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         test_mode=bool(overrides.get("test_mode", False)),
     )
     if "seed" in overrides:
-        cfg = RunConfig(
-            system=cfg.system,
-            density=cfg.density,
-            ansatz=cfg.ansatz,
-            sampler=SamplerConfig(
-                **{**asdict(cfg.sampler), "seed": int(overrides["seed"])}
-            ),
-            optimize=cfg.optimize,
-            prefactor=cfg.prefactor,
-            test_mode=cfg.test_mode,
-        )
+        cfg = replace(cfg, sampler=replace(cfg.sampler, seed=int(overrides["seed"])))
     _validate_cross(cfg)
     return cfg
 
@@ -303,8 +293,6 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
 def _validate_cross(cfg: RunConfig):
     if cfg.prefactor not in ("half", "full"):
         raise ConfigError("prefactor must be 'half' or 'full'")
-    if cfg.system.dimensionality == "1d" and cfg.density.family == "exponential-mixture":
-        pass  # allowed; mixture handles 1D
     if cfg.density.family == "tabulated-1d" and cfg.system.dimensionality != "1d":
         raise ConfigError("[density] field 'family': tabulated-1d needs a 1d system")
     if cfg.ansatz.family == "pairwise" and cfg.ansatz.gamma <= 0.0 and not cfg.test_mode:

@@ -9,11 +9,21 @@ carries the move as a hint (moved satellite, its old position, the
 current log f~), so a family can add only the terms that involve the
 moved satellite; rejected moves are then undone.
 
-Randomness discipline: every chain owns a private generator derived from
-the master seed and the chain index through a counter-based seed split.
-It draws the chain's start first and then a fixed number of variates per
-step, regardless of the accept/reject outcome.  Batch results are
-therefore bit-identical for any chunking of the chain set across workers.
+Randomness discipline: chains are split into blocks of a fixed `_CHUNK`
+chains, and each block owns one generator derived from the master seed
+and the block's first chain index through a counter-based seed split.
+The block draws all start candidates in one call, then redraws, in chain
+order, the starts of chains whose candidate has f~ = 0, and then draws
+the step variates (satellite index, Gaussian step, uniform) for a
+step-chunk of all its chains at a time, whatever the accept/reject
+outcomes.  The step-chunk length comes from a fixed byte budget
+(`_VARIATE_BYTES`), so a block never holds the whole run's variates.
+Neither the blocks nor the step-chunks depend on the worker count, so
+batch results are bit-identical for any number of workers and on reruns.
+A one-chain block (as in `run_chain`) is keyed by its chain index and
+draws its start, then all satellite indices, steps and uniforms, in one
+step-chunk as long as the run has at most _VARIATE_BYTES / (8 (d + 2))
+steps.
 """
 
 from __future__ import annotations
@@ -33,6 +43,7 @@ _NS_FRESH = 0x667265
 _NS_SINGLE = 0x73676C
 
 _CHUNK = 1024  # chains processed per block; fixed so results never depend on workers
+_VARIATE_BYTES = 4 * 2**20  # step variates a block holds at once: 8 (d + 2) bytes per chain-step
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -77,10 +88,8 @@ class SamplerSettings:
     def __post_init__(self):
         if self.sigma <= 0.0:
             raise ValueError("sigma must be positive")
-        if min(self.burn_in, self.samples, self.thinning, self.walkers) < 1 and self.burn_in != 0:
-            raise ValueError("sampler counts must be positive (burn_in may be 0)")
-        if self.samples < 1 or self.thinning < 1 or self.walkers < 1:
-            raise ValueError("sampler counts must be positive")
+        if self.burn_in < 0 or min(self.samples, self.thinning, self.walkers) < 1:
+            raise ValueError("burn_in must be >= 0 and samples, thinning, walkers >= 1")
         if self.conditioning_points < 1:
             raise ValueError("conditioning_points must be positive")
         if self.workers < 1:
@@ -111,40 +120,31 @@ class BatchResult:
         return float(self.acceptance.mean())
 
 
-def _chain_block(ansatz, r_block, settings, chain_indices, collectors):
+def _chain_block(ansatz, r_block, settings, first_chain, collectors):
     """Advance one block of chains in lockstep and reduce kept samples.
 
     r_block: (m, d) conditioning points, one per chain in the block.
-    chain_indices: global chain ids, used only for stream derivation.
+    first_chain: global index of the block's first chain; it keys the
+        block's stream.
     """
     m, d = r_block.shape
     n_sat = ansatz.n_satellites
     total_steps = settings.burn_in + settings.samples * settings.thinning
 
-    # every chain draws from its own stream in a fixed order (start, then
-    # step variates), so its sequence is independent of everything else;
-    # one block call checks all first start candidates, and the rare chain
-    # whose candidate has f~ = 0 redraws its start on the same stream
-    rngs = [substream(settings.seed, _NS_CHAIN, int(chain_id)) for chain_id in chain_indices]
-    cur = np.empty((m, n_sat, d))
-    for j, rng in enumerate(rngs):
-        cur[j] = ansatz.start_candidate(r_block[j], rng)
+    # the block's stream is consumed in a fixed order: all start candidates,
+    # then the redraws of zero-weight starts in chain order, then the step
+    # variates one step-chunk at a time
+    rng = substream(settings.seed, _NS_CHAIN, first_chain)
+    # an own C-ordered copy: moves are written in place through a flat view
+    cur = np.array(ansatz.start_candidates(r_block, rng), dtype=float, order="C")
     log_cur = ansatz.log_unnormalized(r_block, cur)
     redo = np.flatnonzero(~np.isfinite(log_cur))
     if redo.size:
         for j in redo:
-            cur[j] = ansatz.initial_satellites(r_block[j], rngs[j])
+            cur[j] = ansatz.initial_satellites(r_block[j], rng)
         log_cur[redo] = ansatz.log_unnormalized(r_block[redo], cur[redo])
         if not np.all(np.isfinite(log_cur)):
             raise EstimatorError("chain initialization produced zero-weight states")
-
-    sat_idx = np.empty((total_steps, m), dtype=np.int64)
-    normals = np.empty((total_steps, m, d))
-    unifs = np.empty((total_steps, m))
-    for j, rng in enumerate(rngs):
-        sat_idx[:, j] = rng.integers(n_sat, size=total_steps)
-        normals[:, j] = rng.standard_normal((total_steps, d))
-        unifs[:, j] = rng.random(total_steps)
 
     sigma = np.full(m, settings.sigma)
     accepted_window = np.zeros(m)
@@ -153,17 +153,24 @@ def _chain_block(ansatz, r_block, settings, chain_indices, collectors):
     first = np.arange(m) * n_sat
     kept = np.empty((settings.samples, m, n_sat, d))
     k_out = 0
+    chunk_steps = max(1, _VARIATE_BYTES // (8 * (d + 2) * m))  # steps per variate draw
 
     for t in range(total_steps):
+        i = t % chunk_steps
+        if i == 0:
+            n = min(chunk_steps, total_steps - t)
+            sat_idx = rng.integers(n_sat, size=(n, m))
+            normals = rng.standard_normal((n, m, d))
+            unifs = rng.random((n, m))
         # the proposal is made in place and undone where it is rejected
-        k = sat_idx[t]
+        k = sat_idx[i]
         moved_rows = first + k
         old = np.take(cur_flat, moved_rows, axis=0)
-        new = old + sigma[:, None] * normals[t]
+        new = old + sigma[:, None] * normals[i]
         cur_flat[moved_rows] = new
         log_new = ansatz.log_unnormalized(r_block, cur, moved=(k, old, log_cur))
         with np.errstate(invalid="ignore"):
-            accept = np.log(unifs[t]) < (log_new - log_cur)
+            accept = np.log(unifs[i]) < (log_new - log_cur)
         cur_flat[moved_rows] = np.where(accept[:, None], new, old)
         log_cur = np.where(accept, log_new, log_cur)
 
@@ -224,7 +231,7 @@ def run_conditional_batch(
             ansatz,
             r_chains[start:stop],
             settings,
-            np.arange(start, stop),
+            start,
             collectors,
         )
 

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from corrsearch.ansatz import ConditionalAnsatz, EstimatorError, PairwiseBiparametric
+from corrsearch import sampler
+from corrsearch.ansatz import (
+    ConditionalAnsatz,
+    EstimatorError,
+    GaussianToy,
+    PairwiseBiparametric,
+)
 from corrsearch.domain import ExponentialDensity, SpaceSpec, Tabulated1DDensity
 from corrsearch.sampler import (
     _NS_CHAIN,
@@ -45,8 +51,8 @@ class StepTarget(ConditionalAnsatz):
         r, satellites = self._check_shapes(r, satellites)
         return np.zeros(satellites.shape[:-2] + (1,))
 
-    def start_candidate(self, r, rng):
-        return np.array([[2.5]])
+    def start_candidates(self, r, rng):
+        return np.full((len(r), 1, 1), 2.5)
 
 
 class NormalTarget(ConditionalAnsatz):
@@ -63,8 +69,8 @@ class NormalTarget(ConditionalAnsatz):
         r, satellites = self._check_shapes(r, satellites)
         return np.zeros(satellites.shape[:-2] + (1,))
 
-    def start_candidate(self, r, rng):
-        return np.array([[0.0]])
+    def start_candidates(self, r, rng):
+        return np.zeros((len(r), 1, 1))
 
 
 class ConstTarget(NormalTarget):
@@ -87,8 +93,8 @@ class PointTarget(NormalTarget):
         s = satellites[..., 0, 0]
         return np.where(s == 0.5, 0.0, -np.inf)
 
-    def start_candidate(self, r, rng):
-        return np.array([[0.5]])
+    def start_candidates(self, r, rng):
+        return np.full((len(r), 1, 1), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -129,25 +135,25 @@ class HalfTarget(NormalTarget):
         s = satellites[..., 0, 0]
         return np.where((s >= 0.5) & (s < 1.0), 0.0, -np.inf)
 
-    def start_candidate(self, r, rng):
-        return rng.random((1, 1))
+    def start_candidates(self, r, rng):
+        return rng.random((len(r), 1, 1))
 
 
 def test_zero_weight_start_candidates_are_redrawn():
-    # a step of 1e-300 leaves every chain at its start, which must be the
-    # first finite candidate of the chain's own stream
+    # a step of 1e-300 leaves every chain at its start; the block's stream
+    # gives all 64 first candidates in one draw, and then each chain whose
+    # candidate has zero weight redraws until finite, in chain order
     density, space = line_pair()
     ansatz = HalfTarget(density, space)
     settings = SamplerSettings(sigma=1e-300, burn_in=0, samples=1, thinning=1, seed=3, tune=False)
     batch = run_conditional_batch(ansatz, np.zeros((64, 1)), settings, {"s": _last_sample})
-    expected, redrawn = [], 0
+    rng = substream(3, _NS_CHAIN, 0)
+    expected = rng.random(64)
+    redrawn = 0
     for chain in range(64):
-        rng = substream(3, _NS_CHAIN, chain)
-        cand = rng.random((1, 1))
-        redrawn += cand[0, 0] < 0.5
-        while cand[0, 0] < 0.5:
-            cand = rng.random((1, 1))
-        expected.append(cand[0, 0])
+        redrawn += expected[chain] < 0.5
+        while expected[chain] < 0.5:
+            expected[chain] = rng.random()
     assert redrawn > 0
     np.testing.assert_array_equal(batch.values["s"], expected)
 
@@ -327,6 +333,88 @@ def test_worker_count_and_rerun_pairwise_n6():
             np.testing.assert_array_equal(outs[0].values[name], other.values[name])
         np.testing.assert_array_equal(outs[0].acceptance, other.acceptance)
         np.testing.assert_array_equal(outs[0].sigma_final, other.sigma_final)
+
+
+# run_chain mean, stderr and acceptance from when every chain drew from a
+# stream of its own (key: chain index); a one-chain block has that key and
+# draws its start and all its step variates in the same order
+ONE_CHAIN_VALUES = {
+    ("pairwise-3d", 0): (2.4917924671939757, 0.05839901870734071, 0.38671875),
+    ("pairwise-3d", 2): (2.6090041343274586, 0.0699502287671303, 0.455078125),
+    ("pairwise-1d", 0): (1.79414622400745, 0.10601649156668763, 0.626953125),
+    ("pairwise-1d", 2): (1.6013228583047812, 0.0810999480419769, 0.626953125),
+    ("gaussian-1d", 0): (0.740493302264895, 0.08872753137510643, 0.74609375),
+    ("gaussian-1d", 2): (0.8136844028446911, 0.11893393986062563, 0.705078125),
+}
+
+
+def test_one_chain_streams_unchanged():
+    d3 = ExponentialDensity(zeta=1.7, n_electrons=3)
+    s3 = SpaceSpec(dim=3, radius=2.0, n_electrons=3)
+    d1 = ExponentialDensity(zeta=1.0, n_electrons=2, dim=1)
+    s1 = SpaceSpec(dim=1, radius=4.0, n_electrons=2)
+    cases = {
+        "pairwise-3d": (PairwiseBiparametric(d3, s3, gamma=1.0, beta=0.5), [0.3, -0.2, 0.1]),
+        "pairwise-1d": (PairwiseBiparametric(d1, s1, gamma=2.0, beta=0.0), [0.4]),
+        "gaussian-1d": (GaussianToy(d1, s1, width=0.8), [0.4]),
+    }
+    settings = SamplerSettings(sigma=0.5, burn_in=128, samples=256, thinning=2, seed=11)
+    obs = lambda r, s: float(np.sum(s * s))
+    for (name, stream_index), expected in ONE_CHAIN_VALUES.items():
+        ansatz, r = cases[name]
+        res = run_chain(ansatz, np.array(r), settings, obs, stream_index=stream_index)
+        assert (res.mean, res.stderr, res.acceptance) == expected, (name, stream_index)
+
+    # the last block of 1025 chains holds chain 1024 alone
+    ansatz = cases["pairwise-1d"][0]
+    settings = SamplerSettings(sigma=0.5, burn_in=32, samples=16, thinning=2, seed=11)
+    batch = run_conditional_batch(
+        ansatz,
+        np.linspace(-1.0, 1.0, 1025)[:, None],
+        settings,
+        {"m": lambda r_block, kept: kept[..., 0, 0].mean(axis=0)},
+    )
+    assert batch.values["m"][-1] == -0.07728085806700305
+    assert batch.acceptance[-1] == 0.78125
+
+
+def _steps_per_chunk(monkeypatch, steps, chains, dim=1):
+    """Set the variate budget so that a block draws `steps` steps at a time."""
+    monkeypatch.setattr(sampler, "_VARIATE_BYTES", steps * 8 * (dim + 2) * chains)
+
+
+def test_variate_chunk_edges_skip_and_reuse_nothing(monkeypatch):
+    # 200 steps in chunks of 7 end in a partial chunk of 4; on a flat target
+    # every move is accepted, so each chain's path is the running sum of
+    # the Gaussian steps drawn chunk by chunk from the block's stream
+    m = 16
+    _steps_per_chunk(monkeypatch, 7, m)
+    density, space = line_pair()
+    settings = SamplerSettings(sigma=1.0, burn_in=0, samples=200, thinning=1, seed=0, tune=False)
+    collect = {"s": lambda r_block, kept: kept[..., 0, 0]}
+    batch = run_conditional_batch(ConstTarget(density, space), np.zeros((m, 1)), settings, collect)
+    np.testing.assert_array_equal(batch.acceptance, 1.0)
+
+    rng = substream(0, _NS_CHAIN, 0)
+    steps = []
+    for n in [7] * 28 + [4]:
+        rng.integers(1, size=(n, m))
+        steps.append(rng.standard_normal((n, m, 1))[..., 0])
+        rng.random((n, m))
+    np.testing.assert_array_equal(batch.values["s"], np.cumsum(np.concatenate(steps), axis=0))
+
+
+def test_normal_target_variance_with_partial_variate_chunks(monkeypatch):
+    # the variance check of test_normal_target_variance, with 2256 steps
+    # drawn 7 at a time
+    _steps_per_chunk(monkeypatch, 7, 100)
+    density, space = line_pair()
+    ansatz = NormalTarget(density, space)
+    settings = SamplerSettings(sigma=1.0, burn_in=256, samples=1000, thinning=2, seed=5)
+    collect = lambda r_block, kept: kept[..., 0, 0] ** 2
+    batch = run_conditional_batch(ansatz, np.zeros((100, 1)), settings, {"sq": collect})
+    assert batch.values["sq"].size == 100_000
+    assert batch.values["sq"].mean() == pytest.approx(1.0, abs=0.02)
 
 
 def test_rerun_is_bit_identical():
