@@ -9,6 +9,11 @@ per step and passes that move as a hint, so families with pair sums can
 return the chain's current value plus the change in the O(S) terms that
 involve the moved satellite instead of all O(S^2) terms.
 
+This module owns the family registry: each family class declares its
+name and capabilities as class attributes, FAMILIES maps names to
+classes, and build_ansatz builds any of them.  Other modules read those
+attributes instead of naming families.
+
 Pairwise repulsion enters through the density-weighted kernel
 
     E_H(x, y) = rho(x) rho(y) k(|x - y|),
@@ -144,6 +149,10 @@ class ConditionalAnsatz:
 
     family: str = "base"
     confined: bool = False  # satellites restricted to the omega region
+    couplings: tuple[str, ...] = ()  # constructor parameters the optimizer searches
+    searchable: bool = True  # may be optimized and compared
+    exactly_normalized: bool = False  # f integrates to 1 by construction
+    closed_form_coulomb: bool = False  # Coulomb term has a quadrature route
 
     def __init__(self, density: Density, space: SpaceSpec):
         if density.dim != space.dim:
@@ -191,9 +200,6 @@ class ConditionalAnsatz:
                 return sats
         raise EstimatorError("could not find a finite starting configuration")
 
-    def params_dict(self) -> dict:
-        return {"family": self.family}
-
     def _check_shapes(self, r, satellites):
         r = np.asarray(r, dtype=float)
         satellites = np.asarray(satellites, dtype=float)
@@ -223,6 +229,7 @@ class PairwiseBiparametric(ConditionalAnsatz):
 
     family = "pairwise"
     confined = True
+    couplings = ("gamma", "beta")
 
     def __init__(self, density, space, gamma: float, beta: float, test_mode: bool = False):
         super().__init__(density, space)
@@ -266,35 +273,20 @@ class PairwiseBiparametric(ConditionalAnsatz):
         shape = (len(r), self.n_satellites, self.dim)
         return self.space.uniform_omega(shape[0] * shape[1], rng).reshape(shape)
 
-    def params_dict(self):
-        return {"family": self.family, "gamma": self.gamma, "beta": self.beta}
 
-
-class SimpleFactorized(ConditionalAnsatz):
-    """One-factor-per-satellite family, log f~ = -sum_n E_H(r, s_n).
+class SimpleFactorized(PairwiseBiparametric):
+    """One-factor-per-satellite family, log f~ = -sum_n E_H(r, s_n): the
+    pairwise family fixed at gamma = 1, beta = 0.
 
     Satellite pairs are uncorrelated, so satellite-satellite coincidences
     carry finite weight: the family is not fermionic-compatible.
     """
 
     family = "simple"
-    confined = True
+    couplings = ()
 
-    def log_unnormalized(self, r, satellites, moved=None):
-        r, satellites = self._check_shapes(r, satellites)
-        if moved is not None and self.n_satellites > 1:
-            return _hinted_pair_log(self, r, satellites, moved, 1.0, 0.0)
-        e_cond = pair_energy(self.density, self.space, r[..., None, :], satellites)
-        return self._support_log(satellites) - np.sum(e_cond, axis=-1)
-
-    def score(self, r, satellites):
-        r, satellites = self._check_shapes(r, satellites)
-        g = pair_energy_grad_x(self.density, self.space, r[..., None, :], satellites)
-        return -np.sum(g, axis=-2)
-
-    def start_candidates(self, r, rng):
-        shape = (len(r), self.n_satellites, self.dim)
-        return self.space.uniform_omega(shape[0] * shape[1], rng).reshape(shape)
+    def __init__(self, density, space):
+        super().__init__(density, space, 1.0, 0.0)
 
 
 class FrozenOrbitalProduct(ConditionalAnsatz):
@@ -306,7 +298,8 @@ class FrozenOrbitalProduct(ConditionalAnsatz):
     """
 
     family = "frozen"
-    confined = False
+    exactly_normalized = True
+    closed_form_coulomb = True
 
     def log_unnormalized(self, r, satellites, moved=None):
         r, satellites = self._check_shapes(r, satellites)
@@ -333,7 +326,8 @@ class GaussianToy(ConditionalAnsatz):
     """
 
     family = "gaussian-toy"
-    confined = False
+    searchable = False
+    exactly_normalized = True
 
     def __init__(self, density, space, width: float = 1.0):
         super().__init__(density, space)
@@ -357,16 +351,36 @@ class GaussianToy(ConditionalAnsatz):
             (len(r), self.n_satellites, self.dim)
         )
 
-    def params_dict(self):
-        return {"family": self.family, "width": self.width}
 
-
+# the registry: the one place that maps family names to their classes
 FAMILIES = {
-    "pairwise": PairwiseBiparametric,
-    "simple": SimpleFactorized,
-    "frozen": FrozenOrbitalProduct,
-    "gaussian-toy": GaussianToy,
+    cls.family: cls
+    for cls in (PairwiseBiparametric, SimpleFactorized, FrozenOrbitalProduct, GaussianToy)
 }
+
+
+def family_class(family: str) -> type[ConditionalAnsatz]:
+    """The registered class of a family name; AnsatzError if unknown."""
+    try:
+        return FAMILIES[family]
+    except KeyError:
+        raise AnsatzError(f"unknown ansatz family {family!r}") from None
+
+
+def build_ansatz(
+    family: str,
+    density: Density,
+    space: SpaceSpec,
+    gamma: float = 1.0,
+    beta: float = 1.0,
+    test_mode: bool = False,
+) -> ConditionalAnsatz:
+    """An instance of any registered family; gamma, beta and test_mode
+    reach only the families that have couplings."""
+    cls = family_class(family)
+    if cls.couplings:
+        return cls(density, space, gamma, beta, test_mode=test_mode)
+    return cls(density, space)
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +493,8 @@ def check_conditions(
     points = density.sample(n_points, rng_points)
 
     checks: list[NormalizationCheck] = []
-    if isinstance(ansatz, FrozenOrbitalProduct) or isinstance(ansatz, GaussianToy):
-        # exactly normalized by construction; nothing stochastic to test
+    if ansatz.exactly_normalized:
+        # nothing stochastic to test
         for r in points:
             checks.append(NormalizationCheck(r, 1.0, 0.0, 0.0, True))
     else:

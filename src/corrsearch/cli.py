@@ -26,7 +26,7 @@ from .ansatz import (
     AnsatzError,
     EstimatorError,
     FAMILIES,
-    GaussianToy,
+    build_ansatz,
     check_conditions,
 )
 from .config import (
@@ -41,12 +41,7 @@ from .config import (
 )
 from .domain import DomainError
 from .functionals import gamma_correlation, prefactor_value, total_energy
-from .optimizer import (
-    OptimizeError,
-    build_ansatz,
-    inner_minimize,
-    outer_minimize,
-)
+from .optimizer import OptimizeError, inner_minimize, outer_minimize
 from .oracle import (
     ProductWavefunction,
     solve_two_particle_1d,
@@ -67,6 +62,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 EXIT_TOLERANCE = 3
+
+SEARCHABLE = [name for name, cls in FAMILIES.items() if cls.searchable]
 
 
 def _jsonable(obj):
@@ -132,8 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_cmp)
     p_cmp.add_argument(
         "--families",
-        default="pairwise,simple,frozen",
-        help="comma separated list, at least two of: pairwise, simple, frozen",
+        default=",".join(SEARCHABLE),
+        help=f"comma separated list, at least two of: {', '.join(SEARCHABLE)}",
     )
     p_cmp.set_defaults(handler=cmd_compare)
 
@@ -168,19 +165,6 @@ def _load(args) -> RunConfig:
     return load_config(args.config, overrides)
 
 
-def _ansatz_from_config(cfg: RunConfig, density, space):
-    if cfg.ansatz.family == "gaussian-toy":
-        return GaussianToy(density, space)
-    return build_ansatz(
-        cfg.ansatz.family,
-        density,
-        space,
-        cfg.ansatz.gamma,
-        cfg.ansatz.beta,
-        test_mode=cfg.test_mode,
-    )
-
-
 def _new_record(command: str, cfg: RunConfig) -> RunRecord:
     return RunRecord(
         command=command,
@@ -200,7 +184,9 @@ def cmd_energy(args) -> int:
     space = build_space(cfg)
     density = build_density(cfg)
     potential = build_potential(cfg)
-    ansatz = _ansatz_from_config(cfg, density, space)
+    ansatz = build_ansatz(
+        cfg.ansatz.family, density, space, cfg.ansatz.gamma, cfg.ansatz.beta, cfg.test_mode
+    )
     settings = build_sampler_settings(cfg)
 
     t0 = time.perf_counter()
@@ -239,10 +225,11 @@ def cmd_optimize(args) -> int:
         raise ConfigError(
             "[density] field 'family': the nested search varies the exponential scale"
         )
-    if cfg.ansatz.family not in ("pairwise", "simple", "frozen"):
+    family = FAMILIES[cfg.ansatz.family]
+    if not family.searchable:
         raise ConfigError("[ansatz] field 'family': not searchable")
     if args.method == "quadrature" and (
-        cfg.ansatz.family != "frozen" or cfg.system.dimensionality != "3d"
+        not family.closed_form_coulomb or cfg.system.dimensionality != "3d"
     ):
         raise ConfigError(
             "--method quadrature applies only to the frozen family on 3d densities"
@@ -307,7 +294,7 @@ def cmd_compare(args) -> int:
     if len(families) < 2:
         raise ConfigError("--families needs at least two entries")
     for fam in families:
-        if fam not in ("pairwise", "simple", "frozen"):
+        if fam not in SEARCHABLE:
             raise ConfigError(f"--families: {fam!r} is not comparable")
 
     space = build_space(cfg)
@@ -437,7 +424,9 @@ def cmd_diagnostics(args) -> int:
     cfg = _load(args)
     space = build_space(cfg)
     density = build_density(cfg)
-    ansatz = _ansatz_from_config(cfg, density, space)
+    ansatz = build_ansatz(
+        cfg.ansatz.family, density, space, cfg.ansatz.gamma, cfg.ansatz.beta, cfg.test_mode
+    )
     settings = build_sampler_settings(cfg)
 
     rng = conditioning_rng(settings.seed)

@@ -295,10 +295,9 @@ def _validate_cross(cfg: RunConfig):
         raise ConfigError("prefactor must be 'half' or 'full'")
     if cfg.density.family == "tabulated-1d" and cfg.system.dimensionality != "1d":
         raise ConfigError("[density] field 'family': tabulated-1d needs a 1d system")
-    if cfg.ansatz.family == "pairwise" and cfg.ansatz.gamma <= 0.0 and not cfg.test_mode:
-        raise ConfigError(
-            "[ansatz] field 'gamma': must be positive outside test mode"
-        )
+    gamma_searched = "gamma" in FAMILIES[cfg.ansatz.family].couplings
+    if gamma_searched and cfg.ansatz.gamma <= 0.0 and not cfg.test_mode:
+        raise ConfigError("[ansatz] field 'gamma': must be positive outside test mode")
     if cfg.optimize.gamma_min <= 0.0 and not cfg.test_mode:
         raise ConfigError("[optimize] field 'gamma_min': must be positive outside test mode")
 
@@ -349,9 +348,20 @@ def build_potential(cfg: RunConfig) -> ExternalPotential:
     )
 
 
+def _in_section(section: str, build, **fields):
+    """build(**fields), with its ValueError re-raised as a ConfigError
+    that names the section."""
+    try:
+        return build(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
+
+
 def build_sampler_settings(cfg: RunConfig) -> SamplerSettings:
     s = cfg.sampler
-    return SamplerSettings(
+    return _in_section(
+        "sampler",
+        SamplerSettings,
         sigma=s.sigma,
         burn_in=s.burn_in,
         samples=s.samples,
@@ -366,7 +376,9 @@ def build_sampler_settings(cfg: RunConfig) -> SamplerSettings:
 
 def build_optimize_spec(cfg: RunConfig) -> OptimizeSpec:
     o = cfg.optimize
-    return OptimizeSpec(
+    return _in_section(
+        "optimize",
+        OptimizeSpec,
         zeta_bounds=(o.zeta_min, o.zeta_max),
         gamma_bounds=(o.gamma_min, o.gamma_max),
         beta_bounds=(o.beta_min, o.beta_max),

@@ -112,9 +112,6 @@ class Density:
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
-    def params_dict(self) -> dict:
-        raise NotImplementedError
-
 
 def _check_points(points: np.ndarray, dim: int) -> np.ndarray:
     points = np.asarray(points, dtype=float)
@@ -174,14 +171,6 @@ class ExponentialDensity(Density):
         sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
         return (s * sign)[:, None]
 
-    def params_dict(self):
-        return {
-            "family": self.family,
-            "zeta": self.zeta,
-            "n_electrons": self.n_electrons,
-            "dim": self.dim,
-        }
-
 
 @dataclass(frozen=True)
 class ExponentialMixtureDensity(Density):
@@ -232,15 +221,6 @@ class ExponentialMixtureDensity(Density):
             if cnt:
                 out[mask] = comp.sample(cnt, rng)
         return out
-
-    def params_dict(self):
-        return {
-            "family": self.family,
-            "zetas": list(self.zetas),
-            "weights": list(self.weights),
-            "n_electrons": self.n_electrons,
-            "dim": self.dim,
-        }
 
 
 class Tabulated1DDensity(Density):
@@ -296,16 +276,6 @@ class Tabulated1DDensity(Density):
 
     def cdf(self, xq: np.ndarray) -> np.ndarray:
         return np.interp(np.asarray(xq, dtype=float), self.x, self._cdf)
-
-    def params_dict(self):
-        return {
-            "family": self.family,
-            "n_electrons": self.n_electrons,
-            "dim": 1,
-            "x_min": float(self.x[0]),
-            "x_max": float(self.x[-1]),
-            "n_points": int(self.x.size),
-        }
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .ansatz import AnsatzError, ConditionalAnsatz, FrozenOrbitalProduct
+from .ansatz import AnsatzError, ConditionalAnsatz
 from .domain import (
     Density,
     DomainError,
@@ -263,7 +263,7 @@ def gamma_correlation(
     if ansatz.n_satellites == 0:
         return _zero_gamma(prefactor, "exact")
     quadrature_ok = (
-        isinstance(ansatz, FrozenOrbitalProduct)
+        ansatz.closed_form_coulomb
         and density.dim == 3
         and density.family in ("exponential", "exponential-mixture")
     )

@@ -12,16 +12,11 @@ minimizing Weizsacker + external + inner-optimal Gamma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import (
-    ConditionalAnsatz,
-    FrozenOrbitalProduct,
-    PairwiseBiparametric,
-    SimpleFactorized,
-)
+from .ansatz import build_ansatz, family_class
 from .domain import Density, ExternalPotential, SpaceSpec, default_grid, external_energy
 from .functionals import (
     EnergyBreakdown,
@@ -109,7 +104,6 @@ class MinimizeResult:
     value: float
     n_eval: int
     converged: bool
-    evaluations: list = field(default_factory=list)  # (x tuple, value) in call order
 
 
 def nelder_mead(
@@ -180,8 +174,7 @@ def nelder_mead(
     simplex.sort(key=sort_key)
     x_best, f_best = simplex[0]
     return MinimizeResult(
-        x=np.asarray(x_best), value=f_best, n_eval=len(evals), converged=converged,
-        evaluations=evals,
+        x=np.asarray(x_best), value=f_best, n_eval=len(evals), converged=converged
     )
 
 
@@ -221,31 +214,13 @@ def golden_section(
     xs, vs = zip(*evals)
     best = int(np.lexsort((np.asarray([x[0] for x in xs]), np.asarray(vs)))[0])
     return MinimizeResult(
-        x=np.asarray(xs[best]), value=vs[best], n_eval=len(evals), converged=converged,
-        evaluations=evals,
+        x=np.asarray(xs[best]), value=vs[best], n_eval=len(evals), converged=converged
     )
 
 
 # ---------------------------------------------------------------------------
 # inner search over ansatz couplings
 # ---------------------------------------------------------------------------
-
-
-def build_ansatz(
-    family: str,
-    density: Density,
-    space: SpaceSpec,
-    gamma: float = 1.0,
-    beta: float = 1.0,
-    test_mode: bool = False,
-) -> ConditionalAnsatz:
-    if family == "pairwise":
-        return PairwiseBiparametric(density, space, gamma, beta, test_mode=test_mode)
-    if family == "simple":
-        return SimpleFactorized(density, space)
-    if family == "frozen":
-        return FrozenOrbitalProduct(density, space)
-    raise ValueError(f"unknown ansatz family {family!r}")
 
 
 @dataclass
@@ -272,7 +247,7 @@ def inner_minimize(
 ) -> InnerResult:
     """Minimize Gamma over the family's couplings at fixed density.
 
-    The pairwise family searches (gamma, beta) with Nelder-Mead; the
+    A family with couplings searches (gamma, beta) with Nelder-Mead; the
     parameter-free families evaluate once.  `objective`, if given, maps
     (gamma, beta) to a synthetic value and replaces the sampled Gamma
     (plumbing-test hook).
@@ -290,9 +265,9 @@ def inner_minimize(
 
     trace: list[TraceEntry] = []
 
-    if family != "pairwise":
+    if not family_class(family).couplings:
         if objective is not None:
-            raise OptimizeError("objective override needs the pairwise family")
+            raise OptimizeError("objective override needs a family with couplings")
         est = gamma_at(opt.gamma_init, opt.beta_init, search_settings)
         fresh = gamma_at(
             opt.gamma_init, opt.beta_init, settings.replace(seed=fresh_seed(opt.seed))

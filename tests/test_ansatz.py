@@ -1,20 +1,27 @@
 """Conditional families: pair kernel, log-values, scores, normalizations."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import corrsearch
 from corrsearch.ansatz import (
+    FAMILIES,
     AnsatzError,
     FrozenOrbitalProduct,
     GaussianToy,
     PairwiseBiparametric,
     SimpleFactorized,
+    build_ansatz,
     check_conditions,
     log_normalization_pairwise,
     normalization_simple,
     pair_energy,
     pair_energy_grad_x,
 )
+from corrsearch.config import parse_config
 from corrsearch.domain import (
     ExponentialDensity,
     SpaceSpec,
@@ -479,3 +486,82 @@ def test_fermionic_compatibility_rules():
     assert not PairwiseBiparametric(density, space, 1.0, 0.0).fermionic_compatible
     assert not SimpleFactorized(density, space).fermionic_compatible
     assert not FrozenOrbitalProduct(density, space).fermionic_compatible
+
+
+# ---------------------------------------------------------------------------
+# family registry
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_every_registered_family_parses_and_builds(name):
+    cfg = parse_config(f"[system]\nn = 3\nz = 3.0\n[ansatz]\nfamily = {name}\n")
+    density, space = lithium_like()
+    ans = build_ansatz(cfg.ansatz.family, density, space, cfg.ansatz.gamma, cfg.ansatz.beta)
+    assert ans.family == name
+    assert type(ans) is FAMILIES[name]
+
+
+def test_build_ansatz_unknown_family_raises_ansatz_error():
+    density, space = he_pair()
+    with pytest.raises(AnsatzError, match="hartree-fock"):
+        build_ansatz("hartree-fock", density, space)
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_simple_is_pairwise_at_unit_gamma_zero_beta(n):
+    density = ExponentialDensity(zeta=1.0, n_electrons=n)
+    space = SpaceSpec(dim=3, radius=4.0, n_electrons=n)
+    simple = SimpleFactorized(density, space)
+    pair = PairwiseBiparametric(density, space, 1.0, 0.0)
+    n_sat, m = n - 1, 64
+    rng = np.random.default_rng(n)
+    rows = np.arange(m)
+    r = density.sample(m, rng)
+    cur = space.uniform_omega(m * n_sat, rng).reshape(m, n_sat, 3)
+    log_cur = pair.log_unnormalized(r, cur)
+    k = rng.integers(n_sat, size=m)
+    proposal = cur.copy()
+    proposal[rows, k] += 0.6 * rng.standard_normal((m, 3))
+    # exact zero-weight proposals: onto r, onto another satellite, outside omega
+    proposal[0::5, 0] = r[0::5]
+    proposal[1::5, -1] = proposal[1::5, 0]
+    proposal[2::5, 0] = 1.5 * space.omega_radius
+    moved = (k, cur[rows, k], log_cur)
+    for sats in (cur, proposal):
+        np.testing.assert_array_equal(
+            simple.log_unnormalized(r, sats), pair.log_unnormalized(r, sats)
+        )
+        np.testing.assert_array_equal(simple.score(r, sats), pair.score(r, sats))
+    np.testing.assert_array_equal(
+        simple.log_unnormalized(r, proposal, moved=moved),
+        pair.log_unnormalized(r, proposal, moved=moved),
+    )
+    assert simple.fermionic_compatible == pair.fermionic_compatible
+
+
+def test_family_names_appear_only_in_the_registry():
+    # outside ansatz.py a family is reached through FAMILIES and the class
+    # attributes: a family name compared or listed, or a family class in an
+    # isinstance check, is a second copy of what the registry knows
+    names = set(FAMILIES)
+    classes = {cls.__name__ for cls in FAMILIES.values()}
+    offenders = set()
+    for path in sorted(Path(corrsearch.__file__).parent.glob("*.py")):
+        if path.name == "ansatz.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Compare, ast.Tuple, ast.List, ast.Set)):
+                offenders |= {
+                    f"{path.name}:{c.lineno} {c.value!r}"
+                    for c in ast.walk(node)
+                    if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                    and c.value in names
+                }
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                offenders |= {
+                    f"{path.name}:{c.lineno} isinstance {c.id}"
+                    for c in ast.walk(node.args[1])
+                    if isinstance(c, ast.Name) and c.id in classes
+                }
+    assert not offenders, sorted(offenders)

@@ -118,6 +118,21 @@ def test_unparseable_value_names_field(tmp_path, capsys):
     assert "'n'" in err and "two" in err
 
 
+@pytest.mark.parametrize(
+    "command,section,fields",
+    [
+        ("energy", "[sampler]", "samples = 0"),
+        ("energy", "[sampler]", "workers = 0"),
+        ("optimize", "[optimize]", "zeta_min = 3\nzeta_max = 1"),
+    ],
+)
+def test_out_of_range_setting_names_its_section(tmp_path, capsys, command, section, fields):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"[system]\nn = 2\nz = 2.0\n{section}\n{fields}\n", encoding="utf-8")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert section in capsys.readouterr().err
+
+
 def test_missing_required_flag_is_validation_error(capsys):
     assert main(["energy"]) == 1
     assert main([]) == 1
