@@ -142,12 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--extent", type=float, default=6.0)
     p_ver.add_argument("--z", type=float, default=2.0, help="1D well depth")
     p_ver.add_argument("--softening", type=float, default=1.0)
-    # the boson default keeps the grid residual second order in h; the
-    # fermion sector's node line degrades it to first order, so pair
-    # --symmetry fermion with a looser --tol-grid
     p_ver.add_argument("--symmetry", choices=("fermion", "boson"), default="boson")
     p_ver.add_argument("--tol-product", type=float, default=1e-3)
-    p_ver.add_argument("--tol-grid", type=float, default=1e-2)
+    p_ver.add_argument("--tol-grid", type=float, default=1e-10)
     p_ver.set_defaults(handler=cmd_verify)
 
     p_diag = subs.add_parser("sample-diagnostics", help="chain health report")

@@ -359,6 +359,9 @@ def _in_section(section: str, build, **fields):
 
 def build_sampler_settings(cfg: RunConfig) -> SamplerSettings:
     s = cfg.sampler
+    if s.samples < 2:
+        # the within-chain score variance needs two kept samples
+        raise ConfigError("[sampler] samples must be >= 2")
     return _in_section(
         "sampler",
         SamplerSettings,

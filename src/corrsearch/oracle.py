@@ -6,17 +6,18 @@ against quantities computed another way:
 * product wavefunctions with exponential orbitals, where kinetic and
   interaction expectations reduce to radial quadratures;
 * exact diagonalization of the two-particle softened-interaction
-  Hamiltonian on a 1D grid;
+  Hamiltonian on a 1D grid, with the three-point Dirichlet Laplacian;
 * the decomposition identity <T + V_ee> = Weizsacker + Fisher + Coulomb
   evaluated on the conditional density extracted from a wavefunction;
-* a brute-force minimization of the discrete correlation functional over
-  a row-stochastic relaxation of the admissible f tables, which
-  lower-bounds any parametric family on the same grid;
 * a lattice form of the correlation functional that reproduces the grid
-  solver's energy exactly, and the Levy-Lieb constrained search over
-  representable tables (symmetric pair densities with marginal rho and
-  zero diagonal), whose minimum at the fermion solver's density is that
-  solver's own conditional.
+  solver's <T> and <V_ee> exactly, and the Levy-Lieb constrained search
+  over representable tables (symmetric pair densities with marginal rho
+  and zero diagonal), whose minimum at the fermion solver's density is
+  that solver's own conditional.
+
+Every grid route uses that one form: the solver's `kinetic_matrix` on
+the wavefunction side and the `lattice_*` functional on the (rho, f)
+side.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ import numpy as np
 
 from .domain import DomainError
 from .functionals import prefactor_value, radial_pair_integral
-
-_EPS_F = 1e-13  # floor protecting 1/f in the discrete Fisher term
 
 
 # ---------------------------------------------------------------------------
@@ -127,15 +126,13 @@ def direct_expectation_product(w: ProductWavefunction) -> DirectExpectation:
     return DirectExpectation(kinetic=kinetic, interaction=n_pairs * pair)
 
 
-def fd_matrix(m: int, h: float) -> np.ndarray:
-    """First-derivative stencil: central inside, one-sided at the edges."""
-    a = np.zeros((m, m))
-    for i in range(1, m - 1):
-        a[i, i - 1] = -0.5 / h
-        a[i, i + 1] = 0.5 / h
-    a[0, 0], a[0, 1] = -1.0 / h, 1.0 / h
-    a[-1, -2], a[-1, -1] = -1.0 / h, 1.0 / h
-    return a
+def kinetic_matrix(m: int, h: float) -> np.ndarray:
+    """One-particle -(1/2) d2/dx2: three-point stencil, Dirichlet boundaries."""
+    kin = np.zeros((m, m))
+    np.fill_diagonal(kin, 1.0 / h**2)
+    idx = np.arange(m - 1)
+    kin[idx, idx + 1] = kin[idx + 1, idx] = -0.5 / h**2
+    return kin
 
 
 def soft_kernel(x: np.ndarray, softening: float) -> np.ndarray:
@@ -145,11 +142,9 @@ def soft_kernel(x: np.ndarray, softening: float) -> np.ndarray:
 
 
 def direct_expectation_grid(w: Grid1DWavefunction) -> DirectExpectation:
-    """<T> and <V_ee> on the grid with the shared derivative stencil."""
-    a = fd_matrix(w.x.size, w.h)
-    d1 = a @ w.psi
-    d2 = w.psi @ a.T
-    kinetic = 0.5 * float(np.sum(d1 * d1 + d2 * d2)) * w.h**2
+    """<T> and <V_ee> on the grid: the solver's own quadratic forms."""
+    kin = kinetic_matrix(w.x.size, w.h)
+    kinetic = float(np.sum(w.psi * (kin @ w.psi + w.psi @ kin))) * w.h**2
     vee = float(np.sum(w.psi**2 * soft_kernel(w.x, w.softening))) * w.h**2
     return DirectExpectation(kinetic=kinetic, interaction=vee)
 
@@ -157,15 +152,6 @@ def direct_expectation_grid(w: Grid1DWavefunction) -> DirectExpectation:
 # ---------------------------------------------------------------------------
 # exact diagonalization of the 1D two-particle problem
 # ---------------------------------------------------------------------------
-
-
-def kinetic_matrix(m: int, h: float) -> np.ndarray:
-    """One-particle -(1/2) d2/dx2: three-point stencil, Dirichlet boundaries."""
-    kin = np.zeros((m, m))
-    np.fill_diagonal(kin, 1.0 / h**2)
-    idx = np.arange(m - 1)
-    kin[idx, idx + 1] = kin[idx + 1, idx] = -0.5 / h**2
-    return kin
 
 
 def solve_two_particle_1d(
@@ -186,6 +172,8 @@ def solve_two_particle_1d(
         raise DomainError("grid oracle supports 4..64 points")
     if symmetry not in ("fermion", "boson"):
         raise DomainError(f"unknown symmetry {symmetry!r}")
+    if not (0.0 < extent < np.inf and 0.0 < softening < np.inf):
+        raise DomainError("extent and softening must be finite and > 0")
     m = n_points
     x = np.linspace(-extent, extent, m)
     h = x[1] - x[0]
@@ -309,31 +297,6 @@ def verify_decomposition_product(w: ProductWavefunction) -> DecompositionReport:
     )
 
 
-def grid_weizsacker(x: np.ndarray, rho: np.ndarray) -> float:
-    h = float(x[1] - x[0])
-    drho = fd_matrix(x.size, h) @ rho
-    integrand = np.where(rho > 0.0, drho**2 / np.where(rho > 0.0, rho, 1.0), 0.0)
-    return float(np.sum(integrand) * h / 8.0)
-
-
-def grid_fisher(x: np.ndarray, rho: np.ndarray, f_table: np.ndarray) -> float:
-    """(1/8) sum_x rho(x) sum_x' (D_x f)^2 / f, off-diagonal entries only.
-
-    D_x is the `fd_matrix` stencil.  The diagonal is excluded because
-    feasible tables vanish there; the error this makes is first order in
-    h for node-bearing states.  This stencil form is not the one whose
-    constrained minimum is the solver's state: the solver uses the
-    three-point Laplacian, whose exact counterpart is `lattice_fisher`.
-    """
-    m = x.size
-    h = float(x[1] - x[0])
-    g = fd_matrix(m, h) @ f_table
-    off = ~np.eye(m, dtype=bool)
-    safe = np.maximum(f_table, _EPS_F)
-    integrand = np.where(off & (f_table > 0.0), g * g / safe, 0.0)
-    return float(np.sum(rho[:, None] * integrand) * h * h / 8.0)
-
-
 def grid_coulomb_expectation(x, rho, f_table, softening) -> float:
     """sum_x rho(x) sum_x' f(x'|x) w(x - x'), before the prefactor."""
     h = float(x[1] - x[0])
@@ -344,8 +307,8 @@ def verify_decomposition_grid(w: Grid1DWavefunction) -> DecompositionReport:
     direct = direct_expectation_grid(w)
     rho = w.density()
     f = w.conditional_table()
-    weiz = grid_weizsacker(w.x, rho)
-    fisher = grid_fisher(w.x, rho, f)
+    weiz = lattice_weizsacker(w.x, rho)
+    fisher = lattice_fisher(w.x, rho, f)
     expect = grid_coulomb_expectation(w.x, rho, f, w.softening)
     res_half, res_full = _residuals(direct.internal, weiz, fisher, expect, 2)
     return DecompositionReport(
@@ -359,13 +322,13 @@ def verify_decomposition_grid(w: Grid1DWavefunction) -> DecompositionReport:
 
 
 # ---------------------------------------------------------------------------
-# brute-force inner minimization on the grid
+# grid systems
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class GridSystem1D:
-    """Fixed density on a uniform 1D grid; the arena for exhaustive search."""
+    """Fixed density on a uniform 1D grid; the arena for the constrained search."""
 
     x: np.ndarray
     rho: np.ndarray
@@ -400,184 +363,6 @@ def system_from_density_values(x, rho, softening=1.0, n_electrons=2) -> GridSyst
     if total <= 0.0:
         raise DomainError("density has no mass")
     return GridSystem1D(x=x, rho=rho * (n_electrons / total), softening=softening)
-
-
-def pairwise_table(system: GridSystem1D, gamma: float) -> np.ndarray:
-    """Density-damped pair candidate as a feasible grid table.
-
-    exp(-gamma rho(x) rho(x') w(x - x')) with the diagonal zeroed and
-    each row rescaled to sum 1/h, mirroring how the continuum family is
-    normalized rather than Euclidean-projected.
-    """
-    damp = (
-        system.rho[:, None]
-        * system.rho[None, :]
-        * soft_kernel(system.x, system.softening)
-    )
-    table = np.exp(-gamma * damp)
-    np.fill_diagonal(table, 0.0)
-    return table / (table.sum(axis=1, keepdims=True) * system.h)
-
-
-def discrete_gamma(system: GridSystem1D, f_table: np.ndarray, prefactor: str = "half") -> float:
-    """Fisher + Coulomb of an f table on the grid (same conventions as
-    the decomposition verifier, so values are directly comparable)."""
-    fisher = grid_fisher(system.x, system.rho, f_table)
-    expect = grid_coulomb_expectation(system.x, system.rho, f_table, system.softening)
-    return fisher + prefactor_value(system.n_electrons, prefactor) * expect
-
-
-def _project_rows(f_table: np.ndarray, h: float) -> np.ndarray:
-    """Project each row onto {f >= 0, h * sum = 1, f[diagonal] = 0}."""
-    m = f_table.shape[0]
-    out = np.zeros_like(f_table)
-    target = 1.0 / h
-    for i in range(m):
-        row = np.delete(f_table[i], i)
-        out[i, np.arange(m) != i] = _project_simplex(row, target)
-    return out
-
-
-def _project_simplex(v: np.ndarray, s: float) -> np.ndarray:
-    """Euclidean projection of v onto {w >= 0, sum w = s} (sort method)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - s
-    k = np.arange(1, v.size + 1)
-    cond = u - css / k > 0.0
-    rho_idx = np.nonzero(cond)[0][-1]
-    theta = css[rho_idx] / (rho_idx + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
-@dataclass
-class BruteforceResult:
-    value: float
-    f_table: np.ndarray
-    n_iter: int
-    converged: bool
-    restart_values: list[float]
-    init_value: float | None = None
-
-    @property
-    def decrease_from_init(self) -> float | None:
-        if self.init_value is None:
-            return None
-        return self.init_value - self.value
-
-
-def _pgd(system, f0, prefactor, max_iter, tol):
-    """Projected gradient descent with backtracking on the f table."""
-    m = system.x.size
-    h = system.h
-    rho = system.rho
-    a = fd_matrix(m, h)
-    off = ~np.eye(m, dtype=bool)
-    kernel = soft_kernel(system.x, system.softening)
-    pref = prefactor_value(system.n_electrons, prefactor)
-    grad_coulomb = pref * h * h * rho[:, None] * kernel
-
-    def objective(f):
-        return discrete_gamma(system, f, prefactor)
-
-    def gradient(f):
-        g = a @ f
-        safe = np.maximum(f, _EPS_F)
-        mask = off & (f > 0.0)
-        ratio = np.where(mask, g / safe, 0.0)
-        term1 = a.T @ (2.0 * rho[:, None] * ratio)
-        term2 = -rho[:, None] * ratio * ratio * (f > _EPS_F)
-        return (h * h / 8.0) * (term1 + term2) + grad_coulomb
-
-    f = _project_rows(f0, h)
-    val = objective(f)
-    step = 0.1 * h
-    stall = 0
-    it = 0
-    for it in range(1, max_iter + 1):
-        grad = gradient(f)
-        improved = False
-        trial_step = step
-        for _ in range(40):
-            cand = _project_rows(f - trial_step * grad, h)
-            cand_val = objective(cand)
-            if cand_val < val:
-                improved = True
-                break
-            trial_step *= 0.5
-        if not improved:
-            return f, val, it, True
-        if val - cand_val < tol * max(1.0, abs(val)):
-            stall += 1
-        else:
-            stall = 0
-        f, val = cand, cand_val
-        step = min(trial_step * 2.0, 10.0 * h)
-        if stall >= 10:
-            return f, val, it, True
-    return f, val, it, False
-
-
-def bruteforce_inner_min(
-    system: GridSystem1D,
-    f_init: np.ndarray | None = None,
-    n_restarts: int = 4,
-    max_iter: int = 3000,
-    tol: float = 1e-9,
-    seed: int = 0,
-    prefactor: str = "half",
-) -> BruteforceResult:
-    """Minimize the discrete functional over a relaxation of the admissible set.
-
-    The tables searched are non-negative, zero on the diagonal and have
-    rows that h-sum to 1.  They need not satisfy the joint symmetry
-    rho(x) f(x'|x) = rho(x') f(x|x') that every conditional of a
-    two-particle state has, so the optimum lower-bounds any parametric
-    table on the grid but can sit below every representable one; the
-    constrained search over representable tables is
-    `representable_inner_min`.  Starts from f_init (if given), a uniform
-    off-diagonal table, and n_restarts random tables; returns the best
-    optimum found.  The objective is convex (quadratic-over-linear Fisher
-    plus linear Coulomb over linear constraints), so restarts mainly
-    guard against slow corners rather than local minima.
-    """
-    m = system.x.size
-    h = system.h
-    inits: list[np.ndarray] = []
-    init_value = None
-    if f_init is not None:
-        f0 = _project_rows(np.asarray(f_init, dtype=float), h)
-        init_value = discrete_gamma(system, f0, prefactor)
-        inits.append(f0)
-    inits.append(np.ones((m, m)))
-    for k in range(n_restarts):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(0xB7, k))
-        )
-        inits.append(rng.random((m, m)) + 1e-3)
-
-    best = None
-    values = []
-    total_iter = 0
-    all_converged = True
-    for f0 in inits:
-        f_star, val, iters, conv = _pgd(system, f0, prefactor, max_iter, tol)
-        values.append(val)
-        total_iter += iters
-        all_converged = all_converged and conv
-        if best is None or val < best[1]:
-            best = (f_star, val)
-
-    f_star, val = best
-    # optimized tables keep an exactly zero diagonal by construction
-    assert float(np.abs(np.diag(f_star)).max()) == 0.0
-    return BruteforceResult(
-        value=val,
-        f_table=f_star,
-        n_iter=total_iter,
-        converged=all_converged,
-        restart_values=values,
-        init_value=init_value,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -712,6 +497,39 @@ class _PairTableSpace:
         return p
 
 
+def pairwise_table(system: GridSystem1D, gamma: float) -> np.ndarray:
+    """Density-damped pair candidate as a representable grid table.
+
+    The pair table exp(-gamma rho(x) rho(x') w(x - x')) with a zero
+    diagonal, scaled onto the marginal rho by symmetric Sinkhorn (the
+    grid analogue of normalizing the continuum family), returned as
+    f = P / rho.
+    """
+    damp = (
+        system.rho[:, None]
+        * system.rho[None, :]
+        * soft_kernel(system.x, system.softening)
+    )
+    space = _PairTableSpace(system)
+    return space.f_table(space.start(np.exp(-gamma * damp)))
+
+
+@dataclass
+class GridSearchResult:
+    value: float
+    f_table: np.ndarray
+    n_iter: int
+    converged: bool
+    restart_values: list[float]
+    init_value: float | None = None
+
+    @property
+    def decrease_from_init(self) -> float | None:
+        if self.init_value is None:
+            return None
+        return self.init_value - self.value
+
+
 _NEWTON_MAX_ITER = 100
 _NEWTON_TOL = 1e-15  # stop once half the Newton decrement is below this (Ha)
 
@@ -754,7 +572,7 @@ def representable_inner_min(
     f_init: np.ndarray | None = None,
     n_restarts: int = 4,
     seed: int = 0,
-) -> BruteforceResult:
+) -> GridSearchResult:
     """Minimize the lattice functional over representable f tables.
 
     The tables searched are those of pair densities P = rho(x) f(x'|x)
@@ -798,7 +616,7 @@ def representable_inner_min(
             best = (space.f_table(p), val)
 
     f_star, val = best
-    return BruteforceResult(
+    return GridSearchResult(
         value=val,
         f_table=f_star,
         n_iter=total_iter,

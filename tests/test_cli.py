@@ -123,6 +123,7 @@ def test_unparseable_value_names_field(tmp_path, capsys):
     [
         ("energy", "[sampler]", "samples = 0"),
         ("energy", "[sampler]", "workers = 0"),
+        ("energy", "[sampler]", "samples = 1"),
         ("optimize", "[optimize]", "zeta_min = 3\nzeta_max = 1"),
     ],
 )
@@ -224,16 +225,17 @@ def test_verify_literal_prefactor_fails_tolerance(tmp_path, capsys):
     assert record.results["product"]["residual_half"] <= 1e-3
 
 
-def test_verify_fermion_needs_looser_grid_tolerance(capsys):
-    assert main(["verify", "--symmetry", "fermion"]) == 3
-    capsys.readouterr()
-    assert main(["verify", "--symmetry", "fermion", "--tol-grid", "0.05"]) == 0
-    capsys.readouterr()
+def test_verify_fermion_passes_default_grid_tolerance(capsys):
+    assert main(["verify", "--symmetry", "fermion"]) == 0
+    assert "verification passed" in capsys.readouterr().out
 
 
 def test_verify_invalid_parameters_exit_validation(capsys):
     assert main(["verify", "--zeta", "-1.0"]) == 1
     assert main(["verify", "--grid-points", "80"]) == 1
+    for flag in ("--extent", "--softening"):
+        for value in ("0", "-3", "nan", "inf"):
+            assert main(["verify", flag, value]) == 1
     capsys.readouterr()
 
 

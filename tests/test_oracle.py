@@ -8,24 +8,17 @@ against exact diagonalization on the same stencil.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from corrsearch.domain import DomainError
 from corrsearch.oracle import (
-    BruteforceResult,
     Grid1DWavefunction,
+    GridSearchResult,
     GridSystem1D,
     ProductWavefunction,
-    _project_rows,
-    _project_simplex,
-    bruteforce_inner_min,
     direct_expectation_grid,
     direct_expectation_product,
-    discrete_gamma,
     extract_f,
     grid_coulomb_expectation,
-    grid_weizsacker,
     kinetic_matrix,
     lattice_fisher,
     lattice_gamma,
@@ -203,37 +196,25 @@ def test_grid_wavefunction_shape_guard():
 # ---------------------------------------------------------------------------
 
 
-def test_grid_decomposition_boson():
-    w = solve_two_particle_1d(32, 6.0, soft_atom, symmetry="boson")
+@pytest.mark.parametrize("m", [4, 16, 32, 64])
+@pytest.mark.parametrize("symmetry", ["boson", "fermion"])
+def test_grid_decomposition_closes_at_rounding(symmetry, m):
+    # the verifier reads <T> off the solver's own Laplacian and the
+    # right-hand side off its link form, so the identity holds to
+    # rounding in both sectors at every resolution; the doubled
+    # prefactor leaves the whole <V_ee> over
+    w = solve_two_particle_1d(m, 6.0, soft_atom, symmetry=symmetry)
     rep = verify_decomposition_grid(w)
-    assert rep.residual_half <= 1e-2
-    assert rep.residual_half < rep.residual_full
+    assert rep.residual_half <= 1e-12
+    assert rep.residual_full > 0.1
 
 
-def test_grid_decomposition_fermion_looser():
-    # the node line makes the excluded-diagonal error first order in h,
-    # so the fermion residual sits above the boson one at the same M
-    wf = solve_two_particle_1d(32, 6.0, soft_atom, symmetry="fermion")
-    wb = solve_two_particle_1d(32, 6.0, soft_atom, symmetry="boson")
-    rf = verify_decomposition_grid(wf)
-    rb = verify_decomposition_grid(wb)
-    assert rf.residual_half <= 5e-2
-    assert rf.residual_half > rb.residual_half
-
-
-def test_grid_weizsacker_uniform_density_is_zero():
-    x = np.linspace(-5.0, 5.0, 16)
-    assert grid_weizsacker(x, np.ones_like(x)) == 0.0
-
-
-def test_discrete_gamma_matches_verifier_terms():
+def test_lattice_gamma_matches_verifier_terms():
     w = solve_two_particle_1d(16, 5.0, soft_atom, symmetry="fermion")
     rep = verify_decomposition_grid(w)
     system = system_from_wavefunction(w)
-    value = discrete_gamma(system, w.conditional_table())
+    value = lattice_gamma(system, w.conditional_table())
     assert value == pytest.approx(rep.fisher + 0.5 * rep.coulomb_expectation, rel=1e-12)
-    doubled = discrete_gamma(system, w.conditional_table(), prefactor="full")
-    assert doubled == pytest.approx(rep.fisher + rep.coulomb_expectation, rel=1e-12)
 
 
 @pytest.mark.parametrize("symmetry", ["boson", "fermion"])
@@ -259,7 +240,7 @@ def test_lattice_terms_match_solver_energies(symmetry, m, extent):
 
 
 # ---------------------------------------------------------------------------
-# grid systems, projections, and the parametric table
+# grid systems and the parametric table
 # ---------------------------------------------------------------------------
 
 
@@ -280,122 +261,32 @@ def test_grid_system_guards():
         GridSystem1D(x=x, rho=-np.ones_like(x))
 
 
-def test_project_simplex_known_values():
-    np.testing.assert_allclose(
-        _project_simplex(np.array([1.0, 0.2]), 1.0), [0.9, 0.1], atol=1e-14
-    )
-    np.testing.assert_allclose(
-        _project_simplex(np.array([2.0, -1.0]), 1.0), [1.0, 0.0], atol=1e-14
-    )
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    v=st.lists(
-        st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
-        min_size=1,
-        max_size=20,
-    ),
-    s=st.floats(min_value=1e-3, max_value=100.0),
-)
-def test_project_simplex_properties(v, s):
-    w = _project_simplex(np.asarray(v, dtype=float), s)
-    assert np.all(w >= 0.0)
-    assert float(w.sum()) == pytest.approx(s, rel=1e-9, abs=1e-9)
-    # projecting a feasible point changes nothing
-    np.testing.assert_allclose(_project_simplex(w, s), w, atol=1e-9)
-
-
-def test_project_rows_properties():
-    rng = np.random.default_rng(3)
-    raw = rng.normal(size=(12, 12))
-    h = 0.5
-    f = _project_rows(raw, h)
-    assert np.all(f >= 0.0)
-    assert np.abs(np.diag(f)).max() == 0.0
-    np.testing.assert_allclose(f.sum(axis=1) * h, 1.0, rtol=1e-12)
-    np.testing.assert_allclose(_project_rows(f, h), f, atol=1e-12)
+def criterion_6_systems():
+    """The uniform, solver-extracted and Gaussian densities on M = 16."""
+    x = np.linspace(-5.0, 5.0, 16)
+    solved = solve_two_particle_1d(16, 5.0, soft_atom, symmetry="fermion")
+    return {
+        name: system_from_density_values(x, rho)
+        for name, rho in (
+            ("uniform", np.ones_like(x)),
+            ("extracted", solved.density()),
+            ("gaussian", np.exp(-0.5 * x * x)),
+        )
+    }
 
 
 @pytest.mark.parametrize("gamma", [0.0, 1.0, 5.0])
 def test_pairwise_table_is_feasible(gamma):
-    x = np.linspace(-5.0, 5.0, 16)
-    system = system_from_density_values(x, np.ones_like(x))
-    table = pairwise_table(system, gamma)
-    assert np.all(table >= 0.0)
-    assert np.abs(np.diag(table)).max() == 0.0
-    np.testing.assert_allclose(table.sum(axis=1) * system.h, 1.0, rtol=1e-12)
-    if gamma == 0.0:
-        off = table[~np.eye(16, dtype=bool)]
-        np.testing.assert_allclose(off, 1.0 / (15 * system.h), rtol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# brute-force search
-# ---------------------------------------------------------------------------
-
-
-def test_bruteforce_lower_bounds_parametric_family():
-    x = np.linspace(-5.0, 5.0, 16)
-    system = system_from_density_values(x, np.ones_like(x))
-    gammas = np.geomspace(0.05, 10.0, 12)
-    parametric = min(
-        discrete_gamma(system, pairwise_table(system, g)) for g in gammas
-    )
-    result = bruteforce_inner_min(
-        system, f_init=pairwise_table(system, 1.0), n_restarts=2, seed=0
-    )
-    assert isinstance(result, BruteforceResult)
-    assert result.converged
-    assert result.value <= parametric + 1e-9
-    assert result.value == min(result.restart_values)
-    assert np.abs(np.diag(result.f_table)).max() == 0.0
-    # optimum is itself feasible
-    assert np.all(result.f_table >= 0.0)
-    np.testing.assert_allclose(result.f_table.sum(axis=1) * system.h, 1.0, rtol=1e-10)
-
-
-def test_bruteforce_without_init_has_no_decrease():
-    x = np.linspace(-4.0, 4.0, 12)
-    system = system_from_density_values(x, np.ones_like(x))
-    result = bruteforce_inner_min(system, n_restarts=1, seed=1)
-    assert result.init_value is None
-    assert result.decrease_from_init is None
-
-
-def test_bruteforce_seeded_start_never_loses():
-    # the search keeps the best of all starts, so seeding it with any
-    # feasible table can only match or beat that table
-    x = np.linspace(-4.0, 4.0, 12)
-    system = system_from_density_values(x, np.ones_like(x))
-    init = pairwise_table(system, 2.0)
-    result = bruteforce_inner_min(system, f_init=init, n_restarts=2, seed=2)
-    assert result.init_value == pytest.approx(
-        discrete_gamma(system, init), rel=1e-12
-    )
-    assert result.value <= result.init_value + 1e-12
-    assert result.decrease_from_init >= 0.0
-
-
-def test_extracted_f_is_not_stationary_under_relaxed_search():
-    # The table search only keeps rows non-negative and h-summing to 1;
-    # it drops the joint symmetry rho(x) f(x'|x) = rho(x') f(x|x') that
-    # every conditional extracted from a wavefunction satisfies exactly.
-    # The relaxed optimum therefore sits well below the extracted table
-    # and breaks that symmetry, which is worth pinning down as behavior.
-    w = solve_two_particle_1d(16, 5.0, soft_atom, symmetry="fermion")
-    system = system_from_wavefunction(w)
-    f = w.conditional_table()
-
-    joint = system.rho[:, None] * f
-    assert np.abs(joint - joint.T).max() <= 1e-12
-
-    result = bruteforce_inner_min(system, f_init=f, n_restarts=2, seed=0)
-    assert result.decrease_from_init is not None
-    assert result.decrease_from_init > 0.1
-
-    joint_min = system.rho[:, None] * result.f_table
-    assert np.abs(joint_min - joint_min.T).max() > 1e-2
+    for name, system in criterion_6_systems().items():
+        table = pairwise_table(system, gamma)
+        joint = system.rho[:, None] * table
+        assert np.abs(joint - joint.T).max() <= 1e-12
+        np.testing.assert_allclose(joint.sum(axis=1) * system.h, system.rho, atol=1e-12)
+        assert np.abs(np.diag(table)).max() == 0.0
+        assert np.all(table[~np.eye(16, dtype=bool)] > 0.0)
+        if gamma == 0.0 and name == "uniform":
+            off = table[~np.eye(16, dtype=bool)]
+            np.testing.assert_allclose(off, 1.0 / (15 * system.h), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +298,7 @@ def test_representable_search_returns_representable_table():
     x = np.linspace(-5.0, 5.0, 16)
     system = system_from_density_values(x, np.exp(-0.5 * x * x))
     result = representable_inner_min(system, n_restarts=2, seed=0)
-    assert isinstance(result, BruteforceResult)
+    assert isinstance(result, GridSearchResult)
     assert result.converged
     assert result.value == min(result.restart_values)
     f = result.f_table
@@ -431,6 +322,38 @@ def test_representable_search_reaches_extracted_value_from_other_starts():
         assert abs(value - extracted) <= 1e-9
 
 
+def test_representable_search_lower_bounds_parametric_family():
+    x = np.linspace(-5.0, 5.0, 16)
+    system = system_from_density_values(x, np.ones_like(x))
+    gammas = np.geomspace(0.05, 10.0, 12)
+    parametric = min(lattice_gamma(system, pairwise_table(system, g)) for g in gammas)
+    result = representable_inner_min(
+        system, f_init=pairwise_table(system, 1.0), n_restarts=2, seed=0
+    )
+    assert result.converged
+    assert result.value <= parametric + 1e-9
+
+
+def test_representable_search_without_init_has_no_decrease():
+    x = np.linspace(-4.0, 4.0, 12)
+    system = system_from_density_values(x, np.ones_like(x))
+    result = representable_inner_min(system, n_restarts=1, seed=1)
+    assert result.init_value is None
+    assert result.decrease_from_init is None
+
+
+def test_representable_search_seeded_start_never_loses():
+    # the search keeps the best of all starts, so seeding it with any
+    # representable table can only match or beat that table
+    x = np.linspace(-4.0, 4.0, 12)
+    system = system_from_density_values(x, np.ones_like(x))
+    init = pairwise_table(system, 2.0)
+    result = representable_inner_min(system, f_init=init, n_restarts=2, seed=2)
+    assert result.init_value == pytest.approx(lattice_gamma(system, init), rel=1e-12)
+    assert result.value <= result.init_value + 1e-12
+    assert result.decrease_from_init >= 0.0
+
+
 def test_representable_search_is_deterministic():
     x = np.linspace(-4.0, 4.0, 12)
     system = system_from_density_values(x, 1.0 + 0.5 * np.cos(x))
@@ -441,7 +364,6 @@ def test_representable_search_is_deterministic():
     assert a.restart_values == b.restart_values
     assert a.init_value == b.init_value
     np.testing.assert_array_equal(a.f_table, b.f_table)
-    # the non-symmetric start is made representable before the search
     assert a.decrease_from_init >= 0.0
 
 
