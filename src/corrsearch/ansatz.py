@@ -5,9 +5,11 @@ one conditioning electron at r, for a fixed one-particle density rho.
 Families expose the unnormalized log density (used by the sampler), the
 conditioning-point score grad_r log f~ (used by the Fisher estimator),
 and explicit normalization operations.  The sampler moves one satellite
-per step and passes that move as a hint, so families with pair sums can
+per step and passes that move as a hint, together with a per-chain
+state the family filled once per block, so families with pair sums can
 return the chain's current value plus the change in the O(S) terms that
-involve the moved satellite instead of all O(S^2) terms.
+involve the moved satellite, reading every old term from that state
+instead of re-evaluating all O(S^2) terms.
 
 This module owns the family registry: each family class declares its
 name and capabilities as class attributes, FAMILIES maps names to
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Density, DomainError, QuadratureGrid, SpaceSpec
+from .domain import Density, DomainError, QuadratureGrid, SpaceSpec, sq_norm, sum_last
 
 
 class AnsatzError(ValueError):
@@ -59,13 +61,13 @@ def pair_energy(density: Density, space: SpaceSpec, x: np.ndarray, y: np.ndarray
 
 def _weighted_kernel(space: SpaceSpec, num: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """E_H from the density product num = rho(x) rho(y) and delta = x - y."""
-    d2 = np.sum(delta * delta, axis=-1)
+    d2 = sq_norm(delta)
     if space.dim == 3:
-        with np.errstate(divide="ignore"):
-            kern = 1.0 / np.sqrt(d2)
-    else:
-        kern = 1.0 / np.sqrt(d2 + space.softening**2)
-    out = np.where(num == 0.0, 0.0, num * kern)
+        # 1/d is +inf at contact, so num * kern is already the +inf signal
+        # there wherever num > 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(num == 0.0, 0.0, num * (1.0 / np.sqrt(d2)))
+    out = np.where(num == 0.0, 0.0, num * (1.0 / np.sqrt(d2 + space.softening**2)))
     # softened kernel is finite at contact; the signaling convention still
     # reports +inf there so that coincidence always maps to f = 0
     return np.where((d2 == 0.0) & (num > 0.0), np.inf, out)
@@ -79,7 +81,7 @@ def pair_energy_grad_x(density: Density, space: SpaceSpec, x: np.ndarray, y: np.
     rho_y = density.value(y)
     grad_rho_x = density.gradient(x)
     delta = x - y
-    d2 = np.sum(delta * delta, axis=-1)
+    d2 = sq_norm(delta)
     if space.dim == 3:
         with np.errstate(divide="ignore"):
             kern = 1.0 / np.sqrt(d2)
@@ -95,36 +97,6 @@ def _satellite_pairs(n_sat: int):
     return np.triu_indices(n_sat, k=1)
 
 
-def _hinted_pair_log(ansatz, r, satellites, moved, gamma: float, beta: float) -> np.ndarray:
-    """log f~ = support - gamma sum_n E_H(r, s_n) - beta sum_{i<j} E_H(s_i, s_j)
-    from a move hint (see ConditionalAnsatz): log_old plus the change of
-    the support term and the S terms that involve the moved satellite k.
-    The current state has finite log f~, so every old term is finite and
-    the E_H conventions carry over: a new coincidence gives -inf.  With a
-    single satellite the full evaluation has one term and is the cheaper
-    one, so the families use the hint from two satellites on."""
-    k, old, log_old = moved
-    density, space = ansatz.density, ansatz.space
-    n_sat = ansatz.n_satellites
-    flat = satellites.reshape(-1, ansatz.dim)  # satellite j of chain c at row c S + j
-    first = np.arange(k.size) * n_sat
-    new = np.take(flat, first + k, axis=0)
-    ends = np.stack([new, old])  # (2, m, d): the move's new and old position
-    rho_ends = density.value(ends)
-    total = np.where(space.in_omega(new), log_old, -np.inf)
-    if gamma > 0.0:
-        e = _weighted_kernel(space, density.value(r) * rho_ends, ends - r)
-        total = total - gamma * (e[0] - e[1])
-    if beta > 0.0 and n_sat >= 2:
-        j = np.arange(n_sat - 1)
-        others = np.take(flat, first[:, None] + j + (j >= k[:, None]), axis=0)  # j != k
-        e = _weighted_kernel(
-            space, rho_ends[..., None] * density.value(others), ends[:, :, None, :] - others
-        )
-        total = total - beta * np.sum(e[0] - e[1], axis=-1)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # families
 # ---------------------------------------------------------------------------
@@ -137,14 +109,16 @@ class ConditionalAnsatz:
     S = N - 1; both return results of shape (...) resp. (..., d).
 
     log_unnormalized(r, satellites, moved=None) takes an optional move
-    hint moved = (k, old, log_old) from the sampler, for m chains with r
-    of shape (m, d) and satellites (m, S, d): satellites is the full
+    hint moved = (k, old, log_old, state) from the sampler, for m chains
+    with r of shape (m, d) and satellites (m, S, d): satellites is the full
     proposal, which differs from chain c's current state only in
     satellite k[c] (integer array (m,)), whose current position was
-    old[c] (array (m, d)); log_old (m,) is the current, finite value.  A
-    family may return log_old plus the change in the terms that involve
-    satellite k, or ignore the hint and evaluate the proposal in full;
-    both give the same value up to rounding.
+    old[c] (array (m, d)); log_old (m,) is the current, finite value, and
+    state is what chain_state(r, current satellites) returned at the
+    block's start, kept current by the sampler through state.commit(accept)
+    after every hinted call.  A family may return log_old plus the change
+    in the terms that involve satellite k, or ignore the hint and evaluate
+    the proposal in full; both give the same value up to rounding.
     """
 
     family: str = "base"
@@ -185,6 +159,12 @@ class ConditionalAnsatz:
     def score(self, r: np.ndarray, satellites: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def chain_state(self, r: np.ndarray, satellites: np.ndarray):
+        """Per-chain state that rides with the move hint, from the final
+        starts satellites (m, S, d) at r (m, d); None for families that
+        evaluate every proposal in full."""
+        return None
+
     def start_candidates(self, r: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """One starting configuration per conditioning point of r (m, d),
         drawn from rng in one go, shape (m, S, d); some may have f~ = 0."""
@@ -219,6 +199,49 @@ class ConditionalAnsatz:
         return np.where(inside, 0.0, -np.inf)
 
 
+class PairChainState:
+    """The pairwise family's per-chain terms of one sampler block.
+
+    rho_r: (m,) rho at each chain's conditioning point.
+    e_cond: (m, S) conditioning terms E_H(r, s_j); held when gamma > 0
+        and S >= 2.
+    e_pair: (m, S, S) satellite pair terms E_H(s_i, s_j), symmetric with a
+        zero diagonal, and rho_sat: (m, S) rho at each satellite; held
+        when beta > 0 and S >= 2.
+    Terms not held are None: with one satellite the full formula, which
+    reads only rho_r, is the cheaper one.
+
+    A hinted log_unnormalized call reads the old terms from here and
+    leaves the proposal's new ones pending; commit(accept) writes the
+    accepted ones in, so every held array equals a fresh evaluation of the
+    chains' current states.
+    """
+
+    def __init__(self, rho_r, rho_sat, e_cond, e_pair, n_sat):
+        self.rho_r, self.rho_sat, self.e_cond, self.e_pair = rho_r, rho_sat, e_cond, e_pair
+        self.first = np.arange(len(rho_r)) * n_sat  # flat index of each chain's satellite 0
+        # satellite indices j != k in ascending order, one row per k
+        j = np.arange(n_sat - 1)
+        self.others = j + (j >= np.arange(n_sat)[:, None])  # (S, S - 1)
+        self.pending = None
+
+    def commit(self, accept: np.ndarray) -> None:
+        """Take in the pending terms of the chains whose move was accepted."""
+        if self.pending is None:
+            return
+        pos, e_new, rho_new, kj, jk, pair_new = self.pending
+        acc = accept.nonzero()[0]
+        pos = pos[acc]
+        if e_new is not None:
+            self.e_cond.reshape(-1)[pos] = e_new[acc]
+        if pair_new is not None:
+            self.rho_sat.reshape(-1)[pos] = rho_new[acc]
+            pair_new = pair_new[acc]
+            flat = self.e_pair.reshape(-1)
+            flat[kj[acc]] = pair_new
+            flat[jk[acc]] = pair_new
+
+
 class PairwiseBiparametric(ConditionalAnsatz):
     """Two-parameter family with conditioning and satellite-satellite factors.
 
@@ -248,8 +271,8 @@ class PairwiseBiparametric(ConditionalAnsatz):
 
     def log_unnormalized(self, r, satellites, moved=None):
         r, satellites = self._check_shapes(r, satellites)
-        if moved is not None and self.n_satellites > 1:
-            return _hinted_pair_log(self, r, satellites, moved, self.gamma, self.beta)
+        if moved is not None:
+            return self._moved_log(r, satellites, *moved)
         total = self._support_log(satellites)
         if self.gamma > 0.0:
             e_cond = pair_energy(self.density, self.space, r[..., None, :], satellites)
@@ -261,6 +284,66 @@ class PairwiseBiparametric(ConditionalAnsatz):
             )
             total = total - self.beta * np.sum(e_sat, axis=-1)
         return total
+
+    def _moved_log(self, r, satellites, k, old, log_old, state):
+        """The hinted path: log_old plus the change of the support term and
+        of the terms that involve satellite k.  Only rho(new), the new
+        conditioning term and the S - 1 new pair terms are evaluated; the
+        old terms come from the chain state.  They are finite, since the
+        current state has finite log f~, so the E_H conventions carry over:
+        a new coincidence gives -inf.  With one satellite the full formula
+        has a single term and is kept, so the value is exactly a fresh
+        evaluation's."""
+        space, n_sat = self.space, self.n_satellites
+        flat = satellites.reshape(-1, self.dim)  # satellite j of chain c at row c S + j
+        pos = state.first + k
+        new = np.take(flat, pos, axis=0)
+        r2 = sq_norm(new)
+        rho_new = self.density.value(new, r2)
+        inside = space.in_omega(new, r2)
+        e_new = None
+        if self.gamma > 0.0:
+            e_new = _weighted_kernel(space, state.rho_r * rho_new, new - r)
+        if n_sat == 1:
+            total = np.where(inside, 0.0, -np.inf)
+            return total if e_new is None else total - self.gamma * e_new
+        total = np.where(inside, log_old, -np.inf)
+        if e_new is not None:
+            total = total - self.gamma * (e_new - np.take(state.e_cond, pos))
+        kj = jk = pair_new = None
+        if state.e_pair is not None:
+            others = np.take(state.others, k, axis=0)  # (m, S - 1): j != k
+            rows = state.first[:, None] + others
+            pair_new = _weighted_kernel(
+                space,
+                rho_new[:, None] * np.take(state.rho_sat, rows),
+                new[:, None, :] - np.take(flat, rows, axis=0),
+            )
+            kj = pos[:, None] * n_sat + others  # e_pair[c, k, j], flat
+            jk = rows * n_sat + k[:, None]  # e_pair[c, j, k], flat
+            total = total - self.beta * sum_last(pair_new - np.take(state.e_pair, kj))
+        state.pending = (pos, e_new, rho_new, kj, jk, pair_new)
+        return total
+
+    def chain_state(self, r, satellites):
+        r, satellites = self._check_shapes(r, satellites)
+        space, n_sat = self.space, self.n_satellites
+        rho_r = self.density.value(r)
+        rho_sat = e_cond = e_pair = None
+        if n_sat >= 2:
+            rho = self.density.value(satellites)
+            if self.gamma > 0.0:
+                e_cond = _weighted_kernel(space, rho_r[:, None] * rho, satellites - r[:, None, :])
+            if self.beta > 0.0:
+                ii, jj = _satellite_pairs(n_sat)
+                e = _weighted_kernel(
+                    space, rho[:, ii] * rho[:, jj], satellites[:, ii] - satellites[:, jj]
+                )
+                rho_sat = rho
+                e_pair = np.zeros((len(r), n_sat, n_sat))
+                e_pair[:, ii, jj] = e
+                e_pair[:, jj, ii] = e
+        return PairChainState(rho_r, rho_sat, e_cond, e_pair, n_sat)
 
     def score(self, r, satellites):
         r, satellites = self._check_shapes(r, satellites)

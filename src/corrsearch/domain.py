@@ -64,10 +64,11 @@ class SpaceSpec:
             return self.radius / self.n_electrons ** (1.0 / 3.0)
         return self.radius / self.n_electrons
 
-    def in_omega(self, points: np.ndarray) -> np.ndarray:
-        """Boolean mask: which points lie inside omega.  points: (..., dim)."""
-        points = np.asarray(points, dtype=float)
-        r2 = np.sum(points * points, axis=-1)
+    def in_omega(self, points: np.ndarray, r2: np.ndarray | None = None) -> np.ndarray:
+        """Boolean mask: which points lie inside omega.  points: (..., dim);
+        r2: their sq_norm, when the caller already has it."""
+        if r2 is None:
+            r2 = sq_norm(np.asarray(points, dtype=float))
         return r2 <= self.omega_radius**2
 
     def uniform_omega(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -81,9 +82,25 @@ class SpaceSpec:
         return z * r[:, None]
 
 
+def sum_last(a: np.ndarray) -> np.ndarray:
+    """np.sum(a, axis=-1), bit for bit, at a fraction of its cost on the
+    short axes of positions and satellites: numpy adds fewer than 8 terms
+    in order, and so does this loop.  Longer axes go to np.sum."""
+    if a.shape[-1] >= 8:
+        return np.sum(a, axis=-1)
+    out = a[..., 0]
+    for i in range(1, a.shape[-1]):
+        out = out + a[..., i]
+    return out
+
+
+def sq_norm(points: np.ndarray) -> np.ndarray:
+    """|x|^2 over the last axis."""
+    return sum_last(points * points)
+
+
 def radial_distance(points: np.ndarray) -> np.ndarray:
-    points = np.asarray(points, dtype=float)
-    return np.sqrt(np.sum(points * points, axis=-1))
+    return np.sqrt(sq_norm(np.asarray(points, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -96,14 +113,16 @@ class Density:
 
     All models integrate to ``n_electrons`` over the unbounded domain.
     ``value`` and ``gradient`` accept arrays of shape (..., dim);
-    ``sample`` draws positions from the probability density rho/N.
+    ``value`` also takes the points' sq_norm when the caller has it (the
+    radial models then skip recomputing it).  ``sample`` draws positions
+    from the probability density rho/N.
     """
 
     dim: int
     n_electrons: int
     family: str
 
-    def value(self, points: np.ndarray) -> np.ndarray:
+    def value(self, points: np.ndarray, r2: np.ndarray | None = None) -> np.ndarray:
         raise NotImplementedError
 
     def gradient(self, points: np.ndarray) -> np.ndarray:
@@ -147,9 +166,9 @@ class ExponentialDensity(Density):
             return self.n_electrons * self.zeta**3 / np.pi
         return self.n_electrons * self.zeta
 
-    def value(self, points):
+    def value(self, points, r2=None):
         points = _check_points(points, self.dim)
-        r = radial_distance(points)
+        r = np.sqrt(sq_norm(points) if r2 is None else r2)
         return self._amplitude() * np.exp(-2.0 * self.zeta * r)
 
     def gradient(self, points):
@@ -198,11 +217,13 @@ class ExponentialMixtureDensity(Density):
             for z in self.zetas
         ]
 
-    def value(self, points):
+    def value(self, points, r2=None):
         points = _check_points(points, self.dim)
+        if r2 is None:
+            r2 = sq_norm(points)
         out = np.zeros(points.shape[:-1])
         for w, comp in zip(self.weights, self._components()):
-            out = out + w * comp.value(points)
+            out = out + w * comp.value(points, r2)
         return out
 
     def gradient(self, points):
@@ -261,7 +282,7 @@ class Tabulated1DDensity(Density):
         )
         self._cdf = cdf / cdf[-1]
 
-    def value(self, points):
+    def value(self, points, r2=None):
         points = _check_points(points, 1)
         return np.interp(points[..., 0], self.x, self.values, left=0.0, right=0.0)
 

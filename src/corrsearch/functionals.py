@@ -36,6 +36,7 @@ from .domain import (
     SpaceSpec,
     default_grid,
     external_energy,
+    sq_norm,
     _gauss_legendre,
     _zetas_of,
 )
@@ -124,8 +125,7 @@ def frozen_coulomb_quadrature(
 
 def _bare_kernel(space: SpaceSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Interaction w(x, y): Coulomb in 3D, softened on the line."""
-    delta = x - y
-    d2 = np.sum(delta * delta, axis=-1)
+    d2 = sq_norm(x - y)
     if space.dim == 3:
         with np.errstate(divide="ignore"):
             return 1.0 / np.sqrt(d2)
@@ -160,9 +160,10 @@ def conditional_moments(
     r_points = sample_conditioning_points(density, settings.conditioning_points, rng)
 
     def score_var(r_block, kept):
-        n_kept, m = kept.shape[0], kept.shape[1]
-        r_rep = np.broadcast_to(r_block, (n_kept, m, space.dim))
-        s = ansatz.score(r_rep, kept)
+        n_kept = kept.shape[0]
+        # r_block[None] broadcasts over the kept samples inside score, so
+        # rho(r) and its gradient are evaluated once per chain
+        s = ansatz.score(r_block[None], kept)
         s_mean = s.mean(axis=0)
         dev = s - s_mean
         return np.sum(dev * dev, axis=(0, -1)) / (n_kept - 1)

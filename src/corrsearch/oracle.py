@@ -154,6 +154,40 @@ def direct_expectation_grid(w: Grid1DWavefunction) -> DirectExpectation:
 # ---------------------------------------------------------------------------
 
 
+def _sector_hamiltonian(kin, potential_sum, ii, jj, sign):
+    """H = K x 1 + 1 x K + D on one exchange sector, from the pair list.
+
+    Pair p = (ii[p], jj[p]), i < j (i <= j for bosons), is the state
+    (|ij> + sign |ji>)/sqrt 2, or |ii>.  Its matrix elements are
+    <ij|H|kl> = g g' (d_jl K_ik + d_ik K_jl + sign (d_jk K_il + d_il K_jk))
+    + d_(ij),(kl) D_ij, with g = 1, or 1/sqrt 2 on a diagonal pair.  The
+    matrix is filled hop by hop from the pair list, so the M^2 x M^2
+    product-space matrix is never built.  potential_sum holds
+    D_ij = v_i + v_j + w_ij per pair.
+    """
+    m, n_pairs = kin.shape[0], ii.size
+    index = np.full((m, m), -1)
+    index[ii, jj] = np.arange(n_pairs)
+    g = np.where(ii == jj, np.sqrt(0.5), 1.0)
+    rows = np.broadcast_to(np.arange(n_pairs)[:, None], (n_pairs, m))
+    free = np.arange(m)[None, :]
+    ham = np.zeros((n_pairs, n_pairs))
+    # the hops i -> k (terms d_jl K_ik and sign d_jk K_il) and j -> k
+    # (d_ik K_jl and sign d_il K_jk), each landing on the sorted pair
+    for first, second, amp in (
+        (free, jj[:, None], kin[ii]),
+        (ii[:, None], free, kin[jj]),
+        (jj[:, None], free, sign * kin[ii]),
+        (free, ii[:, None], sign * kin[jj]),
+    ):
+        target = index[first, second]
+        hit = target >= 0
+        p, q = rows[hit], target[hit]
+        ham[p, q] += amp[hit] * g[p] * g[q]
+    ham[np.arange(n_pairs), np.arange(n_pairs)] += potential_sum
+    return ham
+
+
 def solve_two_particle_1d(
     n_points: int,
     extent: float,
@@ -179,31 +213,14 @@ def solve_two_particle_1d(
     h = x[1] - x[0]
     v = np.asarray(potential(x), dtype=float)
 
-    kin = kinetic_matrix(m, h)
-    eye = np.eye(m)
-    ham = np.kron(kin, eye) + np.kron(eye, kin)
-    ham += np.diag((v[:, None] + v[None, :] + soft_kernel(x, softening)).ravel())
-
-    # basis of the requested exchange sector
-    if symmetry == "fermion":
-        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-        basis = np.zeros((m * m, len(pairs)))
-        for k, (i, j) in enumerate(pairs):
-            basis[i * m + j, k] = 1.0 / np.sqrt(2.0)
-            basis[j * m + i, k] = -1.0 / np.sqrt(2.0)
-    else:
-        pairs = [(i, j) for i in range(m) for j in range(i, m)]
-        basis = np.zeros((m * m, len(pairs)))
-        for k, (i, j) in enumerate(pairs):
-            if i == j:
-                basis[i * m + j, k] = 1.0
-            else:
-                basis[i * m + j, k] = 1.0 / np.sqrt(2.0)
-                basis[j * m + i, k] = 1.0 / np.sqrt(2.0)
-
-    h_sector = basis.T @ ham @ basis
-    eigvals, eigvecs = np.linalg.eigh(h_sector)
-    psi = (basis @ eigvecs[:, 0]).reshape(m, m)
+    sign = -1.0 if symmetry == "fermion" else 1.0
+    ii, jj = np.triu_indices(m, k=1 if symmetry == "fermion" else 0)
+    potential_sum = v[ii] + v[jj] + soft_kernel(x, softening)[ii, jj]
+    h_sector = _sector_hamiltonian(kinetic_matrix(m, h), potential_sum, ii, jj, sign)
+    ground = np.linalg.eigh(h_sector)[1][:, 0] * np.where(ii == jj, 1.0, 1.0 / np.sqrt(2.0))
+    psi = np.zeros((m, m))
+    psi[ii, jj] = ground
+    psi[jj, ii] = sign * ground
     return Grid1DWavefunction(x=x, psi=psi, softening=softening)
 
 

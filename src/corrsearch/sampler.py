@@ -4,10 +4,16 @@ Chains run in lockstep blocks.  Each step displaces one uniformly chosen
 satellite per chain by a Gaussian step and accepts with probability
 min(1, f~'/f~).  Proposals with f~ = 0 (outside the support, or at a
 coincidence) are always rejected.  The proposal is written into the
-chain state in place and evaluated with one `log_unnormalized` call that
-carries the move as a hint (moved satellite, its old position, the
-current log f~), so a family can add only the terms that involve the
-moved satellite; rejected moves are then undone.
+block's satellites in place, through a flat view of them and the element
+indices of the moved coordinates, and evaluated with one
+`log_unnormalized` call that carries the move as a hint (moved
+satellite, its old position, the current log f~ and the family's chain
+state), so a family can add only the terms that involve the moved
+satellite; rejected moves are then undone.  The chain state is the
+family's per-chain cache (for `pairwise`: rho(r), and the conditioning
+and satellite pair terms of the current state).  The family fills it
+once per block from the final starts, and the sampler commits the
+accepted moves into it after every step.
 
 Randomness discipline: chains are split into blocks of a fixed `_CHUNK`
 chains, and each block owns one generator derived from the master seed
@@ -146,50 +152,59 @@ def _chain_block(ansatz, r_block, settings, first_chain, collectors):
         if not np.all(np.isfinite(log_cur)):
             raise EstimatorError("chain initialization produced zero-weight states")
 
+    state = ansatz.chain_state(r_block, cur)
     sigma = np.full(m, settings.sigma)
+    sigma_elems = np.repeat(sigma, d)  # sigma per moved coordinate
     accepted_window = np.zeros(m)
     accepted_meas = np.zeros(m)
-    cur_flat = cur.reshape(m * n_sat, d)  # view: satellite j of chain c at row c S + j
-    first = np.arange(m) * n_sat
+    # the moved coordinates are read and written through a flat view of the
+    # satellites: coordinate i of satellite j of chain c is element (c S + j) d + i
+    cur_1d = cur.reshape(-1)
+    first = ((np.arange(m) * (n_sat * d))[:, None] + np.arange(d)).reshape(-1)  # satellite 0
     kept = np.empty((settings.samples, m, n_sat, d))
     k_out = 0
     chunk_steps = max(1, _VARIATE_BYTES // (8 * (d + 2) * m))  # steps per variate draw
 
-    for t in range(total_steps):
-        i = t % chunk_steps
-        if i == 0:
-            n = min(chunk_steps, total_steps - t)
-            sat_idx = rng.integers(n_sat, size=(n, m))
-            normals = rng.standard_normal((n, m, d))
-            unifs = rng.random((n, m))
-        # the proposal is made in place and undone where it is rejected
-        k = sat_idx[i]
-        moved_rows = first + k
-        old = np.take(cur_flat, moved_rows, axis=0)
-        new = old + sigma[:, None] * normals[i]
-        cur_flat[moved_rows] = new
-        log_new = ansatz.log_unnormalized(r_block, cur, moved=(k, old, log_cur))
-        with np.errstate(invalid="ignore"):
-            accept = np.log(unifs[i]) < (log_new - log_cur)
-        cur_flat[moved_rows] = np.where(accept[:, None], new, old)
-        log_cur = np.where(accept, log_new, log_cur)
+    with np.errstate(invalid="ignore"):
+        for t in range(total_steps):
+            i = t % chunk_steps
+            if i == 0:
+                n = min(chunk_steps, total_steps - t)
+                sat_idx = rng.integers(n_sat, size=(n, m))
+                normals = rng.standard_normal((n, m, d)).reshape(n, m * d)
+                log_unifs = np.log(rng.random((n, m)))
+            # the proposal is made in place and undone where it is rejected
+            k = sat_idx[i]
+            elems = first + np.repeat(k * d, d)
+            old = cur_1d[elems]
+            new = old + sigma_elems * normals[i]
+            cur_1d[elems] = new
+            log_new = ansatz.log_unnormalized(
+                r_block, cur, moved=(k, old.reshape(m, d), log_cur, state)
+            )
+            accept = log_unifs[i] < (log_new - log_cur)
+            cur_1d[elems] = np.where(np.repeat(accept, d), new, old)
+            log_cur = np.where(accept, log_new, log_cur)
+            if state is not None:
+                state.commit(accept)
 
-        in_burn = t < settings.burn_in
-        if in_burn:
-            accepted_window += accept
-            if (
-                settings.tune
-                and (t + 1) % settings.tune_interval == 0
-            ):
-                rate = accepted_window / settings.tune_interval
-                sigma = np.where(rate > ACCEPTANCE_WINDOW[1], sigma * 1.25, sigma)
-                sigma = np.where(rate < ACCEPTANCE_WINDOW[0], sigma / 1.25, sigma)
-                accepted_window[:] = 0.0
-        else:
-            accepted_meas += accept
-            if (t - settings.burn_in) % settings.thinning == settings.thinning - 1:
-                kept[k_out] = cur
-                k_out += 1
+            in_burn = t < settings.burn_in
+            if in_burn:
+                accepted_window += accept
+                if (
+                    settings.tune
+                    and (t + 1) % settings.tune_interval == 0
+                ):
+                    rate = accepted_window / settings.tune_interval
+                    sigma = np.where(rate > ACCEPTANCE_WINDOW[1], sigma * 1.25, sigma)
+                    sigma = np.where(rate < ACCEPTANCE_WINDOW[0], sigma / 1.25, sigma)
+                    sigma_elems = np.repeat(sigma, d)
+                    accepted_window[:] = 0.0
+            else:
+                accepted_meas += accept
+                if (t - settings.burn_in) % settings.thinning == settings.thinning - 1:
+                    kept[k_out] = cur
+                    k_out += 1
 
     meas_steps = total_steps - settings.burn_in
     acceptance = accepted_meas / meas_steps

@@ -241,6 +241,7 @@ def test_move_hint_matches_full_evaluation(name, n, dim):
     r = ans.density.sample(m, rng)
     cur = np.stack([ans.initial_satellites(r[c], rng) for c in range(m)])
     log_cur = ans.log_unnormalized(r, cur)
+    state = ans.chain_state(r, cur)
     scale = np.abs(log_cur)
     for step in range(300):
         k = rng.integers(n_sat, size=m)
@@ -256,7 +257,7 @@ def test_move_hint_matches_full_evaluation(name, n, dim):
             new[::5] = 1.5 * ans.space.omega_radius
         proposal = cur.copy()
         proposal[rows, k] = new
-        hinted = ans.log_unnormalized(r, proposal, moved=(k, old, log_cur))
+        hinted = ans.log_unnormalized(r, proposal, moved=(k, old, log_cur, state))
         full = ans.log_unnormalized(r, proposal)
         np.testing.assert_array_equal(np.isneginf(hinted), np.isneginf(full))
         finite = np.isfinite(full)
@@ -265,6 +266,8 @@ def test_move_hint_matches_full_evaluation(name, n, dim):
         accept = np.log(rng.random(m)) < hinted - log_cur
         cur[accept] = proposal[accept]
         log_cur = np.where(accept, hinted, log_cur)
+        if state is not None:
+            state.commit(accept)
         scale = np.maximum(scale, np.abs(log_cur))
 
 
@@ -527,15 +530,15 @@ def test_simple_is_pairwise_at_unit_gamma_zero_beta(n):
     proposal[0::5, 0] = r[0::5]
     proposal[1::5, -1] = proposal[1::5, 0]
     proposal[2::5, 0] = 1.5 * space.omega_radius
-    moved = (k, cur[rows, k], log_cur)
+    hint = (k, cur[rows, k], log_cur)
     for sats in (cur, proposal):
         np.testing.assert_array_equal(
             simple.log_unnormalized(r, sats), pair.log_unnormalized(r, sats)
         )
         np.testing.assert_array_equal(simple.score(r, sats), pair.score(r, sats))
     np.testing.assert_array_equal(
-        simple.log_unnormalized(r, proposal, moved=moved),
-        pair.log_unnormalized(r, proposal, moved=moved),
+        simple.log_unnormalized(r, proposal, moved=hint + (simple.chain_state(r, cur),)),
+        pair.log_unnormalized(r, proposal, moved=hint + (pair.chain_state(r, cur),)),
     )
     assert simple.fermionic_compatible == pair.fermionic_compatible
 

@@ -216,13 +216,25 @@ def test_verify_literal_prefactor_fails_tolerance(tmp_path, capsys):
     out = tmp_path / "ver"
     code = main(["verify", "--prefactor", "full", "--out", str(out)])
     assert code == 3
-    assert "FAILED" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "FAILED" in captured.err
     record = load_record(str(out / "record.json"))
     # doubling the interaction prefactor leaves one whole pair energy over
     assert record.results["product"]["residual_full"] == pytest.approx(
         5.0 * HE_ZETA / 8.0, abs=1e-3
     )
     assert record.results["product"]["residual_half"] <= 1e-3
+    # the printed residuals are the full-prefactor ones the exit code is
+    # judged on: the grid one (the whole <V_ee>) above its 1e-10 tolerance
+    residuals = [
+        float(line.split()[1]) for line in captured.out.splitlines()
+        if line.strip().startswith("residual")
+    ]
+    grid_full = record.results["grid"]["residual_full"]
+    assert residuals == [
+        float(f"{record.results['product']['residual_full']:.2e}"), float(f"{grid_full:.2e}")
+    ]
+    assert residuals[1] > 1e-10
 
 
 def test_verify_fermion_passes_default_grid_tolerance(capsys):

@@ -14,6 +14,8 @@ from corrsearch.domain import (
     default_grid,
     external_energy,
     radial_angular_grid,
+    sq_norm,
+    sum_last,
     uniform_1d_grid,
 )
 
@@ -282,3 +284,15 @@ def test_density_sampling_matches_density():
     pts = rho.sample(200_000, rng)
     r = np.sqrt((pts**2).sum(axis=1))
     assert r.mean() == pytest.approx(1.5, abs=0.01)
+
+
+@pytest.mark.parametrize("shape", [(3,), (1024, 3), (1024, 1), (64, 5, 3), (7, 4, 1), (9, 12)])
+def test_in_order_sums_are_bit_equal_to_the_reduction(shape):
+    # the kernel adds short last axes in order (|x|^2, the moved satellite's
+    # pair-term changes); numpy's reduction over fewer than 8 terms does
+    # too, and bit-identical chains rely on the match
+    rng = np.random.default_rng(len(shape))
+    points = rng.standard_normal(shape) * rng.uniform(1e-3, 1e3, size=shape)
+    for layout in (points, np.asfortranarray(points), points[..., ::-1]):
+        np.testing.assert_array_equal(sum_last(layout), np.sum(layout, axis=-1))
+        np.testing.assert_array_equal(sq_norm(layout), np.sum(layout * layout, axis=-1))

@@ -19,6 +19,7 @@ from corrsearch.oracle import (
     direct_expectation_product,
     extract_f,
     grid_coulomb_expectation,
+    _sector_hamiltonian,
     kinetic_matrix,
     lattice_fisher,
     lattice_gamma,
@@ -194,6 +195,28 @@ def test_grid_wavefunction_shape_guard():
 # ---------------------------------------------------------------------------
 # decomposition identity on the grid
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("symmetry", ["boson", "fermion"])
+def test_sector_hamiltonian_matches_projected_product_space(symmetry):
+    # the pair-list assembly against B^T H B, with H built by Kronecker
+    # products on the M^2 product space and B the sector's basis columns
+    m = 7
+    rng = np.random.default_rng(7)
+    kin = kinetic_matrix(m, 0.4)
+    v = rng.standard_normal(m)
+    w = rng.random((m, m))
+    w = w + w.T
+    sign = -1.0 if symmetry == "fermion" else 1.0
+    ii, jj = np.triu_indices(m, k=1 if symmetry == "fermion" else 0)
+    ham = np.kron(kin, np.eye(m)) + np.kron(np.eye(m), kin)
+    ham += np.diag((v[:, None] + v[None, :] + w).ravel())
+    basis = np.zeros((m * m, ii.size))
+    for p, (i, j) in enumerate(zip(ii, jj)):
+        basis[i * m + j, p] += 1.0 if i == j else np.sqrt(0.5)
+        basis[j * m + i, p] += 0.0 if i == j else sign * np.sqrt(0.5)
+    got = _sector_hamiltonian(kin, v[ii] + v[jj] + w[ii, jj], ii, jj, sign)
+    np.testing.assert_allclose(got, basis.T @ ham @ basis, rtol=0.0, atol=1e-13)
 
 
 @pytest.mark.parametrize("m", [4, 16, 32, 64])

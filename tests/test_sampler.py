@@ -162,33 +162,47 @@ class StaleCheckPairwise(PairwiseBiparametric):
     """Records, at every hinted call of a one-block run, how far the carried
     log_old is from a full evaluation of the chain's current state, relative
     to the largest |log f~| the chain has held (the scale of a running sum's
-    rounding error)."""
+    rounding error), and asserts that the chain state holds exactly the
+    terms of a fresh chain_state of the current satellites."""
 
     scale = 0.0
     worst = 0.0
+    calls = 0
 
     def log_unnormalized(self, r, satellites, moved=None):
         if moved is not None:
-            k, old, log_old = moved
+            k, old, log_old, state = moved
             current = np.array(satellites, copy=True)
             current[np.arange(k.size), k] = old
             full = super().log_unnormalized(r, current)
             self.scale = np.maximum(self.scale, np.abs(full))
             err = np.abs(log_old - full) / self.scale
             self.worst = max(self.worst, float(err.max()))
+            fresh = self.chain_state(r, current)
+            for name in ("rho_r", "rho_sat", "e_cond", "e_pair"):
+                held, want = getattr(state, name), getattr(fresh, name)
+                assert (held is None) == (want is None), name
+                if want is not None:
+                    np.testing.assert_array_equal(held, want, err_msg=name)
+            self.calls += 1
         return super().log_unnormalized(r, satellites, moved)
 
 
-def test_chain_log_f_never_stale():
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+@pytest.mark.parametrize("beta", [0.0, 2.0])
+@pytest.mark.parametrize("dim", [3, 1])
+def test_chain_log_f_never_stale(n, beta, dim):
     # the kernel carries log f~ of each chain from step to step through the
-    # move hint; after every accept and reject it must still be the value
-    # of the state the chain is in
-    density = ExponentialDensity(zeta=1.0, n_electrons=4)
-    space = SpaceSpec(dim=3, radius=3.0, n_electrons=4)
-    ansatz = StaleCheckPairwise(density, space, gamma=1.0, beta=2.0)
+    # move hint, and the family's chain state carries rho and the E_H terms;
+    # after every accept and reject both must still be those of the state
+    # the chain is in
+    density = ExponentialDensity(zeta=1.0, n_electrons=n, dim=dim)
+    space = SpaceSpec(dim=dim, radius=3.0, n_electrons=n)
+    ansatz = StaleCheckPairwise(density, space, gamma=1.0, beta=beta)
     settings = SamplerSettings(sigma=0.5, burn_in=100, samples=100, thinning=2, seed=4)
     points = density.sample(64, np.random.default_rng(4))
     batch = run_conditional_batch(ansatz, points, settings, {"s": _last_sample})
+    assert ansatz.calls == settings.burn_in + settings.samples * settings.thinning
     assert 0.0 < batch.mean_acceptance < 1.0
     assert ansatz.worst <= 1e-12
 
@@ -333,6 +347,44 @@ def test_worker_count_and_rerun_pairwise_n6():
             np.testing.assert_array_equal(outs[0].values[name], other.values[name])
         np.testing.assert_array_equal(outs[0].acceptance, other.acceptance)
         np.testing.assert_array_equal(outs[0].sigma_final, other.sigma_final)
+
+
+# kept-sample sums, summed acceptance and summed final sigma of two-block
+# pairwise runs, recorded before the chain state carried rho and the E_H
+# terms: the state changes where old terms come from, not a result bit
+PINNED_BATCH_VALUES = {
+    (2, 0.0): (38.867244074794286, 5509.162727648425, 406.375, 586.11125),
+    (6, 1.5): (-1046.3465798628263, 81383.6779998669, 457.875, 725.0934374999999),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n,beta,n_points,walkers,seed", [
+    (2, 0.0, 520, 2, 31),
+    (6, 1.5, 1100, 1, 32),
+])
+def test_batch_values_pinned(n, beta, n_points, walkers, seed, workers):
+    density = ExponentialDensity(zeta=1.5, n_electrons=n)
+    space = SpaceSpec(dim=3, radius=1.3 if n == 2 else 3.0, n_electrons=n)
+    ansatz = PairwiseBiparametric(density, space, gamma=1.0, beta=beta)
+    points = density.sample(n_points, np.random.default_rng(seed))
+    settings = SamplerSettings(
+        sigma=0.5, burn_in=64, samples=8, thinning=2, seed=seed, walkers=walkers,
+        workers=workers, tune_interval=16,
+    )
+    collect = {
+        "sum": lambda r, kept: kept.sum(axis=(0, 2, 3)),
+        "sq": lambda r, kept: (kept * kept).sum(axis=(0, 2, 3)),
+    }
+    batch = run_conditional_batch(ansatz, points, settings, collect)
+    assert batch.acceptance.size == n_points * walkers > sampler._CHUNK
+    got = (
+        float(batch.values["sum"].sum()),
+        float(batch.values["sq"].sum()),
+        float(batch.acceptance.sum()),
+        float(batch.sigma_final.sum()),
+    )
+    assert got == PINNED_BATCH_VALUES[(n, beta)]
 
 
 # run_chain mean, stderr and acceptance from when every chain drew from a
