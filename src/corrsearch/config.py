@@ -250,8 +250,8 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         workers=smp_r.get_int("workers", 1),
     )
     smp_r.check_unknown()
-    if sampler.sigma <= 0.0:
-        raise ConfigError("[sampler] field 'sigma': must be positive")
+    if not (np.isfinite(sampler.sigma) and sampler.sigma > 0.0):
+        raise ConfigError("[sampler] field 'sigma': must be positive and finite")
 
     opt_r = _SectionReader(parser, "optimize")
     optimize = OptimizeConfig(

@@ -159,26 +159,25 @@ def conditional_moments(
     rng = conditioning_rng(settings.seed)
     r_points = sample_conditioning_points(density, settings.conditioning_points, rng)
 
-    def score_var(r_block, kept):
-        n_kept = kept.shape[0]
+    def score(r_block, sats):
         # r_block[None] broadcasts over the kept samples inside score, so
-        # rho(r) and its gradient are evaluated once per chain
-        s = ansatz.score(r_block[None], kept)
-        s_mean = s.mean(axis=0)
-        dev = s - s_mean
-        return np.sum(dev * dev, axis=(0, -1)) / (n_kept - 1)
+        # rho(r) and its gradient are evaluated once per chain and step-chunk
+        return ansatz.score(r_block[None], sats)
 
-    def pair_mean(r_block, kept):
-        first = kept[:, :, 0, :]
-        vals = _bare_kernel(space, np.broadcast_to(r_block, first.shape), first)
-        return vals.mean(axis=0)
+    def pair(r_block, sats):
+        first = sats[:, :, 0, :]
+        return _bare_kernel(space, np.broadcast_to(r_block, first.shape), first)
 
-    result = run_conditional_batch(
-        ansatz, r_points, settings, {"score_var": score_var, "pair_mean": pair_mean}
-    )
+    result = run_conditional_batch(ansatz, r_points, settings, {"score": score, "pair": pair})
+    s = result.values["score"]  # (K, chains, d)
+    s_mean = s.mean(axis=0)
+    s -= s_mean  # in place: the deviations take no second (K, chains, d) array
+    s *= s
+    score_var = np.sum(s, axis=(0, -1)) / (settings.samples - 1)
+    pair_mean = result.values["pair"].mean(axis=0)
     # collapse walkers of the same conditioning point before the outer stats
-    v = result.values["score_var"].reshape(settings.conditioning_points, settings.walkers)
-    c = result.values["pair_mean"].reshape(settings.conditioning_points, settings.walkers)
+    v = score_var.reshape(settings.conditioning_points, settings.walkers)
+    c = pair_mean.reshape(settings.conditioning_points, settings.walkers)
     return ConditionalMoments(
         score_var=v.mean(axis=1),
         pair_mean=c.mean(axis=1),

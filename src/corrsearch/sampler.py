@@ -30,6 +30,13 @@ A one-chain block (as in `run_chain`) is keyed by its chain index and
 draws its start, then all satellite indices, steps and uniforms, in one
 step-chunk as long as the run has at most _VARIATE_BYTES / (8 (d + 2))
 steps.
+
+Kept samples stream through the caller's observables: a block buffers
+only the kept configurations of the current step-chunk (at most
+ceil(chunk steps / thinning) of them), and at the end of each step-chunk
+it passes them to every observable and stores the rows it returns.  The
+whole run's kept satellites are never held at once; what a block holds
+is one row per kept sample of each observable.
 """
 
 from __future__ import annotations
@@ -78,6 +85,7 @@ class SamplerSettings:
     conditioning_points: outer draws from rho/N per estimate.
     seed: master seed for the whole stream tree.
     tune: adapt sigma toward the target acceptance window during burn-in.
+    tune_interval: burn-in steps between two step-size adaptations.
     """
 
     sigma: float = 0.5
@@ -92,8 +100,10 @@ class SamplerSettings:
     workers: int = 1
 
     def __post_init__(self):
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
+        if not (np.isfinite(self.sigma) and self.sigma > 0.0):
+            raise ValueError("sigma must be positive and finite")
+        if self.tune_interval < 1:
+            raise ValueError("tune_interval must be >= 1")
         if self.burn_in < 0 or min(self.samples, self.thinning, self.walkers) < 1:
             raise ValueError("burn_in must be >= 0 and samples, thinning, walkers >= 1")
         if self.conditioning_points < 1:
@@ -115,7 +125,7 @@ ACCEPTANCE_WINDOW = (0.2, 0.5)
 
 @dataclass
 class BatchResult:
-    """Per-chain reductions plus sampler diagnostics."""
+    """Per-sample observations plus sampler diagnostics."""
 
     values: dict[str, np.ndarray]
     acceptance: np.ndarray
@@ -126,12 +136,14 @@ class BatchResult:
         return float(self.acceptance.mean())
 
 
-def _chain_block(ansatz, r_block, settings, first_chain, collectors):
-    """Advance one block of chains in lockstep and reduce kept samples.
+def _chain_block(ansatz, r_block, settings, first_chain, observables):
+    """Advance one block of chains in lockstep and observe kept samples.
 
     r_block: (m, d) conditioning points, one per chain in the block.
     first_chain: global index of the block's first chain; it keys the
         block's stream.
+    Returns the observations, name -> (K, m, ...), the acceptance and the
+    final sigma of each chain.
     """
     m, d = r_block.shape
     n_sat = ansatz.n_satellites
@@ -161,54 +173,60 @@ def _chain_block(ansatz, r_block, settings, first_chain, collectors):
     # satellites: coordinate i of satellite j of chain c is element (c S + j) d + i
     cur_1d = cur.reshape(-1)
     first = ((np.arange(m) * (n_sat * d))[:, None] + np.arange(d)).reshape(-1)  # satellite 0
-    kept = np.empty((settings.samples, m, n_sat, d))
-    k_out = 0
     chunk_steps = max(1, _VARIATE_BYTES // (8 * (d + 2) * m))  # steps per variate draw
+    # the kept samples of the current step-chunk, observed when it ends
+    kept = np.empty((min(settings.samples, -(-chunk_steps // settings.thinning)), m, n_sat, d))
+    n_kept = 0
+    values = {}
+    k_out = 0
 
-    with np.errstate(invalid="ignore"):
-        for t in range(total_steps):
-            i = t % chunk_steps
-            if i == 0:
-                n = min(chunk_steps, total_steps - t)
-                sat_idx = rng.integers(n_sat, size=(n, m))
-                normals = rng.standard_normal((n, m, d)).reshape(n, m * d)
-                log_unifs = np.log(rng.random((n, m)))
-            # the proposal is made in place and undone where it is rejected
-            k = sat_idx[i]
-            elems = first + np.repeat(k * d, d)
-            old = cur_1d[elems]
-            new = old + sigma_elems * normals[i]
-            cur_1d[elems] = new
-            log_new = ansatz.log_unnormalized(
-                r_block, cur, moved=(k, old.reshape(m, d), log_cur, state)
-            )
-            accept = log_unifs[i] < (log_new - log_cur)
-            cur_1d[elems] = np.where(np.repeat(accept, d), new, old)
-            log_cur = np.where(accept, log_new, log_cur)
-            if state is not None:
-                state.commit(accept)
+    for chunk_start in range(0, total_steps, chunk_steps):
+        n = min(chunk_steps, total_steps - chunk_start)
+        sat_idx = rng.integers(n_sat, size=(n, m))
+        normals = rng.standard_normal((n, m, d)).reshape(n, m * d)
+        log_unifs = np.log(rng.random((n, m)))
+        with np.errstate(invalid="ignore"):
+            for i in range(n):
+                t = chunk_start + i
+                # the proposal is made in place and undone where it is rejected
+                k = sat_idx[i]
+                elems = first + np.repeat(k * d, d)
+                old = cur_1d[elems]
+                new = old + sigma_elems * normals[i]
+                cur_1d[elems] = new
+                log_new = ansatz.log_unnormalized(
+                    r_block, cur, moved=(k, old.reshape(m, d), log_cur, state)
+                )
+                accept = log_unifs[i] < (log_new - log_cur)
+                cur_1d[elems] = np.where(np.repeat(accept, d), new, old)
+                log_cur = np.where(accept, log_new, log_cur)
+                if state is not None:
+                    state.commit(accept)
 
-            in_burn = t < settings.burn_in
-            if in_burn:
-                accepted_window += accept
-                if (
-                    settings.tune
-                    and (t + 1) % settings.tune_interval == 0
-                ):
-                    rate = accepted_window / settings.tune_interval
-                    sigma = np.where(rate > ACCEPTANCE_WINDOW[1], sigma * 1.25, sigma)
-                    sigma = np.where(rate < ACCEPTANCE_WINDOW[0], sigma / 1.25, sigma)
-                    sigma_elems = np.repeat(sigma, d)
-                    accepted_window[:] = 0.0
-            else:
-                accepted_meas += accept
-                if (t - settings.burn_in) % settings.thinning == settings.thinning - 1:
-                    kept[k_out] = cur
-                    k_out += 1
+                if t < settings.burn_in:
+                    accepted_window += accept
+                    if settings.tune and (t + 1) % settings.tune_interval == 0:
+                        rate = accepted_window / settings.tune_interval
+                        sigma = np.where(rate > ACCEPTANCE_WINDOW[1], sigma * 1.25, sigma)
+                        sigma = np.where(rate < ACCEPTANCE_WINDOW[0], sigma / 1.25, sigma)
+                        sigma_elems = np.repeat(sigma, d)
+                        accepted_window[:] = 0.0
+                else:
+                    accepted_meas += accept
+                    if (t - settings.burn_in) % settings.thinning == settings.thinning - 1:
+                        kept[n_kept] = cur
+                        n_kept += 1
+        if n_kept:
+            for name, fn in observables.items():
+                rows = np.asarray(fn(r_block, kept[:n_kept]))
+                if name not in values:
+                    values[name] = np.empty((settings.samples,) + rows.shape[1:], rows.dtype)
+                values[name][k_out:k_out + n_kept] = rows
+            k_out += n_kept
+            n_kept = 0
 
     meas_steps = total_steps - settings.burn_in
     acceptance = accepted_meas / meas_steps
-    values = {name: np.asarray(fn(r_block, kept)) for name, fn in collectors.items()}
     return values, acceptance, sigma
 
 
@@ -216,20 +234,23 @@ def run_conditional_batch(
     ansatz: ConditionalAnsatz,
     r_points: np.ndarray,
     settings: SamplerSettings,
-    collectors: dict,
+    observables: dict,
 ) -> BatchResult:
     """Sample satellites from f(. | r) for a batch of conditioning points.
 
     Args:
         r_points: (M, d) conditioning points; each spawns `walkers` chains.
-        collectors: name -> fn(r_block (m, d), kept (K, m, S, d)) returning
-            arrays whose last axis is the chain axis, i.e. (m,) or (K, m).
+        observables: name -> fn(r_block (m, d), sats (c, m, S, d)) returning
+            one row per kept sample, shape (c, m, ...).  It is called on
+            the c kept samples of one step-chunk at a time, in order, so it
+            must treat each sample on its own.
 
     Returns:
-        BatchResult whose values arrays run over chains in point order
-        (walkers of point 0, then walkers of point 1, ...).  Reductions
-        happen after reassembly in chain order, so the outcome does not
-        depend on the chunking or on the worker count.
+        BatchResult whose values arrays have shape (K, M * walkers, ...):
+        kept sample first, then the chains in point order (walkers of
+        point 0, then walkers of point 1, ...).  Reductions happen after
+        reassembly, so the outcome does not depend on the chain blocks,
+        the step-chunks or the worker count.
     """
     r_points = np.asarray(r_points, dtype=float)
     n_points, d = r_points.shape
@@ -247,7 +268,7 @@ def run_conditional_batch(
             r_chains[start:stop],
             settings,
             start,
-            collectors,
+            observables,
         )
 
     if settings.workers > 1 and len(blocks) > 1:
@@ -256,11 +277,10 @@ def run_conditional_batch(
     else:
         results = [do_block(b) for b in blocks]
 
-    # collector outputs carry the chain axis last ((m,) or (K, m)), so
-    # blocks are reassembled along axis -1 in chain order
+    # observations are (K, m, ...), so blocks join on the chain axis 1
     values = {
-        name: np.concatenate([res[0][name] for res in results], axis=-1)
-        for name in collectors
+        name: np.concatenate([res[0][name] for res in results], axis=1)
+        for name in observables
     }
     acceptance = np.concatenate([res[1] for res in results])
     sigma_final = np.concatenate([res[2] for res in results])
@@ -327,16 +347,11 @@ def run_chain(
     if stream_index:
         seed = int(substream(seed, _NS_SINGLE, stream_index).integers(0, 2**63 - 1))
 
-    def collect(r_block, kept):
-        n_kept, m = kept.shape[0], kept.shape[1]
-        out = np.empty((n_kept, m))
-        for t in range(n_kept):
-            for j in range(m):
-                out[t, j] = observable(r_block[j], kept[t, j])
-        return out
+    def observe(r_block, sats):
+        return np.array([[observable(r_block[0], s[0])] for s in sats], dtype=float)
 
     single = settings.replace(walkers=1, conditioning_points=1, seed=seed)
-    result = run_conditional_batch(ansatz, r[None, :], single, {"series": collect})
+    result = run_conditional_batch(ansatz, r[None, :], single, {"series": observe})
     series = result.values["series"][:, 0]
     if not np.all(np.isfinite(series)):
         raise EstimatorError("non-finite observable value encountered")

@@ -124,6 +124,8 @@ def test_unparseable_value_names_field(tmp_path, capsys):
         ("energy", "[sampler]", "samples = 0"),
         ("energy", "[sampler]", "workers = 0"),
         ("energy", "[sampler]", "samples = 1"),
+        ("energy", "[sampler]", "sigma = nan"),
+        ("energy", "[sampler]", "sigma = inf"),
         ("optimize", "[optimize]", "zeta_min = 3\nzeta_max = 1"),
     ],
 )

@@ -1,5 +1,7 @@
 """Energy terms: closed-form anchors, prefactor handling, error propagation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from corrsearch.domain import (
 )
 from corrsearch.functionals import (
     EnergyBreakdown,
+    conditional_moments,
     coulomb_term,
     fisher_term,
     frozen_coulomb_quadrature,
@@ -188,6 +191,27 @@ def test_fisher_nonnegative_mean():
 # ---------------------------------------------------------------------------
 # Gamma and totals
 # ---------------------------------------------------------------------------
+
+
+def test_conditional_moments_never_holds_the_run_kept_samples():
+    # one block of 1024 chains at N = 6: the kept satellites of the whole
+    # run (K m S d doubles, 63 MB) are never held at once; the kept samples
+    # stream through the observables one step-chunk at a time
+    density = ExponentialDensity(zeta=1.5, n_electrons=6)
+    space = SpaceSpec(dim=3, radius=3.0, n_electrons=6)
+    ansatz = PairwiseBiparametric(density, space, gamma=1.0, beta=0.0)
+    settings = SamplerSettings(
+        sigma=0.5, burn_in=16, samples=512, thinning=4, conditioning_points=1024, seed=3
+    )
+    kept_bytes = settings.samples * 1024 * ansatz.n_satellites * 3 * 8
+    tracemalloc.start()
+    try:
+        moments = conditional_moments(density, ansatz, settings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(moments.score_var))
+    assert peak < kept_bytes
 
 
 def test_gamma_auto_uses_quadrature_for_frozen():

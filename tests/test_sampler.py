@@ -102,15 +102,16 @@ class PointTarget(NormalTarget):
 # ---------------------------------------------------------------------------
 
 
-def _last_sample(r_block, kept):
-    return kept[-1, :, 0, 0]
+def _sats(r_block, sats):
+    """The identity observable: every kept configuration, (K, chains, S, d)."""
+    return sats
 
 
 def test_equal_density_always_accepted():
     density, space = line_pair()
     ansatz = ConstTarget(density, space)
     settings = SamplerSettings(sigma=1.0, burn_in=0, samples=200, thinning=1, seed=0, tune=False)
-    batch = run_conditional_batch(ansatz, np.zeros((16, 1)), settings, {"s": _last_sample})
+    batch = run_conditional_batch(ansatz, np.zeros((16, 1)), settings, {"sats": _sats})
     np.testing.assert_array_equal(batch.acceptance, 1.0)
 
 
@@ -146,7 +147,7 @@ def test_zero_weight_start_candidates_are_redrawn():
     density, space = line_pair()
     ansatz = HalfTarget(density, space)
     settings = SamplerSettings(sigma=1e-300, burn_in=0, samples=1, thinning=1, seed=3, tune=False)
-    batch = run_conditional_batch(ansatz, np.zeros((64, 1)), settings, {"s": _last_sample})
+    batch = run_conditional_batch(ansatz, np.zeros((64, 1)), settings, {"sats": _sats})
     rng = substream(3, _NS_CHAIN, 0)
     expected = rng.random(64)
     redrawn = 0
@@ -155,7 +156,7 @@ def test_zero_weight_start_candidates_are_redrawn():
         while expected[chain] < 0.5:
             expected[chain] = rng.random()
     assert redrawn > 0
-    np.testing.assert_array_equal(batch.values["s"], expected)
+    np.testing.assert_array_equal(batch.values["sats"][-1, :, 0, 0], expected)
 
 
 class StaleCheckPairwise(PairwiseBiparametric):
@@ -201,7 +202,7 @@ def test_chain_log_f_never_stale(n, beta, dim):
     ansatz = StaleCheckPairwise(density, space, gamma=1.0, beta=beta)
     settings = SamplerSettings(sigma=0.5, burn_in=100, samples=100, thinning=2, seed=4)
     points = density.sample(64, np.random.default_rng(4))
-    batch = run_conditional_batch(ansatz, points, settings, {"s": _last_sample})
+    batch = run_conditional_batch(ansatz, points, settings, {"sats": _sats})
     assert ansatz.calls == settings.burn_in + settings.samples * settings.thinning
     assert 0.0 < batch.mean_acceptance < 1.0
     assert ansatz.worst <= 1e-12
@@ -215,13 +216,11 @@ def test_detailed_balance_step_target():
     ansatz = StepTarget(density, space)
     settings = SamplerSettings(sigma=1.5, burn_in=16, samples=500, thinning=1, seed=12, tune=False)
 
-    def transitions(r_block, kept):
-        bins = np.floor(kept[:, :, 0, 0]).astype(np.int64)
-        pair = 5 * bins[:-1] + bins[1:]  # (K - 1, m)
-        return np.stack([np.sum(pair == c, axis=0) for c in range(25)])  # (25, m)
-
-    batch = run_conditional_batch(ansatz, np.zeros((2048, 1)), settings, {"n": transitions})
-    counts = batch.values["n"].sum(axis=1).reshape(5, 5).astype(float)
+    batch = run_conditional_batch(ansatz, np.zeros((2048, 1)), settings, {"sats": _sats})
+    bins = np.floor(batch.values["sats"][:, :, 0, 0]).astype(np.int64)
+    pair = 5 * bins[:-1] + bins[1:]  # (K - 1, chains)
+    transitions = np.stack([np.sum(pair == c, axis=0) for c in range(25)])  # (25, chains)
+    counts = transitions.sum(axis=1).reshape(5, 5).astype(float)
     assert counts.sum() >= 1e6
     p_hat = counts / counts.sum(axis=1, keepdims=True)
     pi = StepTarget.WEIGHTS / StepTarget.WEIGHTS.sum()
@@ -314,15 +313,16 @@ def test_worker_count_does_not_change_results():
     density, space = line_pair()
     ansatz = NormalTarget(density, space)
     points = np.linspace(-1.0, 1.0, 1536)[:, None]
-    collect = {"m": lambda r_block, kept: kept[..., 0, 0].mean(axis=0)}
+    means = []
     outs = []
     for workers in (1, 2, 4):
         settings = SamplerSettings(
             sigma=1.0, burn_in=64, samples=32, thinning=1, seed=21, workers=workers
         )
-        outs.append(run_conditional_batch(ansatz, points, settings, collect))
-    np.testing.assert_array_equal(outs[0].values["m"], outs[1].values["m"])
-    np.testing.assert_array_equal(outs[0].values["m"], outs[2].values["m"])
+        outs.append(run_conditional_batch(ansatz, points, settings, {"sats": _sats}))
+        means.append(outs[-1].values["sats"][..., 0, 0].mean(axis=0))
+    np.testing.assert_array_equal(means[0], means[1])
+    np.testing.assert_array_equal(means[0], means[2])
     np.testing.assert_array_equal(outs[0].acceptance, outs[2].acceptance)
 
 
@@ -332,19 +332,21 @@ def test_worker_count_and_rerun_pairwise_n6():
     space = SpaceSpec(dim=3, radius=3.0, n_electrons=6)
     ansatz = PairwiseBiparametric(density, space, gamma=1.0, beta=1.0)
     points = density.sample(1536, np.random.default_rng(6))
-    collect = {
-        "m": lambda r_block, kept: kept.mean(axis=(0, 2, 3)),
-        "last": lambda r_block, kept: kept[-1].reshape(kept.shape[1], -1).T,
+    reductions = {
+        "m": lambda kept: kept.mean(axis=(0, 2, 3)),
+        "last": lambda kept: kept[-1].reshape(kept.shape[1], -1).T,
     }
     outs = []
     for workers in (1, 2, 4, 1):
         settings = SamplerSettings(
             sigma=0.5, burn_in=64, samples=16, thinning=2, seed=23, workers=workers
         )
-        outs.append(run_conditional_batch(ansatz, points, settings, collect))
+        outs.append(run_conditional_batch(ansatz, points, settings, {"sats": _sats}))
     for other in outs[1:]:
-        for name in collect:
-            np.testing.assert_array_equal(outs[0].values[name], other.values[name])
+        for reduce in reductions.values():
+            np.testing.assert_array_equal(
+                reduce(outs[0].values["sats"]), reduce(other.values["sats"])
+            )
         np.testing.assert_array_equal(outs[0].acceptance, other.acceptance)
         np.testing.assert_array_equal(outs[0].sigma_final, other.sigma_final)
 
@@ -372,15 +374,12 @@ def test_batch_values_pinned(n, beta, n_points, walkers, seed, workers):
         sigma=0.5, burn_in=64, samples=8, thinning=2, seed=seed, walkers=walkers,
         workers=workers, tune_interval=16,
     )
-    collect = {
-        "sum": lambda r, kept: kept.sum(axis=(0, 2, 3)),
-        "sq": lambda r, kept: (kept * kept).sum(axis=(0, 2, 3)),
-    }
-    batch = run_conditional_batch(ansatz, points, settings, collect)
+    batch = run_conditional_batch(ansatz, points, settings, {"sats": _sats})
     assert batch.acceptance.size == n_points * walkers > sampler._CHUNK
+    kept = batch.values["sats"]
     got = (
-        float(batch.values["sum"].sum()),
-        float(batch.values["sq"].sum()),
+        float(kept.sum(axis=(0, 2, 3)).sum()),
+        float((kept * kept).sum(axis=(0, 2, 3)).sum()),
         float(batch.acceptance.sum()),
         float(batch.sigma_final.sum()),
     )
@@ -421,12 +420,9 @@ def test_one_chain_streams_unchanged():
     ansatz = cases["pairwise-1d"][0]
     settings = SamplerSettings(sigma=0.5, burn_in=32, samples=16, thinning=2, seed=11)
     batch = run_conditional_batch(
-        ansatz,
-        np.linspace(-1.0, 1.0, 1025)[:, None],
-        settings,
-        {"m": lambda r_block, kept: kept[..., 0, 0].mean(axis=0)},
+        ansatz, np.linspace(-1.0, 1.0, 1025)[:, None], settings, {"sats": _sats}
     )
-    assert batch.values["m"][-1] == -0.07728085806700305
+    assert batch.values["sats"][:, -1, 0, 0].mean() == -0.07728085806700305
     assert batch.acceptance[-1] == 0.78125
 
 
@@ -454,6 +450,43 @@ def test_variate_chunk_edges_skip_and_reuse_nothing(monkeypatch):
         steps.append(rng.standard_normal((n, m, 1))[..., 0])
         rng.random((n, m))
     np.testing.assert_array_equal(batch.values["s"], np.cumsum(np.concatenate(steps), axis=0))
+
+
+def test_observations_at_step_chunk_edges(monkeypatch):
+    # 155 steps in chunks of 7 end in a partial chunk of 1; after 5 burn-in
+    # steps every third step is kept, so the chunks hold 2 or 3 kept samples
+    # and the last kept step is the partial chunk's only step.  On a flat
+    # target every move is accepted: the kept satellites are the running
+    # sum of the Gaussian steps at the kept steps
+    m = 16
+    _steps_per_chunk(monkeypatch, 7, m)
+    density, space = line_pair()
+    settings = SamplerSettings(sigma=1.0, burn_in=5, samples=50, thinning=3, seed=0, tune=False)
+    points = np.linspace(-1.0, 1.0, m)[:, None]
+    calls = []
+
+    def second(r_block, sats):
+        calls.append(len(sats))
+        return sats[..., 0, 0] * r_block[:, 0] + sats[..., 0, 0] ** 2
+
+    batch = run_conditional_batch(
+        ConstTarget(density, space), points, settings, {"sats": _sats, "second": second}
+    )
+    np.testing.assert_array_equal(batch.acceptance, 1.0)
+
+    rng = substream(0, _NS_CHAIN, 0)
+    steps = []
+    for n in [7] * 22 + [1]:
+        rng.integers(1, size=(n, m))
+        steps.append(rng.standard_normal((n, m, 1))[..., 0])
+        rng.random((n, m))
+    path = np.cumsum(np.concatenate(steps), axis=0)
+    sats = batch.values["sats"]
+    assert sats.shape == (50, m, 1, 1)
+    np.testing.assert_array_equal(sats[..., 0, 0], path[5 + 2 :: 3])
+    # one call per step-chunk that kept a sample, never more than ceil(7 / 3)
+    assert len(calls) == 22 and sum(calls) == 50 and max(calls) == 3
+    np.testing.assert_array_equal(batch.values["second"], second(points, sats))
 
 
 def test_normal_target_variance_with_partial_variate_chunks(monkeypatch):
@@ -499,9 +532,7 @@ def test_sigma_frozen_outside_burn_in():
     settings = SamplerSettings(
         sigma=25.0, burn_in=0, samples=64, thinning=1, seed=2, tune=True
     )
-    batch = run_conditional_batch(
-        ansatz, np.zeros((4, 1)), settings, {"m": lambda rb, kept: kept[..., 0, 0].mean(axis=0)}
-    )
+    batch = run_conditional_batch(ansatz, np.zeros((4, 1)), settings, {"sats": _sats})
     np.testing.assert_array_equal(batch.sigma_final, 25.0)
 
 
@@ -511,9 +542,7 @@ def test_sigma_tuning_reaches_acceptance_window():
     settings = SamplerSettings(
         sigma=40.0, burn_in=1024, samples=256, thinning=1, seed=2, tune=True
     )
-    batch = run_conditional_batch(
-        ansatz, np.zeros((8, 1)), settings, {"m": lambda rb, kept: kept[..., 0, 0].mean(axis=0)}
-    )
+    batch = run_conditional_batch(ansatz, np.zeros((8, 1)), settings, {"sats": _sats})
     assert np.all(batch.sigma_final < 40.0)
     assert 0.15 <= batch.mean_acceptance <= 0.55
 
@@ -581,6 +610,11 @@ def test_settings_validation():
         SamplerSettings(conditioning_points=0)
     with pytest.raises(ValueError):
         SamplerSettings(workers=0)
+    for sigma in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError):
+            SamplerSettings(sigma=sigma)
+    with pytest.raises(ValueError):
+        SamplerSettings(tune_interval=0)
     # burn_in = 0 is a legal measurement-only chain
     assert SamplerSettings(burn_in=0).burn_in == 0
 
