@@ -12,8 +12,9 @@ involve the moved satellite, reading every old term from that state
 instead of re-evaluating all O(S^2) terms.
 
 This module owns the family registry: each family class declares its
-name and capabilities as class attributes, FAMILIES maps names to
-classes, and build_ansatz builds any of them.  Other modules read those
+name and capabilities as class attributes and the coupling values that
+act at a given N as acting_couplings, FAMILIES maps names to classes,
+and build_ansatz builds any of them.  Other modules read those
 attributes instead of naming families.
 
 Pairwise repulsion enters through the density-weighted kernel
@@ -143,6 +144,14 @@ class ConditionalAnsatz:
         return self.n_electrons - 1
 
     @property
+    def acting_couplings(self) -> tuple[float, ...]:
+        """The coupling values that act on f at this N.  Two instances that
+        build_ansatz made for one family, density and space with equal
+        acting couplings are the same f, so every estimate at fixed
+        settings is equal; empty for the families without couplings."""
+        return ()
+
+    @property
     def fermionic_compatible(self) -> bool:
         """Whether some antisymmetric state can carry this conditional shape.
 
@@ -264,6 +273,13 @@ class PairwiseBiparametric(ConditionalAnsatz):
             raise AnsatzError("gamma and beta must be non-negative")
         self.gamma = float(gamma)
         self.beta = float(beta)
+
+    @property
+    def acting_couplings(self) -> tuple[float, ...]:
+        # beta weighs satellite pairs, and one satellite has none
+        if self.n_satellites < 2:
+            return (self.gamma,)
+        return (self.gamma, self.beta)
 
     @property
     def fermionic_compatible(self) -> bool:

@@ -268,6 +268,7 @@ def cmd_optimize(args) -> int:
             "breakdown": result.energy.to_dict(),
             "n_eval": result.n_eval,
             "converged": result.converged,
+            "estimator_calls": result.estimator_calls,
         }
     )
     record.timings = {"optimize_seconds": time.perf_counter() - t0}

@@ -5,6 +5,10 @@ density, minimizing the sampled correlation functional.  With common
 random numbers (the default) every evaluation inside one search reuses
 the same seed, so the search sees a deterministic surface; the winner is
 re-evaluated afterwards with a fresh seed to remove selection bias.
+Because that surface is deterministic, each search keeps its estimates
+keyed by the couplings that act on f, and a repeated point costs nothing:
+a Nelder-Mead contraction that returns to a vertex, or at N = 2 (where
+beta is inert) any point that differs only in beta.
 
 Outer loop: golden-section over the single density parameter zeta,
 minimizing Weizsacker + external + inner-optimal Gamma.
@@ -66,6 +70,11 @@ class OptimizeSpec:
             raise ValueError("tolerances must be positive")
         if not self.simplex_scale > 0.0:
             raise ValueError("simplex_scale must be positive")
+        if self.max_iter_inner < 1 or self.max_iter_outer < 1:
+            raise ValueError(
+                "max_iter_inner and max_iter_outer must be >= 1: "
+                f"{(self.max_iter_inner, self.max_iter_outer)}"
+            )
 
 
 @dataclass
@@ -233,6 +242,7 @@ class InnerResult:
     trace: list[TraceEntry]
     n_eval: int
     converged: bool
+    estimator_calls: int     # gamma_correlation calls made, the fresh one included
 
 
 def inner_minimize(
@@ -248,7 +258,10 @@ def inner_minimize(
     """Minimize Gamma over the family's couplings at fixed density.
 
     A family with couplings searches (gamma, beta) with Nelder-Mead; the
-    parameter-free families evaluate once.  `objective`, if given, maps
+    parameter-free families evaluate once.  A search point whose acting
+    couplings (`ConditionalAnsatz.acting_couplings`) were already evaluated
+    reuses that estimate: it still adds a trace row and counts toward the
+    evaluation budget, but samples nothing.  `objective`, if given, maps
     (gamma, beta) to a synthetic value and replaces the sampled Gamma
     (plumbing-test hook).
     """
@@ -258,8 +271,19 @@ def inner_minimize(
         else settings.seed
     )
     search_settings = settings.replace(seed=crn_seed)
+    memo: dict[tuple[float, ...], GammaEstimate] = {}
 
-    def gamma_at(g, b, eval_settings) -> GammaEstimate:
+    def search_estimate(g, b) -> GammaEstimate:
+        """The search's estimate at (g, b).  Every search call has the same
+        settings, so the estimate depends only on the acting couplings."""
+        ans = build_ansatz(family, density, space, g, b)
+        key = ans.acting_couplings
+        if key not in memo:
+            memo[key] = gamma_correlation(density, ans, search_settings, prefactor, method)
+        return memo[key]
+
+    def fresh_estimate(g, b) -> GammaEstimate:
+        eval_settings = settings.replace(seed=fresh_seed(opt.seed))
         ans = build_ansatz(family, density, space, g, b)
         return gamma_correlation(density, ans, eval_settings, prefactor, method)
 
@@ -268,10 +292,8 @@ def inner_minimize(
     if not family_class(family).couplings:
         if objective is not None:
             raise OptimizeError("objective override needs a family with couplings")
-        est = gamma_at(opt.gamma_init, opt.beta_init, search_settings)
-        fresh = gamma_at(
-            opt.gamma_init, opt.beta_init, settings.replace(seed=fresh_seed(opt.seed))
-        )
+        est = search_estimate(opt.gamma_init, opt.beta_init)
+        fresh = fresh_estimate(opt.gamma_init, opt.beta_init)
         trace.append(
             TraceEntry(0, float("nan"), float("nan"), float("nan"), est.value, est.stderr)
         )
@@ -284,6 +306,7 @@ def inner_minimize(
             trace=trace,
             n_eval=1,
             converged=True,
+            estimator_calls=len(memo) + 1,
         )
 
     def search_fn(x):
@@ -291,7 +314,7 @@ def inner_minimize(
         if objective is not None:
             val, se = float(objective(g, b)), 0.0
         else:
-            est = gamma_at(g, b, search_settings)
+            est = search_estimate(g, b)
             val, se = est.value, est.stderr
         trace.append(TraceEntry(len(trace), float("nan"), g, b, val, se))
         return val
@@ -311,8 +334,10 @@ def inner_minimize(
         fresh = GammaEstimate(
             0.0, 0.0, 0.0, 0.0, 0.0, res.value, 0.0, prefactor, "synthetic"
         )
+        calls = 0
     else:
-        fresh = gamma_at(g_best, b_best, settings.replace(seed=fresh_seed(opt.seed)))
+        fresh = fresh_estimate(g_best, b_best)
+        calls = len(memo) + 1
     return InnerResult(
         family=family,
         gamma=g_best,
@@ -322,6 +347,7 @@ def inner_minimize(
         trace=trace,
         n_eval=res.n_eval,
         converged=res.converged,
+        estimator_calls=calls,
     )
 
 
@@ -339,6 +365,7 @@ class OuterResult:
     trace: list[TraceEntry]
     n_eval: int
     converged: bool
+    estimator_calls: int  # gamma_correlation calls over every inner search
 
 
 def outer_minimize(
@@ -356,12 +383,16 @@ def outer_minimize(
     make_density maps zeta to a Density.  Inner searches run with common
     random numbers derived from opt.seed so the outer objective is a
     deterministic function of zeta during the search; the final winner is
-    re-assembled from a fresh-seed evaluation.
+    re-assembled from its fresh-seed evaluation and the Weizsacker and
+    external terms computed when its zeta was evaluated.
     """
     trace: list[TraceEntry] = []
-    inner_cache: dict[float, InnerResult] = {}
+    # zeta -> (Weizsacker, external, inner result), for assembling the winner
+    evaluated: dict[float, tuple[float, float, InnerResult]] = {}
+    calls = 0
 
     def objective(zeta: float) -> float:
+        nonlocal calls
         zeta = float(zeta)
         density = make_density(zeta)
         grid = default_grid(density)
@@ -370,7 +401,8 @@ def outer_minimize(
         inner = inner_minimize(
             density, space, family, settings, opt, prefactor, method
         )
-        inner_cache[zeta] = inner
+        evaluated[zeta] = (w, ext, inner)
+        calls += inner.estimator_calls
         total = w + ext + inner.search_value
         trace.append(
             TraceEntry(
@@ -387,11 +419,7 @@ def outer_minimize(
         max_eval=opt.max_iter_outer,
     )
     zeta_best = float(res.x[0])
-    inner = inner_cache[zeta_best]
-    density = make_density(zeta_best)
-    grid = default_grid(density)
-    w = weizsacker_term(density, grid)
-    ext = external_energy(density, potential, grid) if potential else 0.0
+    w, ext, inner = evaluated[zeta_best]
     energy = EnergyBreakdown.assemble(w, inner.estimate, ext)
     return OuterResult(
         zeta=zeta_best,
@@ -401,4 +429,5 @@ def outer_minimize(
         trace=trace,
         n_eval=res.n_eval,
         converged=res.converged,
+        estimator_calls=calls,
     )

@@ -30,7 +30,9 @@ from corrsearch.domain import (
     uniform_1d_grid,
 )
 
-from conftest import HE_ZETA
+from corrsearch.functionals import gamma_correlation
+
+from conftest import HE_ZETA, fast_settings
 
 
 def he_pair():
@@ -541,6 +543,30 @@ def test_simple_is_pairwise_at_unit_gamma_zero_beta(n):
         pair.log_unnormalized(r, proposal, moved=hint + (pair.chain_state(r, cur),)),
     )
     assert simple.fermionic_compatible == pair.fermionic_compatible
+
+
+def test_acting_couplings_key_equal_estimates():
+    # the optimizer's memo rests on this: at N = 2 beta weighs no satellite
+    # pair, so pairwise at any beta is one f with one estimate; at N = 3 it
+    # acts, and changes both the key and the estimate
+    settings = fast_settings(conditioning_points=32, samples=16, burn_in=32, seed=3)
+    keys, estimates = {}, {}
+    for n in (2, 3):
+        density = ExponentialDensity(zeta=HE_ZETA, n_electrons=n)
+        space = SpaceSpec(dim=3, radius=1.3, n_electrons=n)
+        for beta in (0.0, 0.5, 5.0):
+            ans = PairwiseBiparametric(density, space, 1.5, beta)
+            keys[n, beta] = ans.acting_couplings
+            estimates[n, beta] = gamma_correlation(density, ans, settings).to_dict()
+        assert SimpleFactorized(density, space).acting_couplings == (1.0, 0.0)[: n - 1]
+        assert FrozenOrbitalProduct(density, space).acting_couplings == ()
+        assert GaussianToy(density, space).acting_couplings == ()
+    assert keys[2, 0.0] == keys[2, 0.5] == keys[2, 5.0] == (1.5,)
+    assert estimates[2, 0.0] == estimates[2, 0.5] == estimates[2, 5.0]
+    assert len({keys[3, b] for b in (0.0, 0.5, 5.0)}) == 3
+    assert keys[3, 0.5] == (1.5, 0.5)
+    values = [estimates[3, b]["value"] for b in (0.0, 0.5, 5.0)]
+    assert len(set(values)) == 3
 
 
 def test_family_names_appear_only_in_the_registry():

@@ -127,6 +127,10 @@ def test_unparseable_value_names_field(tmp_path, capsys):
         ("energy", "[sampler]", "sigma = nan"),
         ("energy", "[sampler]", "sigma = inf"),
         ("optimize", "[optimize]", "zeta_min = 3\nzeta_max = 1"),
+        ("optimize", "[optimize]", "max_iter_outer = 0"),
+        ("optimize", "[optimize]", "max_iter_outer = -3"),
+        ("optimize", "[optimize]", "max_iter_inner = -1"),
+        ("optimize", "[optimize]", "max_iter_inner = 0"),
     ],
 )
 def test_out_of_range_setting_names_its_section(tmp_path, capsys, command, section, fields):
@@ -324,6 +328,8 @@ def test_optimize_frozen_recovers_balance_point(tmp_path, capsys):
     assert record.results["zeta"] == pytest.approx(1.6875, abs=0.02)
     assert record.results["breakdown"]["total"] == pytest.approx(-2.84765625, abs=0.005)
     assert record.results["converged"] is True
+    # the parameter-free family makes one search and one fresh call per zeta
+    assert record.results["estimator_calls"] == 2 * record.results["n_eval"]
 
     rows = load_trace(str(out / "trace.csv"))
     assert rows, "trace must not be empty"

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from corrsearch import optimizer
 from corrsearch.domain import ExponentialDensity, ExternalPotential, SpaceSpec
+from corrsearch.functionals import gamma_correlation
 from corrsearch.optimizer import (
     OptimizeError,
     OptimizeSpec,
@@ -14,7 +16,7 @@ from corrsearch.optimizer import (
     nelder_mead,
     outer_minimize,
 )
-from corrsearch.sampler import SamplerSettings
+from corrsearch.sampler import SamplerSettings, substream
 
 from conftest import HE_ZETA
 
@@ -168,6 +170,41 @@ def test_inner_crn_trace_reproducible():
     assert runs[0].estimate.value == runs[1].estimate.value
 
 
+@pytest.mark.parametrize("crn", [True, False])
+@pytest.mark.parametrize("n", [2, 3])
+def test_inner_search_samples_each_acting_point_once(monkeypatch, n, crn):
+    density = ExponentialDensity(zeta=HE_ZETA, n_electrons=n)
+    space = SpaceSpec(dim=3, radius=1.3, n_electrons=n)
+    settings = search_settings(conditioning_points=32, samples=16, burn_in=32, seed=4)
+    opt = OptimizeSpec(max_iter_inner=14, crn=crn, seed=4)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return gamma_correlation(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "gamma_correlation", counting)
+    res = inner_minimize(density, space, "pairwise", settings, opt)
+
+    crn_seed = (
+        int(substream(opt.seed, optimizer._NS_CRN).integers(0, 2**63 - 1))
+        if crn
+        else settings.seed
+    )
+    direct_settings = settings.replace(seed=crn_seed)
+    keys = set()
+    for row in res.trace:
+        ans = build_ansatz("pairwise", density, space, row.gamma, row.beta)
+        keys.add(ans.acting_couplings)
+        est = gamma_correlation(density, ans, direct_settings)
+        assert (row.energy, row.stderr) == (est.value, est.stderr)
+    assert res.n_eval == len(res.trace)
+    assert len(calls) == res.estimator_calls == len(keys) + 1
+    if n == 2:
+        # the initial simplex's beta step lands on the same f
+        assert len(keys) < len(res.trace)
+
+
 def test_inner_optimality_probe():
     # winner's fresh-seed Gamma must not lose to random in-bounds probes
     density, space = he_setup()
@@ -179,7 +216,6 @@ def test_inner_optimality_probe():
     best = res.estimate
 
     from corrsearch.ansatz import PairwiseBiparametric
-    from corrsearch.functionals import gamma_correlation
 
     rng = np.random.default_rng(77)
     violations = 0
@@ -261,6 +297,9 @@ def test_spec_validation():
         OptimizeSpec(tol_inner=0.0)
     with pytest.raises(ValueError):
         OptimizeSpec(gamma_bounds=(-0.1, 50.0))
+    for budget in ({"max_iter_inner": 0}, {"max_iter_inner": -1}, {"max_iter_outer": 0}):
+        with pytest.raises(ValueError, match="max_iter"):
+            OptimizeSpec(**budget)
     # gamma lower bound 0 stays legal here; the config layer rejects it
     # outside test mode
     assert OptimizeSpec(gamma_bounds=(0.0, 50.0)).gamma_bounds[0] == 0.0
