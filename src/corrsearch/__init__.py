@@ -27,8 +27,6 @@ from .sampler import SamplerSettings, run_chain, run_conditional_batch
 from .functionals import (
     EnergyBreakdown,
     GammaEstimate,
-    coulomb_term,
-    fisher_term,
     gamma_correlation,
     total_energy,
     weizsacker_term,
@@ -64,8 +62,6 @@ __all__ = [
     "run_conditional_batch",
     "EnergyBreakdown",
     "GammaEstimate",
-    "coulomb_term",
-    "fisher_term",
     "gamma_correlation",
     "total_energy",
     "weizsacker_term",

@@ -41,7 +41,7 @@ from .config import (
 )
 from .domain import DomainError
 from .functionals import gamma_correlation, prefactor_value, total_energy
-from .optimizer import OptimizeError, inner_minimize, outer_minimize
+from .optimizer import inner_minimize, outer_minimize
 from .oracle import (
     ProductWavefunction,
     solve_two_particle_1d,
@@ -503,7 +503,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, DomainError, AnsatzError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (EstimatorError, OptimizeError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (EstimatorError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

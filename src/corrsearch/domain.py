@@ -295,9 +295,6 @@ class Tabulated1DDensity(Density):
         u = rng.random(n)
         return np.interp(u, self._cdf, self.x)[:, None]
 
-    def cdf(self, xq: np.ndarray) -> np.ndarray:
-        return np.interp(np.asarray(xq, dtype=float), self.x, self._cdf)
-
 
 # ---------------------------------------------------------------------------
 # external potential
@@ -396,11 +393,6 @@ def radial_angular_grid(
         [rr * st * np.cos(pp), rr * st * np.sin(pp), rr * mm], axis=-1
     ).reshape(-1, 3)
     return QuadratureGrid("radial-angular", nodes, ww.reshape(-1))
-
-
-def ball_grid(radius: float, n_radial: int = 48, n_theta: int = 16, n_phi: int = 16) -> QuadratureGrid:
-    """Quadrature over a ball, used for one-particle-volume integrals."""
-    return radial_angular_grid(radius, n_radial, n_theta, n_phi)
 
 
 def uniform_1d_grid(radius: float, n: int = 2048) -> QuadratureGrid:

@@ -40,12 +40,7 @@ from .domain import (
     _gauss_legendre,
     _zetas_of,
 )
-from .sampler import (
-    SamplerSettings,
-    conditioning_rng,
-    run_conditional_batch,
-    sample_conditioning_points,
-)
+from .sampler import SamplerSettings, conditioning_rng, run_conditional_batch
 
 PREFACTOR_MODES = ("half", "full")
 
@@ -157,7 +152,7 @@ def conditional_moments(
         raise ValueError("need at least 2 kept samples for the variance estimate")
     space = ansatz.space
     rng = conditioning_rng(settings.seed)
-    r_points = sample_conditioning_points(density, settings.conditioning_points, rng)
+    r_points = density.sample(settings.conditioning_points, rng)
 
     def score(r_block, sats):
         # r_block[None] broadcasts over the kept samples inside score, so
@@ -184,12 +179,6 @@ def conditional_moments(
         acceptance=result.mean_acceptance,
         sigma_final=float(result.sigma_final.mean()),
     )
-
-
-@dataclass
-class TermEstimate:
-    value: float
-    stderr: float
 
 
 @dataclass
@@ -295,29 +284,6 @@ def gamma_correlation(
         )
     moments = conditional_moments(density, ansatz, settings)
     return _gamma_from_moments(moments, ansatz.n_electrons, prefactor, "mc")
-
-
-def fisher_term(
-    density: Density, ansatz: ConditionalAnsatz, settings: SamplerSettings
-) -> TermEstimate:
-    """(N/8) E_{r ~ rho/N}[ Var_f[score | r] ] by the two-level sampler."""
-    if ansatz.n_satellites == 0:
-        return TermEstimate(0.0, 0.0)
-    est = gamma_correlation(density, ansatz, settings, method="mc")
-    return TermEstimate(est.fisher, est.fisher_stderr)
-
-
-def coulomb_term(
-    density: Density,
-    ansatz: ConditionalAnsatz,
-    settings: SamplerSettings,
-    prefactor: str = "half",
-) -> TermEstimate:
-    """P(N) int rho(r) E_f[w(r, first satellite)] dr by the two-level sampler."""
-    if ansatz.n_satellites == 0:
-        return TermEstimate(0.0, 0.0)
-    est = gamma_correlation(density, ansatz, settings, prefactor=prefactor, method="mc")
-    return TermEstimate(est.coulomb, est.coulomb_stderr)
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,6 @@ from .sampler import SamplerSettings, fresh_seed, substream
 _NS_CRN = 0x63726E
 
 
-class OptimizeError(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True)
 class OptimizeSpec:
     """Bounds, budgets and reproducibility policy of the nested search."""
@@ -85,10 +81,6 @@ class TraceEntry:
     beta: float
     energy: float
     stderr: float
-
-
-def best_so_far(trace: list[TraceEntry]) -> np.ndarray:
-    return np.minimum.accumulate([t.energy for t in trace])
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +245,6 @@ def inner_minimize(
     opt: OptimizeSpec,
     prefactor: str = "half",
     method: str = "auto",
-    objective=None,
 ) -> InnerResult:
     """Minimize Gamma over the family's couplings at fixed density.
 
@@ -261,9 +252,7 @@ def inner_minimize(
     parameter-free families evaluate once.  A search point whose acting
     couplings (`ConditionalAnsatz.acting_couplings`) were already evaluated
     reuses that estimate: it still adds a trace row and counts toward the
-    evaluation budget, but samples nothing.  `objective`, if given, maps
-    (gamma, beta) to a synthetic value and replaces the sampled Gamma
-    (plumbing-test hook).
+    evaluation budget, but samples nothing.
     """
     crn_seed = (
         int(substream(opt.seed, _NS_CRN).integers(0, 2**63 - 1))
@@ -290,8 +279,6 @@ def inner_minimize(
     trace: list[TraceEntry] = []
 
     if not family_class(family).couplings:
-        if objective is not None:
-            raise OptimizeError("objective override needs a family with couplings")
         est = search_estimate(opt.gamma_init, opt.beta_init)
         fresh = fresh_estimate(opt.gamma_init, opt.beta_init)
         trace.append(
@@ -311,13 +298,9 @@ def inner_minimize(
 
     def search_fn(x):
         g, b = float(x[0]), float(x[1])
-        if objective is not None:
-            val, se = float(objective(g, b)), 0.0
-        else:
-            est = search_estimate(g, b)
-            val, se = est.value, est.stderr
-        trace.append(TraceEntry(len(trace), float("nan"), g, b, val, se))
-        return val
+        est = search_estimate(g, b)
+        trace.append(TraceEntry(len(trace), float("nan"), g, b, est.value, est.stderr))
+        return est.value
 
     lo = np.array([opt.gamma_bounds[0], opt.beta_bounds[0]])
     hi = np.array([opt.gamma_bounds[1], opt.beta_bounds[1]])
@@ -330,24 +313,16 @@ def inner_minimize(
         max_eval=opt.max_iter_inner,
     )
     g_best, b_best = float(res.x[0]), float(res.x[1])
-    if objective is not None:
-        fresh = GammaEstimate(
-            0.0, 0.0, 0.0, 0.0, 0.0, res.value, 0.0, prefactor, "synthetic"
-        )
-        calls = 0
-    else:
-        fresh = fresh_estimate(g_best, b_best)
-        calls = len(memo) + 1
     return InnerResult(
         family=family,
         gamma=g_best,
         beta=b_best,
-        estimate=fresh,
+        estimate=fresh_estimate(g_best, b_best),
         search_value=res.value,
         trace=trace,
         n_eval=res.n_eval,
         converged=res.converged,
-        estimator_calls=calls,
+        estimator_calls=len(memo) + 1,
     )
 
 

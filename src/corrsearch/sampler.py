@@ -47,7 +47,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ansatz import ConditionalAnsatz, EstimatorError
-from .domain import Density
 
 # namespace tags for seed splitting; distinct integers keep streams disjoint
 _NS_CHAIN = 0x636861
@@ -68,9 +67,9 @@ def conditioning_rng(seed: int) -> np.random.Generator:
     return substream(seed, _NS_CONDITIONING)
 
 
-def fresh_seed(seed: int, round_index: int = 0) -> int:
+def fresh_seed(seed: int) -> int:
     """A reproducible but independent seed for post-search re-evaluation."""
-    return int(substream(seed, _NS_FRESH, round_index).integers(0, 2**63 - 1))
+    return int(substream(seed, _NS_FRESH, 0).integers(0, 2**63 - 1))
 
 
 @dataclass(frozen=True)
@@ -362,8 +361,3 @@ def run_chain(
         ess=effective_sample_size(series),
         acceptance=float(result.acceptance[0]),
     )
-
-
-def sample_conditioning_points(density: Density, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draws from the one-particle probability density rho/N, shape (n, d)."""
-    return density.sample(n, rng)

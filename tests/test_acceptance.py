@@ -27,7 +27,7 @@ from corrsearch.domain import (
     ExternalPotential,
     SpaceSpec,
 )
-from corrsearch.functionals import fisher_term, gamma_correlation, total_energy
+from corrsearch.functionals import gamma_correlation, total_energy
 from corrsearch.oracle import (
     ProductWavefunction,
     lattice_gamma,
@@ -193,23 +193,23 @@ def test_criterion_5_fisher_estimator():
         tune=True,
         workers=1,
     )
-    est = fisher_term(density_1d, toy, settings)
-    z = abs(est.value - 0.25) / est.stderr
+    est = gamma_correlation(density_1d, toy, settings, method="mc")
+    z = abs(est.fisher - 0.25) / est.fisher_stderr
 
     frozen = FrozenOrbitalProduct(density_1d, space_1d)
-    frozen_est = fisher_term(density_1d, frozen, settings)
+    frozen_est = gamma_correlation(density_1d, frozen, settings, method="mc")
 
     ok = (
         worst_rel <= 1e-5
         and z <= 3.0
-        and frozen_est.value == 0.0
-        and frozen_est.stderr == 0.0
+        and frozen_est.fisher == 0.0
+        and frozen_est.fisher_stderr == 0.0
     )
     report(
         5,
         ok,
         f"score vs FD worst rel err {worst_rel:.2e} <= 1e-5; toy family "
-        f"{est.value:.4f} vs N/8 = 0.25 (|z| = {z:.2f} <= 3); "
+        f"{est.fisher:.4f} vs N/8 = 0.25 (|z| = {z:.2f} <= 3); "
         f"conditioning-independent family exactly 0",
     )
 

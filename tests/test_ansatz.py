@@ -26,7 +26,7 @@ from corrsearch.domain import (
     ExponentialDensity,
     SpaceSpec,
     Tabulated1DDensity,
-    ball_grid,
+    radial_angular_grid,
     uniform_1d_grid,
 )
 
@@ -326,8 +326,9 @@ def test_normalization_simple_unit_volume():
 def test_normalization_simple_requires_simple():
     density, space = he_pair()
     ans = PairwiseBiparametric(density, space, gamma=1.0, beta=0.0)
+    grid = radial_angular_grid(space.omega_radius, 48, 16, 16)
     with pytest.raises(AnsatzError):
-        normalization_simple(ans, np.zeros(3), ball_grid(space.omega_radius))
+        normalization_simple(ans, np.zeros(3), grid)
 
 
 def test_normalization_quadrature_vs_mc():
@@ -337,7 +338,7 @@ def test_normalization_quadrature_vs_mc():
     simple = SimpleFactorized(density, space)
     r = np.array([0.0, 0.0, 1.0])
 
-    quad = normalization_simple(simple, r, ball_grid(space.omega_radius, 64, 24, 24))
+    quad = normalization_simple(simple, r, radial_angular_grid(space.omega_radius, 64, 24, 24))
     rng = np.random.default_rng(31)
     mc, se = log_normalization_pairwise(simple, r, 1_000_000, rng)
     assert abs(mc - quad) <= 3.0 * se
@@ -352,7 +353,7 @@ def test_pairwise_matches_simple_at_n2():
     simple = SimpleFactorized(density, space)
     r = np.array([0.0, 0.0, 0.8])
 
-    quad = normalization_simple(simple, r, ball_grid(space.omega_radius, 64, 24, 24))
+    quad = normalization_simple(simple, r, radial_angular_grid(space.omega_radius, 64, 24, 24))
     rng = np.random.default_rng(7)
     mc, se = log_normalization_pairwise(pairwise, r, 200_000, rng)
     assert abs(mc - quad) <= 3.0 * se

@@ -1,6 +1,9 @@
 """End-to-end tests of the command line interface and run records."""
 
+import configparser
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,6 +134,11 @@ def test_unparseable_value_names_field(tmp_path, capsys):
         ("optimize", "[optimize]", "max_iter_outer = -3"),
         ("optimize", "[optimize]", "max_iter_inner = -1"),
         ("optimize", "[optimize]", "max_iter_inner = 0"),
+        # every command checks every section when the file loads
+        ("energy", "[optimize]", "max_iter_inner = 0"),
+        ("energy", "[optimize]", "zeta_min = 3\nzeta_max = 1"),
+        ("energy", "[optimize]", "tol = -1"),
+        ("sample-diagnostics", "[optimize]", "max_iter_outer = 0"),
     ],
 )
 def test_out_of_range_setting_names_its_section(tmp_path, capsys, command, section, fields):
@@ -138,6 +146,22 @@ def test_out_of_range_setting_names_its_section(tmp_path, capsys, command, secti
     path.write_text(f"[system]\nn = 2\nz = 2.0\n{section}\n{fields}\n", encoding="utf-8")
     assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert section in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fields,named",
+    [
+        ({"n": "0"}, "n_electrons"),
+        ({"radius": "nan"}, "radius"),
+        ({"dimensionality": "1d", "softening": "0.0"}, "softening"),
+        ({"dimensionality": "2d"}, "dimensionality"),
+    ],
+)
+def test_out_of_range_system_names_section_and_field(fields, named):
+    keys = {"n": "2", "z": "2.0", **fields}
+    text = "[system]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+    with pytest.raises(ConfigError, match=r"\[system\].*" + named):
+        parse_config(text)
 
 
 def test_missing_required_flag_is_validation_error(capsys):
@@ -412,11 +436,74 @@ def test_sample_diagnostics_reports_chain_health(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
+# every one of the 34 keys away from its default
+EVERY_KEY_CONFIG = """\
+[system]
+n = 3
+z = 3.0
+dimensionality = 1d
+radius = 6.0
+softening = 0.5
+
+[density]
+family = exponential-mixture
+zeta = 1.3
+zetas = 1.45, 2.9
+weights = 0.25 0.75
+table_path = tables/rho.txt
+
+[ansatz]
+family = simple
+gamma = 2.5
+beta = 0.25
+
+[sampler]
+conditioning_points = 64
+samples = 32
+burn_in = 16
+thinning = 2
+walkers = 2
+sigma = 0.75
+seed = 11
+tune = false
+workers = 2
+
+[optimize]
+zeta_min = 1.1
+zeta_max = 2.2
+gamma_min = 0.1
+gamma_max = 20.0
+beta_min = 0.5
+beta_max = 5.0
+gamma_init = 2.0
+beta_init = 0.75
+max_iter_inner = 30
+max_iter_outer = 20
+tol = 1e-4
+crn = false
+"""
+
+
+def config_keys(text):
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser.read_string(text)
+    return {(section, key) for section in parser.sections() for key in parser[section]}
+
+
 def test_config_text_round_trip(tmp_path):
     with open(write_config(tmp_path, optimize=OPT_SECTION), encoding="utf-8") as fh:
-        cfg = parse_config(fh.read())
-    again = parse_config(config_to_text(cfg))
-    assert again == cfg
+        texts = [fh.read(), EVERY_KEY_CONFIG]
+    for text in texts:
+        cfg = parse_config(text)
+        again = parse_config(config_to_text(cfg))
+        assert again == cfg
+
+    every = parse_config(EVERY_KEY_CONFIG)
+    for name in ("system", "density", "ansatz", "sampler", "optimize"):
+        section = getattr(every, name)
+        for f in dataclasses.fields(section):
+            assert getattr(section, f.name) != f.default, (name, f.name)
+    assert len(config_keys(EVERY_KEY_CONFIG)) == 34
 
 
 def test_runconfig_dict_round_trip(tmp_path):
@@ -425,6 +512,17 @@ def test_runconfig_dict_round_trip(tmp_path):
     assert cfg.sampler.seed == 77
     assert cfg.prefactor == "full"
     assert RunConfig.from_dict(cfg.to_dict()) == cfg
+    # through JSON, as a record stores it: the float tuples come back as lists
+    mixture = parse_config(EVERY_KEY_CONFIG, {"test_mode": True})
+    assert RunConfig.from_dict(json.loads(json.dumps(mixture.to_dict()))) == mixture
+
+
+def test_readme_config_block_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(block)
+    assert config_keys(block) == config_keys(config_to_text(cfg))
+    assert len(config_keys(block)) == 34
 
 
 def test_gamma_floor_needs_test_mode(tmp_path):

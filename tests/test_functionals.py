@@ -22,8 +22,6 @@ from corrsearch.domain import (
 from corrsearch.functionals import (
     EnergyBreakdown,
     conditional_moments,
-    coulomb_term,
-    fisher_term,
     frozen_coulomb_quadrature,
     gamma_correlation,
     prefactor_value,
@@ -114,9 +112,9 @@ def test_frozen_coulomb_prefactor_linearity_quadrature():
 def test_frozen_coulomb_mc_vs_closed_form():
     density, space = he_system()
     frozen = FrozenOrbitalProduct(density, space)
-    est = coulomb_term(density, frozen, mc_settings(), prefactor="half")
-    assert est.stderr > 0.0
-    assert abs(est.value - HE_PAIR_INTEGRAL) <= 3.0 * est.stderr
+    est = gamma_correlation(density, frozen, mc_settings(), prefactor="half", method="mc")
+    assert est.coulomb_stderr > 0.0
+    assert abs(est.coulomb - HE_PAIR_INTEGRAL) <= 3.0 * est.coulomb_stderr
 
 
 def test_coulomb_prefactor_linearity_same_samples():
@@ -134,10 +132,10 @@ def test_single_electron_terms_vanish():
     density = ExponentialDensity(zeta=1.0, n_electrons=1)
     space = SpaceSpec(dim=3, radius=10.0, n_electrons=1)
     frozen = FrozenOrbitalProduct(density, space)
-    assert coulomb_term(density, frozen, fast_settings()).value == 0.0
-    assert fisher_term(density, frozen, fast_settings()).value == 0.0
-    est = gamma_correlation(density, frozen, fast_settings())
-    assert est.value == 0.0 and est.stderr == 0.0 and est.method == "exact"
+    for method in ("mc", "auto"):
+        est = gamma_correlation(density, frozen, fast_settings(), method=method)
+        assert est.fisher == 0.0 and est.coulomb == 0.0
+        assert est.value == 0.0 and est.stderr == 0.0 and est.method == "exact"
 
 
 def test_prefactor_values():
@@ -157,9 +155,10 @@ def test_prefactor_values():
 def test_frozen_fisher_exactly_zero():
     density, space = he_system()
     frozen = FrozenOrbitalProduct(density, space)
-    est = fisher_term(density, frozen, mc_settings(conditioning_points=64, samples=32))
-    assert est.value == 0.0
-    assert est.stderr == 0.0
+    settings = mc_settings(conditioning_points=64, samples=32)
+    est = gamma_correlation(density, frozen, settings, method="mc")
+    assert est.fisher == 0.0
+    assert est.fisher_stderr == 0.0
 
 
 def test_gaussian_toy_fisher_quarter():
@@ -167,25 +166,27 @@ def test_gaussian_toy_fisher_quarter():
     density = ExponentialDensity(zeta=1.0, n_electrons=2, dim=1)
     space = SpaceSpec(dim=1, radius=8.0, n_electrons=2)
     toy = GaussianToy(density, space, width=1.0)
-    est = fisher_term(density, toy, mc_settings(conditioning_points=512))
-    assert est.stderr > 0.0
-    assert abs(est.value - 0.25) <= 3.0 * est.stderr
-    assert est.stderr < 0.01
+    est = gamma_correlation(density, toy, mc_settings(conditioning_points=512), method="mc")
+    assert est.fisher_stderr > 0.0
+    assert abs(est.fisher - 0.25) <= 3.0 * est.fisher_stderr
+    assert est.fisher_stderr < 0.01
 
 
 def test_pairwise_fisher_vanishes_with_gamma():
     density, space = he_system()
     weak = PairwiseBiparametric(density, space, gamma=1e-4, beta=0.0, test_mode=True)
-    est = fisher_term(density, weak, mc_settings(conditioning_points=128, samples=64))
-    assert abs(est.value) <= max(3.0 * est.stderr, 1e-6)
+    settings = mc_settings(conditioning_points=128, samples=64)
+    est = gamma_correlation(density, weak, settings, method="mc")
+    assert abs(est.fisher) <= max(3.0 * est.fisher_stderr, 1e-6)
 
 
 def test_fisher_nonnegative_mean():
     density, space = he_system()
     pairwise = PairwiseBiparametric(density, space, gamma=1.0, beta=0.5)
-    est = fisher_term(density, pairwise, mc_settings(conditioning_points=128, samples=64))
-    assert est.value >= -3.0 * est.stderr
-    assert est.value > 0.0
+    settings = mc_settings(conditioning_points=128, samples=64)
+    est = gamma_correlation(density, pairwise, settings, method="mc")
+    assert est.fisher >= -3.0 * est.fisher_stderr
+    assert est.fisher > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from corrsearch.sampler import (
     effective_sample_size,
     run_chain,
     run_conditional_batch,
-    sample_conditioning_points,
     substream,
 )
 
@@ -556,7 +555,7 @@ def test_conditioning_radial_mean():
     # <r> = 3/(2 zeta) for the 3D exponential cloud
     density = ExponentialDensity(zeta=1.0, n_electrons=2)
     rng = np.random.default_rng(42)
-    pts = sample_conditioning_points(density, 1_000_000, rng)
+    pts = density.sample(1_000_000, rng)
     r = np.linalg.norm(pts, axis=1)
     assert r.mean() == pytest.approx(1.5, abs=0.01)
 
@@ -565,15 +564,15 @@ def test_conditioning_uniform_ks():
     x = np.linspace(0.0, 1.0, 101)
     density = Tabulated1DDensity(x, np.ones_like(x), n_electrons=2)
     rng = np.random.default_rng(8)
-    draws = sample_conditioning_points(density, 100_000, rng)[:, 0]
+    draws = density.sample(100_000, rng)[:, 0]
     stat = scipy.stats.kstest(draws, "uniform")
     assert stat.pvalue > 0.01
 
 
 def test_conditioning_fixed_seed_identical():
     density = ExponentialDensity(zeta=1.3, n_electrons=2)
-    a = sample_conditioning_points(density, 100, np.random.default_rng(7))
-    b = sample_conditioning_points(density, 100, np.random.default_rng(7))
+    a = density.sample(100, np.random.default_rng(7))
+    b = density.sample(100, np.random.default_rng(7))
     np.testing.assert_array_equal(a, b)
 
 
