@@ -23,7 +23,7 @@ from .ansatz import (
     check_conditions,
     pair_energy,
 )
-from .sampler import SamplerSettings, run_chain, run_conditional_batch
+from .sampler import SamplerSettings, run_conditional_batch
 from .functionals import (
     EnergyBreakdown,
     GammaEstimate,
@@ -58,7 +58,6 @@ __all__ = [
     "check_conditions",
     "pair_energy",
     "SamplerSettings",
-    "run_chain",
     "run_conditional_batch",
     "EnergyBreakdown",
     "GammaEstimate",

@@ -5,7 +5,7 @@ Subcommands:
     optimize            nested search over density scale and couplings
     compare-ansatz      rank conditional families on one density
     verify              run the exact decomposition cross-checks
-    sample-diagnostics  chain health: acceptance, ESS, error bars
+    sample-diagnostics  the estimator's chains: acceptance, ESS, error bars
 
 Exit codes: 0 success, 1 invalid input, 2 numerical failure,
 3 tolerance failure in `verify`.
@@ -40,8 +40,13 @@ from .config import (
     load_config,
 )
 from .domain import DomainError
-from .functionals import gamma_correlation, prefactor_value, total_energy
-from .optimizer import inner_minimize, outer_minimize
+from .functionals import (
+    conditional_moments,
+    gamma_from_moments,
+    prefactor_value,
+    total_energy,
+)
+from .optimizer import fresh_estimate, inner_minimize, outer_minimize
 from .oracle import (
     ProductWavefunction,
     solve_two_particle_1d,
@@ -55,7 +60,7 @@ from .records import (
     save_record,
     save_trace,
 )
-from .sampler import conditioning_rng, run_chain
+from .sampler import batch_means_stderr, effective_sample_size
 from . import __version__
 
 EXIT_OK = 0
@@ -305,18 +310,18 @@ def cmd_compare(args) -> int:
         inner = inner_minimize(
             density, space, fam, settings, opt, prefactor=cfg.prefactor, method="auto"
         )
-        g = inner.gamma if not math.isnan(inner.gamma) else cfg.ansatz.gamma
-        b = inner.beta if not math.isnan(inner.beta) else cfg.ansatz.beta
-        ansatz = build_ansatz(fam, density, space, g, b)
+        # the parameter-free families ignore the nan couplings
+        ansatz = build_ansatz(fam, density, space, inner.gamma, inner.beta)
+        fresh = fresh_estimate(density, ansatz, settings, opt, cfg.prefactor, "auto")
         report = check_conditions(ansatz, seed=cfg.sampler.seed)
         entries.append(
             {
                 "family": fam,
                 "gamma": inner.gamma,
                 "beta": inner.beta,
-                "value": inner.estimate.value,
-                "stderr": inner.estimate.stderr,
-                "method": inner.estimate.method,
+                "value": fresh.value,
+                "stderr": fresh.stderr,
+                "method": fresh.method,
                 "conditions": {
                     "normalized": report.normalization_pass,
                     "vanishes_at_conditioning": report.vanishes_at_conditioning,
@@ -419,38 +424,38 @@ def cmd_verify(args) -> int:
 
 
 def cmd_diagnostics(args) -> int:
+    if args.points < 1:
+        raise ConfigError(f"--points must be >= 1, got {args.points}")
     cfg = _load(args)
     space = build_space(cfg)
     density = build_density(cfg)
     ansatz = build_ansatz(
         cfg.ansatz.family, density, space, cfg.ansatz.gamma, cfg.ansatz.beta, cfg.test_mode
     )
+    if ansatz.n_satellites == 0:
+        raise ConfigError("[system] field 'n': sample-diagnostics needs n >= 2")
     settings = build_sampler_settings(cfg)
 
-    rng = conditioning_rng(settings.seed)
-    n_probe = max(1, min(args.points, settings.conditioning_points))
-    r_points = density.sample(n_probe, rng)
-
-    def spread(r, satellites):
-        return float(np.mean(np.sum((satellites - r) ** 2, axis=-1)))
-
+    # one estimator run: its Gamma, and the chains of its first points
+    moments = conditional_moments(density, ansatz, settings)
+    gamma = gamma_from_moments(moments, ansatz.n_electrons, cfg.prefactor)
     rows = []
-    for idx, r in enumerate(r_points):
-        est = run_chain(ansatz, r, settings, spread, stream_index=idx)
+    for chain in range(min(args.points, settings.conditioning_points) * settings.walkers):
+        point = chain // settings.walkers
+        series = moments.pair_series[:, chain]
+        ess = effective_sample_size(series)
         rows.append(
             {
-                "r_norm": float(np.linalg.norm(r)),
-                "mean_square_spread": est.mean,
-                "stderr": est.stderr,
-                "ess": est.ess,
-                "ess_fraction": est.ess / est.n_samples,
-                "acceptance": est.acceptance,
+                "point": point,
+                "r_norm": float(np.linalg.norm(moments.r_points[point])),
+                "pair_mean": float(series.mean()),
+                "stderr": batch_means_stderr(series),
+                "ess": ess,
+                "ess_fraction": ess / series.size,
+                "acceptance": float(moments.acceptance[chain]),
+                "sigma_final": float(moments.sigma_final[chain]),
             }
         )
-
-    gamma = gamma_correlation(
-        density, ansatz, settings, prefactor=cfg.prefactor, method="mc"
-    )
 
     record = _new_record(_command_line(args), cfg)
     record.results = _jsonable(
@@ -462,12 +467,15 @@ def cmd_diagnostics(args) -> int:
     outdir = run_directory(args.out, cfg.sampler.seed)
     save_record(record, f"{outdir}/record.json")
 
-    print(f"{'|r|':>8}{'E[d^2]':>12}{'stderr':>11}{'ESS':>9}{'ESS/n':>8}{'accept':>9}")
+    print(
+        f"{'|r|':>8}{'<1/|r-s1|>':>12}{'stderr':>11}{'ESS':>9}{'ESS/n':>8}"
+        f"{'accept':>9}{'sigma':>9}"
+    )
     for row in rows:
         print(
-            f"{row['r_norm']:>8.3f}{row['mean_square_spread']:>12.5f}"
+            f"{row['r_norm']:>8.3f}{row['pair_mean']:>12.5f}"
             f"{row['stderr']:>11.2e}{row['ess']:>9.1f}"
-            f"{row['ess_fraction']:>8.2f}{row['acceptance']:>9.3f}"
+            f"{row['ess_fraction']:>8.2f}{row['acceptance']:>9.3f}{row['sigma_final']:>9.3f}"
         )
     print(
         f"correlation term    {gamma.value:+.6f} (se {gamma.stderr:.2e}, "

@@ -88,7 +88,7 @@ class OptimizeConfig:
     beta_init: float = OptimizeSpec.beta_init
     max_iter_inner: int = OptimizeSpec.max_iter_inner
     max_iter_outer: int = OptimizeSpec.max_iter_outer
-    tol: float = OptimizeSpec.tol_inner
+    tol: float = OptimizeSpec.tol
     crn: bool = OptimizeSpec.crn
 
 
@@ -206,18 +206,19 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
 
 def _validate(cfg: RunConfig):
     """The checks no built object owns, and a build of each object that
-    owns its section's range checks (`SpaceSpec`, `SamplerSettings`,
-    `OptimizeSpec`), so every command rejects a bad section at load."""
+    owns its section's range checks (`SpaceSpec`, `ExternalPotential`, the
+    analytic densities, `SamplerSettings`, `OptimizeSpec`), so every
+    command rejects a bad section at load.  A tabulated density is read
+    from its file only when a command builds it."""
     if cfg.system.dimensionality not in ("3d", "1d"):
         raise ConfigError("[system] field 'dimensionality': must be '3d' or '1d'")
     build_space(cfg)
+    _in_section("system", build_potential, cfg=cfg)
     density = cfg.density
     if density.family not in ("exponential", "exponential-mixture", "tabulated-1d"):
         raise ConfigError(f"[density] field 'family': unknown family {density.family!r}")
-    if density.family == "exponential" and density.zeta <= 0.0:
-        raise ConfigError("[density] field 'zeta': must be positive")
-    if density.family == "exponential-mixture" and not density.zetas:
-        raise ConfigError("[density] field 'zetas': required for the mixture family")
+    if density.family != "tabulated-1d":
+        _in_section("density", build_density, cfg=cfg)
     if cfg.ansatz.family not in FAMILIES:
         raise ConfigError(
             f"[ansatz] field 'family': unknown family {cfg.ansatz.family!r}; "
@@ -311,8 +312,7 @@ def build_optimize_spec(cfg: RunConfig) -> OptimizeSpec:
         beta_init=o.beta_init,
         max_iter_inner=o.max_iter_inner,
         max_iter_outer=o.max_iter_outer,
-        tol_inner=o.tol,
-        tol_outer=o.tol,
+        tol=o.tol,
         crn=o.crn,
         seed=cfg.sampler.seed,
     )

@@ -154,8 +154,8 @@ class ExponentialDensity(Density):
     family: str = "exponential"
 
     def __post_init__(self):
-        if not self.zeta > 0.0:
-            raise DomainError(f"zeta must be positive, got {self.zeta}")
+        if not 0.0 < self.zeta < np.inf:
+            raise DomainError(f"zeta must be positive and finite, got {self.zeta}")
         if self.n_electrons < 1:
             raise DomainError("n_electrons must be >= 1")
         if self.dim not in (1, 3):
@@ -204,11 +204,11 @@ class ExponentialMixtureDensity(Density):
     def __post_init__(self):
         if len(self.zetas) != len(self.weights) or not self.zetas:
             raise DomainError("zetas and weights must be equal-length, non-empty")
-        if any(z <= 0.0 for z in self.zetas):
-            raise DomainError("all zetas must be positive")
-        if any(w < 0.0 for w in self.weights):
+        if not all(0.0 < z < np.inf for z in self.zetas):
+            raise DomainError(f"all zetas must be positive and finite, got {self.zetas}")
+        if not all(w >= 0.0 for w in self.weights):
             raise DomainError("mixture weights must be non-negative")
-        if abs(sum(self.weights) - 1.0) > 1e-12:
+        if not abs(sum(self.weights) - 1.0) <= 1e-12:
             raise DomainError("mixture weights must sum to 1")
 
     def _components(self):
@@ -317,8 +317,8 @@ class ExternalPotential:
     def __post_init__(self):
         if self.kind not in ("coulomb-nucleus", "softened-1d", "none"):
             raise DomainError(f"unknown potential kind {self.kind!r}")
-        if self.kind != "none" and self.z < 0.0:
-            raise DomainError("nuclear charge must be non-negative")
+        if self.kind != "none" and not 0.0 <= self.z < np.inf:
+            raise DomainError(f"nuclear charge z must be non-negative and finite, got {self.z}")
         if self.kind == "softened-1d" and not self.softening > 0.0:
             raise DomainError("softening must be positive")
 

@@ -129,16 +129,23 @@ def _bare_kernel(space: SpaceSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ConditionalMoments:
-    """Per-conditioning-point summaries from shared chains.
+    """Per-conditioning-point summaries from shared chains, and the
+    per-chain data they were reduced from.
 
     score_var: unbiased conditional score variance per point.
     pair_mean: mean bare interaction with the first satellite per point.
+    r_points: (M, d) conditioning points.
+    pair_series: (K, M * walkers) bare interaction with the first
+        satellite at each kept sample, chains in point order.
+    acceptance, sigma_final: (M * walkers,) per chain.
     """
 
     score_var: np.ndarray
     pair_mean: np.ndarray
-    acceptance: float
-    sigma_final: float
+    r_points: np.ndarray
+    pair_series: np.ndarray
+    acceptance: np.ndarray
+    sigma_final: np.ndarray
 
 
 def conditional_moments(
@@ -169,15 +176,18 @@ def conditional_moments(
     s -= s_mean  # in place: the deviations take no second (K, chains, d) array
     s *= s
     score_var = np.sum(s, axis=(0, -1)) / (settings.samples - 1)
-    pair_mean = result.values["pair"].mean(axis=0)
+    pair_series = result.values["pair"]
+    pair_mean = pair_series.mean(axis=0)
     # collapse walkers of the same conditioning point before the outer stats
     v = score_var.reshape(settings.conditioning_points, settings.walkers)
     c = pair_mean.reshape(settings.conditioning_points, settings.walkers)
     return ConditionalMoments(
         score_var=v.mean(axis=1),
         pair_mean=c.mean(axis=1),
-        acceptance=result.mean_acceptance,
-        sigma_final=float(result.sigma_final.mean()),
+        r_points=r_points,
+        pair_series=pair_series,
+        acceptance=result.acceptance,
+        sigma_final=result.sigma_final,
     )
 
 
@@ -200,9 +210,11 @@ class GammaEstimate:
         return asdict(self)
 
 
-def _gamma_from_moments(
-    moments: ConditionalMoments, n_electrons: int, prefactor: str, method: str
+def gamma_from_moments(
+    moments: ConditionalMoments, n_electrons: int, prefactor: str = "half"
 ) -> GammaEstimate:
+    """The Monte Carlo Gamma estimate from one conditional_moments run;
+    its error bars come from the spread over conditioning points."""
     m = moments.score_var.size
     fisher_scale = n_electrons / 8.0
     coulomb_scale = prefactor_value(n_electrons, prefactor) * n_electrons
@@ -226,8 +238,8 @@ def _gamma_from_moments(
         value=fisher + coulomb,
         stderr=float(np.sqrt(max(var_total, 0.0))),
         prefactor=prefactor,
-        method=method,
-        acceptance=moments.acceptance,
+        method="mc",
+        acceptance=float(moments.acceptance.mean()),
     )
 
 
@@ -283,7 +295,7 @@ def gamma_correlation(
             method="quadrature",
         )
     moments = conditional_moments(density, ansatz, settings)
-    return _gamma_from_moments(moments, ansatz.n_electrons, prefactor, "mc")
+    return gamma_from_moments(moments, ansatz.n_electrons, prefactor)
 
 
 # ---------------------------------------------------------------------------

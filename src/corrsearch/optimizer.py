@@ -3,8 +3,7 @@
 Inner loop: Nelder-Mead over the ansatz couplings (gamma, beta) at fixed
 density, minimizing the sampled correlation functional.  With common
 random numbers (the default) every evaluation inside one search reuses
-the same seed, so the search sees a deterministic surface; the winner is
-re-evaluated afterwards with a fresh seed to remove selection bias.
+the same seed, so the search sees a deterministic surface.
 Because that surface is deterministic, each search keeps its estimates
 keyed by the couplings that act on f, and a repeated point costs nothing:
 a Nelder-Mead contraction that returns to a vertex, or at N = 2 (where
@@ -12,6 +11,10 @@ beta is inert) any point that differs only in beta.
 
 Outer loop: golden-section over the single density parameter zeta,
 minimizing Weizsacker + external + inner-optimal Gamma.
+
+Only the winner of a run is re-evaluated on a fresh seed
+(`fresh_estimate`), which removes the selection bias of the search that
+chose it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import build_ansatz, family_class
+from .ansatz import ConditionalAnsatz, build_ansatz, family_class
 from .domain import Density, ExternalPotential, SpaceSpec, default_grid, external_energy
 from .functionals import (
     EnergyBreakdown,
@@ -45,8 +48,7 @@ class OptimizeSpec:
     simplex_scale: float = 0.5
     max_iter_inner: int = 60
     max_iter_outer: int = 40
-    tol_inner: float = 1e-3
-    tol_outer: float = 1e-3
+    tol: float = 1e-3
     crn: bool = True
     seed: int = 0
 
@@ -61,9 +63,12 @@ class OptimizeSpec:
             if not lo <= hi:
                 raise ValueError(f"{name} out of order: {(lo, hi)}")
         if self.gamma_bounds[0] < 0.0 or self.beta_bounds[0] < 0.0:
-            raise ValueError("coupling bounds must be non-negative")
-        if not (self.tol_inner > 0.0 and self.tol_outer > 0.0):
-            raise ValueError("tolerances must be positive")
+            raise ValueError(
+                "gamma_min and beta_min must be non-negative: "
+                f"{(self.gamma_bounds[0], self.beta_bounds[0])}"
+            )
+        if not self.tol > 0.0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
         if not self.simplex_scale > 0.0:
             raise ValueError("simplex_scale must be positive")
         if self.max_iter_inner < 1 or self.max_iter_outer < 1:
@@ -226,15 +231,13 @@ def golden_section(
 
 @dataclass
 class InnerResult:
-    family: str
     gamma: float
     beta: float
-    estimate: GammaEstimate  # fresh-seed re-evaluation
-    search_value: float      # value seen by the search (CRN seed)
+    estimate: GammaEstimate  # the search's estimate at the winner (CRN seed)
     trace: list[TraceEntry]
     n_eval: int
     converged: bool
-    estimator_calls: int     # gamma_correlation calls made, the fresh one included
+    estimator_calls: int     # gamma_correlation calls made
 
 
 def inner_minimize(
@@ -249,10 +252,12 @@ def inner_minimize(
     """Minimize Gamma over the family's couplings at fixed density.
 
     A family with couplings searches (gamma, beta) with Nelder-Mead; the
-    parameter-free families evaluate once.  A search point whose acting
-    couplings (`ConditionalAnsatz.acting_couplings`) were already evaluated
-    reuses that estimate: it still adds a trace row and counts toward the
-    evaluation budget, but samples nothing.
+    parameter-free families evaluate once and report nan couplings.  A
+    search point whose acting couplings
+    (`ConditionalAnsatz.acting_couplings`) were already evaluated reuses
+    that estimate: it still adds a trace row and counts toward the
+    evaluation budget, but samples nothing.  The returned estimate is the
+    search's own at the winner; `fresh_estimate` re-evaluates it.
     """
     crn_seed = (
         int(substream(opt.seed, _NS_CRN).integers(0, 2**63 - 1))
@@ -271,30 +276,7 @@ def inner_minimize(
             memo[key] = gamma_correlation(density, ans, search_settings, prefactor, method)
         return memo[key]
 
-    def fresh_estimate(g, b) -> GammaEstimate:
-        eval_settings = settings.replace(seed=fresh_seed(opt.seed))
-        ans = build_ansatz(family, density, space, g, b)
-        return gamma_correlation(density, ans, eval_settings, prefactor, method)
-
     trace: list[TraceEntry] = []
-
-    if not family_class(family).couplings:
-        est = search_estimate(opt.gamma_init, opt.beta_init)
-        fresh = fresh_estimate(opt.gamma_init, opt.beta_init)
-        trace.append(
-            TraceEntry(0, float("nan"), float("nan"), float("nan"), est.value, est.stderr)
-        )
-        return InnerResult(
-            family=family,
-            gamma=float("nan"),
-            beta=float("nan"),
-            estimate=fresh,
-            search_value=est.value,
-            trace=trace,
-            n_eval=1,
-            converged=True,
-            estimator_calls=len(memo) + 1,
-        )
 
     def search_fn(x):
         g, b = float(x[0]), float(x[1])
@@ -302,28 +284,45 @@ def inner_minimize(
         trace.append(TraceEntry(len(trace), float("nan"), g, b, est.value, est.stderr))
         return est.value
 
-    lo = np.array([opt.gamma_bounds[0], opt.beta_bounds[0]])
-    hi = np.array([opt.gamma_bounds[1], opt.beta_bounds[1]])
-    res = nelder_mead(
-        search_fn,
-        np.array([opt.gamma_init, opt.beta_init]),
-        (lo, hi),
-        scale=opt.simplex_scale,
-        tol=opt.tol_inner,
-        max_eval=opt.max_iter_inner,
-    )
+    if family_class(family).couplings:
+        lo = np.array([opt.gamma_bounds[0], opt.beta_bounds[0]])
+        hi = np.array([opt.gamma_bounds[1], opt.beta_bounds[1]])
+        res = nelder_mead(
+            search_fn,
+            np.array([opt.gamma_init, opt.beta_init]),
+            (lo, hi),
+            scale=opt.simplex_scale,
+            tol=opt.tol,
+            max_eval=opt.max_iter_inner,
+        )
+    else:
+        # one evaluation at nan couplings, which build_ansatz does not pass on
+        x = np.full(2, np.nan)
+        res = MinimizeResult(x=x, value=search_fn(x), n_eval=1, converged=True)
     g_best, b_best = float(res.x[0]), float(res.x[1])
     return InnerResult(
-        family=family,
         gamma=g_best,
         beta=b_best,
-        estimate=fresh_estimate(g_best, b_best),
-        search_value=res.value,
+        estimate=search_estimate(g_best, b_best),
         trace=trace,
         n_eval=res.n_eval,
         converged=res.converged,
-        estimator_calls=len(memo) + 1,
+        estimator_calls=len(memo),
     )
+
+
+def fresh_estimate(
+    density: Density,
+    ansatz: ConditionalAnsatz,
+    settings: SamplerSettings,
+    opt: OptimizeSpec,
+    prefactor: str = "half",
+    method: str = "auto",
+) -> GammaEstimate:
+    """Gamma of a search's winner on the fresh seed of opt.seed, so the
+    reported value carries no selection bias from the search."""
+    eval_settings = settings.replace(seed=fresh_seed(opt.seed))
+    return gamma_correlation(density, ansatz, eval_settings, prefactor, method)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +339,7 @@ class OuterResult:
     trace: list[TraceEntry]
     n_eval: int
     converged: bool
-    estimator_calls: int  # gamma_correlation calls over every inner search
+    estimator_calls: int  # gamma_correlation calls: every inner search and the fresh one
 
 
 def outer_minimize(
@@ -357,13 +356,13 @@ def outer_minimize(
 
     make_density maps zeta to a Density.  Inner searches run with common
     random numbers derived from opt.seed so the outer objective is a
-    deterministic function of zeta during the search; the final winner is
-    re-assembled from its fresh-seed evaluation and the Weizsacker and
+    deterministic function of zeta during the search; the winner alone is
+    re-evaluated on the fresh seed and assembled with the Weizsacker and
     external terms computed when its zeta was evaluated.
     """
     trace: list[TraceEntry] = []
-    # zeta -> (Weizsacker, external, inner result), for assembling the winner
-    evaluated: dict[float, tuple[float, float, InnerResult]] = {}
+    # zeta -> (density, Weizsacker, external, inner result), for the winner
+    evaluated: dict[float, tuple[Density, float, float, InnerResult]] = {}
     calls = 0
 
     def objective(zeta: float) -> float:
@@ -376,9 +375,9 @@ def outer_minimize(
         inner = inner_minimize(
             density, space, family, settings, opt, prefactor, method
         )
-        evaluated[zeta] = (w, ext, inner)
+        evaluated[zeta] = (density, w, ext, inner)
         calls += inner.estimator_calls
-        total = w + ext + inner.search_value
+        total = w + ext + inner.estimate.value
         trace.append(
             TraceEntry(
                 len(trace), zeta, inner.gamma, inner.beta, total, inner.estimate.stderr
@@ -390,19 +389,20 @@ def outer_minimize(
         objective,
         opt.zeta_bounds[0],
         opt.zeta_bounds[1],
-        tol=opt.tol_outer,
+        tol=opt.tol,
         max_eval=opt.max_iter_outer,
     )
     zeta_best = float(res.x[0])
-    w, ext, inner = evaluated[zeta_best]
-    energy = EnergyBreakdown.assemble(w, inner.estimate, ext)
+    density, w, ext, inner = evaluated[zeta_best]
+    ansatz = build_ansatz(family, density, space, inner.gamma, inner.beta)
+    fresh = fresh_estimate(density, ansatz, settings, opt, prefactor, method)
     return OuterResult(
         zeta=zeta_best,
         gamma=inner.gamma,
         beta=inner.beta,
-        energy=energy,
+        energy=EnergyBreakdown.assemble(w, fresh, ext),
         trace=trace,
         n_eval=res.n_eval,
         converged=res.converged,
-        estimator_calls=calls,
+        estimator_calls=calls + 1,
     )

@@ -26,10 +26,9 @@ outcomes.  The step-chunk length comes from a fixed byte budget
 (`_VARIATE_BYTES`), so a block never holds the whole run's variates.
 Neither the blocks nor the step-chunks depend on the worker count, so
 batch results are bit-identical for any number of workers and on reruns.
-A one-chain block (as in `run_chain`) is keyed by its chain index and
-draws its start, then all satellite indices, steps and uniforms, in one
-step-chunk as long as the run has at most _VARIATE_BYTES / (8 (d + 2))
-steps.
+A one-chain block is keyed by its chain index and draws its start, then
+all satellite indices, steps and uniforms, in one step-chunk as long as
+the run has at most _VARIATE_BYTES / (8 (d + 2)) steps.
 
 Kept samples stream through the caller's observables: a block buffers
 only the kept configurations of the current step-chunk (at most
@@ -52,7 +51,6 @@ from .ansatz import ConditionalAnsatz, EstimatorError
 _NS_CHAIN = 0x636861
 _NS_CONDITIONING = 0x636F6E
 _NS_FRESH = 0x667265
-_NS_SINGLE = 0x73676C
 
 _CHUNK = 1024  # chains processed per block; fixed so results never depend on workers
 _VARIATE_BYTES = 4 * 2**20  # step variates a block holds at once: 8 (d + 2) bytes per chain-step
@@ -129,10 +127,6 @@ class BatchResult:
     values: dict[str, np.ndarray]
     acceptance: np.ndarray
     sigma_final: np.ndarray
-
-    @property
-    def mean_acceptance(self) -> float:
-        return float(self.acceptance.mean())
 
 
 def _chain_block(ansatz, r_block, settings, first_chain, observables):
@@ -287,17 +281,8 @@ def run_conditional_batch(
 
 
 # ---------------------------------------------------------------------------
-# single-chain estimates
+# per-chain series
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class EstimatorResult:
-    mean: float
-    stderr: float
-    n_samples: int
-    ess: float
-    acceptance: float
 
 
 def batch_means_stderr(series: np.ndarray, n_batches: int = 32) -> float:
@@ -325,39 +310,3 @@ def effective_sample_size(series: np.ndarray) -> float:
             break
         tau += 2.0 * c
     return n / tau
-
-
-def run_chain(
-    ansatz: ConditionalAnsatz,
-    r: np.ndarray,
-    settings: SamplerSettings,
-    observable,
-    stream_index: int = 0,
-) -> EstimatorResult:
-    """Estimate E_f[observable | r] with one chain.
-
-    observable maps (r (d,), satellites (S, d)) to a float; it is applied
-    to every kept sample.  The stderr comes from 32 batch means and the
-    ESS from the autocorrelation of the kept series.  stream_index > 0
-    selects an independent replica stream under the same master seed.
-    """
-    r = np.asarray(r, dtype=float)
-    seed = settings.seed
-    if stream_index:
-        seed = int(substream(seed, _NS_SINGLE, stream_index).integers(0, 2**63 - 1))
-
-    def observe(r_block, sats):
-        return np.array([[observable(r_block[0], s[0])] for s in sats], dtype=float)
-
-    single = settings.replace(walkers=1, conditioning_points=1, seed=seed)
-    result = run_conditional_batch(ansatz, r[None, :], single, {"series": observe})
-    series = result.values["series"][:, 0]
-    if not np.all(np.isfinite(series)):
-        raise EstimatorError("non-finite observable value encountered")
-    return EstimatorResult(
-        mean=float(series.mean()),
-        stderr=batch_means_stderr(series),
-        n_samples=series.size,
-        ess=effective_sample_size(series),
-        acceptance=float(result.acceptance[0]),
-    )

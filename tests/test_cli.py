@@ -12,9 +12,15 @@ from corrsearch.cli import main
 from corrsearch.config import (
     ConfigError,
     RunConfig,
+    build_density,
+    build_sampler_settings,
+    build_space,
     config_to_text,
+    load_config,
     parse_config,
 )
+from corrsearch.functionals import gamma_correlation
+from corrsearch.optimizer import build_ansatz
 from corrsearch.records import (
     RunRecord,
     load_record,
@@ -34,6 +40,7 @@ def write_config(
     name="run.cfg",
     optimize="",
     gamma=1.0,
+    walkers=1,
 ):
     text = f"""\
 [system]
@@ -58,6 +65,7 @@ thinning = 2
 sigma = 1.0
 seed = {seed}
 workers = {workers}
+walkers = {walkers}
 {optimize}"""
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -155,13 +163,39 @@ def test_out_of_range_setting_names_its_section(tmp_path, capsys, command, secti
         ({"radius": "nan"}, "radius"),
         ({"dimensionality": "1d", "softening": "0.0"}, "softening"),
         ({"dimensionality": "2d"}, "dimensionality"),
+        ({"z": "nan"}, "z"),
+        ({"z": "inf"}, "z"),
+        ({"z": "-2.0"}, "z"),
+        ({"density.zeta": "nan"}, "zeta"),
+        ({"density.family": "exponential-mixture", "density.zetas": "1.0 nan"}, "zetas"),
+        (
+            {
+                "density.family": "exponential-mixture",
+                "density.zetas": "1.0 2.0",
+                "density.weights": "nan 0.5",
+            },
+            "weights",
+        ),
     ],
 )
-def test_out_of_range_system_names_section_and_field(fields, named):
-    keys = {"n": "2", "z": "2.0", **fields}
-    text = "[system]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
-    with pytest.raises(ConfigError, match=r"\[system\].*" + named):
+def test_out_of_range_system_names_section_and_field(tmp_path, capsys, fields, named):
+    # a key "section.field" sets a field outside [system]
+    sections = {"system": {"n": "2", "z": "2.0"}}
+    for key, value in fields.items():
+        section, _, field = key.rpartition(".")
+        section = section or "system"
+        sections.setdefault(section, {})[field] = value
+    text = "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for name, keys in sections.items()
+    )
+    with pytest.raises(ConfigError, match=rf"\[{section}\].*\b{named}\b"):
         parse_config(text)
+    # a command that builds no potential still rejects the file at load
+    path = tmp_path / "bad.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert main(["sample-diagnostics", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert f"[{section}]" in capsys.readouterr().err
 
 
 def test_missing_required_flag_is_validation_error(capsys):
@@ -352,8 +386,9 @@ def test_optimize_frozen_recovers_balance_point(tmp_path, capsys):
     assert record.results["zeta"] == pytest.approx(1.6875, abs=0.02)
     assert record.results["breakdown"]["total"] == pytest.approx(-2.84765625, abs=0.005)
     assert record.results["converged"] is True
-    # the parameter-free family makes one search and one fresh call per zeta
-    assert record.results["estimator_calls"] == 2 * record.results["n_eval"]
+    # the parameter-free family makes one search call per zeta, and the
+    # winner one fresh call
+    assert record.results["estimator_calls"] == record.results["n_eval"] + 1
 
     rows = load_trace(str(out / "trace.csv"))
     assert rows, "trace must not be empty"
@@ -426,9 +461,44 @@ def test_sample_diagnostics_reports_chain_health(tmp_path, capsys):
     for row in chains:
         assert row["ess"] > 0.0
         assert 0.0 <= row["acceptance"] <= 1.0
-        assert row["mean_square_spread"] > 0.0
+        assert row["pair_mean"] > 0.0
     assert np.isfinite(record.results["gamma"]["value"])
     assert "correlation term" in capsys.readouterr().out
+
+
+def test_sample_diagnostics_reads_the_estimators_chains(tmp_path, capsys):
+    # the record's Gamma is the estimator's, and it has one row per chain
+    # of the first --points conditioning points
+    cfg = write_config(tmp_path, family="pairwise", seed=6, walkers=2)
+    out = tmp_path / "diag"
+    assert main(["sample-diagnostics", "--config", cfg, "--points", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    record = load_record(str(out / "record.json"))
+    assert [row["point"] for row in record.results["chains"]] == [0, 0, 1, 1, 2, 2]
+
+    loaded = load_config(cfg)
+    space, density = build_space(loaded), build_density(loaded)
+    ansatz = build_ansatz("pairwise", density, space, loaded.ansatz.gamma, loaded.ansatz.beta)
+    settings = build_sampler_settings(loaded)
+    direct = gamma_correlation(density, ansatz, settings, method="mc")
+    assert record.results["gamma"] == direct.to_dict()
+
+
+def test_sample_diagnostics_needs_a_satellite(tmp_path, capsys):
+    path = tmp_path / "h.cfg"
+    path.write_text("[system]\nn = 1\nz = 1.0\n", encoding="utf-8")
+    assert main(["sample-diagnostics", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert "[system]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("points", ["0", "-5"])
+def test_sample_diagnostics_rejects_nonpositive_points(tmp_path, capsys, points):
+    cfg = write_config(tmp_path, family="pairwise")
+    out = tmp_path / "diag"
+    argv = ["sample-diagnostics", "--config", cfg, "--points", points, "--out", str(out)]
+    assert main(argv) == 1
+    assert "--points" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,23 @@ import pytest
 
 from corrsearch import optimizer
 from corrsearch.domain import ExponentialDensity, ExternalPotential, SpaceSpec
-from corrsearch.functionals import GammaEstimate, gamma_correlation
+from corrsearch.domain import default_grid, external_energy
+from corrsearch.functionals import (
+    EnergyBreakdown,
+    GammaEstimate,
+    gamma_correlation,
+    weizsacker_term,
+)
 from corrsearch.optimizer import (
     OptimizeSpec,
     build_ansatz,
+    fresh_estimate,
     golden_section,
     inner_minimize,
     nelder_mead,
     outer_minimize,
 )
-from corrsearch.sampler import SamplerSettings, substream
+from corrsearch.sampler import SamplerSettings, fresh_seed, substream
 
 from conftest import HE_ZETA
 
@@ -120,7 +127,7 @@ def test_inner_synthetic_recovery(monkeypatch):
         beta_bounds=(0.0, 10.0),
         gamma_init=5.0,
         beta_init=5.0,
-        tol_inner=1e-12,
+        tol=1e-12,
         max_iter_inner=400,
     )
     target = lambda g, b: (g - 2.0) ** 2 + (b - 0.7) ** 2
@@ -133,7 +140,7 @@ def test_inner_synthetic_recovery(monkeypatch):
     res = inner_minimize(density, space, "pairwise", search_settings(), opt)
     assert abs(res.gamma - 2.0) <= 1e-4
     assert abs(res.beta - 0.7) <= 1e-4
-    assert res.estimate.value == res.search_value == target(res.gamma, res.beta)
+    assert res.estimate.value == target(res.gamma, res.beta)
 
 
 def test_inner_simple_family_single_evaluation():
@@ -191,7 +198,7 @@ def test_inner_search_samples_each_acting_point_once(monkeypatch, n, crn):
         est = gamma_correlation(density, ans, direct_settings)
         assert (row.energy, row.stderr) == (est.value, est.stderr)
     assert res.n_eval == len(res.trace)
-    assert len(calls) == res.estimator_calls == len(keys) + 1
+    assert len(calls) == res.estimator_calls == len(keys)
     if n == 2:
         # the initial simplex's beta step lands on the same f
         assert len(keys) < len(res.trace)
@@ -205,7 +212,8 @@ def test_inner_optimality_probe():
     )
     settings = search_settings(seed=2)
     res = inner_minimize(density, space, "pairwise", settings, opt)
-    best = res.estimate
+    winner = build_ansatz("pairwise", density, space, res.gamma, res.beta)
+    best = fresh_estimate(density, winner, settings, opt)
 
     from corrsearch.ansatz import PairwiseBiparametric
 
@@ -237,7 +245,7 @@ def test_outer_frozen_recovers_hartree_product():
         space,
         "frozen",
         search_settings(),
-        OptimizeSpec(zeta_bounds=(1.0, 2.5), tol_outer=1e-4, max_iter_outer=60),
+        OptimizeSpec(zeta_bounds=(1.0, 2.5), tol=1e-4, max_iter_outer=60),
     )
     assert res.zeta == pytest.approx(27.0 / 16.0, abs=0.02)
     assert res.energy.total == pytest.approx(-2.8477, abs=0.005)
@@ -258,20 +266,58 @@ def test_outer_zeta_tracks_nuclear_charge(z):
         search_settings(),
         OptimizeSpec(
             zeta_bounds=(max(0.5, z - 2.0), z + 1.0),
-            tol_outer=1e-5,
+            tol=1e-5,
             max_iter_outer=80,
         ),
     )
     assert res.zeta == pytest.approx(z - 5.0 / 16.0, abs=0.03)
 
 
+def test_outer_reevaluates_only_the_winner_on_the_fresh_seed(monkeypatch):
+    # every search point is sampled once under the CRN seed, and the run's
+    # one fresh-seed call is the winner's, which the reported energy is
+    space = SpaceSpec(dim=3, radius=1.3, n_electrons=2)
+    make = lambda zeta: ExponentialDensity(zeta=zeta, n_electrons=2)
+    v = ExternalPotential(kind="coulomb-nucleus", z=2.0)
+    settings = search_settings(conditioning_points=32, samples=16, burn_in=32, seed=3)
+    opt = OptimizeSpec(max_iter_inner=8, max_iter_outer=5, seed=3)
+    calls = []
+
+    def counting(density, ansatz, settings, *args, **kwargs):
+        calls.append((density.zeta, ansatz.acting_couplings, settings.seed))
+        return gamma_correlation(density, ansatz, settings, *args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "gamma_correlation", counting)
+    res = outer_minimize(make, v, space, "pairwise", settings, opt)
+    monkeypatch.undo()
+
+    fresh = [c for c in calls if c[2] == fresh_seed(opt.seed)]
+    search = [c for c in calls if c[2] != fresh_seed(opt.seed)]
+    assert fresh == [(res.zeta, (res.gamma,), fresh_seed(opt.seed))]
+    assert len(set(search)) == len(search)
+    assert res.estimator_calls == len(set(search)) + 1 == len(calls)
+
+    density = make(res.zeta)
+    grid = default_grid(density)
+    winner = build_ansatz("pairwise", density, space, res.gamma, res.beta)
+    direct = EnergyBreakdown.assemble(
+        weizsacker_term(density, grid),
+        fresh_estimate(density, winner, settings, opt),
+        external_energy(density, v, grid),
+    )
+    assert res.energy == direct
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         OptimizeSpec(zeta_bounds=(2.0, 1.0))
-    with pytest.raises(ValueError):
-        OptimizeSpec(tol_inner=0.0)
-    with pytest.raises(ValueError):
+    for tol in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="tol"):
+            OptimizeSpec(tol=tol)
+    with pytest.raises(ValueError, match="gamma_min and beta_min"):
         OptimizeSpec(gamma_bounds=(-0.1, 50.0))
+    with pytest.raises(ValueError, match="gamma_min and beta_min"):
+        OptimizeSpec(beta_bounds=(-0.1, 50.0))
     for budget in ({"max_iter_inner": 0}, {"max_iter_inner": -1}, {"max_iter_outer": 0}):
         with pytest.raises(ValueError, match="max_iter"):
             OptimizeSpec(**budget)

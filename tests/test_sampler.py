@@ -7,7 +7,6 @@ import scipy.stats
 from corrsearch import sampler
 from corrsearch.ansatz import (
     ConditionalAnsatz,
-    EstimatorError,
     GaussianToy,
     PairwiseBiparametric,
 )
@@ -17,7 +16,6 @@ from corrsearch.sampler import (
     SamplerSettings,
     batch_means_stderr,
     effective_sample_size,
-    run_chain,
     run_conditional_batch,
     substream,
 )
@@ -203,7 +201,7 @@ def test_chain_log_f_never_stale(n, beta, dim):
     points = density.sample(64, np.random.default_rng(4))
     batch = run_conditional_batch(ansatz, points, settings, {"sats": _sats})
     assert ansatz.calls == settings.burn_in + settings.samples * settings.thinning
-    assert 0.0 < batch.mean_acceptance < 1.0
+    assert 0.0 < batch.acceptance.mean() < 1.0
     assert ansatz.worst <= 1e-12
 
 
@@ -247,32 +245,34 @@ def test_normal_target_variance():
     assert second_moment == pytest.approx(1.0, abs=0.02)
 
 
+def one_chain(ansatz, r, settings, observable):
+    """observable(r, satellites) on each kept sample of a one-point,
+    one-walker batch, and the chain's acceptance."""
+
+    def observe(r_block, sats):
+        return np.array([[observable(r_block[0], s[0])] for s in sats], dtype=float)
+
+    single = settings.replace(walkers=1, conditioning_points=1)
+    batch = run_conditional_batch(ansatz, np.asarray(r, float)[None, :], single, {"obs": observe})
+    return batch.values["obs"][:, 0], float(batch.acceptance[0])
+
+
 def test_run_chain_constant_observable():
     density, space = line_pair()
     ansatz = NormalTarget(density, space)
-    res = run_chain(ansatz, np.array([0.0]), fast_settings(), lambda r, s: 1.0)
-    assert res.mean == 1.0
-    assert res.stderr == 0.0
-    assert res.ess == res.n_samples
+    series, _ = one_chain(ansatz, [0.0], fast_settings(), lambda r, s: 1.0)
+    assert series.mean() == 1.0
+    assert batch_means_stderr(series) == 0.0
+    assert effective_sample_size(series) == series.size
 
 
 def test_run_chain_half_space():
     density, space = line_pair()
     ansatz = NormalTarget(density, space)
     settings = fast_settings(samples=2048, burn_in=256, thinning=2, seed=3)
-    res = run_chain(
-        ansatz, np.array([0.0]), settings, lambda r, s: float(s[0, 0] > 0.0)
-    )
-    assert abs(res.mean - 0.5) <= 3.0 * res.stderr
-    assert res.ess <= res.n_samples
-
-
-def test_run_chain_rejects_nonfinite_observable():
-    density, space = line_pair()
-    ansatz = NormalTarget(density, space)
-    bad = lambda r, s: float("nan")
-    with pytest.raises(EstimatorError):
-        run_chain(ansatz, np.array([0.0]), fast_settings(), bad)
+    series, _ = one_chain(ansatz, [0.0], settings, lambda r, s: float(s[0, 0] > 0.0))
+    assert abs(series.mean() - 0.5) <= 3.0 * batch_means_stderr(series)
+    assert effective_sample_size(series) <= series.size
 
 
 def test_stderr_squared_halves_when_samples_double():
@@ -281,25 +281,13 @@ def test_stderr_squared_halves_when_samples_double():
     obs = lambda r, s: float(s[0, 0])
     var = {}
     for n in (1024, 2048):
-        settings = fast_settings(samples=n, burn_in=128, thinning=2, seed=9)
-        reps = [
-            run_chain(ansatz, np.array([0.0]), settings, obs, stream_index=k).stderr
-            for k in range(16)
-        ]
+        reps = []
+        for seed in range(16):
+            settings = fast_settings(samples=n, burn_in=128, thinning=2, seed=seed)
+            reps.append(batch_means_stderr(one_chain(ansatz, [0.0], settings, obs)[0]))
         var[n] = np.mean(np.square(reps))
     ratio = var[2048] / var[1024]
     assert 0.4 <= ratio <= 0.6
-
-
-def test_stream_index_gives_independent_replicas():
-    density, space = line_pair()
-    ansatz = NormalTarget(density, space)
-    obs = lambda r, s: float(s[0, 0])
-    a = run_chain(ansatz, np.array([0.0]), fast_settings(), obs, stream_index=0)
-    b = run_chain(ansatz, np.array([0.0]), fast_settings(), obs, stream_index=1)
-    again = run_chain(ansatz, np.array([0.0]), fast_settings(), obs, stream_index=1)
-    assert a.mean != b.mean
-    assert b.mean == again.mean
 
 
 # ---------------------------------------------------------------------------
@@ -385,16 +373,13 @@ def test_batch_values_pinned(n, beta, n_points, walkers, seed, workers):
     assert got == PINNED_BATCH_VALUES[(n, beta)]
 
 
-# run_chain mean, stderr and acceptance from when every chain drew from a
-# stream of its own (key: chain index); a one-chain block has that key and
-# draws its start and all its step variates in the same order
+# one chain's mean, batch-means stderr and acceptance from when every chain
+# drew from a stream of its own (key: chain index); a one-chain block has
+# that key and draws its start and all its step variates in the same order
 ONE_CHAIN_VALUES = {
-    ("pairwise-3d", 0): (2.4917924671939757, 0.05839901870734071, 0.38671875),
-    ("pairwise-3d", 2): (2.6090041343274586, 0.0699502287671303, 0.455078125),
-    ("pairwise-1d", 0): (1.79414622400745, 0.10601649156668763, 0.626953125),
-    ("pairwise-1d", 2): (1.6013228583047812, 0.0810999480419769, 0.626953125),
-    ("gaussian-1d", 0): (0.740493302264895, 0.08872753137510643, 0.74609375),
-    ("gaussian-1d", 2): (0.8136844028446911, 0.11893393986062563, 0.705078125),
+    "pairwise-3d": (2.4917924671939757, 0.05839901870734071, 0.38671875),
+    "pairwise-1d": (1.79414622400745, 0.10601649156668763, 0.626953125),
+    "gaussian-1d": (0.740493302264895, 0.08872753137510643, 0.74609375),
 }
 
 
@@ -410,10 +395,10 @@ def test_one_chain_streams_unchanged():
     }
     settings = SamplerSettings(sigma=0.5, burn_in=128, samples=256, thinning=2, seed=11)
     obs = lambda r, s: float(np.sum(s * s))
-    for (name, stream_index), expected in ONE_CHAIN_VALUES.items():
+    for name, expected in ONE_CHAIN_VALUES.items():
         ansatz, r = cases[name]
-        res = run_chain(ansatz, np.array(r), settings, obs, stream_index=stream_index)
-        assert (res.mean, res.stderr, res.acceptance) == expected, (name, stream_index)
+        series, acceptance = one_chain(ansatz, r, settings, obs)
+        assert (float(series.mean()), batch_means_stderr(series), acceptance) == expected, name
 
     # the last block of 1025 chains holds chain 1024 alone
     ansatz = cases["pairwise-1d"][0]
@@ -506,18 +491,19 @@ def test_rerun_is_bit_identical():
     ansatz = NormalTarget(density, space)
     settings = fast_settings(seed=17)
     obs = lambda r, s: float(s[0, 0])
-    a = run_chain(ansatz, np.array([0.2]), settings, obs)
-    b = run_chain(ansatz, np.array([0.2]), settings, obs)
-    assert (a.mean, a.stderr, a.ess, a.acceptance) == (b.mean, b.stderr, b.ess, b.acceptance)
+    a, acc_a = one_chain(ansatz, [0.2], settings, obs)
+    b, acc_b = one_chain(ansatz, [0.2], settings, obs)
+    np.testing.assert_array_equal(a, b)
+    assert acc_a == acc_b
 
 
 def test_seed_changes_results():
     density, space = line_pair()
     ansatz = NormalTarget(density, space)
     obs = lambda r, s: float(s[0, 0])
-    a = run_chain(ansatz, np.array([0.2]), fast_settings(seed=1), obs)
-    b = run_chain(ansatz, np.array([0.2]), fast_settings(seed=2), obs)
-    assert a.mean != b.mean
+    a, _ = one_chain(ansatz, [0.2], fast_settings(seed=1), obs)
+    b, _ = one_chain(ansatz, [0.2], fast_settings(seed=2), obs)
+    assert a.mean() != b.mean()
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +529,7 @@ def test_sigma_tuning_reaches_acceptance_window():
     )
     batch = run_conditional_batch(ansatz, np.zeros((8, 1)), settings, {"sats": _sats})
     assert np.all(batch.sigma_final < 40.0)
-    assert 0.15 <= batch.mean_acceptance <= 0.55
+    assert 0.15 <= batch.acceptance.mean() <= 0.55
 
 
 # ---------------------------------------------------------------------------
