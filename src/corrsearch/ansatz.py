@@ -75,7 +75,11 @@ def _weighted_kernel(space: SpaceSpec, num: np.ndarray, delta: np.ndarray) -> np
 
 
 def pair_energy_grad_x(density: Density, space: SpaceSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gradient of pair_energy with respect to its first argument x."""
+    """Gradient of pair_energy with respect to its first argument x.
+
+    In 3D an exact contact x = y gives nan in every component: the kernel
+    is infinite there and f = 0, so the gradient has no value.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     rho_x = density.value(x)
@@ -85,11 +89,10 @@ def pair_energy_grad_x(density: Density, space: SpaceSpec, x: np.ndarray, y: np.
     d2 = sq_norm(delta)
     if space.dim == 3:
         with np.errstate(divide="ignore"):
-            kern = 1.0 / np.sqrt(d2)
-        dkern = -delta * (kern**3)[..., None]
+            kern = np.where(d2 == 0.0, np.nan, 1.0 / np.sqrt(d2))
     else:
         kern = 1.0 / np.sqrt(d2 + space.softening**2)
-        dkern = -delta * (kern**3)[..., None]
+    dkern = -delta * (kern**3)[..., None]
     return (rho_y * kern)[..., None] * grad_rho_x + (rho_x * rho_y)[..., None] * dkern
 
 
@@ -365,8 +368,13 @@ class PairwiseBiparametric(ConditionalAnsatz):
         r, satellites = self._check_shapes(r, satellites)
         if self.gamma == 0.0:
             return np.zeros(np.broadcast_shapes(r.shape, satellites.shape[:-2] + (self.dim,)))
-        g = pair_energy_grad_x(self.density, self.space, r[..., None, :], satellites)
-        return -self.gamma * np.sum(g, axis=-2)
+        # summed one satellite at a time: the sampler passes the kept samples
+        # of a whole step-chunk, and this keeps the temporaries to a fraction
+        # of them
+        g = pair_energy_grad_x(self.density, self.space, r, satellites[..., 0, :])
+        for j in range(1, self.n_satellites):
+            g += pair_energy_grad_x(self.density, self.space, r, satellites[..., j, :])
+        return -self.gamma * g
 
     def start_candidates(self, r, rng):
         shape = (len(r), self.n_satellites, self.dim)

@@ -286,11 +286,16 @@ def build_potential(cfg: RunConfig) -> ExternalPotential:
 
 def _in_section(section: str, build, **kw):
     """build(**kw), with its ValueError re-raised as a ConfigError that
-    names the section."""
+    names the section, and the key a user writes for each field whose key
+    differs from its name."""
     try:
         return build(**kw)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {exc}") from None
+        message = str(exc)
+        for f in fields(_SECTIONS[section]):
+            if "key" in f.metadata:
+                message = message.replace(f.name, f.metadata["key"])
+        raise ConfigError(f"[{section}] {message}") from None
 
 
 def build_sampler_settings(cfg: RunConfig) -> SamplerSettings:

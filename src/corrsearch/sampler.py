@@ -1,46 +1,54 @@
 """Metropolis sampling of satellite configurations from f(. | r).
 
-Chains run in lockstep blocks.  Each step displaces one uniformly chosen
-satellite per chain by a Gaussian step and accepts with probability
-min(1, f~'/f~).  Proposals with f~ = 0 (outside the support, or at a
-coincidence) are always rejected.  The proposal is written into the
-block's satellites in place, through a flat view of them and the element
-indices of the moved coordinates, and evaluated with one
+One step loop advances every chain of a batch in lockstep.  Each step
+displaces one uniformly chosen satellite per chain by a Gaussian step and
+accepts with probability min(1, f~'/f~).  Proposals with f~ = 0 (outside
+the support, or at a coincidence) are always rejected.  The proposal is
+written into the batch's satellites in place, through a flat view of them
+and the element indices of the moved coordinates, and evaluated with one
 `log_unnormalized` call that carries the move as a hint (moved
 satellite, its old position, the current log f~ and the family's chain
 state), so a family can add only the terms that involve the moved
 satellite; rejected moves are then undone.  The chain state is the
 family's per-chain cache (for `pairwise`: rho(r), and the conditioning
 and satellite pair terms of the current state).  The family fills it
-once per block from the final starts, and the sampler commits the
+once per batch from the final starts, and the sampler commits the
 accepted moves into it after every step.
 
 Randomness discipline: chains are split into blocks of a fixed `_CHUNK`
 chains, and each block owns one generator derived from the master seed
 and the block's first chain index through a counter-based seed split.
-The block draws all start candidates in one call, then redraws, in chain
-order, the starts of chains whose candidate has f~ = 0, and then draws
-the step variates (satellite index, Gaussian step, uniform) for a
-step-chunk of all its chains at a time, whatever the accept/reject
-outcomes.  The step-chunk length comes from a fixed byte budget
-(`_VARIATE_BYTES`), so a block never holds the whole run's variates.
+Blocks are stream units only.  A block draws all its start candidates in
+one call, then redraws, in chain order, the starts of its chains whose
+candidate has f~ = 0, and then draws its share of the step variates
+(satellite index, Gaussian step, uniform) one step-chunk at a time,
+whatever the accept/reject outcomes.  The step-chunk length comes from
+the batch's chain count and a fixed byte budget (`_VARIATE_BYTES`), so a
+batch holds at most two step-chunks of variates, whatever its size.
 Neither the blocks nor the step-chunks depend on the worker count, so
 batch results are bit-identical for any number of workers and on reruns.
-A one-chain block is keyed by its chain index and draws its start, then
+A one-chain batch is keyed by its chain index and draws its start, then
 all satellite indices, steps and uniforms, in one step-chunk as long as
 the run has at most _VARIATE_BYTES / (8 (d + 2)) steps.
 
-Kept samples stream through the caller's observables: a block buffers
-only the kept configurations of the current step-chunk (at most
-ceil(chunk steps / thinning) of them), and at the end of each step-chunk
-it passes them to every observable and stores the rows it returns.  The
-whole run's kept satellites are never held at once; what a block holds
-is one row per kept sample of each observable.
+Kept samples stream through the caller's observables: the loop buffers
+only the kept configurations of one step-chunk (at most ceil(chunk steps
+/ thinning) of them), in two buffers used alternately, and each finished
+buffer is passed to every observable, whose rows are stored.  The whole
+run's kept satellites are never held at once; what a batch holds is one
+row per kept sample of each observable.
+
+Workers: with `workers` = 1 everything runs on the calling thread.  Any
+larger value adds the same one pool thread, which draws step-chunk c + 1 and
+observes step-chunk c - 1 while the loop steps chunk c.  Generator fills
+and large array loops release the GIL, so that work overlaps the loop.
+The calls and their order per stream are the same either way.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,8 +60,8 @@ _NS_CHAIN = 0x636861
 _NS_CONDITIONING = 0x636F6E
 _NS_FRESH = 0x667265
 
-_CHUNK = 1024  # chains processed per block; fixed so results never depend on workers
-_VARIATE_BYTES = 4 * 2**20  # step variates a block holds at once: 8 (d + 2) bytes per chain-step
+_CHUNK = 1024  # chains per random-stream block; fixed so results never depend on workers
+_VARIATE_BYTES = 4 * 2**20  # step variates of one step-chunk: 8 (d + 2) bytes per chain-step
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -83,6 +91,10 @@ class SamplerSettings:
     seed: master seed for the whole stream tree.
     tune: adapt sigma toward the target acceptance window during burn-in.
     tune_interval: burn-in steps between two step-size adaptations.
+    workers: 1 runs a batch on the calling thread; any larger value adds
+        one pool thread that draws the next step-chunk's variates and
+        observes the last one's kept samples while the loop steps, so
+        every value above 2 acts like 2.  It never changes a result.
     """
 
     sigma: float = 0.5
@@ -129,100 +141,6 @@ class BatchResult:
     sigma_final: np.ndarray
 
 
-def _chain_block(ansatz, r_block, settings, first_chain, observables):
-    """Advance one block of chains in lockstep and observe kept samples.
-
-    r_block: (m, d) conditioning points, one per chain in the block.
-    first_chain: global index of the block's first chain; it keys the
-        block's stream.
-    Returns the observations, name -> (K, m, ...), the acceptance and the
-    final sigma of each chain.
-    """
-    m, d = r_block.shape
-    n_sat = ansatz.n_satellites
-    total_steps = settings.burn_in + settings.samples * settings.thinning
-
-    # the block's stream is consumed in a fixed order: all start candidates,
-    # then the redraws of zero-weight starts in chain order, then the step
-    # variates one step-chunk at a time
-    rng = substream(settings.seed, _NS_CHAIN, first_chain)
-    # an own C-ordered copy: moves are written in place through a flat view
-    cur = np.array(ansatz.start_candidates(r_block, rng), dtype=float, order="C")
-    log_cur = ansatz.log_unnormalized(r_block, cur)
-    redo = np.flatnonzero(~np.isfinite(log_cur))
-    if redo.size:
-        for j in redo:
-            cur[j] = ansatz.initial_satellites(r_block[j], rng)
-        log_cur[redo] = ansatz.log_unnormalized(r_block[redo], cur[redo])
-        if not np.all(np.isfinite(log_cur)):
-            raise EstimatorError("chain initialization produced zero-weight states")
-
-    state = ansatz.chain_state(r_block, cur)
-    sigma = np.full(m, settings.sigma)
-    sigma_elems = np.repeat(sigma, d)  # sigma per moved coordinate
-    accepted_window = np.zeros(m)
-    accepted_meas = np.zeros(m)
-    # the moved coordinates are read and written through a flat view of the
-    # satellites: coordinate i of satellite j of chain c is element (c S + j) d + i
-    cur_1d = cur.reshape(-1)
-    first = ((np.arange(m) * (n_sat * d))[:, None] + np.arange(d)).reshape(-1)  # satellite 0
-    chunk_steps = max(1, _VARIATE_BYTES // (8 * (d + 2) * m))  # steps per variate draw
-    # the kept samples of the current step-chunk, observed when it ends
-    kept = np.empty((min(settings.samples, -(-chunk_steps // settings.thinning)), m, n_sat, d))
-    n_kept = 0
-    values = {}
-    k_out = 0
-
-    for chunk_start in range(0, total_steps, chunk_steps):
-        n = min(chunk_steps, total_steps - chunk_start)
-        sat_idx = rng.integers(n_sat, size=(n, m))
-        normals = rng.standard_normal((n, m, d)).reshape(n, m * d)
-        log_unifs = np.log(rng.random((n, m)))
-        with np.errstate(invalid="ignore"):
-            for i in range(n):
-                t = chunk_start + i
-                # the proposal is made in place and undone where it is rejected
-                k = sat_idx[i]
-                elems = first + np.repeat(k * d, d)
-                old = cur_1d[elems]
-                new = old + sigma_elems * normals[i]
-                cur_1d[elems] = new
-                log_new = ansatz.log_unnormalized(
-                    r_block, cur, moved=(k, old.reshape(m, d), log_cur, state)
-                )
-                accept = log_unifs[i] < (log_new - log_cur)
-                cur_1d[elems] = np.where(np.repeat(accept, d), new, old)
-                log_cur = np.where(accept, log_new, log_cur)
-                if state is not None:
-                    state.commit(accept)
-
-                if t < settings.burn_in:
-                    accepted_window += accept
-                    if settings.tune and (t + 1) % settings.tune_interval == 0:
-                        rate = accepted_window / settings.tune_interval
-                        sigma = np.where(rate > ACCEPTANCE_WINDOW[1], sigma * 1.25, sigma)
-                        sigma = np.where(rate < ACCEPTANCE_WINDOW[0], sigma / 1.25, sigma)
-                        sigma_elems = np.repeat(sigma, d)
-                        accepted_window[:] = 0.0
-                else:
-                    accepted_meas += accept
-                    if (t - settings.burn_in) % settings.thinning == settings.thinning - 1:
-                        kept[n_kept] = cur
-                        n_kept += 1
-        if n_kept:
-            for name, fn in observables.items():
-                rows = np.asarray(fn(r_block, kept[:n_kept]))
-                if name not in values:
-                    values[name] = np.empty((settings.samples,) + rows.shape[1:], rows.dtype)
-                values[name][k_out:k_out + n_kept] = rows
-            k_out += n_kept
-            n_kept = 0
-
-    meas_steps = total_steps - settings.burn_in
-    acceptance = accepted_meas / meas_steps
-    return values, acceptance, sigma
-
-
 def run_conditional_batch(
     ansatz: ConditionalAnsatz,
     r_points: np.ndarray,
@@ -233,51 +151,143 @@ def run_conditional_batch(
 
     Args:
         r_points: (M, d) conditioning points; each spawns `walkers` chains.
-        observables: name -> fn(r_block (m, d), sats (c, m, S, d)) returning
-            one row per kept sample, shape (c, m, ...).  It is called on
-            the c kept samples of one step-chunk at a time, in order, so it
-            must treat each sample on its own.
+        observables: name -> fn(r (m, d), sats (c, m, S, d)) returning one
+            row per kept sample, shape (c, m, ...), for all m = M * walkers
+            chains.  It is called on the c kept samples of one step-chunk
+            at a time, in order, so it must treat each sample on its own;
+            with workers > 1 it runs on the pool thread.
 
     Returns:
         BatchResult whose values arrays have shape (K, M * walkers, ...):
         kept sample first, then the chains in point order (walkers of
-        point 0, then walkers of point 1, ...).  Reductions happen after
-        reassembly, so the outcome does not depend on the chain blocks,
-        the step-chunks or the worker count.
+        point 0, then walkers of point 1, ...).  Neither the chain blocks
+        nor the step-chunks depend on the worker count, so neither do the
+        results.
     """
     r_points = np.asarray(r_points, dtype=float)
     n_points, d = r_points.shape
-    n_chains = n_points * settings.walkers
-    r_chains = np.repeat(r_points, settings.walkers, axis=0)
+    m = n_points * settings.walkers
+    r = np.repeat(r_points, settings.walkers, axis=0)
+    n_sat = ansatz.n_satellites
+    total_steps = settings.burn_in + settings.samples * settings.thinning
 
-    blocks = [
-        (start, min(start + _CHUNK, n_chains)) for start in range(0, n_chains, _CHUNK)
-    ]
+    # each block's stream is consumed in a fixed order: its start candidates,
+    # then the redraws of its zero-weight starts in chain order, then its
+    # share of the step variates one step-chunk at a time
+    blocks = [(a, min(a + _CHUNK, m)) for a in range(0, m, _CHUNK)]
+    rngs = [substream(settings.seed, _NS_CHAIN, a) for a, _ in blocks]
+    # an own C-ordered array: moves are written in place through a flat view
+    cur = np.concatenate(
+        [ansatz.start_candidates(r[a:b], rng) for rng, (a, b) in zip(rngs, blocks)], dtype=float
+    )
+    log_cur = ansatz.log_unnormalized(r, cur)
+    redo = np.flatnonzero(~np.isfinite(log_cur))
+    if redo.size:
+        for j in redo:
+            cur[j] = ansatz.initial_satellites(r[j], rngs[j // _CHUNK])
+        log_cur[redo] = ansatz.log_unnormalized(r[redo], cur[redo])
+        if not np.all(np.isfinite(log_cur)):
+            raise EstimatorError("chain initialization produced zero-weight states")
 
-    def do_block(bounds):
-        start, stop = bounds
-        return _chain_block(
-            ansatz,
-            r_chains[start:stop],
-            settings,
-            start,
-            observables,
+    state = ansatz.chain_state(r, cur)
+    sigma = np.full(m, settings.sigma)
+    sigma_elems = np.repeat(sigma, d)  # sigma per moved coordinate
+    accepted_window = np.zeros(m)
+    accepted_meas = np.zeros(m)
+    # the moved coordinates are read and written through a flat view of the
+    # satellites: coordinate i of satellite j of chain c is element (c S + j) d + i
+    cur_1d = cur.reshape(-1)
+    first = ((np.arange(m) * (n_sat * d))[:, None] + np.arange(d)).reshape(-1)  # satellite 0
+    # steps per variate draw; the batch holds at most two step-chunks of variates
+    chunk_steps = min(total_steps, max(1, _VARIATE_BYTES // (8 * (d + 2) * m)))
+    chunk_starts = range(0, total_steps, chunk_steps)
+    # two buffers of one step-chunk's kept samples, used alternately: the
+    # loop fills one while the other is observed
+    kept = np.empty((2, min(settings.samples, -(-chunk_steps // settings.thinning)), m, n_sat, d))
+    values = {}
+
+    def kept_before(t):
+        return max(0, t - settings.burn_in) // settings.thinning
+
+    def observe(c):
+        lo = kept_before(chunk_starts[c])
+        hi = kept_before(min(chunk_starts[c] + chunk_steps, total_steps))
+        if hi == lo:
+            return
+        for name, fn in observables.items():
+            rows = np.asarray(fn(r, kept[c % 2, : hi - lo]))
+            if name not in values:
+                values[name] = np.empty((settings.samples,) + rows.shape[1:], rows.dtype)
+            values[name][lo:hi] = rows
+
+    def draw(c):
+        n = min(chunk_steps, total_steps - chunk_starts[c])
+        sat_idx, normals, log_unifs = (x[:n] for x in variates[c % len(variates)])
+        for rng, (a, b) in zip(rngs, blocks):
+            sat_idx[:, a:b] = rng.integers(n_sat, size=(n, b - a))
+            normals[:, a:b] = rng.standard_normal((n, b - a, d))
+            np.log(rng.random((n, b - a)), out=log_unifs[:, a:b])
+        return sat_idx, normals.reshape(n, m * d), log_unifs
+
+    def ahead(c):
+        """What runs while step-chunk c steps: observe chunk c - 1, draw chunk c + 1."""
+        if c > 0:
+            observe(c - 1)
+        return draw(c + 1) if c + 1 < len(chunk_starts) else None
+
+    pool = concurrent.futures.ThreadPoolExecutor(1) if settings.workers > 1 else None
+    # step-chunk c is drawn into variate buffer c % 2; inline, chunk c + 1 is
+    # drawn only once chunk c is stepped, so one buffer serves
+    variates = [
+        (
+            np.empty((chunk_steps, m), np.int64),
+            np.empty((chunk_steps, m, d)),
+            np.empty((chunk_steps, m)),
         )
+        for _ in range(min(2 if pool else 1, len(chunk_starts)))
+    ]
+    with pool or contextlib.nullcontext():
+        drawn = draw(0)
+        for c, chunk_start in enumerate(chunk_starts):
+            job = pool.submit(ahead, c) if pool else None
+            sat_idx, normals, log_unifs = drawn
+            buf, n_kept = kept[c % 2], 0
+            with np.errstate(invalid="ignore"):
+                for i in range(len(sat_idx)):
+                    t = chunk_start + i
+                    # the proposal is made in place and undone where it is rejected
+                    k = sat_idx[i]
+                    elems = first + np.repeat(k * d, d)
+                    old = cur_1d[elems]
+                    new = old + sigma_elems * normals[i]
+                    cur_1d[elems] = new
+                    log_new = ansatz.log_unnormalized(
+                        r, cur, moved=(k, old.reshape(m, d), log_cur, state)
+                    )
+                    accept = log_unifs[i] < (log_new - log_cur)
+                    cur_1d[elems] = np.where(np.repeat(accept, d), new, old)
+                    log_cur = np.where(accept, log_new, log_cur)
+                    if state is not None:
+                        state.commit(accept)
 
-    if settings.workers > 1 and len(blocks) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=settings.workers) as pool:
-            results = list(pool.map(do_block, blocks))
-    else:
-        results = [do_block(b) for b in blocks]
+                    if t < settings.burn_in:
+                        accepted_window += accept
+                        if settings.tune and (t + 1) % settings.tune_interval == 0:
+                            rate = accepted_window / settings.tune_interval
+                            sigma = np.where(rate > ACCEPTANCE_WINDOW[1], sigma * 1.25, sigma)
+                            sigma = np.where(rate < ACCEPTANCE_WINDOW[0], sigma / 1.25, sigma)
+                            sigma_elems = np.repeat(sigma, d)
+                            accepted_window[:] = 0.0
+                    else:
+                        accepted_meas += accept
+                        if (t - settings.burn_in) % settings.thinning == settings.thinning - 1:
+                            buf[n_kept] = cur
+                            n_kept += 1
+            drawn = job.result() if pool else ahead(c)
+        observe(len(chunk_starts) - 1)
 
-    # observations are (K, m, ...), so blocks join on the chain axis 1
-    values = {
-        name: np.concatenate([res[0][name] for res in results], axis=1)
-        for name in observables
-    }
-    acceptance = np.concatenate([res[1] for res in results])
-    sigma_final = np.concatenate([res[2] for res in results])
-    return BatchResult(values=values, acceptance=acceptance, sigma_final=sigma_final)
+    acceptance = accepted_meas / (total_steps - settings.burn_in)
+    return BatchResult(values=values, acceptance=acceptance, sigma_final=sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -159,7 +159,7 @@ def test_out_of_range_setting_names_its_section(tmp_path, capsys, command, secti
 @pytest.mark.parametrize(
     "fields,named",
     [
-        ({"n": "0"}, "n_electrons"),
+        ({"n": "0"}, "n"),
         ({"radius": "nan"}, "radius"),
         ({"dimensionality": "1d", "softening": "0.0"}, "softening"),
         ({"dimensionality": "2d"}, "dimensionality"),

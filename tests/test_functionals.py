@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from corrsearch import sampler
 from corrsearch.ansatz import (
     AnsatzError,
     FrozenOrbitalProduct,
@@ -195,24 +196,48 @@ def test_fisher_nonnegative_mean():
 
 
 def test_conditional_moments_never_holds_the_run_kept_samples():
-    # one block of 1024 chains at N = 6: the kept satellites of the whole
-    # run (K m S d doubles, 63 MB) are never held at once; the kept samples
-    # stream through the observables one step-chunk at a time
+    # N = 6: the kept satellites of the whole run (K m S d doubles, 63 MB
+    # at 1024 chains) are never held at once; the kept samples stream
+    # through the observables one step-chunk at a time
     density = ExponentialDensity(zeta=1.5, n_electrons=6)
     space = SpaceSpec(dim=3, radius=3.0, n_electrons=6)
     ansatz = PairwiseBiparametric(density, space, gamma=1.0, beta=0.0)
-    settings = SamplerSettings(
-        sigma=0.5, burn_in=16, samples=512, thinning=4, conditioning_points=1024, seed=3
-    )
-    kept_bytes = settings.samples * 1024 * ansatz.n_satellites * 3 * 8
-    tracemalloc.start()
-    try:
-        moments = conditional_moments(density, ansatz, settings)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.all(np.isfinite(moments.score_var))
-    assert peak < kept_bytes
+    n_sat, dim, samples, thinning = ansatz.n_satellites, 3, 512, 4
+    for chains, workers in ((1024, 1), (2048, 2)):
+        settings = SamplerSettings(
+            sigma=0.5, burn_in=16, samples=samples, thinning=thinning,
+            conditioning_points=chains, seed=3, workers=workers,
+        )
+        tracemalloc.start()
+        try:
+            moments = conditional_moments(density, ansatz, settings)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(moments.score_var))
+        assert peak < samples * chains * n_sat * dim * 8
+        if workers == 1:
+            continue
+        # two blocks with the pool thread.  The batch holds the observation
+        # rows (score and pair), two step-chunks of variates and two kept
+        # buffers.  On top comes the working memory of one call at a time:
+        # a block's draw of one step-chunk, less than a third step-chunk of
+        # variates, or the observables on one kept buffer, whose peak is the
+        # score's, measured here on its own.  The slack stays below one
+        # step-chunk of variates, so a third variate buffer would show.
+        chunk_steps = sampler._VARIATE_BYTES // (8 * (dim + 2) * chains)
+        kept = np.random.default_rng(0).uniform(
+            -1.0, 1.0, (-(-chunk_steps // thinning), chains, n_sat, dim)
+        )
+        tracemalloc.start()
+        try:
+            ansatz.score(moments.r_points[None], kept)
+            score_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        observations = samples * chains * (dim + 1) * 8
+        holds = observations + 2 * sampler._VARIATE_BYTES + 2 * kept.nbytes
+        assert peak < holds + sampler._VARIATE_BYTES + score_peak
 
 
 def test_gamma_auto_uses_quadrature_for_frozen():

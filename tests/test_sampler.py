@@ -1,5 +1,8 @@
 """Metropolis engine: balance, determinism, variance scaling, diagnostics."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -338,6 +341,63 @@ def test_worker_count_and_rerun_pairwise_n6():
         np.testing.assert_array_equal(outs[0].sigma_final, other.sigma_final)
 
 
+def test_worker_count_does_not_change_results_over_blocks_and_step_chunks(monkeypatch):
+    # blocks of 8 chains: 30 chains make three full blocks and a last one
+    # of 6; 120 steps in chunks of 20 make 6 step-chunks, so the pool thread
+    # draws ahead and observes behind many times.  N = 3 with beta > 0 runs
+    # the hinted pair path
+    chains = 30
+    monkeypatch.setattr(sampler, "_CHUNK", 8)
+    _steps_per_chunk(monkeypatch, 20, chains, dim=3)
+    density = ExponentialDensity(zeta=1.5, n_electrons=3)
+    space = SpaceSpec(dim=3, radius=3.0, n_electrons=3)
+    ansatz = PairwiseBiparametric(density, space, gamma=1.0, beta=1.0)
+    points = density.sample(chains, np.random.default_rng(4))
+    observables = {"sats": _sats, "score": lambda r, sats: ansatz.score(r[None], sats)}
+    outs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the loop and the pool thread interleave often
+    try:
+        for workers in (1, 2, 3):
+            settings = SamplerSettings(
+                sigma=0.5, burn_in=40, samples=16, thinning=5, seed=9, tune_interval=10,
+                workers=workers,
+            )
+            outs.append(run_conditional_batch(ansatz, points, settings, observables))
+    finally:
+        sys.setswitchinterval(interval)
+    for other in outs[1:]:
+        for name in observables:
+            np.testing.assert_array_equal(outs[0].values[name], other.values[name])
+        np.testing.assert_array_equal(outs[0].acceptance, other.acceptance)
+        np.testing.assert_array_equal(outs[0].sigma_final, other.sigma_final)
+    assert 0.0 < outs[0].acceptance.min() and outs[0].acceptance.max() < 1.0
+
+
+def test_observable_error_on_the_pool_thread_reaches_the_caller(monkeypatch):
+    # the second step-chunk is observed on the pool thread while the loop
+    # steps the third; its error leaves the batch, and the thread is gone
+    m = 16
+    _steps_per_chunk(monkeypatch, 7, m)
+    density, space = line_pair()
+    settings = SamplerSettings(sigma=1.0, burn_in=0, samples=60, thinning=1, seed=0, workers=2)
+    threads = []
+
+    def fails_second(r_block, sats):
+        threads.append(threading.get_ident())
+        if len(threads) == 2:
+            raise RuntimeError("observable failed")
+        return sats[..., 0, 0]
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="observable failed"):
+        run_conditional_batch(
+            ConstTarget(density, space), np.zeros((m, 1)), settings, {"s": fails_second}
+        )
+    assert threads[1] != threading.get_ident()
+    assert threading.active_count() == before
+
+
 # kept-sample sums, summed acceptance and summed final sigma of two-block
 # pairwise runs, recorded before the chain state carried rho and the E_H
 # terms: the state changes where old terms come from, not a result bit
@@ -418,22 +478,30 @@ def _steps_per_chunk(monkeypatch, steps, chains, dim=1):
 def test_variate_chunk_edges_skip_and_reuse_nothing(monkeypatch):
     # 200 steps in chunks of 7 end in a partial chunk of 4; on a flat target
     # every move is accepted, so each chain's path is the running sum of
-    # the Gaussian steps drawn chunk by chunk from the block's stream
+    # the Gaussian steps drawn chunk by chunk from its block's stream.  With
+    # two blocks of 8, each block draws its own share of every step-chunk
     m = 16
     _steps_per_chunk(monkeypatch, 7, m)
     density, space = line_pair()
     settings = SamplerSettings(sigma=1.0, burn_in=0, samples=200, thinning=1, seed=0, tune=False)
     collect = {"s": lambda r_block, kept: kept[..., 0, 0]}
-    batch = run_conditional_batch(ConstTarget(density, space), np.zeros((m, 1)), settings, collect)
-    np.testing.assert_array_equal(batch.acceptance, 1.0)
+    for block in (m, m // 2):
+        monkeypatch.setattr(sampler, "_CHUNK", block)
+        batch = run_conditional_batch(
+            ConstTarget(density, space), np.zeros((m, 1)), settings, collect
+        )
+        np.testing.assert_array_equal(batch.acceptance, 1.0)
 
-    rng = substream(0, _NS_CHAIN, 0)
-    steps = []
-    for n in [7] * 28 + [4]:
-        rng.integers(1, size=(n, m))
-        steps.append(rng.standard_normal((n, m, 1))[..., 0])
-        rng.random((n, m))
-    np.testing.assert_array_equal(batch.values["s"], np.cumsum(np.concatenate(steps), axis=0))
+        for first in range(0, m, block):
+            rng = substream(0, _NS_CHAIN, first)
+            steps = []
+            for n in [7] * 28 + [4]:
+                rng.integers(1, size=(n, block))
+                steps.append(rng.standard_normal((n, block, 1))[..., 0])
+                rng.random((n, block))
+            np.testing.assert_array_equal(
+                batch.values["s"][:, first:first + block], np.cumsum(np.concatenate(steps), axis=0)
+            )
 
 
 def test_observations_at_step_chunk_edges(monkeypatch):
