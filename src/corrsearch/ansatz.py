@@ -57,17 +57,18 @@ def pair_energy(density: Density, space: SpaceSpec, x: np.ndarray, y: np.ndarray
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return _weighted_kernel(space, density.value(x) * density.value(y), x - y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _weighted_kernel(space, density.value(x) * density.value(y), x - y)
 
 
 def _weighted_kernel(space: SpaceSpec, num: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """E_H from the density product num = rho(x) rho(y) and delta = x - y."""
+    """E_H from the density product num = rho(x) rho(y) and delta = x - y.
+    In 3D a contact divides by zero: call it with those errors ignored."""
     d2 = sq_norm(delta)
     if space.dim == 3:
         # 1/d is +inf at contact, so num * kern is already the +inf signal
         # there wherever num > 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(num == 0.0, 0.0, num * (1.0 / np.sqrt(d2)))
+        return np.where(num == 0.0, 0.0, num * (1.0 / np.sqrt(d2)))
     out = np.where(num == 0.0, 0.0, num * (1.0 / np.sqrt(d2 + space.softening**2)))
     # softened kernel is finite at contact; the signaling convention still
     # reports +inf there so that coincidence always maps to f = 0
@@ -113,16 +114,18 @@ class ConditionalAnsatz:
     S = N - 1; both return results of shape (...) resp. (..., d).
 
     log_unnormalized(r, satellites, moved=None) takes an optional move
-    hint moved = (k, old, log_old, state) from the sampler, for m chains
-    with r of shape (m, d) and satellites (m, S, d): satellites is the full
-    proposal, which differs from chain c's current state only in
-    satellite k[c] (integer array (m,)), whose current position was
-    old[c] (array (m, d)); log_old (m,) is the current, finite value, and
+    hint moved = (k, old, new, log_old, state) from the sampler, for m
+    chains with r of shape (m, d) and satellites (m, S, d): satellites is
+    the full proposal, which differs from chain c's current state only in
+    satellite k[c] (integer array (m,)), moved from old[c] to new[c]
+    (arrays (m, d)); log_old (m,) is the current, finite value, and
     state is what chain_state(r, current satellites) returned at the
     block's start, kept current by the sampler through state.commit(accept)
     after every hinted call.  A family may return log_old plus the change
     in the terms that involve satellite k, or ignore the hint and evaluate
-    the proposal in full; both give the same value up to rounding.
+    the proposal in full; both give the same value up to rounding.  A
+    hinted call skips the shape checks and runs with numpy's divide and
+    invalid errors ignored, as the sampler's step loop does.
     """
 
     family: str = "base"
@@ -268,6 +271,7 @@ class PairwiseBiparametric(ConditionalAnsatz):
 
     def __init__(self, density, space, gamma: float, beta: float, test_mode: bool = False):
         super().__init__(density, space)
+        self._omega_r2 = space.omega_radius**2
         if not np.isfinite(gamma) or not np.isfinite(beta):
             raise AnsatzError("gamma and beta must be finite")
         if gamma <= 0.0 and not test_mode:
@@ -289,9 +293,9 @@ class PairwiseBiparametric(ConditionalAnsatz):
         return self.n_satellites < 2 or (self.gamma > 0.0 and self.beta > 0.0)
 
     def log_unnormalized(self, r, satellites, moved=None):
-        r, satellites = self._check_shapes(r, satellites)
         if moved is not None:
             return self._moved_log(r, satellites, *moved)
+        r, satellites = self._check_shapes(r, satellites)
         total = self._support_log(satellites)
         if self.gamma > 0.0:
             e_cond = pair_energy(self.density, self.space, r[..., None, :], satellites)
@@ -304,7 +308,7 @@ class PairwiseBiparametric(ConditionalAnsatz):
             total = total - self.beta * np.sum(e_sat, axis=-1)
         return total
 
-    def _moved_log(self, r, satellites, k, old, log_old, state):
+    def _moved_log(self, r, satellites, k, old, new, log_old, state):
         """The hinted path: log_old plus the change of the support term and
         of the terms that involve satellite k.  Only rho(new), the new
         conditioning term and the S - 1 new pair terms are evaluated; the
@@ -314,18 +318,17 @@ class PairwiseBiparametric(ConditionalAnsatz):
         has a single term and is kept, so the value is exactly a fresh
         evaluation's."""
         space, n_sat = self.space, self.n_satellites
-        flat = satellites.reshape(-1, self.dim)  # satellite j of chain c at row c S + j
-        pos = state.first + k
-        new = np.take(flat, pos, axis=0)
         r2 = sq_norm(new)
         rho_new = self.density.value(new, r2)
-        inside = space.in_omega(new, r2)
+        inside = r2 <= self._omega_r2
         e_new = None
         if self.gamma > 0.0:
             e_new = _weighted_kernel(space, state.rho_r * rho_new, new - r)
         if n_sat == 1:
             total = np.where(inside, 0.0, -np.inf)
             return total if e_new is None else total - self.gamma * e_new
+        flat = satellites.reshape(-1, self.dim)  # satellite j of chain c at row c S + j
+        pos = state.first + k
         total = np.where(inside, log_old, -np.inf)
         if e_new is not None:
             total = total - self.gamma * (e_new - np.take(state.e_cond, pos))

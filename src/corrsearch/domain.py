@@ -64,12 +64,9 @@ class SpaceSpec:
             return self.radius / self.n_electrons ** (1.0 / 3.0)
         return self.radius / self.n_electrons
 
-    def in_omega(self, points: np.ndarray, r2: np.ndarray | None = None) -> np.ndarray:
-        """Boolean mask: which points lie inside omega.  points: (..., dim);
-        r2: their sq_norm, when the caller already has it."""
-        if r2 is None:
-            r2 = sq_norm(np.asarray(points, dtype=float))
-        return r2 <= self.omega_radius**2
+    def in_omega(self, points: np.ndarray) -> np.ndarray:
+        """Boolean mask: which points lie inside omega.  points: (..., dim)."""
+        return sq_norm(np.asarray(points, dtype=float)) <= self.omega_radius**2
 
     def uniform_omega(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Uniform draws inside omega, shape (n, dim)."""
@@ -114,7 +111,8 @@ class Density:
     All models integrate to ``n_electrons`` over the unbounded domain.
     ``value`` and ``gradient`` accept arrays of shape (..., dim);
     ``value`` also takes the points' sq_norm when the caller has it (the
-    radial models then skip recomputing it).  ``sample`` draws positions
+    radial models then skip recomputing it, and the single exponential
+    skips checking the points).  ``sample`` draws positions
     from the probability density rho/N.
     """
 
@@ -160,23 +158,20 @@ class ExponentialDensity(Density):
             raise DomainError("n_electrons must be >= 1")
         if self.dim not in (1, 3):
             raise DomainError("dim must be 1 or 3")
-
-    def _amplitude(self) -> float:
-        if self.dim == 3:
-            return self.n_electrons * self.zeta**3 / np.pi
-        return self.n_electrons * self.zeta
+        n, zeta = self.n_electrons, self.zeta
+        object.__setattr__(self, "_amplitude", n * zeta**3 / np.pi if self.dim == 3 else n * zeta)
 
     def value(self, points, r2=None):
-        points = _check_points(points, self.dim)
-        r = np.sqrt(sq_norm(points) if r2 is None else r2)
-        return self._amplitude() * np.exp(-2.0 * self.zeta * r)
+        if r2 is None:
+            r2 = sq_norm(_check_points(points, self.dim))
+        return self._amplitude * np.exp(-2.0 * self.zeta * np.sqrt(r2))
 
     def gradient(self, points):
         points = _check_points(points, self.dim)
         r = radial_distance(points)
         if np.any(r == 0.0):
             raise DomainError("density gradient undefined at the origin cusp")
-        rho = self._amplitude() * np.exp(-2.0 * self.zeta * r)
+        rho = self._amplitude * np.exp(-2.0 * self.zeta * r)
         return (-2.0 * self.zeta * rho / r)[..., None] * points
 
     def sample(self, n, rng):
@@ -395,6 +390,17 @@ def radial_angular_grid(
     return QuadratureGrid("radial-angular", nodes, ww.reshape(-1))
 
 
+def radial_grid(r_max: float = 30.0, n_radial: int = 128) -> QuadratureGrid:
+    """The radial factor of radial_angular_grid alone, for spherically
+    symmetric integrands only: its Gauss-Legendre nodes, placed on the z
+    axis, with weights 4 pi r^2 w_r.  The product rule's angular weights
+    sum to 4 pi, so on such an integrand both rules agree to rounding."""
+    r, wr = _gauss_legendre(n_radial, 0.0, r_max)
+    nodes = np.zeros((n_radial, 3))
+    nodes[:, 2] = r
+    return QuadratureGrid("radial", nodes, 4.0 * np.pi * (wr * r * r))
+
+
 def uniform_1d_grid(radius: float, n: int = 2048) -> QuadratureGrid:
     """Midpoint rule on [-radius, radius]."""
     h = 2.0 * radius / n
@@ -415,7 +421,10 @@ def line_grid(radius: float, n_half: int = 160) -> QuadratureGrid:
 
 
 def default_grid(density: Density) -> QuadratureGrid:
-    """A grid resolving the given density to ~1e-9 relative accuracy."""
+    """A grid resolving the given density to ~1e-9 relative accuracy.  The
+    3D densities are spherical, so theirs is the radial rule: it takes
+    spherically symmetric integrands only (external_energy refuses it for
+    the one potential that is not)."""
     if density.dim == 1:
         if isinstance(density, Tabulated1DDensity):
             extent = float(max(abs(density.x[0]), abs(density.x[-1])))
@@ -423,7 +432,7 @@ def default_grid(density: Density) -> QuadratureGrid:
         zeta_min = min(_zetas_of(density))
         return line_grid(14.0 / zeta_min)
     zeta_min = min(_zetas_of(density))
-    return radial_angular_grid(r_max=max(20.0, 14.0 / zeta_min))
+    return radial_grid(r_max=max(20.0, 14.0 / zeta_min))
 
 
 def _zetas_of(density: Density):
@@ -438,4 +447,6 @@ def external_energy(density: Density, potential: ExternalPotential, grid: Quadra
     """Integral of v(x) rho(x) over the grid."""
     if grid.dim != density.dim:
         raise DomainError("grid and density dimensionality differ")
+    if grid.scheme == "radial" and potential.kind == "softened-1d":
+        raise DomainError("the softened-1d potential is not spherical; use radial_angular_grid")
     return float(np.sum(grid.weights * potential.value(grid.nodes) * density.value(grid.nodes)))

@@ -7,9 +7,9 @@ the support, or at a coincidence) are always rejected.  The proposal is
 written into the batch's satellites in place, through a flat view of them
 and the element indices of the moved coordinates, and evaluated with one
 `log_unnormalized` call that carries the move as a hint (moved
-satellite, its old position, the current log f~ and the family's chain
-state), so a family can add only the terms that involve the moved
-satellite; rejected moves are then undone.  The chain state is the
+satellite, its old and new positions, the current log f~ and the
+family's chain state), so a family can add only the terms that involve
+the moved satellite; rejected moves are then undone.  The chain state is the
 family's per-chain cache (for `pairwise`: rho(r), and the conditioning
 and satellite pair terms of the current state).  The family fills it
 once per batch from the final starts, and the sampler commits the
@@ -27,6 +27,15 @@ the batch's chain count and a fixed byte budget (`_VARIATE_BYTES`), so a
 batch holds at most two step-chunks of variates, whatever its size.
 Neither the blocks nor the step-chunks depend on the worker count, so
 batch results are bit-identical for any number of workers and on reruns.
+When a run's variates fit one step-chunk, the process holds them,
+read-only, with its generators' states before and after the draw.  The
+next such run whose generators stand where the held draw's did after
+their starts (same shape, seed and start draws) takes the held variates
+and sets its generators to the after-states, which is bit for bit what
+drawing them would give: the search calls of an `optimize` run share one
+seed, so the run draws their variates once.  Any other run lets the
+held draw go before it allocates its own variates, so the process never
+holds more than one step-chunk besides those of the running batch.
 A one-chain batch is keyed by its chain index and draws its start, then
 all satellite indices, steps and uniforms, in one step-chunk as long as
 the run has at most _VARIATE_BYTES / (8 (d + 2)) steps.
@@ -62,6 +71,11 @@ _NS_FRESH = 0x667265
 
 _CHUNK = 1024  # chains per random-stream block; fixed so results never depend on workers
 _VARIATE_BYTES = 4 * 2**20  # step variates of one step-chunk: 8 (d + 2) bytes per chain-step
+
+# the variates of the last one-step-chunk batch, read-only, for the next batch
+# whose generators start their step draws where that one's did:
+# (shape and generator states before the draw, variates, states after it)
+_held = None
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -221,13 +235,23 @@ def run_conditional_batch(
             values[name][lo:hi] = rows
 
     def draw(c):
+        global _held
+        if held is not None:
+            for rng, after in zip(rngs, held[2]):
+                rng.bit_generator.state = after
+            return held[1]
         n = min(chunk_steps, total_steps - chunk_starts[c])
         sat_idx, normals, log_unifs = (x[:n] for x in variates[c % len(variates)])
         for rng, (a, b) in zip(rngs, blocks):
             sat_idx[:, a:b] = rng.integers(n_sat, size=(n, b - a))
             normals[:, a:b] = rng.standard_normal((n, b - a, d))
             np.log(rng.random((n, b - a)), out=log_unifs[:, a:b])
-        return sat_idx, normals.reshape(n, m * d), log_unifs
+        drawn = sat_idx, normals.reshape(n, m * d), log_unifs
+        if key is not None:
+            for x in drawn:
+                x.flags.writeable = False
+            _held = (key, drawn, [rng.bit_generator.state for rng in rngs])
+        return drawn
 
     def ahead(c):
         """What runs while step-chunk c steps: observe chunk c - 1, draw chunk c + 1."""
@@ -235,10 +259,19 @@ def run_conditional_batch(
             observe(c - 1)
         return draw(c + 1) if c + 1 < len(chunk_starts) else None
 
+    # a run whose variates fit one step-chunk reuses the held draw if its
+    # generators are where that draw's were, and otherwise holds its own; a
+    # held draw that does not match is let go before this run allocates
+    global _held
+    key = None
+    if chunk_steps == total_steps:
+        key = (n_sat, m, d, total_steps, [g.bit_generator.state for g in rngs])
+    held = _held if _held is not None and _held[0] == key else None
+    _held = held
     pool = concurrent.futures.ThreadPoolExecutor(1) if settings.workers > 1 else None
     # step-chunk c is drawn into variate buffer c % 2; inline, chunk c + 1 is
     # drawn only once chunk c is stepped, so one buffer serves
-    variates = [
+    variates = [] if held else [
         (
             np.empty((chunk_steps, m), np.int64),
             np.empty((chunk_steps, m, d)),
@@ -251,19 +284,19 @@ def run_conditional_batch(
         for c, chunk_start in enumerate(chunk_starts):
             job = pool.submit(ahead, c) if pool else None
             sat_idx, normals, log_unifs = drawn
+            # element offsets of the moved satellites; one satellite sits at offset 0
+            kd = sat_idx * d if n_sat > 1 else None
             buf, n_kept = kept[c % 2], 0
-            with np.errstate(invalid="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore"):
                 for i in range(len(sat_idx)):
                     t = chunk_start + i
                     # the proposal is made in place and undone where it is rejected
-                    k = sat_idx[i]
-                    elems = first + np.repeat(k * d, d)
+                    elems = first if kd is None else first + np.repeat(kd[i], d)
                     old = cur_1d[elems]
                     new = old + sigma_elems * normals[i]
                     cur_1d[elems] = new
-                    log_new = ansatz.log_unnormalized(
-                        r, cur, moved=(k, old.reshape(m, d), log_cur, state)
-                    )
+                    hint = (sat_idx[i], old.reshape(m, d), new.reshape(m, d), log_cur, state)
+                    log_new = ansatz.log_unnormalized(r, cur, moved=hint)
                     accept = log_unifs[i] < (log_new - log_cur)
                     cur_1d[elems] = np.where(np.repeat(accept, d), new, old)
                     log_cur = np.where(accept, log_new, log_cur)

@@ -181,6 +181,48 @@ def test_external_energy_none_kind():
     assert external_energy(rho, v, default_grid(rho)) == 0.0
 
 
+SPHERICAL = [
+    ExponentialDensity(zeta=1.0, n_electrons=2),
+    ExponentialDensity(zeta=HE_ZETA, n_electrons=2),
+    ExponentialDensity(zeta=2.5, n_electrons=2),
+    ExponentialMixtureDensity(zetas=(0.8, 2.0), weights=(0.3, 0.7), n_electrons=3),
+]
+
+
+@pytest.mark.parametrize("rho", SPHERICAL)
+def test_radial_rule_matches_product_grid(rho):
+    # the default 3D grid is the product grid's radial rule alone; on the
+    # spherical one-body integrands the angular sum is 4 pi exactly, so the
+    # two agree to rounding
+    from corrsearch.functionals import weizsacker_term
+
+    product = radial_angular_grid(r_max=max(20.0, 14.0 / min(_zetas(rho))))
+    radial = default_grid(rho)
+    assert radial.nodes.shape == (128, 3)
+    v = ExternalPotential(kind="coulomb-nucleus", z=2.0)
+    for a, b in (
+        (weizsacker_term(rho, radial), weizsacker_term(rho, product)),
+        (external_energy(rho, v, radial), external_energy(rho, v, product)),
+        (radial.integrate(rho.value), product.integrate(rho.value)),
+    ):
+        assert a == pytest.approx(b, rel=1e-14, abs=0.0)
+
+
+def _zetas(rho):
+    return rho.zetas if isinstance(rho, ExponentialMixtureDensity) else (rho.zeta,)
+
+
+def test_radial_rule_refuses_a_non_spherical_potential():
+    # the softened line potential on a 3D density depends on x alone: the
+    # radial rule must not integrate it, the product grid still does
+    rho = ExponentialDensity(zeta=1.0, n_electrons=2)
+    v = ExternalPotential(kind="softened-1d", z=1.0, softening=0.5)
+    with pytest.raises(DomainError):
+        external_energy(rho, v, default_grid(rho))
+    product = external_energy(rho, v, radial_angular_grid(r_max=20.0))
+    assert np.isfinite(product) and product < 0.0
+
+
 def test_external_energy_linear_in_z():
     # closed form: integral of rho/r = N zeta, so E = -N Z zeta
     rho = ExponentialDensity(zeta=1.2, n_electrons=2)

@@ -172,7 +172,7 @@ class StaleCheckPairwise(PairwiseBiparametric):
 
     def log_unnormalized(self, r, satellites, moved=None):
         if moved is not None:
-            k, old, log_old, state = moved
+            k, old, new, log_old, state = moved
             current = np.array(satellites, copy=True)
             current[np.arange(k.size), k] = old
             full = super().log_unnormalized(r, current)
@@ -572,6 +572,92 @@ def test_seed_changes_results():
     a, _ = one_chain(ansatz, [0.2], fast_settings(seed=1), obs)
     b, _ = one_chain(ansatz, [0.2], fast_settings(seed=2), obs)
     assert a.mean() != b.mean()
+
+
+# ---------------------------------------------------------------------------
+# the held draw of one-step-chunk batches
+# ---------------------------------------------------------------------------
+
+
+def _pair_n3():
+    density = ExponentialDensity(zeta=1.5, n_electrons=3)
+    space = SpaceSpec(dim=3, radius=3.0, n_electrons=3)
+    ansatz = PairwiseBiparametric(density, space, gamma=1.0, beta=1.0)
+    return ansatz, density.sample(40, np.random.default_rng(8))
+
+
+def _cold(monkeypatch, ansatz, points, settings):
+    """The batch with no draw held, as in a fresh process."""
+    monkeypatch.setattr(sampler, "_held", None)
+    return run_conditional_batch(ansatz, points, settings, {"sats": _sats})
+
+
+def _assert_same_batch(a, b):
+    np.testing.assert_array_equal(a.values["sats"], b.values["sats"])
+    np.testing.assert_array_equal(a.acceptance, b.acceptance)
+    np.testing.assert_array_equal(a.sigma_final, b.sigma_final)
+
+
+def test_held_draw_reuse_equals_a_cold_run(monkeypatch):
+    ansatz, points = _pair_n3()
+    settings = SamplerSettings(sigma=0.5, burn_in=40, samples=20, thinning=2, seed=5)
+    cold = _cold(monkeypatch, ansatz, points, settings)
+    run_conditional_batch(ansatz, points, settings.replace(seed=6), {"sats": _sats})
+    after_other = run_conditional_batch(ansatz, points, settings, {"sats": _sats})
+    held = sampler._held
+    again = run_conditional_batch(ansatz, points, settings, {"sats": _sats})
+    assert sampler._held is held  # the second same-seed batch reused the draw
+    _assert_same_batch(cold, after_other)
+    _assert_same_batch(cold, again)
+    assert held[1] and all(not x.flags.writeable for x in held[1])
+
+
+class FullTarget(HalfTarget):
+    """HalfTarget's start candidates on the support [0, 1): none is redrawn."""
+
+    family = "full-toy"
+
+    def log_unnormalized(self, r, satellites, moved=None):
+        s = satellites[..., 0, 0]
+        return np.where((s >= 0.0) & (s < 1.0), 0.0, -np.inf)
+
+
+def test_held_draw_is_keyed_by_generator_state_not_seed(monkeypatch):
+    # the same seed and shape, but the zero-weight redraws of the half
+    # target move its generators past where the full target's stood
+    density, space = line_pair()
+    points = np.zeros((64, 1))
+    settings = SamplerSettings(sigma=0.05, burn_in=0, samples=50, thinning=1, seed=3, tune=False)
+    half = HalfTarget(density, space)
+    cold = _cold(monkeypatch, half, points, settings)
+    run_conditional_batch(FullTarget(density, space), points, settings, {"sats": _sats})
+    warm = run_conditional_batch(half, points, settings, {"sats": _sats})
+    _assert_same_batch(cold, warm)
+    assert 0.0 < cold.acceptance.mean() < 1.0
+
+
+def test_held_draw_at_most_one_step_chunk(monkeypatch):
+    ansatz, points = _pair_n3()
+    settings = SamplerSettings(sigma=0.5, burn_in=40, samples=20, thinning=2, seed=5)
+    _cold(monkeypatch, ansatz, points, settings)
+    assert sum(x.nbytes for x in sampler._held[1]) <= sampler._VARIATE_BYTES
+    _steps_per_chunk(monkeypatch, 16, len(points), dim=3)  # 80 steps in 5 step-chunks
+    run_conditional_batch(ansatz, points, settings, {"sats": _sats})
+    held = sampler._held[1] if sampler._held else ()
+    assert sum(x.nbytes for x in held) <= sampler._VARIATE_BYTES
+
+
+def test_held_draw_same_for_every_worker_count(monkeypatch):
+    ansatz, points = _pair_n3()
+    settings = SamplerSettings(sigma=0.5, burn_in=40, samples=20, thinning=2, seed=5)
+    cold = _cold(monkeypatch, ansatz, points, settings)
+    for workers in (1, 2, 3):
+        warm = run_conditional_batch(
+            ansatz, points, settings.replace(workers=workers), {"sats": _sats}
+        )
+        _assert_same_batch(cold, warm)
+        again_cold = _cold(monkeypatch, ansatz, points, settings.replace(workers=workers))
+        _assert_same_batch(cold, again_cold)
 
 
 # ---------------------------------------------------------------------------
