@@ -125,14 +125,20 @@ def nelder_mead(
     Exact value ties are broken lexicographically on the parameter
     vector, which keeps runs reproducible on flat regions.  Terminates
     when the simplex value spread falls below tol or the evaluation
-    budget is exhausted.
+    budget is exhausted.  The initial simplex is always evaluated; no
+    other evaluation is made past max_eval, and a search stopped inside
+    an iteration returns the best of the simplex and of the points that
+    iteration evaluated.
     """
     lo, hi = (np.asarray(b, dtype=float) for b in bounds)
     x0 = _fold_into_bounds(np.asarray(x0, dtype=float), lo, hi)
     ndim = x0.size
     evals: list = []
+    budget = max(max_eval, ndim + 1)
 
     def evaluate(x):
+        if len(evals) >= budget:
+            raise _BudgetSpent
         x = _fold_into_bounds(x, lo, hi)
         v = float(fn(x))
         entry = (tuple(x), v)
@@ -152,36 +158,45 @@ def nelder_mead(
         return (entry[1], entry[0])
 
     converged = False
-    while len(evals) < max_eval:
-        simplex.sort(key=sort_key)
-        spread = simplex[-1][1] - simplex[0][1]
-        if spread < tol:
-            converged = True
-            break
-        best, worst = simplex[0], simplex[-1]
-        centroid = np.mean([np.asarray(e[0]) for e in simplex[:-1]], axis=0)
-        xr, fr = evaluate(centroid + (centroid - np.asarray(worst[0])))
-        if fr < best[1]:
-            xe, fe = evaluate(centroid + 2.0 * (centroid - np.asarray(worst[0])))
-            simplex[-1] = (xe, fe) if fe < fr else (xr, fr)
-        elif fr < simplex[-2][1]:
-            simplex[-1] = (xr, fr)
-        else:
-            xc, fc = evaluate(centroid + 0.5 * (np.asarray(worst[0]) - centroid))
-            if fc < worst[1]:
-                simplex[-1] = (xc, fc)
+    try:
+        while len(evals) < max_eval:
+            simplex.sort(key=sort_key)
+            spread = simplex[-1][1] - simplex[0][1]
+            if spread < tol:
+                converged = True
+                break
+            start = len(evals)
+            best, worst = simplex[0], simplex[-1]
+            centroid = np.mean([np.asarray(e[0]) for e in simplex[:-1]], axis=0)
+            xr, fr = evaluate(centroid + (centroid - np.asarray(worst[0])))
+            if fr < best[1]:
+                xe, fe = evaluate(centroid + 2.0 * (centroid - np.asarray(worst[0])))
+                simplex[-1] = (xe, fe) if fe < fr else (xr, fr)
+            elif fr < simplex[-2][1]:
+                simplex[-1] = (xr, fr)
             else:
-                # shrink toward the best vertex
-                xb = np.asarray(best[0])
-                simplex = [best] + [
-                    evaluate(xb + 0.5 * (np.asarray(e[0]) - xb)) for e in simplex[1:]
-                ]
+                xc, fc = evaluate(centroid + 0.5 * (np.asarray(worst[0]) - centroid))
+                if fc < worst[1]:
+                    simplex[-1] = (xc, fc)
+                else:
+                    # shrink toward the best vertex
+                    xb = np.asarray(best[0])
+                    simplex = [best] + [
+                        evaluate(xb + 0.5 * (np.asarray(e[0]) - xb)) for e in simplex[1:]
+                    ]
+    except _BudgetSpent:
+        # stopped inside an iteration: the points it evaluated compete too
+        simplex += evals[start:]
 
     simplex.sort(key=sort_key)
     x_best, f_best = simplex[0]
     return MinimizeResult(
         x=np.asarray(x_best), value=f_best, n_eval=len(evals), converged=converged
     )
+
+
+class _BudgetSpent(Exception):
+    """Raised by nelder_mead's evaluate instead of passing max_eval."""
 
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0

@@ -83,6 +83,21 @@ def test_nelder_mead_zero_budget_returns_simplex_best():
     assert not res.converged
 
 
+def test_nelder_mead_never_passes_its_budget():
+    # the budget is checked before every evaluation, inside an iteration
+    # too, and a search stopped there returns the best point it evaluated
+    fn = lambda x: (1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
+    bounds = (np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
+    for max_eval in range(3, 30):
+        values = []
+        res = nelder_mead(
+            lambda x: values.append(fn(x)) or values[-1], np.array([-1.2, 1.0]), bounds,
+            tol=1e-16, max_eval=max_eval,
+        )
+        assert res.n_eval == len(values) == max_eval
+        assert res.value == min(values)
+
+
 def test_nelder_mead_respects_bounds():
     seen = []
     fn = lambda x: seen.append(np.array(x)) or float((x[0] - 10.0) ** 2 + x[1] ** 2)
@@ -167,6 +182,19 @@ def test_inner_crn_trace_reproducible():
     for ta, tb in zip(a, b):
         assert (ta.gamma, ta.beta, ta.energy) == (tb.gamma, tb.beta, tb.energy)
     assert runs[0].estimate.value == runs[1].estimate.value
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_inner_search_keeps_its_evaluation_budget(n):
+    # an iteration that would pass max_iter_inner stops where the budget ends
+    density = ExponentialDensity(zeta=HE_ZETA, n_electrons=n)
+    space = SpaceSpec(dim=3, radius=1.3, n_electrons=n)
+    settings = search_settings(conditioning_points=16, samples=8, burn_in=16)
+    for seed in range(6):
+        opt = OptimizeSpec(max_iter_inner=12, tol=1e-9, seed=seed)
+        res = inner_minimize(density, space, "pairwise", settings, opt)
+        assert res.n_eval <= opt.max_iter_inner
+        assert len(res.trace) <= opt.max_iter_inner
 
 
 @pytest.mark.parametrize("crn", [True, False])
