@@ -235,23 +235,13 @@ def run_conditional_batch(
             values[name][lo:hi] = rows
 
     def draw(c):
-        global _held
-        if held is not None:
-            for rng, after in zip(rngs, held[2]):
-                rng.bit_generator.state = after
-            return held[1]
         n = min(chunk_steps, total_steps - chunk_starts[c])
         sat_idx, normals, log_unifs = (x[:n] for x in variates[c % len(variates)])
         for rng, (a, b) in zip(rngs, blocks):
             sat_idx[:, a:b] = rng.integers(n_sat, size=(n, b - a))
             normals[:, a:b] = rng.standard_normal((n, b - a, d))
             np.log(rng.random((n, b - a)), out=log_unifs[:, a:b])
-        drawn = sat_idx, normals.reshape(n, m * d), log_unifs
-        if key is not None:
-            for x in drawn:
-                x.flags.writeable = False
-            _held = (key, drawn, [rng.bit_generator.state for rng in rngs])
-        return drawn
+        return sat_idx, normals.reshape(n, m * d), log_unifs
 
     def ahead(c):
         """What runs while step-chunk c steps: observe chunk c - 1, draw chunk c + 1."""
@@ -259,15 +249,15 @@ def run_conditional_batch(
             observe(c - 1)
         return draw(c + 1) if c + 1 < len(chunk_starts) else None
 
-    # a run whose variates fit one step-chunk reuses the held draw if its
-    # generators are where that draw's were, and otherwise holds its own; a
-    # held draw that does not match is let go before this run allocates
+    # a run whose variates fit one step-chunk takes the held draw if its
+    # generators stand where that draw's did, and otherwise holds its own
     global _held
     key = None
     if chunk_steps == total_steps:
         key = (n_sat, m, d, total_steps, [g.bit_generator.state for g in rngs])
-    held = _held if _held is not None and _held[0] == key else None
-    _held = held
+    held = _held  # read once: another thread may replace it
+    held = held if held is not None and held[0] == key else None
+    _held = held  # a draw that does not match goes before this run allocates
     pool = concurrent.futures.ThreadPoolExecutor(1) if settings.workers > 1 else None
     # step-chunk c is drawn into variate buffer c % 2; inline, chunk c + 1 is
     # drawn only once chunk c is stepped, so one buffer serves
@@ -280,7 +270,16 @@ def run_conditional_batch(
         for _ in range(min(2 if pool else 1, len(chunk_starts)))
     ]
     with pool or contextlib.nullcontext():
-        drawn = draw(0)
+        if held is not None:
+            drawn = held[1]
+            for rng, after in zip(rngs, held[2]):
+                rng.bit_generator.state = after
+        else:
+            drawn = draw(0)
+            if key is not None:
+                for x in drawn:
+                    x.flags.writeable = False
+                _held = (key, drawn, [g.bit_generator.state for g in rngs])
         for c, chunk_start in enumerate(chunk_starts):
             job = pool.submit(ahead, c) if pool else None
             sat_idx, normals, log_unifs = drawn

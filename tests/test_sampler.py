@@ -601,8 +601,9 @@ def _assert_same_batch(a, b):
 def test_held_draw_reuse_equals_a_cold_run(monkeypatch):
     ansatz, points = _pair_n3()
     settings = SamplerSettings(sigma=0.5, burn_in=40, samples=20, thinning=2, seed=5)
+    other = settings.replace(seed=6)
     cold = _cold(monkeypatch, ansatz, points, settings)
-    run_conditional_batch(ansatz, points, settings.replace(seed=6), {"sats": _sats})
+    cold_other = _cold(monkeypatch, ansatz, points, other)
     after_other = run_conditional_batch(ansatz, points, settings, {"sats": _sats})
     held = sampler._held
     again = run_conditional_batch(ansatz, points, settings, {"sats": _sats})
@@ -610,6 +611,8 @@ def test_held_draw_reuse_equals_a_cold_run(monkeypatch):
     _assert_same_batch(cold, after_other)
     _assert_same_batch(cold, again)
     assert held[1] and all(not x.flags.writeable for x in held[1])
+    other_after = run_conditional_batch(ansatz, points, other, {"sats": _sats})
+    _assert_same_batch(cold_other, other_after)
 
 
 class FullTarget(HalfTarget):
@@ -630,7 +633,7 @@ def test_held_draw_is_keyed_by_generator_state_not_seed(monkeypatch):
     settings = SamplerSettings(sigma=0.05, burn_in=0, samples=50, thinning=1, seed=3, tune=False)
     half = HalfTarget(density, space)
     cold = _cold(monkeypatch, half, points, settings)
-    run_conditional_batch(FullTarget(density, space), points, settings, {"sats": _sats})
+    _cold(monkeypatch, FullTarget(density, space), points, settings)
     warm = run_conditional_batch(half, points, settings, {"sats": _sats})
     _assert_same_batch(cold, warm)
     assert 0.0 < cold.acceptance.mean() < 1.0
