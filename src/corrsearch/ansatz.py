@@ -9,7 +9,10 @@ per step and passes that move as a hint, together with a per-chain
 state the family filled once per block, so families with pair sums can
 return the chain's current value plus the change in the O(S) terms that
 involve the moved satellite, reading every old term from that state
-instead of re-evaluating all O(S^2) terms.
+instead of re-evaluating all O(S^2) terms.  The sampler stores its
+chains with the chain axis last, so the arrays of a hinted call are
+views of that store, and the pairwise family keeps its chain state
+chain-last too: every per-step operation runs one long loop over chains.
 
 This module owns the family registry: each family class declares its
 name and capabilities as class attributes and the coupling values that
@@ -118,7 +121,9 @@ class ConditionalAnsatz:
     chains with r of shape (m, d) and satellites (m, S, d): satellites is
     the full proposal, which differs from chain c's current state only in
     satellite k[c] (integer array (m,)), moved from old[c] to new[c]
-    (arrays (m, d)); log_old (m,) is the current, finite value, and
+    (arrays (m, d)); all three may be strided views, and with one
+    satellite satellites is new itself, as an (m, 1, d) view.  log_old
+    (m,) is the current, finite value, and
     state is what chain_state(r, current satellites) returned at the
     block's start, kept current by the sampler through state.commit(accept)
     after every hinted call.  A family may return log_old plus the change
@@ -215,13 +220,14 @@ class ConditionalAnsatz:
 
 
 class PairChainState:
-    """The pairwise family's per-chain terms of one sampler block.
+    """The pairwise family's per-chain terms of one sampler block, chain
+    axis last.
 
     rho_r: (m,) rho at each chain's conditioning point.
-    e_cond: (m, S) conditioning terms E_H(r, s_j); held when gamma > 0
+    e_cond: (S, m) conditioning terms E_H(r, s_j); held when gamma > 0
         and S >= 2.
-    e_pair: (m, S, S) satellite pair terms E_H(s_i, s_j), symmetric with a
-        zero diagonal, and rho_sat: (m, S) rho at each satellite; held
+    e_pair: (S, S, m) satellite pair terms E_H(s_i, s_j), symmetric with a
+        zero diagonal, and rho_sat: (S, m) rho at each satellite; held
         when beta > 0 and S >= 2.
     Terms not held are None: with one satellite the full formula, which
     reads only rho_r, is the cheaper one.
@@ -232,29 +238,31 @@ class PairChainState:
     chains' current states.
     """
 
-    def __init__(self, rho_r, rho_sat, e_cond, e_pair, n_sat):
+    def __init__(self, rho_r, rho_sat, e_cond, e_pair):
         self.rho_r, self.rho_sat, self.e_cond, self.e_pair = rho_r, rho_sat, e_cond, e_pair
-        self.first = np.arange(len(rho_r)) * n_sat  # flat index of each chain's satellite 0
-        # satellite indices j != k in ascending order, one row per k
-        j = np.arange(n_sat - 1)
-        self.others = j + (j >= np.arange(n_sat)[:, None])  # (S, S - 1)
+        m = len(rho_r)
+        self.chains = np.arange(m)
+        if e_pair is not None:
+            j = np.arange(len(e_pair))[:, None]
+            # flat offsets of e_pair[j, 0, 0] and of e_pair[0, j, 0]
+            self.down, self.across = j * e_pair[0].size, j * m
         self.pending = None
 
     def commit(self, accept: np.ndarray) -> None:
         """Take in the pending terms of the chains whose move was accepted."""
         if self.pending is None:
             return
-        pos, e_new, rho_new, kj, jk, pair_new = self.pending
+        k, pos, e_new, rho_new, pair_new = self.pending
         acc = accept.nonzero()[0]
         pos = pos[acc]
         if e_new is not None:
             self.e_cond.reshape(-1)[pos] = e_new[acc]
         if pair_new is not None:
             self.rho_sat.reshape(-1)[pos] = rho_new[acc]
-            pair_new = pair_new[acc]
+            pair_new = np.take(pair_new, acc, axis=1)
             flat = self.e_pair.reshape(-1)
-            flat[kj[acc]] = pair_new
-            flat[jk[acc]] = pair_new
+            flat[self.down + pos] = pair_new  # column k: e_pair[j, k, c]
+            flat[self.across + (k[acc] * self.e_pair[0].size + acc)] = pair_new  # row k
 
 
 class PairwiseBiparametric(ConditionalAnsatz):
@@ -311,8 +319,8 @@ class PairwiseBiparametric(ConditionalAnsatz):
     def _moved_log(self, r, satellites, k, old, new, log_old, state):
         """The hinted path: log_old plus the change of the support term and
         of the terms that involve satellite k.  Only rho(new), the new
-        conditioning term and the S - 1 new pair terms are evaluated; the
-        old terms come from the chain state.  They are finite, since the
+        conditioning term and the new pair terms are evaluated; the old
+        terms come from the chain state.  They are finite, since the
         current state has finite log f~, so the E_H conventions carry over:
         a new coincidence gives -inf.  With one satellite the full formula
         has a single term and is kept, so the value is exactly a fresh
@@ -327,24 +335,22 @@ class PairwiseBiparametric(ConditionalAnsatz):
         if n_sat == 1:
             total = np.where(inside, 0.0, -np.inf)
             return total if e_new is None else total - self.gamma * e_new
-        flat = satellites.reshape(-1, self.dim)  # satellite j of chain c at row c S + j
-        pos = state.first + k
+        pos = k * len(k) + state.chains  # (k[c], c) in a flat (S, m) array
         total = np.where(inside, log_old, -np.inf)
         if e_new is not None:
             total = total - self.gamma * (e_new - np.take(state.e_cond, pos))
-        kj = jk = pair_new = None
+        pair_new = None
         if state.e_pair is not None:
-            others = np.take(state.others, k, axis=0)  # (m, S - 1): j != k
-            rows = state.first[:, None] + others
+            # the moved satellite against all S satellites, chain axis last;
+            # its own term, at distance 0, is set to 0, and adding 0.0 in
+            # order leaves the sum over the S - 1 others exact
             pair_new = _weighted_kernel(
-                space,
-                rho_new[:, None] * np.take(state.rho_sat, rows),
-                new[:, None, :] - np.take(flat, rows, axis=0),
+                space, rho_new * state.rho_sat, new - satellites.transpose(1, 0, 2)
             )
-            kj = pos[:, None] * n_sat + others  # e_pair[c, k, j], flat
-            jk = rows * n_sat + k[:, None]  # e_pair[c, j, k], flat
-            total = total - self.beta * sum_last(pair_new - np.take(state.e_pair, kj))
-        state.pending = (pos, e_new, rho_new, kj, jk, pair_new)
+            pair_new[k, state.chains] = 0.0
+            diff = pair_new - np.take(state.e_pair, state.down + pos)
+            total = total - self.beta * sum_last(diff.T)
+        state.pending = (k, pos, e_new, rho_new, pair_new)
         return total
 
     def chain_state(self, r, satellites):
@@ -356,16 +362,17 @@ class PairwiseBiparametric(ConditionalAnsatz):
             rho = self.density.value(satellites)
             if self.gamma > 0.0:
                 e_cond = _weighted_kernel(space, rho_r[:, None] * rho, satellites - r[:, None, :])
+                e_cond = e_cond.T.copy()
             if self.beta > 0.0:
                 ii, jj = _satellite_pairs(n_sat)
                 e = _weighted_kernel(
                     space, rho[:, ii] * rho[:, jj], satellites[:, ii] - satellites[:, jj]
-                )
-                rho_sat = rho
-                e_pair = np.zeros((len(r), n_sat, n_sat))
-                e_pair[:, ii, jj] = e
-                e_pair[:, jj, ii] = e
-        return PairChainState(rho_r, rho_sat, e_cond, e_pair, n_sat)
+                ).T
+                rho_sat = rho.T.copy()
+                e_pair = np.zeros((n_sat, n_sat, len(r)))
+                e_pair[ii, jj] = e
+                e_pair[jj, ii] = e
+        return PairChainState(rho_r, rho_sat, e_cond, e_pair)
 
     def score(self, r, satellites):
         r, satellites = self._check_shapes(r, satellites)
@@ -412,7 +419,9 @@ class FrozenOrbitalProduct(ConditionalAnsatz):
     closed_form_coulomb = True
 
     def log_unnormalized(self, r, satellites, moved=None):
-        r, satellites = self._check_shapes(r, satellites)
+        # np.sum adds 8 or more terms in an order set by the memory layout,
+        # so the sampler's chain-last views are summed as a C-ordered copy
+        r, satellites = self._check_shapes(r, np.ascontiguousarray(satellites))
         vals = self.density.value(satellites) / self.n_electrons
         with np.errstate(divide="ignore"):
             return np.sum(np.log(vals), axis=-1)
@@ -447,7 +456,8 @@ class GaussianToy(ConditionalAnsatz):
 
     def log_unnormalized(self, r, satellites, moved=None):
         r, satellites = self._check_shapes(r, satellites)
-        delta = satellites - r[..., None, :]
+        # summed in C order, whatever the layout, as FrozenOrbitalProduct does
+        delta = np.subtract(satellites, r[..., None, :], order="C")
         return -np.sum(delta * delta, axis=(-2, -1)) / (2.0 * self.width**2)
 
     def score(self, r, satellites):

@@ -9,6 +9,7 @@ bounds the one-particle volume ``omega`` and uniform proposal draws.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,9 +112,8 @@ class Density:
     All models integrate to ``n_electrons`` over the unbounded domain.
     ``value`` and ``gradient`` accept arrays of shape (..., dim);
     ``value`` also takes the points' sq_norm when the caller has it (the
-    radial models then skip recomputing it, and the single exponential
-    skips checking the points).  ``sample`` draws positions
-    from the probability density rho/N.
+    radial models then skip recomputing it and checking the points).
+    ``sample`` draws positions from the probability density rho/N.
     """
 
     dim: int
@@ -205,33 +205,28 @@ class ExponentialMixtureDensity(Density):
             raise DomainError("mixture weights must be non-negative")
         if not abs(sum(self.weights) - 1.0) <= 1e-12:
             raise DomainError("mixture weights must sum to 1")
-
-    def _components(self):
-        return [
-            ExponentialDensity(z, self.n_electrons, self.dim)
-            for z in self.zetas
-        ]
+        parts = tuple(ExponentialDensity(z, self.n_electrons, self.dim) for z in self.zetas)
+        object.__setattr__(self, "_components", parts)
 
     def value(self, points, r2=None):
-        points = _check_points(points, self.dim)
         if r2 is None:
-            r2 = sq_norm(points)
-        out = np.zeros(points.shape[:-1])
-        for w, comp in zip(self.weights, self._components()):
+            r2 = sq_norm(_check_points(points, self.dim))
+        out = np.zeros(np.shape(r2))
+        for w, comp in zip(self.weights, self._components):
             out = out + w * comp.value(points, r2)
         return out
 
     def gradient(self, points):
         points = _check_points(points, self.dim)
         out = np.zeros(points.shape)
-        for w, comp in zip(self.weights, self._components()):
+        for w, comp in zip(self.weights, self._components):
             out = out + w * comp.gradient(points)
         return out
 
     def sample(self, n, rng):
         ks = rng.choice(len(self.zetas), size=n, p=np.asarray(self.weights))
         out = np.empty((n, self.dim))
-        for k, comp in enumerate(self._components()):
+        for k, comp in enumerate(self._components):
             mask = ks == k
             cnt = int(mask.sum())
             if cnt:
@@ -354,8 +349,16 @@ class QuadratureGrid:
         return float(np.sum(self.weights * fn(self.nodes)))
 
 
-def _gauss_legendre(n: int, lo: float, hi: float):
+@functools.lru_cache(maxsize=None)
+def _unit_gauss_legendre(n: int):
+    """The n-node Gauss-Legendre rule on [-1, 1], solved once per n, read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gauss_legendre(n: int, lo: float, hi: float):
+    x, w = _unit_gauss_legendre(n)
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
 

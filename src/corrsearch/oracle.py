@@ -188,6 +188,18 @@ def _sector_hamiltonian(kin, potential_sum, ii, jj, sign):
     return ham
 
 
+def _ground_state(ham: np.ndarray) -> np.ndarray:
+    """The unit eigenvector of the lowest eigenvalue of a symmetric matrix,
+    with its largest-magnitude component positive: eigvalsh gives the
+    eigenvalue and one step of inverse iteration just below it the vector,
+    where eigh would compute every eigenvector."""
+    e0 = np.linalg.eigvalsh(ham)[0]
+    # the step damps every other eigenvector by about 1e-12 |e0| / gap
+    shifted = ham - (e0 - 1e-12 * max(1.0, abs(e0))) * np.eye(len(ham))
+    vec = np.linalg.solve(shifted, np.ones(len(ham)))
+    return vec / (np.linalg.norm(vec) * np.sign(vec[np.argmax(np.abs(vec))]))
+
+
 def solve_two_particle_1d(
     n_points: int,
     extent: float,
@@ -217,7 +229,7 @@ def solve_two_particle_1d(
     ii, jj = np.triu_indices(m, k=1 if symmetry == "fermion" else 0)
     potential_sum = v[ii] + v[jj] + soft_kernel(x, softening)[ii, jj]
     h_sector = _sector_hamiltonian(kinetic_matrix(m, h), potential_sum, ii, jj, sign)
-    ground = np.linalg.eigh(h_sector)[1][:, 0] * np.where(ii == jj, 1.0, 1.0 / np.sqrt(2.0))
+    ground = _ground_state(h_sector) * np.where(ii == jj, 1.0, 1.0 / np.sqrt(2.0))
     psi = np.zeros((m, m))
     psi[ii, jj] = ground
     psi[jj, ii] = sign * ground

@@ -3,17 +3,22 @@
 One step loop advances every chain of a batch in lockstep.  Each step
 displaces one uniformly chosen satellite per chain by a Gaussian step and
 accepts with probability min(1, f~'/f~).  Proposals with f~ = 0 (outside
-the support, or at a coincidence) are always rejected.  The proposal is
-written into the batch's satellites in place, through a flat view of them
-and the element indices of the moved coordinates, and evaluated with one
-`log_unnormalized` call that carries the move as a hint (moved
-satellite, its old and new positions, the current log f~ and the
-family's chain state), so a family can add only the terms that involve
-the moved satellite; rejected moves are then undone.  The chain state is the
-family's per-chain cache (for `pairwise`: rho(r), and the conditioning
-and satellite pair terms of the current state).  The family fills it
-once per batch from the final starts, and the sampler commits the
-accepted moves into it after every step.
+the support, or at a coincidence) are always rejected.  The batch stores
+its satellites, conditioning points, step variates and kept samples with
+the chain axis last ((S, d, m), (d, m), (steps, d, m), (kept, S, d, m)),
+so every per-step operation runs one long loop over chains; families and
+observables get (m, S, d) and (m, d) views of the store.  Each proposal
+is evaluated with one `log_unnormalized` call that carries the move as a
+hint (moved satellite, its old and new positions, the current log f~ and
+the family's chain state), so a family can add only the terms that
+involve the moved satellite.  With one satellite the proposal is new
+itself and accepted moves are copied in; with more it is written into the
+store in place, through a flat view and one index array per step, and
+undone where rejected.  The chain state is the family's per-chain cache
+(for `pairwise`: rho(r), and the conditioning and satellite pair terms of
+the current state).  The family fills it once per batch from the final
+starts, and the sampler commits the accepted moves into it after every
+step.
 
 Randomness discipline: chains are split into blocks of a fixed `_CHUNK`
 chains, and each block owns one generator derived from the master seed
@@ -167,9 +172,11 @@ def run_conditional_batch(
         r_points: (M, d) conditioning points; each spawns `walkers` chains.
         observables: name -> fn(r (m, d), sats (c, m, S, d)) returning one
             row per kept sample, shape (c, m, ...), for all m = M * walkers
-            chains.  It is called on the c kept samples of one step-chunk
-            at a time, in order, so it must treat each sample on its own;
-            with workers > 1 it runs on the pool thread.
+            chains; sats is a chain-last view, so a reduction over it
+            that must not depend on the layout takes a C-ordered copy.
+            It is called on the c kept samples of one step-chunk at a
+            time, in order, so it must treat each sample on its own; with
+            workers > 1 it runs on the pool thread.
 
     Returns:
         BatchResult whose values arrays have shape (K, M * walkers, ...):
@@ -190,34 +197,38 @@ def run_conditional_batch(
     # share of the step variates one step-chunk at a time
     blocks = [(a, min(a + _CHUNK, m)) for a in range(0, m, _CHUNK)]
     rngs = [substream(settings.seed, _NS_CHAIN, a) for a, _ in blocks]
-    # an own C-ordered array: moves are written in place through a flat view
-    cur = np.concatenate(
+    starts = np.concatenate(
         [ansatz.start_candidates(r[a:b], rng) for rng, (a, b) in zip(rngs, blocks)], dtype=float
     )
-    log_cur = ansatz.log_unnormalized(r, cur)
+    log_cur = ansatz.log_unnormalized(r, starts)
     redo = np.flatnonzero(~np.isfinite(log_cur))
     if redo.size:
         for j in redo:
-            cur[j] = ansatz.initial_satellites(r[j], rngs[j // _CHUNK])
-        log_cur[redo] = ansatz.log_unnormalized(r[redo], cur[redo])
+            starts[j] = ansatz.initial_satellites(r[j], rngs[j // _CHUNK])
+        log_cur[redo] = ansatz.log_unnormalized(r[redo], starts[redo])
         if not np.all(np.isfinite(log_cur)):
             raise EstimatorError("chain initialization produced zero-weight states")
 
-    state = ansatz.chain_state(r, cur)
+    state = ansatz.chain_state(r, starts)
+    # the chains' satellites, chain axis last: coordinate i of satellite j of
+    # chain c is sats[j, i, c], and families see the (m, S, d) view cur;
+    # the conditioning points are stored chain-last too
+    sats = np.ascontiguousarray(starts.transpose(1, 2, 0))
+    cur = sats.transpose(2, 0, 1)
+    r = np.ascontiguousarray(r.T).T
     sigma = np.full(m, settings.sigma)
-    sigma_elems = np.repeat(sigma, d)  # sigma per moved coordinate
     accepted_window = np.zeros(m)
     accepted_meas = np.zeros(m)
     # the moved coordinates are read and written through a flat view of the
-    # satellites: coordinate i of satellite j of chain c is element (c S + j) d + i
-    cur_1d = cur.reshape(-1)
-    first = ((np.arange(m) * (n_sat * d))[:, None] + np.arange(d)).reshape(-1)  # satellite 0
+    # satellites: those of satellite 0 of every chain sit at elements first
+    sats_1d = sats.reshape(-1)
+    first = np.arange(d * m).reshape(d, m)
     # steps per variate draw; the batch holds at most two step-chunks of variates
     chunk_steps = min(total_steps, max(1, _VARIATE_BYTES // (8 * (d + 2) * m)))
     chunk_starts = range(0, total_steps, chunk_steps)
     # two buffers of one step-chunk's kept samples, used alternately: the
     # loop fills one while the other is observed
-    kept = np.empty((2, min(settings.samples, -(-chunk_steps // settings.thinning)), m, n_sat, d))
+    kept = np.empty((2, min(settings.samples, -(-chunk_steps // settings.thinning)), n_sat, d, m))
     values = {}
 
     def kept_before(t):
@@ -229,7 +240,7 @@ def run_conditional_batch(
         if hi == lo:
             return
         for name, fn in observables.items():
-            rows = np.asarray(fn(r, kept[c % 2, : hi - lo]))
+            rows = np.asarray(fn(r, kept[c % 2, : hi - lo].transpose(0, 3, 1, 2)))
             if name not in values:
                 values[name] = np.empty((settings.samples,) + rows.shape[1:], rows.dtype)
             values[name][lo:hi] = rows
@@ -239,9 +250,9 @@ def run_conditional_batch(
         sat_idx, normals, log_unifs = (x[:n] for x in variates[c % len(variates)])
         for rng, (a, b) in zip(rngs, blocks):
             sat_idx[:, a:b] = rng.integers(n_sat, size=(n, b - a))
-            normals[:, a:b] = rng.standard_normal((n, b - a, d))
+            normals[:, :, a:b] = rng.standard_normal((n, b - a, d)).transpose(0, 2, 1)
             np.log(rng.random((n, b - a)), out=log_unifs[:, a:b])
-        return sat_idx, normals.reshape(n, m * d), log_unifs
+        return sat_idx, normals, log_unifs
 
     def ahead(c):
         """What runs while step-chunk c steps: observe chunk c - 1, draw chunk c + 1."""
@@ -264,7 +275,7 @@ def run_conditional_batch(
     variates = [] if held else [
         (
             np.empty((chunk_steps, m), np.int64),
-            np.empty((chunk_steps, m, d)),
+            np.empty((chunk_steps, d, m)),
             np.empty((chunk_steps, m)),
         )
         for _ in range(min(2 if pool else 1, len(chunk_starts)))
@@ -283,21 +294,31 @@ def run_conditional_batch(
         for c, chunk_start in enumerate(chunk_starts):
             job = pool.submit(ahead, c) if pool else None
             sat_idx, normals, log_unifs = drawn
-            # element offsets of the moved satellites; one satellite sits at offset 0
-            kd = sat_idx * d if n_sat > 1 else None
+            # element offsets of the moved satellites; one satellite is row 0
+            kdm = sat_idx * (d * m) if n_sat > 1 else None
             buf, n_kept = kept[c % 2], 0
             with np.errstate(divide="ignore", invalid="ignore"):
                 for i in range(len(sat_idx)):
                     t = chunk_start + i
-                    # the proposal is made in place and undone where it is rejected
-                    elems = first if kd is None else first + np.repeat(kd[i], d)
-                    old = cur_1d[elems]
-                    new = old + sigma_elems * normals[i]
-                    cur_1d[elems] = new
-                    hint = (sat_idx[i], old.reshape(m, d), new.reshape(m, d), log_cur, state)
-                    log_new = ansatz.log_unnormalized(r, cur, moved=hint)
+                    if kdm is None:
+                        # the proposal is new itself; accepted moves are copied in
+                        old = sats[0]
+                        new = old + sigma * normals[i]
+                        proposal = new.T[:, None, :]
+                    else:
+                        # the proposal is made in place and undone where it is rejected
+                        elems = first + kdm[i]
+                        old = sats_1d[elems]
+                        new = old + sigma * normals[i]
+                        sats_1d[elems] = new
+                        proposal = cur
+                    hint = (sat_idx[i], old.T, new.T, log_cur, state)
+                    log_new = ansatz.log_unnormalized(r, proposal, moved=hint)
                     accept = log_unifs[i] < (log_new - log_cur)
-                    cur_1d[elems] = np.where(np.repeat(accept, d), new, old)
+                    if kdm is None:
+                        np.copyto(old, new, where=accept)
+                    else:
+                        sats_1d[elems] = np.where(accept, new, old)
                     log_cur = np.where(accept, log_new, log_cur)
                     if state is not None:
                         state.commit(accept)
@@ -308,12 +329,11 @@ def run_conditional_batch(
                             rate = accepted_window / settings.tune_interval
                             sigma = np.where(rate > ACCEPTANCE_WINDOW[1], sigma * 1.25, sigma)
                             sigma = np.where(rate < ACCEPTANCE_WINDOW[0], sigma / 1.25, sigma)
-                            sigma_elems = np.repeat(sigma, d)
                             accepted_window[:] = 0.0
                     else:
                         accepted_meas += accept
                         if (t - settings.burn_in) % settings.thinning == settings.thinning - 1:
-                            buf[n_kept] = cur
+                            buf[n_kept] = sats
                             n_kept += 1
             drawn = job.result() if pool else ahead(c)
         observe(len(chunk_starts) - 1)

@@ -274,6 +274,60 @@ def test_move_hint_matches_full_evaluation(name, n, dim):
         scale = np.maximum(scale, np.abs(log_cur))
 
 
+@pytest.mark.parametrize("n,dim", [(2, 3), (3, 3), (6, 3), (3, 1)])
+@pytest.mark.parametrize("beta", [0.0, 1.5])
+def test_hinted_kernel_does_not_depend_on_layout(n, dim, beta):
+    # the sampler passes the family views of its chain-last (S, d, m) store
+    # and (d, m) points, and with one satellite the proposal is new itself;
+    # the same moves as C-ordered copies must give the same hinted values
+    # and chain states, bit for bit
+    density = ExponentialDensity(zeta=1.0, n_electrons=n, dim=dim)
+    space = SpaceSpec(dim=dim, radius=4.0, n_electrons=n)
+    ans = PairwiseBiparametric(density, space, gamma=0.8, beta=beta)
+    n_sat, m = n - 1, 64
+    rng = np.random.default_rng(n * 10 + dim)
+    rows = np.arange(m)
+    r = density.sample(m, rng)
+    start = np.stack([ans.initial_satellites(r[c], rng) for c in range(m)])
+    store = np.ascontiguousarray(start.transpose(1, 2, 0))
+    log_cur = ans.log_unnormalized(r, start)
+    states = [ans.chain_state(r, store.transpose(2, 0, 1)), ans.chain_state(r, start)]
+    names = ("rho_r", "rho_sat", "e_cond", "e_pair")
+    for step in range(120):
+        k = rng.integers(n_sat, size=m)
+        old = np.ascontiguousarray(store[k, :, rows].T)  # (d, m), as the loop gathers it
+        new = old + 0.6 * rng.standard_normal((dim, m))
+        kind = step % 4  # exact zero-weight targets: r, another satellite, outside omega
+        if kind == 1:
+            new[:, ::5] = r[::5].T
+        elif kind == 2 and n_sat >= 2:
+            new[:, ::5] = store[(k + 1) % n_sat, :, rows][::5].T
+        elif kind == 3:
+            new[:, ::5] = 1.5 * space.omega_radius
+        proposal = store.copy()
+        proposal[k, :, rows] = new.T
+        sats = new.T[:, None, :] if n_sat == 1 else proposal.transpose(2, 0, 1)
+        views = (np.ascontiguousarray(r.T).T, sats, old.T, new.T)
+        copies = tuple(np.ascontiguousarray(a) for a in views)
+        with np.errstate(divide="ignore", invalid="ignore"):  # as in the step loop
+            got = [
+                ans.log_unnormalized(rr, a, moved=(k, o, nw, log_cur, st))
+                for (rr, a, o, nw), st in zip((views, copies), states)
+            ]
+        np.testing.assert_array_equal(got[0], got[1])
+        accept = np.log(rng.random(m)) < got[0] - log_cur
+        for st in states:
+            st.commit(accept)
+        for name in names:
+            held, want = getattr(states[0], name), getattr(states[1], name)
+            assert (held is None) == (want is None), name
+            if held is not None:
+                np.testing.assert_array_equal(held, want, err_msg=name)
+        store[..., accept] = proposal[..., accept]
+        log_cur = np.where(accept, got[0], log_cur)
+    assert 0 < accept.sum() < m
+
+
 def test_parameter_validation():
     density, space = he_pair()
     with pytest.raises(AnsatzError):

@@ -5,6 +5,7 @@ import pytest
 
 from corrsearch.domain import (
     DomainError,
+    _unit_gauss_legendre,
     ExponentialDensity,
     ExponentialMixtureDensity,
     ExternalPotential,
@@ -338,3 +339,30 @@ def test_in_order_sums_are_bit_equal_to_the_reduction(shape):
     for layout in (points, np.asfortranarray(points), points[..., ::-1]):
         np.testing.assert_array_equal(sum_last(layout), np.sum(layout, axis=-1))
         np.testing.assert_array_equal(sq_norm(layout), np.sum(layout * layout, axis=-1))
+
+
+@pytest.mark.parametrize("n", [24, 128, 160])
+def test_gauss_legendre_unit_rule_is_cached_and_read_only(n):
+    # every grid of n nodes shares one solved rule: it must be leggauss's
+    # bit for bit, and no caller may write into it
+    x, w = _unit_gauss_legendre(n)
+    want_x, want_w = np.polynomial.legendre.leggauss(n)
+    np.testing.assert_array_equal(x, want_x)
+    np.testing.assert_array_equal(w, want_w)
+    assert _unit_gauss_legendre(n)[0] is x
+    for a in (x, w):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+@pytest.mark.parametrize("dim", [3, 1])
+def test_mixture_hinted_value_on_strided_views(dim):
+    # the step loop passes rho the moved satellites as an (m, d) view of a
+    # chain-last (d, m) array, with their sq_norm; that must equal a full
+    # evaluation of the same points as a C-ordered array
+    mix = ExponentialMixtureDensity(zetas=(0.8, 2.0), weights=(0.3, 0.7), n_electrons=3, dim=dim)
+    new = np.random.default_rng(dim).standard_normal((dim, 128)).T
+    assert not new.flags.c_contiguous or dim == 1
+    hinted = mix.value(new, sq_norm(new))
+    np.testing.assert_array_equal(hinted, mix.value(np.ascontiguousarray(new)))
+    assert hinted.shape == (128,)

@@ -19,7 +19,9 @@ from corrsearch.oracle import (
     direct_expectation_product,
     extract_f,
     grid_coulomb_expectation,
+    _ground_state,
     _sector_hamiltonian,
+    soft_kernel,
     kinetic_matrix,
     lattice_fisher,
     lattice_gamma,
@@ -217,6 +219,25 @@ def test_sector_hamiltonian_matches_projected_product_space(symmetry):
         basis[j * m + i, p] += 0.0 if i == j else sign * np.sqrt(0.5)
     got = _sector_hamiltonian(kin, v[ii] + v[jj] + w[ii, jj], ii, jj, sign)
     np.testing.assert_allclose(got, basis.T @ ham @ basis, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("m", [8, 32])
+@pytest.mark.parametrize("symmetry", ["boson", "fermion"])
+def test_ground_state_matches_full_diagonalization(symmetry, m):
+    # the solver's ground state (eigvalsh plus inverse iteration) against
+    # the lowest eigenpair of eigh on the same sector matrix
+    x = np.linspace(-6.0, 6.0, m)
+    sign = -1.0 if symmetry == "fermion" else 1.0
+    ii, jj = np.triu_indices(m, k=1 if symmetry == "fermion" else 0)
+    potential = soft_atom(x)[ii] + soft_atom(x)[jj] + soft_kernel(x, 1.0)[ii, jj]
+    ham = _sector_hamiltonian(kinetic_matrix(m, x[1] - x[0]), potential, ii, jj, sign)
+    values, vectors = np.linalg.eigh(ham)
+    vec = _ground_state(ham)
+    assert abs(vec @ ham @ vec - values[0]) <= 1e-12 * abs(values[0])
+    assert abs(np.linalg.eigvalsh(ham)[0] - values[0]) <= 1e-12 * abs(values[0])
+    assert vec[np.argmax(np.abs(vec))] > 0.0
+    want = vectors[:, 0] * np.sign(vectors[np.argmax(np.abs(vectors[:, 0])), 0])
+    np.testing.assert_allclose(vec, want, rtol=0.0, atol=1e-11)
 
 
 @pytest.mark.parametrize("m", [4, 16, 32, 64])
