@@ -73,7 +73,9 @@ class SamplerConfig:
     sigma: float = SamplerSettings.sigma
     seed: int = SamplerSettings.seed
     tune: bool = SamplerSettings.tune
-    workers: int = SamplerSettings.workers
+    # no effect: the sampler picks its pool thread from the batch's size;
+    # kept, range-checked, so that existing files still load
+    workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -302,7 +304,10 @@ def build_sampler_settings(cfg: RunConfig) -> SamplerSettings:
     if cfg.sampler.samples < 2:
         # the within-chain score variance needs two kept samples
         raise ConfigError("[sampler] samples must be >= 2")
-    return _in_section("sampler", SamplerSettings, **asdict(cfg.sampler))
+    if cfg.sampler.workers < 1:
+        raise ConfigError("[sampler] workers must be >= 1")
+    kw = {k: v for k, v in asdict(cfg.sampler).items() if k != "workers"}
+    return _in_section("sampler", SamplerSettings, **kw)
 
 
 def build_optimize_spec(cfg: RunConfig) -> OptimizeSpec:

@@ -19,7 +19,7 @@ chose it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -279,7 +279,7 @@ def inner_minimize(
         if opt.crn
         else settings.seed
     )
-    search_settings = settings.replace(seed=crn_seed)
+    search_settings = replace(settings, seed=crn_seed)
     memo: dict[tuple[float, ...], GammaEstimate] = {}
 
     def search_estimate(g, b) -> GammaEstimate:
@@ -336,7 +336,7 @@ def fresh_estimate(
 ) -> GammaEstimate:
     """Gamma of a search's winner on the fresh seed of opt.seed, so the
     reported value carries no selection bias from the search."""
-    eval_settings = settings.replace(seed=fresh_seed(opt.seed))
+    eval_settings = replace(settings, seed=fresh_seed(opt.seed))
     return gamma_correlation(density, ansatz, eval_settings, prefactor, method)
 
 

@@ -30,8 +30,9 @@ candidate has f~ = 0, and then draws its share of the step variates
 whatever the accept/reject outcomes.  The step-chunk length comes from
 the batch's chain count and a fixed byte budget (`_VARIATE_BYTES`), so a
 batch holds at most two step-chunks of variates, whatever its size.
-Neither the blocks nor the step-chunks depend on the worker count, so
-batch results are bit-identical for any number of workers and on reruns.
+Neither the blocks nor the step-chunks depend on whether the pool thread
+runs, so batch results are bit-identical with and without it, and on
+reruns.
 When a run's variates fit one step-chunk, the process holds them,
 read-only, with its generators' states before and after the draw.  The
 next such run whose generators stand where the held draw's did after
@@ -52,18 +53,22 @@ buffer is passed to every observable, whose rows are stored.  The whole
 run's kept satellites are never held at once; what a batch holds is one
 row per kept sample of each observable.
 
-Workers: with `workers` = 1 everything runs on the calling thread.  Any
-larger value adds the same one pool thread, which draws step-chunk c + 1 and
+Pool thread: a batch of more than one stream block and more than one
+step-chunk starts one pool thread, which draws step-chunk c + 1 and
 observes step-chunk c - 1 while the loop steps chunk c.  Generator fills
 and large array loops release the GIL, so that work overlaps the loop.
-The calls and their order per stream are the same either way.
+Every other batch does that work inline, after each step-chunk, with one
+variate buffer: a one-step-chunk batch has nothing to overlap, and
+ROADMAP item 8 records the pool and inline timings behind the one-block
+threshold.  The calls and their order per stream are the same either
+way.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
-from dataclasses import dataclass, replace
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,7 +79,9 @@ _NS_CHAIN = 0x636861
 _NS_CONDITIONING = 0x636F6E
 _NS_FRESH = 0x667265
 
-_CHUNK = 1024  # chains per random-stream block; fixed so results never depend on workers
+# chains per random-stream block; fixed, so results never depend on the
+# pool thread, which only a batch of more than one block starts
+_CHUNK = 1024
 _VARIATE_BYTES = 4 * 2**20  # step variates of one step-chunk: 8 (d + 2) bytes per chain-step
 
 # the variates of the last one-step-chunk batch, read-only, for the next batch
@@ -107,13 +114,9 @@ class SamplerSettings:
     thinning: keep every thinning-th step after burn-in.
     walkers: independent chains per conditioning point.
     conditioning_points: outer draws from rho/N per estimate.
-    seed: master seed for the whole stream tree.
+    seed: non-negative master seed for the whole stream tree.
     tune: adapt sigma toward the target acceptance window during burn-in.
     tune_interval: burn-in steps between two step-size adaptations.
-    workers: 1 runs a batch on the calling thread; any larger value adds
-        one pool thread that draws the next step-chunk's variates and
-        observes the last one's kept samples while the loop steps, so
-        every value above 2 acts like 2.  It never changes a result.
     """
 
     sigma: float = 0.5
@@ -125,7 +128,6 @@ class SamplerSettings:
     seed: int = 0
     tune: bool = True
     tune_interval: int = 64
-    workers: int = 1
 
     def __post_init__(self):
         if not (np.isfinite(self.sigma) and self.sigma > 0.0):
@@ -136,11 +138,8 @@ class SamplerSettings:
             raise ValueError("burn_in must be >= 0 and samples, thinning, walkers >= 1")
         if self.conditioning_points < 1:
             raise ValueError("conditioning_points must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be positive")
-
-    def replace(self, **kw) -> "SamplerSettings":
-        return replace(self, **kw)
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 ACCEPTANCE_WINDOW = (0.2, 0.5)
@@ -175,15 +174,16 @@ def run_conditional_batch(
             chains; sats is a chain-last view, so a reduction over it
             that must not depend on the layout takes a C-ordered copy.
             It is called on the c kept samples of one step-chunk at a
-            time, in order, so it must treat each sample on its own; with
-            workers > 1 it runs on the pool thread.
+            time, in order, so it must treat each sample on its own.  A
+            batch of more than one stream block (`_CHUNK` chains) and
+            more than one step-chunk runs it on its one pool thread.
 
     Returns:
         BatchResult whose values arrays have shape (K, M * walkers, ...):
         kept sample first, then the chains in point order (walkers of
         point 0, then walkers of point 1, ...).  Neither the chain blocks
-        nor the step-chunks depend on the worker count, so neither do the
-        results.
+        nor the step-chunks depend on whether the pool thread runs, so
+        neither do the results.
     """
     r_points = np.asarray(r_points, dtype=float)
     n_points, d = r_points.shape
@@ -263,13 +263,13 @@ def run_conditional_batch(
     # a run whose variates fit one step-chunk takes the held draw if its
     # generators stand where that draw's did, and otherwise holds its own
     global _held
-    key = None
-    if chunk_steps == total_steps:
-        key = (n_sat, m, d, total_steps, [g.bit_generator.state for g in rngs])
+    one_chunk = chunk_steps == total_steps
+    key = (n_sat, m, d, total_steps, [g.bit_generator.state for g in rngs]) if one_chunk else None
     held = _held  # read once: another thread may replace it
     held = held if held is not None and held[0] == key else None
     _held = held  # a draw that does not match goes before this run allocates
-    pool = concurrent.futures.ThreadPoolExecutor(1) if settings.workers > 1 else None
+    # the pool thread overlaps the loop only over several blocks and step-chunks
+    pool = ThreadPoolExecutor(1) if m > _CHUNK and not one_chunk else None
     # step-chunk c is drawn into variate buffer c % 2; inline, chunk c + 1 is
     # drawn only once chunk c is stepped, so one buffer serves
     variates = [] if held else [
@@ -278,7 +278,7 @@ def run_conditional_batch(
             np.empty((chunk_steps, d, m)),
             np.empty((chunk_steps, m)),
         )
-        for _ in range(min(2 if pool else 1, len(chunk_starts)))
+        for _ in range(2 if pool else 1)
     ]
     with pool or contextlib.nullcontext():
         if held is not None:

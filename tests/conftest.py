@@ -1,12 +1,25 @@
 """Shared helpers for the test suite."""
 
+import concurrent.futures
+import threading
+
 import numpy as np
 import pytest
 
+from corrsearch import sampler
 from corrsearch.domain import ExponentialDensity, SpaceSpec
 from corrsearch.sampler import SamplerSettings
 
 HE_ZETA = 27.0 / 16.0
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that leaves more threads running than it started with."""
+    before = threading.active_count()
+    yield
+    leaked = threading.active_count() - before
+    assert leaked <= 0, f"{leaked} thread(s) left running: {threading.enumerate()}"
 
 
 @pytest.fixture
@@ -35,7 +48,6 @@ def fast_settings(**kw) -> SamplerSettings:
         sigma=0.5,
         seed=0,
         tune=True,
-        workers=1,
     )
     base.update(kw)
     return SamplerSettings(**base)
@@ -54,3 +66,49 @@ def random_points(rng: np.random.Generator, n: int, dim: int, r_min: float = 0.1
         out[k : k + take] = good[:take]
         k += take
     return out
+
+
+class InlinePool:
+    """A synchronous stand-in for the sampler's one-thread pool: each job
+    runs when it is submitted, on the calling thread."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def steps_per_chunk(monkeypatch, steps, chains, dim=1):
+    """Set the variate budget so that a batch draws `steps` steps at a time."""
+    monkeypatch.setattr(sampler, "_VARIATE_BYTES", steps * 8 * (dim + 2) * chains)
+
+
+def pooled_runs(monkeypatch, run):
+    """run() with the sampler's pool thread, a rerun, and run() with
+    InlinePool in the pool's place; each must start the pool."""
+    real = sampler.ThreadPoolExecutor
+    outs = []
+    for pool in (real, real, InlinePool):
+        started = []
+
+        def counted(max_workers, pool=pool):
+            started.append(max_workers)
+            return pool(max_workers)
+
+        monkeypatch.setattr(sampler, "ThreadPoolExecutor", counted)
+        outs.append(run())
+        assert started, "the batch did not start the pool"
+    monkeypatch.setattr(sampler, "ThreadPoolExecutor", real)
+    return outs

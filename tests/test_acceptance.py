@@ -14,6 +14,7 @@ import json
 import numpy as np
 import pytest
 
+from corrsearch import sampler
 from corrsearch.ansatz import (
     FrozenOrbitalProduct,
     GaussianToy,
@@ -40,6 +41,8 @@ from corrsearch.oracle import (
 )
 from corrsearch.records import load_record
 from corrsearch.sampler import SamplerSettings
+
+from conftest import pooled_runs, steps_per_chunk
 
 HE_ZETA = 27.0 / 16.0
 HE_FLOOR = -2.9037  # best variational ground-state energy, for the bound check
@@ -109,7 +112,6 @@ def test_criterion_3_variational_bound():
         sigma=0.5,
         seed=1,
         tune=True,
-        workers=1,
     )
     worst = np.inf
     count = 0
@@ -191,7 +193,6 @@ def test_criterion_5_fisher_estimator():
         sigma=1.0,
         seed=3,
         tune=True,
-        workers=1,
     )
     est = gamma_correlation(density_1d, toy, settings, method="mc")
     z = abs(est.fisher - 0.25) / est.fisher_stderr
@@ -263,32 +264,36 @@ def test_criterion_6_grid_hierarchy_and_stationarity():
     )
 
 
-def test_criterion_7_determinism():
+def test_criterion_7_determinism(monkeypatch):
     density = ExponentialDensity(HE_ZETA, 2, 3)
     space = SpaceSpec(dim=3, radius=1.3, n_electrons=2)
     ansatz = PairwiseBiparametric(density, space, 1.0, 1.0)
+    settings = SamplerSettings(
+        conditioning_points=128,
+        samples=64,
+        burn_in=128,
+        thinning=2,
+        walkers=1,
+        sigma=1.0,
+        seed=4,
+        tune=True,
+    )
 
-    def estimate(workers):
-        settings = SamplerSettings(
-            conditioning_points=128,
-            samples=64,
-            burn_in=128,
-            thinning=2,
-            walkers=1,
-            sigma=1.0,
-            seed=4,
-            tune=True,
-            workers=workers,
-        )
+    def estimate():
         est = gamma_correlation(density, ansatz, settings)
         return json.dumps(est.to_dict(), sort_keys=True)
 
-    runs = [estimate(w) for w in (1, 2, 4)] + [estimate(1)]
-    ok = len(set(runs)) == 1
+    runs = [estimate(), estimate()]
+    # blocks of 8 chains and 256 steps in chunks of 64 start the pool thread
+    monkeypatch.setattr(sampler, "_CHUNK", 8)
+    steps_per_chunk(monkeypatch, 64, settings.conditioning_points, dim=3)
+    pooled = pooled_runs(monkeypatch, estimate)
+    ok = len(set(runs)) == 1 and len(set(pooled)) == 1
     report(
         7,
         ok,
-        "numeric payloads bit-identical across workers 1/2/4 and a rerun"
+        "numeric payloads bit-identical on a rerun, and with the pool thread, "
+        "a rerun and a synchronous stand-in for it"
         if ok
         else "payloads differ between runs",
     )
@@ -309,7 +314,6 @@ def test_criterion_8_mc_scaling():
             sigma=1.0,
             seed=7,
             tune=True,
-            workers=1,
         )
         return gamma_correlation(density, ansatz, settings).stderr
 

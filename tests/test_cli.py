@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from corrsearch import sampler
 from corrsearch.cli import main
 from corrsearch.config import (
     ConfigError,
@@ -28,6 +29,8 @@ from corrsearch.records import (
     save_record,
     save_trace,
 )
+
+from conftest import pooled_runs, steps_per_chunk
 
 HE_ZETA = 27.0 / 16.0
 
@@ -134,6 +137,8 @@ def test_unparseable_value_names_field(tmp_path, capsys):
     [
         ("energy", "[sampler]", "samples = 0"),
         ("energy", "[sampler]", "workers = 0"),
+        ("energy", "[sampler]", "seed = -1"),
+        ("energy --seed -3", "[sampler]", "seed = 0"),
         ("energy", "[sampler]", "samples = 1"),
         ("energy", "[sampler]", "sigma = nan"),
         ("energy", "[sampler]", "sigma = inf"),
@@ -152,7 +157,7 @@ def test_unparseable_value_names_field(tmp_path, capsys):
 def test_out_of_range_setting_names_its_section(tmp_path, capsys, command, section, fields):
     path = tmp_path / "bad.cfg"
     path.write_text(f"[system]\nn = 2\nz = 2.0\n{section}\n{fields}\n", encoding="utf-8")
-    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert main([*command.split(), "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert section in capsys.readouterr().err
 
 
@@ -237,20 +242,29 @@ def test_energy_frozen_quadrature_closed_form(tmp_path, capsys):
     assert "total" in capsys.readouterr().out
 
 
-def test_energy_rerun_is_byte_identical(tmp_path):
-    cfg = write_config(tmp_path, family="pairwise", seed=4)
-    payloads = []
-    for i, workers in enumerate((1, 1, 2)):
-        cfg_i = write_config(
+def test_energy_rerun_is_byte_identical(tmp_path, monkeypatch):
+    names = iter(range(6))
+
+    def payload(workers=1):
+        i = next(names)
+        cfg = write_config(
             tmp_path, family="pairwise", seed=4, workers=workers, name=f"r{i}.cfg"
         )
         out = tmp_path / f"out{i}"
-        assert main(["energy", "--config", cfg_i, "--out", str(out)]) == 0
+        assert main(["energy", "--config", cfg, "--out", str(out)]) == 0
         with open(out / "record.json", encoding="utf-8") as fh:
-            payloads.append(json.dumps(json.load(fh)["results"], sort_keys=True))
+            return json.dumps(json.load(fh)["results"], sort_keys=True)
+
+    payloads = [payload(), payload()]
     assert payloads[0] == payloads[1]
-    # worker count changes scheduling only, never numbers
-    assert payloads[0] == payloads[2]
+    # the workers key has no effect
+    assert payloads[0] == payload(workers=2)
+    # blocks of 8 of the 24 chains and 96 steps in chunks of 20 start the
+    # pool thread; a rerun and a synchronous stand-in for it give the same bytes
+    monkeypatch.setattr(sampler, "_CHUNK", 8)
+    steps_per_chunk(monkeypatch, 20, 24, dim=3)
+    pooled = pooled_runs(monkeypatch, payload)
+    assert pooled[0] == pooled[1] == pooled[2]
 
 
 def test_energy_seed_override_changes_mc_numbers(tmp_path):

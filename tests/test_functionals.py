@@ -31,7 +31,7 @@ from corrsearch.functionals import (
 )
 from corrsearch.sampler import SamplerSettings
 
-from conftest import HE_ZETA, fast_settings
+from conftest import HE_ZETA, fast_settings, pooled_runs
 
 HE_PAIR_INTEGRAL = 5.0 * HE_ZETA / 8.0  # 1.0546875
 
@@ -195,7 +195,7 @@ def test_fisher_nonnegative_mean():
 # ---------------------------------------------------------------------------
 
 
-def test_conditional_moments_never_holds_the_run_kept_samples():
+def test_conditional_moments_never_holds_the_run_kept_samples(monkeypatch):
     # N = 6: the kept satellites of the whole run (K m S d doubles, 63 MB
     # at 1024 chains) are never held at once; the kept samples stream
     # through the observables one step-chunk at a time
@@ -203,28 +203,39 @@ def test_conditional_moments_never_holds_the_run_kept_samples():
     space = SpaceSpec(dim=3, radius=3.0, n_electrons=6)
     ansatz = PairwiseBiparametric(density, space, gamma=1.0, beta=0.0)
     n_sat, dim, samples, thinning = ansatz.n_satellites, 3, 512, 4
-    for chains, workers in ((1024, 1), (2048, 2)):
+    for chains in (1024, 2048):
         settings = SamplerSettings(
             sigma=0.5, burn_in=16, samples=samples, thinning=thinning,
-            conditioning_points=chains, seed=3, workers=workers,
+            conditioning_points=chains, seed=3,
         )
-        tracemalloc.start()
-        try:
-            moments = conditional_moments(density, ansatz, settings)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.all(np.isfinite(moments.score_var))
-        assert peak < samples * chains * n_sat * dim * 8
-        if workers == 1:
+
+        def traced():
+            tracemalloc.start()
+            try:
+                moments = conditional_moments(density, ansatz, settings)
+                return moments, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        if chains <= sampler._CHUNK:
+            moments, peak = traced()
+            assert np.all(np.isfinite(moments.score_var))
+            assert peak < samples * chains * n_sat * dim * 8
             continue
-        # two blocks with the pool thread.  The batch holds the observation
-        # rows (score and pair), two step-chunks of variates and two kept
-        # buffers.  On top comes the working memory of one call at a time:
-        # a block's draw of one step-chunk, less than a third step-chunk of
-        # variates, or the observables on one kept buffer, whose peak is the
-        # score's, measured here on its own.  The slack stays below one
-        # step-chunk of variates, so a third variate buffer would show.
+        # two blocks and many step-chunks: the batch starts its pool thread,
+        # and a rerun and a synchronous stand-in for the pool agree with it
+        runs = pooled_runs(monkeypatch, traced)
+        moments = runs[0][0]
+        for other, _ in runs[1:]:
+            for name in ("score_var", "pair_series", "acceptance", "sigma_final"):
+                np.testing.assert_array_equal(getattr(moments, name), getattr(other, name))
+        # the batch holds the observation rows (score and pair), two
+        # step-chunks of variates and two kept buffers.  On top comes the
+        # working memory of one call at a time: a block's draw of one
+        # step-chunk, less than a third step-chunk of variates, or the
+        # observables on one kept buffer, whose peak is the score's,
+        # measured here on its own.  The slack stays below one step-chunk
+        # of variates, so a third variate buffer would show.
         chunk_steps = sampler._VARIATE_BYTES // (8 * (dim + 2) * chains)
         kept = np.random.default_rng(0).uniform(
             -1.0, 1.0, (-(-chunk_steps // thinning), chains, n_sat, dim)
@@ -237,7 +248,10 @@ def test_conditional_moments_never_holds_the_run_kept_samples():
             tracemalloc.stop()
         observations = samples * chains * (dim + 1) * 8
         holds = observations + 2 * sampler._VARIATE_BYTES + 2 * kept.nbytes
-        assert peak < holds + sampler._VARIATE_BYTES + score_peak
+        for other, peak in runs:
+            assert np.all(np.isfinite(other.score_var))
+            assert peak < samples * chains * n_sat * dim * 8
+            assert peak < holds + sampler._VARIATE_BYTES + score_peak
 
 
 def test_gamma_auto_uses_quadrature_for_frozen():

@@ -1,5 +1,7 @@
 """Nested search: simplex/golden-section engines, inner and outer loops."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -218,7 +220,7 @@ def test_inner_search_samples_each_acting_point_once(monkeypatch, n, crn):
         if crn
         else settings.seed
     )
-    direct_settings = settings.replace(seed=crn_seed)
+    direct_settings = replace(settings, seed=crn_seed)
     keys = set()
     for row in res.trace:
         ans = build_ansatz("pairwise", density, space, row.gamma, row.beta)
@@ -251,7 +253,7 @@ def test_inner_optimality_probe():
         g = rng.uniform(*opt.gamma_bounds)
         b = rng.uniform(*opt.beta_bounds)
         probe = PairwiseBiparametric(density, space, g, b)
-        est = gamma_correlation(density, probe, settings.replace(seed=1000 + k))
+        est = gamma_correlation(density, probe, replace(settings, seed=1000 + k))
         z = (best.value - est.value) / np.hypot(best.stderr, est.stderr)
         if z > 3.0:
             violations += 1

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from corrsearch.sampler import (
     substream,
 )
 
-from conftest import fast_settings
+from conftest import fast_settings, pooled_runs, steps_per_chunk
 
 
 def line_pair(radius=8.0):
@@ -255,7 +256,7 @@ def one_chain(ansatz, r, settings, observable):
     def observe(r_block, sats):
         return np.array([[observable(r_block[0], s[0])] for s in sats], dtype=float)
 
-    single = settings.replace(walkers=1, conditioning_points=1)
+    single = replace(settings, walkers=1, conditioning_points=1)
     batch = run_conditional_batch(ansatz, np.asarray(r, float)[None, :], single, {"obs": observe})
     return batch.values["obs"][:, 0], float(batch.acceptance[0])
 
@@ -298,26 +299,27 @@ def test_stderr_squared_halves_when_samples_double():
 # ---------------------------------------------------------------------------
 
 
-def test_worker_count_does_not_change_results():
-    # more chains than one block so the multi-worker path really splits
+def test_worker_count_does_not_change_results(monkeypatch):
+    # more chains than one block and 96 steps in chunks of 20, so the
+    # batch starts its pool thread; the pooled run, a rerun and the
+    # synchronous stand-in agree
     density, space = line_pair()
     ansatz = NormalTarget(density, space)
     points = np.linspace(-1.0, 1.0, 1536)[:, None]
-    means = []
-    outs = []
-    for workers in (1, 2, 4):
-        settings = SamplerSettings(
-            sigma=1.0, burn_in=64, samples=32, thinning=1, seed=21, workers=workers
-        )
-        outs.append(run_conditional_batch(ansatz, points, settings, {"sats": _sats}))
-        means.append(outs[-1].values["sats"][..., 0, 0].mean(axis=0))
+    steps_per_chunk(monkeypatch, 20, len(points))
+    settings = SamplerSettings(sigma=1.0, burn_in=64, samples=32, thinning=1, seed=21)
+    outs = pooled_runs(
+        monkeypatch, lambda: run_conditional_batch(ansatz, points, settings, {"sats": _sats})
+    )
+    means = [out.values["sats"][..., 0, 0].mean(axis=0) for out in outs]
     np.testing.assert_array_equal(means[0], means[1])
     np.testing.assert_array_equal(means[0], means[2])
     np.testing.assert_array_equal(outs[0].acceptance, outs[2].acceptance)
 
 
-def test_worker_count_and_rerun_pairwise_n6():
+def test_worker_count_and_rerun_pairwise_n6(monkeypatch):
     # the hinted kernel path: N = 6 with satellite pairs, over two blocks
+    # and two step-chunks, so the batch starts its pool thread
     density = ExponentialDensity(zeta=1.5, n_electrons=6)
     space = SpaceSpec(dim=3, radius=3.0, n_electrons=6)
     ansatz = PairwiseBiparametric(density, space, gamma=1.0, beta=1.0)
@@ -326,12 +328,10 @@ def test_worker_count_and_rerun_pairwise_n6():
         "m": lambda kept: kept.mean(axis=(0, 2, 3)),
         "last": lambda kept: kept[-1].reshape(kept.shape[1], -1).T,
     }
-    outs = []
-    for workers in (1, 2, 4, 1):
-        settings = SamplerSettings(
-            sigma=0.5, burn_in=64, samples=16, thinning=2, seed=23, workers=workers
-        )
-        outs.append(run_conditional_batch(ansatz, points, settings, {"sats": _sats}))
+    settings = SamplerSettings(sigma=0.5, burn_in=64, samples=16, thinning=2, seed=23)
+    outs = pooled_runs(
+        monkeypatch, lambda: run_conditional_batch(ansatz, points, settings, {"sats": _sats})
+    )
     for other in outs[1:]:
         for reduce in reductions.values():
             np.testing.assert_array_equal(
@@ -348,22 +348,21 @@ def test_worker_count_does_not_change_results_over_blocks_and_step_chunks(monkey
     # the hinted pair path
     chains = 30
     monkeypatch.setattr(sampler, "_CHUNK", 8)
-    _steps_per_chunk(monkeypatch, 20, chains, dim=3)
+    steps_per_chunk(monkeypatch, 20, chains, dim=3)
     density = ExponentialDensity(zeta=1.5, n_electrons=3)
     space = SpaceSpec(dim=3, radius=3.0, n_electrons=3)
     ansatz = PairwiseBiparametric(density, space, gamma=1.0, beta=1.0)
     points = density.sample(chains, np.random.default_rng(4))
     observables = {"sats": _sats, "score": lambda r, sats: ansatz.score(r[None], sats)}
-    outs = []
+    settings = SamplerSettings(
+        sigma=0.5, burn_in=40, samples=16, thinning=5, seed=9, tune_interval=10
+    )
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # the loop and the pool thread interleave often
     try:
-        for workers in (1, 2, 3):
-            settings = SamplerSettings(
-                sigma=0.5, burn_in=40, samples=16, thinning=5, seed=9, tune_interval=10,
-                workers=workers,
-            )
-            outs.append(run_conditional_batch(ansatz, points, settings, observables))
+        outs = pooled_runs(
+            monkeypatch, lambda: run_conditional_batch(ansatz, points, settings, observables)
+        )
     finally:
         sys.setswitchinterval(interval)
     for other in outs[1:]:
@@ -378,9 +377,10 @@ def test_observable_error_on_the_pool_thread_reaches_the_caller(monkeypatch):
     # the second step-chunk is observed on the pool thread while the loop
     # steps the third; its error leaves the batch, and the thread is gone
     m = 16
-    _steps_per_chunk(monkeypatch, 7, m)
+    monkeypatch.setattr(sampler, "_CHUNK", 8)
+    steps_per_chunk(monkeypatch, 7, m)
     density, space = line_pair()
-    settings = SamplerSettings(sigma=1.0, burn_in=0, samples=60, thinning=1, seed=0, workers=2)
+    settings = SamplerSettings(sigma=1.0, burn_in=0, samples=60, thinning=1, seed=0)
     threads = []
 
     def fails_second(r_block, sats):
@@ -389,13 +389,45 @@ def test_observable_error_on_the_pool_thread_reaches_the_caller(monkeypatch):
             raise RuntimeError("observable failed")
         return sats[..., 0, 0]
 
-    before = threading.active_count()
     with pytest.raises(RuntimeError, match="observable failed"):
         run_conditional_batch(
             ConstTarget(density, space), np.zeros((m, 1)), settings, {"s": fails_second}
         )
     assert threads[1] != threading.get_ident()
-    assert threading.active_count() == before
+
+
+def test_pool_thread_only_for_several_blocks_and_step_chunks(monkeypatch):
+    # one block, or one step-chunk, runs on the calling thread alone; a
+    # batch of several of both starts one pool thread, which observes all
+    # but the last step-chunk, and leaves none running
+    monkeypatch.setattr(sampler, "_CHUNK", 8)
+    density, space = line_pair()
+    settings = SamplerSettings(sigma=1.0, burn_in=0, samples=30, thinning=1, seed=0)
+    started = []
+
+    class Counted(sampler.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(sampler, "ThreadPoolExecutor", Counted)
+    for chains, steps, pooled in ((8, 7, False), (16, 30, False), (9, 7, True)):
+        steps_per_chunk(monkeypatch, steps, chains)
+        threads = []
+
+        def observe(r_block, sats):
+            threads.append(threading.get_ident())
+            return sats[..., 0, 0]
+
+        started.clear()
+        before = threading.active_count()
+        run_conditional_batch(
+            ConstTarget(density, space), np.zeros((chains, 1)), settings, {"s": observe}
+        )
+        assert started == ([1] if pooled else [])
+        assert len(threads) == -(-30 // steps)
+        assert len(set(threads)) == (2 if pooled else 1) and threads[-1] == threading.get_ident()
+        assert threading.active_count() == before
 
 
 # kept-sample sums, summed acceptance and summed final sigma of two-block
@@ -407,30 +439,32 @@ PINNED_BATCH_VALUES = {
 }
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("n,beta,n_points,walkers,seed", [
     (2, 0.0, 520, 2, 31),
     (6, 1.5, 1100, 1, 32),
 ])
-def test_batch_values_pinned(n, beta, n_points, walkers, seed, workers):
+def test_batch_values_pinned(n, beta, n_points, walkers, seed):
     density = ExponentialDensity(zeta=1.5, n_electrons=n)
     space = SpaceSpec(dim=3, radius=1.3 if n == 2 else 3.0, n_electrons=n)
     ansatz = PairwiseBiparametric(density, space, gamma=1.0, beta=beta)
     points = density.sample(n_points, np.random.default_rng(seed))
     settings = SamplerSettings(
         sigma=0.5, burn_in=64, samples=8, thinning=2, seed=seed, walkers=walkers,
-        workers=workers, tune_interval=16,
+        tune_interval=16,
     )
-    batch = run_conditional_batch(ansatz, points, settings, {"sats": _sats})
-    assert batch.acceptance.size == n_points * walkers > sampler._CHUNK
-    kept = batch.values["sats"]
-    got = (
-        float(kept.sum(axis=(0, 2, 3)).sum()),
-        float((kept * kept).sum(axis=(0, 2, 3)).sum()),
-        float(batch.acceptance.sum()),
-        float(batch.sigma_final.sum()),
-    )
-    assert got == PINNED_BATCH_VALUES[(n, beta)]
+    # two blocks but one step-chunk, so no pool thread; the rerun takes the
+    # first run's held draw and gives the same numbers
+    for _ in range(2):
+        batch = run_conditional_batch(ansatz, points, settings, {"sats": _sats})
+        assert batch.acceptance.size == n_points * walkers > sampler._CHUNK
+        kept = batch.values["sats"]
+        got = (
+            float(kept.sum(axis=(0, 2, 3)).sum()),
+            float((kept * kept).sum(axis=(0, 2, 3)).sum()),
+            float(batch.acceptance.sum()),
+            float(batch.sigma_final.sum()),
+        )
+        assert got == PINNED_BATCH_VALUES[(n, beta)]
 
 
 # one chain's mean, batch-means stderr and acceptance from when every chain
@@ -470,18 +504,13 @@ def test_one_chain_streams_unchanged():
     assert batch.acceptance[-1] == 0.78125
 
 
-def _steps_per_chunk(monkeypatch, steps, chains, dim=1):
-    """Set the variate budget so that a block draws `steps` steps at a time."""
-    monkeypatch.setattr(sampler, "_VARIATE_BYTES", steps * 8 * (dim + 2) * chains)
-
-
 def test_variate_chunk_edges_skip_and_reuse_nothing(monkeypatch):
     # 200 steps in chunks of 7 end in a partial chunk of 4; on a flat target
     # every move is accepted, so each chain's path is the running sum of
     # the Gaussian steps drawn chunk by chunk from its block's stream.  With
     # two blocks of 8, each block draws its own share of every step-chunk
     m = 16
-    _steps_per_chunk(monkeypatch, 7, m)
+    steps_per_chunk(monkeypatch, 7, m)
     density, space = line_pair()
     settings = SamplerSettings(sigma=1.0, burn_in=0, samples=200, thinning=1, seed=0, tune=False)
     collect = {"s": lambda r_block, kept: kept[..., 0, 0]}
@@ -511,7 +540,7 @@ def test_observations_at_step_chunk_edges(monkeypatch):
     # target every move is accepted: the kept satellites are the running
     # sum of the Gaussian steps at the kept steps
     m = 16
-    _steps_per_chunk(monkeypatch, 7, m)
+    steps_per_chunk(monkeypatch, 7, m)
     density, space = line_pair()
     settings = SamplerSettings(sigma=1.0, burn_in=5, samples=50, thinning=3, seed=0, tune=False)
     points = np.linspace(-1.0, 1.0, m)[:, None]
@@ -544,7 +573,7 @@ def test_observations_at_step_chunk_edges(monkeypatch):
 def test_normal_target_variance_with_partial_variate_chunks(monkeypatch):
     # the variance check of test_normal_target_variance, with 2256 steps
     # drawn 7 at a time
-    _steps_per_chunk(monkeypatch, 7, 100)
+    steps_per_chunk(monkeypatch, 7, 100)
     density, space = line_pair()
     ansatz = NormalTarget(density, space)
     settings = SamplerSettings(sigma=1.0, burn_in=256, samples=1000, thinning=2, seed=5)
@@ -601,7 +630,7 @@ def _assert_same_batch(a, b):
 def test_held_draw_reuse_equals_a_cold_run(monkeypatch):
     ansatz, points = _pair_n3()
     settings = SamplerSettings(sigma=0.5, burn_in=40, samples=20, thinning=2, seed=5)
-    other = settings.replace(seed=6)
+    other = replace(settings, seed=6)
     cold = _cold(monkeypatch, ansatz, points, settings)
     cold_other = _cold(monkeypatch, ansatz, points, other)
     after_other = run_conditional_batch(ansatz, points, settings, {"sats": _sats})
@@ -644,23 +673,26 @@ def test_held_draw_at_most_one_step_chunk(monkeypatch):
     settings = SamplerSettings(sigma=0.5, burn_in=40, samples=20, thinning=2, seed=5)
     _cold(monkeypatch, ansatz, points, settings)
     assert sum(x.nbytes for x in sampler._held[1]) <= sampler._VARIATE_BYTES
-    _steps_per_chunk(monkeypatch, 16, len(points), dim=3)  # 80 steps in 5 step-chunks
+    steps_per_chunk(monkeypatch, 16, len(points), dim=3)  # 80 steps in 5 step-chunks
     run_conditional_batch(ansatz, points, settings, {"sats": _sats})
     held = sampler._held[1] if sampler._held else ()
     assert sum(x.nbytes for x in held) <= sampler._VARIATE_BYTES
 
 
 def test_held_draw_same_for_every_worker_count(monkeypatch):
+    # a held draw is one step-chunk, so its batch starts no pool thread,
+    # also when it spans five blocks of 8 chains
     ansatz, points = _pair_n3()
     settings = SamplerSettings(sigma=0.5, burn_in=40, samples=20, thinning=2, seed=5)
-    cold = _cold(monkeypatch, ansatz, points, settings)
-    for workers in (1, 2, 3):
-        warm = run_conditional_batch(
-            ansatz, points, settings.replace(workers=workers), {"sats": _sats}
-        )
-        _assert_same_batch(cold, warm)
-        again_cold = _cold(monkeypatch, ansatz, points, settings.replace(workers=workers))
-        _assert_same_batch(cold, again_cold)
+    monkeypatch.setattr(sampler, "ThreadPoolExecutor", None)  # starting a pool fails
+    for block in (sampler._CHUNK, 8):
+        monkeypatch.setattr(sampler, "_CHUNK", block)
+        cold = _cold(monkeypatch, ansatz, points, settings)
+        for _ in range(3):
+            warm = run_conditional_batch(ansatz, points, settings, {"sats": _sats})
+            _assert_same_batch(cold, warm)
+            again_cold = _cold(monkeypatch, ansatz, points, settings)
+            _assert_same_batch(cold, again_cold)
 
 
 # ---------------------------------------------------------------------------
@@ -750,8 +782,8 @@ def test_settings_validation():
         SamplerSettings(samples=0)
     with pytest.raises(ValueError):
         SamplerSettings(conditioning_points=0)
-    with pytest.raises(ValueError):
-        SamplerSettings(workers=0)
+    with pytest.raises(ValueError, match="seed"):
+        SamplerSettings(seed=-1)
     for sigma in (float("nan"), float("inf"), -1.0):
         with pytest.raises(ValueError):
             SamplerSettings(sigma=sigma)
