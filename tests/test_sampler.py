@@ -439,11 +439,12 @@ PINNED_BATCH_VALUES = {
 }
 
 
+@pytest.mark.parametrize("runs", [1, 2])
 @pytest.mark.parametrize("n,beta,n_points,walkers,seed", [
     (2, 0.0, 520, 2, 31),
     (6, 1.5, 1100, 1, 32),
 ])
-def test_batch_values_pinned(n, beta, n_points, walkers, seed):
+def test_batch_values_pinned(monkeypatch, n, beta, n_points, walkers, seed, runs):
     density = ExponentialDensity(zeta=1.5, n_electrons=n)
     space = SpaceSpec(dim=3, radius=1.3 if n == 2 else 3.0, n_electrons=n)
     ansatz = PairwiseBiparametric(density, space, gamma=1.0, beta=beta)
@@ -452,10 +453,17 @@ def test_batch_values_pinned(n, beta, n_points, walkers, seed):
         sigma=0.5, burn_in=64, samples=8, thinning=2, seed=seed, walkers=walkers,
         tune_interval=16,
     )
-    # two blocks but one step-chunk, so no pool thread; the rerun takes the
-    # first run's held draw and gives the same numbers
-    for _ in range(2):
+    # two blocks but one step-chunk, so no pool thread; a cold run draws and
+    # holds its variates, and a second run takes that held draw
+    monkeypatch.setattr(sampler, "ThreadPoolExecutor", None)
+    monkeypatch.setattr(sampler, "_held", None)
+    for k in range(runs):
         batch = run_conditional_batch(ansatz, points, settings, {"sats": _sats})
+        if k == 0:
+            held = sampler._held
+            assert held is not None
+        else:
+            assert sampler._held is held
         assert batch.acceptance.size == n_points * walkers > sampler._CHUNK
         kept = batch.values["sats"]
         got = (
