@@ -73,7 +73,7 @@ class SamplerConfig:
     sigma: float = SamplerSettings.sigma
     seed: int = SamplerSettings.seed
     tune: bool = SamplerSettings.tune
-    # no effect: the sampler picks its pool thread from the batch's size;
+    # no effect: the sampler picks its pool thread from the batch's step-chunks;
     # kept, range-checked, so that existing files still load
     workers: int = 1
 

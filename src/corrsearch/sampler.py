@@ -53,15 +53,13 @@ buffer is passed to every observable, whose rows are stored.  The whole
 run's kept satellites are never held at once; what a batch holds is one
 row per kept sample of each observable.
 
-Pool thread: a batch of more than one stream block and more than one
-step-chunk starts one pool thread, which draws step-chunk c + 1 and
-observes step-chunk c - 1 while the loop steps chunk c.  Generator fills
-and large array loops release the GIL, so that work overlaps the loop.
-Every other batch does that work inline, after each step-chunk, with one
-variate buffer: a one-step-chunk batch has nothing to overlap, and
-ROADMAP item 8 records the pool and inline timings behind the one-block
-threshold.  The calls and their order per stream are the same either
-way.
+Pool thread: a batch of more than one step-chunk starts one pool thread,
+which draws step-chunk c + 1 and observes step-chunk c - 1 while the loop
+steps chunk c.  Generator fills and large array loops release the GIL,
+so that work overlaps the loop.  A one-step-chunk batch has nothing to
+overlap: it draws its variates into one buffer and observes its kept
+samples on the calling thread.  The calls and their order per stream are
+the same either way.
 """
 
 from __future__ import annotations
@@ -80,7 +78,7 @@ _NS_CONDITIONING = 0x636F6E
 _NS_FRESH = 0x667265
 
 # chains per random-stream block; fixed, so results never depend on the
-# pool thread, which only a batch of more than one block starts
+# pool thread
 _CHUNK = 1024
 _VARIATE_BYTES = 4 * 2**20  # step variates of one step-chunk: 8 (d + 2) bytes per chain-step
 
@@ -175,8 +173,8 @@ def run_conditional_batch(
             that must not depend on the layout takes a C-ordered copy.
             It is called on the c kept samples of one step-chunk at a
             time, in order, so it must treat each sample on its own.  A
-            batch of more than one stream block (`_CHUNK` chains) and
-            more than one step-chunk runs it on its one pool thread.
+            batch of more than one step-chunk runs it on its one pool
+            thread, except on the last step-chunk.
 
     Returns:
         BatchResult whose values arrays have shape (K, M * walkers, ...):
@@ -268,10 +266,9 @@ def run_conditional_batch(
     held = _held  # read once: another thread may replace it
     held = held if held is not None and held[0] == key else None
     _held = held  # a draw that does not match goes before this run allocates
-    # the pool thread overlaps the loop only over several blocks and step-chunks
-    pool = ThreadPoolExecutor(1) if m > _CHUNK and not one_chunk else None
-    # step-chunk c is drawn into variate buffer c % 2; inline, chunk c + 1 is
-    # drawn only once chunk c is stepped, so one buffer serves
+    # the pool thread overlaps the loop when there is a next step-chunk to
+    # draw; step-chunk c is drawn into variate buffer c % 2
+    pool = None if one_chunk else ThreadPoolExecutor(1)
     variates = [] if held else [
         (
             np.empty((chunk_steps, m), np.int64),
@@ -335,7 +332,7 @@ def run_conditional_batch(
                         if (t - settings.burn_in) % settings.thinning == settings.thinning - 1:
                             buf[n_kept] = sats
                             n_kept += 1
-            drawn = job.result() if pool else ahead(c)
+            drawn = job.result() if pool else None
         observe(len(chunk_starts) - 1)
 
     acceptance = accepted_meas / (total_steps - settings.burn_in)

@@ -14,7 +14,6 @@ import json
 import numpy as np
 import pytest
 
-from corrsearch import sampler
 from corrsearch.ansatz import (
     FrozenOrbitalProduct,
     GaussianToy,
@@ -284,8 +283,7 @@ def test_criterion_7_determinism(monkeypatch):
         return json.dumps(est.to_dict(), sort_keys=True)
 
     runs = [estimate(), estimate()]
-    # blocks of 8 chains and 256 steps in chunks of 64 start the pool thread
-    monkeypatch.setattr(sampler, "_CHUNK", 8)
+    # 256 steps in chunks of 64 start the pool thread
     steps_per_chunk(monkeypatch, 64, settings.conditioning_points, dim=3)
     pooled = pooled_runs(monkeypatch, estimate)
     ok = len(set(runs)) == 1 and len(set(pooled)) == 1

@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corrsearch import sampler
 from corrsearch.cli import main
 from corrsearch.config import (
     ConfigError,
@@ -259,9 +258,8 @@ def test_energy_rerun_is_byte_identical(tmp_path, monkeypatch):
     assert payloads[0] == payloads[1]
     # the workers key has no effect
     assert payloads[0] == payload(workers=2)
-    # blocks of 8 of the 24 chains and 96 steps in chunks of 20 start the
-    # pool thread; a rerun and a synchronous stand-in for it give the same bytes
-    monkeypatch.setattr(sampler, "_CHUNK", 8)
+    # 96 steps in chunks of 20 start the pool thread; a rerun and a
+    # synchronous stand-in for it give the same bytes
     steps_per_chunk(monkeypatch, 20, 24, dim=3)
     pooled = pooled_runs(monkeypatch, payload)
     assert pooled[0] == pooled[1] == pooled[2]

@@ -300,9 +300,8 @@ def test_stderr_squared_halves_when_samples_double():
 
 
 def test_worker_count_does_not_change_results(monkeypatch):
-    # more chains than one block and 96 steps in chunks of 20, so the
-    # batch starts its pool thread; the pooled run, a rerun and the
-    # synchronous stand-in agree
+    # two blocks and 96 steps in chunks of 20, so the batch starts its
+    # pool thread; the pooled run, a rerun and the synchronous stand-in agree
     density, space = line_pair()
     ansatz = NormalTarget(density, space)
     points = np.linspace(-1.0, 1.0, 1536)[:, None]
@@ -377,7 +376,6 @@ def test_observable_error_on_the_pool_thread_reaches_the_caller(monkeypatch):
     # the second step-chunk is observed on the pool thread while the loop
     # steps the third; its error leaves the batch, and the thread is gone
     m = 16
-    monkeypatch.setattr(sampler, "_CHUNK", 8)
     steps_per_chunk(monkeypatch, 7, m)
     density, space = line_pair()
     settings = SamplerSettings(sigma=1.0, burn_in=0, samples=60, thinning=1, seed=0)
@@ -396,10 +394,10 @@ def test_observable_error_on_the_pool_thread_reaches_the_caller(monkeypatch):
     assert threads[1] != threading.get_ident()
 
 
-def test_pool_thread_only_for_several_blocks_and_step_chunks(monkeypatch):
-    # one block, or one step-chunk, runs on the calling thread alone; a
-    # batch of several of both starts one pool thread, which observes all
-    # but the last step-chunk, and leaves none running
+def test_pool_thread_only_for_several_step_chunks(monkeypatch):
+    # one step-chunk runs on the calling thread alone, over one block or
+    # two; several step-chunks start one pool thread, over one block or
+    # two, which observes all but the last step-chunk and leaves none running
     monkeypatch.setattr(sampler, "_CHUNK", 8)
     density, space = line_pair()
     settings = SamplerSettings(sigma=1.0, burn_in=0, samples=30, thinning=1, seed=0)
@@ -411,7 +409,7 @@ def test_pool_thread_only_for_several_blocks_and_step_chunks(monkeypatch):
             super().__init__(max_workers)
 
     monkeypatch.setattr(sampler, "ThreadPoolExecutor", Counted)
-    for chains, steps, pooled in ((8, 7, False), (16, 30, False), (9, 7, True)):
+    for chains, steps, pooled in ((8, 30, False), (16, 30, False), (8, 7, True), (9, 7, True)):
         steps_per_chunk(monkeypatch, steps, chains)
         threads = []
 
@@ -696,11 +694,10 @@ def test_held_draw_same_for_every_worker_count(monkeypatch):
     for block in (sampler._CHUNK, 8):
         monkeypatch.setattr(sampler, "_CHUNK", block)
         cold = _cold(monkeypatch, ansatz, points, settings)
-        for _ in range(3):
-            warm = run_conditional_batch(ansatz, points, settings, {"sats": _sats})
-            _assert_same_batch(cold, warm)
-            again_cold = _cold(monkeypatch, ansatz, points, settings)
-            _assert_same_batch(cold, again_cold)
+        warm = run_conditional_batch(ansatz, points, settings, {"sats": _sats})
+        _assert_same_batch(cold, warm)
+        again_cold = _cold(monkeypatch, ansatz, points, settings)
+        _assert_same_batch(cold, again_cold)
 
 
 # ---------------------------------------------------------------------------
