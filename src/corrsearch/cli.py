@@ -94,11 +94,12 @@ def _add_common(sub: argparse.ArgumentParser, needs_config: bool = True):
         sub.add_argument("--config", required=True, help="path to the run config file")
     sub.add_argument("--seed", type=int, default=None, help="override the sampler seed")
     sub.add_argument("--out", default=None, help="output directory (default runs/<stamp>-<seed>)")
+    # a single value, kept so that existing command lines still parse
     sub.add_argument(
         "--prefactor",
-        choices=("half", "full"),
+        choices=("half",),
         default="half",
-        help="interaction prefactor convention",
+        help="interaction prefactor (N-1)/2, the only choice",
     )
     sub.add_argument(
         "--test-mode",
@@ -161,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> RunConfig:
-    overrides = {"prefactor": args.prefactor, "test_mode": args.test_mode}
+    overrides = {"test_mode": args.test_mode}
     if args.seed is not None:
         overrides["seed"] = args.seed
     return load_config(args.config, overrides)
@@ -172,7 +173,6 @@ def _new_record(command: str, cfg: RunConfig) -> RunRecord:
         command=command,
         config=_jsonable(cfg.to_dict()),
         seed=cfg.sampler.seed,
-        prefactor=cfg.prefactor,
     )
 
 
@@ -192,10 +192,7 @@ def cmd_energy(args) -> int:
     settings = build_sampler_settings(cfg)
 
     t0 = time.perf_counter()
-    breakdown = total_energy(
-        density, ansatz, potential, settings,
-        prefactor=cfg.prefactor, method=args.method,
-    )
+    breakdown = total_energy(density, ansatz, potential, settings, method=args.method)
     elapsed = time.perf_counter() - t0
 
     record = _new_record(_command_line(args), cfg)
@@ -252,7 +249,6 @@ def cmd_optimize(args) -> int:
             cfg.ansatz.family,
             settings,
             opt,
-            prefactor=cfg.prefactor,
             method=args.method,
         )
     except (Exception, KeyboardInterrupt) as exc:
@@ -307,12 +303,10 @@ def cmd_compare(args) -> int:
 
     entries = []
     for fam in families:
-        inner = inner_minimize(
-            density, space, fam, settings, opt, prefactor=cfg.prefactor, method="auto"
-        )
+        inner = inner_minimize(density, space, fam, settings, opt, method="auto")
         # the parameter-free families ignore the nan couplings
         ansatz = build_ansatz(fam, density, space, inner.gamma, inner.beta)
-        fresh = fresh_estimate(density, ansatz, settings, opt, cfg.prefactor, "auto")
+        fresh = fresh_estimate(density, ansatz, settings, opt, "auto")
         report = check_conditions(ansatz, seed=cfg.sampler.seed)
         entries.append(
             {
@@ -377,18 +371,15 @@ def cmd_verify(args) -> int:
     )
     grid = verify_decomposition_grid(wave)
 
-    # every printed residual is the one the exit code is judged on
-    product_residual = product.residual(args.prefactor)
-    grid_residual = grid.residual(args.prefactor)
-    pref = prefactor_value(args.n, args.prefactor)
+    pref = prefactor_value(args.n)
     decomposed = product.weizsacker + product.fisher + pref * product.coulomb_expectation
     print(f"product state (zeta={args.zeta:g}, n={args.n})")
     print(f"  internal direct   {product.lhs_internal:+.8f}")
     print(f"  decomposed        {decomposed:+.8f}")
-    print(f"  residual          {product_residual:.2e} (tol {args.tol_product:.1e})")
+    print(f"  residual          {product.residual:.2e} (tol {args.tol_product:.1e})")
     print(f"1d grid state ({args.symmetry}, M={args.grid_points})")
     print(f"  internal direct   {grid.lhs_internal:+.8f}")
-    print(f"  residual          {grid_residual:.2e} (tol {args.tol_grid:.1e})")
+    print(f"  residual          {grid.residual:.2e} (tol {args.tol_grid:.1e})")
 
     record = RunRecord(
         command=_command_line(args),
@@ -402,7 +393,6 @@ def cmd_verify(args) -> int:
             "symmetry": args.symmetry,
         },
         seed=0,
-        prefactor=args.prefactor,
     )
     record.results = _jsonable(
         {
@@ -415,7 +405,7 @@ def cmd_verify(args) -> int:
         save_record(record, f"{outdir}/record.json")
         print(f"record              {outdir}/record.json")
 
-    ok = product_residual <= args.tol_product and grid_residual <= args.tol_grid
+    ok = product.residual <= args.tol_product and grid.residual <= args.tol_grid
     if not ok:
         print("verification FAILED tolerance", file=sys.stderr)
         return EXIT_TOLERANCE
@@ -438,7 +428,7 @@ def cmd_diagnostics(args) -> int:
 
     # one estimator run: its Gamma, and the chains of its first points
     moments = conditional_moments(density, ansatz, settings)
-    gamma = gamma_from_moments(moments, ansatz.n_electrons, cfg.prefactor)
+    gamma = gamma_from_moments(moments, ansatz.n_electrons)
     rows = []
     for chain in range(min(args.points, settings.conditioning_points) * settings.walkers):
         point = chain // settings.walkers

@@ -4,18 +4,16 @@ The on-disk format is INI-style with sections [system], [density],
 [ansatz], [sampler] and [optimize].  The section dataclasses below are
 the whole schema: each field is one key (its name, or the `key` in its
 metadata), converted by the field's type, and every field without a
-default is required.  Parsing, the text writer and `RunConfig.from_dict`
-all walk those fields.  The sampler, optimizer and geometry defaults
-and range checks belong to `SamplerSettings`, `OptimizeSpec` and
-`SpaceSpec`; the file is checked against them when it loads, whatever
-the command.
+default is required.  Parsing and `RunConfig.from_dict` both walk those
+fields.  The sampler, optimizer and geometry defaults and range checks
+belong to `SamplerSettings`, `OptimizeSpec` and `SpaceSpec`; the file is
+checked against them when it loads, whatever the command.
 Errors always name the offending section and field.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 from .ansatz import FAMILIES
@@ -27,7 +25,6 @@ from .domain import (
     SpaceSpec,
     Tabulated1DDensity,
 )
-from .functionals import PREFACTOR_MODES
 from .optimizer import OptimizeSpec
 from .sampler import SamplerSettings
 
@@ -91,7 +88,9 @@ class OptimizeConfig:
     max_iter_inner: int = OptimizeSpec.max_iter_inner
     max_iter_outer: int = OptimizeSpec.max_iter_outer
     tol: float = OptimizeSpec.tol
-    crn: bool = OptimizeSpec.crn
+    # no effect: every search takes its seed from the common-random-number
+    # substream; kept so that existing files still load
+    crn: bool = True
 
 
 _SECTIONS = {
@@ -110,7 +109,6 @@ class RunConfig:
     ansatz: AnsatzConfig = field(default_factory=AnsatzConfig)
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     optimize: OptimizeConfig = field(default_factory=OptimizeConfig)
-    prefactor: str = "half"
     test_mode: bool = False
 
     def to_dict(self) -> dict:
@@ -179,7 +177,7 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     """Parse and check config text; overrides (e.g. from CLI flags) are
     applied last.
 
-    Recognized override keys: seed, prefactor, test_mode.
+    Recognized override keys: seed, test_mode; others are ignored.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -193,7 +191,7 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     overrides = overrides or {}
     cfg = RunConfig(
         **{name: _read_section(parser, name) for name in _SECTIONS},
-        **{k: overrides[k] for k in ("prefactor", "test_mode") if k in overrides},
+        test_mode=overrides.get("test_mode", False),
     )
     if "seed" in overrides:
         cfg = replace(cfg, sampler=replace(cfg.sampler, seed=int(overrides["seed"])))
@@ -226,8 +224,6 @@ def _validate(cfg: RunConfig):
             f"[ansatz] field 'family': unknown family {cfg.ansatz.family!r}; "
             f"choose from {sorted(FAMILIES)}"
         )
-    if cfg.prefactor not in PREFACTOR_MODES:
-        raise ConfigError("prefactor must be 'half' or 'full'")
     if density.family == "tabulated-1d" and cfg.system.dimensionality != "1d":
         raise ConfigError("[density] field 'family': tabulated-1d needs a 1d system")
     gamma_searched = "gamma" in FAMILIES[cfg.ansatz.family].couplings
@@ -323,25 +319,6 @@ def build_optimize_spec(cfg: RunConfig) -> OptimizeSpec:
         max_iter_inner=o.max_iter_inner,
         max_iter_outer=o.max_iter_outer,
         tol=o.tol,
-        crn=o.crn,
         seed=cfg.sampler.seed,
     )
 
-
-def _ini(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, tuple):
-        return " ".join(repr(v) for v in value)
-    return value if isinstance(value, str) else repr(value)
-
-
-def config_to_text(cfg: RunConfig) -> str:
-    """Serialize back to the INI format (used for record round-trips)."""
-    parser = configparser.ConfigParser()
-    for name in _SECTIONS:
-        section = getattr(cfg, name)
-        parser[name] = {_key(f): _ini(getattr(section, f.name)) for f in fields(section)}
-    buf = io.StringIO()
-    parser.write(buf)
-    return buf.getvalue()

@@ -6,10 +6,10 @@ The internal-energy decomposition used throughout is
              + (1/8) int rho(r) int |grad_r f|^2 / f     (nonlocal Fisher)
              + P(N)  int rho(r) E_f[ w(r, r') ]          (Coulomb)
 
-with r' the first satellite and P(N) the pair-counting prefactor.  The
-default "half" prefactor (N-1)/2 counts each pair once; the "full"
-variant (N-1) is kept switchable for comparison, and the decomposition
-identity test adjudicates between them.
+with r' the first satellite and P(N) = (N-1)/2 the pair-counting
+prefactor: int rho(r) E_f[w] dr is N times the mean of one pair term, and
+V_ee has N(N-1)/2 of them, so (N-1)/2 is the one exact factor.  The
+decomposition identity test checks it against direct expectations.
 
 The Fisher term is never computed by differentiating an estimated
 normalization.  Because the normalization depends on r only, the
@@ -42,15 +42,10 @@ from .domain import (
 )
 from .sampler import SamplerSettings, conditioning_rng, run_conditional_batch
 
-PREFACTOR_MODES = ("half", "full")
 
-
-def prefactor_value(n_electrons: int, mode: str) -> float:
-    if mode not in PREFACTOR_MODES:
-        raise ValueError(f"prefactor must be one of {PREFACTOR_MODES}, got {mode!r}")
-    if mode == "half":
-        return (n_electrons - 1) / 2.0
-    return float(n_electrons - 1)
+def prefactor_value(n_electrons: int) -> float:
+    """P(N) = (N-1)/2: each of the N(N-1)/2 electron pairs counted once."""
+    return (n_electrons - 1) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +86,7 @@ def radial_pair_integral(q_fn, r_max: float, n_outer: int = 256, n_inner: int = 
     return float(np.sum(wr * q_fn(r) * (inner_lo + inner_hi)))
 
 
-def frozen_coulomb_quadrature(
-    density: Density, prefactor: str = "half", n_radial: int = 256
-) -> float:
+def frozen_coulomb_quadrature(density: Density, n_radial: int = 256) -> float:
     """Coulomb term of the frozen-orbital family by radial quadrature.
 
     For f = prod rho(s_n)/N the satellite distribution is spherically
@@ -110,7 +103,7 @@ def frozen_coulomb_quadrature(
         return 4.0 * np.pi * s * s * density.value(points) / density.n_electrons
 
     pair = radial_pair_integral(q_fn, r_max, n_outer=n_radial)
-    return prefactor_value(density.n_electrons, prefactor) * density.n_electrons * pair
+    return prefactor_value(density.n_electrons) * density.n_electrons * pair
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +195,6 @@ class GammaEstimate:
     covariance: float
     value: float
     stderr: float
-    prefactor: str
     method: str
     acceptance: float = float("nan")
 
@@ -210,14 +202,12 @@ class GammaEstimate:
         return asdict(self)
 
 
-def gamma_from_moments(
-    moments: ConditionalMoments, n_electrons: int, prefactor: str = "half"
-) -> GammaEstimate:
+def gamma_from_moments(moments: ConditionalMoments, n_electrons: int) -> GammaEstimate:
     """The Monte Carlo Gamma estimate from one conditional_moments run;
     its error bars come from the spread over conditioning points."""
     m = moments.score_var.size
     fisher_scale = n_electrons / 8.0
-    coulomb_scale = prefactor_value(n_electrons, prefactor) * n_electrons
+    coulomb_scale = prefactor_value(n_electrons) * n_electrons
     fisher_samples = fisher_scale * moments.score_var
     coulomb_samples = coulomb_scale * moments.pair_mean
     fisher = float(fisher_samples.mean())
@@ -237,21 +227,19 @@ def gamma_from_moments(
         covariance=cov,
         value=fisher + coulomb,
         stderr=float(np.sqrt(max(var_total, 0.0))),
-        prefactor=prefactor,
         method="mc",
         acceptance=float(moments.acceptance.mean()),
     )
 
 
-def _zero_gamma(prefactor: str, method: str) -> GammaEstimate:
-    return GammaEstimate(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, prefactor, method)
+def _zero_gamma(method: str) -> GammaEstimate:
+    return GammaEstimate(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, method)
 
 
 def gamma_correlation(
     density: Density,
     ansatz: ConditionalAnsatz,
     settings: SamplerSettings,
-    prefactor: str = "half",
     method: str = "auto",
 ) -> GammaEstimate:
     """Estimate Gamma[f, rho] = Fisher + Coulomb.
@@ -262,7 +250,7 @@ def gamma_correlation(
     picks quadrature exactly in that case.
     """
     if ansatz.n_satellites == 0:
-        return _zero_gamma(prefactor, "exact")
+        return _zero_gamma("exact")
     quadrature_ok = (
         ansatz.closed_form_coulomb
         and density.dim == 3
@@ -282,7 +270,7 @@ def gamma_correlation(
         raise ValueError(f"unknown method {method!r}")
 
     if use_quadrature:
-        coulomb = frozen_coulomb_quadrature(density, prefactor)
+        coulomb = frozen_coulomb_quadrature(density)
         return GammaEstimate(
             fisher=0.0,
             fisher_stderr=0.0,
@@ -291,11 +279,10 @@ def gamma_correlation(
             covariance=0.0,
             value=coulomb,
             stderr=0.0,
-            prefactor=prefactor,
             method="quadrature",
         )
     moments = conditional_moments(density, ansatz, settings)
-    return gamma_from_moments(moments, ansatz.n_electrons, prefactor)
+    return gamma_from_moments(moments, ansatz.n_electrons)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +302,6 @@ class EnergyBreakdown:
     external: float
     total: float
     total_stderr: float
-    prefactor: str
     method: str
 
     def to_dict(self) -> dict:
@@ -334,7 +320,6 @@ class EnergyBreakdown:
             external=external,
             total=weizsacker + gamma.fisher + gamma.coulomb + external,
             total_stderr=gamma.stderr,
-            prefactor=gamma.prefactor,
             method=gamma.method,
         )
 
@@ -344,7 +329,6 @@ def total_energy(
     ansatz: ConditionalAnsatz,
     potential: ExternalPotential | None,
     settings: SamplerSettings,
-    prefactor: str = "half",
     method: str = "auto",
     grid: QuadratureGrid | None = None,
 ) -> EnergyBreakdown:
@@ -354,5 +338,5 @@ def total_energy(
         grid = default_grid(density)
     w = weizsacker_term(density, grid)
     ext = external_energy(density, potential, grid) if potential is not None else 0.0
-    gamma = gamma_correlation(density, ansatz, settings, prefactor=prefactor, method=method)
+    gamma = gamma_correlation(density, ansatz, settings, method=method)
     return EnergyBreakdown.assemble(w, gamma, ext)

@@ -1,9 +1,9 @@
 """Nested variational optimization.
 
 Inner loop: Nelder-Mead over the ansatz couplings (gamma, beta) at fixed
-density, minimizing the sampled correlation functional.  With common
-random numbers (the default) every evaluation inside one search reuses
-the same seed, so the search sees a deterministic surface.
+density, minimizing the sampled correlation functional.  Every
+evaluation inside one search reuses one seed derived from the search
+seed (common random numbers), so the search sees a deterministic surface.
 Because that surface is deterministic, each search keeps its estimates
 keyed by the couplings that act on f, and a repeated point costs nothing:
 a Nelder-Mead contraction that returns to a vertex, or at N = 2 (where
@@ -49,7 +49,6 @@ class OptimizeSpec:
     max_iter_inner: int = 60
     max_iter_outer: int = 40
     tol: float = 1e-3
-    crn: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -261,7 +260,6 @@ def inner_minimize(
     family: str,
     settings: SamplerSettings,
     opt: OptimizeSpec,
-    prefactor: str = "half",
     method: str = "auto",
 ) -> InnerResult:
     """Minimize Gamma over the family's couplings at fixed density.
@@ -274,11 +272,7 @@ def inner_minimize(
     evaluation budget, but samples nothing.  The returned estimate is the
     search's own at the winner; `fresh_estimate` re-evaluates it.
     """
-    crn_seed = (
-        int(substream(opt.seed, _NS_CRN).integers(0, 2**63 - 1))
-        if opt.crn
-        else settings.seed
-    )
+    crn_seed = int(substream(opt.seed, _NS_CRN).integers(0, 2**63 - 1))
     search_settings = replace(settings, seed=crn_seed)
     memo: dict[tuple[float, ...], GammaEstimate] = {}
 
@@ -288,7 +282,7 @@ def inner_minimize(
         ans = build_ansatz(family, density, space, g, b)
         key = ans.acting_couplings
         if key not in memo:
-            memo[key] = gamma_correlation(density, ans, search_settings, prefactor, method)
+            memo[key] = gamma_correlation(density, ans, search_settings, method)
         return memo[key]
 
     trace: list[TraceEntry] = []
@@ -331,13 +325,12 @@ def fresh_estimate(
     ansatz: ConditionalAnsatz,
     settings: SamplerSettings,
     opt: OptimizeSpec,
-    prefactor: str = "half",
     method: str = "auto",
 ) -> GammaEstimate:
     """Gamma of a search's winner on the fresh seed of opt.seed, so the
     reported value carries no selection bias from the search."""
     eval_settings = replace(settings, seed=fresh_seed(opt.seed))
-    return gamma_correlation(density, ansatz, eval_settings, prefactor, method)
+    return gamma_correlation(density, ansatz, eval_settings, method)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +357,6 @@ def outer_minimize(
     family: str,
     settings: SamplerSettings,
     opt: OptimizeSpec,
-    prefactor: str = "half",
     method: str = "auto",
 ) -> OuterResult:
     """Golden-section over zeta of [Weizsacker + external + min_f Gamma].
@@ -387,9 +379,7 @@ def outer_minimize(
         grid = default_grid(density)
         w = weizsacker_term(density, grid)
         ext = external_energy(density, potential, grid) if potential else 0.0
-        inner = inner_minimize(
-            density, space, family, settings, opt, prefactor, method
-        )
+        inner = inner_minimize(density, space, family, settings, opt, method)
         evaluated[zeta] = (density, w, ext, inner)
         calls += inner.estimator_calls
         total = w + ext + inner.estimate.value
@@ -410,7 +400,7 @@ def outer_minimize(
     zeta_best = float(res.x[0])
     density, w, ext, inner = evaluated[zeta_best]
     ansatz = build_ansatz(family, density, space, inner.gamma, inner.beta)
-    fresh = fresh_estimate(density, ansatz, settings, opt, prefactor, method)
+    fresh = fresh_estimate(density, ansatz, settings, opt, method)
     return OuterResult(
         zeta=zeta_best,
         gamma=inner.gamma,

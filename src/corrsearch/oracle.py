@@ -236,41 +236,6 @@ def solve_two_particle_1d(
     return Grid1DWavefunction(x=x, psi=psi, softening=softening)
 
 
-_RHO_FLOOR = 1e-12
-
-
-def extract_f(w, r):
-    """Conditional satellite density f(. | r) extracted from a wavefunction.
-
-    Product form: r is a position or radius; returns a callable mapping
-    satellite arrays (..., S, d) or radii (..., S) to f values, which by
-    the algebra of the product state do not depend on r.  Grid form: r is
-    a node index; returns that row of the conditional table.  Raises when
-    rho(r) is too small to condition on.
-    """
-    if isinstance(w, ProductWavefunction):
-        radius = float(np.sqrt(np.sum(np.square(np.asarray(r, dtype=float)))))
-        rho_r = w.n_electrons * w.orbital_sq(radius)
-        if rho_r < _RHO_FLOOR:
-            raise DomainError("conditional density undefined: rho(r) below 1e-12")
-
-        def f_value(satellites):
-            satellites = np.asarray(satellites, dtype=float)
-            if satellites.ndim >= 2 and satellites.shape[-1] in (1, 3):
-                radii = np.sqrt(np.sum(satellites**2, axis=-1))
-            else:
-                radii = satellites
-            return np.prod(w.orbital_sq(radii), axis=-1)
-
-        return f_value
-    if isinstance(w, Grid1DWavefunction):
-        i = int(r)
-        if w.density()[i] < _RHO_FLOOR:
-            raise DomainError("conditional density undefined: rho(r) below 1e-12")
-        return w.conditional_table()[i]
-    raise DomainError(f"unsupported wavefunction form {type(w).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # decomposition identity
 # ---------------------------------------------------------------------------
@@ -278,23 +243,19 @@ def extract_f(w, r):
 
 @dataclass
 class DecompositionReport:
-    """Both routes to the internal energy plus residuals per prefactor."""
+    """Both routes to the internal energy and the residual between them."""
 
     lhs_internal: float
     weizsacker: float
     fisher: float
     coulomb_expectation: float  # int rho(r) E_f[w] dr, before the prefactor
-    residual_half: float
-    residual_full: float
+    residual: float
 
-    def residual(self, prefactor: str) -> float:
-        return self.residual_half if prefactor == "half" else self.residual_full
-
-
-def _residuals(lhs: float, w: float, fisher: float, expect: float, n: int):
-    rhs_half = w + fisher + prefactor_value(n, "half") * expect
-    rhs_full = w + fisher + prefactor_value(n, "full") * expect
-    return abs(lhs - rhs_half), abs(lhs - rhs_full)
+    @classmethod
+    def of(cls, lhs: float, w: float, fisher: float, expect: float, n: int):
+        """The report for N electrons, its residual taken at P(N) = (N-1)/2."""
+        rhs = w + fisher + prefactor_value(n) * expect
+        return cls(lhs, w, fisher, expect, abs(lhs - rhs))
 
 
 def verify_decomposition_product(w: ProductWavefunction) -> DecompositionReport:
@@ -302,8 +263,7 @@ def verify_decomposition_product(w: ProductWavefunction) -> DecompositionReport:
 
     The extracted conditional density f = prod |phi(s_n)|^2 does not
     depend on the conditioning point, so the Fisher term vanishes and
-    the Coulomb expectation is (N-1) identical orbital pair integrals
-    per unit prefactor.
+    the Coulomb term is N(N-1)/2 identical orbital pair integrals.
     """
     direct = direct_expectation_product(w)
     r, wr = _radial_nodes(w.zeta)
@@ -313,17 +273,7 @@ def verify_decomposition_product(w: ProductWavefunction) -> DecompositionReport:
     pair = _orbital_pair_integral(w)
     # int rho(r) E_f[w(r, first satellite)] dr: rho carries the factor N
     expect = w.n_electrons * pair
-    res_half, res_full = _residuals(
-        direct.internal, weiz, 0.0, expect, w.n_electrons
-    )
-    return DecompositionReport(
-        lhs_internal=direct.internal,
-        weizsacker=weiz,
-        fisher=0.0,
-        coulomb_expectation=expect,
-        residual_half=res_half,
-        residual_full=res_full,
-    )
+    return DecompositionReport.of(direct.internal, weiz, 0.0, expect, w.n_electrons)
 
 
 def grid_coulomb_expectation(x, rho, f_table, softening) -> float:
@@ -339,15 +289,7 @@ def verify_decomposition_grid(w: Grid1DWavefunction) -> DecompositionReport:
     weiz = lattice_weizsacker(w.x, rho)
     fisher = lattice_fisher(w.x, rho, f)
     expect = grid_coulomb_expectation(w.x, rho, f, w.softening)
-    res_half, res_full = _residuals(direct.internal, weiz, fisher, expect, 2)
-    return DecompositionReport(
-        lhs_internal=direct.internal,
-        weizsacker=weiz,
-        fisher=fisher,
-        coulomb_expectation=expect,
-        residual_half=res_half,
-        residual_full=res_full,
-    )
+    return DecompositionReport.of(direct.internal, weiz, fisher, expect, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +376,7 @@ def lattice_gamma(system: GridSystem1D, f_table: np.ndarray) -> float:
     """
     fisher = lattice_fisher(system.x, system.rho, f_table)
     expect = grid_coulomb_expectation(system.x, system.rho, f_table, system.softening)
-    return fisher + prefactor_value(system.n_electrons, "half") * expect
+    return fisher + prefactor_value(system.n_electrons) * expect
 
 
 class _PairTableSpace:
@@ -465,7 +407,7 @@ class _PairTableSpace:
         self.var[self.ju * m + self.iu] = np.arange(n)
         # gradient of the Coulomb part; the link constant
         # (1/h) sum sqrt(rho_i rho_{i+1}) of the Fisher part has none
-        pref = prefactor_value(system.n_electrons, "half")
+        pref = prefactor_value(system.n_electrons)
         kernel = soft_kernel(system.x, system.softening)
         self.linear = 2.0 * pref * h * h * kernel[self.iu, self.ju]
 

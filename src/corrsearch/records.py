@@ -1,8 +1,8 @@
 """Run records: JSON summaries plus CSV traces for each CLI invocation.
 
 A record contains everything needed to reproduce the run (config echo,
-seed, prefactor mode, command line) and the results.  Determinism
-comparisons use `reproducible_view`, which strips wall-clock fields.
+seed, command line) and the results.  Determinism comparisons use
+`reproducible_view`, which strips wall-clock fields.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ class RunRecord:
     command: str
     config: dict
     seed: int
-    prefactor: str
     results: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
     status: str = "ok"          # "ok" | "partial" | "failed"
@@ -73,12 +72,6 @@ def save_trace(rows, path: str, columns=TRACE_COLUMNS):
                 writer.writerow([row[c] for c in columns])
             else:
                 writer.writerow(list(row))
-
-
-def load_trace(path: str) -> list[dict]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        return [dict(r) for r in reader]
 
 
 def run_directory(base: str | None, seed: int) -> str:

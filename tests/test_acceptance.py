@@ -58,16 +58,15 @@ def soft_atom(x):
 
 def test_criterion_1_decomposition_identity():
     rep = verify_decomposition_product(ProductWavefunction(HE_ZETA, 2))
+    # the literal factor N - 1 = 1, from the report's terms
+    literal = abs(rep.lhs_internal - (rep.weizsacker + rep.fisher + rep.coulomb_expectation))
     literal_expected = 5.0 * HE_ZETA / 8.0
-    ok = (
-        rep.residual_half <= 1e-3
-        and abs(rep.residual_full - literal_expected) <= 1e-3
-    )
+    ok = rep.residual <= 1e-3 and abs(literal - literal_expected) <= 1e-3
     report(
         1,
         ok,
-        f"halved-prefactor residual {rep.residual_half:.2e} <= 1e-3; "
-        f"literal-prefactor residual {rep.residual_full:.6f} vs "
+        f"halved-prefactor residual {rep.residual:.2e} <= 1e-3; "
+        f"literal-prefactor residual {literal:.6f} vs "
         f"5*zeta/8 = {literal_expected:.6f} within 1e-3",
     )
 

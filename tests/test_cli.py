@@ -1,8 +1,12 @@
 """End-to-end tests of the command line interface and run records."""
 
 import configparser
+import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,23 +19,22 @@ from corrsearch.config import (
     build_density,
     build_sampler_settings,
     build_space,
-    config_to_text,
     load_config,
     parse_config,
 )
 from corrsearch.functionals import gamma_correlation
 from corrsearch.optimizer import build_ansatz
-from corrsearch.records import (
-    RunRecord,
-    load_record,
-    load_trace,
-    save_record,
-    save_trace,
-)
+from corrsearch.records import RunRecord, load_record, save_record, save_trace
 
 from conftest import pooled_runs, steps_per_chunk
 
 HE_ZETA = 27.0 / 16.0
+REPO = Path(__file__).resolve().parents[1]
+
+
+def load_trace(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def write_config(
@@ -288,29 +291,47 @@ def test_verify_default_passes(capsys):
     assert "verification passed" in out
 
 
-def test_verify_literal_prefactor_fails_tolerance(tmp_path, capsys):
+def test_verify_tolerance_below_residual_fails(tmp_path, capsys):
     out = tmp_path / "ver"
-    code = main(["verify", "--prefactor", "full", "--out", str(out)])
+    code = main(["verify", "--tol-grid", "1e-20", "--out", str(out)])
     assert code == 3
     captured = capsys.readouterr()
     assert "FAILED" in captured.err
     record = load_record(str(out / "record.json"))
-    # doubling the interaction prefactor leaves one whole pair energy over
-    assert record.results["product"]["residual_full"] == pytest.approx(
-        5.0 * HE_ZETA / 8.0, abs=1e-3
-    )
-    assert record.results["product"]["residual_half"] <= 1e-3
-    # the printed residuals are the full-prefactor ones the exit code is
-    # judged on: the grid one (the whole <V_ee>) above its 1e-10 tolerance
+    product, grid = record.results["product"], record.results["grid"]
+    assert product["residual"] <= 1e-3
+    # the grid identity closes at rounding, above the 1e-20 tolerance
+    assert 1e-20 < grid["residual"] <= 1e-10
+    # the printed residuals are the recorded ones the exit code is judged on
     residuals = [
         float(line.split()[1]) for line in captured.out.splitlines()
         if line.strip().startswith("residual")
     ]
-    grid_full = record.results["grid"]["residual_full"]
-    assert residuals == [
-        float(f"{record.results['product']['residual_full']:.2e}"), float(f"{grid_full:.2e}")
-    ]
-    assert residuals[1] > 1e-10
+    assert residuals == [float(f"{product['residual']:.2e}"), float(f"{grid['residual']:.2e}")]
+
+
+def test_prefactor_flag_accepts_only_half(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["energy", "--config", cfg, "--prefactor", "full"]) == 1
+    out = tmp_path / "half"
+    assert main(["energy", "--config", cfg, "--prefactor", "half", "--out", str(out)]) == 0
+    record = json.loads((out / "record.json").read_text())
+    assert "prefactor" not in record and "prefactor" not in record["results"]["breakdown"]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("workload", ["he-sweep", "n6-pairs", "he-optimize"])
+def test_benchmark_setup_reads_the_cli_and_config(tmp_path, workload):
+    """The benchmark's set-up step builds its parser and config through the
+    package; a flag or key it reads that goes away fails it here."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, "bench/worker.py", "setup", "--workload", workload,
+         "--seed", "1", "--dir", str(tmp_path)],
+        cwd=REPO, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["setup_s"] > 0.0
 
 
 def test_verify_fermion_passes_default_grid_tolerance(capsys):
@@ -572,27 +593,28 @@ def config_keys(text):
     return {(section, key) for section in parser.sections() for key in parser[section]}
 
 
-def test_config_text_round_trip(tmp_path):
-    with open(write_config(tmp_path, optimize=OPT_SECTION), encoding="utf-8") as fh:
-        texts = [fh.read(), EVERY_KEY_CONFIG]
-    for text in texts:
-        cfg = parse_config(text)
-        again = parse_config(config_to_text(cfg))
-        assert again == cfg
+def section_fields(cfg):
+    """(section name, dataclass field) for every key of the file format."""
+    return [
+        (section.name, f)
+        for section in dataclasses.fields(cfg)
+        if dataclasses.is_dataclass(getattr(cfg, section.name))
+        for f in dataclasses.fields(getattr(cfg, section.name))
+    ]
 
+
+def test_every_key_config_sets_every_field():
     every = parse_config(EVERY_KEY_CONFIG)
-    for name in ("system", "density", "ansatz", "sampler", "optimize"):
-        section = getattr(every, name)
-        for f in dataclasses.fields(section):
-            assert getattr(section, f.name) != f.default, (name, f.name)
+    for name, f in section_fields(every):
+        assert getattr(getattr(every, name), f.name) != f.default, (name, f.name)
     assert len(config_keys(EVERY_KEY_CONFIG)) == 34
 
 
 def test_runconfig_dict_round_trip(tmp_path):
     with open(write_config(tmp_path), encoding="utf-8") as fh:
-        cfg = parse_config(fh.read(), {"seed": 77, "prefactor": "full"})
+        cfg = parse_config(fh.read(), {"seed": 77, "prefactor": "half"})
     assert cfg.sampler.seed == 77
-    assert cfg.prefactor == "full"
+    assert "prefactor" not in cfg.to_dict()
     assert RunConfig.from_dict(cfg.to_dict()) == cfg
     # through JSON, as a record stores it: the float tuples come back as lists
     mixture = parse_config(EVERY_KEY_CONFIG, {"test_mode": True})
@@ -600,11 +622,16 @@ def test_runconfig_dict_round_trip(tmp_path):
 
 
 def test_readme_config_block_lists_every_key():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
     cfg = parse_config(block)
-    assert config_keys(block) == config_keys(config_to_text(cfg))
+    keys = {(name, f.metadata.get("key", f.name)) for name, f in section_fields(cfg)}
+    assert config_keys(block) == keys
     assert len(config_keys(block)) == 34
+    # and every value the block shows is its key's default
+    for name, f in section_fields(cfg):
+        if f.default is not dataclasses.MISSING:
+            assert getattr(getattr(cfg, name), f.name) == f.default, (name, f.name)
 
 
 def test_gamma_floor_needs_test_mode(tmp_path):
@@ -626,9 +653,7 @@ def test_gamma_floor_needs_test_mode(tmp_path):
 
 
 def test_record_save_load_round_trip(tmp_path):
-    record = RunRecord(
-        command="corrsearch energy --config x", config={"a": 1}, seed=3, prefactor="half"
-    )
+    record = RunRecord(command="corrsearch energy --config x", config={"a": 1}, seed=3)
     record.results = {"value": 1.5}
     path = str(tmp_path / "deep" / "record.json")
     save_record(record, path)
@@ -639,7 +664,7 @@ def test_record_save_load_round_trip(tmp_path):
 
 
 def test_reproducible_view_strips_clock_fields(tmp_path):
-    record = RunRecord(command="c", config={}, seed=0, prefactor="half")
+    record = RunRecord(command="c", config={}, seed=0)
     record.timings = {"seconds": 1.0}
     record.finalize()
     view = record.reproducible_view()

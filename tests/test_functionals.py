@@ -1,4 +1,4 @@
-"""Energy terms: closed-form anchors, prefactor handling, error propagation."""
+"""Energy terms: closed-form anchors, the pair-counting factor, error propagation."""
 
 import tracemalloc
 
@@ -99,34 +99,16 @@ def test_weizsacker_dim_mismatch():
 
 def test_frozen_coulomb_quadrature_vs_closed_form():
     density = ExponentialDensity(zeta=1.6875, n_electrons=2)
-    val = frozen_coulomb_quadrature(density, prefactor="half")
+    val = frozen_coulomb_quadrature(density)
     assert val == pytest.approx(5.0 * 1.6875 / 8.0, abs=1e-3)
-
-
-def test_frozen_coulomb_prefactor_linearity_quadrature():
-    density = ExponentialDensity(zeta=HE_ZETA, n_electrons=2)
-    half = frozen_coulomb_quadrature(density, prefactor="half")
-    full = frozen_coulomb_quadrature(density, prefactor="full")
-    assert full == 2.0 * half
 
 
 def test_frozen_coulomb_mc_vs_closed_form():
     density, space = he_system()
     frozen = FrozenOrbitalProduct(density, space)
-    est = gamma_correlation(density, frozen, mc_settings(), prefactor="half", method="mc")
+    est = gamma_correlation(density, frozen, mc_settings(), method="mc")
     assert est.coulomb_stderr > 0.0
     assert abs(est.coulomb - HE_PAIR_INTEGRAL) <= 3.0 * est.coulomb_stderr
-
-
-def test_coulomb_prefactor_linearity_same_samples():
-    density, space = he_system()
-    frozen = FrozenOrbitalProduct(density, space)
-    settings = mc_settings()
-    half = gamma_correlation(density, frozen, settings, prefactor="half", method="mc")
-    full = gamma_correlation(density, frozen, settings, prefactor="full", method="mc")
-    # identical seeds give identical chains; only the scale differs
-    assert full.coulomb == 2.0 * half.coulomb
-    assert full.coulomb_stderr == 2.0 * half.coulomb_stderr
 
 
 def test_single_electron_terms_vanish():
@@ -140,12 +122,10 @@ def test_single_electron_terms_vanish():
 
 
 def test_prefactor_values():
-    assert prefactor_value(2, "half") == 0.5
-    assert prefactor_value(2, "full") == 1.0
-    assert prefactor_value(3, "half") == 1.0
-    assert prefactor_value(5, "full") == 4.0
-    with pytest.raises(ValueError):
-        prefactor_value(2, "double")
+    # (N-1)/2, which times N is the number of electron pairs
+    assert prefactor_value(2) == 0.5
+    assert prefactor_value(3) == 1.0
+    assert prefactor_value(5) == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +323,6 @@ def test_breakdown_serialization_round_trip():
         external=-6.75,
         total=-4.45,
         total_stderr=0.022,
-        prefactor="half",
         method="mc",
     )
     d = bd.to_dict()

@@ -149,9 +149,9 @@ def test_inner_synthetic_recovery(monkeypatch):
     )
     target = lambda g, b: (g - 2.0) ** 2 + (b - 0.7) ** 2
 
-    def synthetic(density, ansatz, settings, prefactor, method):
+    def synthetic(density, ansatz, settings, method):
         value = target(*ansatz.acting_couplings)
-        return GammaEstimate(0.0, 0.0, value, 0.0, 0.0, value, 0.0, prefactor, method)
+        return GammaEstimate(0.0, 0.0, value, 0.0, 0.0, value, 0.0, method)
 
     monkeypatch.setattr(optimizer, "gamma_correlation", synthetic)
     res = inner_minimize(density, space, "pairwise", search_settings(), opt)
@@ -199,13 +199,12 @@ def test_inner_search_keeps_its_evaluation_budget(n):
         assert len(res.trace) <= opt.max_iter_inner
 
 
-@pytest.mark.parametrize("crn", [True, False])
 @pytest.mark.parametrize("n", [2, 3])
-def test_inner_search_samples_each_acting_point_once(monkeypatch, n, crn):
+def test_inner_search_samples_each_acting_point_once(monkeypatch, n):
     density = ExponentialDensity(zeta=HE_ZETA, n_electrons=n)
     space = SpaceSpec(dim=3, radius=1.3, n_electrons=n)
     settings = search_settings(conditioning_points=32, samples=16, burn_in=32, seed=4)
-    opt = OptimizeSpec(max_iter_inner=14, crn=crn, seed=4)
+    opt = OptimizeSpec(max_iter_inner=14, seed=4)
     calls = []
 
     def counting(*args, **kwargs):
@@ -215,11 +214,7 @@ def test_inner_search_samples_each_acting_point_once(monkeypatch, n, crn):
     monkeypatch.setattr(optimizer, "gamma_correlation", counting)
     res = inner_minimize(density, space, "pairwise", settings, opt)
 
-    crn_seed = (
-        int(substream(opt.seed, optimizer._NS_CRN).integers(0, 2**63 - 1))
-        if crn
-        else settings.seed
-    )
+    crn_seed = int(substream(opt.seed, optimizer._NS_CRN).integers(0, 2**63 - 1))
     direct_settings = replace(settings, seed=crn_seed)
     keys = set()
     for row in res.trace:

@@ -17,7 +17,6 @@ from corrsearch.oracle import (
     ProductWavefunction,
     direct_expectation_grid,
     direct_expectation_product,
-    extract_f,
     grid_coulomb_expectation,
     _ground_state,
     _sector_hamiltonian,
@@ -69,17 +68,21 @@ def test_product_wavefunction_validation():
         ProductWavefunction(zeta=1.0, n_electrons=1)
 
 
+def literal_residual(rep, n):
+    """The residual with the literal factor N - 1 in place of (N - 1)/2."""
+    rhs = rep.weizsacker + rep.fisher + (n - 1) * rep.coulomb_expectation
+    return abs(rep.lhs_internal - rhs)
+
+
 @pytest.mark.parametrize("zeta,n", [(1.0, 2), (HE_ZETA, 2), (0.8, 3), (1.3, 4)])
 def test_product_decomposition_residual_half_vanishes(zeta, n):
     rep = verify_decomposition_product(ProductWavefunction(zeta, n))
     assert rep.fisher == 0.0
-    assert rep.residual_half <= 1e-10
+    assert rep.residual <= 1e-10
     # with the doubled prefactor the two routes differ by exactly the
     # pair energy once per pair
     n_pairs = n * (n - 1) / 2
-    assert rep.residual_full == pytest.approx(n_pairs * 5.0 * zeta / 8.0, rel=1e-8)
-    assert rep.residual("half") == rep.residual_half
-    assert rep.residual("full") == rep.residual_full
+    assert literal_residual(rep, n) == pytest.approx(n_pairs * 5.0 * zeta / 8.0, rel=1e-8)
 
 
 def test_product_weizsacker_equals_kinetic():
@@ -88,56 +91,6 @@ def test_product_weizsacker_equals_kinetic():
     rep = verify_decomposition_product(w)
     direct = direct_expectation_product(w)
     assert rep.weizsacker == pytest.approx(direct.kinetic, rel=1e-10)
-
-
-# ---------------------------------------------------------------------------
-# extracted conditional density, product form
-# ---------------------------------------------------------------------------
-
-
-def test_extract_f_product_independent_of_conditioning_point():
-    w = ProductWavefunction(zeta=1.3, n_electrons=3)
-    f_near = extract_f(w, np.array([0.5, 0.0, 0.0]))
-    f_far = extract_f(w, np.array([2.5, 0.0, 0.0]))
-    rng = np.random.default_rng(4)
-    satellites = rng.uniform(0.1, 3.0, size=(7, 2, 3))
-    np.testing.assert_array_equal(f_near(satellites), f_far(satellites))
-
-
-def test_extract_f_product_accepts_radii():
-    w = ProductWavefunction(zeta=1.0, n_electrons=3)
-    f = extract_f(w, 1.0)
-    positions = np.array(
-        [[[0.0, 0.0, 2.0], [1.0, 0.0, 0.0]], [[0.5, 0.0, 0.0], [0.0, 3.0, 0.0]]]
-    )
-    radii = np.array([[2.0, 1.0], [0.5, 3.0]])
-    np.testing.assert_allclose(f(positions), f(radii), rtol=1e-14)
-
-
-def test_extract_f_product_normalization():
-    w = ProductWavefunction(zeta=1.3, n_electrons=3)
-    t, wt = np.polynomial.legendre.leggauss(200)
-    r_max = 14.0 / w.zeta
-    s = 0.5 * r_max * (t + 1.0)
-    ws = 0.5 * r_max * wt
-    nodes = np.zeros((s.size, 1, 3))
-    nodes[:, 0, 2] = s
-    rng = np.random.default_rng(11)
-    for r in rng.uniform(0.2, 3.0, size=5):
-        f = extract_f(w, np.array([r, 0.0, 0.0]))
-        per_satellite = float(np.sum(ws * 4.0 * np.pi * s * s * f(nodes)))
-        assert per_satellite ** (w.n_electrons - 1) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_extract_f_product_rho_floor():
-    w = ProductWavefunction(zeta=2.0, n_electrons=2)
-    with pytest.raises(DomainError, match="rho"):
-        extract_f(w, np.array([50.0, 0.0, 0.0]))
-
-
-def test_extract_f_rejects_unknown_form():
-    with pytest.raises(DomainError, match="unsupported"):
-        extract_f("not a wavefunction", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +202,8 @@ def test_grid_decomposition_closes_at_rounding(symmetry, m):
     # prefactor leaves the whole <V_ee> over
     w = solve_two_particle_1d(m, 6.0, soft_atom, symmetry=symmetry)
     rep = verify_decomposition_grid(w)
-    assert rep.residual_half <= 1e-12
-    assert rep.residual_full > 0.1
+    assert rep.residual <= 1e-12
+    assert literal_residual(rep, 2) > 0.1
 
 
 def test_lattice_gamma_matches_verifier_terms():
