@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Density, DomainError, QuadratureGrid, SpaceSpec, sq_norm, sum_last
+from .domain import Density, DomainError, QuadratureGrid, SpaceSpec, sq_norm
 
 
 class AnsatzError(ValueError):
@@ -100,6 +100,11 @@ def pair_energy_grad_x(density: Density, space: SpaceSpec, x: np.ndarray, y: np.
     return (rho_y * kern)[..., None] * grad_rho_x + (rho_x * rho_y)[..., None] * dkern
 
 
+# 0-d constants for the hinted path: a ufunc converts a Python float
+# argument on every call, and a 0-d array costs it nothing
+_ZERO, _ONE, _NEG_INF = np.array(0.0), np.array(1.0), np.array(-np.inf)
+
+
 def _satellite_pairs(n_sat: int):
     """Index pairs (i, j) with i < j among satellites."""
     return np.triu_indices(n_sat, k=1)
@@ -122,15 +127,20 @@ class ConditionalAnsatz:
     the full proposal, which differs from chain c's current state only in
     satellite k[c] (integer array (m,)), moved from old[c] to new[c]
     (arrays (m, d)); all three may be strided views, and with one
-    satellite satellites is new itself, as an (m, 1, d) view.  log_old
-    (m,) is the current, finite value, and
+    satellite satellites is new itself, as an (m, 1, d) view.  old and
+    new are views of buffers that the sampler overwrites in the next
+    step, so a family must not keep them, or satellites, past the call.
+    log_old (m,) is the current, finite value, and
     state is what chain_state(r, current satellites) returned at the
     block's start, kept current by the sampler through state.commit(accept)
     after every hinted call.  A family may return log_old plus the change
     in the terms that involve satellite k, or ignore the hint and evaluate
     the proposal in full; both give the same value up to rounding.  A
     hinted call skips the shape checks and runs with numpy's divide and
-    invalid errors ignored, as the sampler's step loop does.
+    invalid errors ignored, as the sampler's step loop does.  Scratch
+    buffers of a hinted path belong in the chain state, one set per
+    batch, never on the family instance: the sampler's pool thread calls
+    score on the same instance while the step loop runs.
     """
 
     family: str = "base"
@@ -139,6 +149,9 @@ class ConditionalAnsatz:
     searchable: bool = True  # may be optimized and compared
     exactly_normalized: bool = False  # f integrates to 1 by construction
     closed_form_coulomb: bool = False  # Coulomb term has a quadrature route
+    # rho(r) f(s|r) is the pair density of a state with density rho, so at
+    # N = 2 the energy is that state's and bounds the ground state from above
+    marginal_matched: bool = False
 
     def __init__(self, density: Density, space: SpaceSpec):
         if density.dim != space.dim:
@@ -235,17 +248,32 @@ class PairChainState:
     A hinted log_unnormalized call reads the old terms from here and
     leaves the proposal's new ones pending; commit(accept) writes the
     accepted ones in, so every held array equals a fresh evaluation of the
-    chains' current states.
+    chains' current states.  The hinted call also works in scratch
+    buffers held here, one set per block, so the pending terms may point
+    into them: commit runs before the next hinted call.
     """
 
-    def __init__(self, rho_r, rho_sat, e_cond, e_pair):
+    def __init__(self, rho_r, rho_sat, e_cond, e_pair, n_sat, dim):
         self.rho_r, self.rho_sat, self.e_cond, self.e_pair = rho_r, rho_sat, e_cond, e_pair
         m = len(rho_r)
         self.chains = np.arange(m)
+        # hinted-call scratch: the squared coordinates of new and new - r,
+        # their sums, then (m,) kernel terms
+        self.sq = np.empty((2, dim, m))
+        self.norms = np.empty((2, m))
+        # row views made once: a view costs each step as much as a small ufunc
+        (self.sq_new, self.sq_rel), (self.r2, self.d2) = self.sq, self.norms
+        self.num, self.e_new, self.change = np.empty((3, m))
+        self.outside = np.empty(m, bool)
+        self.pos = np.empty(m, np.int64)
         if e_pair is not None:
             j = np.arange(len(e_pair))[:, None]
             # flat offsets of e_pair[j, 0, 0] and of e_pair[0, j, 0]
             self.down, self.across = j * e_pair[0].size, j * m
+            # the moved satellite against all S satellites: (S, d, m) and (S, m)
+            self.pair_delta = np.empty((n_sat, dim, m))
+            self.pair_d2, self.pair_num, self.pair_new, self.pair_old = np.empty((4, n_sat, m))
+            self.pair_pos = np.empty((n_sat, m), np.int64)
         self.pending = None
 
     def commit(self, accept: np.ndarray) -> None:
@@ -279,7 +307,7 @@ class PairwiseBiparametric(ConditionalAnsatz):
 
     def __init__(self, density, space, gamma: float, beta: float, test_mode: bool = False):
         super().__init__(density, space)
-        self._omega_r2 = space.omega_radius**2
+        self._omega_r2 = np.array(space.omega_radius**2)
         if not np.isfinite(gamma) or not np.isfinite(beta):
             raise AnsatzError("gamma and beta must be finite")
         if gamma <= 0.0 and not test_mode:
@@ -288,6 +316,7 @@ class PairwiseBiparametric(ConditionalAnsatz):
             raise AnsatzError("gamma and beta must be non-negative")
         self.gamma = float(gamma)
         self.beta = float(beta)
+        self._gamma_0d, self._beta_0d = np.array(self.gamma), np.array(self.beta)
 
     @property
     def acting_couplings(self) -> tuple[float, ...]:
@@ -324,34 +353,81 @@ class PairwiseBiparametric(ConditionalAnsatz):
         current state has finite log f~, so the E_H conventions carry over:
         a new coincidence gives -inf.  With one satellite the full formula
         has a single term and is kept, so the value is exactly a fresh
-        evaluation's."""
-        space, n_sat = self.space, self.n_satellites
-        r2 = sq_norm(new)
+        evaluation's.
+
+        The arithmetic is _weighted_kernel's and the full formula's, in
+        the same order, so every term is bit for bit an unhinted call's;
+        it runs chain-last and in place, in the chain state's buffers.  A
+        squared norm is one add-reduce over the coordinate axis, which adds
+        its fewer than 8 terms in order, as sum_last does, and the support
+        test is a mask applied in place."""
+        s = state
+        new_t = new.T  # (d, m)
+        # |new|^2 and |new - r|^2 in one add-reduce
+        r2, sq_rel = s.r2, s.sq_rel
+        np.multiply(new_t, new_t, out=s.sq_new)
+        np.subtract(new_t, r.T, out=sq_rel)
+        np.multiply(sq_rel, sq_rel, out=sq_rel)
+        np.add.reduce(s.sq, axis=1, out=s.norms)
         rho_new = self.density.value(new, r2)
-        inside = r2 <= self._omega_r2
+        outside = np.greater(r2, self._omega_r2, out=s.outside)
         e_new = None
         if self.gamma > 0.0:
-            e_new = _weighted_kernel(space, state.rho_r * rho_new, new - r)
-        if n_sat == 1:
-            total = np.where(inside, 0.0, -np.inf)
-            return total if e_new is None else total - self.gamma * e_new
-        pos = k * len(k) + state.chains  # (k[c], c) in a flat (S, m) array
-        total = np.where(inside, log_old, -np.inf)
-        if e_new is not None:
-            total = total - self.gamma * (e_new - np.take(state.e_cond, pos))
+            np.multiply(s.rho_r, rho_new, out=s.num)
+            e_new = self._kernel_in_place(s.num, s.d2, s.e_new)
+        if self.n_satellites == 1:
+            if e_new is None:
+                total = np.zeros(len(r2))
+            else:
+                total = np.subtract(_ZERO, np.multiply(self._gamma_0d, e_new, out=s.change))
+        else:
+            pos = np.multiply(k, len(k), out=s.pos)
+            np.add(pos, s.chains, out=pos)  # (k[c], c) in a flat (S, m) array
+            if e_new is None:
+                total = np.array(log_old)
+            else:
+                change = np.take(s.e_cond, pos, out=s.change)
+                np.subtract(e_new, change, out=change)
+                total = np.subtract(log_old, np.multiply(self._gamma_0d, change, out=change))
         pair_new = None
-        if state.e_pair is not None:
+        if s.e_pair is not None:
             # the moved satellite against all S satellites, chain axis last;
             # its own term, at distance 0, is set to 0, and adding 0.0 in
             # order leaves the sum over the S - 1 others exact
-            pair_new = _weighted_kernel(
-                space, rho_new * state.rho_sat, new - satellites.transpose(1, 0, 2)
-            )
-            pair_new[k, state.chains] = 0.0
-            diff = pair_new - np.take(state.e_pair, state.down + pos)
-            total = total - self.beta * sum_last(diff.T)
-        state.pending = (k, pos, e_new, rho_new, pair_new)
+            delta = np.subtract(new_t, satellites.transpose(1, 2, 0), out=s.pair_delta)
+            np.multiply(delta, delta, out=delta)
+            np.add.reduce(delta, axis=1, out=s.pair_d2)
+            np.multiply(rho_new, s.rho_sat, out=s.pair_num)
+            pair_new = self._kernel_in_place(s.pair_num, s.pair_d2, s.pair_new)
+            pair_new[k, s.chains] = 0.0
+            diff = np.take(s.e_pair, np.add(s.down, pos, out=s.pair_pos), out=s.pair_old)
+            np.subtract(pair_new, diff, out=diff)
+            change = np.add.reduce(diff, axis=0, out=s.change)
+            np.subtract(total, np.multiply(self._beta_0d, change, out=change), out=total)
+        np.copyto(total, _NEG_INF, where=outside)
+        if self.n_satellites > 1:
+            s.pending = (k, pos, e_new, rho_new, pair_new)
         return total
+
+    def _kernel_in_place(self, num, d2, out):
+        """_weighted_kernel's E_H from num = rho(x) rho(y) and the squared
+        distance d2, written to out; d2 is overwritten."""
+        if self.dim == 3:
+            np.sqrt(d2, out=d2)
+            np.divide(_ONE, d2, out=d2)
+            np.multiply(num, d2, out=out)
+            # every term is >= 0 except num * (1/d) = 0 * inf = nan at a
+            # contact where num = 0; fmax sets exactly that one to 0, which
+            # is _weighted_kernel's value wherever num = 0
+            return np.fmax(out, _ZERO, out=out)
+        # the softened kernel is finite, so num = 0 already gives 0, and a
+        # contact where num > 0 carries the +inf signal
+        contact = (d2 == 0.0) & (num > 0.0)
+        np.sqrt(np.add(d2, self.space.softening**2, out=d2), out=d2)
+        np.divide(_ONE, d2, out=d2)
+        np.multiply(num, d2, out=out)
+        np.copyto(out, np.inf, where=contact)
+        return out
 
     def chain_state(self, r, satellites):
         r, satellites = self._check_shapes(r, satellites)
@@ -372,7 +448,7 @@ class PairwiseBiparametric(ConditionalAnsatz):
                 e_pair = np.zeros((n_sat, n_sat, len(r)))
                 e_pair[ii, jj] = e
                 e_pair[jj, ii] = e
-        return PairChainState(rho_r, rho_sat, e_cond, e_pair)
+        return PairChainState(rho_r, rho_sat, e_cond, e_pair, n_sat, self.dim)
 
     def score(self, r, satellites):
         r, satellites = self._check_shapes(r, satellites)
@@ -417,6 +493,7 @@ class FrozenOrbitalProduct(ConditionalAnsatz):
     family = "frozen"
     exactly_normalized = True
     closed_form_coulomb = True
+    marginal_matched = True
 
     def log_unnormalized(self, r, satellites, moved=None):
         # np.sum adds 8 or more terms in an order set by the memory layout,
@@ -485,6 +562,15 @@ def family_class(family: str) -> type[ConditionalAnsatz]:
         return FAMILIES[family]
     except KeyError:
         raise AnsatzError(f"unknown ansatz family {family!r}") from None
+
+
+def bound_status(family: str, n_electrons: int) -> str:
+    """The record's `bound` label: "variational" when the energy is an upper
+    bound on the ground-state energy, "none" otherwise.  Only a
+    marginal-matched family at N = 2 has one: from three electrons on, a
+    non-negative spin-free f bounds at best the symmetric (bosonic) ground
+    state, not the fermionic one."""
+    return "variational" if family_class(family).marginal_matched and n_electrons == 2 else "none"
 
 
 def build_ansatz(

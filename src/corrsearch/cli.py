@@ -26,6 +26,7 @@ from .ansatz import (
     AnsatzError,
     EstimatorError,
     FAMILIES,
+    bound_status,
     build_ansatz,
     check_conditions,
 )
@@ -202,6 +203,7 @@ def cmd_energy(args) -> int:
             "gamma": cfg.ansatz.gamma,
             "beta": cfg.ansatz.beta,
             "breakdown": breakdown.to_dict(),
+            "bound": bound_status(cfg.ansatz.family, cfg.system.n_electrons),
         }
     )
     record.timings = {"energy_seconds": elapsed}
@@ -270,6 +272,8 @@ def cmd_optimize(args) -> int:
             "n_eval": result.n_eval,
             "converged": result.converged,
             "estimator_calls": result.estimator_calls,
+            "inner_first_simplex": result.inner_first_simplex,
+            "bound": bound_status(cfg.ansatz.family, cfg.system.n_electrons),
         }
     )
     record.timings = {"optimize_seconds": time.perf_counter() - t0}
@@ -316,6 +320,7 @@ def cmd_compare(args) -> int:
                 "value": fresh.value,
                 "stderr": fresh.stderr,
                 "method": fresh.method,
+                "bound": bound_status(fam, cfg.system.n_electrons),
                 "conditions": {
                     "normalized": report.normalization_pass,
                     "vanishes_at_conditioning": report.vanishes_at_conditioning,

@@ -159,12 +159,16 @@ class ExponentialDensity(Density):
         if self.dim not in (1, 3):
             raise DomainError("dim must be 1 or 3")
         n, zeta = self.n_electrons, self.zeta
-        object.__setattr__(self, "_amplitude", n * zeta**3 / np.pi if self.dim == 3 else n * zeta)
+        # 0-d arrays: value runs in every sampler step, and a ufunc converts
+        # a Python float argument on every call
+        amplitude = n * zeta**3 / np.pi if self.dim == 3 else n * zeta
+        object.__setattr__(self, "_amplitude", np.array(amplitude))
+        object.__setattr__(self, "_rate", np.array(-2.0 * zeta))
 
     def value(self, points, r2=None):
         if r2 is None:
             r2 = sq_norm(_check_points(points, self.dim))
-        return self._amplitude * np.exp(-2.0 * self.zeta * np.sqrt(r2))
+        return self._amplitude * np.exp(self._rate * np.sqrt(r2))
 
     def gradient(self, points):
         points = _check_points(points, self.dim)

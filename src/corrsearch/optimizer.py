@@ -252,6 +252,9 @@ class InnerResult:
     n_eval: int
     converged: bool
     estimator_calls: int     # gamma_correlation calls made
+    # Nelder-Mead converged on its initial simplex: the search never moved,
+    # so gamma and beta are its starting vertex, not a located optimum
+    first_simplex: bool
 
 
 def inner_minimize(
@@ -304,10 +307,12 @@ def inner_minimize(
             tol=opt.tol,
             max_eval=opt.max_iter_inner,
         )
+        first_simplex = res.converged and res.n_eval == res.x.size + 1
     else:
         # one evaluation at nan couplings, which build_ansatz does not pass on
         x = np.full(2, np.nan)
         res = MinimizeResult(x=x, value=search_fn(x), n_eval=1, converged=True)
+        first_simplex = False
     g_best, b_best = float(res.x[0]), float(res.x[1])
     return InnerResult(
         gamma=g_best,
@@ -317,6 +322,7 @@ def inner_minimize(
         n_eval=res.n_eval,
         converged=res.converged,
         estimator_calls=len(memo),
+        first_simplex=first_simplex,
     )
 
 
@@ -348,6 +354,7 @@ class OuterResult:
     n_eval: int
     converged: bool
     estimator_calls: int  # gamma_correlation calls: every inner search and the fresh one
+    inner_first_simplex: int  # inner searches that converged on their initial simplex
 
 
 def outer_minimize(
@@ -370,10 +377,10 @@ def outer_minimize(
     trace: list[TraceEntry] = []
     # zeta -> (density, Weizsacker, external, inner result), for the winner
     evaluated: dict[float, tuple[Density, float, float, InnerResult]] = {}
-    calls = 0
+    calls = first_simplex = 0
 
     def objective(zeta: float) -> float:
-        nonlocal calls
+        nonlocal calls, first_simplex
         zeta = float(zeta)
         density = make_density(zeta)
         grid = default_grid(density)
@@ -382,6 +389,7 @@ def outer_minimize(
         inner = inner_minimize(density, space, family, settings, opt, method)
         evaluated[zeta] = (density, w, ext, inner)
         calls += inner.estimator_calls
+        first_simplex += inner.first_simplex
         total = w + ext + inner.estimate.value
         trace.append(
             TraceEntry(
@@ -410,4 +418,5 @@ def outer_minimize(
         n_eval=res.n_eval,
         converged=res.converged,
         estimator_calls=calls + 1,
+        inner_first_simplex=first_simplex,
     )

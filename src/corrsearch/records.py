@@ -53,12 +53,6 @@ def save_record(record: RunRecord, path: str):
         fh.write("\n")
 
 
-def load_record(path: str) -> RunRecord:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return RunRecord(**data)
-
-
 def save_trace(rows, path: str, columns=TRACE_COLUMNS):
     """Write trace entries (dataclasses or dicts) as CSV."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)

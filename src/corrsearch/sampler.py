@@ -11,14 +11,18 @@ observables get (m, S, d) and (m, d) views of the store.  Each proposal
 is evaluated with one `log_unnormalized` call that carries the move as a
 hint (moved satellite, its old and new positions, the current log f~ and
 the family's chain state), so a family can add only the terms that
-involve the moved satellite.  With one satellite the proposal is new
-itself and accepted moves are copied in; with more it is written into the
-store in place, through a flat view and one index array per step, and
-undone where rejected.  The chain state is the family's per-chain cache
-(for `pairwise`: rho(r), and the conditioning and satellite pair terms of
-the current state).  The family fills it once per batch from the final
-starts, and the sampler commits the accepted moves into it after every
-step.
+involve the moved satellite.  Every step reuses one set of (d, m) and
+(m,) buffers: the moved coordinates old and new (sigma times the step
+variates, then old added), the log f~ change and the acceptance mask;
+the current log f~ is updated in place where a move is accepted.  With
+one satellite old is the store's row and the proposal is the new buffer
+itself, and accepted moves are copied in; with more the proposal is
+written into the store in place, through a flat view and one index array
+per step, and undone where rejected.  The chain state is the family's
+per-chain cache (for `pairwise`: rho(r), the conditioning and satellite
+pair terms of the current state, and the scratch buffers of its hinted
+call).  The family fills it once per batch from the final starts, and
+the sampler commits the accepted moves into it after every step.
 
 Randomness discipline: chains are split into blocks of a fixed `_CHUNK`
 chains, and each block owns one generator derived from the master seed
@@ -215,12 +219,26 @@ def run_conditional_batch(
     cur = sats.transpose(2, 0, 1)
     r = np.ascontiguousarray(r.T).T
     sigma = np.full(m, settings.sigma)
+    # sigma repeated over the coordinates, for the step: a (d, m) by (m,)
+    # product broadcasts at several times the cost of an elementwise one
+    sigma_rows = np.full((d, m), settings.sigma)
     accepted_window = np.zeros(m)
     accepted_meas = np.zeros(m)
     # the moved coordinates are read and written through a flat view of the
     # satellites: those of satellite 0 of every chain sit at elements first
     sats_1d = sats.reshape(-1)
     first = np.arange(d * m).reshape(d, m)
+    # every step reuses these buffers: the moved satellites' coordinates
+    # (old, new), the log f~ change and the acceptance mask.  With one
+    # satellite old is the store's row itself and the proposal is new
+    new = np.empty((d, m))
+    gap = np.empty(m)
+    accept = np.empty(m, bool)
+    if n_sat == 1:
+        old, proposal = sats[0], new.T[:, None, :]
+    else:
+        old, proposal, elems = np.empty((d, m)), cur, np.empty((d, m), np.int64)
+    old_t, new_t = old.T, new.T
     # steps per variate draw; the batch holds at most two step-chunks of variates
     chunk_steps = min(total_steps, max(1, _VARIATE_BYTES // (8 * (d + 2) * m)))
     chunk_starts = range(0, total_steps, chunk_steps)
@@ -297,26 +315,22 @@ def run_conditional_batch(
             with np.errstate(divide="ignore", invalid="ignore"):
                 for i in range(len(sat_idx)):
                     t = chunk_start + i
-                    if kdm is None:
-                        # the proposal is new itself; accepted moves are copied in
-                        old = sats[0]
-                        new = old + sigma * normals[i]
-                        proposal = new.T[:, None, :]
-                    else:
-                        # the proposal is made in place and undone where it is rejected
-                        elems = first + kdm[i]
-                        old = sats_1d[elems]
-                        new = old + sigma * normals[i]
+                    if kdm is not None:
+                        np.add(first, kdm[i], out=elems)
+                        np.take(sats_1d, elems, out=old)
+                    np.multiply(sigma_rows, normals[i], out=new)
+                    np.add(old, new, out=new)
+                    if kdm is not None:
                         sats_1d[elems] = new
-                        proposal = cur
-                    hint = (sat_idx[i], old.T, new.T, log_cur, state)
+                    hint = (sat_idx[i], old_t, new_t, log_cur, state)
                     log_new = ansatz.log_unnormalized(r, proposal, moved=hint)
-                    accept = log_unifs[i] < (log_new - log_cur)
-                    if kdm is None:
-                        np.copyto(old, new, where=accept)
-                    else:
-                        sats_1d[elems] = np.where(accept, new, old)
-                    log_cur = np.where(accept, log_new, log_cur)
+                    np.subtract(log_new, log_cur, out=gap)
+                    np.less(log_unifs[i], gap, out=accept)
+                    # old becomes the chains' next state: new where accepted
+                    np.copyto(old, new, where=accept)
+                    if kdm is not None:
+                        sats_1d[elems] = old
+                    np.copyto(log_cur, log_new, where=accept)
                     if state is not None:
                         state.commit(accept)
 
@@ -326,6 +340,7 @@ def run_conditional_batch(
                             rate = accepted_window / settings.tune_interval
                             sigma = np.where(rate > ACCEPTANCE_WINDOW[1], sigma * 1.25, sigma)
                             sigma = np.where(rate < ACCEPTANCE_WINDOW[0], sigma / 1.25, sigma)
+                            sigma_rows[:] = sigma
                             accepted_window[:] = 0.0
                     else:
                         accepted_meas += accept

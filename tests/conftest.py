@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import concurrent.futures
+import json
 import threading
 
 import numpy as np
@@ -11,6 +12,12 @@ from corrsearch.domain import ExponentialDensity, SpaceSpec
 from corrsearch.sampler import SamplerSettings
 
 HE_ZETA = 27.0 / 16.0
+
+
+def read_record(path) -> dict:
+    """A run's record.json as written, without going through RunRecord."""
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 @pytest.fixture(autouse=True)

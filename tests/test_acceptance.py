@@ -38,10 +38,9 @@ from corrsearch.oracle import (
     system_from_wavefunction,
     verify_decomposition_product,
 )
-from corrsearch.records import load_record
 from corrsearch.sampler import SamplerSettings
 
-from conftest import pooled_runs, steps_per_chunk
+from conftest import pooled_runs, read_record, steps_per_chunk
 
 HE_ZETA = 27.0 / 16.0
 HE_FLOOR = -2.9037  # best variational ground-state energy, for the bound check
@@ -86,9 +85,9 @@ def test_criterion_2_product_pipeline(tmp_path):
         ["optimize", "--config", str(cfg), "--method", "quadrature", "--out", str(out)]
     )
     assert code == 0
-    record = load_record(str(out / "record.json"))
-    zeta = record.results["zeta"]
-    total = record.results["breakdown"]["total"]
+    record = read_record(str(out / "record.json"))
+    zeta = record["results"]["zeta"]
+    total = record["results"]["breakdown"]["total"]
     ok = abs(zeta - 1.6875) <= 0.02 and abs(total - (-2.8477)) <= 0.005
     report(
         2,

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from corrsearch.ansatz import FAMILIES
 from corrsearch.cli import main
 from corrsearch.config import (
     ConfigError,
@@ -24,9 +25,9 @@ from corrsearch.config import (
 )
 from corrsearch.functionals import gamma_correlation
 from corrsearch.optimizer import build_ansatz
-from corrsearch.records import RunRecord, load_record, save_record, save_trace
+from corrsearch.records import RunRecord, save_record, save_trace
 
-from conftest import pooled_runs, steps_per_chunk
+from conftest import pooled_runs, read_record, steps_per_chunk
 
 HE_ZETA = 27.0 / 16.0
 REPO = Path(__file__).resolve().parents[1]
@@ -226,9 +227,9 @@ def test_energy_frozen_quadrature_closed_form(tmp_path, capsys):
     out = tmp_path / "run"
     code = main(["energy", "--config", cfg, "--method", "quadrature", "--out", str(out)])
     assert code == 0
-    record = load_record(str(out / "record.json"))
-    assert record.status == "ok"
-    breakdown = record.results["breakdown"]
+    record = read_record(str(out / "record.json"))
+    assert record["status"] == "ok"
+    breakdown = record["results"]["breakdown"]
     # hydrogenic closed forms at the scale that balances them
     assert breakdown["weizsacker"] == pytest.approx(2.84765625, abs=1e-5)
     assert breakdown["coulomb"] == pytest.approx(1.0546875, abs=1e-3)
@@ -274,9 +275,9 @@ def test_energy_seed_override_changes_mc_numbers(tmp_path):
     for seed in (4, 5):
         out = tmp_path / f"seed{seed}"
         assert main(["energy", "--config", cfg, "--seed", str(seed), "--out", str(out)]) == 0
-        record = load_record(str(out / "record.json"))
-        assert record.seed == seed
-        results.append(record.results["breakdown"]["fisher"])
+        record = read_record(str(out / "record.json"))
+        assert record["seed"] == seed
+        results.append(record["results"]["breakdown"]["fisher"])
     assert results[0] != results[1]
 
 
@@ -297,8 +298,8 @@ def test_verify_tolerance_below_residual_fails(tmp_path, capsys):
     assert code == 3
     captured = capsys.readouterr()
     assert "FAILED" in captured.err
-    record = load_record(str(out / "record.json"))
-    product, grid = record.results["product"], record.results["grid"]
+    record = read_record(str(out / "record.json"))
+    product, grid = record["results"]["product"], record["results"]["grid"]
     assert product["residual"] <= 1e-3
     # the grid identity closes at rounding, above the 1e-20 tolerance
     assert 1e-20 < grid["residual"] <= 1e-10
@@ -373,8 +374,8 @@ def test_compare_duplicate_family_is_tied(tmp_path, capsys):
         ["compare-ansatz", "--config", cfg, "--families", "frozen,frozen", "--out", str(out)]
     )
     assert code == 0
-    record = load_record(str(out / "record.json"))
-    ranking = record.results["ranking"]
+    record = read_record(str(out / "record.json"))
+    ranking = record["results"]["ranking"]
     assert ranking[0]["value"] == ranking[1]["value"]
     assert ranking[1]["tied_with_previous"] is True
     assert "~tied-with-previous" in capsys.readouterr().out
@@ -387,8 +388,8 @@ def test_compare_ranks_families(tmp_path, capsys):
         ["compare-ansatz", "--config", cfg, "--families", "pairwise,frozen", "--out", str(out)]
     )
     assert code == 0
-    record = load_record(str(out / "record.json"))
-    ranking = record.results["ranking"]
+    record = read_record(str(out / "record.json"))
+    ranking = record["results"]["ranking"]
     assert [e["rank"] for e in ranking] == [1, 2]
     values = [e["value"] for e in ranking]
     assert values == sorted(values)
@@ -401,6 +402,26 @@ def test_compare_ranks_families(tmp_path, capsys):
     assert by_family["frozen"]["conditions"]["fermionic_compatible"] is True
     assert by_family["pairwise"]["conditions"]["fermionic_compatible"] is True
     assert "conditions-fail" in capsys.readouterr().out
+    assert by_family["frozen"]["bound"] == "variational"
+    assert by_family["pairwise"]["bound"] == "none"
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_energy_record_states_its_bound(tmp_path, family, n):
+    # the energy bounds the ground state only for a marginal-matched family
+    # (frozen) at N = 2; from N = 3 on no spin-free f gives a fermionic bound
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"[system]\nn = {n}\nz = {float(n)}\nradius = 3.0\n"
+        f"[ansatz]\nfamily = {family}\n"
+        "[sampler]\nconditioning_points = 8\nsamples = 4\nburn_in = 8\nthinning = 1\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "energy"
+    assert main(["energy", "--config", str(cfg), "--out", str(out)]) == 0
+    bound = read_record(str(out / "record.json"))["results"]["bound"]
+    assert bound == ("variational" if (family, n) == ("frozen", 2) else "none")
 
 
 # ---------------------------------------------------------------------------
@@ -415,19 +436,22 @@ def test_optimize_frozen_recovers_balance_point(tmp_path, capsys):
         ["optimize", "--config", cfg, "--method", "quadrature", "--out", str(out)]
     )
     assert code == 0
-    record = load_record(str(out / "record.json"))
-    assert record.results["zeta"] == pytest.approx(1.6875, abs=0.02)
-    assert record.results["breakdown"]["total"] == pytest.approx(-2.84765625, abs=0.005)
-    assert record.results["converged"] is True
+    record = read_record(str(out / "record.json"))
+    assert record["results"]["zeta"] == pytest.approx(1.6875, abs=0.02)
+    assert record["results"]["breakdown"]["total"] == pytest.approx(-2.84765625, abs=0.005)
+    assert record["results"]["converged"] is True
     # the parameter-free family makes one search call per zeta, and the
     # winner one fresh call
-    assert record.results["estimator_calls"] == record.results["n_eval"] + 1
+    assert record["results"]["estimator_calls"] == record["results"]["n_eval"] + 1
+    # a family without couplings has no inner search to stall
+    assert record["results"]["inner_first_simplex"] == 0
+    assert record["results"]["bound"] == "variational"
 
     rows = load_trace(str(out / "trace.csv"))
     assert rows, "trace must not be empty"
     assert list(rows[0].keys()) == ["iteration", "zeta", "gamma", "beta", "energy", "stderr"]
     energies = [float(r["energy"]) for r in rows]
-    assert min(energies) == pytest.approx(record.results["breakdown"]["total"], abs=1e-9)
+    assert min(energies) == pytest.approx(record["results"]["breakdown"]["total"], abs=1e-9)
     capsys.readouterr()
 
 
@@ -452,9 +476,9 @@ def test_optimize_partial_record_on_failure(tmp_path, capsys, monkeypatch):
     code = main(["optimize", "--config", cfg, "--out", str(out)])
     assert code == 2
     assert "aborted" in capsys.readouterr().err
-    record = load_record(str(out / "record.json"))
-    assert record.status == "partial"
-    assert "RuntimeError" in record.results["error"]
+    record = read_record(str(out / "record.json"))
+    assert record["status"] == "partial"
+    assert "RuntimeError" in record["results"]["error"]
     assert load_trace(str(out / "trace.csv")) == []
 
 
@@ -488,14 +512,14 @@ def test_sample_diagnostics_reports_chain_health(tmp_path, capsys):
     out = tmp_path / "diag"
     code = main(["sample-diagnostics", "--config", cfg, "--points", "2", "--out", str(out)])
     assert code == 0
-    record = load_record(str(out / "record.json"))
-    chains = record.results["chains"]
+    record = read_record(str(out / "record.json"))
+    chains = record["results"]["chains"]
     assert len(chains) == 2
     for row in chains:
         assert row["ess"] > 0.0
         assert 0.0 <= row["acceptance"] <= 1.0
         assert row["pair_mean"] > 0.0
-    assert np.isfinite(record.results["gamma"]["value"])
+    assert np.isfinite(record["results"]["gamma"]["value"])
     assert "correlation term" in capsys.readouterr().out
 
 
@@ -506,15 +530,15 @@ def test_sample_diagnostics_reads_the_estimators_chains(tmp_path, capsys):
     out = tmp_path / "diag"
     assert main(["sample-diagnostics", "--config", cfg, "--points", "3", "--out", str(out)]) == 0
     capsys.readouterr()
-    record = load_record(str(out / "record.json"))
-    assert [row["point"] for row in record.results["chains"]] == [0, 0, 1, 1, 2, 2]
+    record = read_record(str(out / "record.json"))
+    assert [row["point"] for row in record["results"]["chains"]] == [0, 0, 1, 1, 2, 2]
 
     loaded = load_config(cfg)
     space, density = build_space(loaded), build_density(loaded)
     ansatz = build_ansatz("pairwise", density, space, loaded.ansatz.gamma, loaded.ansatz.beta)
     settings = build_sampler_settings(loaded)
     direct = gamma_correlation(density, ansatz, settings, method="mc")
-    assert record.results["gamma"] == direct.to_dict()
+    assert record["results"]["gamma"] == direct.to_dict()
 
 
 def test_sample_diagnostics_needs_a_satellite(tmp_path, capsys):
@@ -657,10 +681,10 @@ def test_record_save_load_round_trip(tmp_path):
     record.results = {"value": 1.5}
     path = str(tmp_path / "deep" / "record.json")
     save_record(record, path)
-    loaded = load_record(path)
-    assert loaded.results == {"value": 1.5}
-    assert loaded.timestamp  # finalize stamped it
-    assert loaded.version == record.version
+    loaded = read_record(path)
+    assert loaded["results"] == {"value": 1.5}
+    assert loaded["timestamp"]  # finalize stamped it
+    assert loaded["version"] == record.version
 
 
 def test_reproducible_view_strips_clock_fields(tmp_path):

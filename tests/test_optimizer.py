@@ -333,6 +333,24 @@ def test_outer_reevaluates_only_the_winner_on_the_fresh_seed(monkeypatch):
     assert res.energy == direct
 
 
+@pytest.mark.parametrize("slope,counted", [(0.0, True), (1.0, False)])
+def test_outer_counts_inner_searches_that_never_moved(monkeypatch, slope, counted):
+    # on a flat surface every inner search converges on its initial simplex
+    # and reports its starting vertex; on a sloped one none stops there
+    space = SpaceSpec(dim=3, radius=1.3, n_electrons=2)
+    make = lambda zeta: ExponentialDensity(zeta=zeta, n_electrons=2)
+    opt = OptimizeSpec(max_iter_inner=8, max_iter_outer=4)
+
+    def synthetic(density, ansatz, settings, method):
+        value = slope * ansatz.acting_couplings[0]
+        return GammaEstimate(0.0, 0.0, value, 0.0, 0.0, value, 0.0, method)
+
+    monkeypatch.setattr(optimizer, "gamma_correlation", synthetic)
+    res = outer_minimize(make, None, space, "pairwise", search_settings(), opt)
+    assert res.n_eval == 4
+    assert res.inner_first_simplex == (res.n_eval if counted else 0)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         OptimizeSpec(zeta_bounds=(2.0, 1.0))
