@@ -237,8 +237,7 @@ class PairChainState:
     axis last.
 
     rho_r: (m,) rho at each chain's conditioning point.
-    e_cond: (S, m) conditioning terms E_H(r, s_j); held when gamma > 0
-        and S >= 2.
+    e_cond: (S, m) conditioning terms E_H(r, s_j); held when S >= 2.
     e_pair: (S, S, m) satellite pair terms E_H(s_i, s_j), symmetric with a
         zero diagonal, and rho_sat: (S, m) rho at each satellite; held
         when beta > 0 and S >= 2.
@@ -283,8 +282,7 @@ class PairChainState:
         k, pos, e_new, rho_new, pair_new = self.pending
         acc = accept.nonzero()[0]
         pos = pos[acc]
-        if e_new is not None:
-            self.e_cond.reshape(-1)[pos] = e_new[acc]
+        self.e_cond.reshape(-1)[pos] = e_new[acc]
         if pair_new is not None:
             self.rho_sat.reshape(-1)[pos] = rho_new[acc]
             pair_new = np.take(pair_new, acc, axis=1)
@@ -297,23 +295,24 @@ class PairwiseBiparametric(ConditionalAnsatz):
     """Two-parameter family with conditioning and satellite-satellite factors.
 
     log f~ = -gamma sum_n E_H(r, s_n) - beta sum_{i<j} E_H(s_i, s_j),
-    supported on omega^(N-1).  gamma > 0 except in test mode; beta >= 0.
-    beta > 0 makes every satellite coincidence a zero of f as well.
+    supported on omega^(N-1), with gamma > 0, so that f vanishes wherever a
+    satellite meets r, and beta >= 0.  beta > 0 makes every satellite
+    coincidence a zero of f as well.
     """
 
     family = "pairwise"
     confined = True
     couplings = ("gamma", "beta")
 
-    def __init__(self, density, space, gamma: float, beta: float, test_mode: bool = False):
+    def __init__(self, density, space, gamma: float, beta: float):
         super().__init__(density, space)
         self._omega_r2 = np.array(space.omega_radius**2)
         if not np.isfinite(gamma) or not np.isfinite(beta):
             raise AnsatzError("gamma and beta must be finite")
-        if gamma <= 0.0 and not test_mode:
-            raise AnsatzError("gamma must be positive outside test mode")
-        if gamma < 0.0 or beta < 0.0:
-            raise AnsatzError("gamma and beta must be non-negative")
+        if gamma <= 0.0:
+            raise AnsatzError("gamma must be positive")
+        if beta < 0.0:
+            raise AnsatzError("beta must be non-negative")
         self.gamma = float(gamma)
         self.beta = float(beta)
         self._gamma_0d, self._beta_0d = np.array(self.gamma), np.array(self.beta)
@@ -327,16 +326,14 @@ class PairwiseBiparametric(ConditionalAnsatz):
 
     @property
     def fermionic_compatible(self) -> bool:
-        return self.n_satellites < 2 or (self.gamma > 0.0 and self.beta > 0.0)
+        return self.n_satellites < 2 or self.beta > 0.0
 
     def log_unnormalized(self, r, satellites, moved=None):
         if moved is not None:
             return self._moved_log(r, satellites, *moved)
         r, satellites = self._check_shapes(r, satellites)
-        total = self._support_log(satellites)
-        if self.gamma > 0.0:
-            e_cond = pair_energy(self.density, self.space, r[..., None, :], satellites)
-            total = total - self.gamma * np.sum(e_cond, axis=-1)
+        e_cond = pair_energy(self.density, self.space, r[..., None, :], satellites)
+        total = self._support_log(satellites) - self.gamma * np.sum(e_cond, axis=-1)
         if self.beta > 0.0 and self.n_satellites >= 2:
             ii, jj = _satellite_pairs(self.n_satellites)
             e_sat = pair_energy(
@@ -371,24 +368,16 @@ class PairwiseBiparametric(ConditionalAnsatz):
         np.add.reduce(s.sq, axis=1, out=s.norms)
         rho_new = self.density.value(new, r2)
         outside = np.greater(r2, self._omega_r2, out=s.outside)
-        e_new = None
-        if self.gamma > 0.0:
-            np.multiply(s.rho_r, rho_new, out=s.num)
-            e_new = self._kernel_in_place(s.num, s.d2, s.e_new)
+        np.multiply(s.rho_r, rho_new, out=s.num)
+        e_new = self._kernel_in_place(s.num, s.d2, s.e_new)
         if self.n_satellites == 1:
-            if e_new is None:
-                total = np.zeros(len(r2))
-            else:
-                total = np.subtract(_ZERO, np.multiply(self._gamma_0d, e_new, out=s.change))
+            total = np.subtract(_ZERO, np.multiply(self._gamma_0d, e_new, out=s.change))
         else:
             pos = np.multiply(k, len(k), out=s.pos)
             np.add(pos, s.chains, out=pos)  # (k[c], c) in a flat (S, m) array
-            if e_new is None:
-                total = np.array(log_old)
-            else:
-                change = np.take(s.e_cond, pos, out=s.change)
-                np.subtract(e_new, change, out=change)
-                total = np.subtract(log_old, np.multiply(self._gamma_0d, change, out=change))
+            change = np.take(s.e_cond, pos, out=s.change)
+            np.subtract(e_new, change, out=change)
+            total = np.subtract(log_old, np.multiply(self._gamma_0d, change, out=change))
         pair_new = None
         if s.e_pair is not None:
             # the moved satellite against all S satellites, chain axis last;
@@ -436,9 +425,8 @@ class PairwiseBiparametric(ConditionalAnsatz):
         rho_sat = e_cond = e_pair = None
         if n_sat >= 2:
             rho = self.density.value(satellites)
-            if self.gamma > 0.0:
-                e_cond = _weighted_kernel(space, rho_r[:, None] * rho, satellites - r[:, None, :])
-                e_cond = e_cond.T.copy()
+            e_cond = _weighted_kernel(space, rho_r[:, None] * rho, satellites - r[:, None, :])
+            e_cond = e_cond.T.copy()
             if self.beta > 0.0:
                 ii, jj = _satellite_pairs(n_sat)
                 e = _weighted_kernel(
@@ -452,8 +440,6 @@ class PairwiseBiparametric(ConditionalAnsatz):
 
     def score(self, r, satellites):
         r, satellites = self._check_shapes(r, satellites)
-        if self.gamma == 0.0:
-            return np.zeros(np.broadcast_shapes(r.shape, satellites.shape[:-2] + (self.dim,)))
         # summed one satellite at a time: the sampler passes the kept samples
         # of a whole step-chunk, and this keeps the temporaries to a fraction
         # of them
@@ -579,13 +565,12 @@ def build_ansatz(
     space: SpaceSpec,
     gamma: float = 1.0,
     beta: float = 1.0,
-    test_mode: bool = False,
 ) -> ConditionalAnsatz:
-    """An instance of any registered family; gamma, beta and test_mode
-    reach only the families that have couplings."""
+    """An instance of any registered family; gamma and beta reach only
+    the families that have couplings."""
     cls = family_class(family)
     if cls.couplings:
-        return cls(density, space, gamma, beta, test_mode=test_mode)
+        return cls(density, space, gamma, beta)
     return cls(density, space)
 
 
@@ -621,8 +606,9 @@ def log_normalization_pairwise(
 
     exp(-Ebar(r)) is the (N-1)-satellite integral of exp(log f~) over
     omega^(N-1), estimated from uniform draws in log-sum-exp form.
-    Returns (Ebar, stderr).  In test mode with all couplings zero the
-    integrand is exactly 1 and Ebar = -(N-1) ln vol(omega) with zero error.
+    Returns (Ebar, stderr).  For a confined family with log f~ = 0 on
+    omega the integrand is exactly 1 and Ebar = -(N-1) ln vol(omega) with
+    zero error.
     """
     r = np.asarray(r, dtype=float)
     space = ansatz.space

@@ -102,11 +102,6 @@ def _add_common(sub: argparse.ArgumentParser, needs_config: bool = True):
         default="half",
         help="interaction prefactor (N-1)/2, the only choice",
     )
-    sub.add_argument(
-        "--test-mode",
-        action="store_true",
-        help="lift safety validation (e.g. gamma = 0) for diagnostics",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -163,9 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> RunConfig:
-    overrides = {"test_mode": args.test_mode}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+    overrides = {} if args.seed is None else {"seed": args.seed}
     return load_config(args.config, overrides)
 
 
@@ -187,9 +180,7 @@ def cmd_energy(args) -> int:
     space = build_space(cfg)
     density = build_density(cfg)
     potential = build_potential(cfg)
-    ansatz = build_ansatz(
-        cfg.ansatz.family, density, space, cfg.ansatz.gamma, cfg.ansatz.beta, cfg.test_mode
-    )
+    ansatz = build_ansatz(cfg.ansatz.family, density, space, cfg.ansatz.gamma, cfg.ansatz.beta)
     settings = build_sampler_settings(cfg)
 
     t0 = time.perf_counter()
@@ -424,9 +415,7 @@ def cmd_diagnostics(args) -> int:
     cfg = _load(args)
     space = build_space(cfg)
     density = build_density(cfg)
-    ansatz = build_ansatz(
-        cfg.ansatz.family, density, space, cfg.ansatz.gamma, cfg.ansatz.beta, cfg.test_mode
-    )
+    ansatz = build_ansatz(cfg.ansatz.family, density, space, cfg.ansatz.gamma, cfg.ansatz.beta)
     if ansatz.n_satellites == 0:
         raise ConfigError("[system] field 'n': sample-diagnostics needs n >= 2")
     settings = build_sampler_settings(cfg)

@@ -4,10 +4,10 @@ The on-disk format is INI-style with sections [system], [density],
 [ansatz], [sampler] and [optimize].  The section dataclasses below are
 the whole schema: each field is one key (its name, or the `key` in its
 metadata), converted by the field's type, and every field without a
-default is required.  Parsing and `RunConfig.from_dict` both walk those
-fields.  The sampler, optimizer and geometry defaults and range checks
-belong to `SamplerSettings`, `OptimizeSpec` and `SpaceSpec`; the file is
-checked against them when it loads, whatever the command.
+default is required; parsing walks those fields.  The sampler,
+optimizer and geometry defaults and range checks belong to
+`SamplerSettings`, `OptimizeSpec` and `SpaceSpec`; the file is checked
+against them when it loads, whatever the command.
 Errors always name the offending section and field.
 """
 
@@ -109,21 +109,9 @@ class RunConfig:
     ansatz: AnsatzConfig = field(default_factory=AnsatzConfig)
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     optimize: OptimizeConfig = field(default_factory=OptimizeConfig)
-    test_mode: bool = False
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        """Inverse of to_dict; JSON lists come back as tuples."""
-        kw = {f.name: data[f.name] for f in fields(cls) if f.name in data}
-        for name, schema in _SECTIONS.items():
-            if name in kw:
-                kw[name] = schema(
-                    **{k: tuple(v) if isinstance(v, list) else v for k, v in kw[name].items()}
-                )
-        return cls(**kw)
 
 
 def _parse_bool(raw: str) -> bool:
@@ -177,7 +165,7 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     """Parse and check config text; overrides (e.g. from CLI flags) are
     applied last.
 
-    Recognized override keys: seed, test_mode; others are ignored.
+    Recognized override key: seed; others are ignored.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -189,10 +177,7 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
             raise ConfigError(f"unknown section [{section}]")
 
     overrides = overrides or {}
-    cfg = RunConfig(
-        **{name: _read_section(parser, name) for name in _SECTIONS},
-        test_mode=overrides.get("test_mode", False),
-    )
+    cfg = RunConfig(**{name: _read_section(parser, name) for name in _SECTIONS})
     if "seed" in overrides:
         cfg = replace(cfg, sampler=replace(cfg.sampler, seed=int(overrides["seed"])))
     _validate(cfg)
@@ -226,11 +211,8 @@ def _validate(cfg: RunConfig):
         )
     if density.family == "tabulated-1d" and cfg.system.dimensionality != "1d":
         raise ConfigError("[density] field 'family': tabulated-1d needs a 1d system")
-    gamma_searched = "gamma" in FAMILIES[cfg.ansatz.family].couplings
-    if gamma_searched and cfg.ansatz.gamma <= 0.0 and not cfg.test_mode:
-        raise ConfigError("[ansatz] field 'gamma': must be positive outside test mode")
-    if cfg.optimize.gamma_min <= 0.0 and not cfg.test_mode:
-        raise ConfigError("[optimize] field 'gamma_min': must be positive outside test mode")
+    if "gamma" in FAMILIES[cfg.ansatz.family].couplings and cfg.ansatz.gamma <= 0.0:
+        raise ConfigError("[ansatz] field 'gamma': must be positive")
     build_sampler_settings(cfg)
     build_optimize_spec(cfg)
 

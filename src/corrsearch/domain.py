@@ -427,6 +427,13 @@ def line_grid(radius: float, n_half: int = 160) -> QuadratureGrid:
     return QuadratureGrid("line-gauss", x[:, None], w)
 
 
+def radial_cutoff(zeta: float) -> float:
+    """Outer radius of the 3D radial rules for an exponential of slowest
+    rate zeta: exp(-2 zeta r) is below exp(-28) there, and the radius is
+    never under 20."""
+    return max(20.0, 14.0 / zeta)
+
+
 def default_grid(density: Density) -> QuadratureGrid:
     """A grid resolving the given density to ~1e-9 relative accuracy.  The
     3D densities are spherical, so theirs is the radial rule: it takes
@@ -438,8 +445,7 @@ def default_grid(density: Density) -> QuadratureGrid:
             return uniform_1d_grid(extent, n=max(2048, 8 * density.x.size))
         zeta_min = min(_zetas_of(density))
         return line_grid(14.0 / zeta_min)
-    zeta_min = min(_zetas_of(density))
-    return radial_grid(r_max=max(20.0, 14.0 / zeta_min))
+    return radial_grid(r_max=radial_cutoff(min(_zetas_of(density))))
 
 
 def _zetas_of(density: Density):

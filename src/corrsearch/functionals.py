@@ -36,8 +36,10 @@ from .domain import (
     SpaceSpec,
     default_grid,
     external_energy,
+    radial_cutoff,
     sq_norm,
     _gauss_legendre,
+    _unit_gauss_legendre,
     _zetas_of,
 )
 from .sampler import SamplerSettings, conditioning_rng, run_conditional_batch
@@ -73,7 +75,7 @@ def radial_pair_integral(q_fn, r_max: float, n_outer: int = 256, n_inner: int = 
     near machine precision instead of the O(n^-2) of a product grid.
     """
     r, wr = _gauss_legendre(n_outer, 0.0, r_max)
-    t, wt = np.polynomial.legendre.leggauss(n_inner)
+    t, wt = _unit_gauss_legendre(n_inner)
     t = 0.5 * (t + 1.0)
     wt = 0.5 * wt
     s_lo = r[:, None] * t[None, :]
@@ -95,7 +97,7 @@ def frozen_coulomb_quadrature(density: Density, n_radial: int = 256) -> float:
     """
     if density.dim != 3:
         raise DomainError("quadrature Coulomb path is 3D-only; use the MC path")
-    r_max = max(20.0, 14.0 / min(_zetas_of(density)))
+    r_max = radial_cutoff(min(_zetas_of(density)))
 
     def q_fn(s):
         points = np.zeros(s.shape + (3,))

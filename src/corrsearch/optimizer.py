@@ -45,7 +45,6 @@ class OptimizeSpec:
     beta_bounds: tuple[float, float] = (0.0, 50.0)
     gamma_init: float = 1.0
     beta_init: float = 1.0
-    simplex_scale: float = 0.5
     max_iter_inner: int = 60
     max_iter_outer: int = 40
     tol: float = 1e-3
@@ -61,15 +60,14 @@ class OptimizeSpec:
                 raise ValueError(f"{name} must be finite: {(lo, hi)}")
             if not lo <= hi:
                 raise ValueError(f"{name} out of order: {(lo, hi)}")
-        if self.gamma_bounds[0] < 0.0 or self.beta_bounds[0] < 0.0:
+        # pairwise needs gamma > 0: only then does f vanish where a satellite meets r
+        if self.gamma_bounds[0] <= 0.0 or self.beta_bounds[0] < 0.0:
             raise ValueError(
-                "gamma_min and beta_min must be non-negative: "
+                "gamma_min and beta_min must be positive and non-negative, respectively: "
                 f"{(self.gamma_bounds[0], self.beta_bounds[0])}"
             )
         if not self.tol > 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if not self.simplex_scale > 0.0:
-            raise ValueError("simplex_scale must be positive")
         if self.max_iter_inner < 1 or self.max_iter_outer < 1:
             raise ValueError(
                 "max_iter_inner and max_iter_outer must be >= 1: "
@@ -303,7 +301,6 @@ def inner_minimize(
             search_fn,
             np.array([opt.gamma_init, opt.beta_init]),
             (lo, hi),
-            scale=opt.simplex_scale,
             tol=opt.tol,
             max_eval=opt.max_iter_inner,
         )

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DomainError
+from .domain import DomainError, _gauss_legendre, radial_cutoff
 from .functionals import prefactor_value, radial_pair_integral
 
 
@@ -97,18 +97,10 @@ class DirectExpectation:
         return self.kinetic + self.interaction
 
 
-def _radial_nodes(zeta: float, n: int = 256):
-    r_max = max(20.0, 14.0 / zeta)
-    t, wt = np.polynomial.legendre.leggauss(n)
-    r = 0.5 * r_max * (t + 1.0)
-    return r, 0.5 * r_max * wt
-
-
 def _orbital_pair_integral(w: ProductWavefunction) -> float:
     """int int |phi|^2 |phi|^2 / r_12 over two orbital clouds (= 5 zeta / 8)."""
-    r_max = max(20.0, 14.0 / w.zeta)
     q_fn = lambda s: 4.0 * np.pi * s * s * w.orbital_sq(s)
-    return radial_pair_integral(q_fn, r_max)
+    return radial_pair_integral(q_fn, radial_cutoff(w.zeta))
 
 
 def direct_expectation_product(w: ProductWavefunction) -> DirectExpectation:
@@ -118,7 +110,7 @@ def direct_expectation_product(w: ProductWavefunction) -> DirectExpectation:
     sums the identical pair integrals of |phi|^2 with the 1/max(r, r')
     angular average of the Coulomb kernel.
     """
-    r, wr = _radial_nodes(w.zeta)
+    r, wr = _gauss_legendre(256, 0.0, radial_cutoff(w.zeta))
     q = 4.0 * np.pi * r * r * w.orbital_sq(r)  # radial probability density
     kinetic = w.n_electrons * 0.5 * w.zeta**2 * float(np.sum(wr * q))
     pair = _orbital_pair_integral(w)
@@ -266,7 +258,7 @@ def verify_decomposition_product(w: ProductWavefunction) -> DecompositionReport:
     the Coulomb term is N(N-1)/2 identical orbital pair integrals.
     """
     direct = direct_expectation_product(w)
-    r, wr = _radial_nodes(w.zeta)
+    r, wr = _gauss_legendre(256, 0.0, radial_cutoff(w.zeta))
     rho_amp = w.n_electrons * w.orbital_sq(r)
     # |rho'|^2 / rho = (2 zeta)^2 rho for the exponential profile
     weiz = float(np.sum(wr * 4.0 * np.pi * r * r * 4.0 * w.zeta**2 * rho_amp)) / 8.0

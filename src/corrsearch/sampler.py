@@ -85,6 +85,7 @@ _NS_FRESH = 0x667265
 # pool thread
 _CHUNK = 1024
 _VARIATE_BYTES = 4 * 2**20  # step variates of one step-chunk: 8 (d + 2) bytes per chain-step
+_TUNE_INTERVAL = 64  # burn-in steps between two step-size adaptations
 
 # the variates of the last one-step-chunk batch, read-only, for the next batch
 # whose generators start their step draws where that one's did:
@@ -117,8 +118,8 @@ class SamplerSettings:
     walkers: independent chains per conditioning point.
     conditioning_points: outer draws from rho/N per estimate.
     seed: non-negative master seed for the whole stream tree.
-    tune: adapt sigma toward the target acceptance window during burn-in.
-    tune_interval: burn-in steps between two step-size adaptations.
+    tune: adapt sigma toward the target acceptance window during burn-in,
+        every _TUNE_INTERVAL steps.
     """
 
     sigma: float = 0.5
@@ -129,13 +130,10 @@ class SamplerSettings:
     conditioning_points: int = 512
     seed: int = 0
     tune: bool = True
-    tune_interval: int = 64
 
     def __post_init__(self):
         if not (np.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValueError("sigma must be positive and finite")
-        if self.tune_interval < 1:
-            raise ValueError("tune_interval must be >= 1")
         if self.burn_in < 0 or min(self.samples, self.thinning, self.walkers) < 1:
             raise ValueError("burn_in must be >= 0 and samples, thinning, walkers >= 1")
         if self.conditioning_points < 1:
@@ -336,8 +334,8 @@ def run_conditional_batch(
 
                     if t < settings.burn_in:
                         accepted_window += accept
-                        if settings.tune and (t + 1) % settings.tune_interval == 0:
-                            rate = accepted_window / settings.tune_interval
+                        if settings.tune and (t + 1) % _TUNE_INTERVAL == 0:
+                            rate = accepted_window / _TUNE_INTERVAL
                             sigma = np.where(rate > ACCEPTANCE_WINDOW[1], sigma * 1.25, sigma)
                             sigma = np.where(rate < ACCEPTANCE_WINDOW[0], sigma / 1.25, sigma)
                             sigma_rows[:] = sigma

@@ -10,6 +10,7 @@ import corrsearch
 from corrsearch.ansatz import (
     FAMILIES,
     AnsatzError,
+    ConditionalAnsatz,
     FrozenOrbitalProduct,
     GaussianToy,
     PairwiseBiparametric,
@@ -128,15 +129,6 @@ def test_pair_energy_gradient_matches_fd():
 # ---------------------------------------------------------------------------
 
 
-def test_pairwise_zero_couplings_test_mode():
-    density, space = lithium_like()
-    ans = PairwiseBiparametric(density, space, gamma=0.0, beta=0.0, test_mode=True)
-    rng = np.random.default_rng(2)
-    r = np.array([0.3, 0.0, 0.0])
-    sats = space.uniform_omega(2, rng)
-    assert ans.log_unnormalized(r, sats) == 0.0
-
-
 def test_pairwise_conditioning_coincidence_is_minus_inf():
     density, space = he_pair()
     ans = PairwiseBiparametric(density, space, gamma=1.0, beta=1.0)
@@ -206,8 +198,6 @@ def _hint_family(name, n, dim):
         return PairwiseBiparametric(density, space, gamma=0.8, beta=0.0)
     if name == "pairwise":
         return PairwiseBiparametric(density, space, gamma=0.8, beta=1.5)
-    if name == "test-mode":
-        return PairwiseBiparametric(density, space, gamma=0.0, beta=1.5, test_mode=True)
     if name == "simple":
         return SimpleFactorized(density, space)
     if name == "frozen":
@@ -222,7 +212,7 @@ HINT_CASES = [
     for dim in (3, 1)
 ] + [
     (name, n, dim)
-    for name in ("test-mode", "simple", "frozen", "gaussian-toy")
+    for name in ("simple", "frozen", "gaussian-toy")
     for n in (2, 6)
     for dim in (3, 1)
 ]
@@ -417,9 +407,21 @@ def test_pairwise_matches_simple_at_n2():
     assert abs(mc - quad) <= 3.0 * se
 
 
+class UniformOnOmega(ConditionalAnsatz):
+    """Satellites uniform on omega: log f~ = 0 there, -inf outside."""
+
+    family = "uniform-toy"
+    confined = True
+
+    def log_unnormalized(self, r, satellites, moved=None):
+        r, satellites = self._check_shapes(r, satellites)
+        return self._support_log(satellites)
+
+
 def test_pairwise_normalization_test_mode_exact():
+    # a constant integrand: the estimate is the exact omega volume, with no error
     density, space = lithium_like()
-    ans = PairwiseBiparametric(density, space, gamma=0.0, beta=0.0, test_mode=True)
+    ans = UniformOnOmega(density, space)
     rng = np.random.default_rng(1)
     ebar, se = log_normalization_pairwise(ans, np.array([0.0, 0.0, 0.5]), 256, rng)
     assert ebar == pytest.approx(-2.0 * np.log(space.omega_volume), rel=1e-12)

@@ -16,8 +16,8 @@ from corrsearch.ansatz import FAMILIES
 from corrsearch.cli import main
 from corrsearch.config import (
     ConfigError,
-    RunConfig,
     build_density,
+    build_optimize_spec,
     build_sampler_settings,
     build_space,
     load_config,
@@ -634,15 +634,19 @@ def test_every_key_config_sets_every_field():
     assert len(config_keys(EVERY_KEY_CONFIG)) == 34
 
 
+def test_every_key_config_moves_every_setting():
+    # a settings field that no key reaches is a constant, not a setting
+    every = parse_config(EVERY_KEY_CONFIG)
+    for built in (build_sampler_settings(every), build_optimize_spec(every)):
+        for f in dataclasses.fields(built):
+            assert getattr(built, f.name) != f.default, (type(built).__name__, f.name)
+
+
 def test_runconfig_dict_round_trip(tmp_path):
     with open(write_config(tmp_path), encoding="utf-8") as fh:
         cfg = parse_config(fh.read(), {"seed": 77, "prefactor": "half"})
     assert cfg.sampler.seed == 77
     assert "prefactor" not in cfg.to_dict()
-    assert RunConfig.from_dict(cfg.to_dict()) == cfg
-    # through JSON, as a record stores it: the float tuples come back as lists
-    mixture = parse_config(EVERY_KEY_CONFIG, {"test_mode": True})
-    assert RunConfig.from_dict(json.loads(json.dumps(mixture.to_dict()))) == mixture
 
 
 def test_readme_config_block_lists_every_key():
@@ -659,16 +663,29 @@ def test_readme_config_block_lists_every_key():
 
 
 def test_gamma_floor_needs_test_mode(tmp_path):
+    # no override lifts the floor; an old test_mode key is ignored
     text = "[system]\nn = 2\nz = 2.0\n[ansatz]\nfamily = pairwise\ngamma = 0.0\n"
-    with pytest.raises(ConfigError, match="gamma"):
-        parse_config(text)
-    cfg = parse_config(text, {"test_mode": True})
-    assert cfg.ansatz.gamma == 0.0
-
     low = "[system]\nn = 2\nz = 2.0\n[optimize]\ngamma_min = 0.0\n"
-    with pytest.raises(ConfigError, match="gamma_min"):
-        parse_config(low)
-    assert parse_config(low, {"test_mode": True}).optimize.gamma_min == 0.0
+    for overrides in (None, {"test_mode": True}):
+        with pytest.raises(ConfigError, match=r"\[ansatz\].*\bgamma\b"):
+            parse_config(text, overrides)
+        with pytest.raises(ConfigError, match=r"\[optimize\].*\bgamma_min\b"):
+            parse_config(low, overrides)
+
+
+@pytest.mark.parametrize("command", ["optimize", "compare-ansatz"])
+def test_gamma_floor_stops_a_search_at_load(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, family="pairwise", optimize="[optimize]\ngamma_min = 0\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "[optimize]" in err and "gamma_min" in err
+    assert not out.exists()
+
+
+def test_test_mode_flag_is_gone(tmp_path, capsys):
+    assert main(["energy", "--config", write_config(tmp_path), "--test-mode"]) == 1
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

@@ -155,7 +155,7 @@ def test_gaussian_toy_fisher_quarter():
 
 def test_pairwise_fisher_vanishes_with_gamma():
     density, space = he_system()
-    weak = PairwiseBiparametric(density, space, gamma=1e-4, beta=0.0, test_mode=True)
+    weak = PairwiseBiparametric(density, space, gamma=1e-4, beta=0.0)
     settings = mc_settings(conditioning_points=128, samples=64)
     est = gamma_correlation(density, weak, settings, method="mc")
     assert abs(est.fisher) <= max(3.0 * est.fisher_stderr, 1e-6)

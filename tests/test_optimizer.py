@@ -364,6 +364,6 @@ def test_spec_validation():
     for budget in ({"max_iter_inner": 0}, {"max_iter_inner": -1}, {"max_iter_outer": 0}):
         with pytest.raises(ValueError, match="max_iter"):
             OptimizeSpec(**budget)
-    # gamma lower bound 0 stays legal here; the config layer rejects it
-    # outside test mode
-    assert OptimizeSpec(gamma_bounds=(0.0, 50.0)).gamma_bounds[0] == 0.0
+    # pairwise needs gamma > 0, so the search box may not reach gamma = 0
+    with pytest.raises(ValueError, match="gamma_min"):
+        OptimizeSpec(gamma_bounds=(0.0, 50.0))

@@ -353,9 +353,8 @@ def test_worker_count_does_not_change_results_over_blocks_and_step_chunks(monkey
     ansatz = PairwiseBiparametric(density, space, gamma=1.0, beta=1.0)
     points = density.sample(chains, np.random.default_rng(4))
     observables = {"sats": _sats, "score": lambda r, sats: ansatz.score(r[None], sats)}
-    settings = SamplerSettings(
-        sigma=0.5, burn_in=40, samples=16, thinning=5, seed=9, tune_interval=10
-    )
+    monkeypatch.setattr(sampler, "_TUNE_INTERVAL", 10)
+    settings = SamplerSettings(sigma=0.5, burn_in=40, samples=16, thinning=5, seed=9)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # the loop and the pool thread interleave often
     try:
@@ -447,9 +446,9 @@ def test_batch_values_pinned(monkeypatch, n, beta, n_points, walkers, seed, runs
     space = SpaceSpec(dim=3, radius=1.3 if n == 2 else 3.0, n_electrons=n)
     ansatz = PairwiseBiparametric(density, space, gamma=1.0, beta=beta)
     points = density.sample(n_points, np.random.default_rng(seed))
+    monkeypatch.setattr(sampler, "_TUNE_INTERVAL", 16)
     settings = SamplerSettings(
-        sigma=0.5, burn_in=64, samples=8, thinning=2, seed=seed, walkers=walkers,
-        tune_interval=16,
+        sigma=0.5, burn_in=64, samples=8, thinning=2, seed=seed, walkers=walkers
     )
     # two blocks but one step-chunk, so no pool thread; a cold run draws and
     # holds its variates, and a second run takes that held draw
@@ -792,8 +791,6 @@ def test_settings_validation():
     for sigma in (float("nan"), float("inf"), -1.0):
         with pytest.raises(ValueError):
             SamplerSettings(sigma=sigma)
-    with pytest.raises(ValueError):
-        SamplerSettings(tune_interval=0)
     # burn_in = 0 is a legal measurement-only chain
     assert SamplerSettings(burn_in=0).burn_in == 0
 
