@@ -145,7 +145,7 @@ class ConditionalAnsatz:
 
     family: str = "base"
     confined: bool = False  # satellites restricted to the omega region
-    couplings: tuple[str, ...] = ()  # constructor parameters the optimizer searches
+    couplings: tuple[str, ...] = ()  # searched constructor parameters, see check_couplings
     searchable: bool = True  # may be optimized and compared
     exactly_normalized: bool = False  # f integrates to 1 by construction
     closed_form_coulomb: bool = False  # Coulomb term has a quadrature route
@@ -307,15 +307,20 @@ class PairwiseBiparametric(ConditionalAnsatz):
     def __init__(self, density, space, gamma: float, beta: float):
         super().__init__(density, space)
         self._omega_r2 = np.array(space.omega_radius**2)
+        self.check_couplings(gamma, beta)
+        self.gamma = float(gamma)
+        self.beta = float(beta)
+        self._gamma_0d, self._beta_0d = np.array(self.gamma), np.array(self.beta)
+
+    @staticmethod
+    def check_couplings(gamma: float, beta: float):
+        """The family's coupling range: finite gamma > 0 and beta >= 0."""
         if not np.isfinite(gamma) or not np.isfinite(beta):
             raise AnsatzError("gamma and beta must be finite")
         if gamma <= 0.0:
             raise AnsatzError("gamma must be positive")
         if beta < 0.0:
             raise AnsatzError("beta must be non-negative")
-        self.gamma = float(gamma)
-        self.beta = float(beta)
-        self._gamma_0d, self._beta_0d = np.array(self.gamma), np.array(self.beta)
 
     @property
     def acting_couplings(self) -> tuple[float, ...]:

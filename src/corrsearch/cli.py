@@ -45,6 +45,7 @@ from .functionals import (
     conditional_moments,
     gamma_from_moments,
     prefactor_value,
+    quadrature_applies,
     total_energy,
 )
 from .optimizer import fresh_estimate, inner_minimize, outer_minimize
@@ -54,13 +55,7 @@ from .oracle import (
     verify_decomposition_grid,
     verify_decomposition_product,
 )
-from .records import (
-    RunRecord,
-    TRACE_COLUMNS,
-    run_directory,
-    save_record,
-    save_trace,
-)
+from .records import RunRecord, run_directory, save_record, save_trace
 from .sampler import batch_means_stderr, effective_sample_size
 from . import __version__
 
@@ -220,12 +215,8 @@ def cmd_optimize(args) -> int:
     family = FAMILIES[cfg.ansatz.family]
     if not family.searchable:
         raise ConfigError("[ansatz] field 'family': not searchable")
-    if args.method == "quadrature" and (
-        not family.closed_form_coulomb or cfg.system.dimensionality != "3d"
-    ):
-        raise ConfigError(
-            "--method quadrature applies only to the frozen family on 3d densities"
-        )
+    if args.method == "quadrature" and not quadrature_applies(family, build_density(cfg)):
+        raise ConfigError("--method quadrature applies only to the frozen family on 3d densities")
     space = build_space(cfg)
     potential = build_potential(cfg)
     settings = build_sampler_settings(cfg)
@@ -269,7 +260,7 @@ def cmd_optimize(args) -> int:
     )
     record.timings = {"optimize_seconds": time.perf_counter() - t0}
     save_record(record, f"{outdir}/record.json")
-    save_trace(result.trace, f"{outdir}/trace.csv", TRACE_COLUMNS)
+    save_trace(result.trace, f"{outdir}/trace.csv")
 
     print(f"zeta*               {result.zeta:.6f}")
     if not math.isnan(result.gamma):
@@ -301,7 +292,7 @@ def cmd_compare(args) -> int:
         inner = inner_minimize(density, space, fam, settings, opt, method="auto")
         # the parameter-free families ignore the nan couplings
         ansatz = build_ansatz(fam, density, space, inner.gamma, inner.beta)
-        fresh = fresh_estimate(density, ansatz, settings, opt, "auto")
+        fresh = fresh_estimate(density, ansatz, settings, "auto")
         report = check_conditions(ansatz, seed=cfg.sampler.seed)
         entries.append(
             {

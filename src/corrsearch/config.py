@@ -69,7 +69,6 @@ class SamplerConfig:
     walkers: int = SamplerSettings.walkers
     sigma: float = SamplerSettings.sigma
     seed: int = SamplerSettings.seed
-    tune: bool = SamplerSettings.tune
     # no effect: the sampler picks its pool thread from the batch's step-chunks;
     # kept, range-checked, so that existing files still load
     workers: int = 1
@@ -211,8 +210,9 @@ def _validate(cfg: RunConfig):
         )
     if density.family == "tabulated-1d" and cfg.system.dimensionality != "1d":
         raise ConfigError("[density] field 'family': tabulated-1d needs a 1d system")
-    if "gamma" in FAMILIES[cfg.ansatz.family].couplings and cfg.ansatz.gamma <= 0.0:
-        raise ConfigError("[ansatz] field 'gamma': must be positive")
+    family = FAMILIES[cfg.ansatz.family]
+    if family.couplings:
+        _in_section("ansatz", family.check_couplings, gamma=cfg.ansatz.gamma, beta=cfg.ansatz.beta)
     build_sampler_settings(cfg)
     build_optimize_spec(cfg)
 
@@ -301,6 +301,5 @@ def build_optimize_spec(cfg: RunConfig) -> OptimizeSpec:
         max_iter_inner=o.max_iter_inner,
         max_iter_outer=o.max_iter_outer,
         tol=o.tol,
-        seed=cfg.sampler.seed,
     )
 

@@ -66,16 +66,17 @@ def weizsacker_term(density: Density, grid: QuadratureGrid | None = None) -> flo
     return float(np.sum(grid.weights * integrand) / 8.0)
 
 
-def radial_pair_integral(q_fn, r_max: float, n_outer: int = 256, n_inner: int = 64) -> float:
+def radial_pair_integral(q_fn, r_max: float) -> float:
     """Double radial integral of q(r) q(r') / max(r, r').
 
     The kernel has a kink along r = r', so for each outer node the inner
     integral is split there: (1/r) int_0^r q + int_r^R q(s)/s ds, each
     panel under its own Gauss-Legendre rule.  Smooth q then integrates to
     near machine precision instead of the O(n^-2) of a product grid.
+    The outer rule has 256 nodes, each inner panel 64.
     """
-    r, wr = _gauss_legendre(n_outer, 0.0, r_max)
-    t, wt = _unit_gauss_legendre(n_inner)
+    r, wr = _gauss_legendre(256, 0.0, r_max)
+    t, wt = _unit_gauss_legendre(64)
     t = 0.5 * (t + 1.0)
     wt = 0.5 * wt
     s_lo = r[:, None] * t[None, :]
@@ -88,7 +89,7 @@ def radial_pair_integral(q_fn, r_max: float, n_outer: int = 256, n_inner: int = 
     return float(np.sum(wr * q_fn(r) * (inner_lo + inner_hi)))
 
 
-def frozen_coulomb_quadrature(density: Density, n_radial: int = 256) -> float:
+def frozen_coulomb_quadrature(density: Density) -> float:
     """Coulomb term of the frozen-orbital family by radial quadrature.
 
     For f = prod rho(s_n)/N the satellite distribution is spherically
@@ -104,7 +105,7 @@ def frozen_coulomb_quadrature(density: Density, n_radial: int = 256) -> float:
         points[..., 2] = s
         return 4.0 * np.pi * s * s * density.value(points) / density.n_electrons
 
-    pair = radial_pair_integral(q_fn, r_max, n_outer=n_radial)
+    pair = radial_pair_integral(q_fn, r_max)
     return prefactor_value(density.n_electrons) * density.n_electrons * pair
 
 
@@ -234,6 +235,13 @@ def gamma_from_moments(moments: ConditionalMoments, n_electrons: int) -> GammaEs
     )
 
 
+def quadrature_applies(family, density: Density) -> bool:
+    """Whether the deterministic Coulomb route covers the family (class or
+    instance) on this density: the frozen family on a 3D analytic density."""
+    analytic = density.family in ("exponential", "exponential-mixture")
+    return family.closed_form_coulomb and density.dim == 3 and analytic
+
+
 def _zero_gamma(method: str) -> GammaEstimate:
     return GammaEstimate(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, method)
 
@@ -253,23 +261,14 @@ def gamma_correlation(
     """
     if ansatz.n_satellites == 0:
         return _zero_gamma("exact")
-    quadrature_ok = (
-        ansatz.closed_form_coulomb
-        and density.dim == 3
-        and density.family in ("exponential", "exponential-mixture")
-    )
-    use_quadrature = False
-    if method == "quadrature":
-        if not quadrature_ok:
-            raise AnsatzError(
-                "quadrature route applies only to the frozen family "
-                "on 3D analytic densities; use method 'mc' or 'auto'"
-            )
-        use_quadrature = True
-    elif method == "auto":
-        use_quadrature = quadrature_ok
-    elif method != "mc":
+    if method not in ("auto", "mc", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
+    use_quadrature = method != "mc" and quadrature_applies(ansatz, density)
+    if method == "quadrature" and not use_quadrature:
+        raise AnsatzError(
+            "quadrature route applies only to the frozen family "
+            "on 3D analytic densities; use method 'mc' or 'auto'"
+        )
 
     if use_quadrature:
         coulomb = frozen_coulomb_quadrature(density)
@@ -332,12 +331,10 @@ def total_energy(
     potential: ExternalPotential | None,
     settings: SamplerSettings,
     method: str = "auto",
-    grid: QuadratureGrid | None = None,
 ) -> EnergyBreakdown:
     """Full upper-bound energy of (rho, f): deterministic one-body terms
     by quadrature plus the sampled correlation functional."""
-    if grid is None:
-        grid = default_grid(density)
+    grid = default_grid(density)
     w = weizsacker_term(density, grid)
     ext = external_energy(density, potential, grid) if potential is not None else 0.0
     gamma = gamma_correlation(density, ansatz, settings, method=method)

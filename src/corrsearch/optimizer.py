@@ -1,9 +1,10 @@
-"""Nested variational optimization.
+"""Nested variational optimization.  All of a run's streams come from
+its one seed, `SamplerSettings.seed`.
 
 Inner loop: Nelder-Mead over the ansatz couplings (gamma, beta) at fixed
 density, minimizing the sampled correlation functional.  Every
-evaluation inside one search reuses one seed derived from the search
-seed (common random numbers), so the search sees a deterministic surface.
+evaluation inside one search reuses one seed derived from the run's
+(common random numbers), so the search sees a deterministic surface.
 Because that surface is deterministic, each search keeps its estimates
 keyed by the couplings that act on f, and a repeated point costs nothing:
 a Nelder-Mead contraction that returns to a vertex, or at N = 2 (where
@@ -38,7 +39,7 @@ _NS_CRN = 0x63726E
 
 @dataclass(frozen=True)
 class OptimizeSpec:
-    """Bounds, budgets and reproducibility policy of the nested search."""
+    """Bounds and budgets of the nested search."""
 
     zeta_bounds: tuple[float, float] = (1.0, 2.5)
     gamma_bounds: tuple[float, float] = (0.05, 50.0)
@@ -48,7 +49,6 @@ class OptimizeSpec:
     max_iter_inner: int = 60
     max_iter_outer: int = 40
     tol: float = 1e-3
-    seed: int = 0
 
     def __post_init__(self):
         for name, (lo, hi) in (
@@ -60,6 +60,9 @@ class OptimizeSpec:
                 raise ValueError(f"{name} must be finite: {(lo, hi)}")
             if not lo <= hi:
                 raise ValueError(f"{name} out of order: {(lo, hi)}")
+        # golden section needs a bracket; equal gamma or beta bounds fold to one value
+        if not self.zeta_bounds[0] < self.zeta_bounds[1]:
+            raise ValueError(f"zeta_min must be below zeta_max: {self.zeta_bounds}")
         # pairwise needs gamma > 0: only then does f vanish where a satellite meets r
         if self.gamma_bounds[0] <= 0.0 or self.beta_bounds[0] < 0.0:
             raise ValueError(
@@ -113,7 +116,6 @@ def nelder_mead(
     fn,
     x0: np.ndarray,
     bounds: tuple[np.ndarray, np.ndarray],
-    scale: float = 0.5,
     tol: float = 1e-3,
     max_eval: int = 200,
 ) -> MinimizeResult:
@@ -146,7 +148,7 @@ def nelder_mead(
     for k in range(ndim):
         step = np.zeros(ndim)
         width = hi[k] - lo[k]
-        step[k] = scale * (width if width > 0 else 1.0) * 0.25
+        step[k] = 0.125 * (width if width > 0 else 1.0)  # an eighth of the box
         if x0[k] + step[k] > hi[k]:
             step[k] = -step[k]
         simplex.append(evaluate(x0 + step))
@@ -273,7 +275,7 @@ def inner_minimize(
     evaluation budget, but samples nothing.  The returned estimate is the
     search's own at the winner; `fresh_estimate` re-evaluates it.
     """
-    crn_seed = int(substream(opt.seed, _NS_CRN).integers(0, 2**63 - 1))
+    crn_seed = int(substream(settings.seed, _NS_CRN).integers(0, 2**63 - 1))
     search_settings = replace(settings, seed=crn_seed)
     memo: dict[tuple[float, ...], GammaEstimate] = {}
 
@@ -327,12 +329,11 @@ def fresh_estimate(
     density: Density,
     ansatz: ConditionalAnsatz,
     settings: SamplerSettings,
-    opt: OptimizeSpec,
     method: str = "auto",
 ) -> GammaEstimate:
-    """Gamma of a search's winner on the fresh seed of opt.seed, so the
-    reported value carries no selection bias from the search."""
-    eval_settings = replace(settings, seed=fresh_seed(opt.seed))
+    """Gamma of a search's winner on the fresh seed of settings.seed (the
+    run's one seed), so the value carries no selection bias from the search."""
+    eval_settings = replace(settings, seed=fresh_seed(settings.seed))
     return gamma_correlation(density, ansatz, eval_settings, method)
 
 
@@ -365,11 +366,12 @@ def outer_minimize(
 ) -> OuterResult:
     """Golden-section over zeta of [Weizsacker + external + min_f Gamma].
 
-    make_density maps zeta to a Density.  Inner searches run with common
-    random numbers derived from opt.seed so the outer objective is a
-    deterministic function of zeta during the search; the winner alone is
-    re-evaluated on the fresh seed and assembled with the Weizsacker and
-    external terms computed when its zeta was evaluated.
+    make_density maps zeta to a Density.  All of the run's streams come
+    from settings.seed: inner searches run with common random numbers
+    derived from it, so the outer objective is a deterministic function of
+    zeta during the search; the winner alone is re-evaluated on its fresh
+    seed and assembled with the Weizsacker and external terms computed
+    when its zeta was evaluated.
     """
     trace: list[TraceEntry] = []
     # zeta -> (density, Weizsacker, external, inner result), for the winner
@@ -405,7 +407,7 @@ def outer_minimize(
     zeta_best = float(res.x[0])
     density, w, ext, inner = evaluated[zeta_best]
     ansatz = build_ansatz(family, density, space, inner.gamma, inner.beta)
-    fresh = fresh_estimate(density, ansatz, settings, opt, method)
+    fresh = fresh_estimate(density, ansatz, settings, method)
     return OuterResult(
         zeta=zeta_best,
         gamma=inner.gamma,

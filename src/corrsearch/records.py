@@ -53,19 +53,16 @@ def save_record(record: RunRecord, path: str):
         fh.write("\n")
 
 
-def save_trace(rows, path: str, columns=TRACE_COLUMNS):
-    """Write trace entries (dataclasses or dicts) as CSV."""
+def save_trace(rows, path: str):
+    """Write TraceEntry dataclasses or dicts as CSV under the TRACE_COLUMNS header."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
+        writer.writerow(TRACE_COLUMNS)
         for row in rows:
-            if hasattr(row, "__dataclass_fields__"):
+            if not isinstance(row, dict):
                 row = asdict(row)
-            if isinstance(row, dict):
-                writer.writerow([row[c] for c in columns])
-            else:
-                writer.writerow(list(row))
+            writer.writerow([row[c] for c in TRACE_COLUMNS])
 
 
 def run_directory(base: str | None, seed: int) -> str:

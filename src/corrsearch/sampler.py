@@ -112,14 +112,14 @@ class SamplerSettings:
     """Knobs of the conditional sampler.
 
     sigma: initial Gaussian proposal step.
-    burn_in: discarded leading steps; step-size tuning happens here only.
+    burn_in: discarded leading steps; sigma adapts toward the acceptance
+        window every _TUNE_INTERVAL of them, and only there.
     samples: kept samples per walker after thinning.
     thinning: keep every thinning-th step after burn-in.
     walkers: independent chains per conditioning point.
     conditioning_points: outer draws from rho/N per estimate.
-    seed: non-negative master seed for the whole stream tree.
-    tune: adapt sigma toward the target acceptance window during burn-in,
-        every _TUNE_INTERVAL steps.
+    seed: non-negative master seed for the whole stream tree; a search's
+        common-random-number and fresh seeds are derived from it too.
     """
 
     sigma: float = 0.5
@@ -129,7 +129,6 @@ class SamplerSettings:
     walkers: int = 1
     conditioning_points: int = 512
     seed: int = 0
-    tune: bool = True
 
     def __post_init__(self):
         if not (np.isfinite(self.sigma) and self.sigma > 0.0):
@@ -334,7 +333,7 @@ def run_conditional_batch(
 
                     if t < settings.burn_in:
                         accepted_window += accept
-                        if settings.tune and (t + 1) % _TUNE_INTERVAL == 0:
+                        if (t + 1) % _TUNE_INTERVAL == 0:
                             rate = accepted_window / _TUNE_INTERVAL
                             sigma = np.where(rate > ACCEPTANCE_WINDOW[1], sigma * 1.25, sigma)
                             sigma = np.where(rate < ACCEPTANCE_WINDOW[0], sigma / 1.25, sigma)

@@ -54,7 +54,6 @@ def fast_settings(**kw) -> SamplerSettings:
         walkers=1,
         sigma=0.5,
         seed=0,
-        tune=True,
     )
     base.update(kw)
     return SamplerSettings(**base)

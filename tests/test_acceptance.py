@@ -108,7 +108,6 @@ def test_criterion_3_variational_bound():
         walkers=1,
         sigma=0.5,
         seed=1,
-        tune=True,
     )
     worst = np.inf
     count = 0
@@ -189,7 +188,6 @@ def test_criterion_5_fisher_estimator():
         walkers=1,
         sigma=1.0,
         seed=3,
-        tune=True,
     )
     est = gamma_correlation(density_1d, toy, settings, method="mc")
     z = abs(est.fisher - 0.25) / est.fisher_stderr
@@ -273,7 +271,6 @@ def test_criterion_7_determinism(monkeypatch):
         walkers=1,
         sigma=1.0,
         seed=4,
-        tune=True,
     )
 
     def estimate():
@@ -309,7 +306,6 @@ def test_criterion_8_mc_scaling():
             walkers=1,
             sigma=1.0,
             seed=7,
-            tune=True,
         )
         return gamma_correlation(density, ansatz, settings).stderr
 

@@ -155,6 +155,15 @@ def test_unparseable_value_names_field(tmp_path, capsys):
         ("energy", "[optimize]", "zeta_min = 3\nzeta_max = 1"),
         ("energy", "[optimize]", "tol = -1"),
         ("sample-diagnostics", "[optimize]", "max_iter_outer = 0"),
+        # golden section needs a bracket
+        ("energy", "[optimize]", "zeta_min = 1.5\nzeta_max = 1.5"),
+        ("optimize", "[optimize]", "zeta_min = 1.5\nzeta_max = 1.5"),
+        # the pairwise coupling range, also where a search ignores the couplings
+        *(
+            (command, "[ansatz]", coupling)
+            for command in ("energy", "optimize")
+            for coupling in ("gamma = nan", "gamma = inf", "beta = -1", "beta = nan")
+        ),
     ],
 )
 def test_out_of_range_setting_names_its_section(tmp_path, capsys, command, section, fields):
@@ -455,6 +464,44 @@ def test_optimize_frozen_recovers_balance_point(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_optimize_pins_a_tiny_helium_search(tmp_path, capsys):
+    # every stream of the run comes from [sampler] seed, so a change to how
+    # the search, its common random numbers or the fresh re-evaluation take
+    # their seeds moves these numbers
+    path = tmp_path / "he.cfg"
+    path.write_text(
+        "[system]\nn = 2\nz = 2.0\nradius = 1.3\n"
+        "[sampler]\nconditioning_points = 16\nsamples = 8\nburn_in = 128\nthinning = 2\n"
+        "seed = 2\n"
+        "[optimize]\nmax_iter_outer = 2\nmax_iter_inner = 4\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "opt"
+    assert main(["optimize", "--config", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    results = read_record(str(out / "record.json"))["results"]
+    search = {key: results[key] for key in ("zeta", "gamma", "beta", "estimator_calls")}
+    assert search == pytest.approx(
+        {"zeta": 1.9270509831248424, "gamma": 7.24375, "beta": 1.0, "estimator_calls": 6},
+        rel=1e-12,
+    )
+    breakdown = dict(results["breakdown"])
+    assert breakdown.pop("method") == "mc"
+    assert breakdown == pytest.approx(
+        {
+            "weizsacker": 3.7135254915624225,
+            "fisher": 0.42676987926880505,
+            "fisher_stderr": 0.2386652139919035,
+            "coulomb": 0.8867606923046573,
+            "coulomb_stderr": 0.06015004567790138,
+            "external": -7.708203932499531,
+            "total": -2.681147869363647,
+            "total_stderr": 0.25801069317811653,
+        },
+        rel=1e-12,
+    )
+
+
 def test_optimize_trace_header_is_stable(tmp_path):
     cfg = write_config(tmp_path, optimize=OPT_SECTION)
     out = tmp_path / "opt2"
@@ -563,7 +610,7 @@ def test_sample_diagnostics_rejects_nonpositive_points(tmp_path, capsys, points)
 # ---------------------------------------------------------------------------
 
 
-# every one of the 34 keys away from its default
+# every one of the 33 keys away from its default
 EVERY_KEY_CONFIG = """\
 [system]
 n = 3
@@ -592,7 +639,6 @@ thinning = 2
 walkers = 2
 sigma = 0.75
 seed = 11
-tune = false
 workers = 2
 
 [optimize]
@@ -631,7 +677,7 @@ def test_every_key_config_sets_every_field():
     every = parse_config(EVERY_KEY_CONFIG)
     for name, f in section_fields(every):
         assert getattr(getattr(every, name), f.name) != f.default, (name, f.name)
-    assert len(config_keys(EVERY_KEY_CONFIG)) == 34
+    assert len(config_keys(EVERY_KEY_CONFIG)) == 33
 
 
 def test_every_key_config_moves_every_setting():
@@ -655,7 +701,7 @@ def test_readme_config_block_lists_every_key():
     cfg = parse_config(block)
     keys = {(name, f.metadata.get("key", f.name)) for name, f in section_fields(cfg)}
     assert config_keys(block) == keys
-    assert len(config_keys(block)) == 34
+    assert len(config_keys(block)) == 33
     # and every value the block shows is its key's default
     for name, f in section_fields(cfg):
         if f.default is not dataclasses.MISSING:

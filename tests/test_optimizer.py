@@ -174,9 +174,9 @@ def test_inner_simple_family_single_evaluation():
 
 def test_inner_crn_trace_reproducible():
     density, space = he_setup()
-    opt = OptimizeSpec(max_iter_inner=12, seed=5)
+    opt = OptimizeSpec(max_iter_inner=12)
     runs = [
-        inner_minimize(density, space, "pairwise", search_settings(), opt)
+        inner_minimize(density, space, "pairwise", search_settings(seed=5), opt)
         for _ in range(2)
     ]
     a, b = (r.trace for r in runs)
@@ -191,9 +191,9 @@ def test_inner_search_keeps_its_evaluation_budget(n):
     # an iteration that would pass max_iter_inner stops where the budget ends
     density = ExponentialDensity(zeta=HE_ZETA, n_electrons=n)
     space = SpaceSpec(dim=3, radius=1.3, n_electrons=n)
-    settings = search_settings(conditioning_points=16, samples=8, burn_in=16)
+    opt = OptimizeSpec(max_iter_inner=12, tol=1e-9)
     for seed in range(6):
-        opt = OptimizeSpec(max_iter_inner=12, tol=1e-9, seed=seed)
+        settings = search_settings(conditioning_points=16, samples=8, burn_in=16, seed=seed)
         res = inner_minimize(density, space, "pairwise", settings, opt)
         assert res.n_eval <= opt.max_iter_inner
         assert len(res.trace) <= opt.max_iter_inner
@@ -204,7 +204,7 @@ def test_inner_search_samples_each_acting_point_once(monkeypatch, n):
     density = ExponentialDensity(zeta=HE_ZETA, n_electrons=n)
     space = SpaceSpec(dim=3, radius=1.3, n_electrons=n)
     settings = search_settings(conditioning_points=32, samples=16, burn_in=32, seed=4)
-    opt = OptimizeSpec(max_iter_inner=14, seed=4)
+    opt = OptimizeSpec(max_iter_inner=14)
     calls = []
 
     def counting(*args, **kwargs):
@@ -214,7 +214,7 @@ def test_inner_search_samples_each_acting_point_once(monkeypatch, n):
     monkeypatch.setattr(optimizer, "gamma_correlation", counting)
     res = inner_minimize(density, space, "pairwise", settings, opt)
 
-    crn_seed = int(substream(opt.seed, optimizer._NS_CRN).integers(0, 2**63 - 1))
+    crn_seed = int(substream(settings.seed, optimizer._NS_CRN).integers(0, 2**63 - 1))
     direct_settings = replace(settings, seed=crn_seed)
     keys = set()
     for row in res.trace:
@@ -232,13 +232,11 @@ def test_inner_search_samples_each_acting_point_once(monkeypatch, n):
 def test_inner_optimality_probe():
     # winner's fresh-seed Gamma must not lose to random in-bounds probes
     density, space = he_setup()
-    opt = OptimizeSpec(
-        gamma_bounds=(0.05, 50.0), beta_bounds=(0.0, 50.0), max_iter_inner=60, seed=2
-    )
+    opt = OptimizeSpec(gamma_bounds=(0.05, 50.0), beta_bounds=(0.0, 50.0), max_iter_inner=60)
     settings = search_settings(seed=2)
     res = inner_minimize(density, space, "pairwise", settings, opt)
     winner = build_ansatz("pairwise", density, space, res.gamma, res.beta)
-    best = fresh_estimate(density, winner, settings, opt)
+    best = fresh_estimate(density, winner, settings)
 
     from corrsearch.ansatz import PairwiseBiparametric
 
@@ -305,7 +303,7 @@ def test_outer_reevaluates_only_the_winner_on_the_fresh_seed(monkeypatch):
     make = lambda zeta: ExponentialDensity(zeta=zeta, n_electrons=2)
     v = ExternalPotential(kind="coulomb-nucleus", z=2.0)
     settings = search_settings(conditioning_points=32, samples=16, burn_in=32, seed=3)
-    opt = OptimizeSpec(max_iter_inner=8, max_iter_outer=5, seed=3)
+    opt = OptimizeSpec(max_iter_inner=8, max_iter_outer=5)
     calls = []
 
     def counting(density, ansatz, settings, *args, **kwargs):
@@ -316,9 +314,9 @@ def test_outer_reevaluates_only_the_winner_on_the_fresh_seed(monkeypatch):
     res = outer_minimize(make, v, space, "pairwise", settings, opt)
     monkeypatch.undo()
 
-    fresh = [c for c in calls if c[2] == fresh_seed(opt.seed)]
-    search = [c for c in calls if c[2] != fresh_seed(opt.seed)]
-    assert fresh == [(res.zeta, (res.gamma,), fresh_seed(opt.seed))]
+    fresh = [c for c in calls if c[2] == fresh_seed(settings.seed)]
+    search = [c for c in calls if c[2] != fresh_seed(settings.seed)]
+    assert fresh == [(res.zeta, (res.gamma,), fresh_seed(settings.seed))]
     assert len(set(search)) == len(search)
     assert res.estimator_calls == len(set(search)) + 1 == len(calls)
 
@@ -327,7 +325,7 @@ def test_outer_reevaluates_only_the_winner_on_the_fresh_seed(monkeypatch):
     winner = build_ansatz("pairwise", density, space, res.gamma, res.beta)
     direct = EnergyBreakdown.assemble(
         weizsacker_term(density, grid),
-        fresh_estimate(density, winner, settings, opt),
+        fresh_estimate(density, winner, settings),
         external_energy(density, v, grid),
     )
     assert res.energy == direct
@@ -354,6 +352,10 @@ def test_outer_counts_inner_searches_that_never_moved(monkeypatch, slope, counte
 def test_spec_validation():
     with pytest.raises(ValueError):
         OptimizeSpec(zeta_bounds=(2.0, 1.0))
+    # golden section needs a bracket; equal gamma or beta bounds fold to one value
+    with pytest.raises(ValueError, match="zeta_min"):
+        OptimizeSpec(zeta_bounds=(1.5, 1.5))
+    OptimizeSpec(gamma_bounds=(2.0, 2.0), beta_bounds=(0.0, 0.0))
     for tol in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="tol"):
             OptimizeSpec(tol=tol)

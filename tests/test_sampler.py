@@ -111,7 +111,7 @@ def _sats(r_block, sats):
 def test_equal_density_always_accepted():
     density, space = line_pair()
     ansatz = ConstTarget(density, space)
-    settings = SamplerSettings(sigma=1.0, burn_in=0, samples=200, thinning=1, seed=0, tune=False)
+    settings = SamplerSettings(sigma=1.0, burn_in=0, samples=200, thinning=1, seed=0)
     batch = run_conditional_batch(ansatz, np.zeros((16, 1)), settings, {"sats": _sats})
     np.testing.assert_array_equal(batch.acceptance, 1.0)
 
@@ -119,7 +119,7 @@ def test_equal_density_always_accepted():
 def test_zero_weight_proposal_always_rejected():
     density, space = line_pair()
     ansatz = PointTarget(density, space)
-    settings = SamplerSettings(sigma=2.0, burn_in=0, samples=300, thinning=1, seed=0, tune=False)
+    settings = SamplerSettings(sigma=2.0, burn_in=0, samples=300, thinning=1, seed=0)
     collect = {"s": lambda r_block, kept: kept[..., 0, 0]}
     batch = run_conditional_batch(ansatz, np.zeros((16, 1)), settings, collect)
     np.testing.assert_array_equal(batch.acceptance, 0.0)
@@ -147,7 +147,7 @@ def test_zero_weight_start_candidates_are_redrawn():
     # candidate has zero weight redraws until finite, in chain order
     density, space = line_pair()
     ansatz = HalfTarget(density, space)
-    settings = SamplerSettings(sigma=1e-300, burn_in=0, samples=1, thinning=1, seed=3, tune=False)
+    settings = SamplerSettings(sigma=1e-300, burn_in=0, samples=1, thinning=1, seed=3)
     batch = run_conditional_batch(ansatz, np.zeros((64, 1)), settings, {"sats": _sats})
     rng = substream(3, _NS_CHAIN, 0)
     expected = rng.random(64)
@@ -215,7 +215,7 @@ def test_detailed_balance_step_target():
     # consecutive kept samples of 2048 lockstep chains
     density, space = line_pair()
     ansatz = StepTarget(density, space)
-    settings = SamplerSettings(sigma=1.5, burn_in=16, samples=500, thinning=1, seed=12, tune=False)
+    settings = SamplerSettings(sigma=1.5, burn_in=16, samples=500, thinning=1, seed=12)
 
     batch = run_conditional_batch(ansatz, np.zeros((2048, 1)), settings, {"sats": _sats})
     bins = np.floor(batch.values["sats"][:, :, 0, 0]).astype(np.int64)
@@ -517,7 +517,7 @@ def test_variate_chunk_edges_skip_and_reuse_nothing(monkeypatch):
     m = 16
     steps_per_chunk(monkeypatch, 7, m)
     density, space = line_pair()
-    settings = SamplerSettings(sigma=1.0, burn_in=0, samples=200, thinning=1, seed=0, tune=False)
+    settings = SamplerSettings(sigma=1.0, burn_in=0, samples=200, thinning=1, seed=0)
     collect = {"s": lambda r_block, kept: kept[..., 0, 0]}
     for block in (m, m // 2):
         monkeypatch.setattr(sampler, "_CHUNK", block)
@@ -547,7 +547,7 @@ def test_observations_at_step_chunk_edges(monkeypatch):
     m = 16
     steps_per_chunk(monkeypatch, 7, m)
     density, space = line_pair()
-    settings = SamplerSettings(sigma=1.0, burn_in=5, samples=50, thinning=3, seed=0, tune=False)
+    settings = SamplerSettings(sigma=1.0, burn_in=5, samples=50, thinning=3, seed=0)
     points = np.linspace(-1.0, 1.0, m)[:, None]
     calls = []
 
@@ -664,7 +664,7 @@ def test_held_draw_is_keyed_by_generator_state_not_seed(monkeypatch):
     # target move its generators past where the full target's stood
     density, space = line_pair()
     points = np.zeros((64, 1))
-    settings = SamplerSettings(sigma=0.05, burn_in=0, samples=50, thinning=1, seed=3, tune=False)
+    settings = SamplerSettings(sigma=0.05, burn_in=0, samples=50, thinning=1, seed=3)
     half = HalfTarget(density, space)
     cold = _cold(monkeypatch, half, points, settings)
     _cold(monkeypatch, FullTarget(density, space), points, settings)
@@ -707,9 +707,7 @@ def test_held_draw_same_for_every_worker_count(monkeypatch):
 def test_sigma_frozen_outside_burn_in():
     density, space = line_pair()
     ansatz = NormalTarget(density, space)
-    settings = SamplerSettings(
-        sigma=25.0, burn_in=0, samples=64, thinning=1, seed=2, tune=True
-    )
+    settings = SamplerSettings(sigma=25.0, burn_in=0, samples=64, thinning=1, seed=2)
     batch = run_conditional_batch(ansatz, np.zeros((4, 1)), settings, {"sats": _sats})
     np.testing.assert_array_equal(batch.sigma_final, 25.0)
 
@@ -717,9 +715,7 @@ def test_sigma_frozen_outside_burn_in():
 def test_sigma_tuning_reaches_acceptance_window():
     density, space = line_pair()
     ansatz = NormalTarget(density, space)
-    settings = SamplerSettings(
-        sigma=40.0, burn_in=1024, samples=256, thinning=1, seed=2, tune=True
-    )
+    settings = SamplerSettings(sigma=40.0, burn_in=1024, samples=256, thinning=1, seed=2)
     batch = run_conditional_batch(ansatz, np.zeros((8, 1)), settings, {"sats": _sats})
     assert np.all(batch.sigma_final < 40.0)
     assert 0.15 <= batch.acceptance.mean() <= 0.55
