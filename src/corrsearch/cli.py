@@ -34,9 +34,7 @@ from .config import (
     ConfigError,
     RunConfig,
     build_density,
-    build_optimize_spec,
     build_potential,
-    build_sampler_settings,
     build_space,
     load_config,
 )
@@ -176,7 +174,7 @@ def cmd_energy(args) -> int:
     density = build_density(cfg)
     potential = build_potential(cfg)
     ansatz = build_ansatz(cfg.ansatz.family, density, space, cfg.ansatz.gamma, cfg.ansatz.beta)
-    settings = build_sampler_settings(cfg)
+    settings = cfg.sampler
 
     t0 = time.perf_counter()
     breakdown = total_energy(density, ansatz, potential, settings, method=args.method)
@@ -219,8 +217,8 @@ def cmd_optimize(args) -> int:
         raise ConfigError("--method quadrature applies only to the frozen family on 3d densities")
     space = build_space(cfg)
     potential = build_potential(cfg)
-    settings = build_sampler_settings(cfg)
-    opt = build_optimize_spec(cfg)
+    settings = cfg.sampler
+    opt = cfg.optimize
     outdir = run_directory(args.out, cfg.sampler.seed)
     record = _new_record(_command_line(args), cfg)
 
@@ -284,8 +282,8 @@ def cmd_compare(args) -> int:
 
     space = build_space(cfg)
     density = build_density(cfg)
-    settings = build_sampler_settings(cfg)
-    opt = build_optimize_spec(cfg)
+    settings = cfg.sampler
+    opt = cfg.optimize
 
     entries = []
     for fam in families:
@@ -409,7 +407,7 @@ def cmd_diagnostics(args) -> int:
     ansatz = build_ansatz(cfg.ansatz.family, density, space, cfg.ansatz.gamma, cfg.ansatz.beta)
     if ansatz.n_satellites == 0:
         raise ConfigError("[system] field 'n': sample-diagnostics needs n >= 2")
-    settings = build_sampler_settings(cfg)
+    settings = cfg.sampler
 
     # one estimator run: its Gamma, and the chains of its first points
     moments = conditional_moments(density, ansatz, settings)

@@ -1,20 +1,22 @@
 """Run configuration: sectioned key-value files -> validated dataclasses.
 
 The on-disk format is INI-style with sections [system], [density],
-[ansatz], [sampler] and [optimize].  The section dataclasses below are
-the whole schema: each field is one key (its name, or the `key` in its
+[ansatz], [sampler] and [optimize].  The section dataclasses are the
+whole schema: each field is one key (its name, or the `key` in its
 metadata), converted by the field's type, and every field without a
-default is required; parsing walks those fields.  The sampler,
-optimizer and geometry defaults and range checks belong to
-`SamplerSettings`, `OptimizeSpec` and `SpaceSpec`; the file is checked
-against them when it loads, whatever the command.
+default is required; parsing walks those fields.  [sampler] and
+[optimize] are the settings classes themselves, `SamplerSettings` and
+`OptimizeSpec`, so their defaults and range checks apply as the file
+loads; `SpaceSpec` and the other objects that [system], [density] and
+[ansatz] feed are built at load too, whatever the command.  Keys that
+no longer have an effect live in `_RETIRED`: read, checked, then dropped.
 Errors always name the offending section and field.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .ansatz import FAMILIES
 from .domain import (
@@ -60,44 +62,12 @@ class AnsatzConfig:
     beta: float = 1.0
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    conditioning_points: int = SamplerSettings.conditioning_points
-    samples: int = SamplerSettings.samples
-    burn_in: int = SamplerSettings.burn_in
-    thinning: int = SamplerSettings.thinning
-    walkers: int = SamplerSettings.walkers
-    sigma: float = SamplerSettings.sigma
-    seed: int = SamplerSettings.seed
-    # no effect: the sampler picks its pool thread from the batch's step-chunks;
-    # kept, range-checked, so that existing files still load
-    workers: int = 1
-
-
-@dataclass(frozen=True)
-class OptimizeConfig:
-    zeta_min: float = OptimizeSpec.zeta_bounds[0]
-    zeta_max: float = OptimizeSpec.zeta_bounds[1]
-    gamma_min: float = OptimizeSpec.gamma_bounds[0]
-    gamma_max: float = OptimizeSpec.gamma_bounds[1]
-    beta_min: float = OptimizeSpec.beta_bounds[0]
-    beta_max: float = OptimizeSpec.beta_bounds[1]
-    gamma_init: float = OptimizeSpec.gamma_init
-    beta_init: float = OptimizeSpec.beta_init
-    max_iter_inner: int = OptimizeSpec.max_iter_inner
-    max_iter_outer: int = OptimizeSpec.max_iter_outer
-    tol: float = OptimizeSpec.tol
-    # no effect: every search takes its seed from the common-random-number
-    # substream; kept so that existing files still load
-    crn: bool = True
-
-
 _SECTIONS = {
     "system": SystemConfig,
     "density": DensityConfig,
     "ansatz": AnsatzConfig,
-    "sampler": SamplerConfig,
-    "optimize": OptimizeConfig,
+    "sampler": SamplerSettings,
+    "optimize": OptimizeSpec,
 }
 
 
@@ -106,8 +76,8 @@ class RunConfig:
     system: SystemConfig
     density: DensityConfig = field(default_factory=DensityConfig)
     ansatz: AnsatzConfig = field(default_factory=AnsatzConfig)
-    sampler: SamplerConfig = field(default_factory=SamplerConfig)
-    optimize: OptimizeConfig = field(default_factory=OptimizeConfig)
+    sampler: SamplerSettings = field(default_factory=SamplerSettings)
+    optimize: OptimizeSpec = field(default_factory=OptimizeSpec)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -127,42 +97,63 @@ _PARSERS = {
     "int": int,
     "float": float,
     "str": str,
-    "bool": _parse_bool,
     "tuple[float, ...]": lambda raw: tuple(float(t) for t in raw.replace(",", " ").split()),
 }
+
+
+def _workers(raw: str) -> int:
+    workers = int(raw)
+    if workers < 1:
+        raise ValueError("must be >= 1")
+    return workers
+
+
+# keys with no effect that existing files still set: each is parsed and
+# checked like a field, then dropped
+_RETIRED = {"sampler": {"workers": _workers}, "optimize": {"crn": _parse_bool}}
 
 
 def _key(f) -> str:
     return f.metadata.get("key", f.name)
 
 
-def _read_section(parser: configparser.ConfigParser, name: str):
-    """The section's dataclass from the parser: absent keys take the field
-    default, a field without one is required, unknown keys are rejected."""
+def _parse(parser: configparser.ConfigParser, section: str, key: str, convert):
+    raw = parser.get(section, key)
+    try:
+        return convert(raw)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"[{section}] field '{key}': invalid value {raw!r} ({exc})") from None
+
+
+def _read_section(parser: configparser.ConfigParser, name: str, given: dict):
+    """The section's dataclass from the parser, built through its own range
+    checks: absent keys take the field default, a field without one is
+    required, retired keys are checked and dropped, unknown keys are
+    rejected, and the `given` values (command-line overrides) replace
+    the file's."""
     schema = _SECTIONS[name]
+    retired = _RETIRED.get(name, {})
     values = {}
     for f in fields(schema):
         key = _key(f)
-        if not parser.has_option(name, key):
-            if f.default is MISSING:
-                raise ConfigError(f"[{name}] missing required field '{key}'")
-            continue
-        raw = parser.get(name, key)
-        try:
-            values[f.name] = _PARSERS[f.type](raw)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"[{name}] field '{key}': cannot parse {raw!r} ({exc})") from None
+        if parser.has_option(name, key):
+            values[f.name] = _parse(parser, name, key, _PARSERS[f.type])
+        elif f.default is MISSING:
+            raise ConfigError(f"[{name}] missing required field '{key}'")
+    for key, convert in retired.items():
+        if parser.has_option(name, key):
+            _parse(parser, name, key, convert)
     if parser.has_section(name):
-        known = {_key(f) for f in fields(schema)}
+        known = {_key(f) for f in fields(schema)} | retired.keys()
         for key in parser.options(name):
             if key not in known:
                 raise ConfigError(f"[{name}] unknown field '{key}'")
-    return schema(**values)
+    return _in_section(name, schema, **{**values, **given})
 
 
 def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
-    """Parse and check config text; overrides (e.g. from CLI flags) are
-    applied last.
+    """Parse and check config text; overrides (e.g. from CLI flags) take
+    the place of the file's values.
 
     Recognized override key: seed; others are ignored.
     """
@@ -175,10 +166,10 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
 
-    overrides = overrides or {}
-    cfg = RunConfig(**{name: _read_section(parser, name) for name in _SECTIONS})
-    if "seed" in overrides:
-        cfg = replace(cfg, sampler=replace(cfg.sampler, seed=int(overrides["seed"])))
+    given = {name: {} for name in _SECTIONS}
+    if "seed" in (overrides or {}):
+        given["sampler"]["seed"] = int(overrides["seed"])
+    cfg = RunConfig(**{name: _read_section(parser, name, given[name]) for name in _SECTIONS})
     _validate(cfg)
     return cfg
 
@@ -191,9 +182,9 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
 def _validate(cfg: RunConfig):
     """The checks no built object owns, and a build of each object that
     owns its section's range checks (`SpaceSpec`, `ExternalPotential`, the
-    analytic densities, `SamplerSettings`, `OptimizeSpec`), so every
-    command rejects a bad section at load.  A tabulated density is read
-    from its file only when a command builds it."""
+    analytic densities), so every command rejects a bad section at load.
+    A tabulated density is read from its file only when a command builds
+    it."""
     if cfg.system.dimensionality not in ("3d", "1d"):
         raise ConfigError("[system] field 'dimensionality': must be '3d' or '1d'")
     build_space(cfg)
@@ -213,8 +204,9 @@ def _validate(cfg: RunConfig):
     family = FAMILIES[cfg.ansatz.family]
     if family.couplings:
         _in_section("ansatz", family.check_couplings, gamma=cfg.ansatz.gamma, beta=cfg.ansatz.beta)
-    build_sampler_settings(cfg)
-    build_optimize_spec(cfg)
+    if cfg.sampler.samples < 2:
+        # the within-chain score variance needs two kept samples
+        raise ConfigError("[sampler] samples must be >= 2")
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +230,7 @@ def build_density(cfg: RunConfig, zeta: float | None = None) -> Density:
     n = cfg.system.n_electrons
     fam = cfg.density.family
     if fam == "exponential":
-        return ExponentialDensity(zeta or cfg.density.zeta, n, dim)
+        return ExponentialDensity(cfg.density.zeta if zeta is None else zeta, n, dim)
     if fam == "exponential-mixture":
         weights = cfg.density.weights or tuple(
             1.0 / len(cfg.density.zetas) for _ in cfg.density.zetas
@@ -278,28 +270,11 @@ def _in_section(section: str, build, **kw):
         raise ConfigError(f"[{section}] {message}") from None
 
 
+# [sampler] and [optimize] are their settings objects; these two accessors
+# stay only for the benchmark's set-up step, which calls them
 def build_sampler_settings(cfg: RunConfig) -> SamplerSettings:
-    if cfg.sampler.samples < 2:
-        # the within-chain score variance needs two kept samples
-        raise ConfigError("[sampler] samples must be >= 2")
-    if cfg.sampler.workers < 1:
-        raise ConfigError("[sampler] workers must be >= 1")
-    kw = {k: v for k, v in asdict(cfg.sampler).items() if k != "workers"}
-    return _in_section("sampler", SamplerSettings, **kw)
+    return cfg.sampler
 
 
 def build_optimize_spec(cfg: RunConfig) -> OptimizeSpec:
-    o = cfg.optimize
-    return _in_section(
-        "optimize",
-        OptimizeSpec,
-        zeta_bounds=(o.zeta_min, o.zeta_max),
-        gamma_bounds=(o.gamma_min, o.gamma_max),
-        beta_bounds=(o.beta_min, o.beta_max),
-        gamma_init=o.gamma_init,
-        beta_init=o.beta_init,
-        max_iter_inner=o.max_iter_inner,
-        max_iter_outer=o.max_iter_outer,
-        tol=o.tol,
-    )
-
+    return cfg.optimize

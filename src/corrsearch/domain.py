@@ -40,10 +40,10 @@ class SpaceSpec:
     def __post_init__(self):
         if self.dim not in (1, 3):
             raise DomainError(f"dim must be 1 or 3, got {self.dim}")
-        if not self.radius > 0.0:
-            raise DomainError(f"radius must be positive, got {self.radius}")
-        if self.dim == 1 and not self.softening > 0.0:
-            raise DomainError("softening must be positive in 1D")
+        if not (np.isfinite(self.radius) and self.radius > 0.0):
+            raise DomainError(f"radius must be positive and finite, got {self.radius}")
+        if self.dim == 1 and not (np.isfinite(self.softening) and self.softening > 0.0):
+            raise DomainError("softening must be positive and finite in 1D")
         if self.n_electrons < 1:
             raise DomainError(f"n_electrons must be >= 1, got {self.n_electrons}")
 

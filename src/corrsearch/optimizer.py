@@ -39,11 +39,18 @@ _NS_CRN = 0x63726E
 
 @dataclass(frozen=True)
 class OptimizeSpec:
-    """Bounds and budgets of the nested search."""
+    """Bounds and budgets of the nested search, one field per [optimize]
+    key: the golden-section bracket 0 < zeta_min < zeta_max, the
+    Nelder-Mead box (gamma_min > 0, beta_min >= 0; equal bounds fold a
+    coupling to one value) and its finite start, the evaluation budgets
+    and the tolerance of both searches."""
 
-    zeta_bounds: tuple[float, float] = (1.0, 2.5)
-    gamma_bounds: tuple[float, float] = (0.05, 50.0)
-    beta_bounds: tuple[float, float] = (0.0, 50.0)
+    zeta_min: float = 1.0
+    zeta_max: float = 2.5
+    gamma_min: float = 0.05
+    gamma_max: float = 50.0
+    beta_min: float = 0.0
+    beta_max: float = 50.0
     gamma_init: float = 1.0
     beta_init: float = 1.0
     max_iter_inner: int = 60
@@ -51,23 +58,27 @@ class OptimizeSpec:
     tol: float = 1e-3
 
     def __post_init__(self):
-        for name, (lo, hi) in (
-            ("zeta_bounds", self.zeta_bounds),
-            ("gamma_bounds", self.gamma_bounds),
-            ("beta_bounds", self.beta_bounds),
-        ):
+        for name in ("zeta", "gamma", "beta"):
+            lo, hi = getattr(self, f"{name}_min"), getattr(self, f"{name}_max")
             if not (np.isfinite(lo) and np.isfinite(hi)):
-                raise ValueError(f"{name} must be finite: {(lo, hi)}")
+                raise ValueError(f"{name}_min and {name}_max must be finite: {(lo, hi)}")
             if not lo <= hi:
-                raise ValueError(f"{name} out of order: {(lo, hi)}")
-        # golden section needs a bracket; equal gamma or beta bounds fold to one value
-        if not self.zeta_bounds[0] < self.zeta_bounds[1]:
-            raise ValueError(f"zeta_min must be below zeta_max: {self.zeta_bounds}")
+                raise ValueError(f"{name}_min must not exceed {name}_max: {(lo, hi)}")
+        # golden section needs a bracket of positive scales; equal gamma or
+        # beta bounds fold to one value
+        if not 0.0 < self.zeta_min < self.zeta_max:
+            raise ValueError(
+                f"zeta_min must be positive and below zeta_max: {(self.zeta_min, self.zeta_max)}"
+            )
         # pairwise needs gamma > 0: only then does f vanish where a satellite meets r
-        if self.gamma_bounds[0] <= 0.0 or self.beta_bounds[0] < 0.0:
+        if self.gamma_min <= 0.0 or self.beta_min < 0.0:
             raise ValueError(
                 "gamma_min and beta_min must be positive and non-negative, respectively: "
-                f"{(self.gamma_bounds[0], self.beta_bounds[0])}"
+                f"{(self.gamma_min, self.beta_min)}"
+            )
+        if not (np.isfinite(self.gamma_init) and np.isfinite(self.beta_init)):
+            raise ValueError(
+                f"gamma_init and beta_init must be finite: {(self.gamma_init, self.beta_init)}"
             )
         if not self.tol > 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
@@ -297,8 +308,8 @@ def inner_minimize(
         return est.value
 
     if family_class(family).couplings:
-        lo = np.array([opt.gamma_bounds[0], opt.beta_bounds[0]])
-        hi = np.array([opt.gamma_bounds[1], opt.beta_bounds[1]])
+        lo = np.array([opt.gamma_min, opt.beta_min])
+        hi = np.array([opt.gamma_max, opt.beta_max])
         res = nelder_mead(
             search_fn,
             np.array([opt.gamma_init, opt.beta_init]),
@@ -399,8 +410,8 @@ def outer_minimize(
 
     res = golden_section(
         objective,
-        opt.zeta_bounds[0],
-        opt.zeta_bounds[1],
+        opt.zeta_min,
+        opt.zeta_max,
         tol=opt.tol,
         max_eval=opt.max_iter_outer,
     )

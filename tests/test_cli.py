@@ -15,6 +15,7 @@ import pytest
 from corrsearch.ansatz import FAMILIES
 from corrsearch.cli import main
 from corrsearch.config import (
+    _RETIRED,
     ConfigError,
     build_density,
     build_optimize_spec,
@@ -158,6 +159,18 @@ def test_unparseable_value_names_field(tmp_path, capsys):
         # golden section needs a bracket
         ("energy", "[optimize]", "zeta_min = 1.5\nzeta_max = 1.5"),
         ("optimize", "[optimize]", "zeta_min = 1.5\nzeta_max = 1.5"),
+        # a bracket that reaches zeta <= 0, and a search start that is not finite
+        *(
+            (command, "[optimize]", fields)
+            for command in ("energy", "optimize")
+            for fields in (
+                "zeta_min = 0",
+                "zeta_min = -1\nzeta_max = 0.5",
+                "gamma_init = nan",
+                "gamma_init = inf",
+                "beta_init = nan",
+            )
+        ),
         # the pairwise coupling range, also where a search ignores the couplings
         *(
             (command, "[ansatz]", coupling)
@@ -179,6 +192,8 @@ def test_out_of_range_setting_names_its_section(tmp_path, capsys, command, secti
         ({"n": "0"}, "n"),
         ({"radius": "nan"}, "radius"),
         ({"dimensionality": "1d", "softening": "0.0"}, "softening"),
+        ({"radius": "inf"}, "radius"),
+        ({"dimensionality": "1d", "softening": "inf"}, "softening"),
         ({"dimensionality": "2d"}, "dimensionality"),
         ({"z": "nan"}, "z"),
         ({"z": "inf"}, "z"),
@@ -695,17 +710,45 @@ def test_runconfig_dict_round_trip(tmp_path):
     assert "prefactor" not in cfg.to_dict()
 
 
+def test_build_density_takes_an_explicit_zeta(tmp_path):
+    # a search zeta of 0.0 is passed on and rejected, not replaced by [density] zeta
+    cfg = load_config(write_config(tmp_path))
+    assert build_density(cfg, zeta=1.25).zeta == 1.25
+    with pytest.raises(ValueError, match="zeta"):
+        build_density(cfg, zeta=0.0)
+
+
 def test_readme_config_block_lists_every_key():
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
     cfg = parse_config(block)
     keys = {(name, f.metadata.get("key", f.name)) for name, f in section_fields(cfg)}
+    keys |= {(name, key) for name, retired in _RETIRED.items() for key in retired}
     assert config_keys(block) == keys
     assert len(config_keys(block)) == 33
     # and every value the block shows is its key's default
     for name, f in section_fields(cfg):
         if f.default is not dataclasses.MISSING:
             assert getattr(getattr(cfg, name), f.name) == f.default, (name, f.name)
+
+
+@pytest.mark.parametrize(
+    "section,retired", [("[sampler]", "workers = 0"), ("[optimize]", "crn = maybe")]
+)
+def test_retired_key_is_still_checked(tmp_path, capsys, section, retired):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"[system]\nn = 2\nz = 2.0\n{section}\n{retired}\n", encoding="utf-8")
+    assert main(["energy", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert section in err and retired.split()[0] in err
+
+
+def test_retired_keys_load_and_are_dropped(tmp_path):
+    cfg = write_config(tmp_path, workers=2, optimize="[optimize]\ncrn = false\n")
+    out = tmp_path / "out"
+    assert main(["energy", "--config", cfg, "--method", "quadrature", "--out", str(out)]) == 0
+    config = read_record(str(out / "record.json"))["config"]
+    assert "workers" not in config["sampler"] and "crn" not in config["optimize"]
 
 
 def test_gamma_floor_needs_test_mode(tmp_path):

@@ -140,8 +140,10 @@ def test_inner_synthetic_recovery(monkeypatch):
     density = ExponentialDensity(zeta=HE_ZETA, n_electrons=3)
     space = SpaceSpec(dim=3, radius=3.0, n_electrons=3)
     opt = OptimizeSpec(
-        gamma_bounds=(0.05, 10.0),
-        beta_bounds=(0.0, 10.0),
+        gamma_min=0.05,
+        gamma_max=10.0,
+        beta_min=0.0,
+        beta_max=10.0,
         gamma_init=5.0,
         beta_init=5.0,
         tol=1e-12,
@@ -232,7 +234,9 @@ def test_inner_search_samples_each_acting_point_once(monkeypatch, n):
 def test_inner_optimality_probe():
     # winner's fresh-seed Gamma must not lose to random in-bounds probes
     density, space = he_setup()
-    opt = OptimizeSpec(gamma_bounds=(0.05, 50.0), beta_bounds=(0.0, 50.0), max_iter_inner=60)
+    opt = OptimizeSpec(
+        gamma_min=0.05, gamma_max=50.0, beta_min=0.0, beta_max=50.0, max_iter_inner=60
+    )
     settings = search_settings(seed=2)
     res = inner_minimize(density, space, "pairwise", settings, opt)
     winner = build_ansatz("pairwise", density, space, res.gamma, res.beta)
@@ -243,8 +247,8 @@ def test_inner_optimality_probe():
     rng = np.random.default_rng(77)
     violations = 0
     for k in range(20):
-        g = rng.uniform(*opt.gamma_bounds)
-        b = rng.uniform(*opt.beta_bounds)
+        g = rng.uniform(opt.gamma_min, opt.gamma_max)
+        b = rng.uniform(opt.beta_min, opt.beta_max)
         probe = PairwiseBiparametric(density, space, g, b)
         est = gamma_correlation(density, probe, replace(settings, seed=1000 + k))
         z = (best.value - est.value) / np.hypot(best.stderr, est.stderr)
@@ -268,7 +272,7 @@ def test_outer_frozen_recovers_hartree_product():
         space,
         "frozen",
         search_settings(),
-        OptimizeSpec(zeta_bounds=(1.0, 2.5), tol=1e-4, max_iter_outer=60),
+        OptimizeSpec(zeta_min=1.0, zeta_max=2.5, tol=1e-4, max_iter_outer=60),
     )
     assert res.zeta == pytest.approx(27.0 / 16.0, abs=0.02)
     assert res.energy.total == pytest.approx(-2.8477, abs=0.005)
@@ -288,7 +292,8 @@ def test_outer_zeta_tracks_nuclear_charge(z):
         "frozen",
         search_settings(),
         OptimizeSpec(
-            zeta_bounds=(max(0.5, z - 2.0), z + 1.0),
+            zeta_min=max(0.5, z - 2.0),
+            zeta_max=z + 1.0,
             tol=1e-5,
             max_iter_outer=80,
         ),
@@ -351,21 +356,28 @@ def test_outer_counts_inner_searches_that_never_moved(monkeypatch, slope, counte
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        OptimizeSpec(zeta_bounds=(2.0, 1.0))
+        OptimizeSpec(zeta_min=2.0, zeta_max=1.0)
     # golden section needs a bracket; equal gamma or beta bounds fold to one value
     with pytest.raises(ValueError, match="zeta_min"):
-        OptimizeSpec(zeta_bounds=(1.5, 1.5))
-    OptimizeSpec(gamma_bounds=(2.0, 2.0), beta_bounds=(0.0, 0.0))
+        OptimizeSpec(zeta_min=1.5, zeta_max=1.5)
+    OptimizeSpec(gamma_min=2.0, gamma_max=2.0, beta_min=0.0, beta_max=0.0)
+    # a density scale must be positive, so the bracket may not reach zeta = 0
+    for zeta_min in (0.0, -1.0):
+        with pytest.raises(ValueError, match="zeta_min must be positive"):
+            OptimizeSpec(zeta_min=zeta_min, zeta_max=0.5)
+    for start in ({"gamma_init": np.nan}, {"gamma_init": np.inf}, {"beta_init": np.nan}):
+        with pytest.raises(ValueError, match="gamma_init and beta_init must be finite"):
+            OptimizeSpec(**start)
     for tol in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="tol"):
             OptimizeSpec(tol=tol)
     with pytest.raises(ValueError, match="gamma_min and beta_min"):
-        OptimizeSpec(gamma_bounds=(-0.1, 50.0))
+        OptimizeSpec(gamma_min=-0.1)
     with pytest.raises(ValueError, match="gamma_min and beta_min"):
-        OptimizeSpec(beta_bounds=(-0.1, 50.0))
+        OptimizeSpec(beta_min=-0.1)
     for budget in ({"max_iter_inner": 0}, {"max_iter_inner": -1}, {"max_iter_outer": 0}):
         with pytest.raises(ValueError, match="max_iter"):
             OptimizeSpec(**budget)
     # pairwise needs gamma > 0, so the search box may not reach gamma = 0
     with pytest.raises(ValueError, match="gamma_min"):
-        OptimizeSpec(gamma_bounds=(0.0, 50.0))
+        OptimizeSpec(gamma_min=0.0)
