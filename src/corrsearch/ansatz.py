@@ -6,13 +6,16 @@ Families expose the unnormalized log density (used by the sampler), the
 conditioning-point score grad_r log f~ (used by the Fisher estimator),
 and explicit normalization operations.  The sampler moves one satellite
 per step and passes that move as a hint, together with a per-chain
-state the family filled once per block, so families with pair sums can
+state the family built once per batch, so families with pair sums can
 return the chain's current value plus the change in the O(S) terms that
 involve the moved satellite, reading every old term from that state
-instead of re-evaluating all O(S^2) terms.  The sampler stores its
-chains with the chain axis last, so the arrays of a hinted call are
-views of that store, and the pairwise family keeps its chain state
-chain-last too: every per-step operation runs one long loop over chains.
+instead of re-evaluating all O(S^2) terms.  The pairwise family's state
+also holds its hinted evaluator, bound once per batch to the chains'
+points, its buffers and its constants, and a hinted log_unnormalized
+call goes straight to it.  The sampler stores its chains with the chain
+axis last, so the arrays of a hinted call are views of that store, and
+the pairwise family keeps its chain state chain-last too: every
+per-step operation runs one long loop over chains.
 
 This module owns the family registry: each family class declares its
 name and capabilities as class attributes and the coupling values that
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Density, DomainError, QuadratureGrid, SpaceSpec, sq_norm
+from .domain import Density, SpaceSpec, sq_norm
 
 
 class AnsatzError(ValueError):
@@ -100,11 +103,6 @@ def pair_energy_grad_x(density: Density, space: SpaceSpec, x: np.ndarray, y: np.
     return (rho_y * kern)[..., None] * grad_rho_x + (rho_x * rho_y)[..., None] * dkern
 
 
-# 0-d constants for the hinted path: a ufunc converts a Python float
-# argument on every call, and a 0-d array costs it nothing
-_ZERO, _ONE, _NEG_INF = np.array(0.0), np.array(1.0), np.array(-np.inf)
-
-
 def _satellite_pairs(n_sat: int):
     """Index pairs (i, j) with i < j among satellites."""
     return np.triu_indices(n_sat, k=1)
@@ -132,15 +130,18 @@ class ConditionalAnsatz:
     step, so a family must not keep them, or satellites, past the call.
     log_old (m,) is the current, finite value, and
     state is what chain_state(r, current satellites) returned at the
-    block's start, kept current by the sampler through state.commit(accept)
-    after every hinted call.  A family may return log_old plus the change
-    in the terms that involve satellite k, or ignore the hint and evaluate
-    the proposal in full; both give the same value up to rounding.  A
-    hinted call skips the shape checks and runs with numpy's divide and
-    invalid errors ignored, as the sampler's step loop does.  Scratch
-    buffers of a hinted path belong in the chain state, one set per
-    batch, never on the family instance: the sampler's pool thread calls
-    score on the same instance while the step loop runs.
+    batch's start, at the same points r as every hinted call of the batch.
+    The sampler keeps it current: after every hinted call it calls
+    state.commit(accept) if state.pending is true.  A family
+    may return log_old plus the change in the terms that involve
+    satellite k, or ignore the hint and evaluate the proposal in full;
+    both give the same value up to rounding.  The value a hinted call
+    returns may be a buffer of the state that the next hinted call
+    overwrites.  A hinted call skips the shape checks and runs with
+    numpy's divide and invalid errors ignored, as the sampler's step loop
+    does.  Scratch buffers of a hinted path belong in the chain state, one
+    set per batch, never on the family instance: the sampler's pool
+    thread calls score on the same instance while the step loop runs.
     """
 
     family: str = "base"
@@ -234,7 +235,7 @@ class ConditionalAnsatz:
 
 class PairChainState:
     """The pairwise family's per-chain terms of one sampler block, chain
-    axis last.
+    axis last, and the hinted evaluator that reads them.
 
     rho_r: (m,) rho at each chain's conditioning point.
     e_cond: (S, m) conditioning terms E_H(r, s_j); held when S >= 2.
@@ -244,51 +245,172 @@ class PairChainState:
     Terms not held are None: with one satellite the full formula, which
     reads only rho_r, is the cheaper one.
 
-    A hinted log_unnormalized call reads the old terms from here and
-    leaves the proposal's new ones pending; commit(accept) writes the
-    accepted ones in, so every held array equals a fresh evaluation of the
-    chains' current states.  The hinted call also works in scratch
-    buffers held here, one set per block, so the pending terms may point
-    into them: commit runs before the next hinted call.
+    log(satellites, k, new, log_old) is the hinted evaluation, bound once
+    per block to the chains' points and to its buffers (see _evaluator).
+    It reads the old terms from here and leaves the proposal's new ones
+    pending in buffers held here (pos, e_new, rho_new, pair_new);
+    commit(accept) writes the accepted ones in, so every held array
+    equals a fresh evaluation of the chains' current states.  The
+    returned log f~ is a buffer of the evaluator too, so commit, and
+    every use of the returned value, comes before the next hinted call.
+    pending is false with one satellite, where a hinted call leaves
+    nothing to take in and commit does nothing.  The evaluator holds the
+    buffers, not the state, so the two form no reference cycle and a
+    batch's state is freed when the batch ends.
     """
 
-    def __init__(self, rho_r, rho_sat, e_cond, e_pair, n_sat, dim):
+    def __init__(self, family, r, rho_r, rho_sat, e_cond, e_pair):
         self.rho_r, self.rho_sat, self.e_cond, self.e_pair = rho_r, rho_sat, e_cond, e_pair
         m = len(rho_r)
-        self.chains = np.arange(m)
-        # hinted-call scratch: the squared coordinates of new and new - r,
-        # their sums, then (m,) kernel terms
-        self.sq = np.empty((2, dim, m))
-        self.norms = np.empty((2, m))
-        # row views made once: a view costs each step as much as a small ufunc
-        (self.sq_new, self.sq_rel), (self.r2, self.d2) = self.sq, self.norms
-        self.num, self.e_new, self.change = np.empty((3, m))
-        self.outside = np.empty(m, bool)
-        self.pos = np.empty(m, np.int64)
         if e_pair is not None:
             j = np.arange(len(e_pair))[:, None]
             # flat offsets of e_pair[j, 0, 0] and of e_pair[0, j, 0]
             self.down, self.across = j * e_pair[0].size, j * m
+        # what a hinted call with S >= 2 leaves pending: the flat indices
+        # pos of (k[c], c) in an (S, m) array and pair_pos of every
+        # (j, k[c], c) in e_pair, the new conditioning terms, rho at the
+        # moved satellites and their new pair terms
+        self.pending = e_cond is not None
+        self.pos = np.empty(m, np.int64)
+        self.e_new, self.rho_new = np.empty((2, m))
+        if e_pair is not None:
+            self.pair_pos = np.empty(e_pair.shape[1:], np.int64)
+            self.pair_new = np.empty(e_pair.shape[1:])
+        self.log = self._evaluator(family, np.ascontiguousarray(r.T))
+
+    def _evaluator(self, family, r_t):
+        """The hinted evaluation for the chains at the points r_t (d, m):
+        log_old plus the change of the support term and of the terms that
+        involve satellite k.  Only rho(new), the new conditioning term and
+        the new pair terms are evaluated; the old terms come from the held
+        arrays.  They are finite, since the current state has finite
+        log f~, so the E_H conventions carry over: a new coincidence gives
+        -inf.  With one satellite the full formula has a single term and
+        is kept, so the value is exactly a fresh evaluation's.
+
+        The arithmetic is _weighted_kernel's and the full formula's, in
+        the same order, so every term is bit for bit an unhinted call's.
+        Everything a step needs is bound here once: the buffers, the 0-d
+        constants, the flat views and the ufuncs, each called with its
+        out positional.  A squared norm is one add-reduce over the
+        coordinate axis, which adds its fewer than 8 terms in order, as
+        sum_last does, and the support test is a mask applied in place.
+        The gathers read flat indices that are in range by construction,
+        in take's 'clip' mode, which writes straight into its out."""
+        dim, m = r_t.shape
+        n_sat, value, rho_r = family.n_satellites, family.density.value, self.rho_r
+        # 0-d constants: a ufunc converts a Python float argument on every
+        # call, and a 0-d array costs it nothing
+        gamma, beta = np.array(family.gamma), np.array(family.beta)
+        omega_r2 = np.array(family.space.omega_radius**2)
+        zero, one, inf, neg_inf = (np.array(x) for x in (0.0, 1.0, np.inf, -np.inf))
+        multiply, subtract, add, divide = np.multiply, np.subtract, np.add, np.divide
+        sqrt, fmax, greater, equal = np.sqrt, np.fmax, np.greater, np.equal
+        bitwise_and, take, copyto, reduce = np.bitwise_and, np.take, np.copyto, np.add.reduce
+        # scratch: the squared coordinates of new and new - r, their sums,
+        # then (m,) terms; row views made once, since a view costs each
+        # step as much as a small ufunc
+        sq = np.empty((2, dim, m))
+        sq_new, sq_rel = sq
+        norms = np.empty((2, m))
+        r2, d2 = norms
+        num, change, total = np.empty((3, m))
+        rho_new, e_new, pos = self.rho_new, self.e_new, self.pos
+        outside = np.empty(m, bool)
+        chains, m_0d = np.arange(m), np.array(m)
+        e_cond = self.e_cond.reshape(-1) if n_sat > 1 else None
+        pairs = self.e_pair is not None
+        if pairs:
             # the moved satellite against all S satellites: (S, d, m) and (S, m)
-            self.pair_delta = np.empty((n_sat, dim, m))
-            self.pair_d2, self.pair_num, self.pair_new, self.pair_old = np.empty((4, n_sat, m))
-            self.pair_pos = np.empty((n_sat, m), np.int64)
-        self.pending = None
+            pair_delta = np.empty((n_sat, dim, m))
+            pair_d2, pair_num, pair_old = np.empty((3, n_sat, m))
+            pair_new, pair_pos, down = self.pair_new, self.pair_pos, self.down
+            rho_sat, e_pair = self.rho_sat, self.e_pair.reshape(-1)
+            pair_new_1d = pair_new.reshape(-1)
+        # kernel(num, d2, out, masks): E_H from num = rho(x) rho(y) and the
+        # squared distance d2, written to out; d2 is overwritten, and masks
+        # are two bool buffers of out's shape, used in 1D only
+        if dim == 3:
+            cond_masks = pair_masks = None
+
+            def kernel(num, d2, out, masks):
+                sqrt(d2, d2)
+                divide(one, d2, d2)
+                multiply(num, d2, out)
+                # every term is >= 0 except num * (1/d) = 0 * inf = nan at a
+                # contact where num = 0; fmax sets exactly that one to 0, which
+                # is _weighted_kernel's value wherever num = 0
+                return fmax(out, zero, out)
+        else:
+            soft2 = np.array(family.space.softening**2)
+            cond_masks = np.empty((2, m), bool)
+            pair_masks = np.empty((2, n_sat, m), bool) if pairs else None
+
+            def kernel(num, d2, out, masks):
+                # the softened kernel is finite, so num = 0 already gives 0,
+                # and a contact where num > 0 carries the +inf signal
+                contact, positive = masks
+                equal(d2, zero, contact)
+                greater(num, zero, positive)
+                bitwise_and(contact, positive, contact)
+                sqrt(add(d2, soft2, d2), d2)
+                divide(one, d2, d2)
+                multiply(num, d2, out)
+                copyto(out, inf, "same_kind", contact)
+                return out
+
+        def log(satellites, k, new, log_old):
+            new_t = new.T  # (d, m)
+            # |new|^2 and |new - r|^2 in one add-reduce
+            multiply(new_t, new_t, sq_new)
+            subtract(new_t, r_t, sq_rel)
+            multiply(sq_rel, sq_rel, sq_rel)
+            reduce(sq, 1, None, norms)
+            value(new, r2, rho_new)
+            greater(r2, omega_r2, outside)
+            multiply(rho_r, rho_new, num)
+            kernel(num, d2, e_new, cond_masks)
+            if n_sat == 1:
+                subtract(zero, multiply(gamma, e_new, change), total)
+            else:
+                add(multiply(k, m_0d, pos), chains, pos)  # (k[c], c) in a flat (S, m) array
+                take(e_cond, pos, None, change, "clip")
+                subtract(e_new, change, change)
+                subtract(log_old, multiply(gamma, change, change), total)
+            if pairs:
+                # the moved satellite against all S satellites, chain axis last;
+                # its own term, at distance 0, is set to 0, and adding 0.0 in
+                # order leaves the sum over the S - 1 others exact
+                subtract(new_t, satellites.transpose(1, 2, 0), pair_delta)
+                multiply(pair_delta, pair_delta, pair_delta)
+                reduce(pair_delta, 1, None, pair_d2)
+                multiply(rho_new, rho_sat, pair_num)
+                kernel(pair_num, pair_d2, pair_new, pair_masks)
+                pair_new_1d[pos] = 0.0
+                take(e_pair, add(down, pos, pair_pos), None, pair_old, "clip")
+                subtract(pair_new, pair_old, pair_old)
+                reduce(pair_old, 0, None, change)
+                subtract(total, multiply(beta, change, change), total)
+            copyto(total, neg_inf, "same_kind", outside)
+            return total
+
+        return log
 
     def commit(self, accept: np.ndarray) -> None:
-        """Take in the pending terms of the chains whose move was accepted."""
-        if self.pending is None:
+        """Take in the pending terms of the last hinted call's chains whose
+        move was accepted."""
+        if not self.pending:
             return
-        k, pos, e_new, rho_new, pair_new = self.pending
         acc = accept.nonzero()[0]
-        pos = pos[acc]
-        self.e_cond.reshape(-1)[pos] = e_new[acc]
-        if pair_new is not None:
-            self.rho_sat.reshape(-1)[pos] = rho_new[acc]
-            pair_new = np.take(pair_new, acc, axis=1)
+        pos = self.pos[acc]
+        self.e_cond.reshape(-1)[pos] = self.e_new[acc]
+        if self.e_pair is not None:
+            self.rho_sat.reshape(-1)[pos] = self.rho_new[acc]
+            pair_new = np.take(self.pair_new, acc, axis=1)
             flat = self.e_pair.reshape(-1)
             flat[self.down + pos] = pair_new  # column k: e_pair[j, k, c]
-            flat[self.across + (k[acc] * self.e_pair[0].size + acc)] = pair_new  # row k
+            # row k: e_pair[k, j, c] sits at k S m + j m + c = (pos - c) S + j m + c
+            flat[self.across + ((pos - acc) * len(self.e_pair) + acc)] = pair_new
 
 
 class PairwiseBiparametric(ConditionalAnsatz):
@@ -306,11 +428,9 @@ class PairwiseBiparametric(ConditionalAnsatz):
 
     def __init__(self, density, space, gamma: float, beta: float):
         super().__init__(density, space)
-        self._omega_r2 = np.array(space.omega_radius**2)
         self.check_couplings(gamma, beta)
         self.gamma = float(gamma)
         self.beta = float(beta)
-        self._gamma_0d, self._beta_0d = np.array(self.gamma), np.array(self.beta)
 
     @staticmethod
     def check_couplings(gamma: float, beta: float):
@@ -335,7 +455,8 @@ class PairwiseBiparametric(ConditionalAnsatz):
 
     def log_unnormalized(self, r, satellites, moved=None):
         if moved is not None:
-            return self._moved_log(r, satellites, *moved)
+            k, _, new, log_old, state = moved
+            return state.log(satellites, k, new, log_old)
         r, satellites = self._check_shapes(r, satellites)
         e_cond = pair_energy(self.density, self.space, r[..., None, :], satellites)
         total = self._support_log(satellites) - self.gamma * np.sum(e_cond, axis=-1)
@@ -346,82 +467,6 @@ class PairwiseBiparametric(ConditionalAnsatz):
             )
             total = total - self.beta * np.sum(e_sat, axis=-1)
         return total
-
-    def _moved_log(self, r, satellites, k, old, new, log_old, state):
-        """The hinted path: log_old plus the change of the support term and
-        of the terms that involve satellite k.  Only rho(new), the new
-        conditioning term and the new pair terms are evaluated; the old
-        terms come from the chain state.  They are finite, since the
-        current state has finite log f~, so the E_H conventions carry over:
-        a new coincidence gives -inf.  With one satellite the full formula
-        has a single term and is kept, so the value is exactly a fresh
-        evaluation's.
-
-        The arithmetic is _weighted_kernel's and the full formula's, in
-        the same order, so every term is bit for bit an unhinted call's;
-        it runs chain-last and in place, in the chain state's buffers.  A
-        squared norm is one add-reduce over the coordinate axis, which adds
-        its fewer than 8 terms in order, as sum_last does, and the support
-        test is a mask applied in place."""
-        s = state
-        new_t = new.T  # (d, m)
-        # |new|^2 and |new - r|^2 in one add-reduce
-        r2, sq_rel = s.r2, s.sq_rel
-        np.multiply(new_t, new_t, out=s.sq_new)
-        np.subtract(new_t, r.T, out=sq_rel)
-        np.multiply(sq_rel, sq_rel, out=sq_rel)
-        np.add.reduce(s.sq, axis=1, out=s.norms)
-        rho_new = self.density.value(new, r2)
-        outside = np.greater(r2, self._omega_r2, out=s.outside)
-        np.multiply(s.rho_r, rho_new, out=s.num)
-        e_new = self._kernel_in_place(s.num, s.d2, s.e_new)
-        if self.n_satellites == 1:
-            total = np.subtract(_ZERO, np.multiply(self._gamma_0d, e_new, out=s.change))
-        else:
-            pos = np.multiply(k, len(k), out=s.pos)
-            np.add(pos, s.chains, out=pos)  # (k[c], c) in a flat (S, m) array
-            change = np.take(s.e_cond, pos, out=s.change)
-            np.subtract(e_new, change, out=change)
-            total = np.subtract(log_old, np.multiply(self._gamma_0d, change, out=change))
-        pair_new = None
-        if s.e_pair is not None:
-            # the moved satellite against all S satellites, chain axis last;
-            # its own term, at distance 0, is set to 0, and adding 0.0 in
-            # order leaves the sum over the S - 1 others exact
-            delta = np.subtract(new_t, satellites.transpose(1, 2, 0), out=s.pair_delta)
-            np.multiply(delta, delta, out=delta)
-            np.add.reduce(delta, axis=1, out=s.pair_d2)
-            np.multiply(rho_new, s.rho_sat, out=s.pair_num)
-            pair_new = self._kernel_in_place(s.pair_num, s.pair_d2, s.pair_new)
-            pair_new[k, s.chains] = 0.0
-            diff = np.take(s.e_pair, np.add(s.down, pos, out=s.pair_pos), out=s.pair_old)
-            np.subtract(pair_new, diff, out=diff)
-            change = np.add.reduce(diff, axis=0, out=s.change)
-            np.subtract(total, np.multiply(self._beta_0d, change, out=change), out=total)
-        np.copyto(total, _NEG_INF, where=outside)
-        if self.n_satellites > 1:
-            s.pending = (k, pos, e_new, rho_new, pair_new)
-        return total
-
-    def _kernel_in_place(self, num, d2, out):
-        """_weighted_kernel's E_H from num = rho(x) rho(y) and the squared
-        distance d2, written to out; d2 is overwritten."""
-        if self.dim == 3:
-            np.sqrt(d2, out=d2)
-            np.divide(_ONE, d2, out=d2)
-            np.multiply(num, d2, out=out)
-            # every term is >= 0 except num * (1/d) = 0 * inf = nan at a
-            # contact where num = 0; fmax sets exactly that one to 0, which
-            # is _weighted_kernel's value wherever num = 0
-            return np.fmax(out, _ZERO, out=out)
-        # the softened kernel is finite, so num = 0 already gives 0, and a
-        # contact where num > 0 carries the +inf signal
-        contact = (d2 == 0.0) & (num > 0.0)
-        np.sqrt(np.add(d2, self.space.softening**2, out=d2), out=d2)
-        np.divide(_ONE, d2, out=d2)
-        np.multiply(num, d2, out=out)
-        np.copyto(out, np.inf, where=contact)
-        return out
 
     def chain_state(self, r, satellites):
         r, satellites = self._check_shapes(r, satellites)
@@ -441,7 +486,7 @@ class PairwiseBiparametric(ConditionalAnsatz):
                 e_pair = np.zeros((n_sat, n_sat, len(r)))
                 e_pair[ii, jj] = e
                 e_pair[jj, ii] = e
-        return PairChainState(rho_r, rho_sat, e_cond, e_pair, n_sat, self.dim)
+        return PairChainState(self, r, rho_r, rho_sat, e_cond, e_pair)
 
     def score(self, r, satellites):
         r, satellites = self._check_shapes(r, satellites)
@@ -582,23 +627,6 @@ def build_ansatz(
 # ---------------------------------------------------------------------------
 # normalization operations
 # ---------------------------------------------------------------------------
-
-
-def normalization_simple(ansatz: SimpleFactorized, r: np.ndarray, grid: QuadratureGrid) -> float:
-    """Per-satellite log normalization Ebar(r) of the simple family.
-
-    Defined by exp(-Ebar(r)) = integral over omega of exp(-E_H(r, s)) ds,
-    evaluated by quadrature on a grid covering omega.  The normalized
-    density is then f = prod_n exp(Ebar(r)) exp(-E_H(r, s_n)).
-    """
-    if not isinstance(ansatz, SimpleFactorized):
-        raise AnsatzError("normalization_simple requires the simple family")
-    r = np.asarray(r, dtype=float)
-    e = pair_energy(ansatz.density, ansatz.space, r[None, :], grid.nodes)
-    val = float(np.sum(grid.weights * np.exp(-e)))
-    if not val > 0.0:
-        raise EstimatorError("simple-family normalization integral vanished")
-    return -np.log(val)
 
 
 def log_normalization_pairwise(

@@ -1,7 +1,7 @@
 """Command line interface.
 
 Subcommands:
-    energy              evaluate the energy upper bound of a configured pair
+    energy              evaluate the energy of a configured pair
     optimize            nested search over density scale and couplings
     compare-ansatz      rank conditional families on one density
     verify              run the exact decomposition cross-checks
@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"corrsearch {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_energy = subs.add_parser("energy", help="evaluate the energy bound once")
+    p_energy = subs.add_parser("energy", help="evaluate the energy once")
     _add_common(p_energy)
     p_energy.add_argument(
         "--method",

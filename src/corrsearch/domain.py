@@ -112,7 +112,8 @@ class Density:
     All models integrate to ``n_electrons`` over the unbounded domain.
     ``value`` and ``gradient`` accept arrays of shape (..., dim);
     ``value`` also takes the points' sq_norm when the caller has it (the
-    radial models then skip recomputing it and checking the points).
+    radial models then skip recomputing it and checking the points), and
+    an array ``out`` of the result's shape to write into and return.
     ``sample`` draws positions from the probability density rho/N.
     """
 
@@ -120,7 +121,9 @@ class Density:
     n_electrons: int
     family: str
 
-    def value(self, points: np.ndarray, r2: np.ndarray | None = None) -> np.ndarray:
+    def value(
+        self, points: np.ndarray, r2: np.ndarray | None = None, out: np.ndarray | None = None
+    ) -> np.ndarray:
         raise NotImplementedError
 
     def gradient(self, points: np.ndarray) -> np.ndarray:
@@ -165,10 +168,14 @@ class ExponentialDensity(Density):
         object.__setattr__(self, "_amplitude", np.array(amplitude))
         object.__setattr__(self, "_rate", np.array(-2.0 * zeta))
 
-    def value(self, points, r2=None):
+    def value(self, points, r2=None, out=None):
         if r2 is None:
             r2 = sq_norm(_check_points(points, self.dim))
-        return self._amplitude * np.exp(self._rate * np.sqrt(r2))
+        # amplitude * exp(rate * sqrt(r2)), one ufunc at a time, in out if given
+        rho = np.sqrt(r2, out)
+        rho = np.multiply(self._rate, rho, out)
+        rho = np.exp(rho, out)
+        return np.multiply(self._amplitude, rho, out)
 
     def gradient(self, points):
         points = _check_points(points, self.dim)
@@ -212,12 +219,15 @@ class ExponentialMixtureDensity(Density):
         parts = tuple(ExponentialDensity(z, self.n_electrons, self.dim) for z in self.zetas)
         object.__setattr__(self, "_components", parts)
 
-    def value(self, points, r2=None):
+    def value(self, points, r2=None, out=None):
         if r2 is None:
             r2 = sq_norm(_check_points(points, self.dim))
-        out = np.zeros(np.shape(r2))
+        rho = np.zeros(np.shape(r2))
         for w, comp in zip(self.weights, self._components):
-            out = out + w * comp.value(points, r2)
+            rho = rho + w * comp.value(points, r2)
+        if out is None:
+            return rho
+        np.copyto(out, rho)
         return out
 
     def gradient(self, points):
@@ -276,9 +286,13 @@ class Tabulated1DDensity(Density):
         )
         self._cdf = cdf / cdf[-1]
 
-    def value(self, points, r2=None):
+    def value(self, points, r2=None, out=None):
         points = _check_points(points, 1)
-        return np.interp(points[..., 0], self.x, self.values, left=0.0, right=0.0)
+        rho = np.interp(points[..., 0], self.x, self.values, left=0.0, right=0.0)
+        if out is None:
+            return rho
+        np.copyto(out, rho)
+        return out
 
     def gradient(self, points):
         points = _check_points(points, 1)
@@ -367,41 +381,12 @@ def _gauss_legendre(n: int, lo: float, hi: float):
     return lo + half * (x + 1.0), half * w
 
 
-def radial_angular_grid(
-    r_max: float = 30.0,
-    n_radial: int = 128,
-    n_theta: int = 24,
-    n_phi: int = 24,
-) -> QuadratureGrid:
-    """Product quadrature over the 3D ball of radius r_max.
-
-    Gauss-Legendre radially and in cos(theta), uniform in phi.  Radial
-    nodes are strictly inside (0, r_max), so integrands with a cusp or
-    1/r singularity at the origin never see the origin node.
-    """
-    r, wr = _gauss_legendre(n_radial, 0.0, r_max)
-    mu, wmu = _gauss_legendre(n_theta, -1.0, 1.0)
-    phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
-    wphi = np.full(n_phi, 2.0 * np.pi / n_phi)
-
-    rr, mm, pp = np.meshgrid(r, mu, phi, indexing="ij")
-    ww = (
-        (wr * r * r)[:, None, None]
-        * wmu[None, :, None]
-        * wphi[None, None, :]
-    )
-    st = np.sqrt(1.0 - mm * mm)
-    nodes = np.stack(
-        [rr * st * np.cos(pp), rr * st * np.sin(pp), rr * mm], axis=-1
-    ).reshape(-1, 3)
-    return QuadratureGrid("radial-angular", nodes, ww.reshape(-1))
-
-
 def radial_grid(r_max: float = 30.0, n_radial: int = 128) -> QuadratureGrid:
-    """The radial factor of radial_angular_grid alone, for spherically
-    symmetric integrands only: its Gauss-Legendre nodes, placed on the z
-    axis, with weights 4 pi r^2 w_r.  The product rule's angular weights
-    sum to 4 pi, so on such an integrand both rules agree to rounding."""
+    """A radial Gauss-Legendre rule over the 3D ball of radius r_max, for
+    spherically symmetric integrands only: its nodes, placed on the z axis,
+    with weights 4 pi r^2 w_r.  The angular weights of a radial-angular
+    product rule sum to 4 pi, so on such an integrand the two agree to
+    rounding."""
     r, wr = _gauss_legendre(n_radial, 0.0, r_max)
     nodes = np.zeros((n_radial, 3))
     nodes[:, 2] = r
@@ -461,5 +446,8 @@ def external_energy(density: Density, potential: ExternalPotential, grid: Quadra
     if grid.dim != density.dim:
         raise DomainError("grid and density dimensionality differ")
     if grid.scheme == "radial" and potential.kind == "softened-1d":
-        raise DomainError("the softened-1d potential is not spherical; use radial_angular_grid")
+        raise DomainError(
+            "the softened-1d potential is not spherical, and the radial rule takes only "
+            "spherical integrands"
+        )
     return float(np.sum(grid.weights * potential.value(grid.nodes) * density.value(grid.nodes)))

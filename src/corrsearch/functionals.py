@@ -332,7 +332,7 @@ def total_energy(
     settings: SamplerSettings,
     method: str = "auto",
 ) -> EnergyBreakdown:
-    """Full upper-bound energy of (rho, f): deterministic one-body terms
+    """Full energy of (rho, f): deterministic one-body terms
     by quadrature plus the sampled correlation functional."""
     grid = default_grid(density)
     w = weizsacker_term(density, grid)

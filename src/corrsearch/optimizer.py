@@ -43,7 +43,7 @@ class OptimizeSpec:
     key: the golden-section bracket 0 < zeta_min < zeta_max, the
     Nelder-Mead box (gamma_min > 0, beta_min >= 0; equal bounds fold a
     coupling to one value) and its finite start, the evaluation budgets
-    and the tolerance of both searches."""
+    and the finite, positive tolerance of both searches."""
 
     zeta_min: float = 1.0
     zeta_max: float = 2.5
@@ -80,8 +80,9 @@ class OptimizeSpec:
             raise ValueError(
                 f"gamma_init and beta_init must be finite: {(self.gamma_init, self.beta_init)}"
             )
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        # an infinite tol stops both searches at their first comparison
+        if not (np.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter_inner < 1 or self.max_iter_outer < 1:
             raise ValueError(
                 "max_iter_inner and max_iter_outer must be >= 1: "

@@ -11,18 +11,24 @@ observables get (m, S, d) and (m, d) views of the store.  Each proposal
 is evaluated with one `log_unnormalized` call that carries the move as a
 hint (moved satellite, its old and new positions, the current log f~ and
 the family's chain state), so a family can add only the terms that
-involve the moved satellite.  Every step reuses one set of (d, m) and
-(m,) buffers: the moved coordinates old and new (sigma times the step
-variates, then old added), the log f~ change and the acceptance mask;
-the current log f~ is updated in place where a move is accepted.  With
-one satellite old is the store's row and the proposal is the new buffer
-itself, and accepted moves are copied in; with more the proposal is
-written into the store in place, through a flat view and one index array
-per step, and undone where rejected.  The chain state is the family's
-per-chain cache (for `pairwise`: rho(r), the conditioning and satellite
-pair terms of the current state, and the scratch buffers of its hinted
-call).  The family fills it once per batch from the final starts, and
-the sampler commits the accepted moves into it after every step.
+involve the moved satellite; that call is the only one a step makes.
+Every step reuses one set of (d, m) and (m,) buffers: the moved
+coordinates old and new (sigma times the step variates, then old
+added) and the log f~ change; the current log f~ is updated in place
+where a move is accepted.  Each step's acceptance mask is a row of a
+ring of _TUNE_INTERVAL masks, summed at each step-size adaptation and
+every _TUNE_INTERVAL measured steps, which gives the counts a per-step
+sum would.  The loop binds its numpy calls once per batch and passes
+their outputs positionally.  With one satellite old is the store's row
+and the proposal is the new buffer itself, and accepted moves are copied
+in; with more the proposal is written into the store in place, through
+a flat view and one index array per step, and undone where rejected.
+The chain state is the family's per-chain cache (for `pairwise`: rho(r),
+the conditioning and satellite pair terms of the current state, and its
+hinted evaluator with that evaluator's buffers).  The family builds it
+once per batch from the final starts, and the sampler commits the
+accepted moves into it after every step, unless its hinted calls leave
+nothing pending, as with one satellite.
 
 Randomness discipline: chains are split into blocks of a fixed `_CHUNK`
 chains, and each block owns one generator derived from the master seed
@@ -219,8 +225,10 @@ def run_conditional_batch(
     # sigma repeated over the coordinates, for the step: a (d, m) by (m,)
     # product broadcasts at several times the cost of an elementwise one
     sigma_rows = np.full((d, m), settings.sigma)
-    accepted_window = np.zeros(m)
     accepted_meas = np.zeros(m)
+    # acceptance masks of the last steps, row (t or t - burn_in) % _TUNE_INTERVAL:
+    # summed at each adaptation and every _TUNE_INTERVAL measured steps
+    accepts = np.empty((_TUNE_INTERVAL, m), bool)
     # the moved coordinates are read and written through a flat view of the
     # satellites: those of satellite 0 of every chain sit at elements first
     sats_1d = sats.reshape(-1)
@@ -230,12 +238,18 @@ def run_conditional_batch(
     # satellite old is the store's row itself and the proposal is new
     new = np.empty((d, m))
     gap = np.empty(m)
-    accept = np.empty(m, bool)
     if n_sat == 1:
         old, proposal = sats[0], new.T[:, None, :]
     else:
         old, proposal, elems = np.empty((d, m)), cur, np.empty((d, m), np.int64)
     old_t, new_t = old.T, new.T
+    # the step's calls, bound once; every ufunc takes its out positionally,
+    # and the gather reads element offsets that are in range by construction
+    # in take's 'clip' mode, which writes straight into its out
+    multiply, add, subtract, less = np.multiply, np.add, np.subtract, np.less
+    take, copyto, log_unnormalized = np.take, np.copyto, ansatz.log_unnormalized
+    burn_in, thinning = settings.burn_in, settings.thinning
+    commit = state.commit if state is not None and state.pending else None
     # steps per variate draw; the batch holds at most two step-chunks of variates
     chunk_steps = min(total_steps, max(1, _VARIATE_BYTES // (8 * (d + 2) * m)))
     chunk_starts = range(0, total_steps, chunk_steps)
@@ -313,35 +327,36 @@ def run_conditional_batch(
                 for i in range(len(sat_idx)):
                     t = chunk_start + i
                     if kdm is not None:
-                        np.add(first, kdm[i], out=elems)
-                        np.take(sats_1d, elems, out=old)
-                    np.multiply(sigma_rows, normals[i], out=new)
-                    np.add(old, new, out=new)
+                        add(first, kdm[i], elems)
+                        take(sats_1d, elems, None, old, "clip")
+                    multiply(sigma_rows, normals[i], new)
+                    add(old, new, new)
                     if kdm is not None:
                         sats_1d[elems] = new
                     hint = (sat_idx[i], old_t, new_t, log_cur, state)
-                    log_new = ansatz.log_unnormalized(r, proposal, moved=hint)
-                    np.subtract(log_new, log_cur, out=gap)
-                    np.less(log_unifs[i], gap, out=accept)
+                    log_new = log_unnormalized(r, proposal, moved=hint)
+                    subtract(log_new, log_cur, gap)
+                    row = (t if t < burn_in else t - burn_in) % _TUNE_INTERVAL
+                    accept = accepts[row]
+                    less(log_unifs[i], gap, accept)
                     # old becomes the chains' next state: new where accepted
-                    np.copyto(old, new, where=accept)
+                    copyto(old, new, "same_kind", accept)
                     if kdm is not None:
                         sats_1d[elems] = old
-                    np.copyto(log_cur, log_new, where=accept)
-                    if state is not None:
-                        state.commit(accept)
+                    copyto(log_cur, log_new, "same_kind", accept)
+                    if commit is not None:
+                        commit(accept)
 
-                    if t < settings.burn_in:
-                        accepted_window += accept
-                        if (t + 1) % _TUNE_INTERVAL == 0:
-                            rate = accepted_window / _TUNE_INTERVAL
+                    if t < burn_in:
+                        if row == _TUNE_INTERVAL - 1:
+                            rate = accepts.sum(axis=0) / _TUNE_INTERVAL
                             sigma = np.where(rate > ACCEPTANCE_WINDOW[1], sigma * 1.25, sigma)
                             sigma = np.where(rate < ACCEPTANCE_WINDOW[0], sigma / 1.25, sigma)
                             sigma_rows[:] = sigma
-                            accepted_window[:] = 0.0
                     else:
-                        accepted_meas += accept
-                        if (t - settings.burn_in) % settings.thinning == settings.thinning - 1:
+                        if row == _TUNE_INTERVAL - 1 or t == total_steps - 1:
+                            accepted_meas += accepts[: row + 1].sum(axis=0)
+                        if (t - burn_in) % thinning == thinning - 1:
                             buf[n_kept] = sats
                             n_kept += 1
             drawn = job.result() if pool else None

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from corrsearch import sampler
-from corrsearch.domain import ExponentialDensity, SpaceSpec
+from corrsearch.ansatz import AnsatzError, EstimatorError, SimpleFactorized, pair_energy
+from corrsearch.domain import ExponentialDensity, QuadratureGrid, SpaceSpec, _gauss_legendre
 from corrsearch.sampler import SamplerSettings
 
 HE_ZETA = 27.0 / 16.0
@@ -72,6 +73,55 @@ def random_points(rng: np.random.Generator, n: int, dim: int, r_min: float = 0.1
         out[k : k + take] = good[:take]
         k += take
     return out
+
+
+def radial_angular_grid(
+    r_max: float = 30.0,
+    n_radial: int = 128,
+    n_theta: int = 24,
+    n_phi: int = 24,
+) -> QuadratureGrid:
+    """Product quadrature over the 3D ball of radius r_max, the reference
+    rule for integrands that are not spherical.
+
+    Gauss-Legendre radially and in cos(theta), uniform in phi.  Radial
+    nodes are strictly inside (0, r_max), so integrands with a cusp or
+    1/r singularity at the origin never see the origin node.
+    """
+    r, wr = _gauss_legendre(n_radial, 0.0, r_max)
+    mu, wmu = _gauss_legendre(n_theta, -1.0, 1.0)
+    phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
+    wphi = np.full(n_phi, 2.0 * np.pi / n_phi)
+
+    rr, mm, pp = np.meshgrid(r, mu, phi, indexing="ij")
+    ww = (
+        (wr * r * r)[:, None, None]
+        * wmu[None, :, None]
+        * wphi[None, None, :]
+    )
+    st = np.sqrt(1.0 - mm * mm)
+    nodes = np.stack(
+        [rr * st * np.cos(pp), rr * st * np.sin(pp), rr * mm], axis=-1
+    ).reshape(-1, 3)
+    return QuadratureGrid("radial-angular", nodes, ww.reshape(-1))
+
+
+def normalization_simple(ansatz: SimpleFactorized, r: np.ndarray, grid: QuadratureGrid) -> float:
+    """Per-satellite log normalization Ebar(r) of the simple family, the
+    quadrature reference for the Monte Carlo log_normalization_pairwise.
+
+    Defined by exp(-Ebar(r)) = integral over omega of exp(-E_H(r, s)) ds,
+    evaluated by quadrature on a grid covering omega.  The normalized
+    density is then f = prod_n exp(Ebar(r)) exp(-E_H(r, s_n)).
+    """
+    if not isinstance(ansatz, SimpleFactorized):
+        raise AnsatzError("normalization_simple requires the simple family")
+    r = np.asarray(r, dtype=float)
+    e = pair_energy(ansatz.density, ansatz.space, r[None, :], grid.nodes)
+    val = float(np.sum(grid.weights * np.exp(-e)))
+    if not val > 0.0:
+        raise EstimatorError("simple-family normalization integral vanished")
+    return -np.log(val)
 
 
 class InlinePool:

@@ -18,7 +18,6 @@ from corrsearch.ansatz import (
     build_ansatz,
     check_conditions,
     log_normalization_pairwise,
-    normalization_simple,
     pair_energy,
     pair_energy_grad_x,
 )
@@ -27,13 +26,12 @@ from corrsearch.domain import (
     ExponentialDensity,
     SpaceSpec,
     Tabulated1DDensity,
-    radial_angular_grid,
     uniform_1d_grid,
 )
 
 from corrsearch.functionals import gamma_correlation
 
-from conftest import HE_ZETA, fast_settings
+from conftest import HE_ZETA, fast_settings, normalization_simple, radial_angular_grid
 
 
 def he_pair():
@@ -319,6 +317,40 @@ def test_hinted_kernel_does_not_depend_on_layout(n, dim, beta):
         store[..., accept] = proposal[..., accept]
         log_cur = np.where(accept, got[0], log_cur)
     assert 0 < accept.sum() < m
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_hinted_gathers_read_the_moved_satellites_terms(n):
+    # the hinted call reads the moved satellite's old terms through flat
+    # indices in take's 'clip' mode, which clamps an out-of-range index
+    # instead of raising: pin pos and down + pos against fancy indexing of
+    # the (S, m) and (S, S, m) arrays, so an index bug cannot go silent
+    density = ExponentialDensity(zeta=1.0, n_electrons=n)
+    space = SpaceSpec(dim=3, radius=4.0, n_electrons=n)
+    ans = PairwiseBiparametric(density, space, gamma=0.8, beta=1.5)
+    n_sat, m = n - 1, 64
+    rng = np.random.default_rng(n)
+    chains = np.arange(m)
+    r = density.sample(m, rng)
+    cur = np.stack([ans.initial_satellites(r[c], rng) for c in range(m)])
+    log_cur = ans.log_unnormalized(r, cur)
+    state = ans.chain_state(r, cur)
+    for _ in range(20):
+        k = rng.integers(n_sat, size=m)
+        new = cur[chains, k] + 0.1 * rng.standard_normal((m, 3))
+        proposal = cur.copy()
+        proposal[chains, k] = new
+        with np.errstate(divide="ignore", invalid="ignore"):  # as in the step loop
+            ans.log_unnormalized(r, proposal, moved=(k, cur[chains, k], new, log_cur, state))
+        np.testing.assert_array_equal(state.pos, np.ravel_multi_index((k, chains), (n_sat, m)))
+        np.testing.assert_array_equal(np.take(state.e_cond, state.pos, mode="clip"),
+                                      state.e_cond[k, chains])
+        rows = np.arange(n_sat)[:, None]
+        np.testing.assert_array_equal(
+            state.pair_pos, np.ravel_multi_index((rows, k, chains), (n_sat, n_sat, m))
+        )
+        np.testing.assert_array_equal(np.take(state.e_pair, state.pair_pos, mode="clip"),
+                                      state.e_pair[:, k, chains])
 
 
 def test_parameter_validation():

@@ -157,6 +157,9 @@ def test_unparseable_value_names_field(tmp_path, capsys):
         ("energy", "[optimize]", "max_iter_inner = 0"),
         ("energy", "[optimize]", "zeta_min = 3\nzeta_max = 1"),
         ("energy", "[optimize]", "tol = -1"),
+        # an infinite tol would stop both searches at once and read as converged
+        ("optimize", "[optimize]", "tol = inf"),
+        ("energy", "[optimize]", "tol = inf"),
         ("sample-diagnostics", "[optimize]", "max_iter_outer = 0"),
         # golden section needs a bracket
         ("energy", "[optimize]", "zeta_min = 1.5\nzeta_max = 1.5"),

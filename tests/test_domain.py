@@ -14,13 +14,12 @@ from corrsearch.domain import (
     Tabulated1DDensity,
     default_grid,
     external_energy,
-    radial_angular_grid,
     sq_norm,
     sum_last,
     uniform_1d_grid,
 )
 
-from conftest import HE_ZETA, random_points
+from conftest import HE_ZETA, radial_angular_grid, random_points
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Metropolis engine: balance, determinism, variance scaling, diagnostics."""
 
+import gc
 import sys
 import threading
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -207,6 +209,59 @@ def test_chain_log_f_never_stale(n, beta, dim):
     assert ansatz.calls == settings.burn_in + settings.samples * settings.thinning
     assert 0.0 < batch.acceptance.mean() < 1.0
     assert ansatz.worst <= 1e-12
+
+
+class CountingPairwise(PairwiseBiparametric):
+    """Counts log_unnormalized calls, hinted and not, with their chains;
+    the first start candidates of every third chain lie outside omega,
+    so those chains redraw."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.hinted, self.full, self.states, self.first = [], [], 0, True
+
+    def log_unnormalized(self, r, satellites, moved=None):
+        # the chains of the call: initial_satellites passes one point (d,)
+        (self.full if moved is None else self.hinted).append(len(r) if np.ndim(r) > 1 else 1)
+        return super().log_unnormalized(r, satellites, moved)
+
+    def chain_state(self, r, satellites):
+        self.states += 1
+        state = super().chain_state(r, satellites)
+        self.state_ref = weakref.ref(state)
+        return state
+
+    def start_candidates(self, r, rng):
+        sats = super().start_candidates(r, rng)
+        if self.first:
+            sats[::3, 0] = 2.0 * self.space.omega_radius
+            self.first = False
+        return sats
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_one_log_unnormalized_call_per_step(n):
+    # the step loop makes one hinted call over all chains per step; the
+    # only other calls are the start evaluation over all chains and, when
+    # some starts have f~ = 0, one call per redraw attempt and one over the
+    # redrawn chains.  The family builds one chain state per batch, and
+    # reference counting frees it, buffers and all, when the batch ends
+    density = ExponentialDensity(zeta=1.0, n_electrons=n)
+    space = SpaceSpec(dim=3, radius=3.0, n_electrons=n)
+    ansatz = CountingPairwise(density, space, 1.0, 1.0)
+    settings = SamplerSettings(sigma=0.5, burn_in=70, samples=30, thinning=2, seed=4)
+    m = 48
+    gc.disable()
+    try:
+        run_conditional_batch(ansatz, density.sample(m, np.random.default_rng(4)), settings, {})
+        assert ansatz.state_ref() is None
+    finally:
+        gc.enable()
+    redrawn = len(range(0, m, 3))
+    assert ansatz.hinted == [m] * (settings.burn_in + settings.samples * settings.thinning)
+    # each redrawn chain's next candidate lies inside omega, so it takes one attempt
+    assert ansatz.full == [m] + [1] * redrawn + [redrawn]
+    assert ansatz.states == 1
 
 
 def test_detailed_balance_step_target():
