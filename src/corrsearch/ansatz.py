@@ -234,7 +234,7 @@ class ConditionalAnsatz:
 
 
 class PairChainState:
-    """The pairwise family's per-chain terms of one sampler block, chain
+    """The pairwise family's per-chain terms of one sampler batch, chain
     axis last, and the hinted evaluator that reads them.
 
     rho_r: (m,) rho at each chain's conditioning point.
@@ -246,7 +246,7 @@ class PairChainState:
     reads only rho_r, is the cheaper one.
 
     log(satellites, k, new, log_old) is the hinted evaluation, bound once
-    per block to the chains' points and to its buffers (see _evaluator).
+    per batch to the chains' points and to its buffers (see _evaluator).
     It reads the old terms from here and leaves the proposal's new ones
     pending in buffers held here (pos, e_new, rho_new, pair_new);
     commit(accept) writes the accepted ones in, so every held array
@@ -254,9 +254,9 @@ class PairChainState:
     returned log f~ is a buffer of the evaluator too, so commit, and
     every use of the returned value, comes before the next hinted call.
     pending is false with one satellite, where a hinted call leaves
-    nothing to take in and commit does nothing.  The evaluator holds the
-    buffers, not the state, so the two form no reference cycle and a
-    batch's state is freed when the batch ends.
+    nothing to take in and commit does nothing.  The evaluator refers to
+    the buffers, never to the state, so the two form no reference cycle
+    and reference counting frees a batch's state when the batch ends.
     """
 
     def __init__(self, family, r, rho_r, rho_sat, e_cond, e_pair):
