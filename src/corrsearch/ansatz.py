@@ -71,11 +71,11 @@ def _weighted_kernel(space: SpaceSpec, num: np.ndarray, delta: np.ndarray) -> np
     """E_H from the density product num = rho(x) rho(y) and delta = x - y.
     In 3D a contact divides by zero: call it with those errors ignored."""
     d2 = sq_norm(delta)
+    # in 3D 1/d is +inf at contact, so num * w is already the +inf signal
+    # there wherever num > 0
+    out = np.where(num == 0.0, 0.0, num * space.interaction(d2))
     if space.dim == 3:
-        # 1/d is +inf at contact, so num * kern is already the +inf signal
-        # there wherever num > 0
-        return np.where(num == 0.0, 0.0, num * (1.0 / np.sqrt(d2)))
-    out = np.where(num == 0.0, 0.0, num * (1.0 / np.sqrt(d2 + space.softening**2)))
+        return out
     # softened kernel is finite at contact; the signaling convention still
     # reports +inf there so that coincidence always maps to f = 0
     return np.where((d2 == 0.0) & (num > 0.0), np.inf, out)
@@ -93,12 +93,9 @@ def pair_energy_grad_x(density: Density, space: SpaceSpec, x: np.ndarray, y: np.
     rho_y = density.value(y)
     grad_rho_x = density.gradient(x)
     delta = x - y
-    d2 = sq_norm(delta)
-    if space.dim == 3:
-        with np.errstate(divide="ignore"):
-            kern = np.where(d2 == 0.0, np.nan, 1.0 / np.sqrt(d2))
-    else:
-        kern = 1.0 / np.sqrt(d2 + space.softening**2)
+    kern = space.interaction(sq_norm(delta))
+    # only the 3D kernel is infinite, and only at contact
+    kern = np.where(kern == np.inf, np.nan, kern)
     dkern = -delta * (kern**3)[..., None]
     return (rho_y * kern)[..., None] * grad_rho_x + (rho_x * rho_y)[..., None] * dkern
 
@@ -710,8 +707,12 @@ def check_conditions(
 
     Normalization is checked as a ratio of two independent MC estimates
     of the same satellite integral (z-scored), or flagged exact for the
-    analytically normalized families.  The coincidence checks construct
-    exact overlaps and require log f~ = -inf.
+    analytically normalized families.  The two estimates agree in
+    expectation for every family, so the check measures only their noise:
+    it passes when all n_points z-scores lie within 3, and at the default
+    10 points it fails by chance on a few percent of seeds (2 to 8 of 150
+    for `pairwise`, at each of four (N, radius, gamma, beta) cells).  The
+    coincidence checks construct exact overlaps and require log f~ = -inf.
     """
     rng_points = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xC0,)))
     density, space = ansatz.density, ansatz.space

@@ -206,14 +206,13 @@ def cmd_energy(args) -> int:
 
 def cmd_optimize(args) -> int:
     cfg = _load(args)
-    if cfg.density.family != "exponential":
-        raise ConfigError(
-            "[density] field 'family': the nested search varies the exponential scale"
-        )
+    density = build_density(cfg)
+    if not density.scale_searched:
+        raise ConfigError(f"[density] field 'family': {density.family} has no zeta to search")
     family = FAMILIES[cfg.ansatz.family]
     if not family.searchable:
         raise ConfigError("[ansatz] field 'family': not searchable")
-    if args.method == "quadrature" and not quadrature_applies(family, build_density(cfg)):
+    if args.method == "quadrature" and not quadrature_applies(family, density):
         raise ConfigError("--method quadrature applies only to the frozen family on 3d densities")
     space = build_space(cfg)
     potential = build_potential(cfg)

@@ -16,21 +16,12 @@ Errors always name the offending section and field.
 from __future__ import annotations
 
 import configparser
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 from .ansatz import FAMILIES
-from .domain import (
-    Density,
-    ExponentialDensity,
-    ExponentialMixtureDensity,
-    ExternalPotential,
-    SpaceSpec,
-    Tabulated1DDensity,
-)
+from .domain import DENSITIES, Density, ExternalPotential, SpaceSpec
 from .optimizer import OptimizeSpec
 from .sampler import SamplerSettings
-
-import numpy as np
 
 
 class ConfigError(ValueError):
@@ -181,26 +172,23 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
 
 def _validate(cfg: RunConfig):
     """The checks no built object owns, and a build of each object that
-    owns its section's range checks (`SpaceSpec`, `ExternalPotential`, the
-    analytic densities), so every command rejects a bad section at load.
-    A tabulated density is read from its file only when a command builds
-    it."""
+    owns its section's range checks (`SpaceSpec`, `ExternalPotential`,
+    every density, the tabulated one's file included), so every command
+    rejects a bad section at load."""
     if cfg.system.dimensionality not in ("3d", "1d"):
         raise ConfigError("[system] field 'dimensionality': must be '3d' or '1d'")
-    build_space(cfg)
+    space = build_space(cfg)
     _in_section("system", build_potential, cfg=cfg)
-    density = cfg.density
-    if density.family not in ("exponential", "exponential-mixture", "tabulated-1d"):
-        raise ConfigError(f"[density] field 'family': unknown family {density.family!r}")
-    if density.family != "tabulated-1d":
-        _in_section("density", build_density, cfg=cfg)
+    if cfg.density.family not in DENSITIES:
+        raise ConfigError(f"[density] field 'family': unknown family {cfg.density.family!r}")
+    density = _in_section("density", build_density, cfg=cfg)
+    if density.dim != space.dim:
+        raise ConfigError(f"[density] field 'family': {density.family} is {density.dim}d, the system {space.dim}d")
     if cfg.ansatz.family not in FAMILIES:
         raise ConfigError(
             f"[ansatz] field 'family': unknown family {cfg.ansatz.family!r}; "
             f"choose from {sorted(FAMILIES)}"
         )
-    if density.family == "tabulated-1d" and cfg.system.dimensionality != "1d":
-        raise ConfigError("[density] field 'family': tabulated-1d needs a 1d system")
     family = FAMILIES[cfg.ansatz.family]
     if family.couplings:
         _in_section("ansatz", family.check_couplings, gamma=cfg.ansatz.gamma, beta=cfg.ansatz.beta)
@@ -226,24 +214,10 @@ def build_space(cfg: RunConfig) -> SpaceSpec:
 
 
 def build_density(cfg: RunConfig, zeta: float | None = None) -> Density:
-    dim = 3 if cfg.system.dimensionality == "3d" else 1
-    n = cfg.system.n_electrons
-    fam = cfg.density.family
-    if fam == "exponential":
-        return ExponentialDensity(cfg.density.zeta if zeta is None else zeta, n, dim)
-    if fam == "exponential-mixture":
-        weights = cfg.density.weights or tuple(
-            1.0 / len(cfg.density.zetas) for _ in cfg.density.zetas
-        )
-        return ExponentialMixtureDensity(cfg.density.zetas, weights, n, dim)
-    if not cfg.density.table_path:
-        raise ConfigError("[density] field 'table_path': required for tabulated-1d")
-    data = np.loadtxt(cfg.density.table_path)
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise ConfigError(
-            "[density] field 'table_path': file must have two columns (x, rho)"
-        )
-    return Tabulated1DDensity(data[:, 0], data[:, 1], n)
+    """The [density] section's density in the [system]'s space; a given
+    zeta takes the place of the section's."""
+    section = cfg.density if zeta is None else replace(cfg.density, zeta=zeta)
+    return DENSITIES[section.family].from_section(section, build_space(cfg))
 
 
 def build_potential(cfg: RunConfig) -> ExternalPotential:

@@ -5,6 +5,14 @@ arrays whose last axis is the spatial dimension (3 for atoms, 1 for the
 softened line model).  Density models are analytic and defined on the
 unbounded domain; the finite radius ``R`` of the working region only
 bounds the one-particle volume ``omega`` and uniform proposal draws.
+
+This module owns the density registry: each density class declares its
+family name and capabilities as class attributes, ``zetas`` (the decay
+rates, empty for tabulated data) and ``scale_searched`` (the nested
+search varies its one scale ``zeta``), and builds itself from the
+[density] section with ``from_section``; DENSITIES maps names to
+classes.  Other modules read those attributes instead of naming
+families.
 """
 
 from __future__ import annotations
@@ -65,6 +73,14 @@ class SpaceSpec:
             return self.radius / self.n_electrons ** (1.0 / 3.0)
         return self.radius / self.n_electrons
 
+    def interaction(self, d2: np.ndarray) -> np.ndarray:
+        """The interaction w at squared distance d2: 1/d in 3D, +inf at
+        contact, and 1/sqrt(d^2 + a^2) on the softened line."""
+        if self.dim == 3:
+            with np.errstate(divide="ignore"):
+                return 1.0 / np.sqrt(d2)
+        return 1.0 / np.sqrt(d2 + self.softening**2)
+
     def in_omega(self, points: np.ndarray) -> np.ndarray:
         """Boolean mask: which points lie inside omega.  points: (..., dim)."""
         return sq_norm(np.asarray(points, dtype=float)) <= self.omega_radius**2
@@ -115,11 +131,16 @@ class Density:
     radial models then skip recomputing it and checking the points), and
     an array ``out`` of the result's shape to write into and return.
     ``sample`` draws positions from the probability density rho/N.
+    The classmethod ``from_section(section, space)`` builds the density
+    that a [density] section (the config's DensityConfig) describes for
+    the space's N and dimension.
     """
 
     dim: int
     n_electrons: int
     family: str
+    zetas: tuple[float, ...]
+    scale_searched = False
 
     def value(
         self, points: np.ndarray, r2: np.ndarray | None = None, out: np.ndarray | None = None
@@ -153,6 +174,15 @@ class ExponentialDensity(Density):
     n_electrons: int
     dim: int = 3
     family: str = "exponential"
+    scale_searched = True
+
+    @classmethod
+    def from_section(cls, section, space):
+        return cls(section.zeta, space.n_electrons, space.dim)
+
+    @property
+    def zetas(self) -> tuple[float, ...]:
+        return (self.zeta,)
 
     def __post_init__(self):
         if not 0.0 < self.zeta < np.inf:
@@ -207,6 +237,12 @@ class ExponentialMixtureDensity(Density):
     dim: int = 3
     family: str = "exponential-mixture"
 
+    @classmethod
+    def from_section(cls, section, space):
+        # equal weights by default
+        weights = section.weights or tuple(1.0 / len(section.zetas) for _ in section.zetas)
+        return cls(section.zetas, weights, space.n_electrons, space.dim)
+
     def __post_init__(self):
         if len(self.zetas) != len(self.weights) or not self.zetas:
             raise DomainError("zetas and weights must be equal-length, non-empty")
@@ -258,6 +294,21 @@ class Tabulated1DDensity(Density):
 
     dim = 1
     family = "tabulated-1d"
+    zetas = ()
+
+    @classmethod
+    def from_section(cls, section, space):
+        """Reads the two-column (x, rho) text file at section.table_path;
+        the class fixes the dimension, so space.dim is not used."""
+        if not section.table_path:
+            raise DomainError("field 'table_path': required for tabulated-1d")
+        try:
+            data = np.loadtxt(section.table_path, ndmin=2)
+        except OSError as exc:
+            raise DomainError(f"field 'table_path': {exc}") from None
+        if data.shape[1] != 2:
+            raise DomainError("field 'table_path': file must have two columns (x, rho)")
+        return cls(data[:, 0], data[:, 1], space.n_electrons)
 
     def __init__(self, x: np.ndarray, values: np.ndarray, n_electrons: int):
         x = np.asarray(x, dtype=float)
@@ -267,8 +318,8 @@ class Tabulated1DDensity(Density):
         h = np.diff(x)
         if not np.allclose(h, h[0], rtol=1e-10, atol=1e-12):
             raise DomainError("tabulated density grid must be uniform")
-        if np.any(values < 0.0):
-            raise DomainError("tabulated density values must be non-negative")
+        if not np.all(np.isfinite(values) & (values >= 0.0)):
+            raise DomainError("tabulated density values must be finite and non-negative")
         if n_electrons < 1:
             raise DomainError("n_electrons must be >= 1")
         self.x = x
@@ -302,6 +353,12 @@ class Tabulated1DDensity(Density):
     def sample(self, n, rng):
         u = rng.random(n)
         return np.interp(u, self._cdf, self.x)[:, None]
+
+
+# the registry: the one place that maps density family names to their classes
+DENSITIES = {
+    cls.family: cls for cls in (ExponentialDensity, ExponentialMixtureDensity, Tabulated1DDensity)
+}
 
 
 # ---------------------------------------------------------------------------
@@ -424,21 +481,13 @@ def default_grid(density: Density) -> QuadratureGrid:
     3D densities are spherical, so theirs is the radial rule: it takes
     spherically symmetric integrands only (external_energy refuses it for
     the one potential that is not)."""
+    if isinstance(density, Tabulated1DDensity):
+        extent = float(max(abs(density.x[0]), abs(density.x[-1])))
+        return uniform_1d_grid(extent, n=max(2048, 8 * density.x.size))
+    zeta_min = min(density.zetas)
     if density.dim == 1:
-        if isinstance(density, Tabulated1DDensity):
-            extent = float(max(abs(density.x[0]), abs(density.x[-1])))
-            return uniform_1d_grid(extent, n=max(2048, 8 * density.x.size))
-        zeta_min = min(_zetas_of(density))
         return line_grid(14.0 / zeta_min)
-    return radial_grid(r_max=radial_cutoff(min(_zetas_of(density))))
-
-
-def _zetas_of(density: Density):
-    if isinstance(density, ExponentialDensity):
-        return (density.zeta,)
-    if isinstance(density, ExponentialMixtureDensity):
-        return density.zetas
-    raise DomainError(f"no analytic decay scale for family {density.family!r}")
+    return radial_grid(r_max=radial_cutoff(zeta_min))
 
 
 def external_energy(density: Density, potential: ExternalPotential, grid: QuadratureGrid) -> float:

@@ -33,14 +33,12 @@ from .domain import (
     DomainError,
     ExternalPotential,
     QuadratureGrid,
-    SpaceSpec,
     default_grid,
     external_energy,
     radial_cutoff,
     sq_norm,
     _gauss_legendre,
     _unit_gauss_legendre,
-    _zetas_of,
 )
 from .sampler import SamplerSettings, conditioning_rng, run_conditional_batch
 
@@ -98,7 +96,7 @@ def frozen_coulomb_quadrature(density: Density) -> float:
     """
     if density.dim != 3:
         raise DomainError("quadrature Coulomb path is 3D-only; use the MC path")
-    r_max = radial_cutoff(min(_zetas_of(density)))
+    r_max = radial_cutoff(min(density.zetas))
 
     def q_fn(s):
         points = np.zeros(s.shape + (3,))
@@ -112,15 +110,6 @@ def frozen_coulomb_quadrature(density: Density) -> float:
 # ---------------------------------------------------------------------------
 # Monte Carlo conditional moments
 # ---------------------------------------------------------------------------
-
-
-def _bare_kernel(space: SpaceSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Interaction w(x, y): Coulomb in 3D, softened on the line."""
-    d2 = sq_norm(x - y)
-    if space.dim == 3:
-        with np.errstate(divide="ignore"):
-            return 1.0 / np.sqrt(d2)
-    return 1.0 / np.sqrt(d2 + space.softening**2)
 
 
 @dataclass
@@ -163,8 +152,7 @@ def conditional_moments(
         return ansatz.score(r_block[None], sats)
 
     def pair(r_block, sats):
-        first = sats[:, :, 0, :]
-        return _bare_kernel(space, np.broadcast_to(r_block, first.shape), first)
+        return space.interaction(sq_norm(r_block - sats[:, :, 0, :]))
 
     result = run_conditional_batch(ansatz, r_points, settings, {"score": score, "pair": pair})
     s = result.values["score"]  # (K, chains, d)
@@ -237,9 +225,9 @@ def gamma_from_moments(moments: ConditionalMoments, n_electrons: int) -> GammaEs
 
 def quadrature_applies(family, density: Density) -> bool:
     """Whether the deterministic Coulomb route covers the family (class or
-    instance) on this density: the frozen family on a 3D analytic density."""
-    analytic = density.family in ("exponential", "exponential-mixture")
-    return family.closed_form_coulomb and density.dim == 3 and analytic
+    instance) on this density: the frozen family on a 3D analytic density,
+    one with decay rates."""
+    return family.closed_form_coulomb and density.dim == 3 and bool(density.zetas)
 
 
 def _zero_gamma(method: str) -> GammaEstimate:

@@ -216,7 +216,11 @@ _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 def golden_section(
     fn, lo: float, hi: float, tol: float = 1e-3, max_eval: int = 60
 ) -> MinimizeResult:
-    """Golden-section search for a unimodal scalar function on [lo, hi]."""
+    """Golden-section search for a unimodal scalar function on [lo, hi].
+
+    The first bracket always takes 2 evaluations; no other is made past
+    max_eval, so a search makes at most max(max_eval, 2).
+    """
     if not hi > lo:
         raise ValueError("empty bracket")
     evals: list = []

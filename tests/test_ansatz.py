@@ -23,6 +23,7 @@ from corrsearch.ansatz import (
 )
 from corrsearch.config import parse_config
 from corrsearch.domain import (
+    DENSITIES,
     ExponentialDensity,
     SpaceSpec,
     Tabulated1DDensity,
@@ -663,15 +664,14 @@ def test_acting_couplings_key_equal_estimates():
     assert len(set(values)) == 3
 
 
-def test_family_names_appear_only_in_the_registry():
-    # outside ansatz.py a family is reached through FAMILIES and the class
-    # attributes: a family name compared or listed, or a family class in an
-    # isinstance check, is a second copy of what the registry knows
-    names = set(FAMILIES)
-    classes = {cls.__name__ for cls in FAMILIES.values()}
+def registry_offenders(owner: str, registry: dict) -> list[str]:
+    """Where a package module other than owner lists or compares a name of
+    the registry, or uses one of its classes in an isinstance check."""
+    names = set(registry)
+    classes = {cls.__name__ for cls in registry.values()}
     offenders = set()
     for path in sorted(Path(corrsearch.__file__).parent.glob("*.py")):
-        if path.name == "ansatz.py":
+        if path.name == owner:
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, (ast.Compare, ast.Tuple, ast.List, ast.Set)):
@@ -687,4 +687,17 @@ def test_family_names_appear_only_in_the_registry():
                     for c in ast.walk(node.args[1])
                     if isinstance(c, ast.Name) and c.id in classes
                 }
-    assert not offenders, sorted(offenders)
+    return sorted(offenders)
+
+
+def test_family_names_appear_only_in_the_registry():
+    # outside ansatz.py a family is reached through FAMILIES and the class
+    # attributes: a family name compared or listed, or a family class in an
+    # isinstance check, is a second copy of what the registry knows
+    assert not registry_offenders("ansatz.py", FAMILIES)
+
+
+def test_density_names_appear_only_in_the_registry():
+    # the same for density families, whose registry and capabilities
+    # (zetas, scale_searched, from_section) domain.py owns
+    assert not registry_offenders("domain.py", DENSITIES)

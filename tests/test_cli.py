@@ -235,6 +235,50 @@ def test_out_of_range_system_names_section_and_field(tmp_path, capsys, fields, n
     assert f"[{section}]" in capsys.readouterr().err
 
 
+GOOD_TABLE = "-2 0.1\n-1 0.5\n0 1.0\n1 0.5\n2 0.1\n"
+
+# (table file text, or None for no file; table_path; dimensionality)
+BAD_DENSITY_INPUTS = {
+    "negative-value": ("-2 0.1\n-1 -0.5\n0 1.0\n1 0.5\n2 0.1\n", "rho.txt", "1d"),
+    "nan-value": ("-2 0.1\n-1 nan\n0 1.0\n1 0.5\n2 0.1\n", "rho.txt", "1d"),
+    "non-uniform-x": ("-2 0.1\n-1 0.5\n0.5 1.0\n1 0.5\n2 0.1\n", "rho.txt", "1d"),
+    "one-column": ("0.1\n0.5\n1.0\n0.5\n0.1\n", "rho.txt", "1d"),
+    "missing-file": (None, "rho.txt", "1d"),
+    "empty-table-path": (None, "", "1d"),
+    "3d-system": (GOOD_TABLE, "rho.txt", "3d"),
+}
+
+
+def tabulated_config(tmp_path, table, table_path, dimensionality):
+    if table is not None:
+        (tmp_path / table_path).write_text(table, encoding="utf-8")
+    path = tmp_path / "tab.cfg"
+    path.write_text(
+        f"[system]\nn = 2\nz = 1.0\ndimensionality = {dimensionality}\n\n"
+        f"[density]\nfamily = tabulated-1d\n"
+        f"table_path = {tmp_path / table_path if table_path else ''}\n",
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["energy", "compare-ansatz", "sample-diagnostics"])
+@pytest.mark.parametrize("case", list(BAD_DENSITY_INPUTS))
+def test_bad_density_table_fails_at_load(tmp_path, capsys, command, case):
+    # the tabulated density is built, its file read, when the config loads
+    cfg = tabulated_config(tmp_path, *BAD_DENSITY_INPUTS[case])
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert "[density]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_good_density_table_loads(tmp_path):
+    loaded = load_config(tabulated_config(tmp_path, GOOD_TABLE, "rho.txt", "1d"))
+    density = build_density(loaded)
+    assert density.dim == 1 and density.x.tolist() == [-2.0, -1.0, 0.0, 1.0, 2.0]
+
+
 def test_missing_required_flag_is_validation_error(capsys):
     assert main(["energy"]) == 1
     assert main([]) == 1

@@ -118,6 +118,17 @@ def test_golden_section_parabola():
     assert res.x[0] == pytest.approx(2.5, abs=1e-5)
 
 
+def test_golden_section_budget_counts_the_first_bracket():
+    # the first bracket always takes 2 evaluations; past it, none is made
+    # beyond max_eval
+    for max_eval in range(1, 11):
+        calls = []
+        res = golden_section(
+            lambda z: calls.append(z) or (z - 2.5) ** 2, 0.0, 4.0, tol=1e-16, max_eval=max_eval
+        )
+        assert res.n_eval == len(calls) == max(max_eval, 2)
+
+
 def test_golden_section_empty_bracket():
     with pytest.raises(ValueError):
         golden_section(lambda z: z, 1.0, 1.0)
