@@ -7,6 +7,12 @@ Subcommands:
     verify              run the exact decomposition cross-checks
     sample-diagnostics  the estimator's chains: acceptance, ESS, error bars
 
+The four config-driven commands load through `_setup` (the config with
+`--seed` applied, its space and its density), and every command writes
+its `record.json`, and `optimize` its `trace.csv`, through `_write`.
+`verify` reads no config and takes only `--out`; without it no record
+is written.
+
 Exit codes: 0 success, 1 invalid input, 2 numerical failure,
 3 tolerance failure in `verify`.
 """
@@ -38,7 +44,7 @@ from .config import (
     build_space,
     load_config,
 )
-from .domain import DomainError
+from .domain import Density, DomainError, SpaceSpec
 from .functionals import (
     conditional_moments,
     gamma_from_moments,
@@ -83,9 +89,8 @@ def _jsonable(obj):
     return obj
 
 
-def _add_common(sub: argparse.ArgumentParser, needs_config: bool = True):
-    if needs_config:
-        sub.add_argument("--config", required=True, help="path to the run config file")
+def _add_common(sub: argparse.ArgumentParser):
+    sub.add_argument("--config", required=True, help="path to the run config file")
     sub.add_argument("--seed", type=int, default=None, help="override the sampler seed")
     sub.add_argument("--out", default=None, help="output directory (default runs/<stamp>-<seed>)")
     # a single value, kept so that existing command lines still parse
@@ -130,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(handler=cmd_compare)
 
     p_ver = subs.add_parser("verify", help="exact decomposition cross-checks")
-    _add_common(p_ver, needs_config=False)
+    p_ver.add_argument("--out", default=None, help="write record.json to this directory")
     p_ver.add_argument("--zeta", type=float, default=27.0 / 16.0)
     p_ver.add_argument("--n", type=int, default=2, help="electron count of the product state")
     p_ver.add_argument("--grid-points", type=int, default=32)
@@ -150,17 +155,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> RunConfig:
-    overrides = {} if args.seed is None else {"seed": args.seed}
-    return load_config(args.config, overrides)
+def _setup(args) -> tuple[RunConfig, SpaceSpec, Density]:
+    """The command's config, with --seed applied, and its space and density."""
+    cfg = load_config(args.config, {} if args.seed is None else {"seed": args.seed})
+    return cfg, build_space(cfg), build_density(cfg)
 
 
-def _new_record(command: str, cfg: RunConfig) -> RunRecord:
-    return RunRecord(
-        command=command,
-        config=_jsonable(cfg.to_dict()),
-        seed=cfg.sampler.seed,
+def _write(args, config, seed, results, timings=None, status="ok", trace=None) -> str:
+    """Save the command's record.json, and trace.csv when given a trace;
+    return the directory, args.out or a new one under runs/."""
+    record = RunRecord(
+        command=args.command_line,
+        config=_jsonable(config),
+        seed=seed,
+        results=_jsonable(results),
+        timings=timings or {},
+        status=status,
     )
+    outdir = run_directory(args.out, seed)
+    save_record(record, f"{outdir}/record.json")
+    if trace is not None:
+        save_trace(trace, f"{outdir}/trace.csv")
+    return outdir
 
 
 # ---------------------------------------------------------------------------
@@ -169,30 +185,22 @@ def _new_record(command: str, cfg: RunConfig) -> RunRecord:
 
 
 def cmd_energy(args) -> int:
-    cfg = _load(args)
-    space = build_space(cfg)
-    density = build_density(cfg)
+    cfg, space, density = _setup(args)
     potential = build_potential(cfg)
     ansatz = build_ansatz(cfg.ansatz.family, density, space, cfg.ansatz.gamma, cfg.ansatz.beta)
-    settings = cfg.sampler
 
     t0 = time.perf_counter()
-    breakdown = total_energy(density, ansatz, potential, settings, method=args.method)
+    breakdown = total_energy(density, ansatz, potential, cfg.sampler, method=args.method)
     elapsed = time.perf_counter() - t0
 
-    record = _new_record(_command_line(args), cfg)
-    record.results = _jsonable(
-        {
-            "family": cfg.ansatz.family,
-            "gamma": cfg.ansatz.gamma,
-            "beta": cfg.ansatz.beta,
-            "breakdown": breakdown.to_dict(),
-            "bound": bound_status(cfg.ansatz.family, cfg.system.n_electrons),
-        }
-    )
-    record.timings = {"energy_seconds": elapsed}
-    outdir = run_directory(args.out, cfg.sampler.seed)
-    save_record(record, f"{outdir}/record.json")
+    results = {
+        "family": cfg.ansatz.family,
+        "gamma": cfg.ansatz.gamma,
+        "beta": cfg.ansatz.beta,
+        "breakdown": breakdown.to_dict(),
+        "bound": bound_status(cfg.ansatz.family, cfg.system.n_electrons),
+    }
+    outdir = _write(args, cfg.to_dict(), cfg.sampler.seed, results, {"energy_seconds": elapsed})
 
     print(f"family              {cfg.ansatz.family}")
     print(f"one-body gradient   {breakdown.weizsacker:+.6f}")
@@ -205,8 +213,7 @@ def cmd_energy(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    cfg = _load(args)
-    density = build_density(cfg)
+    cfg, space, density = _setup(args)
     if not density.scale_searched:
         raise ConfigError(f"[density] field 'family': {density.family} has no zeta to search")
     family = FAMILIES[cfg.ansatz.family]
@@ -214,12 +221,8 @@ def cmd_optimize(args) -> int:
         raise ConfigError("[ansatz] field 'family': not searchable")
     if args.method == "quadrature" and not quadrature_applies(family, density):
         raise ConfigError("--method quadrature applies only to the frozen family on 3d densities")
-    space = build_space(cfg)
     potential = build_potential(cfg)
-    settings = cfg.sampler
-    opt = cfg.optimize
-    outdir = run_directory(args.out, cfg.sampler.seed)
-    record = _new_record(_command_line(args), cfg)
+    config, seed = cfg.to_dict(), cfg.sampler.seed
 
     t0 = time.perf_counter()
     try:
@@ -228,36 +231,31 @@ def cmd_optimize(args) -> int:
             potential,
             space,
             cfg.ansatz.family,
-            settings,
-            opt,
+            cfg.sampler,
+            cfg.optimize,
             method=args.method,
         )
     except (Exception, KeyboardInterrupt) as exc:
-        record.status = "partial"
-        record.results = {"error": f"{type(exc).__name__}: {exc}"}
-        record.timings = {"optimize_seconds": time.perf_counter() - t0}
-        save_record(record, f"{outdir}/record.json")
-        save_trace([], f"{outdir}/trace.csv")
+        timings = {"optimize_seconds": time.perf_counter() - t0}
+        error = {"error": f"{type(exc).__name__}: {exc}"}
+        outdir = _write(args, config, seed, error, timings, status="partial", trace=[])
         print(f"search aborted: {exc}", file=sys.stderr)
         print(f"partial record      {outdir}/record.json", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    record.results = _jsonable(
-        {
-            "zeta": result.zeta,
-            "gamma": result.gamma,
-            "beta": result.beta,
-            "breakdown": result.energy.to_dict(),
-            "n_eval": result.n_eval,
-            "converged": result.converged,
-            "estimator_calls": result.estimator_calls,
-            "inner_first_simplex": result.inner_first_simplex,
-            "bound": bound_status(cfg.ansatz.family, cfg.system.n_electrons),
-        }
-    )
-    record.timings = {"optimize_seconds": time.perf_counter() - t0}
-    save_record(record, f"{outdir}/record.json")
-    save_trace(result.trace, f"{outdir}/trace.csv")
+    results = {
+        "zeta": result.zeta,
+        "gamma": result.gamma,
+        "beta": result.beta,
+        "breakdown": result.energy.to_dict(),
+        "n_eval": result.n_eval,
+        "converged": result.converged,
+        "estimator_calls": result.estimator_calls,
+        "inner_first_simplex": result.inner_first_simplex,
+        "bound": bound_status(cfg.ansatz.family, cfg.system.n_electrons),
+    }
+    timings = {"optimize_seconds": time.perf_counter() - t0}
+    outdir = _write(args, config, seed, results, timings, trace=result.trace)
 
     print(f"zeta*               {result.zeta:.6f}")
     if not math.isnan(result.gamma):
@@ -271,25 +269,22 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = _load(args)
+    cfg, space, density = _setup(args)
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     if len(families) < 2:
         raise ConfigError("--families needs at least two entries")
+    if len(set(families)) < len(families):
+        raise ConfigError(f"--families lists a family more than once: {args.families}")
     for fam in families:
         if fam not in SEARCHABLE:
             raise ConfigError(f"--families: {fam!r} is not comparable")
 
-    space = build_space(cfg)
-    density = build_density(cfg)
-    settings = cfg.sampler
-    opt = cfg.optimize
-
     entries = []
     for fam in families:
-        inner = inner_minimize(density, space, fam, settings, opt, method="auto")
+        inner = inner_minimize(density, space, fam, cfg.sampler, cfg.optimize, method="auto")
         # the parameter-free families ignore the nan couplings
         ansatz = build_ansatz(fam, density, space, inner.gamma, inner.beta)
-        fresh = fresh_estimate(density, ansatz, settings, "auto")
+        fresh = fresh_estimate(density, ansatz, cfg.sampler, "auto")
         report = check_conditions(ansatz, seed=cfg.sampler.seed)
         entries.append(
             {
@@ -321,10 +316,7 @@ def cmd_compare(args) -> int:
             scale = math.sqrt(entry["stderr"] ** 2 + prev["stderr"] ** 2)
             entry["tied_with_previous"] = gap <= 3.0 * scale
 
-    record = _new_record(_command_line(args), cfg)
-    record.results = _jsonable({"ranking": entries})
-    outdir = run_directory(args.out, cfg.sampler.seed)
-    save_record(record, f"{outdir}/record.json")
+    outdir = _write(args, cfg.to_dict(), cfg.sampler.seed, {"ranking": entries})
 
     print(f"{'rank':<5}{'family':<10}{'Gamma':>12}{'stderr':>11}  flags")
     for entry in entries:
@@ -345,6 +337,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for flag, tol in (("--tol-product", args.tol_product), ("--tol-grid", args.tol_grid)):
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise ConfigError(f"{flag} must be finite and positive, got {tol}")
     product = verify_decomposition_product(ProductWavefunction(args.zeta, args.n))
     wave = solve_two_particle_1d(
         args.grid_points,
@@ -365,28 +360,13 @@ def cmd_verify(args) -> int:
     print(f"  internal direct   {grid.lhs_internal:+.8f}")
     print(f"  residual          {grid.residual:.2e} (tol {args.tol_grid:.1e})")
 
-    record = RunRecord(
-        command=_command_line(args),
-        config={
-            "zeta": args.zeta,
-            "n": args.n,
-            "grid_points": args.grid_points,
-            "extent": args.extent,
-            "z": args.z,
-            "softening": args.softening,
-            "symmetry": args.symmetry,
-        },
-        seed=0,
-    )
-    record.results = _jsonable(
-        {
-            "product": dataclasses.asdict(product),
-            "grid": dataclasses.asdict(grid),
-        }
-    )
     if args.out:
-        outdir = run_directory(args.out, 0)
-        save_record(record, f"{outdir}/record.json")
+        config = {
+            key: getattr(args, key)
+            for key in ("zeta", "n", "grid_points", "extent", "z", "softening", "symmetry")
+        }
+        results = {"product": dataclasses.asdict(product), "grid": dataclasses.asdict(grid)}
+        outdir = _write(args, config, 0, results)
         print(f"record              {outdir}/record.json")
 
     ok = product.residual <= args.tol_product and grid.residual <= args.tol_grid
@@ -400,9 +380,7 @@ def cmd_verify(args) -> int:
 def cmd_diagnostics(args) -> int:
     if args.points < 1:
         raise ConfigError(f"--points must be >= 1, got {args.points}")
-    cfg = _load(args)
-    space = build_space(cfg)
-    density = build_density(cfg)
+    cfg, space, density = _setup(args)
     ansatz = build_ansatz(cfg.ansatz.family, density, space, cfg.ansatz.gamma, cfg.ansatz.beta)
     if ansatz.n_satellites == 0:
         raise ConfigError("[system] field 'n': sample-diagnostics needs n >= 2")
@@ -429,15 +407,8 @@ def cmd_diagnostics(args) -> int:
             }
         )
 
-    record = _new_record(_command_line(args), cfg)
-    record.results = _jsonable(
-        {
-            "chains": rows,
-            "gamma": gamma.to_dict(),
-        }
-    )
-    outdir = run_directory(args.out, cfg.sampler.seed)
-    save_record(record, f"{outdir}/record.json")
+    results = {"chains": rows, "gamma": gamma.to_dict()}
+    outdir = _write(args, cfg.to_dict(), cfg.sampler.seed, results)
 
     print(
         f"{'|r|':>8}{'<1/|r-s1|>':>12}{'stderr':>11}{'ESS':>9}{'ESS/n':>8}"
@@ -457,13 +428,6 @@ def cmd_diagnostics(args) -> int:
     return EXIT_OK
 
 
-def _command_line(args) -> str:
-    argv = getattr(args, "_raw_argv", None)
-    if argv is None:
-        return args.command
-    return "corrsearch " + " ".join(shlex.quote(a) for a in argv)
-
-
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
@@ -477,7 +441,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_VALIDATION
-    args._raw_argv = list(argv)
+    args.command_line = "corrsearch " + shlex.join(argv)
     try:
         return args.handler(args)
     except (ConfigError, DomainError, AnsatzError, FileNotFoundError) as exc:

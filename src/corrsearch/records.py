@@ -8,6 +8,7 @@ seed, command line) and the results.  Determinism comparisons use
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 import time
@@ -25,7 +26,7 @@ class RunRecord:
     seed: int
     results: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
-    status: str = "ok"          # "ok" | "partial" | "failed"
+    status: str = "ok"          # "ok", or "partial" for an aborted search
     version: str = __version__
     timestamp: str = ""
 
@@ -66,11 +67,17 @@ def save_trace(rows, path: str):
 
 
 def run_directory(base: str | None, seed: int) -> str:
-    """Default output directory: runs/<timestamp>-<seed>/ unless overridden."""
+    """base when given, else a new runs/<stamp>-<seed>/, with -2, -3, ...
+    appended when runs of the same seed start in the same second."""
     if base:
         os.makedirs(base, exist_ok=True)
         return base
     stamp = time.strftime("%Y%m%d-%H%M%S", time.gmtime())
     path = os.path.join("runs", f"{stamp}-{seed}")
-    os.makedirs(path, exist_ok=True)
-    return path
+    os.makedirs("runs", exist_ok=True)
+    for suffix in itertools.count(2):
+        try:
+            os.mkdir(path)
+            return path
+        except FileExistsError:
+            path = os.path.join("runs", f"{stamp}-{seed}-{suffix}")

@@ -413,6 +413,22 @@ def test_verify_fermion_passes_default_grid_tolerance(capsys):
     assert "verification passed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag", ["--tol-product", "--tol-grid"])
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_verify_rejects_invalid_tolerance(capsys, flag, value):
+    # an invalid tolerance is invalid input (1), not a tolerance failure (3)
+    assert main(["verify", flag, value]) == 1
+    assert flag in capsys.readouterr().err
+
+
+def test_verify_takes_only_the_out_flag(capsys):
+    # verify reads no config: its record always has seed 0, and the
+    # prefactor has one value
+    assert main(["verify", "--seed", "5"]) == 1
+    assert main(["verify", "--prefactor", "half"]) == 1
+    capsys.readouterr()
+
+
 def test_verify_invalid_parameters_exit_validation(capsys):
     assert main(["verify", "--zeta", "-1.0"]) == 1
     assert main(["verify", "--grid-points", "80"]) == 1
@@ -440,15 +456,30 @@ def test_compare_unknown_family_rejected(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
-def test_compare_duplicate_family_is_tied(tmp_path, capsys):
+def test_compare_duplicate_family_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, optimize=OPT_SECTION)
     out = tmp_path / "cmp"
     code = main(
         ["compare-ansatz", "--config", cfg, "--families", "frozen,frozen", "--out", str(out)]
     )
+    assert code == 1
+    assert "--families" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_equal_families_are_tied(tmp_path, capsys):
+    # a pairwise search pinned at gamma = 1, beta = 0 is the simple family
+    pinned = (
+        "[optimize]\ngamma_min = 1.0\ngamma_max = 1.0\ngamma_init = 1.0\n"
+        "beta_min = 0.0\nbeta_max = 0.0\nbeta_init = 0.0\nmax_iter_inner = 4\n"
+    )
+    cfg = write_config(tmp_path, family="pairwise", optimize=pinned)
+    out = tmp_path / "cmp"
+    code = main(
+        ["compare-ansatz", "--config", cfg, "--families", "pairwise,simple", "--out", str(out)]
+    )
     assert code == 0
-    record = read_record(str(out / "record.json"))
-    ranking = record["results"]["ranking"]
+    ranking = read_record(str(out / "record.json"))["results"]["ranking"]
     assert ranking[0]["value"] == ranking[1]["value"]
     assert ranking[1]["tied_with_previous"] is True
     assert "~tied-with-previous" in capsys.readouterr().out
@@ -818,6 +849,28 @@ def test_test_mode_flag_is_gone(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # records
 # ---------------------------------------------------------------------------
+
+
+def test_default_run_directory_is_unique(tmp_path, monkeypatch, capsys):
+    # two runs of one seed in the same second get two directories
+    import corrsearch.records as records
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(records.time, "strftime", lambda fmt, t=None: "20260101-000000")
+    cfg = write_config(tmp_path)
+    for _ in range(2):
+        assert main(["energy", "--config", cfg, "--method", "quadrature", "--seed", "4"]) == 0
+    capsys.readouterr()
+    runs = sorted(p.name for p in (tmp_path / "runs").iterdir())
+    assert runs == ["20260101-000000-4", "20260101-000000-4-2"]
+    for name in runs:
+        assert read_record(str(tmp_path / "runs" / name / "record.json"))["seed"] == 4
+    # an explicit --out is reused
+    out = tmp_path / "given"
+    for _ in range(2):
+        assert main(["energy", "--config", cfg, "--method", "quadrature", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["record.json"]
+    capsys.readouterr()
 
 
 def test_record_save_load_round_trip(tmp_path):

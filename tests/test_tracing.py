@@ -33,3 +33,34 @@ def test_tracer_installs_and_restores_every_attribute(tracing, install):
         tracer.uninstall()
     for owner, attr, original in wrapped:
         assert getattr(owner, attr) is original, attr
+
+
+def test_traced_cli_calls_record_every_boundary(tracing, tmp_path, capsys):
+    # the tracer wraps cli's module globals, so a writer or set-up step
+    # that went round them would leave these spans unrecorded
+    from corrsearch.cli import main
+
+    cfg = tmp_path / "he.cfg"
+    cfg.write_text(
+        "[system]\nn = 2\nz = 2.0\n[ansatz]\nfamily = frozen\n"
+        "[optimize]\nmax_iter_outer = 2\n",
+        encoding="utf-8",
+    )
+    tracer = tracing.Tracer()
+    tracing.install_all(tracer)
+    try:
+        for command in ("energy", "optimize"):
+            argv = [command, "--config", str(cfg), "--method", "quadrature"]
+            assert main([*argv, "--out", str(tmp_path / command)]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    names = {span.name for span in tracer.spans()}
+    for name in (
+        "config.load_config",
+        "records.save_record",
+        "records.save_trace",
+        "functionals.total_energy",
+        "optimizer.outer_minimize",
+    ):
+        assert name in names, name
