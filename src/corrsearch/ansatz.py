@@ -119,26 +119,27 @@ class ConditionalAnsatz:
     log_unnormalized(r, satellites, moved=None) takes an optional move
     hint moved = (k, old, new, log_old, state) from the sampler, for m
     chains with r of shape (m, d) and satellites (m, S, d): satellites is
-    the full proposal, which differs from chain c's current state only in
-    satellite k[c] (integer array (m,)), moved from old[c] to new[c]
-    (arrays (m, d)); all three may be strided views, and with one
-    satellite satellites is new itself, as an (m, 1, d) view.  old and
-    new are views of buffers that the sampler overwrites in the next
-    step, so a family must not keep them, or satellites, past the call.
-    log_old (m,) is the current, finite value, and
-    state is what chain_state(r, current satellites) returned at the
-    batch's start, at the same points r as every hinted call of the batch.
-    The sampler keeps it current: after every hinted call it calls
-    state.commit(accept) if state.pending is true.  A family
-    may return log_old plus the change in the terms that involve
-    satellite k, or ignore the hint and evaluate the proposal in full;
-    both give the same value up to rounding.  The value a hinted call
-    returns may be a buffer of the state that the next hinted call
-    overwrites.  A hinted call skips the shape checks and runs with
-    numpy's divide and invalid errors ignored, as the sampler's step loop
-    does.  Scratch buffers of a hinted path belong in the chain state, one
-    set per batch, never on the family instance: the sampler's pool
-    thread calls score on the same instance while the step loop runs.
+    the chains' current state, and the proposal moves satellite k[c] of
+    chain c (integer array (m,)) from old[c] = satellites[c, k[c]] to
+    new[c] (arrays (m, d)).  satellites is a strided view of the
+    sampler's store, which takes an accepted move in only after the call,
+    and old and new are strided views of buffers that the sampler
+    overwrites in the next step, so a family must not keep any of them
+    past the call.  log_old (m,) is the current, finite value, and state
+    is what chain_state(r, current satellites) returned at the batch's
+    start, at the same points r as every hinted call of the batch.  With
+    more than one satellite the sampler keeps it current: after every
+    hinted call it calls state.commit(acc) with the accepted chains'
+    indices acc, when state is not None.  A family may return log_old
+    plus the change in the terms that involve satellite k, or evaluate
+    proposal(satellites, k, new) in full; both give the same value up to
+    rounding.  The value a hinted call returns may be a buffer of the
+    state that the next hinted call overwrites.  A hinted call skips the
+    shape checks and runs with numpy's divide and invalid errors ignored,
+    as the sampler's step loop does.  Scratch buffers of a hinted path
+    belong in the chain state, one set per batch, never on the family
+    instance: the sampler's pool thread calls score on the same instance
+    while the step loop runs.
     """
 
     family: str = "base"
@@ -190,6 +191,16 @@ class ConditionalAnsatz:
     def score(self, r: np.ndarray, satellites: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def proposal(self, satellites: np.ndarray, k: np.ndarray, new: np.ndarray) -> np.ndarray:
+        """The proposal of a move hint: the current satellites (m, S, d)
+        with satellite k[c] of chain c replaced by new[c]; a copy, or with
+        one satellite an (m, 1, d) view of new."""
+        if self.n_satellites == 1:
+            return new[:, None, :]
+        proposal = np.array(satellites, order="C")
+        proposal[np.arange(len(k)), k] = new
+        return proposal
+
     def chain_state(self, r: np.ndarray, satellites: np.ndarray):
         """Per-chain state that rides with the move hint, from the final
         starts satellites (m, S, d) at r (m, d); None for families that
@@ -236,9 +247,10 @@ class PairChainState:
 
     rho_r: (m,) rho at each chain's conditioning point.
     e_cond: (S, m) conditioning terms E_H(r, s_j); held when S >= 2.
-    e_pair: (S, S, m) satellite pair terms E_H(s_i, s_j), symmetric with a
-        zero diagonal, and rho_sat: (S, m) rho at each satellite; held
-        when beta > 0 and S >= 2.
+    e_pair: (S, S, m) satellite pair terms, E_H(s_i, s_j) at [i, j] for
+        i < j and 0 on and below the diagonal, so each term is held once,
+        and rho_sat: (S, m) rho at each satellite; held when beta > 0 and
+        S >= 2.
     Terms not held are None: with one satellite the full formula, which
     reads only rho_r, is the cheaper one.
 
@@ -246,28 +258,25 @@ class PairChainState:
     per batch to the chains' points and to its buffers (see _evaluator).
     It reads the old terms from here and leaves the proposal's new ones
     pending in buffers held here (pos, e_new, rho_new, pair_new);
-    commit(accept) writes the accepted ones in, so every held array
-    equals a fresh evaluation of the chains' current states.  The
-    returned log f~ is a buffer of the evaluator too, so commit, and
-    every use of the returned value, comes before the next hinted call.
-    pending is false with one satellite, where a hinted call leaves
-    nothing to take in and commit does nothing.  The evaluator refers to
-    the buffers, never to the state, so the two form no reference cycle
-    and reference counting frees a batch's state when the batch ends.
+    commit(acc) writes in those of the chains acc, an integer array of
+    the chains whose move was accepted, so every held array equals a
+    fresh evaluation of the chains' current states.  The returned log f~
+    is a buffer of the evaluator too, so commit, and every use of the
+    returned value, comes before the next hinted call.  With one
+    satellite a hinted call leaves nothing to take in, and commit, which
+    needs the terms held from S = 2 on, is not called.  The evaluator
+    refers to the buffers, never to the state, so the two form no
+    reference cycle and reference counting frees a batch's state when the
+    batch ends.
     """
 
     def __init__(self, family, r, rho_r, rho_sat, e_cond, e_pair):
         self.rho_r, self.rho_sat, self.e_cond, self.e_pair = rho_r, rho_sat, e_cond, e_pair
         m = len(rho_r)
-        if e_pair is not None:
-            j = np.arange(len(e_pair))[:, None]
-            # flat offsets of e_pair[j, 0, 0] and of e_pair[0, j, 0]
-            self.down, self.across = j * e_pair[0].size, j * m
         # what a hinted call with S >= 2 leaves pending: the flat indices
-        # pos of (k[c], c) in an (S, m) array and pair_pos of every
-        # (j, k[c], c) in e_pair, the new conditioning terms, rho at the
-        # moved satellites and their new pair terms
-        self.pending = e_cond is not None
+        # pos of (k[c], c) in an (S, m) array and pair_pos of the term of
+        # every (j, k[c]) of chain c in e_pair, the new conditioning terms,
+        # rho at the moved satellites and their new pair terms
         self.pos = np.empty(m, np.int64)
         self.e_new, self.rho_new = np.empty((2, m))
         if e_pair is not None:
@@ -321,7 +330,11 @@ class PairChainState:
             # the moved satellite against all S satellites: (S, d, m) and (S, m)
             pair_delta = np.empty((n_sat, dim, m))
             pair_d2, pair_num, pair_old = np.empty((3, n_sat, m))
-            pair_new, pair_pos, down = self.pair_new, self.pair_pos, self.down
+            pair_new, pair_pos = self.pair_new, self.pair_pos
+            # [j, k]: flat offset of the term of satellites j and k at chain 0,
+            # e_pair[min(j, k), max(j, k), 0]; [k, k] is a zero of the diagonal
+            j = np.arange(n_sat)
+            pair_at = (np.minimum.outer(j, j) * n_sat + np.maximum.outer(j, j)) * m
             rho_sat, e_pair = self.rho_sat, self.e_pair.reshape(-1)
             pair_new_1d = pair_new.reshape(-1)
         # kernel(num, d2, out, masks): E_H from num = rho(x) rho(y) and the
@@ -375,16 +388,18 @@ class PairChainState:
                 subtract(e_new, change, change)
                 subtract(log_old, multiply(gamma, change, change), total)
             if pairs:
-                # the moved satellite against all S satellites, chain axis last;
-                # its own term, at distance 0, is set to 0, and adding 0.0 in
-                # order leaves the sum over the S - 1 others exact
+                # the moved satellite against all S current satellites, chain
+                # axis last; its own term, against its old position, is set to
+                # 0, and adding 0.0 in order leaves the sum over the S - 1
+                # others exact
                 subtract(new_t, satellites.transpose(1, 2, 0), pair_delta)
                 multiply(pair_delta, pair_delta, pair_delta)
                 reduce(pair_delta, 1, None, pair_d2)
                 multiply(rho_new, rho_sat, pair_num)
                 kernel(pair_num, pair_d2, pair_new, pair_masks)
                 pair_new_1d[pos] = 0.0
-                take(e_pair, add(down, pos, pair_pos), None, pair_old, "clip")
+                take(pair_at, k, 1, pair_pos, "clip")
+                take(e_pair, add(pair_pos, chains, pair_pos), None, pair_old, "clip")
                 subtract(pair_new, pair_old, pair_old)
                 reduce(pair_old, 0, None, change)
                 subtract(total, multiply(beta, change, change), total)
@@ -393,21 +408,15 @@ class PairChainState:
 
         return log
 
-    def commit(self, accept: np.ndarray) -> None:
-        """Take in the pending terms of the last hinted call's chains whose
-        move was accepted."""
-        if not self.pending:
-            return
-        acc = accept.nonzero()[0]
+    def commit(self, acc: np.ndarray) -> None:
+        """Take in the pending terms of the last hinted call at the chains
+        acc, the indices of the accepted moves; S >= 2 only."""
         pos = self.pos[acc]
         self.e_cond.reshape(-1)[pos] = self.e_new[acc]
         if self.e_pair is not None:
             self.rho_sat.reshape(-1)[pos] = self.rho_new[acc]
-            pair_new = np.take(self.pair_new, acc, axis=1)
-            flat = self.e_pair.reshape(-1)
-            flat[self.down + pos] = pair_new  # column k: e_pair[j, k, c]
-            # row k: e_pair[k, j, c] sits at k S m + j m + c = (pos - c) S + j m + c
-            flat[self.across + ((pos - acc) * len(self.e_pair) + acc)] = pair_new
+            pair_pos = np.take(self.pair_pos, acc, axis=1)
+            self.e_pair.reshape(-1)[pair_pos] = np.take(self.pair_new, acc, axis=1)
 
 
 class PairwiseBiparametric(ConditionalAnsatz):
@@ -482,7 +491,6 @@ class PairwiseBiparametric(ConditionalAnsatz):
                 rho_sat = rho.T.copy()
                 e_pair = np.zeros((n_sat, n_sat, len(r)))
                 e_pair[ii, jj] = e
-                e_pair[jj, ii] = e
         return PairChainState(self, r, rho_r, rho_sat, e_cond, e_pair)
 
     def score(self, r, satellites):
@@ -529,6 +537,8 @@ class FrozenOrbitalProduct(ConditionalAnsatz):
     marginal_matched = True
 
     def log_unnormalized(self, r, satellites, moved=None):
+        if moved is not None:
+            satellites = self.proposal(satellites, moved[0], moved[2])
         # np.sum adds 8 or more terms in an order set by the memory layout,
         # so the sampler's chain-last views are summed as a C-ordered copy
         r, satellites = self._check_shapes(r, np.ascontiguousarray(satellites))
@@ -565,6 +575,8 @@ class GaussianToy(ConditionalAnsatz):
         self.width = float(width)
 
     def log_unnormalized(self, r, satellites, moved=None):
+        if moved is not None:
+            satellites = self.proposal(satellites, moved[0], moved[2])
         r, satellites = self._check_shapes(r, satellites)
         # summed in C order, whatever the layout, as FrozenOrbitalProduct does
         delta = np.subtract(satellites, r[..., None, :], order="C")

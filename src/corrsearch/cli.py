@@ -8,10 +8,11 @@ Subcommands:
     sample-diagnostics  the estimator's chains: acceptance, ESS, error bars
 
 The four config-driven commands load through `_setup` (the config with
-`--seed` applied, its space and its density), and every command writes
-its `record.json`, and `optimize` its `trace.csv`, through `_write`.
-`verify` reads no config and takes only `--out`; without it no record
-is written.
+`--seed` applied, its space and its density, and `--out` checked before
+any sampling, so a path that cannot be a directory costs no work), and
+every command writes its `record.json`, and `optimize` its `trace.csv`,
+through `_write`.  `verify` reads no config and takes only `--out`,
+checked before it computes; without it no record is written.
 
 Exit codes: 0 success, 1 invalid input, 2 numerical failure,
 3 tolerance failure in `verify`.
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import shlex
 import sys
 import time
@@ -156,9 +158,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _setup(args) -> tuple[RunConfig, SpaceSpec, Density]:
-    """The command's config, with --seed applied, and its space and density."""
+    """The command's config, with --seed applied, and its space and
+    density; a given --out is checked here, before any sampling."""
     cfg = load_config(args.config, {} if args.seed is None else {"seed": args.seed})
+    _check_out(args.out)
     return cfg, build_space(cfg), build_density(cfg)
+
+
+def _check_out(out: str | None) -> None:
+    """ConfigError naming --out when the path, if given, can be no run
+    directory: its nearest existing part is not a directory, or not one
+    this process may write in.  Nothing is made here, so a command that
+    fails later leaves no directory behind."""
+    if not out:
+        return
+    path = os.path.abspath(out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"--out {out!r}: {path!r} is not a directory")
+    if not os.access(path, os.W_OK | os.X_OK):
+        raise ConfigError(f"--out {out!r}: {path!r} is not writable")
 
 
 def _write(args, config, seed, results, timings=None, status="ok", trace=None) -> str:
@@ -340,6 +360,7 @@ def cmd_verify(args) -> int:
     for flag, tol in (("--tol-product", args.tol_product), ("--tol-grid", args.tol_grid)):
         if not (math.isfinite(tol) and tol > 0.0):
             raise ConfigError(f"{flag} must be finite and positive, got {tol}")
+    _check_out(args.out)
     product = verify_decomposition_product(ProductWavefunction(args.zeta, args.n))
     wave = solve_two_particle_1d(
         args.grid_points,

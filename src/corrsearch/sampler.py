@@ -19,16 +19,20 @@ where a move is accepted.  Each step's acceptance mask is a row of a
 ring of _TUNE_INTERVAL masks, summed at each step-size adaptation and
 every _TUNE_INTERVAL measured steps, which gives the counts a per-step
 sum would.  The loop binds its numpy calls once per batch and passes
-their outputs positionally.  With one satellite old is the store's row
-and the proposal is the new buffer itself, and accepted moves are copied
-in; with more the proposal is written into the store in place, through
-a flat view and one index array per step, and undone where rejected.
+their outputs positionally.  The store always holds the chains' current
+state, and a proposal never enters it: the hinted call gets the store's
+view, and a family that evaluates a proposal in full builds it with
+`ConditionalAnsatz.proposal`.  With one satellite old is the store's row,
+and accepted moves are copied in through the step's acceptance mask;
+with more, old is gathered through a flat view and one index array per
+step, and the accepted chains' indices, taken once per step, carry their
+new coordinates into the store and their log f~ into the current one.
 The chain state is the family's per-chain cache (for `pairwise`: rho(r),
 the conditioning and satellite pair terms of the current state, and its
 hinted evaluator with that evaluator's buffers).  The family builds it
-once per batch from the final starts, and the sampler commits the
-accepted moves into it after every step, unless its hinted calls leave
-nothing pending, as with one satellite.
+once per batch from the final starts, and with more than one satellite
+the sampler commits the accepted chains' indices into it after every
+step.
 
 Randomness discipline: chains are split into blocks of a fixed `_CHUNK`
 chains, and each block owns one generator derived from the master seed
@@ -234,14 +238,14 @@ def run_conditional_batch(
     sats_1d = sats.reshape(-1)
     first = np.arange(d * m).reshape(d, m)
     # every step reuses these buffers: the moved satellites' coordinates
-    # (old, new), the log f~ change and the acceptance mask.  With one
-    # satellite old is the store's row itself and the proposal is new
+    # (old, new) and the log f~ change.  With one satellite old is the
+    # store's row itself
     new = np.empty((d, m))
     gap = np.empty(m)
     if n_sat == 1:
-        old, proposal = sats[0], new.T[:, None, :]
+        old = sats[0]
     else:
-        old, proposal, elems = np.empty((d, m)), cur, np.empty((d, m), np.int64)
+        old, elems = np.empty((d, m)), np.empty((d, m), np.int64)
     old_t, new_t = old.T, new.T
     # the step's calls, bound once; every ufunc takes its out positionally,
     # and the gather reads element offsets that are in range by construction
@@ -249,7 +253,7 @@ def run_conditional_batch(
     multiply, add, subtract, less = np.multiply, np.add, np.subtract, np.less
     take, copyto, log_unnormalized = np.take, np.copyto, ansatz.log_unnormalized
     burn_in, thinning = settings.burn_in, settings.thinning
-    commit = state.commit if state is not None and state.pending else None
+    commit = state.commit if state is not None else None
     # steps per variate draw; the batch holds at most two step-chunks of variates
     chunk_steps = min(total_steps, max(1, _VARIATE_BYTES // (8 * (d + 2) * m)))
     chunk_starts = range(0, total_steps, chunk_steps)
@@ -331,21 +335,24 @@ def run_conditional_batch(
                         take(sats_1d, elems, None, old, "clip")
                     multiply(sigma_rows, normals[i], new)
                     add(old, new, new)
-                    if kdm is not None:
-                        sats_1d[elems] = new
                     hint = (sat_idx[i], old_t, new_t, log_cur, state)
-                    log_new = log_unnormalized(r, proposal, moved=hint)
+                    log_new = log_unnormalized(r, cur, moved=hint)
                     subtract(log_new, log_cur, gap)
                     row = (t if t < burn_in else t - burn_in) % _TUNE_INTERVAL
                     accept = accepts[row]
                     less(log_unifs[i], gap, accept)
-                    # old becomes the chains' next state: new where accepted
-                    copyto(old, new, "same_kind", accept)
-                    if kdm is not None:
-                        sats_1d[elems] = old
-                    copyto(log_cur, log_new, "same_kind", accept)
-                    if commit is not None:
-                        commit(accept)
+                    if kdm is None:
+                        # old is the store's row: new where accepted
+                        copyto(old, new, "same_kind", accept)
+                        copyto(log_cur, log_new, "same_kind", accept)
+                    else:
+                        # the store, log f~ and chain state take the accepted
+                        # moves only, through their chains' indices
+                        acc = accept.nonzero()[0]
+                        sats_1d[take(elems, acc, 1)] = take(new, acc, 1)
+                        log_cur[acc] = log_new[acc]
+                        if commit is not None:
+                            commit(acc)
 
                     if t < burn_in:
                         if row == _TUNE_INTERVAL - 1:

@@ -220,8 +220,9 @@ HINT_CASES = [
 @pytest.mark.parametrize("name,n,dim", HINT_CASES)
 def test_move_hint_matches_full_evaluation(name, n, dim):
     # random single-satellite move sequences, walked like the sampler: the
-    # hinted value of each proposal against the full evaluation of it, and
-    # the accepted hinted value carried forward as the next log_old.  A
+    # hinted value of each proposal, from a call given the current state,
+    # against the full evaluation of the proposal, and the accepted hinted
+    # value carried forward as the next log_old.  A
     # carried value is a running sum of term changes, so its rounding error
     # scales with the largest |log f~| the chain has held, not with the
     # current value (which can be far smaller); that is the relative scale
@@ -249,7 +250,7 @@ def test_move_hint_matches_full_evaluation(name, n, dim):
         proposal = cur.copy()
         proposal[rows, k] = new
         with np.errstate(divide="ignore", invalid="ignore"):  # as in the step loop
-            hinted = ans.log_unnormalized(r, proposal, moved=(k, old, new, log_cur, state))
+            hinted = ans.log_unnormalized(r, cur, moved=(k, old, new, log_cur, state))
         full = ans.log_unnormalized(r, proposal)
         if n_sat == 1:
             # one satellite: the hinted value is the full formula's, bit for bit
@@ -261,8 +262,8 @@ def test_move_hint_matches_full_evaluation(name, n, dim):
         accept = np.log(rng.random(m)) < hinted - log_cur
         cur[accept] = proposal[accept]
         log_cur = np.where(accept, hinted, log_cur)
-        if state is not None:
-            state.commit(accept)
+        if state is not None and n_sat > 1:
+            state.commit(accept.nonzero()[0])
         scale = np.maximum(scale, np.abs(log_cur))
 
 
@@ -270,9 +271,8 @@ def test_move_hint_matches_full_evaluation(name, n, dim):
 @pytest.mark.parametrize("beta", [0.0, 1.5])
 def test_hinted_kernel_does_not_depend_on_layout(n, dim, beta):
     # the sampler passes the family views of its chain-last (S, d, m) store
-    # and (d, m) points, and with one satellite the proposal is new itself;
-    # the same moves as C-ordered copies must give the same hinted values
-    # and chain states, bit for bit
+    # of the current state and (d, m) points; the same moves as C-ordered
+    # copies must give the same hinted values and chain states, bit for bit
     density = ExponentialDensity(zeta=1.0, n_electrons=n, dim=dim)
     space = SpaceSpec(dim=dim, radius=4.0, n_electrons=n)
     ans = PairwiseBiparametric(density, space, gamma=0.8, beta=beta)
@@ -298,8 +298,7 @@ def test_hinted_kernel_does_not_depend_on_layout(n, dim, beta):
             new[:, ::5] = 1.5 * space.omega_radius
         proposal = store.copy()
         proposal[k, :, rows] = new.T
-        sats = new.T[:, None, :] if n_sat == 1 else proposal.transpose(2, 0, 1)
-        views = (np.ascontiguousarray(r.T).T, sats, old.T, new.T)
+        views = (np.ascontiguousarray(r.T).T, store.transpose(2, 0, 1), old.T, new.T)
         copies = tuple(np.ascontiguousarray(a) for a in views)
         with np.errstate(divide="ignore", invalid="ignore"):  # as in the step loop
             got = [
@@ -308,8 +307,9 @@ def test_hinted_kernel_does_not_depend_on_layout(n, dim, beta):
             ]
         np.testing.assert_array_equal(got[0], got[1])
         accept = np.log(rng.random(m)) < got[0] - log_cur
-        for st in states:
-            st.commit(accept)
+        if n_sat > 1:
+            for st in states:
+                st.commit(accept.nonzero()[0])
         for name in names:
             held, want = getattr(states[0], name), getattr(states[1], name)
             assert (held is None) == (want is None), name
@@ -324,7 +324,7 @@ def test_hinted_kernel_does_not_depend_on_layout(n, dim, beta):
 def test_hinted_gathers_read_the_moved_satellites_terms(n):
     # the hinted call reads the moved satellite's old terms through flat
     # indices in take's 'clip' mode, which clamps an out-of-range index
-    # instead of raising: pin pos and down + pos against fancy indexing of
+    # instead of raising: pin pos and pair_pos against fancy indexing of
     # the (S, m) and (S, S, m) arrays, so an index bug cannot go silent
     density = ExponentialDensity(zeta=1.0, n_electrons=n)
     space = SpaceSpec(dim=3, radius=4.0, n_electrons=n)
@@ -339,19 +339,19 @@ def test_hinted_gathers_read_the_moved_satellites_terms(n):
     for _ in range(20):
         k = rng.integers(n_sat, size=m)
         new = cur[chains, k] + 0.1 * rng.standard_normal((m, 3))
-        proposal = cur.copy()
-        proposal[chains, k] = new
         with np.errstate(divide="ignore", invalid="ignore"):  # as in the step loop
-            ans.log_unnormalized(r, proposal, moved=(k, cur[chains, k], new, log_cur, state))
+            ans.log_unnormalized(r, cur, moved=(k, cur[chains, k], new, log_cur, state))
         np.testing.assert_array_equal(state.pos, np.ravel_multi_index((k, chains), (n_sat, m)))
         np.testing.assert_array_equal(np.take(state.e_cond, state.pos, mode="clip"),
                                       state.e_cond[k, chains])
+        # the term of satellites j and k is held once, at [min(j, k), max(j, k)]
         rows = np.arange(n_sat)[:, None]
+        lo, hi = np.minimum(rows, k), np.maximum(rows, k)
         np.testing.assert_array_equal(
-            state.pair_pos, np.ravel_multi_index((rows, k, chains), (n_sat, n_sat, m))
+            state.pair_pos, np.ravel_multi_index((lo, hi, chains), (n_sat, n_sat, m))
         )
         np.testing.assert_array_equal(np.take(state.e_pair, state.pair_pos, mode="clip"),
-                                      state.e_pair[:, k, chains])
+                                      state.e_pair[lo, hi, chains])
 
 
 def test_parameter_validation():
@@ -634,8 +634,8 @@ def test_simple_is_pairwise_at_unit_gamma_zero_beta(n):
         np.testing.assert_array_equal(simple.score(r, sats), pair.score(r, sats))
     with np.errstate(divide="ignore", invalid="ignore"):  # as in the step loop
         np.testing.assert_array_equal(
-            simple.log_unnormalized(r, proposal, moved=hint + (simple.chain_state(r, cur),)),
-            pair.log_unnormalized(r, proposal, moved=hint + (pair.chain_state(r, cur),)),
+            simple.log_unnormalized(r, cur, moved=hint + (simple.chain_state(r, cur),)),
+            pair.log_unnormalized(r, cur, moved=hint + (pair.chain_state(r, cur),)),
         )
     assert simple.fermionic_compatible == pair.fermionic_compatible
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from corrsearch import cli
 from corrsearch.ansatz import FAMILIES
 from corrsearch.cli import main
 from corrsearch.config import (
@@ -101,6 +102,30 @@ def test_missing_n_names_the_field(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "[system]" in err and "'n'" in err
+
+
+@pytest.mark.parametrize("command", ["energy", "optimize"])
+@pytest.mark.parametrize("sub", ["", "inner"])
+def test_out_that_cannot_be_a_directory_rejected_before_sampling(
+    tmp_path, capsys, monkeypatch, command, sub
+):
+    # an --out that names a file, or a directory below one, exits 1 with an
+    # error naming --out, before the command samples or searches anything
+    cfg = write_config(tmp_path, optimize=OPT_SECTION)
+    afile = tmp_path / "afile"
+    afile.write_text("", encoding="utf-8")
+    out = str(afile / sub) if sub else str(afile)
+
+    def never(*args, **kwargs):
+        raise AssertionError("sampled before --out was checked")
+
+    monkeypatch.setattr(cli, "total_energy", never)
+    monkeypatch.setattr(cli, "outer_minimize", never)
+    code = main([command, "--config", cfg, "--method", "quadrature", "--out", out])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out") and "Traceback" not in err
+    assert afile.read_text(encoding="utf-8") == ""
 
 
 def test_unknown_section_rejected(tmp_path, capsys):

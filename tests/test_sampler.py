@@ -14,7 +14,9 @@ from corrsearch import sampler
 from corrsearch.ansatz import (
     ConditionalAnsatz,
     GaussianToy,
+    PairChainState,
     PairwiseBiparametric,
+    build_ansatz,
 )
 from corrsearch.domain import ExponentialDensity, SpaceSpec, Tabulated1DDensity
 from corrsearch.sampler import (
@@ -35,15 +37,24 @@ def line_pair(radius=8.0):
     return density, space
 
 
-class StepTarget(ConditionalAnsatz):
+class LineToy(ConditionalAnsatz):
+    """A one-satellite toy whose log f~ is log_f(s) of the satellite's
+    first coordinate s; a hinted call evaluates the hint's proposal."""
+
+    def log_unnormalized(self, r, satellites, moved=None):
+        if moved is not None:
+            satellites = self.proposal(satellites, moved[0], moved[2])
+        r, satellites = self._check_shapes(r, satellites)
+        return self.log_f(satellites[..., 0, 0])
+
+
+class StepTarget(LineToy):
     """Discrete 5-bin toy target on [0, 5): weights 1,2,3,2,1."""
 
     family = "step-toy"
     WEIGHTS = np.array([1.0, 2.0, 3.0, 2.0, 1.0])
 
-    def log_unnormalized(self, r, satellites, moved=None):
-        r, satellites = self._check_shapes(r, satellites)
-        s = satellites[..., 0, 0]
+    def log_f(self, s):
         bins = np.clip(np.floor(s).astype(int), 0, 4)
         ok = (s >= 0.0) & (s < 5.0)
         w = np.where(ok, self.WEIGHTS[bins], 0.0)
@@ -58,14 +69,12 @@ class StepTarget(ConditionalAnsatz):
         return np.full((len(r), 1, 1), 2.5)
 
 
-class NormalTarget(ConditionalAnsatz):
+class NormalTarget(LineToy):
     """Standard normal in the single satellite coordinate."""
 
     family = "normal-toy"
 
-    def log_unnormalized(self, r, satellites, moved=None):
-        r, satellites = self._check_shapes(r, satellites)
-        s = satellites[..., 0, 0]
+    def log_f(self, s):
         return -0.5 * s * s
 
     def score(self, r, satellites):
@@ -81,9 +90,8 @@ class ConstTarget(NormalTarget):
 
     family = "const-toy"
 
-    def log_unnormalized(self, r, satellites, moved=None):
-        r, satellites = self._check_shapes(r, satellites)
-        return np.zeros(satellites.shape[:-2])
+    def log_f(self, s):
+        return np.zeros(s.shape)
 
 
 class PointTarget(NormalTarget):
@@ -91,9 +99,7 @@ class PointTarget(NormalTarget):
 
     family = "point-toy"
 
-    def log_unnormalized(self, r, satellites, moved=None):
-        r, satellites = self._check_shapes(r, satellites)
-        s = satellites[..., 0, 0]
+    def log_f(self, s):
         return np.where(s == 0.5, 0.0, -np.inf)
 
     def start_candidates(self, r, rng):
@@ -134,9 +140,7 @@ class HalfTarget(NormalTarget):
 
     family = "half-toy"
 
-    def log_unnormalized(self, r, satellites, moved=None):
-        r, satellites = self._check_shapes(r, satellites)
-        s = satellites[..., 0, 0]
+    def log_f(self, s):
         return np.where((s >= 0.5) & (s < 1.0), 0.0, -np.inf)
 
     def start_candidates(self, r, rng):
@@ -176,8 +180,7 @@ class StaleCheckPairwise(PairwiseBiparametric):
     def log_unnormalized(self, r, satellites, moved=None):
         if moved is not None:
             k, old, new, log_old, state = moved
-            current = np.array(satellites, copy=True)
-            current[np.arange(k.size), k] = old
+            current = np.array(satellites, copy=True)  # the hint's current state
             full = super().log_unnormalized(r, current)
             self.scale = np.maximum(self.scale, np.abs(full))
             err = np.abs(log_old - full) / self.scale
@@ -209,6 +212,72 @@ def test_chain_log_f_never_stale(n, beta, dim):
     assert ansatz.calls == settings.burn_in + settings.samples * settings.thinning
     assert 0.0 < batch.acceptance.mean() < 1.0
     assert ansatz.worst <= 1e-12
+
+
+class CurrentStateCheck(PairwiseBiparametric):
+    """Asserts, at every hinted call, that satellites is the chains' current
+    state, with old at satellite k, and that log_old took the last call's
+    value exactly at the chains the last commit named; and, at every
+    commit(acc), that the store changed to the proposal at the chains acc
+    and nowhere else."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls, self.commits, self.last = 0, 0, None
+
+    def log_unnormalized(self, r, satellites, moved=None):
+        if moved is None:
+            return super().log_unnormalized(r, satellites)
+        k, old, new, log_old = moved[:4]
+        rows = np.arange(k.size)
+        np.testing.assert_array_equal(satellites[rows, k], old)
+        if self.last is not None:
+            expected = self.last["log_old"].copy()
+            acc = self.last["acc"]
+            expected[acc] = self.last["log_new"][acc]
+            np.testing.assert_array_equal(log_old, expected)
+        log_new = super().log_unnormalized(r, satellites, moved)
+        # the store is kept past the call only to check what the sampler
+        # writes into it before the commit
+        self.last = {
+            "store": satellites, "before": np.array(satellites, copy=True),
+            "proposal": self.proposal(satellites, k, new),
+            "log_old": log_old.copy(), "log_new": log_new.copy(),
+        }
+        self.calls += 1
+        return log_new
+
+    def check_commit(self, acc):
+        last = self.last
+        changed = np.flatnonzero((last["store"] != last["before"]).any(axis=(1, 2)))
+        np.testing.assert_array_equal(changed, acc)
+        np.testing.assert_array_equal(last["store"][acc], last["proposal"][acc])
+        last["acc"] = acc.copy()
+        self.commits += 1
+
+
+@pytest.mark.parametrize("n", [3, 6])
+@pytest.mark.parametrize("dim", [3, 1])
+def test_hinted_call_sees_the_current_state(monkeypatch, n, dim):
+    # a proposal never enters the satellite store: each hinted call sees
+    # the chains' current state, and the step loop writes the store, log f~
+    # and the chain state only through the accepted chains' indices
+    density = ExponentialDensity(zeta=1.0, n_electrons=n, dim=dim)
+    space = SpaceSpec(dim=dim, radius=3.0, n_electrons=n)
+    ansatz = CurrentStateCheck(density, space, 1.0, 1.5)
+    commit = PairChainState.commit
+
+    def checked_commit(state, acc):
+        ansatz.check_commit(acc)
+        commit(state, acc)
+
+    monkeypatch.setattr(PairChainState, "commit", checked_commit)
+    settings = SamplerSettings(sigma=0.5, burn_in=40, samples=20, thinning=2, seed=6)
+    points = density.sample(64, np.random.default_rng(6))
+    batch = run_conditional_batch(ansatz, points, settings, {})
+    steps = settings.burn_in + settings.samples * settings.thinning
+    assert ansatz.calls == ansatz.commits == steps
+    assert 0.0 < batch.acceptance.mean() < 1.0
 
 
 class CountingPairwise(PairwiseBiparametric):
@@ -484,11 +553,42 @@ def test_pool_thread_only_for_several_step_chunks(monkeypatch):
 
 # kept-sample sums, summed acceptance and summed final sigma of two-block
 # pairwise runs, recorded before the chain state carried rho and the E_H
-# terms: the state changes where old terms come from, not a result bit
+# terms: the state changes where old terms come from, not a result bit.
+# The entries keyed (family, n, dim) were recorded while the step loop
+# still wrote each proposal into the satellite store and undid it where
+# rejected: 1D pairwise with beta > 0 (the contact masks of the hinted
+# kernel), and the two families without a chain state
 PINNED_BATCH_VALUES = {
     (2, 0.0): (38.867244074794286, 5509.162727648425, 406.375, 586.11125),
     (6, 1.5): (-1046.3465798628263, 81383.6779998669, 457.875, 725.0934374999999),
+    ("pairwise", 3, 1): (130.75753443317032, 11601.42405507571, 375.4375, 514.6925),
+    ("frozen", 6, 3): (-154.6543139659808, 59879.770209938986, 456.9375, 716.630078125),
+    ("gaussian-toy", 6, 3): (1528.7049578327603, 191432.58936686284, 527.25, 1027.08984375),
 }
+
+
+def _assert_batch_pinned(monkeypatch, key, ansatz, points, settings, runs):
+    monkeypatch.setattr(sampler, "_TUNE_INTERVAL", 16)
+    # two blocks but one step-chunk, so no pool thread; a cold run draws and
+    # holds its variates, and a second run takes that held draw
+    monkeypatch.setattr(sampler, "ThreadPoolExecutor", None)
+    monkeypatch.setattr(sampler, "_held", None)
+    for k in range(runs):
+        batch = run_conditional_batch(ansatz, points, settings, {"sats": _sats})
+        if k == 0:
+            held = sampler._held
+            assert held is not None
+        else:
+            assert sampler._held is held
+        assert batch.acceptance.size == len(points) * settings.walkers > sampler._CHUNK
+        kept = batch.values["sats"]
+        got = (
+            float(kept.sum(axis=(0, 2, 3)).sum()),
+            float((kept * kept).sum(axis=(0, 2, 3)).sum()),
+            float(batch.acceptance.sum()),
+            float(batch.sigma_final.sum()),
+        )
+        assert got == PINNED_BATCH_VALUES[key]
 
 
 @pytest.mark.parametrize("runs", [1, 2])
@@ -501,30 +601,24 @@ def test_batch_values_pinned(monkeypatch, n, beta, n_points, walkers, seed, runs
     space = SpaceSpec(dim=3, radius=1.3 if n == 2 else 3.0, n_electrons=n)
     ansatz = PairwiseBiparametric(density, space, gamma=1.0, beta=beta)
     points = density.sample(n_points, np.random.default_rng(seed))
-    monkeypatch.setattr(sampler, "_TUNE_INTERVAL", 16)
     settings = SamplerSettings(
         sigma=0.5, burn_in=64, samples=8, thinning=2, seed=seed, walkers=walkers
     )
-    # two blocks but one step-chunk, so no pool thread; a cold run draws and
-    # holds its variates, and a second run takes that held draw
-    monkeypatch.setattr(sampler, "ThreadPoolExecutor", None)
-    monkeypatch.setattr(sampler, "_held", None)
-    for k in range(runs):
-        batch = run_conditional_batch(ansatz, points, settings, {"sats": _sats})
-        if k == 0:
-            held = sampler._held
-            assert held is not None
-        else:
-            assert sampler._held is held
-        assert batch.acceptance.size == n_points * walkers > sampler._CHUNK
-        kept = batch.values["sats"]
-        got = (
-            float(kept.sum(axis=(0, 2, 3)).sum()),
-            float((kept * kept).sum(axis=(0, 2, 3)).sum()),
-            float(batch.acceptance.sum()),
-            float(batch.sigma_final.sum()),
-        )
-        assert got == PINNED_BATCH_VALUES[(n, beta)]
+    _assert_batch_pinned(monkeypatch, (n, beta), ansatz, points, settings, runs)
+
+
+@pytest.mark.parametrize("family,n,dim", [
+    ("pairwise", 3, 1),
+    ("frozen", 6, 3),
+    ("gaussian-toy", 6, 3),
+])
+def test_family_batch_values_pinned(monkeypatch, family, n, dim):
+    density = ExponentialDensity(zeta=1.5, n_electrons=n, dim=dim)
+    space = SpaceSpec(dim=dim, radius=3.0, n_electrons=n)
+    ansatz = build_ansatz(family, density, space, gamma=1.0, beta=1.5)
+    points = density.sample(1100, np.random.default_rng(33))
+    settings = SamplerSettings(sigma=0.5, burn_in=64, samples=8, thinning=2, seed=33)
+    _assert_batch_pinned(monkeypatch, (family, n, dim), ansatz, points, settings, 1)
 
 
 # one chain's mean, batch-means stderr and acceptance from when every chain
@@ -709,8 +803,7 @@ class FullTarget(HalfTarget):
 
     family = "full-toy"
 
-    def log_unnormalized(self, r, satellites, moved=None):
-        s = satellites[..., 0, 0]
+    def log_f(self, s):
         return np.where((s >= 0.0) & (s < 1.0), 0.0, -np.inf)
 
 
