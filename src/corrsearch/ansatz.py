@@ -121,16 +121,18 @@ class ConditionalAnsatz:
     chains with r of shape (m, d) and satellites (m, S, d): satellites is
     the chains' current state, and the proposal moves satellite k[c] of
     chain c (integer array (m,)) from old[c] = satellites[c, k[c]] to
-    new[c] (arrays (m, d)).  satellites is a strided view of the
-    sampler's store, which takes an accepted move in only after the call,
-    and old and new are strided views of buffers that the sampler
-    overwrites in the next step, so a family must not keep any of them
-    past the call.  log_old (m,) is the current, finite value, and state
-    is what chain_state(r, current satellites) returned at the batch's
-    start, at the same points r as every hinted call of the batch.  With
-    more than one satellite the sampler keeps it current: after every
-    hinted call it calls state.commit(acc) with the accepted chains'
-    indices acc, when state is not None.  A family may return log_old
+    new[c] (arrays (m, d)).  With one satellite k is one zero array that
+    the sampler makes once per batch and passes at every step, so a
+    family must not write into it either.  satellites is a strided view
+    of the sampler's store, which takes an accepted move in only after
+    the call, and old and new are strided views of buffers that the
+    sampler overwrites in the next step, so a family must not keep any
+    of them past the call.  log_old (m,) is the current, finite value,
+    and state is what chain_state(r, current satellites) returned at the
+    batch's start, at the same points r as every hinted call of the
+    batch.  With more than one satellite the sampler keeps it current:
+    after every hinted call it calls state.commit(acc) with the accepted
+    chains' indices acc, when state is not None.  A family may return log_old
     plus the change in the terms that involve satellite k, or evaluate
     proposal(satellites, k, new) in full; both give the same value up to
     rounding.  The value a hinted call returns may be a buffer of the
@@ -292,7 +294,8 @@ class PairChainState:
         arrays.  They are finite, since the current state has finite
         log f~, so the E_H conventions carry over: a new coincidence gives
         -inf.  With one satellite the full formula has a single term and
-        is kept, so the value is exactly a fresh evaluation's.
+        is kept, as (-gamma) E_H, so the value is a fresh evaluation's
+        0 - gamma E_H up to the sign of a zero.
 
         The arithmetic is _weighted_kernel's and the full formula's, in
         the same order, so every term is bit for bit an unhinted call's.
@@ -300,26 +303,30 @@ class PairChainState:
         constants, the flat views and the ufuncs, each called with its
         out positional.  A squared norm is one add-reduce over the
         coordinate axis, which adds its fewer than 8 terms in order, as
-        sum_last does, and the support test is a mask applied in place.
-        The gathers read flat indices that are in range by construction,
-        in take's 'clip' mode, which writes straight into its out."""
+        sum_last does.  |new|^2 and |new - r|^2 are two rows of one
+        array: the support test and, in 1D, the contact test read them
+        squared, the softening is added to the distance row, and one sqrt
+        gives both the radius that rho(new) takes and the distance the
+        kernel takes.  The support test is a mask put in place.  The
+        gathers read flat indices that are in range by construction, in
+        take's 'clip' mode, which writes straight into its out."""
         dim, m = r_t.shape
         n_sat, value, rho_r = family.n_satellites, family.density.value, self.rho_r
         # 0-d constants: a ufunc converts a Python float argument on every
         # call, and a 0-d array costs it nothing
-        gamma, beta = np.array(family.gamma), np.array(family.beta)
+        neg_gamma, beta = np.array(-family.gamma), np.array(family.beta)
         omega_r2 = np.array(family.space.omega_radius**2)
         zero, one, inf, neg_inf = (np.array(x) for x in (0.0, 1.0, np.inf, -np.inf))
         multiply, subtract, add, divide = np.multiply, np.subtract, np.add, np.divide
         sqrt, fmax, greater, equal = np.sqrt, np.fmax, np.greater, np.equal
-        bitwise_and, take, copyto, reduce = np.bitwise_and, np.take, np.copyto, np.add.reduce
-        # scratch: the squared coordinates of new and new - r, their sums,
-        # then (m,) terms; row views made once, since a view costs each
-        # step as much as a small ufunc
+        bitwise_and, take, putmask, reduce = np.bitwise_and, np.take, np.putmask, np.add.reduce
+        # scratch: the squared coordinates of new and new - r, their sums
+        # and then their roots, then (m,) terms; row views made once, since
+        # a view costs each step as much as a small ufunc
         sq = np.empty((2, dim, m))
         sq_new, sq_rel = sq
         norms = np.empty((2, m))
-        r2, d2 = norms
+        radius, dist = norms
         num, change, total = np.empty((3, m))
         rho_new, e_new, pos = self.rho_new, self.e_new, self.pos
         outside = np.empty(m, bool)
@@ -337,16 +344,19 @@ class PairChainState:
             pair_at = (np.minimum.outer(j, j) * n_sat + np.maximum.outer(j, j)) * m
             rho_sat, e_pair = self.rho_sat, self.e_pair.reshape(-1)
             pair_new_1d = pair_new.reshape(-1)
-        # kernel(num, d2, out, masks): E_H from num = rho(x) rho(y) and the
-        # squared distance d2, written to out; d2 is overwritten, and masks
-        # are two bool buffers of out's shape, used in 1D only
+        # soften(d2, masks) readies the squared distance d2 for its sqrt, in
+        # place; kernel(num, d, out, masks) then writes E_H from num =
+        # rho(x) rho(y) and that root d to out, overwriting d.  masks are two
+        # bool buffers of out's shape, used in 1D only
         if dim == 3:
             cond_masks = pair_masks = None
 
-            def kernel(num, d2, out, masks):
-                sqrt(d2, d2)
-                divide(one, d2, d2)
-                multiply(num, d2, out)
+            def soften(d2, masks):
+                pass
+
+            def kernel(num, d, out, masks):
+                divide(one, d, d)
+                multiply(num, d, out)
                 # every term is >= 0 except num * (1/d) = 0 * inf = nan at a
                 # contact where num = 0; fmax sets exactly that one to 0, which
                 # is _weighted_kernel's value wherever num = 0
@@ -356,37 +366,41 @@ class PairChainState:
             cond_masks = np.empty((2, m), bool)
             pair_masks = np.empty((2, n_sat, m), bool) if pairs else None
 
-            def kernel(num, d2, out, masks):
+            def soften(d2, masks):
+                equal(d2, zero, masks[0])  # the contacts, before the softening
+                add(d2, soft2, d2)
+
+            def kernel(num, d, out, masks):
                 # the softened kernel is finite, so num = 0 already gives 0,
                 # and a contact where num > 0 carries the +inf signal
                 contact, positive = masks
-                equal(d2, zero, contact)
                 greater(num, zero, positive)
                 bitwise_and(contact, positive, contact)
-                sqrt(add(d2, soft2, d2), d2)
-                divide(one, d2, d2)
-                multiply(num, d2, out)
-                copyto(out, inf, "same_kind", contact)
+                divide(one, d, d)
+                multiply(num, d, out)
+                putmask(out, contact, inf)
                 return out
 
         def log(satellites, k, new, log_old):
             new_t = new.T  # (d, m)
-            # |new|^2 and |new - r|^2 in one add-reduce
+            # |new|^2 and |new - r|^2 in one add-reduce, their roots in one sqrt
             multiply(new_t, new_t, sq_new)
             subtract(new_t, r_t, sq_rel)
             multiply(sq_rel, sq_rel, sq_rel)
             reduce(sq, 1, None, norms)
-            value(new, r2, rho_new)
-            greater(r2, omega_r2, outside)
+            greater(radius, omega_r2, outside)
+            soften(dist, cond_masks)
+            sqrt(norms, norms)
+            value(new, radius, rho_new)
             multiply(rho_r, rho_new, num)
-            kernel(num, d2, e_new, cond_masks)
+            kernel(num, dist, e_new, cond_masks)
             if n_sat == 1:
-                subtract(zero, multiply(gamma, e_new, change), total)
+                multiply(neg_gamma, e_new, total)
             else:
                 add(multiply(k, m_0d, pos), chains, pos)  # (k[c], c) in a flat (S, m) array
                 take(e_cond, pos, None, change, "clip")
                 subtract(e_new, change, change)
-                subtract(log_old, multiply(gamma, change, change), total)
+                add(log_old, multiply(neg_gamma, change, change), total)
             if pairs:
                 # the moved satellite against all S current satellites, chain
                 # axis last; its own term, against its old position, is set to
@@ -395,6 +409,8 @@ class PairChainState:
                 subtract(new_t, satellites.transpose(1, 2, 0), pair_delta)
                 multiply(pair_delta, pair_delta, pair_delta)
                 reduce(pair_delta, 1, None, pair_d2)
+                soften(pair_d2, pair_masks)
+                sqrt(pair_d2, pair_d2)
                 multiply(rho_new, rho_sat, pair_num)
                 kernel(pair_num, pair_d2, pair_new, pair_masks)
                 pair_new_1d[pos] = 0.0
@@ -403,7 +419,7 @@ class PairChainState:
                 subtract(pair_new, pair_old, pair_old)
                 reduce(pair_old, 0, None, change)
                 subtract(total, multiply(beta, change, change), total)
-            copyto(total, neg_inf, "same_kind", outside)
+            putmask(total, outside, neg_inf)
             return total
 
         return log

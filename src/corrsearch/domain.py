@@ -126,10 +126,7 @@ class Density:
     """Common interface for one-particle density models rho(x).
 
     All models integrate to ``n_electrons`` over the unbounded domain.
-    ``value`` and ``gradient`` accept arrays of shape (..., dim);
-    ``value`` also takes the points' sq_norm when the caller has it (the
-    radial models then skip recomputing it and checking the points), and
-    an array ``out`` of the result's shape to write into and return.
+    ``value`` and ``gradient`` accept arrays of shape (..., dim).
     ``sample`` draws positions from the probability density rho/N.
     The classmethod ``from_section(section, space)`` builds the density
     that a [density] section (the config's DensityConfig) describes for
@@ -143,8 +140,13 @@ class Density:
     scale_searched = False
 
     def value(
-        self, points: np.ndarray, r2: np.ndarray | None = None, out: np.ndarray | None = None
+        self, points: np.ndarray, radius: np.ndarray | None = None, out: np.ndarray | None = None
     ) -> np.ndarray:
+        """rho at points (..., dim), shape (...).  radius, the points'
+        |x|, may be passed when the caller has it: the radial models then
+        skip computing it and checking the points, bit for bit the same
+        value, and the others ignore it; value never writes into it.  out,
+        an array of the result's shape, receives the value and is returned."""
         raise NotImplementedError
 
     def gradient(self, points: np.ndarray) -> np.ndarray:
@@ -198,12 +200,11 @@ class ExponentialDensity(Density):
         object.__setattr__(self, "_amplitude", np.array(amplitude))
         object.__setattr__(self, "_rate", np.array(-2.0 * zeta))
 
-    def value(self, points, r2=None, out=None):
-        if r2 is None:
-            r2 = sq_norm(_check_points(points, self.dim))
-        # amplitude * exp(rate * sqrt(r2)), one ufunc at a time, in out if given
-        rho = np.sqrt(r2, out)
-        rho = np.multiply(self._rate, rho, out)
+    def value(self, points, radius=None, out=None):
+        if radius is None:
+            radius = radial_distance(_check_points(points, self.dim))
+        # amplitude * exp(rate * radius), one ufunc at a time, in out if given
+        rho = np.multiply(self._rate, radius, out)
         rho = np.exp(rho, out)
         return np.multiply(self._amplitude, rho, out)
 
@@ -255,12 +256,12 @@ class ExponentialMixtureDensity(Density):
         parts = tuple(ExponentialDensity(z, self.n_electrons, self.dim) for z in self.zetas)
         object.__setattr__(self, "_components", parts)
 
-    def value(self, points, r2=None, out=None):
-        if r2 is None:
-            r2 = sq_norm(_check_points(points, self.dim))
-        rho = np.zeros(np.shape(r2))
+    def value(self, points, radius=None, out=None):
+        if radius is None:
+            radius = radial_distance(_check_points(points, self.dim))
+        rho = np.zeros(np.shape(radius))
         for w, comp in zip(self.weights, self._components):
-            rho = rho + w * comp.value(points, r2)
+            rho = rho + w * comp.value(points, radius)
         if out is None:
             return rho
         np.copyto(out, rho)
@@ -337,7 +338,7 @@ class Tabulated1DDensity(Density):
         )
         self._cdf = cdf / cdf[-1]
 
-    def value(self, points, r2=None, out=None):
+    def value(self, points, radius=None, out=None):
         points = _check_points(points, 1)
         rho = np.interp(points[..., 0], self.x, self.values, left=0.0, right=0.0)
         if out is None:

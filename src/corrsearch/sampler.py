@@ -13,20 +13,28 @@ hint (moved satellite, its old and new positions, the current log f~ and
 the family's chain state), so a family can add only the terms that
 involve the moved satellite; that call is the only one a step makes.
 Every step reuses one set of (d, m) and (m,) buffers: the moved
-coordinates old and new (sigma times the step variates, then old
-added) and the log f~ change; the current log f~ is updated in place
-where a move is accepted.  Each step's acceptance mask is a row of a
-ring of _TUNE_INTERVAL masks, summed at each step-size adaptation and
-every _TUNE_INTERVAL measured steps, which gives the counts a per-step
-sum would.  The loop binds its numpy calls once per batch and passes
-their outputs positionally.  The store always holds the chains' current
-state, and a proposal never enters it: the hinted call gets the store's
-view, and a family that evaluates a proposal in full builds it with
-`ConditionalAnsatz.proposal`.  With one satellite old is the store's row,
-and accepted moves are copied in through the step's acceptance mask;
-with more, old is gathered through a flat view and one index array per
-step, and the accepted chains' indices, taken once per step, carry their
-new coordinates into the store and their log f~ into the current one.
+coordinates old and new (old plus the step) and the log f~ change; the
+current log f~ is updated in place where a move is accepted.  The steps,
+sigma times the step variates, are multiplied out one window of steps
+at a time into one buffer of at most _WINDOW_BYTES, or into new when a
+window is one step.  sigma changes only at an adaptation, every
+_TUNE_INTERVAL burn-in steps, so a window, whose length divides
+_TUNE_INTERVAL and which starts at each multiple of its length and at
+each step-chunk's start, always sees one sigma.  Each step's acceptance
+mask is a row of a ring of _TUNE_INTERVAL masks, summed at each
+step-size adaptation and every _TUNE_INTERVAL measured steps, which
+gives the counts a per-step sum would.  The loop binds its numpy calls
+once per batch and passes their outputs positionally.  The store
+always holds the chains' current state, and a proposal never enters it:
+the hinted call gets the store's view, and a family that evaluates a
+proposal in full builds it with `ConditionalAnsatz.proposal`.  With one
+satellite old is the store's row, every hint's k is one zero array
+made per batch, and accepted moves are put into the row and into the
+current log f~ with `np.putmask`, the row's mask a (d, m) broadcast
+view of the step's acceptance row; with more, old is gathered through
+a flat view and one index array per step, and the accepted chains'
+indices, taken once per step, carry their new coordinates into the
+store and their log f~ into the current one.
 The chain state is the family's per-chain cache (for `pairwise`: rho(r),
 the conditioning and satellite pair terms of the current state, and its
 hinted evaluator with that evaluator's buffers).  The family builds it
@@ -41,9 +49,12 @@ Blocks are stream units only.  A block draws all its start candidates in
 one call, then redraws, in chain order, the starts of its chains whose
 candidate has f~ = 0, and then draws its share of the step variates
 (satellite index, Gaussian step, uniform) one step-chunk at a time,
-whatever the accept/reject outcomes.  The step-chunk length comes from
-the batch's chain count and a fixed byte budget (`_VARIATE_BYTES`), so a
-batch holds at most two step-chunks of variates, whatever its size.
+whatever the accept/reject outcomes.  With one satellite it draws no
+index, and holds no index buffer: `Generator.integers(1, ...)` takes no
+bits from the stream, so the draws that follow are the same.  The
+step-chunk length comes from the batch's chain count and a fixed byte
+budget (`_VARIATE_BYTES`, 8 (d + 2) bytes per chain-step at every S), so
+a batch holds at most two step-chunks of variates, whatever its size.
 Neither the blocks nor the step-chunks depend on whether the pool thread
 runs, so batch results are bit-identical with and without it, and on
 reruns.
@@ -96,6 +107,7 @@ _NS_FRESH = 0x667265
 _CHUNK = 1024
 _VARIATE_BYTES = 4 * 2**20  # step variates of one step-chunk: 8 (d + 2) bytes per chain-step
 _TUNE_INTERVAL = 64  # burn-in steps between two step-size adaptations
+_WINDOW_BYTES = 64 * 2**10  # sigma times the step variates of one window of steps
 
 # the variates of the last one-step-chunk batch, read-only, for the next batch
 # whose generators start their step draws where that one's did:
@@ -239,11 +251,13 @@ def run_conditional_batch(
     first = np.arange(d * m).reshape(d, m)
     # every step reuses these buffers: the moved satellites' coordinates
     # (old, new) and the log f~ change.  With one satellite old is the
-    # store's row itself
+    # store's row itself, every move's k is 0, and the acceptance row is
+    # read as a (d, m) mask through a broadcast view of each ring row
     new = np.empty((d, m))
     gap = np.empty(m)
     if n_sat == 1:
-        old = sats[0]
+        old, k = sats[0], np.zeros(m, np.int64)
+        accepts_dm = list(np.broadcast_to(accepts[:, None], (_TUNE_INTERVAL, d, m)))
     else:
         old, elems = np.empty((d, m)), np.empty((d, m), np.int64)
     old_t, new_t = old.T, new.T
@@ -251,11 +265,20 @@ def run_conditional_batch(
     # and the gather reads element offsets that are in range by construction
     # in take's 'clip' mode, which writes straight into its out
     multiply, add, subtract, less = np.multiply, np.add, np.subtract, np.less
-    take, copyto, log_unnormalized = np.take, np.copyto, ansatz.log_unnormalized
+    take, putmask, log_unnormalized = np.take, np.putmask, ansatz.log_unnormalized
     burn_in, thinning = settings.burn_in, settings.thinning
     commit = state.commit if state is not None else None
     # steps per variate draw; the batch holds at most two step-chunks of variates
     chunk_steps = min(total_steps, max(1, _VARIATE_BYTES // (8 * (d + 2) * m)))
+    # sigma times the step variates, one window of steps at a time: sigma
+    # changes only at an adaptation, so a window whose length divides
+    # _TUNE_INTERVAL, cut at each step-chunk's end, never spans one.  A
+    # window of one step is built in new itself, which then adds old in place
+    window = next(
+        w for w in range(_TUNE_INTERVAL, 0, -1)
+        if _TUNE_INTERVAL % w == 0 and (w == 1 or 8 * d * m * w <= _WINDOW_BYTES)
+    )
+    steps = new[None] if window == 1 else np.empty((min(window, chunk_steps), d, m))
     chunk_starts = range(0, total_steps, chunk_steps)
     # two buffers of one step-chunk's kept samples, used alternately: the
     # loop fills one while the other is observed
@@ -278,12 +301,14 @@ def run_conditional_batch(
 
     def draw(c):
         n = min(chunk_steps, total_steps - chunk_starts[c])
-        sat_idx, normals, log_unifs = (x[:n] for x in variates[c % len(variates)])
+        normals, log_unifs, *sat_idx = drawn = [x[:n] for x in variates[c % len(variates)]]
         for rng, (a, b) in zip(rngs, blocks):
-            sat_idx[:, a:b] = rng.integers(n_sat, size=(n, b - a))
+            # one satellite draws no index; integers(1) would take no bits
+            for x in sat_idx:
+                x[:, a:b] = rng.integers(n_sat, size=(n, b - a))
             normals[:, :, a:b] = rng.standard_normal((n, b - a, d)).transpose(0, 2, 1)
             np.log(rng.random((n, b - a)), out=log_unifs[:, a:b])
-        return sat_idx, normals, log_unifs
+        return drawn
 
     def ahead(c):
         """What runs while step-chunk c steps: observe chunk c - 1, draw chunk c + 1."""
@@ -303,11 +328,8 @@ def run_conditional_batch(
     # draw; step-chunk c is drawn into variate buffer c % 2
     pool = None if one_chunk else ThreadPoolExecutor(1)
     variates = [] if held else [
-        (
-            np.empty((chunk_steps, m), np.int64),
-            np.empty((chunk_steps, d, m)),
-            np.empty((chunk_steps, m)),
-        )
+        (np.empty((chunk_steps, d, m)), np.empty((chunk_steps, m)))
+        + ((np.empty((chunk_steps, m), np.int64),) if n_sat > 1 else ())
         for _ in range(2 if pool else 1)
     ]
     with pool or contextlib.nullcontext():
@@ -323,28 +345,33 @@ def run_conditional_batch(
                 _held = (key, drawn, [g.bit_generator.state for g in rngs])
         for c, chunk_start in enumerate(chunk_starts):
             job = pool.submit(ahead, c) if pool else None
-            sat_idx, normals, log_unifs = drawn
+            normals, log_unifs, *sat_idx = drawn
             # element offsets of the moved satellites; one satellite is row 0
-            kdm = sat_idx * (d * m) if n_sat > 1 else None
-            buf, n_kept = kept[c % 2], 0
+            kdm = sat_idx[0] * (d * m) if sat_idx else None
+            buf, n_kept, n = kept[c % 2], 0, len(normals)
             with np.errstate(divide="ignore", invalid="ignore"):
-                for i in range(len(sat_idx)):
+                for i in range(n):
                     t = chunk_start + i
+                    if i == 0 or t % window == 0:
+                        # a window runs to the next multiple of its length
+                        # or to the step-chunk's end, whichever comes first
+                        w = min(window - t % window, n - i)
+                        multiply(sigma_rows, normals[i : i + w], steps[:w])
+                        i0 = i
                     if kdm is not None:
+                        k = sat_idx[0][i]
                         add(first, kdm[i], elems)
                         take(sats_1d, elems, None, old, "clip")
-                    multiply(sigma_rows, normals[i], new)
-                    add(old, new, new)
-                    hint = (sat_idx[i], old_t, new_t, log_cur, state)
-                    log_new = log_unnormalized(r, cur, moved=hint)
+                    add(old, steps[i - i0], new)
+                    log_new = log_unnormalized(r, cur, moved=(k, old_t, new_t, log_cur, state))
                     subtract(log_new, log_cur, gap)
                     row = (t if t < burn_in else t - burn_in) % _TUNE_INTERVAL
                     accept = accepts[row]
                     less(log_unifs[i], gap, accept)
                     if kdm is None:
                         # old is the store's row: new where accepted
-                        copyto(old, new, "same_kind", accept)
-                        copyto(log_cur, log_new, "same_kind", accept)
+                        putmask(old, accepts_dm[row], new)
+                        putmask(log_cur, accept, log_new)
                     else:
                         # the store, log f~ and chain state take the accepted
                         # moves only, through their chains' indices

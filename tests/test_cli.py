@@ -379,6 +379,72 @@ def test_energy_seed_override_changes_mc_numbers(tmp_path):
     assert results[0] != results[1]
 
 
+# the breakdowns of three small `energy --method mc` runs of the pairwise
+# family, recorded before the step loop scaled its steps a window at a time
+# and wrote accepted moves with putmask: every later change to the sampler
+# or the hinted evaluation must leave them bit for bit
+PINNED_MC_BREAKDOWNS = {
+    (2, "3d"): {
+        "coulomb": 0.9977458505481871, "coulomb_stderr": 0.03562945185555174,
+        "external": -6.000000000000069, "fisher": 0.12997585185119004,
+        "fisher_stderr": 0.04854811653588277, "method": "mc", "total": -2.622278297600701,
+        "total_stderr": 0.06909582911499475, "weizsacker": 2.249999999999991,
+    },
+    (3, "1d"): {
+        "coulomb": 2.2859722927038315, "coulomb_stderr": 0.05093856588382641,
+        "external": -8.37441119338203, "fisher": 1.4728451337657982,
+        "fisher_stderr": 0.18637157386532888, "method": "mc", "total": -1.240593766914511,
+        "total_stderr": 0.20136031108390684, "weizsacker": 3.37499999999789,
+    },
+    (6, "3d"): {
+        "coulomb": 10.542511084181672, "coulomb_stderr": 0.6331149596877247,
+        "external": -54.00000000000064, "fisher": 0.9535110515030053,
+        "fisher_stderr": 0.32990908113405915, "method": "mc", "total": -35.753977864315985,
+        "total_stderr": 0.7840795559306076, "weizsacker": 6.749999999999974,
+    },
+}
+
+
+@pytest.mark.parametrize("n,dimensionality,chains,steps", [
+    (2, "3d", 64, 23),  # 134 steps in 6 step-chunks, with the pool thread
+    (3, "1d", 48, None),
+    (6, "3d", 32, None),
+])
+def test_mc_energy_breakdown_pinned(tmp_path, monkeypatch, n, dimensionality, chains, steps):
+    text = f"""\
+[system]
+n = {n}
+z = {float(n)}
+radius = {1.3 if n == 2 else 3.0}
+dimensionality = {dimensionality}
+
+[density]
+family = exponential
+zeta = 1.5
+
+[ansatz]
+family = pairwise
+gamma = 1.0
+beta = 1.5
+
+[sampler]
+conditioning_points = {chains}
+samples = 32
+burn_in = 70
+thinning = 2
+sigma = 0.5
+seed = {40 + n}
+"""
+    cfg = tmp_path / "mc.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    if steps is not None:
+        steps_per_chunk(monkeypatch, steps, chains, dim=3)
+    out = tmp_path / "run"
+    assert main(["energy", "--config", str(cfg), "--method", "mc", "--out", str(out)]) == 0
+    breakdown = read_record(str(out / "record.json"))["results"]["breakdown"]
+    assert breakdown == PINNED_MC_BREAKDOWNS[(n, dimensionality)]
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

@@ -357,11 +357,40 @@ def test_gauss_legendre_unit_rule_is_cached_and_read_only(n):
 @pytest.mark.parametrize("dim", [3, 1])
 def test_mixture_hinted_value_on_strided_views(dim):
     # the step loop passes rho the moved satellites as an (m, d) view of a
-    # chain-last (d, m) array, with their sq_norm; that must equal a full
+    # chain-last (d, m) array, with their radii; that must equal a full
     # evaluation of the same points as a C-ordered array
     mix = ExponentialMixtureDensity(zetas=(0.8, 2.0), weights=(0.3, 0.7), n_electrons=3, dim=dim)
     new = np.random.default_rng(dim).standard_normal((dim, 128)).T
     assert not new.flags.c_contiguous or dim == 1
-    hinted = mix.value(new, sq_norm(new))
+    hinted = mix.value(new, np.sqrt(sq_norm(new)))
     np.testing.assert_array_equal(hinted, mix.value(np.ascontiguousarray(new)))
     assert hinted.shape == (128,)
+
+
+@pytest.mark.parametrize("kind", ["exponential-3d", "exponential-1d", "mixture", "tabulated"])
+def test_value_with_radius_equals_value_without(kind):
+    # the hinted evaluation passes the radii it has already taken; every
+    # density must give bit for bit what it gives from the points alone,
+    # with and without out, and must leave the radii as they were.  The
+    # tabulated density is not radial and ignores them
+    x = np.linspace(-3.0, 3.0, 61)
+    density, dim = {
+        "exponential-3d": (ExponentialDensity(zeta=1.3, n_electrons=2), 3),
+        "exponential-1d": (ExponentialDensity(zeta=1.3, n_electrons=2, dim=1), 1),
+        "mixture": (ExponentialMixtureDensity((0.8, 2.0), (0.3, 0.7), n_electrons=3), 3),
+        "tabulated": (Tabulated1DDensity(x, np.exp(-x * x), n_electrons=2), 1),
+    }[kind]
+    points = np.random.default_rng(5).standard_normal((dim, 97)).T
+    radius = np.sqrt(sq_norm(points))
+    if kind == "tabulated":
+        radius = np.full(97, np.nan)
+    given = radius.copy()
+    want = density.value(points)
+    np.testing.assert_array_equal(density.value(points, radius), want)
+    out = np.empty(97)
+    assert density.value(points, radius, out) is out
+    np.testing.assert_array_equal(out, want)
+    out = np.empty(97)
+    assert density.value(points, None, out) is out
+    np.testing.assert_array_equal(out, want)
+    np.testing.assert_array_equal(radius, given)

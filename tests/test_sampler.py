@@ -567,6 +567,16 @@ PINNED_BATCH_VALUES = {
 }
 
 
+def _batch_sums(batch):
+    kept = batch.values["sats"]
+    return (
+        float(kept.sum(axis=(0, 2, 3)).sum()),
+        float((kept * kept).sum(axis=(0, 2, 3)).sum()),
+        float(batch.acceptance.sum()),
+        float(batch.sigma_final.sum()),
+    )
+
+
 def _assert_batch_pinned(monkeypatch, key, ansatz, points, settings, runs):
     monkeypatch.setattr(sampler, "_TUNE_INTERVAL", 16)
     # two blocks but one step-chunk, so no pool thread; a cold run draws and
@@ -581,14 +591,33 @@ def _assert_batch_pinned(monkeypatch, key, ansatz, points, settings, runs):
         else:
             assert sampler._held is held
         assert batch.acceptance.size == len(points) * settings.walkers > sampler._CHUNK
-        kept = batch.values["sats"]
-        got = (
-            float(kept.sum(axis=(0, 2, 3)).sum()),
-            float((kept * kept).sum(axis=(0, 2, 3)).sum()),
-            float(batch.acceptance.sum()),
-            float(batch.sigma_final.sum()),
-        )
-        assert got == PINNED_BATCH_VALUES[key]
+        assert _batch_sums(batch) == PINNED_BATCH_VALUES[key]
+
+
+# the same sums for two-block pooled runs of six step-chunks of 37 steps,
+# recorded before the loop scaled its steps a window at a time: the 199
+# steps (burn-in 151, two adaptations) put step-chunk edges and the
+# burn-in's end inside windows, whose length divides _TUNE_INTERVAL (2
+# steps at 3D and 4 in 1D for 1100 chains)
+PINNED_WINDOW_VALUES = {
+    (2, 3): (20.063073560134477, 11507.172592404226, 443.3125, 594.30625),
+    (3, 1): (404.0308262247093, 22775.696932517898, 354.5416666666667, 549.5662500000001),
+}
+
+
+@pytest.mark.parametrize("n,dim,beta", [(2, 3, 0.0), (3, 1, 1.5)])
+def test_batch_values_pinned_across_step_windows(monkeypatch, n, dim, beta):
+    density = ExponentialDensity(zeta=1.5, n_electrons=n, dim=dim)
+    space = SpaceSpec(dim=dim, radius=1.3 if n == 2 else 3.0, n_electrons=n)
+    ansatz = PairwiseBiparametric(density, space, gamma=1.0, beta=beta)
+    points = density.sample(1100, np.random.default_rng(34))
+    settings = SamplerSettings(sigma=0.5, burn_in=151, samples=16, thinning=3, seed=34)
+    steps_per_chunk(monkeypatch, 37, len(points), dim=dim)
+    outs = pooled_runs(
+        monkeypatch, lambda: run_conditional_batch(ansatz, points, settings, {"sats": _sats})
+    )
+    for batch in outs:
+        assert _batch_sums(batch) == PINNED_WINDOW_VALUES[(n, dim)]
 
 
 @pytest.mark.parametrize("runs", [1, 2])
