@@ -192,9 +192,10 @@ def _validate(cfg: RunConfig):
     family = FAMILIES[cfg.ansatz.family]
     if family.couplings:
         _in_section("ansatz", family.check_couplings, gamma=cfg.ansatz.gamma, beta=cfg.ansatz.beta)
-    if cfg.sampler.samples < 2:
-        # the within-chain score variance needs two kept samples
-        raise ConfigError("[sampler] samples must be >= 2")
+    if cfg.sampler.samples < 8:
+        # the score variance is extrapolated from the series' quarters,
+        # and each quarter's variance needs two kept samples
+        raise ConfigError("[sampler] samples must be >= 8")
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,15 @@ conditional score identity
     int |grad_r f|^2 / f = Var_f[ grad_r log f~ | r ]
 
 reduces it to the variance of the unnormalized score over satellite
-samples, estimated with the unbiased K/(K-1) correction.
+samples.  A chain's ddof = 1 variance over its K kept samples is unbiased
+only for independent samples; on a correlated chain it reads low by about
+(tau - 1)/(K - 1), tau the score's integrated autocorrelation time.  Each
+chain therefore reports (8 v_K - 6 v_{K/2} + v_{K/4}) / 3, with v_K the
+variance of the whole series and v_{K/2}, v_{K/4} the means of the
+variances of its halves and quarters: a jackknife-style extrapolation in
+1/K (Quenouille) that cancels the bias's 1/K and 1/K^2 terms.  The four
+quarters' sums stream in as the samples are kept, so the score series is
+never held.
 """
 
 from __future__ import annotations
@@ -117,7 +125,8 @@ class ConditionalMoments:
     """Per-conditioning-point summaries from shared chains, and the
     per-chain data they were reduced from.
 
-    score_var: unbiased conditional score variance per point.
+    score_var: conditional score variance per point, each chain's
+        variance extrapolated in 1/K to remove its autocorrelation bias.
     pair_mean: mean bare interaction with the first satellite per point.
     r_points: (M, d) conditioning points.
     pair_series: (K, M * walkers) bare interaction with the first
@@ -139,27 +148,58 @@ def conditional_moments(
     settings: SamplerSettings,
 ) -> ConditionalMoments:
     """Sample satellites at M_r conditioning points and reduce both
-    observables on the same chains (their covariance is kept downstream)."""
-    if settings.samples < 2:
-        raise ValueError("need at least 2 kept samples for the variance estimate")
+    observables on the same chains (their covariance is kept downstream).
+
+    The score is not stored: each step-chunk's scores are added, shifted
+    by the chain's first kept score, into per-chain sums and sums of
+    squares over four fixed quarters of the kept series (kept sample
+    q K // 4 starts quarter q), from which any run of whole quarters gives
+    its variance (Chan, Golub and LeVeque's shifted-data sums)."""
+    if settings.samples < 8:
+        raise ValueError("need at least 8 kept samples: two per quarter of the series")
     space = ansatz.space
     rng = conditioning_rng(settings.seed)
     r_points = density.sample(settings.conditioning_points, rng)
+    chains = settings.conditioning_points * settings.walkers
+    edges = [q * settings.samples // 4 for q in range(5)]
+    sums = np.zeros((4, chains, space.dim))
+    squares = np.zeros((4, chains))
+    first = None
+    seen = 0
 
     def score(r_block, sats):
         # r_block[None] broadcasts over the kept samples inside score, so
         # rho(r) and its gradient are evaluated once per chain and step-chunk
-        return ansatz.score(r_block[None], sats)
+        nonlocal first, seen
+        s = ansatz.score(r_block[None], sats)  # (c, chains, d), a new array
+        if first is None:
+            first = s[0].copy()
+        s -= first
+        lo, seen = seen, seen + len(s)
+        parts = [
+            (q, slice(max(edges[q], lo) - lo, min(edges[q + 1], seen) - lo))
+            for q in range(4) if edges[q] < seen and lo < edges[q + 1]
+        ]
+        for q, part in parts:
+            sums[q] += s[part].sum(axis=0)
+        s *= s
+        for q, part in parts:
+            squares[q] += s[part].sum(axis=(0, 2))
+        return None
 
     def pair(r_block, sats):
         return space.interaction(sq_norm(r_block - sats[:, :, 0, :]))
 
+    def variance(a, b):
+        """Each chain's ddof = 1 score variance over quarters a to b - 1."""
+        n = edges[b] - edges[a]
+        return (squares[a:b].sum(axis=0) - sq_norm(sums[a:b].sum(axis=0)) / n) / (n - 1)
+
     result = run_conditional_batch(ansatz, r_points, settings, {"score": score, "pair": pair})
-    s = result.values["score"]  # (K, chains, d)
-    s_mean = s.mean(axis=0)
-    s -= s_mean  # in place: the deviations take no second (K, chains, d) array
-    s *= s
-    score_var = np.sum(s, axis=(0, -1)) / (settings.samples - 1)
+    whole = variance(0, 4)
+    halves = (variance(0, 2) + variance(2, 4)) / 2.0
+    quarters = sum(variance(q, q + 1) for q in range(4)) / 4.0
+    score_var = (8.0 * whole - 6.0 * halves + quarters) / 3.0
     pair_series = result.values["pair"]
     pair_mean = pair_series.mean(axis=0)
     # collapse walkers of the same conditioning point before the outer stats

@@ -76,7 +76,8 @@ only the kept configurations of one step-chunk (at most ceil(chunk steps
 / thinning) of them), in two buffers used alternately, and each finished
 buffer is passed to every observable, whose rows are stored.  The whole
 run's kept satellites are never held at once; what a batch holds is one
-row per kept sample of each observable.
+row per kept sample of each observable, and none of an observable that
+returns None because it reduces the samples as they stream.
 
 Pool thread: a batch of more than one step-chunk starts one pool thread,
 which draws step-chunk c + 1 and observes step-chunk c - 1 while the loop
@@ -194,10 +195,14 @@ def run_conditional_batch(
             row per kept sample, shape (c, m, ...), for all m = M * walkers
             chains; sats is a chain-last view, so a reduction over it
             that must not depend on the layout takes a C-ordered copy.
-            It is called on the c kept samples of one step-chunk at a
-            time, in order, so it must treat each sample on its own.  A
-            batch of more than one step-chunk runs it on its one pool
-            thread, except on the last step-chunk.
+            It is called once per step-chunk, on that chunk's c kept
+            samples, in kept order, and never at the same time as another
+            observation; it must treat each sample on its own unless it
+            keeps its own running state.  A batch of more than one
+            step-chunk runs it on its one pool thread, except on the last
+            step-chunk.  An observable that returns None stores no rows:
+            it reduces the samples itself, and its name is absent from
+            the result's values.
 
     Returns:
         BatchResult whose values arrays have shape (K, M * walkers, ...):
@@ -294,7 +299,10 @@ def run_conditional_batch(
         if hi == lo:
             return
         for name, fn in observables.items():
-            rows = np.asarray(fn(r, kept[c % 2, : hi - lo].transpose(0, 3, 1, 2)))
+            rows = fn(r, kept[c % 2, : hi - lo].transpose(0, 3, 1, 2))
+            if rows is None:
+                continue
+            rows = np.asarray(rows)
             if name not in values:
                 values[name] = np.empty((settings.samples,) + rows.shape[1:], rows.dtype)
             values[name][lo:hi] = rows

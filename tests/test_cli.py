@@ -171,6 +171,8 @@ def test_unparseable_value_names_field(tmp_path, capsys):
         ("energy", "[sampler]", "seed = -1"),
         ("energy --seed -3", "[sampler]", "seed = 0"),
         ("energy", "[sampler]", "samples = 1"),
+        # the score variance is extrapolated over four quarters of two samples
+        ("energy", "[sampler]", "samples = 7"),
         ("energy", "[sampler]", "sigma = nan"),
         ("energy", "[sampler]", "sigma = inf"),
         ("optimize", "[optimize]", "zeta_min = 3\nzeta_max = 1"),
@@ -380,27 +382,30 @@ def test_energy_seed_override_changes_mc_numbers(tmp_path):
 
 
 # the breakdowns of three small `energy --method mc` runs of the pairwise
-# family, recorded before the step loop scaled its steps a window at a time
-# and wrote accepted moves with putmask: every later change to the sampler
-# or the hinted evaluation must leave them bit for bit
+# family.  The sampler terms (Coulomb and its error) were recorded before
+# the step loop scaled its steps a window at a time and wrote accepted
+# moves with putmask; the Fisher terms were re-recorded when the score
+# variance became the extrapolation over the series' quarters.  Every
+# later change to the sampler or the hinted evaluation must leave them
+# bit for bit
 PINNED_MC_BREAKDOWNS = {
     (2, "3d"): {
         "coulomb": 0.9977458505481871, "coulomb_stderr": 0.03562945185555174,
-        "external": -6.000000000000069, "fisher": 0.12997585185119004,
-        "fisher_stderr": 0.04854811653588277, "method": "mc", "total": -2.622278297600701,
-        "total_stderr": 0.06909582911499475, "weizsacker": 2.249999999999991,
+        "external": -6.000000000000069, "fisher": 0.1409617248070884,
+        "fisher_stderr": 0.053487966420362756, "method": "mc", "total": -2.6112924246448026,
+        "total_stderr": 0.07331503555533073, "weizsacker": 2.249999999999991,
     },
     (3, "1d"): {
         "coulomb": 2.2859722927038315, "coulomb_stderr": 0.05093856588382641,
-        "external": -8.37441119338203, "fisher": 1.4728451337657982,
-        "fisher_stderr": 0.18637157386532888, "method": "mc", "total": -1.240593766914511,
-        "total_stderr": 0.20136031108390684, "weizsacker": 3.37499999999789,
+        "external": -8.37441119338203, "fisher": 1.8761086646754814,
+        "fisher_stderr": 0.24295883925353048, "method": "mc", "total": -0.8373302360048278,
+        "total_stderr": 0.2541688379602674, "weizsacker": 3.37499999999789,
     },
     (6, "3d"): {
         "coulomb": 10.542511084181672, "coulomb_stderr": 0.6331149596877247,
-        "external": -54.00000000000064, "fisher": 0.9535110515030053,
-        "fisher_stderr": 0.32990908113405915, "method": "mc", "total": -35.753977864315985,
-        "total_stderr": 0.7840795559306076, "weizsacker": 6.749999999999974,
+        "external": -54.00000000000064, "fisher": 1.20432686310977,
+        "fisher_stderr": 0.45230338847215856, "method": "mc", "total": -35.50316205270922,
+        "total_stderr": 0.8599731307802563, "weizsacker": 6.749999999999974,
     },
 }
 
@@ -610,7 +615,7 @@ def test_energy_record_states_its_bound(tmp_path, family, n):
     cfg.write_text(
         f"[system]\nn = {n}\nz = {float(n)}\nradius = 3.0\n"
         f"[ansatz]\nfamily = {family}\n"
-        "[sampler]\nconditioning_points = 8\nsamples = 4\nburn_in = 8\nthinning = 1\n",
+        "[sampler]\nconditioning_points = 8\nsamples = 8\nburn_in = 8\nthinning = 1\n",
         encoding="utf-8",
     )
     out = tmp_path / "energy"
@@ -676,13 +681,13 @@ def test_optimize_pins_a_tiny_helium_search(tmp_path, capsys):
     assert breakdown == pytest.approx(
         {
             "weizsacker": 3.7135254915624225,
-            "fisher": 0.42676987926880505,
-            "fisher_stderr": 0.2386652139919035,
+            "fisher": 0.6290351595679448,
+            "fisher_stderr": 0.3312189689875398,
             "coulomb": 0.8867606923046573,
             "coulomb_stderr": 0.06015004567790138,
             "external": -7.708203932499531,
-            "total": -2.681147869363647,
-            "total_stderr": 0.25801069317811653,
+            "total": -2.478882589064507,
+            "total_stderr": 0.3514497538447274,
         },
         rel=1e-12,
     )

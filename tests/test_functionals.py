@@ -29,9 +29,9 @@ from corrsearch.functionals import (
     total_energy,
     weizsacker_term,
 )
-from corrsearch.sampler import SamplerSettings
+from corrsearch.sampler import SamplerSettings, conditioning_rng, run_conditional_batch
 
-from conftest import HE_ZETA, fast_settings, pooled_runs
+from conftest import HE_ZETA, fast_settings, pooled_runs, steps_per_chunk
 
 HE_PAIR_INTEGRAL = 5.0 * HE_ZETA / 8.0  # 1.0546875
 
@@ -221,12 +221,82 @@ def test_conditional_moments_never_holds_the_run_kept_samples(monkeypatch):
             score_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        observations = samples * chains * (dim + 1) * 8
+        # the pair rows, and the score's per-chain sums (four quarters of
+        # d sums and one sum of squares) and first kept score: a score
+        # series brought back at (K, chains, d) would not fit
+        observations = samples * chains * 8 + (5 * dim + 4) * chains * 8
         holds = observations + 2 * sampler._VARIATE_BYTES + 2 * kept.nbytes
         for other, peak in runs:
             assert np.all(np.isfinite(other.score_var))
             assert peak < samples * chains * n_sat * dim * 8
             assert peak < holds + sampler._VARIATE_BYTES + score_peak
+
+
+def _extrapolated_score_variance(series, walkers):
+    """Per point, each chain's (8 v_K - 6 v_{K/2} + v_{K/4}) / 3 from its
+    whole (K, chains, d) score series, each variance taken in two passes."""
+    edges = [q * len(series) // 4 for q in range(5)]
+
+    def variance(a, b):
+        x = series[edges[a] : edges[b]]
+        return np.sum((x - x.mean(axis=0)) ** 2, axis=(0, 2)) / (len(x) - 1)
+
+    halves = (variance(0, 2) + variance(2, 4)) / 2.0
+    quarters = sum(variance(q, q + 1) for q in range(4)) / 4.0
+    per_chain = (8.0 * variance(0, 4) - 6.0 * halves + quarters) / 3.0
+    return per_chain.reshape(-1, walkers).mean(axis=1)
+
+
+@pytest.mark.parametrize("walkers,steps", [
+    (1, None),  # 76 steps in one step-chunk
+    (2, 20),  # four step-chunks, with the pool thread
+    (1, 12),  # quarters 1 and 2 start inside the step-chunks [24, 36) and [36, 48)
+])
+def test_streamed_score_variance_equals_the_whole_series(monkeypatch, walkers, steps):
+    # quarters start at kept samples 0, 7, 15 and 22 of 30, kept at steps
+    # 17, 31, 47 and 61; the streamed block sums give what the whole
+    # stored series gives
+    density = ExponentialDensity(zeta=1.5, n_electrons=3)
+    space = SpaceSpec(dim=3, radius=3.0, n_electrons=3)
+    ansatz = PairwiseBiparametric(density, space, gamma=1.0, beta=1.0)
+    settings = SamplerSettings(
+        sigma=0.5, burn_in=16, samples=30, thinning=2, walkers=walkers,
+        conditioning_points=48, seed=8,
+    )
+    if steps is not None:
+        steps_per_chunk(monkeypatch, steps, 48 * walkers, dim=3)
+    r_points = density.sample(48, conditioning_rng(settings.seed))
+    stored = run_conditional_batch(
+        ansatz, r_points, settings, {"score": lambda r, sats: ansatz.score(r[None], sats)}
+    ).values["score"]
+    expected = _extrapolated_score_variance(stored, walkers)
+    if walkers == 2:
+        runs = pooled_runs(monkeypatch, lambda: conditional_moments(density, ansatz, settings))
+        for other in runs[1:]:
+            np.testing.assert_array_equal(runs[0].score_var, other.score_var)
+    else:
+        runs = [conditional_moments(density, ansatz, settings)]
+    np.testing.assert_allclose(runs[0].score_var, expected, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n,dim", [(2, 3), (3, 3), (6, 3), (3, 1)])
+def test_fisher_term_carries_no_autocorrelation_bias(n, dim):
+    # a chain's plain variance of its correlated score series reads low by
+    # about (tau - 1)/(K - 1): about -9 sigma at N = 6 on this family at the
+    # default budget.  Extrapolated in 1/K over the series' halves and
+    # quarters, each term lies within 3 sigma of N (N-1) d / (8 w^2)
+    density = ExponentialDensity(zeta=1.0, n_electrons=n, dim=dim)
+    space = SpaceSpec(dim=dim, radius=8.0, n_electrons=n)
+    toy = GaussianToy(density, space, width=1.0)
+    est = gamma_correlation(density, toy, SamplerSettings(seed=1), method="mc")
+    assert abs(est.fisher - n * (n - 1) * dim / 8.0) <= 3.0 * est.fisher_stderr
+
+
+def test_conditional_moments_needs_two_samples_per_quarter():
+    density, space = he_system()
+    pairwise = PairwiseBiparametric(density, space, gamma=1.0, beta=0.0)
+    with pytest.raises(ValueError, match="8 kept samples"):
+        conditional_moments(density, pairwise, mc_settings(conditioning_points=4, samples=7))
 
 
 def test_gamma_auto_uses_quadrature_for_frozen():

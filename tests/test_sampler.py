@@ -517,6 +517,39 @@ def test_observable_error_on_the_pool_thread_reaches_the_caller(monkeypatch):
     assert threads[1] != threading.get_ident()
 
 
+def test_observable_returning_none_streams_every_kept_sample_once(monkeypatch):
+    # 60 kept samples in step-chunks of 7: the pool thread observes all but
+    # the last.  An observable that returns None sees each step-chunk once,
+    # in kept order and never while another observation runs, and stores
+    # no rows
+    m = 16
+    steps_per_chunk(monkeypatch, 7, m)
+    density, space = line_pair()
+    settings = SamplerSettings(sigma=1.0, burn_in=5, samples=60, thinning=1, seed=0)
+    running, seen = [], []
+
+    def observing(fn):
+        def observe(r_block, sats):
+            assert not running, "two observations ran at once"
+            running.append(fn)
+            try:
+                threading.Event().wait(1e-3)  # give another observation room to start
+                return fn(r_block, sats)
+            finally:
+                running.pop()
+        return observe
+
+    def streamed(r_block, sats):
+        seen.append(np.array(sats[..., 0, 0]))
+        return None
+
+    observables = {"kept": observing(lambda r, sats: sats[..., 0, 0]), "streamed": observing(streamed)}
+    batch = run_conditional_batch(ConstTarget(density, space), np.zeros((m, 1)), settings, observables)
+    assert set(batch.values) == {"kept"}
+    assert [len(x) for x in seen] == [2] + [7] * 8 + [2]
+    np.testing.assert_array_equal(np.concatenate(seen), batch.values["kept"])
+
+
 def test_pool_thread_only_for_several_step_chunks(monkeypatch):
     # one step-chunk runs on the calling thread alone, over one block or
     # two; several step-chunks start one pool thread, over one block or
