@@ -55,12 +55,6 @@ from .functionals import (
     total_energy,
 )
 from .optimizer import fresh_estimate, inner_minimize, outer_minimize
-from .oracle import (
-    ProductWavefunction,
-    solve_two_particle_1d,
-    verify_decomposition_grid,
-    verify_decomposition_product,
-)
 from .records import RunRecord, run_directory, save_record, save_trace
 from .sampler import batch_means_stderr, effective_sample_size
 from . import __version__
@@ -361,15 +355,19 @@ def cmd_verify(args) -> int:
         if not (math.isfinite(tol) and tol > 0.0):
             raise ConfigError(f"{flag} must be finite and positive, got {tol}")
     _check_out(args.out)
-    product = verify_decomposition_product(ProductWavefunction(args.zeta, args.n))
-    wave = solve_two_particle_1d(
+    # imported here: only verify uses the oracle, and every other command
+    # would pay for compiling and importing it
+    from . import oracle
+
+    product = oracle.verify_decomposition_product(oracle.ProductWavefunction(args.zeta, args.n))
+    wave = oracle.solve_two_particle_1d(
         args.grid_points,
         args.extent,
         lambda x: -args.z / np.sqrt(x * x + args.softening**2),
         softening=args.softening,
         symmetry=args.symmetry,
     )
-    grid = verify_decomposition_grid(wave)
+    grid = oracle.verify_decomposition_grid(wave)
 
     pref = prefactor_value(args.n)
     decomposed = product.weizsacker + product.fisher + pref * product.coulomb_expectation
@@ -407,11 +405,13 @@ def cmd_diagnostics(args) -> int:
         raise ConfigError("[system] field 'n': sample-diagnostics needs n >= 2")
     settings = cfg.sampler
 
-    # one estimator run: its Gamma, and the chains of its first points
-    moments = conditional_moments(density, ansatz, settings)
+    # one estimator run: its Gamma, and the chains of its first points,
+    # whose pair rows it keeps
+    chains = min(args.points, settings.conditioning_points) * settings.walkers
+    moments = conditional_moments(density, ansatz, settings, chains)
     gamma = gamma_from_moments(moments, ansatz.n_electrons)
     rows = []
-    for chain in range(min(args.points, settings.conditioning_points) * settings.walkers):
+    for chain in range(chains):
         point = chain // settings.walkers
         series = moments.pair_series[:, chain]
         ess = effective_sample_size(series)

@@ -129,8 +129,9 @@ class ConditionalMoments:
         variance extrapolated in 1/K to remove its autocorrelation bias.
     pair_mean: mean bare interaction with the first satellite per point.
     r_points: (M, d) conditioning points.
-    pair_series: (K, M * walkers) bare interaction with the first
-        satellite at each kept sample, chains in point order.
+    pair_series: (K, kept_chains) bare interaction with the first
+        satellite at each kept sample, for only the first `kept_chains`
+        chains in point order (none by default).
     acceptance, sigma_final: (M * walkers,) per chain.
     """
 
@@ -146,15 +147,20 @@ def conditional_moments(
     density: Density,
     ansatz: ConditionalAnsatz,
     settings: SamplerSettings,
+    kept_chains: int = 0,
 ) -> ConditionalMoments:
     """Sample satellites at M_r conditioning points and reduce both
     observables on the same chains (their covariance is kept downstream).
 
-    The score is not stored: each step-chunk's scores are added, shifted
-    by the chain's first kept score, into per-chain sums and sums of
-    squares over four fixed quarters of the kept series (kept sample
-    q K // 4 starts quarter q), from which any run of whole quarters gives
-    its variance (Chan, Golub and LeVeque's shifted-data sums)."""
+    Both observables stream, so the call holds no per-sample series but
+    the pair rows of its first `kept_chains` chains (none by default).
+    Each step-chunk's scores are added, shifted by the chain's first kept
+    score, into per-chain sums and sums of squares over four fixed
+    quarters of the kept series (kept sample q K // 4 starts quarter q),
+    from which any run of whole quarters gives its variance (Chan, Golub
+    and LeVeque's shifted-data sums).  Each kept pair row is added, in
+    kept order, into one per-chain sum: its mean is bit for bit that of
+    a stored (K, chains) series."""
     if settings.samples < 8:
         raise ValueError("need at least 8 kept samples: two per quarter of the series")
     space = ansatz.space
@@ -187,8 +193,17 @@ def conditional_moments(
             squares[q] += s[part].sum(axis=(0, 2))
         return None
 
+    pair_sum = np.zeros(chains)
+
     def pair(r_block, sats):
-        return space.interaction(sq_norm(r_block - sats[:, :, 0, :]))
+        rows = space.interaction(sq_norm(r_block - sats[:, :, 0, :]))
+        kept_rows = rows[:, :kept_chains].copy()
+        # the running sum enters as the first row, so each chain's rows are
+        # added one by one in kept order: a sum over the step-chunk first
+        # would change the order of the additions
+        rows[0] += pair_sum
+        np.add.reduce(rows, axis=0, out=pair_sum)
+        return kept_rows
 
     def variance(a, b):
         """Each chain's ddof = 1 score variance over quarters a to b - 1."""
@@ -200,16 +215,14 @@ def conditional_moments(
     halves = (variance(0, 2) + variance(2, 4)) / 2.0
     quarters = sum(variance(q, q + 1) for q in range(4)) / 4.0
     score_var = (8.0 * whole - 6.0 * halves + quarters) / 3.0
-    pair_series = result.values["pair"]
-    pair_mean = pair_series.mean(axis=0)
     # collapse walkers of the same conditioning point before the outer stats
     v = score_var.reshape(settings.conditioning_points, settings.walkers)
-    c = pair_mean.reshape(settings.conditioning_points, settings.walkers)
+    c = (pair_sum / settings.samples).reshape(settings.conditioning_points, settings.walkers)
     return ConditionalMoments(
         score_var=v.mean(axis=1),
         pair_mean=c.mean(axis=1),
         r_points=r_points,
-        pair_series=pair_series,
+        pair_series=result.values["pair"],
         acceptance=result.acceptance,
         sigma_final=result.sigma_final,
     )

@@ -76,8 +76,12 @@ only the kept configurations of one step-chunk (at most ceil(chunk steps
 / thinning) of them), in two buffers used alternately, and each finished
 buffer is passed to every observable, whose rows are stored.  The whole
 run's kept satellites are never held at once; what a batch holds is one
-row per kept sample of each observable, and none of an observable that
-returns None because it reduces the samples as they stream.
+row per kept sample of each observable, as wide as the rows it returns,
+and none of an observable that returns None because it reduces the
+samples as they stream.  The estimator's observables reduce both its
+terms as they stream: the score returns None, and the pair term returns
+only the columns of the chains its caller keeps, none by default, so an
+estimator batch holds per-chain sums and no per-sample series.
 
 Pool thread: a batch of more than one step-chunk starts one pool thread,
 which draws step-chunk c + 1 and observes step-chunk c - 1 while the loop

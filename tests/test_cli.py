@@ -770,6 +770,19 @@ def test_sample_diagnostics_reads_the_estimators_chains(tmp_path, capsys):
     capsys.readouterr()
     record = read_record(str(out / "record.json"))
     assert [row["point"] for row in record["results"]["chains"]] == [0, 0, 1, 1, 2, 2]
+    # each row's (pair_mean, stderr, ess, acceptance), pinned from the
+    # estimator that stored every chain's pair series: the rows come from
+    # the estimator's own chains, which it now keeps only for these six
+    pinned = [
+        (0.21048220278141505, 0.011317852856757203, 11.228809374204054, 0.8333333333333334),
+        (0.18519193412613225, 0.004811318145676281, 4.732650173408517, 0.6041666666666666),
+        (0.22616688004184685, 0.02853977408966708, 10.482854311540029, 0.875),
+        (0.2171780094075737, 0.016787561301186894, 5.911201883400469, 0.8541666666666666),
+        (0.2500035737419501, 0.015694427854841767, 10.728910559683998, 0.75),
+        (0.19142164828640276, 0.014004629162632258, 6.879370814963199, 0.7083333333333334),
+    ]
+    keys = ("pair_mean", "stderr", "ess", "acceptance")
+    assert [tuple(row[k] for k in keys) for row in record["results"]["chains"]] == pinned
 
     loaded = load_config(cfg)
     space, density = build_space(loaded), build_density(loaded)

@@ -202,10 +202,10 @@ def test_conditional_moments_never_holds_the_run_kept_samples(monkeypatch):
         runs = pooled_runs(monkeypatch, traced) if chains == 2048 else [traced()]
         moments = runs[0][0]
         for other, _ in runs[1:]:
-            for name in ("score_var", "pair_series", "acceptance", "sigma_final"):
+            for name in ("score_var", "pair_mean", "acceptance", "sigma_final"):
                 np.testing.assert_array_equal(getattr(moments, name), getattr(other, name))
-        # the batch holds the observation rows (score and pair), two
-        # step-chunks of variates and two kept buffers.  On top comes the
+        # the batch holds the per-chain observation sums (score and pair),
+        # two step-chunks of variates and two kept buffers.  On top comes the
         # working memory of one call at a time: a block's draw of one
         # step-chunk, less than a third step-chunk of variates, or the
         # observables on one kept buffer, whose peak is the score's,
@@ -221,15 +221,38 @@ def test_conditional_moments_never_holds_the_run_kept_samples(monkeypatch):
             score_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the pair rows, and the score's per-chain sums (four quarters of
+        # the pair sum, and the score's per-chain sums (four quarters of
         # d sums and one sum of squares) and first kept score: a score
         # series brought back at (K, chains, d) would not fit
-        observations = samples * chains * 8 + (5 * dim + 4) * chains * 8
+        observations = chains * 8 + (5 * dim + 4) * chains * 8
         holds = observations + 2 * sampler._VARIATE_BYTES + 2 * kept.nbytes
         for other, peak in runs:
             assert np.all(np.isfinite(other.score_var))
             assert peak < samples * chains * n_sat * dim * 8
             assert peak < holds + sampler._VARIATE_BYTES + score_peak
+
+
+def test_conditional_moments_working_set_does_not_grow_with_samples():
+    # both observables stream into per-chain sums, so the call's peak
+    # memory is the same at K = 64 and K = 256 kept samples: a (K, chains)
+    # series of either term brought back would differ by four times the
+    # allowed slack.  The first call in a process also imports modules on
+    # first use, so it runs once unmeasured
+    density, space = he_system()
+    ansatz = PairwiseBiparametric(density, space, gamma=1.0, beta=0.0)
+    chains, peaks = 1024, []
+    for samples in (64, 64, 256):
+        settings = SamplerSettings(
+            sigma=0.5, burn_in=16, samples=samples, thinning=4,
+            conditioning_points=chains, seed=3,
+        )
+        tracemalloc.start()
+        try:
+            conditional_moments(density, ansatz, settings)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[2] - peaks[1]) < (256 - 64) * chains * 8 / 4
 
 
 def _extrapolated_score_variance(series, walkers):
@@ -255,7 +278,8 @@ def _extrapolated_score_variance(series, walkers):
 def test_streamed_score_variance_equals_the_whole_series(monkeypatch, walkers, steps):
     # quarters start at kept samples 0, 7, 15 and 22 of 30, kept at steps
     # 17, 31, 47 and 61; the streamed block sums give what the whole
-    # stored series gives
+    # stored series gives, and the streamed pair sum gives its stored
+    # series' mean bit for bit, with the kept chains' rows as stored
     density = ExponentialDensity(zeta=1.5, n_electrons=3)
     space = SpaceSpec(dim=3, radius=3.0, n_electrons=3)
     ansatz = PairwiseBiparametric(density, space, gamma=1.0, beta=1.0)
@@ -266,17 +290,22 @@ def test_streamed_score_variance_equals_the_whole_series(monkeypatch, walkers, s
     if steps is not None:
         steps_per_chunk(monkeypatch, steps, 48 * walkers, dim=3)
     r_points = density.sample(48, conditioning_rng(settings.seed))
-    stored = run_conditional_batch(
-        ansatz, r_points, settings, {"score": lambda r, sats: ansatz.score(r[None], sats)}
-    ).values["score"]
-    expected = _extrapolated_score_variance(stored, walkers)
+    stored = run_conditional_batch(ansatz, r_points, settings, {
+        "score": lambda r, sats: ansatz.score(r[None], sats),
+        "pair": lambda r, sats: space.interaction(np.sum((r - sats[:, :, 0, :]) ** 2, axis=-1)),
+    }).values
+    expected = _extrapolated_score_variance(stored["score"], walkers)
+    pair_mean = stored["pair"].mean(axis=0).reshape(48, walkers).mean(axis=1)
     if walkers == 2:
-        runs = pooled_runs(monkeypatch, lambda: conditional_moments(density, ansatz, settings))
+        runs = pooled_runs(monkeypatch, lambda: conditional_moments(density, ansatz, settings, 5))
         for other in runs[1:]:
             np.testing.assert_array_equal(runs[0].score_var, other.score_var)
     else:
-        runs = [conditional_moments(density, ansatz, settings)]
+        runs = [conditional_moments(density, ansatz, settings, 5)]
     np.testing.assert_allclose(runs[0].score_var, expected, rtol=1e-12, atol=0.0)
+    for run in runs:
+        np.testing.assert_array_equal(run.pair_mean, pair_mean)
+        np.testing.assert_array_equal(run.pair_series, stored["pair"][:, :5])
 
 
 @pytest.mark.parametrize("n,dim", [(2, 3), (3, 3), (6, 3), (3, 1)])
