@@ -20,13 +20,13 @@ from .ansatz import (
     GaussianToy,
     PairwiseBiparametric,
     SimpleFactorized,
-    check_conditions,
     pair_energy,
 )
 from .sampler import SamplerSettings, run_conditional_batch
 from .functionals import (
     EnergyBreakdown,
     GammaEstimate,
+    check_conditions,
     gamma_correlation,
     total_energy,
     weizsacker_term,

@@ -3,8 +3,8 @@
 A family models the distribution of the N-1 "satellite" electrons given
 one conditioning electron at r, for a fixed one-particle density rho.
 Families expose the unnormalized log density (used by the sampler), the
-conditioning-point score grad_r log f~ (used by the Fisher estimator),
-and explicit normalization operations.  The sampler moves one satellite
+conditioning-point score grad_r log f~ (used by the Fisher estimator)
+and a way to draw starting configurations.  The sampler moves one satellite
 per step and passes that move as a hint, together with a per-chain
 state the family built once per batch, so families with pair sums can
 return the chain's current value plus the change in the O(S) terms that
@@ -33,8 +33,6 @@ downstream code consumes as f = 0 (log f = -inf).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,7 +146,6 @@ class ConditionalAnsatz:
     confined: bool = False  # satellites restricted to the omega region
     couplings: tuple[str, ...] = ()  # searched constructor parameters, see check_couplings
     searchable: bool = True  # may be optimized and compared
-    exactly_normalized: bool = False  # f integrates to 1 by construction
     closed_form_coulomb: bool = False  # Coulomb term has a quadrature route
     # rho(r) f(s|r) is the pair density of a state with density rho, so at
     # N = 2 the energy is that state's and bounds the ground state from above
@@ -548,7 +545,6 @@ class FrozenOrbitalProduct(ConditionalAnsatz):
     """
 
     family = "frozen"
-    exactly_normalized = True
     closed_form_coulomb = True
     marginal_matched = True
 
@@ -582,7 +578,6 @@ class GaussianToy(ConditionalAnsatz):
 
     family = "gaussian-toy"
     searchable = False
-    exactly_normalized = True
 
     def __init__(self, density, space, width: float = 1.0):
         super().__init__(density, space)
@@ -647,149 +642,3 @@ def build_ansatz(
     if cls.couplings:
         return cls(density, space, gamma, beta)
     return cls(density, space)
-
-
-# ---------------------------------------------------------------------------
-# normalization operations
-# ---------------------------------------------------------------------------
-
-
-def log_normalization_pairwise(
-    ansatz: ConditionalAnsatz,
-    r: np.ndarray,
-    n_samples: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Monte Carlo estimate of the overall log normalization Ebar(r).
-
-    exp(-Ebar(r)) is the (N-1)-satellite integral of exp(log f~) over
-    omega^(N-1), estimated from uniform draws in log-sum-exp form.
-    Returns (Ebar, stderr).  For a confined family with log f~ = 0 on
-    omega the integrand is exactly 1 and Ebar = -(N-1) ln vol(omega) with
-    zero error.
-    """
-    r = np.asarray(r, dtype=float)
-    space = ansatz.space
-    n_sat = ansatz.n_satellites
-    draws = space.uniform_omega(n_samples * n_sat, rng).reshape(n_samples, n_sat, space.dim)
-    logf = ansatz.log_unnormalized(np.broadcast_to(r, (n_samples, space.dim)), draws)
-    finite = np.isfinite(logf)
-    if not finite.any():
-        raise EstimatorError("all normalization samples had zero weight")
-    peak = logf[finite].max()
-    y = np.where(finite, np.exp(logf - peak), 0.0)
-    mean_y = float(y.mean())
-    log_mean = peak + np.log(mean_y)
-    # relative error of the mean propagates through the log
-    stderr = float(y.std(ddof=1) / (mean_y * np.sqrt(n_samples)))
-    log_volume = n_sat * np.log(space.omega_volume)
-    return -(log_mean + log_volume), stderr
-
-
-# ---------------------------------------------------------------------------
-# admissibility checks
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class NormalizationCheck:
-    r: np.ndarray
-    estimate: float
-    stderr: float
-    z: float
-    exact: bool
-
-
-@dataclass
-class ConditionsReport:
-    """Outcome of the three admissibility conditions for one family.
-
-    normalization: per conditioning point, the MC (or exact) estimate of
-        the integral of the normalized f, which should be 1.
-    vanishes_at_conditioning: f = 0 whenever a satellite hits r exactly.
-    vanishes_at_satellite_pairs: f = 0 at satellite-satellite contact;
-        None when N < 3 leaves nothing to check.
-    fermionic_compatible: structural flag of the family.
-    """
-
-    family: str
-    normalization: list[NormalizationCheck]
-    normalization_pass: bool
-    vanishes_at_conditioning: bool
-    vanishes_at_satellite_pairs: bool | None
-    fermionic_compatible: bool
-
-    @property
-    def all_pass(self) -> bool:
-        pairs_ok = self.vanishes_at_satellite_pairs in (True, None)
-        return self.normalization_pass and self.vanishes_at_conditioning and pairs_ok
-
-
-def check_conditions(
-    ansatz: ConditionalAnsatz,
-    n_points: int = 10,
-    n_samples: int = 4096,
-    seed: int = 0,
-) -> ConditionsReport:
-    """Probe normalization and coincidence zeros of a family.
-
-    Normalization is checked as a ratio of two independent MC estimates
-    of the same satellite integral (z-scored), or flagged exact for the
-    analytically normalized families.  The two estimates agree in
-    expectation for every family, so the check measures only their noise:
-    it passes when all n_points z-scores lie within 3, and at the default
-    10 points it fails by chance on a few percent of seeds (2 to 8 of 150
-    for `pairwise`, at each of four (N, radius, gamma, beta) cells).  The
-    coincidence checks construct exact overlaps and require log f~ = -inf.
-    """
-    rng_points = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xC0,)))
-    density, space = ansatz.density, ansatz.space
-    points = density.sample(n_points, rng_points)
-
-    checks: list[NormalizationCheck] = []
-    if ansatz.exactly_normalized:
-        # nothing stochastic to test
-        for r in points:
-            checks.append(NormalizationCheck(r, 1.0, 0.0, 0.0, True))
-    else:
-        for i, r in enumerate(points):
-            rng_a = np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(0xC1, i))
-            )
-            rng_b = np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(0xC2, i))
-            )
-            log_a, se_a = log_normalization_pairwise(ansatz, r, n_samples, rng_a)
-            log_b, se_b = log_normalization_pairwise(ansatz, r, n_samples, rng_b)
-            delta = log_a - log_b  # log of (integral of normalized f)
-            se = float(np.hypot(se_a, se_b))
-            z = delta / se if se > 0.0 else 0.0
-            checks.append(NormalizationCheck(r, float(np.exp(delta)), se, float(z), False))
-    norm_pass = all(abs(c.z) <= 3.0 for c in checks)
-
-    rng_cfg = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xC3,)))
-    cond_ii = True
-    for r in points[: min(4, n_points)]:
-        sats = ansatz.initial_satellites(r, rng_cfg)
-        sats = np.array(sats, copy=True)
-        sats[0] = r
-        if ansatz.log_unnormalized(r, sats) != -np.inf:
-            cond_ii = False
-
-    cond_iii: bool | None = None
-    if ansatz.n_satellites >= 2:
-        cond_iii = True
-        for r in points[: min(4, n_points)]:
-            sats = np.array(ansatz.initial_satellites(r, rng_cfg), copy=True)
-            sats[1] = sats[0]
-            if ansatz.log_unnormalized(r, sats) != -np.inf:
-                cond_iii = False
-
-    return ConditionsReport(
-        family=ansatz.family,
-        normalization=checks,
-        normalization_pass=norm_pass,
-        vanishes_at_conditioning=cond_ii,
-        vanishes_at_satellite_pairs=cond_iii,
-        fermionic_compatible=ansatz.fermionic_compatible,
-    )

@@ -36,7 +36,6 @@ from .ansatz import (
     FAMILIES,
     bound_status,
     build_ansatz,
-    check_conditions,
 )
 from .config import (
     ConfigError,
@@ -48,6 +47,7 @@ from .config import (
 )
 from .domain import Density, DomainError, SpaceSpec
 from .functionals import (
+    check_conditions,
     conditional_moments,
     gamma_from_moments,
     prefactor_value,
@@ -284,6 +284,8 @@ def cmd_optimize(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg, space, density = _setup(args)
+    if cfg.system.n_electrons < 2:
+        raise ConfigError("[system] field 'n': compare-ansatz needs n >= 2")
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     if len(families) < 2:
         raise ConfigError("--families needs at least two entries")
@@ -299,7 +301,6 @@ def cmd_compare(args) -> int:
         # the parameter-free families ignore the nan couplings
         ansatz = build_ansatz(fam, density, space, inner.gamma, inner.beta)
         fresh = fresh_estimate(density, ansatz, cfg.sampler, "auto")
-        report = check_conditions(ansatz, seed=cfg.sampler.seed)
         entries.append(
             {
                 "family": fam,
@@ -309,13 +310,7 @@ def cmd_compare(args) -> int:
                 "stderr": fresh.stderr,
                 "method": fresh.method,
                 "bound": bound_status(fam, cfg.system.n_electrons),
-                "conditions": {
-                    "normalized": report.normalization_pass,
-                    "vanishes_at_conditioning": report.vanishes_at_conditioning,
-                    "vanishes_at_satellite_pairs": report.vanishes_at_satellite_pairs,
-                    "fermionic_compatible": report.fermionic_compatible,
-                    "all_pass": report.all_pass,
-                },
+                "conditions": check_conditions(ansatz, cfg.sampler).to_dict(),
             }
         )
 

@@ -56,17 +56,6 @@ class SpaceSpec:
             raise DomainError(f"n_electrons must be >= 1, got {self.n_electrons}")
 
     @property
-    def domain_volume(self) -> float:
-        if self.dim == 3:
-            return 4.0 / 3.0 * np.pi * self.radius**3
-        return 2.0 * self.radius
-
-    @property
-    def omega_volume(self) -> float:
-        """Volume of the one-particle region omega = vol(Omega)/N."""
-        return self.domain_volume / self.n_electrons
-
-    @property
     def omega_radius(self) -> float:
         """Half-extent of omega, kept as a ball (3D) or interval (1D) at the origin."""
         if self.dim == 3:
@@ -155,6 +144,12 @@ class Density:
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
+    def cdf(self, points: np.ndarray) -> np.ndarray:
+        """The CDF F of rho/N at points (..., dim), shape (...): of the
+        radius |x| in 3D and of x itself in 1D.  F(x) of a draw x from
+        rho/N is uniform on [0, 1]."""
+        raise NotImplementedError
+
 
 def _check_points(points: np.ndarray, dim: int) -> np.ndarray:
     points = np.asarray(points, dtype=float)
@@ -227,6 +222,15 @@ class ExponentialDensity(Density):
         sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
         return (s * sign)[:, None]
 
+    def cdf(self, points):
+        points = _check_points(points, self.dim)
+        x = 2.0 * self.zeta * radial_distance(points)
+        if self.dim == 3:
+            # the radial law is Gamma(3): 1 - e^-x (1 + x + x^2/2)
+            return 1.0 - np.exp(-x) * (1.0 + x + 0.5 * x * x)
+        tail = 0.5 * np.exp(-x)
+        return np.where(points[..., 0] < 0.0, tail, 1.0 - tail)
+
 
 @dataclass(frozen=True)
 class ExponentialMixtureDensity(Density):
@@ -284,6 +288,9 @@ class ExponentialMixtureDensity(Density):
                 out[mask] = comp.sample(cnt, rng)
         return out
 
+    def cdf(self, points):
+        return sum(w * comp.cdf(points) for w, comp in zip(self.weights, self._components))
+
 
 class Tabulated1DDensity(Density):
     """Density tabulated on a uniform 1D grid, linearly interpolated.
@@ -332,7 +339,7 @@ class Tabulated1DDensity(Density):
         self.n_electrons = n_electrons
         # scalar spacing keeps the slopes of a constant table exactly zero
         self._slopes = np.gradient(self.values, self.h)
-        # CDF of rho/N on the nodes via trapezoid, used for inverse sampling
+        # CDF of rho/N on the nodes via trapezoid, used for inverse sampling and cdf
         cdf = np.concatenate(
             [[0.0], np.cumsum(0.5 * (self.values[1:] + self.values[:-1]) * self.h)]
         )
@@ -354,6 +361,10 @@ class Tabulated1DDensity(Density):
     def sample(self, n, rng):
         u = rng.random(n)
         return np.interp(u, self._cdf, self.x)[:, None]
+
+    def cdf(self, points):
+        # the CDF that sample inverts: 0 below the table and 1 above it
+        return np.interp(_check_points(points, 1)[..., 0], self.x, self._cdf)
 
 
 # the registry: the one place that maps density family names to their classes

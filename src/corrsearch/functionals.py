@@ -27,6 +27,9 @@ variances of its halves and quarters: a jackknife-style extrapolation in
 1/K (Quenouille) that cancels the bias's 1/K and 1/K^2 terms.  The four
 quarters' sums stream in as the samples are kept, so the score series is
 never held.
+
+The admissibility checks, `check_conditions`, live here too: the
+satellite marginal they test samples the estimator's chains.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .domain import (
     _gauss_legendre,
     _unit_gauss_legendre,
 )
-from .sampler import SamplerSettings, conditioning_rng, run_conditional_batch
+from .sampler import SamplerSettings, conditioning_rng, run_conditional_batch, substream
 
 
 def prefactor_value(n_electrons: int) -> float:
@@ -325,6 +328,94 @@ def gamma_correlation(
         )
     moments = conditional_moments(density, ansatz, settings)
     return gamma_from_moments(moments, ansatz.n_electrons)
+
+
+# ---------------------------------------------------------------------------
+# admissibility checks
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class ConditionsReport:
+    """Outcome of the admissibility conditions for one family.
+
+    marginal_u: the mean over conditioning points of u = F(s) over every
+        kept satellite s, F the CDF of rho/N (Density.cdf);
+        marginal_stderr is its standard error over points and marginal_z
+        = (marginal_u - 1/2) / marginal_stderr.  When rho(r) f(s|r) has
+        the marginal (N - 1) rho(s), the satellites pooled over r are
+        draws of rho/N, so u is uniform with mean 1/2; `marginal` passes
+        when |z| <= 3.
+    vanishes_at_conditioning: f = 0 whenever a satellite hits r exactly.
+    vanishes_at_satellite_pairs: f = 0 at satellite-satellite contact;
+        None when N < 3 leaves nothing to check.
+    fermionic_compatible: structural flag of the family.
+    """
+
+    marginal_u: float
+    marginal_stderr: float
+    marginal_z: float
+    vanishes_at_conditioning: bool
+    vanishes_at_satellite_pairs: bool | None
+    fermionic_compatible: bool
+
+    @property
+    def marginal(self) -> bool:
+        return abs(self.marginal_z) <= 3.0
+
+    @property
+    def all_pass(self) -> bool:
+        pairs_ok = self.vanishes_at_satellite_pairs in (True, None)
+        return self.marginal and self.vanishes_at_conditioning and pairs_ok
+
+    def to_dict(self) -> dict:
+        """The record's `conditions`: the fields, `marginal` and `all_pass`."""
+        return asdict(self) | {"marginal": self.marginal, "all_pass": self.all_pass}
+
+
+def check_conditions(ansatz: ConditionalAnsatz, settings: SamplerSettings) -> ConditionsReport:
+    """Test the satellite marginal and the coincidence zeros of a family.
+
+    The marginal runs one batch at the conditioning points of an
+    estimator run with these settings, and one observable sums u = F(s)
+    per chain as the samples stream; the walkers of each point are
+    collapsed before the mean and its error over points are taken, as
+    the energy's are.  The coincidence checks put a satellite on r, and
+    then one satellite on another, at the first four of those points,
+    in starting configurations drawn from the seed's own 0xC3 stream,
+    and require log f~ = -inf.
+    """
+    density, n_sat = ansatz.density, ansatz.n_satellites
+    r_points = density.sample(settings.conditioning_points, conditioning_rng(settings.seed))
+    u_sum = np.zeros(settings.conditioning_points * settings.walkers)
+
+    def marginal(r_block, sats):
+        u_sum[:] += density.cdf(sats).sum(axis=(0, 2))
+        return None
+
+    run_conditional_batch(ansatz, r_points, settings, {"marginal": marginal})
+    u = u_sum.reshape(settings.conditioning_points, -1).mean(axis=1) / (settings.samples * n_sat)
+    mean, stderr = u.mean(), u.std(ddof=1) / np.sqrt(u.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = (mean - 0.5) / stderr
+
+    rng = substream(settings.seed, 0xC3)
+
+    def vanishes(r, j):
+        """f~ = 0 with satellite 0 put on r (j None) or on satellite j."""
+        sats = np.array(ansatz.initial_satellites(r, rng))
+        sats[0] = r if j is None else sats[j]
+        return ansatz.log_unnormalized(r, sats) == -np.inf
+
+    probes = r_points[:4]
+    return ConditionsReport(
+        marginal_u=float(mean),
+        marginal_stderr=float(stderr),
+        marginal_z=float(z),
+        vanishes_at_conditioning=all([vanishes(r, None) for r in probes]),
+        vanishes_at_satellite_pairs=all([vanishes(r, 1) for r in probes]) if n_sat > 1 else None,
+        fermionic_compatible=ansatz.fermionic_compatible,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -107,8 +107,8 @@ def radial_angular_grid(
 
 
 def normalization_simple(ansatz: SimpleFactorized, r: np.ndarray, grid: QuadratureGrid) -> float:
-    """Per-satellite log normalization Ebar(r) of the simple family, the
-    quadrature reference for the Monte Carlo log_normalization_pairwise.
+    """Per-satellite log normalization Ebar(r) of the simple family, which
+    the quadrature reference for its sampled satellite marginal divides by.
 
     Defined by exp(-Ebar(r)) = integral over omega of exp(-E_H(r, s)) ds,
     evaluated by quadrature on a grid covering omega.  The normalized

@@ -1,4 +1,4 @@
-"""Conditional families: pair kernel, log-values, scores, normalizations."""
+"""Conditional families: pair kernel, log-values, scores, admissibility checks."""
 
 import ast
 from pathlib import Path
@@ -16,8 +16,6 @@ from corrsearch.ansatz import (
     PairwiseBiparametric,
     SimpleFactorized,
     build_ansatz,
-    check_conditions,
-    log_normalization_pairwise,
     pair_energy,
     pair_energy_grad_x,
 )
@@ -27,10 +25,11 @@ from corrsearch.domain import (
     ExponentialDensity,
     SpaceSpec,
     Tabulated1DDensity,
+    radial_grid,
     uniform_1d_grid,
 )
 
-from corrsearch.functionals import gamma_correlation
+from corrsearch.functionals import check_conditions, gamma_correlation
 
 from conftest import HE_ZETA, fast_settings, normalization_simple, radial_angular_grid
 
@@ -376,7 +375,7 @@ def test_shape_guard():
 
 
 # ---------------------------------------------------------------------------
-# normalizations
+# the simple family's normalization, the quadrature reference
 # ---------------------------------------------------------------------------
 
 
@@ -400,7 +399,7 @@ def test_normalization_simple_unit_volume():
     ans = SimpleFactorized(density, space)
     grid = uniform_1d_grid(space.omega_radius, n=512)
     ebar = normalization_simple(ans, np.array([0.9]), grid)
-    assert space.omega_volume == pytest.approx(1.0)
+    assert 2.0 * space.omega_radius == pytest.approx(1.0)
     assert ebar == pytest.approx(0.0, abs=1e-12)
 
 
@@ -412,68 +411,31 @@ def test_normalization_simple_requires_simple():
         normalization_simple(ans, np.zeros(3), grid)
 
 
-def test_normalization_quadrature_vs_mc():
-    # He-like density, conditioning point 1 a.u. from the nucleus
-    density = ExponentialDensity(zeta=1.6875, n_electrons=2)
-    space = SpaceSpec(dim=3, radius=10.0, n_electrons=2)
-    simple = SimpleFactorized(density, space)
-    r = np.array([0.0, 0.0, 1.0])
-
-    quad = normalization_simple(simple, r, radial_angular_grid(space.omega_radius, 64, 24, 24))
-    rng = np.random.default_rng(31)
-    mc, se = log_normalization_pairwise(simple, r, 1_000_000, rng)
-    assert abs(mc - quad) <= 3.0 * se
-    assert se < 0.01
-
-
 def test_pairwise_matches_simple_at_n2():
-    # N=2 pairwise with gamma=1 has the identical exponent to simple
+    # N = 2 pairwise at gamma = 1 is the simple family at any beta, so its
+    # sampled satellite marginal is the simple family's mean of u = F(|s|),
+    # here by quadrature: over |r| by a radial rule, and over s in omega
+    # by the product rule, normalized per r by normalization_simple.  At
+    # radius 1.3 omega cuts into rho, and the mean sits below 1/2; finer
+    # rules (96 x 64 x 24 x 24, 128 x 96 x 32 x 32) move it by < 1e-6
     density = ExponentialDensity(zeta=HE_ZETA, n_electrons=2)
-    space = SpaceSpec(dim=3, radius=10.0, n_electrons=2)
+    space = SpaceSpec(dim=3, radius=1.3, n_electrons=2)
     pairwise = PairwiseBiparametric(density, space, gamma=1.0, beta=3.0)
     simple = SimpleFactorized(density, space)
-    r = np.array([0.0, 0.0, 0.8])
+    outer = radial_grid(20.0, 64)
+    inner = radial_angular_grid(space.omega_radius, 48, 16, 16)
+    u = density.cdf(inner.nodes)
+    cond = []
+    for r in outer.nodes:
+        e = pair_energy(density, space, r[None, :], inner.nodes)
+        scale = np.exp(normalization_simple(simple, r, inner))
+        cond.append(scale * np.sum(inner.weights * np.exp(-e) * u))
+    quad = float(np.sum(outer.weights * density.value(outer.nodes) / 2.0 * np.array(cond)))
+    assert quad == pytest.approx(0.49641, abs=1e-5)
 
-    quad = normalization_simple(simple, r, radial_angular_grid(space.omega_radius, 64, 24, 24))
-    rng = np.random.default_rng(7)
-    mc, se = log_normalization_pairwise(pairwise, r, 200_000, rng)
-    assert abs(mc - quad) <= 3.0 * se
-
-
-class UniformOnOmega(ConditionalAnsatz):
-    """Satellites uniform on omega: log f~ = 0 there, -inf outside."""
-
-    family = "uniform-toy"
-    confined = True
-
-    def log_unnormalized(self, r, satellites, moved=None):
-        r, satellites = self._check_shapes(r, satellites)
-        return self._support_log(satellites)
-
-
-def test_pairwise_normalization_test_mode_exact():
-    # a constant integrand: the estimate is the exact omega volume, with no error
-    density, space = lithium_like()
-    ans = UniformOnOmega(density, space)
-    rng = np.random.default_rng(1)
-    ebar, se = log_normalization_pairwise(ans, np.array([0.0, 0.0, 0.5]), 256, rng)
-    assert ebar == pytest.approx(-2.0 * np.log(space.omega_volume), rel=1e-12)
-    assert se == 0.0
-
-
-def test_normalization_stderr_scaling():
-    density, space = he_pair()
-    ans = PairwiseBiparametric(density, space, gamma=1.0, beta=0.0)
-    r = np.array([0.0, 0.0, 1.0])
-    ses = []
-    for n in (8192, 16384):
-        vals = []
-        for seed in range(8):
-            rng = np.random.default_rng(seed)
-            vals.append(log_normalization_pairwise(ans, r, n, rng)[1])
-        ses.append(np.mean(vals))
-    ratio = ses[1] / ses[0]
-    assert 0.8 / np.sqrt(2.0) <= ratio <= 1.2 / np.sqrt(2.0)
+    report = check_conditions(pairwise, fast_settings(conditioning_points=512, samples=128, seed=3))
+    assert abs(report.marginal_u - quad) <= 3.0 * report.marginal_stderr
+    assert report.marginal_stderr < 0.003
 
 
 # ---------------------------------------------------------------------------
@@ -532,22 +494,24 @@ def test_score_is_gradient_of_log_f(family):
 # ---------------------------------------------------------------------------
 
 
-def test_conditions_pairwise_all_pass():
+def test_conditions_pairwise_has_the_zeros_but_not_the_marginal():
+    # the coincidence zeros hold, but the satellites, confined to omega and
+    # pushed off r, do not follow rho/N
     density, space = lithium_like()
     ans = PairwiseBiparametric(density, space, gamma=0.5, beta=0.5)
-    report = check_conditions(ans, n_points=10, n_samples=4096, seed=0)
-    assert report.normalization_pass
+    report = check_conditions(ans, fast_settings())
+    assert report.marginal_z > 100.0 and not report.marginal
     assert report.vanishes_at_conditioning
     assert report.vanishes_at_satellite_pairs is True
     assert report.fermionic_compatible
-    assert report.all_pass
+    assert not report.all_pass
 
 
 def test_conditions_simple_fails_satellite_contact():
     density, space = lithium_like()
     ans = SimpleFactorized(density, space)
-    report = check_conditions(ans, n_points=10, n_samples=4096, seed=0)
-    assert report.normalization_pass
+    report = check_conditions(ans, fast_settings())
+    assert not report.marginal
     assert report.vanishes_at_conditioning
     assert report.vanishes_at_satellite_pairs is False
     assert not report.fermionic_compatible
@@ -557,9 +521,8 @@ def test_conditions_simple_fails_satellite_contact():
 def test_conditions_frozen():
     density, space = lithium_like()
     ans = FrozenOrbitalProduct(density, space)
-    report = check_conditions(ans, n_points=6, n_samples=512, seed=0)
-    assert report.normalization_pass
-    assert all(c.exact for c in report.normalization)
+    report = check_conditions(ans, fast_settings())
+    assert report.marginal
     assert not report.vanishes_at_conditioning
     assert report.vanishes_at_satellite_pairs is False
     assert not report.all_pass
@@ -574,9 +537,43 @@ def test_conditions_two_electron_case():
         SimpleFactorized(density, space),
         FrozenOrbitalProduct(density, space),
     ):
-        report = check_conditions(ans, n_points=4, n_samples=2048, seed=1)
+        report = check_conditions(ans, fast_settings(conditioning_points=16, seed=1))
         assert report.vanishes_at_satellite_pairs is None
         assert report.fermionic_compatible
+
+
+@pytest.mark.parametrize(
+    "dim, n", [(3, 2), (3, 6), (1, 2)], ids=["3d-n2", "3d-n6", "1d-n2"]
+)
+def test_frozen_marginal_passes_at_chance_rate(dim, n):
+    # satellites drawn from rho/N make u = F(s) uniform, so |z| > 3 is
+    # chance: 0.27 % a seed, and two of 20 seeds already has odds of 1e-3
+    density = ExponentialDensity(zeta=1.2, n_electrons=n, dim=dim)
+    space = SpaceSpec(dim=dim, radius=6.0, n_electrons=n)
+    ans = FrozenOrbitalProduct(density, space)
+    zs = [check_conditions(ans, fast_settings(seed=seed)).marginal_z for seed in range(20)]
+    assert sum(abs(z) > 3.0 for z in zs) <= 1, zs
+    assert abs(np.mean(zs)) <= 3.0 / np.sqrt(20), zs
+
+
+def test_default_helium_pairwise_fails_the_marginal():
+    # the default helium run: radius 10 puts omega far past rho's mass, and
+    # the satellites spread over it, at mean |s| about 3/4 of its radius
+    density = ExponentialDensity(zeta=HE_ZETA, n_electrons=2)
+    space = SpaceSpec(dim=3, radius=10.0, n_electrons=2)
+    report = check_conditions(PairwiseBiparametric(density, space, 1.0, 1.0), fast_settings())
+    assert report.marginal_u > 0.99
+    assert report.marginal_z > 100.0 and not report.all_pass
+
+
+@pytest.mark.parametrize("name", [n for n, cls in FAMILIES.items() if cls.marginal_matched])
+def test_marginal_matched_families_pass_the_marginal(name):
+    # bound_status labels these families' energies variational at N = 2,
+    # which holds only if their satellite marginal is rho/N
+    for n in (2, 3):
+        density, space = lithium_like(n)
+        ans = build_ansatz(name, density, space)
+        assert check_conditions(ans, fast_settings(seed=n)).marginal
 
 
 def test_fermionic_compatibility_rules():

@@ -596,12 +596,17 @@ def test_compare_ranks_families(tmp_path, capsys):
     by_family = {e["family"]: e for e in ranking}
     # the conditioning-independent family keeps its closed-form repulsion
     assert by_family["frozen"]["value"] == pytest.approx(5.0 * HE_ZETA / 8.0, abs=1e-3)
-    assert by_family["frozen"]["conditions"]["all_pass"] is False
-    assert by_family["pairwise"]["conditions"]["all_pass"] is True
+    # frozen lacks the conditioning zero; pairwise has it, but its
+    # satellites spread over omega, far past rho's mass
+    frozen, pairwise = by_family["frozen"]["conditions"], by_family["pairwise"]["conditions"]
+    assert frozen["vanishes_at_conditioning"] is False and frozen["all_pass"] is False
+    assert pairwise["marginal"] is False and pairwise["marginal_z"] > 100.0
+    assert pairwise["vanishes_at_conditioning"] is True and pairwise["all_pass"] is False
     # two satellites never collide when there is only one of them
-    assert by_family["frozen"]["conditions"]["fermionic_compatible"] is True
-    assert by_family["pairwise"]["conditions"]["fermionic_compatible"] is True
-    assert "conditions-fail" in capsys.readouterr().out
+    assert frozen["fermionic_compatible"] is True
+    assert pairwise["fermionic_compatible"] is True
+    lines = capsys.readouterr().out.splitlines()
+    assert all("conditions-fail" in line for line in lines if "frozen" in line or "pairwise" in line)
     assert by_family["frozen"]["bound"] == "variational"
     assert by_family["pairwise"]["bound"] == "none"
 
@@ -797,6 +802,16 @@ def test_sample_diagnostics_needs_a_satellite(tmp_path, capsys):
     path.write_text("[system]\nn = 1\nz = 1.0\n", encoding="utf-8")
     assert main(["sample-diagnostics", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     assert "[system]" in capsys.readouterr().err
+
+
+def test_compare_needs_a_satellite(tmp_path, capsys):
+    path = tmp_path / "h.cfg"
+    path.write_text("[system]\nn = 1\nz = 1.0\n", encoding="utf-8")
+    argv = ["compare-ansatz", "--config", str(path), "--families", "pairwise,frozen"]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "[system] field 'n': compare-ansatz needs n >= 2" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("points", ["0", "-5"])

@@ -5,6 +5,7 @@ import pytest
 
 from corrsearch.domain import (
     DomainError,
+    _gauss_legendre,
     _unit_gauss_legendre,
     ExponentialDensity,
     ExponentialMixtureDensity,
@@ -156,6 +157,67 @@ def test_tabulated_normalization_and_interpolation():
     assert rho.value(np.array([[7.0]]))[0] == 0.0
 
 
+CDF_DENSITIES = {
+    "exponential-3d": ExponentialDensity(zeta=1.3, n_electrons=2),
+    "mixture-3d": ExponentialMixtureDensity((0.8, 2.5), (0.3, 0.7), n_electrons=3),
+    "exponential-1d": ExponentialDensity(zeta=0.7, n_electrons=2, dim=1),
+    "mixture-1d": ExponentialMixtureDensity((0.6, 1.9), (0.5, 0.5), n_electrons=2, dim=1),
+    "tabulated": Tabulated1DDensity(
+        np.linspace(-6.0, 6.0, 241), np.exp(-0.5 * np.linspace(-6.0, 6.0, 241) ** 2), 2
+    ),
+}
+
+
+def _cdf_by_quadrature(density, q):
+    """The integral of rho/N over radii up to q in 3D, or over x up to q in
+    1D, by 16-node Gauss-Legendre panels; in 1D the panels start at -40,
+    and their edges include the cusp at 0 and every node of a table, so
+    each panel's integrand is smooth."""
+    if density.dim == 3:
+        edges = np.linspace(0.0, q, 9)
+    else:
+        edges = np.union1d(np.linspace(-40.0, 0.0, 161), getattr(density, "x", []))
+        edges = np.append(edges[edges < q], q)
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        t, w = _gauss_legendre(16, a, b)
+        points = np.zeros((16, density.dim))
+        points[:, -1] = t
+        jacobian = 4.0 * np.pi * t * t if density.dim == 3 else 1.0
+        total += float(np.sum(w * jacobian * density.value(points)))
+    return total / density.n_electrons
+
+
+@pytest.mark.parametrize("kind", list(CDF_DENSITIES))
+def test_cdf_is_the_integral_of_rho_over_n(kind):
+    density = CDF_DENSITIES[kind]
+    q = np.array([0.05, 0.4, 1.0, 2.2, 4.0]) if density.dim == 3 else np.array(
+        [-4.1, -1.23, -0.3, 0.0, 0.17, 0.9, 2.6]
+    )
+    points = np.zeros((q.size, density.dim))
+    points[:, -1] = q
+    reference = [_cdf_by_quadrature(density, x) for x in q]
+    # a table's cdf interpolates its node values linearly, so between nodes
+    # it is off by at most h^2/8 max|rho'|/N = 5e-5
+    tol = 1e-4 if kind == "tabulated" else 1e-12
+    np.testing.assert_allclose(density.cdf(points), reference, rtol=0.0, atol=tol)
+    # the 3D cdf depends on the radius only
+    rotated = points[:, ::-1] if density.dim == 3 else points
+    np.testing.assert_allclose(density.cdf(rotated), density.cdf(points), rtol=1e-15)
+
+
+@pytest.mark.parametrize("kind", list(CDF_DENSITIES))
+def test_cdf_is_monotone_from_zero_to_one(kind):
+    density = CDF_DENSITIES[kind]
+    lo = 0.0 if density.dim == 3 else -40.0
+    points = np.zeros((4001, density.dim))
+    points[:, -1] = np.linspace(lo, 40.0, 4001)
+    f = density.cdf(points)
+    assert np.all(np.diff(f) >= 0.0)
+    assert f[0] == pytest.approx(0.0, abs=1e-15)
+    assert f[-1] == pytest.approx(1.0, abs=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # external potential and its integral
 # ---------------------------------------------------------------------------
@@ -278,15 +340,13 @@ def test_potential_validation():
 
 def test_omega_is_domain_volume_over_n():
     space = SpaceSpec(dim=3, radius=10.0, n_electrons=2)
-    assert space.domain_volume == pytest.approx(4.0 / 3.0 * np.pi * 1000.0)
-    assert space.omega_volume == pytest.approx(space.domain_volume / 2.0)
+    ball = 4.0 / 3.0 * np.pi
+    assert ball * space.omega_radius**3 == pytest.approx(ball * 1000.0 / 2.0)
     # omega stays a ball: radius scales with N^(1/3)
     assert space.omega_radius == pytest.approx(10.0 / 2.0 ** (1.0 / 3.0))
 
     line = SpaceSpec(dim=1, radius=6.0, n_electrons=3)
-    assert line.domain_volume == pytest.approx(12.0)
-    assert line.omega_volume == pytest.approx(4.0)
-    assert line.omega_radius == pytest.approx(2.0)
+    assert 2.0 * line.omega_radius == pytest.approx(12.0 / 3.0)
 
 
 def test_space_validation():
