@@ -266,6 +266,7 @@ def cmd_optimize(args) -> int:
         "converged": result.converged,
         "estimator_calls": result.estimator_calls,
         "inner_first_simplex": result.inner_first_simplex,
+        "at_search_bound": result.at_search_bound,
         "bound": bound_status(cfg.ansatz.family, cfg.system.n_electrons),
     }
     timings = {"optimize_seconds": time.perf_counter() - t0}
@@ -277,6 +278,8 @@ def cmd_optimize(args) -> int:
         print(f"beta*               {result.beta:.6f}")
     print(f"energy              {result.energy.total:+.6f} (se {result.energy.total_stderr:.2e})")
     print(f"evaluations         {result.n_eval}")
+    at_bound = [name for name, hit in result.at_search_bound.items() if hit]
+    print(f"at search bound     {', '.join(at_bound) or 'none'}")
     print(f"record              {outdir}/record.json")
     print(f"trace               {outdir}/trace.csv")
     return EXIT_OK

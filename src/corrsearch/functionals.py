@@ -335,6 +335,46 @@ def gamma_correlation(
 # ---------------------------------------------------------------------------
 
 
+# two-sided false-fail rate of the marginal check: a normal's |z| > 3
+MARGINAL_TAIL = 0.0027
+
+
+def _student_t_cdf_central(t: float, nu: int) -> float:
+    """P(|T| <= t) for Student's t with integer nu >= 1 degrees of freedom,
+    t >= 0: the finite series in theta = arctan(t / sqrt(nu)) of Abramowitz
+    and Stegun 26.7.3 (odd nu) and 26.7.4 (even nu)."""
+    theta = np.arctan(t / np.sqrt(nu))
+    sin, cos = np.sin(theta), np.cos(theta)
+    odd = nu % 2
+    # the series' nu // 2 terms: 1, then each the last times cos^2 theta
+    # (2k) / (2k + 1) for odd nu, or (2k - 1) / (2k) for even nu
+    k = np.arange(1, nu // 2)
+    terms = np.cumprod(np.concatenate(([1.0], cos * cos * (2 * k - 1 + odd) / (2 * k + odd))))
+    series = terms[: nu // 2].sum()
+    if odd:
+        return float(2.0 / np.pi * (theta + sin * cos * series))
+    return float(sin * series)
+
+
+def student_t_isf(p: float, nu: int) -> float:
+    """The t > 0 with P(T > t) = p, 0 < p < 1/2, for Student's t with
+    integer nu >= 1 degrees of freedom, by bisection on its closed-form CDF."""
+    if not (nu >= 1 and 0.0 < p < 0.5):
+        raise ValueError(f"need nu >= 1 and 0 < p < 1/2, got {(nu, p)}")
+    central = 1.0 - 2.0 * p
+    lo, hi = 0.0, 1.0
+    while _student_t_cdf_central(hi, nu) < central:
+        lo, hi = hi, 2.0 * hi
+    # 64 halvings take the bracket below one part in 1e16 of hi
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if _student_t_cdf_central(mid, nu) < central:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 @dataclass
 class ConditionsReport:
     """Outcome of the admissibility conditions for one family.
@@ -344,8 +384,10 @@ class ConditionsReport:
         marginal_stderr is its standard error over points and marginal_z
         = (marginal_u - 1/2) / marginal_stderr.  When rho(r) f(s|r) has
         the marginal (N - 1) rho(s), the satellites pooled over r are
-        draws of rho/N, so u is uniform with mean 1/2; `marginal` passes
-        when |z| <= 3.
+        draws of rho/N, so u is uniform with mean 1/2 and z follows
+        Student's t with M - 1 degrees of freedom, M the conditioning
+        points; `marginal` passes when |z| <= marginal_cut, that t's
+        two-sided MARGINAL_TAIL point (nan, so a fail, at M = 1).
     vanishes_at_conditioning: f = 0 whenever a satellite hits r exactly.
     vanishes_at_satellite_pairs: f = 0 at satellite-satellite contact;
         None when N < 3 leaves nothing to check.
@@ -355,13 +397,14 @@ class ConditionsReport:
     marginal_u: float
     marginal_stderr: float
     marginal_z: float
+    marginal_cut: float
     vanishes_at_conditioning: bool
     vanishes_at_satellite_pairs: bool | None
     fermionic_compatible: bool
 
     @property
     def marginal(self) -> bool:
-        return abs(self.marginal_z) <= 3.0
+        return abs(self.marginal_z) <= self.marginal_cut
 
     @property
     def all_pass(self) -> bool:
@@ -412,6 +455,7 @@ def check_conditions(ansatz: ConditionalAnsatz, settings: SamplerSettings) -> Co
         marginal_u=float(mean),
         marginal_stderr=float(stderr),
         marginal_z=float(z),
+        marginal_cut=student_t_isf(MARGINAL_TAIL / 2, u.size - 1) if u.size > 1 else float("nan"),
         vanishes_at_conditioning=all([vanishes(r, None) for r in probes]),
         vanishes_at_satellite_pairs=all([vanishes(r, 1) for r in probes]) if n_sat > 1 else None,
         fermionic_compatible=ansatz.fermionic_compatible,

@@ -369,6 +369,10 @@ class OuterResult:
     converged: bool
     estimator_calls: int  # gamma_correlation calls: every inner search and the fresh one
     inner_first_simplex: int  # inner searches that converged on their initial simplex
+    # per searched coordinate (zeta, gamma, beta): the winner lies within
+    # tol of a bound of its box; false for a coupling the run did not
+    # search (nan, or equal bounds)
+    at_search_bound: dict[str, bool]
 
 
 def outer_minimize(
@@ -424,6 +428,11 @@ def outer_minimize(
     density, w, ext, inner = evaluated[zeta_best]
     ansatz = build_ansatz(family, density, space, inner.gamma, inner.beta)
     fresh = fresh_estimate(density, ansatz, settings, method)
+    boxes = (
+        ("zeta", zeta_best, opt.zeta_min, opt.zeta_max),
+        ("gamma", inner.gamma, opt.gamma_min, opt.gamma_max),
+        ("beta", inner.beta, opt.beta_min, opt.beta_max),
+    )
     return OuterResult(
         zeta=zeta_best,
         gamma=inner.gamma,
@@ -434,4 +443,8 @@ def outer_minimize(
         converged=res.converged,
         estimator_calls=calls + 1,
         inner_first_simplex=first_simplex,
+        # a nan coupling compares false
+        at_search_bound={
+            name: bool(lo < hi and min(x - lo, hi - x) <= opt.tol) for name, x, lo, hi in boxes
+        },
     )

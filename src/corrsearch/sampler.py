@@ -1,7 +1,7 @@
 """Metropolis sampling of satellite configurations from f(. | r).
 
 One step loop advances every chain of a batch in lockstep.  Each step
-displaces one uniformly chosen satellite per chain by a Gaussian step and
+displaces one uniformly chosen satellite per chain by a uniform step and
 accepts with probability min(1, f~'/f~).  Proposals with f~ = 0 (outside
 the support, or at a coincidence) are always rejected.  The batch stores
 its satellites, conditioning points, step variates and kept samples with
@@ -48,13 +48,19 @@ and the block's first chain index through a counter-based seed split.
 Blocks are stream units only.  A block draws all its start candidates in
 one call, then redraws, in chain order, the starts of its chains whose
 candidate has f~ = 0, and then draws its share of the step variates
-(satellite index, Gaussian step, uniform) one step-chunk at a time,
-whatever the accept/reject outcomes.  With one satellite it draws no
-index, and holds no index buffer: `Generator.integers(1, ...)` takes no
-bits from the stream, so the draws that follow are the same.  The
+(satellite index, step, acceptance uniform) one step-chunk at a time,
+whatever the accept/reject outcomes.  With one satellite a block draws no
+index, and the batch holds no index buffer: `Generator.integers(1, ...)`
+takes no bits from the stream, so the draws that follow are the same.  The
 step-chunk length comes from the batch's chain count and a fixed byte
 budget (`_VARIATE_BYTES`, 8 (d + 2) bytes per chain-step at every S), so
 a batch holds at most two step-chunks of variates, whatever its size.
+A step variate is uniform on [-sqrt 3, sqrt 3) in each coordinate, which
+has unit variance, so sigma is the step's per-coordinate standard
+deviation.  Any symmetric proposal leaves f(. | r) unchanged under the
+acceptance rule, and a uniform costs the generator a fraction of what a
+normal does (Metropolis et al. 1953 moved their particles uniformly in a
+square).
 Neither the blocks nor the step-chunks depend on whether the pool thread
 runs, so batch results are bit-identical with and without it, and on
 reruns.
@@ -113,6 +119,7 @@ _CHUNK = 1024
 _VARIATE_BYTES = 4 * 2**20  # step variates of one step-chunk: 8 (d + 2) bytes per chain-step
 _TUNE_INTERVAL = 64  # burn-in steps between two step-size adaptations
 _WINDOW_BYTES = 64 * 2**10  # sigma times the step variates of one window of steps
+_STEP_HALF_WIDTH = np.sqrt(3.0)  # a uniform on [-sqrt 3, sqrt 3) has unit variance
 
 # the variates of the last one-step-chunk batch, read-only, for the next batch
 # whose generators start their step draws where that one's did:
@@ -138,7 +145,8 @@ def fresh_seed(seed: int) -> int:
 class SamplerSettings:
     """Knobs of the conditional sampler.
 
-    sigma: initial Gaussian proposal step.
+    sigma: initial per-coordinate standard deviation of a proposal step,
+        which is uniform on [-sqrt(3) sigma, sqrt(3) sigma).
     burn_in: discarded leading steps; sigma adapts toward the acceptance
         window every _TUNE_INTERVAL of them, and only there.
     samples: kept samples per walker after thinning.
@@ -313,12 +321,14 @@ def run_conditional_batch(
 
     def draw(c):
         n = min(chunk_steps, total_steps - chunk_starts[c])
-        normals, log_unifs, *sat_idx = drawn = [x[:n] for x in variates[c % len(variates)]]
+        unit_steps, log_unifs, *sat_idx = drawn = [x[:n] for x in variates[c % len(variates)]]
         for rng, (a, b) in zip(rngs, blocks):
             # one satellite draws no index; integers(1) would take no bits
             for x in sat_idx:
                 x[:, a:b] = rng.integers(n_sat, size=(n, b - a))
-            normals[:, :, a:b] = rng.standard_normal((n, b - a, d)).transpose(0, 2, 1)
+            unit_steps[:, :, a:b] = rng.uniform(
+                -_STEP_HALF_WIDTH, _STEP_HALF_WIDTH, (n, b - a, d)
+            ).transpose(0, 2, 1)
             np.log(rng.random((n, b - a)), out=log_unifs[:, a:b])
         return drawn
 
@@ -357,10 +367,10 @@ def run_conditional_batch(
                 _held = (key, drawn, [g.bit_generator.state for g in rngs])
         for c, chunk_start in enumerate(chunk_starts):
             job = pool.submit(ahead, c) if pool else None
-            normals, log_unifs, *sat_idx = drawn
+            unit_steps, log_unifs, *sat_idx = drawn
             # element offsets of the moved satellites; one satellite is row 0
             kdm = sat_idx[0] * (d * m) if sat_idx else None
-            buf, n_kept, n = kept[c % 2], 0, len(normals)
+            buf, n_kept, n = kept[c % 2], 0, len(unit_steps)
             with np.errstate(divide="ignore", invalid="ignore"):
                 for i in range(n):
                     t = chunk_start + i
@@ -368,7 +378,7 @@ def run_conditional_batch(
                         # a window runs to the next multiple of its length
                         # or to the step-chunk's end, whichever comes first
                         w = min(window - t % window, n - i)
-                        multiply(sigma_rows, normals[i : i + w], steps[:w])
+                        multiply(sigma_rows, unit_steps[i : i + w], steps[:w])
                         i0 = i
                     if kdm is not None:
                         k = sat_idx[0][i]

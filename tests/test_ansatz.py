@@ -1,6 +1,7 @@
 """Conditional families: pair kernel, log-values, scores, admissibility checks."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,12 @@ from corrsearch.domain import (
     uniform_1d_grid,
 )
 
-from corrsearch.functionals import check_conditions, gamma_correlation
+from corrsearch.functionals import (
+    MARGINAL_TAIL,
+    check_conditions,
+    gamma_correlation,
+    student_t_isf,
+)
 
 from conftest import HE_ZETA, fast_settings, normalization_simple, radial_angular_grid
 
@@ -554,6 +560,29 @@ def test_frozen_marginal_passes_at_chance_rate(dim, n):
     zs = [check_conditions(ans, fast_settings(seed=seed)).marginal_z for seed in range(20)]
     assert sum(abs(z) > 3.0 for z in zs) <= 1, zs
     assert abs(np.mean(zs)) <= 3.0 / np.sqrt(20), zs
+
+
+@pytest.mark.parametrize("nu", [1, 2, 23, 511])
+def test_student_t_point_matches_scipy(nu):
+    scipy_stats = pytest.importorskip("scipy.stats")
+    assert student_t_isf(0.00135, nu) == pytest.approx(scipy_stats.t.isf(0.00135, nu), abs=1e-10)
+
+
+def test_marginal_cuts_at_the_student_t_point_of_its_points():
+    # z's standard error comes from the M conditioning points (walkers are
+    # collapsed first), so the cut is t's with M - 1 degrees of freedom,
+    # wider than the normal's 3 at few points
+    density = ExponentialDensity(zeta=1.2, n_electrons=2)
+    space = SpaceSpec(dim=3, radius=6.0, n_electrons=2)
+    ans = FrozenOrbitalProduct(density, space)
+    report = check_conditions(ans, fast_settings(conditioning_points=24, walkers=2))
+    assert report.marginal_cut == student_t_isf(MARGINAL_TAIL / 2, 23) > 3.3
+    assert report.marginal == (abs(report.marginal_z) <= report.marginal_cut)
+    between = dataclasses.replace(report, marginal_z=-3.2)
+    assert between.marginal and between.to_dict()["marginal"]
+    assert not dataclasses.replace(report, marginal_z=3.4).marginal
+    with pytest.raises(ValueError):
+        student_t_isf(MARGINAL_TAIL / 2, 0)
 
 
 def test_default_helium_pairwise_fails_the_marginal():

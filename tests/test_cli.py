@@ -382,30 +382,27 @@ def test_energy_seed_override_changes_mc_numbers(tmp_path):
 
 
 # the breakdowns of three small `energy --method mc` runs of the pairwise
-# family.  The sampler terms (Coulomb and its error) were recorded before
-# the step loop scaled its steps a window at a time and wrote accepted
-# moves with putmask; the Fisher terms were re-recorded when the score
-# variance became the extrapolation over the series' quarters.  Every
-# later change to the sampler or the hinted evaluation must leave them
-# bit for bit
+# family, recorded when the proposal steps became uniform.  A change to
+# how the sampler or the hinted evaluation computes must leave them bit
+# for bit; a change to what the sampler draws re-records them
 PINNED_MC_BREAKDOWNS = {
     (2, "3d"): {
-        "coulomb": 0.9977458505481871, "coulomb_stderr": 0.03562945185555174,
-        "external": -6.000000000000069, "fisher": 0.1409617248070884,
-        "fisher_stderr": 0.053487966420362756, "method": "mc", "total": -2.6112924246448026,
-        "total_stderr": 0.07331503555533073, "weizsacker": 2.249999999999991,
+        "coulomb": 1.0130860534382617, "coulomb_stderr": 0.0375361331799223,
+        "external": -6.000000000000069, "fisher": 0.0698507696341338,
+        "fisher_stderr": 0.02165712746200656, "method": "mc", "total": -2.6670631769276825,
+        "total_stderr": 0.0503402226483118, "weizsacker": 2.249999999999991,
     },
     (3, "1d"): {
-        "coulomb": 2.2859722927038315, "coulomb_stderr": 0.05093856588382641,
-        "external": -8.37441119338203, "fisher": 1.8761086646754814,
-        "fisher_stderr": 0.24295883925353048, "method": "mc", "total": -0.8373302360048278,
-        "total_stderr": 0.2541688379602674, "weizsacker": 3.37499999999789,
+        "coulomb": 2.2231167938837975, "coulomb_stderr": 0.04985525248739634,
+        "external": -8.37441119338203, "fisher": 1.4950808603574064,
+        "fisher_stderr": 0.22835066537192586, "method": "mc", "total": -1.2812135391429376,
+        "total_stderr": 0.24081355931602672, "weizsacker": 3.37499999999789,
     },
     (6, "3d"): {
-        "coulomb": 10.542511084181672, "coulomb_stderr": 0.6331149596877247,
-        "external": -54.00000000000064, "fisher": 1.20432686310977,
-        "fisher_stderr": 0.45230338847215856, "method": "mc", "total": -35.50316205270922,
-        "total_stderr": 0.8599731307802563, "weizsacker": 6.749999999999974,
+        "coulomb": 10.315161429887969, "coulomb_stderr": 0.6463117255179984,
+        "external": -54.00000000000064, "fisher": 1.335126840345495,
+        "fisher_stderr": 0.4812294242422315, "method": "mc", "total": -35.5997117297672,
+        "total_stderr": 0.8258068704295822, "weizsacker": 6.749999999999974,
     },
 }
 
@@ -678,24 +675,44 @@ def test_optimize_pins_a_tiny_helium_search(tmp_path, capsys):
     results = read_record(str(out / "record.json"))["results"]
     search = {key: results[key] for key in ("zeta", "gamma", "beta", "estimator_calls")}
     assert search == pytest.approx(
-        {"zeta": 1.9270509831248424, "gamma": 7.24375, "beta": 1.0, "estimator_calls": 6},
+        {"zeta": 1.5729490168751576, "gamma": 1.0, "beta": 1.0, "estimator_calls": 7},
         rel=1e-12,
     )
     breakdown = dict(results["breakdown"])
     assert breakdown.pop("method") == "mc"
     assert breakdown == pytest.approx(
         {
-            "weizsacker": 3.7135254915624225,
-            "fisher": 0.6290351595679448,
-            "fisher_stderr": 0.3312189689875398,
-            "coulomb": 0.8867606923046573,
-            "coulomb_stderr": 0.06015004567790138,
-            "external": -7.708203932499531,
-            "total": -2.478882589064507,
-            "total_stderr": 0.3514497538447274,
+            "weizsacker": 2.4741686096885167,
+            "fisher": 0.04294349394699307,
+            "fisher_stderr": 0.024244379968631543,
+            "coulomb": 0.8662625999467015,
+            "coulomb_stderr": 0.06290097797198049,
+            "external": -6.291796067500713,
+            "total": -2.9084213639185017,
+            "total_stderr": 0.07959184076194398,
         },
         rel=1e-12,
     )
+
+
+def test_optimize_says_when_its_winner_hit_the_box(tmp_path, capsys):
+    # frozen helium's zeta* is 27/16; a bracket above it puts the winner on
+    # zeta_min, and the default bracket holds it.  frozen searches no
+    # coupling, so gamma and beta never read true
+    flags = []
+    for zeta_min, zeta_max in ((2.0, 2.5), (1.0, 2.5)):
+        section = f"[optimize]\nzeta_min = {zeta_min}\nzeta_max = {zeta_max}\ntol = 1e-3\n"
+        cfg = write_config(tmp_path, optimize=section)
+        out = tmp_path / f"box{zeta_min}"
+        assert main(["optimize", "--config", cfg, "--method", "quadrature", "--out", str(out)]) == 0
+        results = read_record(str(out / "record.json"))["results"]
+        flags.append(results["at_search_bound"])
+        printed = capsys.readouterr().out
+        assert f"at search bound     {'zeta' if flags[-1]['zeta'] else 'none'}" in printed
+    assert flags == [
+        {"zeta": True, "gamma": False, "beta": False},
+        {"zeta": False, "gamma": False, "beta": False},
+    ]
 
 
 def test_optimize_trace_header_is_stable(tmp_path):
@@ -775,16 +792,15 @@ def test_sample_diagnostics_reads_the_estimators_chains(tmp_path, capsys):
     capsys.readouterr()
     record = read_record(str(out / "record.json"))
     assert [row["point"] for row in record["results"]["chains"]] == [0, 0, 1, 1, 2, 2]
-    # each row's (pair_mean, stderr, ess, acceptance), pinned from the
-    # estimator that stored every chain's pair series: the rows come from
-    # the estimator's own chains, which it now keeps only for these six
+    # each row's (pair_mean, stderr, ess, acceptance): the rows come from
+    # the estimator's own chains, which it keeps only for these six
     pinned = [
-        (0.21048220278141505, 0.011317852856757203, 11.228809374204054, 0.8333333333333334),
-        (0.18519193412613225, 0.004811318145676281, 4.732650173408517, 0.6041666666666666),
-        (0.22616688004184685, 0.02853977408966708, 10.482854311540029, 0.875),
-        (0.2171780094075737, 0.016787561301186894, 5.911201883400469, 0.8541666666666666),
-        (0.2500035737419501, 0.015694427854841767, 10.728910559683998, 0.75),
-        (0.19142164828640276, 0.014004629162632258, 6.879370814963199, 0.7083333333333334),
+        (0.21965534164985487, 0.00955315342069858, 12.96219490283801, 0.75),
+        (0.24236678297615422, 0.02145381376754088, 14.697250614169675, 0.875),
+        (0.18052425175867126, 0.005183575898530961, 10.036691611482524, 0.75),
+        (0.17273098135609785, 0.005448831179626917, 15.371812939370656, 0.7083333333333334),
+        (0.2701498105519826, 0.04469964108606482, 15.686659909199788, 0.8541666666666666),
+        (0.20784257450886878, 0.011227348368469104, 9.708602902002282, 0.7916666666666666),
     ]
     keys = ("pair_mean", "stderr", "ess", "acceptance")
     assert [tuple(row[k] for k in keys) for row in record["results"]["chains"]] == pinned

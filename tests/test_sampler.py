@@ -124,6 +124,33 @@ def test_equal_density_always_accepted():
     np.testing.assert_array_equal(batch.acceptance, 1.0)
 
 
+@pytest.mark.parametrize("dim", [1, 3])
+def test_steps_are_uniform_with_standard_deviation_sigma(dim):
+    # on a flat target every move is accepted, so the kept path's
+    # increments are the steps themselves: each coordinate uniform on
+    # [-sqrt(3) sigma, sqrt(3) sigma), with mean 0 and variance sigma^2
+    density = ExponentialDensity(zeta=1.0, n_electrons=2, dim=dim)
+    space = SpaceSpec(dim=dim, radius=8.0, n_electrons=2)
+
+    class Flat(ConstTarget):
+        def start_candidates(self, r, rng):
+            return np.zeros((len(r), 1, dim))
+
+    sigma = 0.5
+    settings = SamplerSettings(sigma=sigma, burn_in=0, samples=512, thinning=1, seed=7)
+    points = np.zeros((64, dim))
+    batch = run_conditional_batch(Flat(density, space), points, settings, {"sats": _sats})
+    np.testing.assert_array_equal(batch.acceptance, 1.0)
+    path = batch.values["sats"][:, :, 0, :]
+    steps = np.diff(path, axis=0, prepend=0.0).ravel()
+    half_width = np.sqrt(3.0) * sigma
+    assert steps.min() >= -half_width and steps.max() < half_width
+    n = steps.size
+    assert abs(steps.mean()) <= 4.0 * steps.std() / np.sqrt(n)
+    squares = steps * steps
+    assert abs(squares.mean() - sigma**2) <= 4.0 * squares.std() / np.sqrt(n)
+
+
 def test_zero_weight_proposal_always_rejected():
     density, space = line_pair()
     ansatz = PointTarget(density, space)
@@ -585,18 +612,17 @@ def test_pool_thread_only_for_several_step_chunks(monkeypatch):
 
 
 # kept-sample sums, summed acceptance and summed final sigma of two-block
-# pairwise runs, recorded before the chain state carried rho and the E_H
-# terms: the state changes where old terms come from, not a result bit.
-# The entries keyed (family, n, dim) were recorded while the step loop
-# still wrote each proposal into the satellite store and undid it where
-# rejected: 1D pairwise with beta > 0 (the contact masks of the hinted
-# kernel), and the two families without a chain state
+# pairwise runs, recorded when the proposal steps became uniform; a change
+# to where the chain state or the step loop keeps its terms must not move
+# a result bit.  The entries keyed (family, n, dim) cover 1D pairwise with
+# beta > 0 (the contact masks of the hinted kernel), and the two families
+# without a chain state
 PINNED_BATCH_VALUES = {
-    (2, 0.0): (38.867244074794286, 5509.162727648425, 406.375, 586.11125),
-    (6, 1.5): (-1046.3465798628263, 81383.6779998669, 457.875, 725.0934374999999),
-    ("pairwise", 3, 1): (130.75753443317032, 11601.42405507571, 375.4375, 514.6925),
-    ("frozen", 6, 3): (-154.6543139659808, 59879.770209938986, 456.9375, 716.630078125),
-    ("gaussian-toy", 6, 3): (1528.7049578327603, 191432.58936686284, 527.25, 1027.08984375),
+    (2, 0.0): (62.812292606288736, 5508.3772102529165, 389.5, 554.41875),
+    (6, 1.5): (859.2103484484682, 81383.65226785341, 450.5625, 686.2328124999999),
+    ("pairwise", 3, 1): (31.336284554928092, 11613.142583760166, 346.0, 443.7533625),
+    ("frozen", 6, 3): (153.20982372572195, 59398.939168175784, 443.9375, 675.33125),
+    ("gaussian-toy", 6, 3): (1538.309128969422, 189544.65016679565, 503.4375, 1006.611328125),
 }
 
 
@@ -628,13 +654,13 @@ def _assert_batch_pinned(monkeypatch, key, ansatz, points, settings, runs):
 
 
 # the same sums for two-block pooled runs of six step-chunks of 37 steps,
-# recorded before the loop scaled its steps a window at a time: the 199
-# steps (burn-in 151, two adaptations) put step-chunk edges and the
-# burn-in's end inside windows, whose length divides _TUNE_INTERVAL (2
-# steps at 3D and 4 in 1D for 1100 chains)
+# whose steps the loop scales a window at a time: the 199 steps (burn-in
+# 151, two adaptations) put step-chunk edges and the burn-in's end inside
+# windows, whose length divides _TUNE_INTERVAL (2 steps at 3D and 4 in 1D
+# for 1100 chains)
 PINNED_WINDOW_VALUES = {
-    (2, 3): (20.063073560134477, 11507.172592404226, 443.3125, 594.30625),
-    (3, 1): (404.0308262247093, 22775.696932517898, 354.5416666666667, 549.5662500000001),
+    (2, 3): (-97.61259161398212, 11543.205940959435, 427.04166666666663, 571.875),
+    (3, 1): (-703.9147633304649, 22850.07658805867, 303.95833333333337, 507.29),
 }
 
 
@@ -683,13 +709,13 @@ def test_family_batch_values_pinned(monkeypatch, family, n, dim):
     _assert_batch_pinned(monkeypatch, (family, n, dim), ansatz, points, settings, 1)
 
 
-# one chain's mean, batch-means stderr and acceptance from when every chain
-# drew from a stream of its own (key: chain index); a one-chain block has
-# that key and draws its start and all its step variates in the same order
+# one chain's mean, batch-means stderr and acceptance of a one-chain block,
+# keyed by its chain index, which draws its start and then all its step
+# variates in one step-chunk (recorded when the steps became uniform)
 ONE_CHAIN_VALUES = {
-    "pairwise-3d": (2.4917924671939757, 0.05839901870734071, 0.38671875),
-    "pairwise-1d": (1.79414622400745, 0.10601649156668763, 0.626953125),
-    "gaussian-1d": (0.740493302264895, 0.08872753137510643, 0.74609375),
+    "pairwise-3d": (2.6184255804600594, 0.06865370737498619, 0.408203125),
+    "pairwise-1d": (1.7858933013766134, 0.08394524784503955, 0.568359375),
+    "gaussian-1d": (0.8316561771966637, 0.09079790552183617, 0.724609375),
 }
 
 
@@ -716,14 +742,14 @@ def test_one_chain_streams_unchanged():
     batch = run_conditional_batch(
         ansatz, np.linspace(-1.0, 1.0, 1025)[:, None], settings, {"sats": _sats}
     )
-    assert batch.values["sats"][:, -1, 0, 0].mean() == -0.07728085806700305
-    assert batch.acceptance[-1] == 0.78125
+    assert batch.values["sats"][:, -1, 0, 0].mean() == 1.3920752859708507
+    assert batch.acceptance[-1] == 0.8125
 
 
 def test_variate_chunk_edges_skip_and_reuse_nothing(monkeypatch):
     # 200 steps in chunks of 7 end in a partial chunk of 4; on a flat target
     # every move is accepted, so each chain's path is the running sum of
-    # the Gaussian steps drawn chunk by chunk from its block's stream.  With
+    # the uniform steps drawn chunk by chunk from its block's stream.  With
     # two blocks of 8, each block draws its own share of every step-chunk
     m = 16
     steps_per_chunk(monkeypatch, 7, m)
@@ -742,7 +768,7 @@ def test_variate_chunk_edges_skip_and_reuse_nothing(monkeypatch):
             steps = []
             for n in [7] * 28 + [4]:
                 rng.integers(1, size=(n, block))
-                steps.append(rng.standard_normal((n, block, 1))[..., 0])
+                steps.append(rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), (n, block, 1))[..., 0])
                 rng.random((n, block))
             np.testing.assert_array_equal(
                 batch.values["s"][:, first:first + block], np.cumsum(np.concatenate(steps), axis=0)
@@ -754,7 +780,7 @@ def test_observations_at_step_chunk_edges(monkeypatch):
     # steps every third step is kept, so the chunks hold 2 or 3 kept samples
     # and the last kept step is the partial chunk's only step.  On a flat
     # target every move is accepted: the kept satellites are the running
-    # sum of the Gaussian steps at the kept steps
+    # sum of the uniform steps at the kept steps
     m = 16
     steps_per_chunk(monkeypatch, 7, m)
     density, space = line_pair()
@@ -775,7 +801,7 @@ def test_observations_at_step_chunk_edges(monkeypatch):
     steps = []
     for n in [7] * 22 + [1]:
         rng.integers(1, size=(n, m))
-        steps.append(rng.standard_normal((n, m, 1))[..., 0])
+        steps.append(rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), (n, m, 1))[..., 0])
         rng.random((n, m))
     path = np.cumsum(np.concatenate(steps), axis=0)
     sats = batch.values["sats"]
