@@ -4,18 +4,18 @@ A family models the distribution of the N-1 "satellite" electrons given
 one conditioning electron at r, for a fixed one-particle density rho.
 Families expose the unnormalized log density (used by the sampler), the
 conditioning-point score grad_r log f~ (used by the Fisher estimator)
-and a way to draw starting configurations.  The sampler moves one satellite
-per step and passes that move as a hint, together with a per-chain
-state the family built once per batch, so families with pair sums can
-return the chain's current value plus the change in the O(S) terms that
-involve the moved satellite, reading every old term from that state
-instead of re-evaluating all O(S^2) terms.  The pairwise family's state
-also holds its hinted evaluator, bound once per batch to the chains'
-points, its buffers and its constants, and a hinted log_unnormalized
-call goes straight to it.  The sampler stores its chains with the chain
-axis last, so the arrays of a hinted call are views of that store, and
-the pairwise family keeps its chain state chain-last too: every
-per-step operation runs one long loop over chains.
+and a way to draw starting configurations.  The sampler moves one
+satellite per step, the same one in every chain, and passes that move as
+a hint, together with a per-chain state the family built once per batch,
+so families with pair sums can return the chain's current value plus the
+change in the O(S) terms that involve the moved satellite, reading every
+old term from that state instead of re-evaluating all O(S^2) terms.
+The pairwise family's state also holds its hinted evaluator, bound once
+per batch to the chains' points, its buffers and its constants, and a
+hinted log_unnormalized call goes straight to it.  The sampler stores its
+chains with the chain axis last, so the arrays of a hinted call are views
+of that store, and the pairwise family keeps its chain state chain-last
+too: every per-step operation runs one long loop over chains.
 
 This module owns the family registry: each family class declares its
 name and capabilities as class attributes and the coupling values that
@@ -117,29 +117,28 @@ class ConditionalAnsatz:
     log_unnormalized(r, satellites, moved=None) takes an optional move
     hint moved = (k, old, new, log_old, state) from the sampler, for m
     chains with r of shape (m, d) and satellites (m, S, d): satellites is
-    the chains' current state, and the proposal moves satellite k[c] of
-    chain c (integer array (m,)) from old[c] = satellites[c, k[c]] to
-    new[c] (arrays (m, d)).  With one satellite k is one zero array that
-    the sampler makes once per batch and passes at every step, so a
-    family must not write into it either.  satellites is a strided view
-    of the sampler's store, which takes an accepted move in only after
-    the call, and old and new are strided views of buffers that the
-    sampler overwrites in the next step, so a family must not keep any
-    of them past the call.  log_old (m,) is the current, finite value,
-    and state is what chain_state(r, current satellites) returned at the
-    batch's start, at the same points r as every hinted call of the
-    batch.  With more than one satellite the sampler keeps it current:
-    after every hinted call it calls state.commit(acc) with the accepted
-    chains' indices acc, when state is not None.  A family may return log_old
-    plus the change in the terms that involve satellite k, or evaluate
-    proposal(satellites, k, new) in full; both give the same value up to
-    rounding.  The value a hinted call returns may be a buffer of the
-    state that the next hinted call overwrites.  A hinted call skips the
-    shape checks and runs with numpy's divide and invalid errors ignored,
-    as the sampler's step loop does.  Scratch buffers of a hinted path
-    belong in the chain state, one set per batch, never on the family
-    instance: the sampler's pool thread calls score on the same instance
-    while the step loop runs.
+    the chains' current state, and the proposal moves satellite k, an
+    int, of every chain from old = satellites[:, k] to new (arrays
+    (m, d)); at step t of a batch k is t mod S.  satellites and old are
+    strided views of the sampler's store, which takes an accepted move in
+    only after the call, and new is a strided view of a buffer that the
+    sampler overwrites in the next step, so a family must not write any
+    of them, nor keep any past the call.  log_old (m,) is the current, finite
+    value, and state is what chain_state(r, current satellites) returned
+    at the batch's start, at the same points r as every hinted call of
+    the batch.  With more than one satellite the sampler keeps it
+    current: after every hinted call it calls state.commit(k, accept),
+    accept the (m,) bool mask of the chains whose move was accepted, when
+    state is not None.  A family may return log_old plus the change in
+    the terms that involve satellite k, or evaluate proposal(satellites,
+    k, new) in full; both give the same value up to rounding.  The value
+    a hinted call returns may be a buffer of the state that the next
+    hinted call overwrites.  A hinted call skips the shape checks and
+    runs with numpy's divide and invalid errors ignored, as the sampler's
+    step loop does.  Scratch buffers of a hinted path belong in the chain
+    state, one set per batch, never on the family instance: the sampler's
+    pool thread calls score on the same instance while the step loop
+    runs.
     """
 
     family: str = "base"
@@ -190,14 +189,14 @@ class ConditionalAnsatz:
     def score(self, r: np.ndarray, satellites: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def proposal(self, satellites: np.ndarray, k: np.ndarray, new: np.ndarray) -> np.ndarray:
+    def proposal(self, satellites: np.ndarray, k: int, new: np.ndarray) -> np.ndarray:
         """The proposal of a move hint: the current satellites (m, S, d)
-        with satellite k[c] of chain c replaced by new[c]; a copy, or with
-        one satellite an (m, 1, d) view of new."""
+        with satellite k of every chain replaced by new (m, d); a copy, or
+        with one satellite an (m, 1, d) view of new."""
         if self.n_satellites == 1:
             return new[:, None, :]
         proposal = np.array(satellites, order="C")
-        proposal[np.arange(len(k)), k] = new
+        proposal[:, k] = new
         return proposal
 
     def chain_state(self, r: np.ndarray, satellites: np.ndarray):
@@ -246,67 +245,68 @@ class PairChainState:
 
     rho_r: (m,) rho at each chain's conditioning point.
     e_cond: (S, m) conditioning terms E_H(r, s_j); held when S >= 2.
-    e_pair: (S, S, m) satellite pair terms, E_H(s_i, s_j) at [i, j] for
-        i < j and 0 on and below the diagonal, so each term is held once,
-        and rho_sat: (S, m) rho at each satellite; held when beta > 0 and
-        S >= 2.
+    e_pair: (S, S, m) satellite pair terms, E_H(s_i, s_j) at [i, j] and at
+        [j, i], 0 on the diagonal, and rho_sat: (S, m) rho at each
+        satellite; held when beta > 0 and S >= 2.
     Terms not held are None: with one satellite the full formula, which
     reads only rho_r, is the cheaper one.
 
     log(satellites, k, new, log_old) is the hinted evaluation, bound once
     per batch to the chains' points and to its buffers (see _evaluator).
-    It reads the old terms from here and leaves the proposal's new ones
-    pending in buffers held here (pos, e_new, rho_new, pair_new);
-    commit(acc) writes in those of the chains acc, an integer array of
-    the chains whose move was accepted, so every held array equals a
-    fresh evaluation of the chains' current states.  The returned log f~
-    is a buffer of the evaluator too, so commit, and every use of the
-    returned value, comes before the next hinted call.  With one
-    satellite a hinted call leaves nothing to take in, and commit, which
-    needs the terms held from S = 2 on, is not called.  The evaluator
-    refers to the buffers, never to the state, so the two form no
-    reference cycle and reference counting frees a batch's state when the
-    batch ends.
+    It reads the moved satellite's old terms as the rows e_cond[k] and
+    e_pair[k] and leaves the proposal's new ones pending in buffers held
+    here (e_new, rho_new, pair_new, whose row k is 0); commit(k, accept)
+    writes them in at the chains where the (m,) bool mask accept is set,
+    into row k of e_cond and rho_sat and into row and column k of e_pair,
+    so every held array equals a fresh evaluation of the chains' current
+    states.  The returned log f~ is a buffer of the evaluator too, so
+    commit, and every use of the returned value, comes before the next
+    hinted call.  With one satellite a hinted call leaves nothing to take
+    in, and commit, which needs the terms held from S = 2 on, is not
+    called.  The evaluator refers to the buffers, never to the state, so
+    the two form no reference cycle and reference counting frees a batch's
+    state when the batch ends.
     """
 
     def __init__(self, family, r, rho_r, rho_sat, e_cond, e_pair):
         self.rho_r, self.rho_sat, self.e_cond, self.e_pair = rho_r, rho_sat, e_cond, e_pair
-        m = len(rho_r)
-        # what a hinted call with S >= 2 leaves pending: the flat indices
-        # pos of (k[c], c) in an (S, m) array and pair_pos of the term of
-        # every (j, k[c]) of chain c in e_pair, the new conditioning terms,
-        # rho at the moved satellites and their new pair terms
-        self.pos = np.empty(m, np.int64)
-        self.e_new, self.rho_new = np.empty((2, m))
+        # what a hinted call with S >= 2 leaves pending: the new conditioning
+        # terms, rho at the moved satellites and their new pair terms
+        self.e_new, self.rho_new = np.empty((2, len(rho_r)))
         if e_pair is not None:
-            self.pair_pos = np.empty(e_pair.shape[1:], np.int64)
             self.pair_new = np.empty(e_pair.shape[1:])
+            # for each k, the (m,) views that commit writes: the terms of k
+            # against every other satellite j, at [k, j] and [j, k], and
+            # their pending values; the diagonal stays 0
+            n_sat = len(e_pair)
+            self.pair_views = [
+                [(e_pair[k, j], e_pair[j, k], self.pair_new[j]) for j in range(n_sat) if j != k]
+                for k in range(n_sat)
+            ]
         self.log = self._evaluator(family, np.ascontiguousarray(r.T))
 
     def _evaluator(self, family, r_t):
         """The hinted evaluation for the chains at the points r_t (d, m):
         log_old plus the change of the support term and of the terms that
         involve satellite k.  Only rho(new), the new conditioning term and
-        the new pair terms are evaluated; the old terms come from the held
-        arrays.  They are finite, since the current state has finite
-        log f~, so the E_H conventions carry over: a new coincidence gives
-        -inf.  With one satellite the full formula has a single term and
-        is kept, as (-gamma) E_H, so the value is a fresh evaluation's
-        0 - gamma E_H up to the sign of a zero.
+        the new pair terms are evaluated; the old terms are the held rows
+        of satellite k.  They are finite, since the current state has
+        finite log f~, so the E_H conventions carry over: a new
+        coincidence gives -inf.  With one satellite the full formula has a
+        single term and is kept, as (-gamma) E_H, so the value is a fresh
+        evaluation's 0 - gamma E_H up to the sign of a zero.
 
         The arithmetic is _weighted_kernel's and the full formula's, in
         the same order, so every term is bit for bit an unhinted call's.
         Everything a step needs is bound here once: the buffers, the 0-d
-        constants, the flat views and the ufuncs, each called with its
+        constants, the row views and the ufuncs, each called with its
         out positional.  A squared norm is one add-reduce over the
         coordinate axis, which adds its fewer than 8 terms in order, as
         sum_last does.  |new|^2 and |new - r|^2 are two rows of one
         array: the support test and, in 1D, the contact test read them
         squared, the softening is added to the distance row, and one sqrt
         gives both the radius that rho(new) takes and the distance the
-        kernel takes.  The support test is a mask put in place.  The
-        gathers read flat indices that are in range by construction, in
-        take's 'clip' mode, which writes straight into its out."""
+        kernel takes.  The support test is a mask put in place."""
         dim, m = r_t.shape
         n_sat, value, rho_r = family.n_satellites, family.density.value, self.rho_r
         # 0-d constants: a ufunc converts a Python float argument on every
@@ -316,7 +316,7 @@ class PairChainState:
         zero, one, inf, neg_inf = (np.array(x) for x in (0.0, 1.0, np.inf, -np.inf))
         multiply, subtract, add, divide = np.multiply, np.subtract, np.add, np.divide
         sqrt, fmax, greater, equal = np.sqrt, np.fmax, np.greater, np.equal
-        bitwise_and, take, putmask, reduce = np.bitwise_and, np.take, np.putmask, np.add.reduce
+        bitwise_and, putmask, reduce = np.bitwise_and, np.putmask, np.add.reduce
         # scratch: the squared coordinates of new and new - r, their sums
         # and then their roots, then (m,) terms; row views made once, since
         # a view costs each step as much as a small ufunc
@@ -325,22 +325,15 @@ class PairChainState:
         norms = np.empty((2, m))
         radius, dist = norms
         num, change, total = np.empty((3, m))
-        rho_new, e_new, pos = self.rho_new, self.e_new, self.pos
+        rho_new, e_new = self.rho_new, self.e_new
         outside = np.empty(m, bool)
-        chains, m_0d = np.arange(m), np.array(m)
-        e_cond = self.e_cond.reshape(-1) if n_sat > 1 else None
+        e_cond = list(self.e_cond) if n_sat > 1 else None
         pairs = self.e_pair is not None
         if pairs:
             # the moved satellite against all S satellites: (S, d, m) and (S, m)
             pair_delta = np.empty((n_sat, dim, m))
             pair_d2, pair_num, pair_old = np.empty((3, n_sat, m))
-            pair_new, pair_pos = self.pair_new, self.pair_pos
-            # [j, k]: flat offset of the term of satellites j and k at chain 0,
-            # e_pair[min(j, k), max(j, k), 0]; [k, k] is a zero of the diagonal
-            j = np.arange(n_sat)
-            pair_at = (np.minimum.outer(j, j) * n_sat + np.maximum.outer(j, j)) * m
-            rho_sat, e_pair = self.rho_sat, self.e_pair.reshape(-1)
-            pair_new_1d = pair_new.reshape(-1)
+            pair_new, rho_sat, e_pair = self.pair_new, self.rho_sat, list(self.e_pair)
         # soften(d2, masks) readies the squared distance d2 for its sqrt, in
         # place; kernel(num, d, out, masks) then writes E_H from num =
         # rho(x) rho(y) and that root d to out, overwriting d.  masks are two
@@ -394,15 +387,13 @@ class PairChainState:
             if n_sat == 1:
                 multiply(neg_gamma, e_new, total)
             else:
-                add(multiply(k, m_0d, pos), chains, pos)  # (k[c], c) in a flat (S, m) array
-                take(e_cond, pos, None, change, "clip")
-                subtract(e_new, change, change)
+                subtract(e_new, e_cond[k], change)
                 add(log_old, multiply(neg_gamma, change, change), total)
             if pairs:
                 # the moved satellite against all S current satellites, chain
                 # axis last; its own term, against its old position, is set to
-                # 0, and adding 0.0 in order leaves the sum over the S - 1
-                # others exact
+                # 0, as is the held diagonal, and adding 0.0 in order leaves
+                # the sum over the S - 1 others exact
                 subtract(new_t, satellites.transpose(1, 2, 0), pair_delta)
                 multiply(pair_delta, pair_delta, pair_delta)
                 reduce(pair_delta, 1, None, pair_d2)
@@ -410,10 +401,8 @@ class PairChainState:
                 sqrt(pair_d2, pair_d2)
                 multiply(rho_new, rho_sat, pair_num)
                 kernel(pair_num, pair_d2, pair_new, pair_masks)
-                pair_new_1d[pos] = 0.0
-                take(pair_at, k, 1, pair_pos, "clip")
-                take(e_pair, add(pair_pos, chains, pair_pos), None, pair_old, "clip")
-                subtract(pair_new, pair_old, pair_old)
+                pair_new[k] = 0.0
+                subtract(pair_new, e_pair[k], pair_old)
                 reduce(pair_old, 0, None, change)
                 subtract(total, multiply(beta, change, change), total)
             putmask(total, outside, neg_inf)
@@ -421,15 +410,19 @@ class PairChainState:
 
         return log
 
-    def commit(self, acc: np.ndarray) -> None:
-        """Take in the pending terms of the last hinted call at the chains
-        acc, the indices of the accepted moves; S >= 2 only."""
-        pos = self.pos[acc]
-        self.e_cond.reshape(-1)[pos] = self.e_new[acc]
+    def commit(self, k: int, accept: np.ndarray) -> None:
+        """Take in the pending terms of the last hinted call, which moved
+        satellite k, at the chains where accept (m,) is set; S >= 2 only."""
+        putmask = np.putmask
+        putmask(self.e_cond[k], accept, self.e_new)
         if self.e_pair is not None:
-            self.rho_sat.reshape(-1)[pos] = self.rho_new[acc]
-            pair_pos = np.take(self.pair_pos, acc, axis=1)
-            self.e_pair.reshape(-1)[pair_pos] = np.take(self.pair_new, acc, axis=1)
+            putmask(self.rho_sat[k], accept, self.rho_new)
+            # one (m,) putmask per term: several times faster than copyto's
+            # where= on the (S, m) row and column, and than a putmask there,
+            # which needs a mask of its target's shape
+            for row, column, new in self.pair_views[k]:
+                putmask(row, accept, new)
+                putmask(column, accept, new)
 
 
 class PairwiseBiparametric(ConditionalAnsatz):
@@ -503,7 +496,7 @@ class PairwiseBiparametric(ConditionalAnsatz):
                 ).T
                 rho_sat = rho.T.copy()
                 e_pair = np.zeros((n_sat, n_sat, len(r)))
-                e_pair[ii, jj] = e
+                e_pair[ii, jj] = e_pair[jj, ii] = e
         return PairChainState(self, r, rho_r, rho_sat, e_cond, e_pair)
 
     def score(self, r, satellites):

@@ -180,12 +180,45 @@ def _sector_hamiltonian(kin, potential_sum, ii, jj, sign):
     return ham
 
 
+def _lowest_eigenvalue(ham: np.ndarray, tol: float = 1e-10) -> float:
+    """The lowest eigenvalue of a symmetric matrix by Lanczos iteration
+    with full reorthogonalisation, where eigvalsh would compute the whole
+    spectrum.  It starts from the all-ones vector, which overlaps the
+    ground state of every sector matrix _sector_hamiltonian builds: their
+    off-diagonal elements are <= 0, so that state has one sign.  It stops
+    when the lowest Ritz pair's residual norm, which bounds that Ritz
+    value's distance to an eigenvalue, is at most tol max(1, |value|), and
+    raises LinAlgError if it never is."""
+    n = len(ham)
+    basis = np.empty((n, n))
+    alpha, beta = np.empty(n), np.empty(n)
+    v = np.full(n, 1.0 / np.sqrt(n))
+    for j in range(n):
+        basis[j] = v
+        w = ham @ v
+        # Gram-Schmidt against every basis vector, twice: the second pass
+        # removes what rounding left of the first
+        done = basis[: j + 1]
+        coef = done @ w
+        w -= coef @ done
+        again = done @ w
+        w -= again @ done
+        alpha[j], beta[j] = coef[j] + again[j], np.linalg.norm(w)
+        if j % 8 == 7 or j == n - 1 or beta[j] == 0.0:
+            tri = np.diag(alpha[: j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
+            values, vectors = np.linalg.eigh(tri)
+            if abs(beta[j] * vectors[-1, 0]) <= tol * max(1.0, abs(values[0])):
+                return float(values[0])
+        v = w / beta[j]
+    raise np.linalg.LinAlgError("Lanczos iteration did not converge")
+
+
 def _ground_state(ham: np.ndarray) -> np.ndarray:
     """The unit eigenvector of the lowest eigenvalue of a symmetric matrix,
-    with its largest-magnitude component positive: eigvalsh gives the
-    eigenvalue and one step of inverse iteration just below it the vector,
-    where eigh would compute every eigenvector."""
-    e0 = np.linalg.eigvalsh(ham)[0]
+    with its largest-magnitude component positive: a Lanczos iteration
+    gives the eigenvalue and one step of inverse iteration just below it
+    the vector, where eigh would compute every eigenvector."""
+    e0 = _lowest_eigenvalue(ham)
     # the step damps every other eigenvector by about 1e-12 |e0| / gap
     shifted = ham - (e0 - 1e-12 * max(1.0, abs(e0))) * np.eye(len(ham))
     vec = np.linalg.solve(shifted, np.ones(len(ham)))

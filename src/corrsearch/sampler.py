@@ -1,9 +1,13 @@
 """Metropolis sampling of satellite configurations from f(. | r).
 
-One step loop advances every chain of a batch in lockstep.  Each step
-displaces one uniformly chosen satellite per chain by a uniform step and
-accepts with probability min(1, f~'/f~).  Proposals with f~ = 0 (outside
-the support, or at a coincidence) are always rejected.  The batch stores
+One step loop advances every chain of a batch in lockstep.  Step t
+displaces satellite k = t mod S of every chain by a uniform step and
+accepts with probability min(1, f~'/f~): the satellites move in turn, as
+Metropolis et al. (1953) moved "each of the particles in succession".
+Each single-satellite update leaves f(. | r) invariant, so their cyclic
+composition does too (deterministic-scan Metropolis-within-Gibbs).
+Proposals with f~ = 0 (outside the support, or at a coincidence) are
+always rejected.  The batch stores
 its satellites, conditioning points, step variates and kept samples with
 the chain axis last ((S, d, m), (d, m), (steps, d, m), (kept, S, d, m)),
 so every per-step operation runs one long loop over chains; families and
@@ -13,8 +17,8 @@ hint (moved satellite, its old and new positions, the current log f~ and
 the family's chain state), so a family can add only the terms that
 involve the moved satellite; that call is the only one a step makes.
 Every step reuses one set of (d, m) and (m,) buffers: the moved
-coordinates old and new (old plus the step) and the log f~ change; the
-current log f~ is updated in place where a move is accepted.  The steps,
+coordinates new (old plus the step) and the log f~ change; the current
+log f~ is updated in place where a move is accepted.  The steps,
 sigma times the step variates, are multiplied out one window of steps
 at a time into one buffer of at most _WINDOW_BYTES, or into new when a
 window is one step.  sigma changes only at an adaptation, every
@@ -27,34 +31,32 @@ gives the counts a per-step sum would.  The loop binds its numpy calls
 once per batch and passes their outputs positionally.  The store
 always holds the chains' current state, and a proposal never enters it:
 the hinted call gets the store's view, and a family that evaluates a
-proposal in full builds it with `ConditionalAnsatz.proposal`.  With one
-satellite old is the store's row, every hint's k is one zero array
-made per batch, and accepted moves are put into the row and into the
-current log f~ with `np.putmask`, the row's mask a (d, m) broadcast
-view of the step's acceptance row; with more, old is gathered through
-a flat view and one index array per step, and the accepted chains'
-indices, taken once per step, carry their new coordinates into the
-store and their log f~ into the current one.
+proposal in full builds it with `ConditionalAnsatz.proposal`.  old is
+the store's row of satellite k, the hint's k is that int, and accepted
+moves are put into the row and into the current log f~ with
+`np.putmask`, the row's mask a (d, m) broadcast view of the step's
+acceptance row, so no step gathers or scatters through indices.
 The chain state is the family's per-chain cache (for `pairwise`: rho(r),
 the conditioning and satellite pair terms of the current state, and its
 hinted evaluator with that evaluator's buffers).  The family builds it
 once per batch from the final starts, and with more than one satellite
-the sampler commits the accepted chains' indices into it after every
-step.
+the sampler commits each step's move into it, as k and the acceptance
+row.
 
 Randomness discipline: chains are split into blocks of a fixed `_CHUNK`
 chains, and each block owns one generator derived from the master seed
 and the block's first chain index through a counter-based seed split.
 Blocks are stream units only.  A block draws all its start candidates in
 one call, then redraws, in chain order, the starts of its chains whose
-candidate has f~ = 0, and then draws its share of the step variates
-(satellite index, step, acceptance uniform) one step-chunk at a time,
-whatever the accept/reject outcomes.  With one satellite a block draws no
-index, and the batch holds no index buffer: `Generator.integers(1, ...)`
-takes no bits from the stream, so the draws that follow are the same.  The
-step-chunk length comes from the batch's chain count and a fixed byte
-budget (`_VARIATE_BYTES`, 8 (d + 2) bytes per chain-step at every S), so
-a batch holds at most two step-chunks of variates, whatever its size.
+candidate has f~ = 0, and then draws its share of the step variates one
+step-chunk at a time, whatever the accept/reject outcomes: the chunk's
+steps, then its acceptance uniforms.  No satellite index is drawn, since
+the step's k is t mod S.  The step-chunk length comes from the batch's
+chain count and a fixed byte budget (`_VARIATE_BYTES`, counted at
+8 (d + 2) bytes per chain-step, of which the variates take 8 (d + 1); the
+count fixes the step-chunk length, and with it the order of each block's
+draws), so a batch holds at most two step-chunks of variates, whatever
+its size.
 A step variate is uniform on [-sqrt 3, sqrt 3) in each coordinate, which
 has unit variance, so sigma is the step's per-coordinate standard
 deviation.  Any symmetric proposal leaves f(. | r) unchanged under the
@@ -74,8 +76,8 @@ seed, so the run draws their variates once.  Any other run lets the
 held draw go before it allocates its own variates, so the process never
 holds more than one step-chunk besides those of the running batch.
 A one-chain batch is keyed by its chain index and draws its start, then
-all satellite indices, steps and uniforms, in one step-chunk as long as
-the run has at most _VARIATE_BYTES / (8 (d + 2)) steps.
+all steps and uniforms, in one step-chunk as long as the run has at most
+_VARIATE_BYTES / (8 (d + 2)) steps.
 
 Kept samples stream through the caller's observables: the loop buffers
 only the kept configurations of one step-chunk (at most ceil(chunk steps
@@ -116,7 +118,7 @@ _NS_FRESH = 0x667265
 # chains per random-stream block; fixed, so results never depend on the
 # pool thread
 _CHUNK = 1024
-_VARIATE_BYTES = 4 * 2**20  # step variates of one step-chunk: 8 (d + 2) bytes per chain-step
+_VARIATE_BYTES = 4 * 2**20  # step variates of one step-chunk, at 8 (d + 2) bytes per chain-step
 _TUNE_INTERVAL = 64  # burn-in steps between two step-size adaptations
 _WINDOW_BYTES = 64 * 2**10  # sigma times the step variates of one window of steps
 _STEP_HALF_WIDTH = np.sqrt(3.0)  # a uniform on [-sqrt 3, sqrt 3) has unit variance
@@ -262,29 +264,21 @@ def run_conditional_batch(
     # acceptance masks of the last steps, row (t or t - burn_in) % _TUNE_INTERVAL:
     # summed at each adaptation and every _TUNE_INTERVAL measured steps
     accepts = np.empty((_TUNE_INTERVAL, m), bool)
-    # the moved coordinates are read and written through a flat view of the
-    # satellites: those of satellite 0 of every chain sit at elements first
-    sats_1d = sats.reshape(-1)
-    first = np.arange(d * m).reshape(d, m)
-    # every step reuses these buffers: the moved satellites' coordinates
-    # (old, new) and the log f~ change.  With one satellite old is the
-    # store's row itself, every move's k is 0, and the acceptance row is
+    # every step reuses these buffers: the moved coordinates new and the log
+    # f~ change.  The moved satellite's old coordinates are its store row,
+    # held with its transpose for every satellite, and the acceptance row is
     # read as a (d, m) mask through a broadcast view of each ring row
     new = np.empty((d, m))
     gap = np.empty(m)
-    if n_sat == 1:
-        old, k = sats[0], np.zeros(m, np.int64)
-        accepts_dm = list(np.broadcast_to(accepts[:, None], (_TUNE_INTERVAL, d, m)))
-    else:
-        old, elems = np.empty((d, m)), np.empty((d, m), np.int64)
-    old_t, new_t = old.T, new.T
-    # the step's calls, bound once; every ufunc takes its out positionally,
-    # and the gather reads element offsets that are in range by construction
-    # in take's 'clip' mode, which writes straight into its out
+    olds = [(row, row.T) for row in sats]
+    new_t = new.T
+    accepts_dm = list(np.broadcast_to(accepts[:, None], (_TUNE_INTERVAL, d, m)))
+    # the step's calls, bound once; every ufunc takes its out positionally
     multiply, add, subtract, less = np.multiply, np.add, np.subtract, np.less
-    take, putmask, log_unnormalized = np.take, np.putmask, ansatz.log_unnormalized
+    putmask, log_unnormalized = np.putmask, ansatz.log_unnormalized
     burn_in, thinning = settings.burn_in, settings.thinning
-    commit = state.commit if state is not None else None
+    # one satellite's chain state holds no term that a move changes
+    commit = state.commit if state is not None and n_sat > 1 else None
     # steps per variate draw; the batch holds at most two step-chunks of variates
     chunk_steps = min(total_steps, max(1, _VARIATE_BYTES // (8 * (d + 2) * m)))
     # sigma times the step variates, one window of steps at a time: sigma
@@ -321,11 +315,8 @@ def run_conditional_batch(
 
     def draw(c):
         n = min(chunk_steps, total_steps - chunk_starts[c])
-        unit_steps, log_unifs, *sat_idx = drawn = [x[:n] for x in variates[c % len(variates)]]
+        unit_steps, log_unifs = drawn = [x[:n] for x in variates[c % len(variates)]]
         for rng, (a, b) in zip(rngs, blocks):
-            # one satellite draws no index; integers(1) would take no bits
-            for x in sat_idx:
-                x[:, a:b] = rng.integers(n_sat, size=(n, b - a))
             unit_steps[:, :, a:b] = rng.uniform(
                 -_STEP_HALF_WIDTH, _STEP_HALF_WIDTH, (n, b - a, d)
             ).transpose(0, 2, 1)
@@ -342,7 +333,7 @@ def run_conditional_batch(
     # generators stand where that draw's did, and otherwise holds its own
     global _held
     one_chunk = chunk_steps == total_steps
-    key = (n_sat, m, d, total_steps, [g.bit_generator.state for g in rngs]) if one_chunk else None
+    key = (m, d, total_steps, [g.bit_generator.state for g in rngs]) if one_chunk else None
     held = _held  # read once: another thread may replace it
     held = held if held is not None and held[0] == key else None
     _held = held  # a draw that does not match goes before this run allocates
@@ -350,9 +341,7 @@ def run_conditional_batch(
     # draw; step-chunk c is drawn into variate buffer c % 2
     pool = None if one_chunk else ThreadPoolExecutor(1)
     variates = [] if held else [
-        (np.empty((chunk_steps, d, m)), np.empty((chunk_steps, m)))
-        + ((np.empty((chunk_steps, m), np.int64),) if n_sat > 1 else ())
-        for _ in range(2 if pool else 1)
+        (np.empty((chunk_steps, d, m)), np.empty((chunk_steps, m))) for _ in range(2 if pool else 1)
     ]
     with pool or contextlib.nullcontext():
         if held is not None:
@@ -367,9 +356,7 @@ def run_conditional_batch(
                 _held = (key, drawn, [g.bit_generator.state for g in rngs])
         for c, chunk_start in enumerate(chunk_starts):
             job = pool.submit(ahead, c) if pool else None
-            unit_steps, log_unifs, *sat_idx = drawn
-            # element offsets of the moved satellites; one satellite is row 0
-            kdm = sat_idx[0] * (d * m) if sat_idx else None
+            unit_steps, log_unifs = drawn
             buf, n_kept, n = kept[c % 2], 0, len(unit_steps)
             with np.errstate(divide="ignore", invalid="ignore"):
                 for i in range(n):
@@ -380,28 +367,20 @@ def run_conditional_batch(
                         w = min(window - t % window, n - i)
                         multiply(sigma_rows, unit_steps[i : i + w], steps[:w])
                         i0 = i
-                    if kdm is not None:
-                        k = sat_idx[0][i]
-                        add(first, kdm[i], elems)
-                        take(sats_1d, elems, None, old, "clip")
+                    # every chain moves satellite k, in turn
+                    k = t % n_sat
+                    old, old_t = olds[k]
                     add(old, steps[i - i0], new)
                     log_new = log_unnormalized(r, cur, moved=(k, old_t, new_t, log_cur, state))
                     subtract(log_new, log_cur, gap)
                     row = (t if t < burn_in else t - burn_in) % _TUNE_INTERVAL
                     accept = accepts[row]
                     less(log_unifs[i], gap, accept)
-                    if kdm is None:
-                        # old is the store's row: new where accepted
-                        putmask(old, accepts_dm[row], new)
-                        putmask(log_cur, accept, log_new)
-                    else:
-                        # the store, log f~ and chain state take the accepted
-                        # moves only, through their chains' indices
-                        acc = accept.nonzero()[0]
-                        sats_1d[take(elems, acc, 1)] = take(new, acc, 1)
-                        log_cur[acc] = log_new[acc]
-                        if commit is not None:
-                            commit(acc)
+                    # old is the store's row: new where accepted
+                    putmask(old, accepts_dm[row], new)
+                    putmask(log_cur, accept, log_new)
+                    if commit is not None:
+                        commit(k, accept)
 
                     if t < burn_in:
                         if row == _TUNE_INTERVAL - 1:

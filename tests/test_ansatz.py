@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -224,36 +225,37 @@ HINT_CASES = [
 
 @pytest.mark.parametrize("name,n,dim", HINT_CASES)
 def test_move_hint_matches_full_evaluation(name, n, dim):
-    # random single-satellite move sequences, walked like the sampler: the
-    # hinted value of each proposal, from a call given the current state,
-    # against the full evaluation of the proposal, and the accepted hinted
-    # value carried forward as the next log_old.  A
+    # single-satellite move sequences, walked like the sampler, with every
+    # chain moving satellite k = step mod S: the hinted value of each
+    # proposal, from a call given the current state, against the full
+    # evaluation of the proposal, and the accepted hinted value carried
+    # forward as the next log_old.  A
     # carried value is a running sum of term changes, so its rounding error
     # scales with the largest |log f~| the chain has held, not with the
     # current value (which can be far smaller); that is the relative scale
     ans = _hint_family(name, n, dim)
     n_sat, m = ans.n_satellites, 64
     rng = np.random.default_rng(n * 10 + dim)
-    rows = np.arange(m)
     r = ans.density.sample(m, rng)
     cur = np.stack([ans.initial_satellites(r[c], rng) for c in range(m)])
     log_cur = ans.log_unnormalized(r, cur)
     state = ans.chain_state(r, cur)
     scale = np.abs(log_cur)
     for step in range(300):
-        k = rng.integers(n_sat, size=m)
-        old = cur[rows, k]
+        k = step % n_sat
+        old = cur[:, k]
         new = old + 0.6 * rng.standard_normal((m, dim))
-        # exact zero-weight targets: onto r, onto another satellite, outside omega
-        kind = step % 4
+        # exact zero-weight targets: onto r, onto another satellite, outside
+        # omega; the kinds cycle so that each meets every k
+        kind = (step + step // 4) % 4
         if kind == 1:
             new[::5] = r[::5]
         elif kind == 2 and n_sat >= 2:
-            new[::5] = cur[rows, (k + 1) % n_sat][::5]
+            new[::5] = cur[::5, (k + 1) % n_sat]
         elif kind == 3:
             new[::5] = 1.5 * ans.space.omega_radius
         proposal = cur.copy()
-        proposal[rows, k] = new
+        proposal[:, k] = new
         with np.errstate(divide="ignore", invalid="ignore"):  # as in the step loop
             hinted = ans.log_unnormalized(r, cur, moved=(k, old, new, log_cur, state))
         full = ans.log_unnormalized(r, proposal)
@@ -268,7 +270,7 @@ def test_move_hint_matches_full_evaluation(name, n, dim):
         cur[accept] = proposal[accept]
         log_cur = np.where(accept, hinted, log_cur)
         if state is not None and n_sat > 1:
-            state.commit(accept.nonzero()[0])
+            state.commit(k, accept)
         scale = np.maximum(scale, np.abs(log_cur))
 
 
@@ -283,7 +285,6 @@ def test_hinted_kernel_does_not_depend_on_layout(n, dim, beta):
     ans = PairwiseBiparametric(density, space, gamma=0.8, beta=beta)
     n_sat, m = n - 1, 64
     rng = np.random.default_rng(n * 10 + dim)
-    rows = np.arange(m)
     r = density.sample(m, rng)
     start = np.stack([ans.initial_satellites(r[c], rng) for c in range(m)])
     store = np.ascontiguousarray(start.transpose(1, 2, 0))
@@ -291,18 +292,20 @@ def test_hinted_kernel_does_not_depend_on_layout(n, dim, beta):
     states = [ans.chain_state(r, store.transpose(2, 0, 1)), ans.chain_state(r, start)]
     names = ("rho_r", "rho_sat", "e_cond", "e_pair")
     for step in range(120):
-        k = rng.integers(n_sat, size=m)
-        old = np.ascontiguousarray(store[k, :, rows].T)  # (d, m), as the loop gathers it
+        k = step % n_sat
+        old = store[k]  # (d, m): the store's row, as the loop reads it
         new = old + 0.6 * rng.standard_normal((dim, m))
-        kind = step % 4  # exact zero-weight targets: r, another satellite, outside omega
+        # exact zero-weight targets: r, another satellite, outside omega;
+        # the kinds cycle so that each meets every k
+        kind = (step + step // 4) % 4
         if kind == 1:
             new[:, ::5] = r[::5].T
         elif kind == 2 and n_sat >= 2:
-            new[:, ::5] = store[(k + 1) % n_sat, :, rows][::5].T
+            new[:, ::5] = store[(k + 1) % n_sat, :, ::5]
         elif kind == 3:
             new[:, ::5] = 1.5 * space.omega_radius
         proposal = store.copy()
-        proposal[k, :, rows] = new.T
+        proposal[k] = new
         views = (np.ascontiguousarray(r.T).T, store.transpose(2, 0, 1), old.T, new.T)
         copies = tuple(np.ascontiguousarray(a) for a in views)
         with np.errstate(divide="ignore", invalid="ignore"):  # as in the step loop
@@ -314,7 +317,7 @@ def test_hinted_kernel_does_not_depend_on_layout(n, dim, beta):
         accept = np.log(rng.random(m)) < got[0] - log_cur
         if n_sat > 1:
             for st in states:
-                st.commit(accept.nonzero()[0])
+                st.commit(k, accept)
         for name in names:
             held, want = getattr(states[0], name), getattr(states[1], name)
             assert (held is None) == (want is None), name
@@ -327,36 +330,40 @@ def test_hinted_kernel_does_not_depend_on_layout(n, dim, beta):
 
 @pytest.mark.parametrize("n", [3, 6])
 def test_hinted_gathers_read_the_moved_satellites_terms(n):
-    # the hinted call reads the moved satellite's old terms through flat
-    # indices in take's 'clip' mode, which clamps an out-of-range index
-    # instead of raising: pin pos and pair_pos against fancy indexing of
-    # the (S, m) and (S, S, m) arrays, so an index bug cannot go silent
+    # the hinted call reads the moved satellite's old terms as the rows
+    # e_cond[k] and e_pair[k] and leaves its new ones pending, and
+    # commit(k, accept) writes them into row k and, for the pairs, column k
+    # by mask: pin the pending and the held terms against pair_energy, so a
+    # row or column the commit misses cannot go silent
     density = ExponentialDensity(zeta=1.0, n_electrons=n)
     space = SpaceSpec(dim=3, radius=4.0, n_electrons=n)
     ans = PairwiseBiparametric(density, space, gamma=0.8, beta=1.5)
     n_sat, m = n - 1, 64
     rng = np.random.default_rng(n)
-    chains = np.arange(m)
     r = density.sample(m, rng)
     cur = np.stack([ans.initial_satellites(r[c], rng) for c in range(m)])
     log_cur = ans.log_unnormalized(r, cur)
     state = ans.chain_state(r, cur)
-    for _ in range(20):
-        k = rng.integers(n_sat, size=m)
-        new = cur[chains, k] + 0.1 * rng.standard_normal((m, 3))
+    for step in range(4 * n_sat):
+        k = step % n_sat
+        new = cur[:, k] + 0.1 * rng.standard_normal((m, 3))
         with np.errstate(divide="ignore", invalid="ignore"):  # as in the step loop
-            ans.log_unnormalized(r, cur, moved=(k, cur[chains, k], new, log_cur, state))
-        np.testing.assert_array_equal(state.pos, np.ravel_multi_index((k, chains), (n_sat, m)))
-        np.testing.assert_array_equal(np.take(state.e_cond, state.pos, mode="clip"),
-                                      state.e_cond[k, chains])
-        # the term of satellites j and k is held once, at [min(j, k), max(j, k)]
-        rows = np.arange(n_sat)[:, None]
-        lo, hi = np.minimum(rows, k), np.maximum(rows, k)
-        np.testing.assert_array_equal(
-            state.pair_pos, np.ravel_multi_index((lo, hi, chains), (n_sat, n_sat, m))
-        )
-        np.testing.assert_array_equal(np.take(state.e_pair, state.pair_pos, mode="clip"),
-                                      state.e_pair[lo, hi, chains])
+            hinted = ans.log_unnormalized(r, cur, moved=(k, cur[:, k], new, log_cur, state))
+        np.testing.assert_array_equal(state.e_new, pair_energy(density, space, r, new))
+        np.testing.assert_array_equal(state.rho_new, density.value(new))
+        want = pair_energy(density, space, new[:, None], cur).T
+        want[k] = 0.0
+        np.testing.assert_array_equal(state.pair_new, want)
+        accept = np.arange(m) % 3 != step % 3
+        state.commit(k, accept)
+        cur[accept, k] = new[accept]
+        log_cur = np.where(accept, hinted, log_cur)
+        np.testing.assert_array_equal(state.e_cond, pair_energy(density, space, r[:, None], cur).T)
+        np.testing.assert_array_equal(state.rho_sat, density.value(cur).T)
+        # E_H(s_i, s_j) at [i, j] and [j, i], 0 on the diagonal
+        held = pair_energy(density, space, cur[:, :, None], cur[:, None, :]).transpose(1, 2, 0)
+        held[np.arange(n_sat), np.arange(n_sat)] = 0.0
+        np.testing.assert_array_equal(state.e_pair, held)
 
 
 def test_parameter_validation():
@@ -641,28 +648,32 @@ def test_simple_is_pairwise_at_unit_gamma_zero_beta(n):
     pair = PairwiseBiparametric(density, space, 1.0, 0.0)
     n_sat, m = n - 1, 64
     rng = np.random.default_rng(n)
-    rows = np.arange(m)
     r = density.sample(m, rng)
     cur = space.uniform_omega(m * n_sat, rng).reshape(m, n_sat, 3)
     log_cur = pair.log_unnormalized(r, cur)
-    k = rng.integers(n_sat, size=m)
-    proposal = cur.copy()
-    proposal[rows, k] += 0.6 * rng.standard_normal((m, 3))
-    # exact zero-weight proposals: onto r, onto another satellite, outside omega
-    proposal[0::5, 0] = r[0::5]
-    proposal[1::5, -1] = proposal[1::5, 0]
-    proposal[2::5, 0] = 1.5 * space.omega_radius
-    hint = (k, cur[rows, k], proposal[rows, k], log_cur)
-    for sats in (cur, proposal):
+    proposals = []
+    for k in range(n_sat):
+        new = cur[:, k] + 0.6 * rng.standard_normal((m, 3))
+        # exact zero-weight proposals: onto r, onto another satellite, outside omega
+        new[0::5] = r[0::5]
+        if n_sat > 1:
+            new[1::5] = cur[1::5, (k + 1) % n_sat]
+        new[2::5] = 1.5 * space.omega_radius
+        proposals.append(cur.copy())
+        proposals[k][:, k] = new
+    for sats in [cur] + proposals:
         np.testing.assert_array_equal(
             simple.log_unnormalized(r, sats), pair.log_unnormalized(r, sats)
         )
         np.testing.assert_array_equal(simple.score(r, sats), pair.score(r, sats))
-    with np.errstate(divide="ignore", invalid="ignore"):  # as in the step loop
-        np.testing.assert_array_equal(
-            simple.log_unnormalized(r, cur, moved=hint + (simple.chain_state(r, cur),)),
-            pair.log_unnormalized(r, cur, moved=hint + (pair.chain_state(r, cur),)),
-        )
+    for k, proposal in enumerate(proposals):
+        new = proposal[:, k]
+        hint = (k, cur[:, k], new, log_cur)
+        with np.errstate(divide="ignore", invalid="ignore"):  # as in the step loop
+            np.testing.assert_array_equal(
+                simple.log_unnormalized(r, cur, moved=hint + (simple.chain_state(r, cur),)),
+                pair.log_unnormalized(r, cur, moved=hint + (pair.chain_state(r, cur),)),
+            )
     assert simple.fermionic_compatible == pair.fermionic_compatible
 
 
@@ -727,3 +738,23 @@ def test_density_names_appear_only_in_the_registry():
     # the same for density families, whose registry and capabilities
     # (zetas, scale_searched, from_section) domain.py owns
     assert not registry_offenders("domain.py", DENSITIES)
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    # numpy is the package's one dependency; scipy and the test tools are
+    # optional extras, which the package may not import
+    offenders = []
+    for path in sorted(Path(corrsearch.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            offenders += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names | {"numpy"}
+            ]
+    assert not offenders

@@ -382,7 +382,8 @@ def test_energy_seed_override_changes_mc_numbers(tmp_path):
 
 
 # the breakdowns of three small `energy --method mc` runs of the pairwise
-# family, recorded when the proposal steps became uniform.  A change to
+# family, recorded when the proposal steps became uniform (N = 3 and 6 when
+# the satellites began to move in turn).  A change to
 # how the sampler or the hinted evaluation computes must leave them bit
 # for bit; a change to what the sampler draws re-records them
 PINNED_MC_BREAKDOWNS = {
@@ -393,16 +394,16 @@ PINNED_MC_BREAKDOWNS = {
         "total_stderr": 0.0503402226483118, "weizsacker": 2.249999999999991,
     },
     (3, "1d"): {
-        "coulomb": 2.2231167938837975, "coulomb_stderr": 0.04985525248739634,
-        "external": -8.37441119338203, "fisher": 1.4950808603574064,
-        "fisher_stderr": 0.22835066537192586, "method": "mc", "total": -1.2812135391429376,
-        "total_stderr": 0.24081355931602672, "weizsacker": 3.37499999999789,
+        "coulomb": 2.349918537113833, "coulomb_stderr": 0.05424317336881996,
+        "external": -8.37441119338203, "fisher": 1.9870655093805045,
+        "fisher_stderr": 0.2697983337246555, "method": "mc", "total": -0.6624271468898026,
+        "total_stderr": 0.2837873280707437, "weizsacker": 3.37499999999789,
     },
     (6, "3d"): {
-        "coulomb": 10.315161429887969, "coulomb_stderr": 0.6463117255179984,
-        "external": -54.00000000000064, "fisher": 1.335126840345495,
-        "fisher_stderr": 0.4812294242422315, "method": "mc", "total": -35.5997117297672,
-        "total_stderr": 0.8258068704295822, "weizsacker": 6.749999999999974,
+        "coulomb": 10.044828820897926, "coulomb_stderr": 0.6647764036222547,
+        "external": -54.00000000000064, "fisher": 2.090137298843203,
+        "fisher_stderr": 0.8585602843096993, "method": "mc", "total": -35.11503388025953,
+        "total_stderr": 1.1194970146818255, "weizsacker": 6.749999999999974,
     },
 }
 

@@ -308,12 +308,14 @@ def test_streamed_score_variance_equals_the_whole_series(monkeypatch, walkers, s
         np.testing.assert_array_equal(run.pair_series, stored["pair"][:, :5])
 
 
-@pytest.mark.parametrize("n,dim", [(2, 3), (3, 3), (6, 3), (3, 1)])
+@pytest.mark.parametrize("n,dim", [(2, 3), (3, 3), (5, 3), (6, 3), (3, 1)])
 def test_fisher_term_carries_no_autocorrelation_bias(n, dim):
     # a chain's plain variance of its correlated score series reads low by
     # about (tau - 1)/(K - 1): about -9 sigma at N = 6 on this family at the
     # default budget.  Extrapolated in 1/K over the series' halves and
-    # quarters, each term lies within 3 sigma of N (N-1) d / (8 w^2)
+    # quarters, each term lies within 3 sigma of N (N-1) d / (8 w^2).  At
+    # N = 5 the scan's S = 4 equals the default thinning, so every kept
+    # sample follows a move of the same satellite (N = 3 aliases at S = 2)
     density = ExponentialDensity(zeta=1.0, n_electrons=n, dim=dim)
     space = SpaceSpec(dim=dim, radius=8.0, n_electrons=n)
     toy = GaussianToy(density, space, width=1.0)

@@ -19,6 +19,7 @@ from corrsearch.oracle import (
     direct_expectation_product,
     grid_coulomb_expectation,
     _ground_state,
+    _lowest_eigenvalue,
     _sector_hamiltonian,
     soft_kernel,
     kinetic_matrix,
@@ -177,7 +178,7 @@ def test_sector_hamiltonian_matches_projected_product_space(symmetry):
 @pytest.mark.parametrize("m", [8, 32])
 @pytest.mark.parametrize("symmetry", ["boson", "fermion"])
 def test_ground_state_matches_full_diagonalization(symmetry, m):
-    # the solver's ground state (eigvalsh plus inverse iteration) against
+    # the solver's ground state (Lanczos plus inverse iteration) against
     # the lowest eigenpair of eigh on the same sector matrix
     x = np.linspace(-6.0, 6.0, m)
     sign = -1.0 if symmetry == "fermion" else 1.0
@@ -191,6 +192,25 @@ def test_ground_state_matches_full_diagonalization(symmetry, m):
     assert vec[np.argmax(np.abs(vec))] > 0.0
     want = vectors[:, 0] * np.sign(vectors[np.argmax(np.abs(vectors[:, 0])), 0])
     np.testing.assert_allclose(vec, want, rtol=0.0, atol=1e-11)
+
+
+@pytest.mark.parametrize("m", [16, 32, 48, 64])
+@pytest.mark.parametrize("symmetry", ["boson", "fermion"])
+def test_lanczos_lowest_eigenvalue_matches_eigvalsh(symmetry, m):
+    x = np.linspace(-6.0, 6.0, m)
+    sign = -1.0 if symmetry == "fermion" else 1.0
+    ii, jj = np.triu_indices(m, k=1 if symmetry == "fermion" else 0)
+    potential = soft_atom(x)[ii] + soft_atom(x)[jj] + soft_kernel(x, 1.0)[ii, jj]
+    ham = _sector_hamiltonian(kinetic_matrix(m, x[1] - x[0]), potential, ii, jj, sign)
+    want = np.linalg.eigvalsh(ham)[0]
+    assert abs(_lowest_eigenvalue(ham) - want) <= 1e-10 * abs(want)
+
+
+def test_lanczos_raises_when_its_residual_never_converges():
+    # at tol = 0 the residual must vanish exactly, which rounding prevents
+    a = np.random.default_rng(3).standard_normal((12, 12))
+    with pytest.raises(np.linalg.LinAlgError, match="Lanczos"):
+        _lowest_eigenvalue(a + a.T, tol=0.0)
 
 
 @pytest.mark.parametrize("m", [4, 16, 32, 64])

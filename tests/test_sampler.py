@@ -8,7 +8,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.stats
 
 from corrsearch import sampler
 from corrsearch.ansatz import (
@@ -242,11 +241,12 @@ def test_chain_log_f_never_stale(n, beta, dim):
 
 
 class CurrentStateCheck(PairwiseBiparametric):
-    """Asserts, at every hinted call, that satellites is the chains' current
-    state, with old at satellite k, and that log_old took the last call's
-    value exactly at the chains the last commit named; and, at every
-    commit(acc), that the store changed to the proposal at the chains acc
-    and nowhere else."""
+    """Asserts, at every hinted call, that k is the int t mod S at step t,
+    that satellites is the chains' current state, with old at satellite k,
+    and that log_old took the last call's value exactly at the chains the
+    last commit's mask set; and, at every commit(k, accept), that the
+    store changed to the proposal at the chains accept sets and nowhere
+    else."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -256,8 +256,8 @@ class CurrentStateCheck(PairwiseBiparametric):
         if moved is None:
             return super().log_unnormalized(r, satellites)
         k, old, new, log_old = moved[:4]
-        rows = np.arange(k.size)
-        np.testing.assert_array_equal(satellites[rows, k], old)
+        assert type(k) is int and k == self.calls % self.n_satellites
+        np.testing.assert_array_equal(satellites[:, k], old)
         if self.last is not None:
             expected = self.last["log_old"].copy()
             acc = self.last["acc"]
@@ -268,18 +268,19 @@ class CurrentStateCheck(PairwiseBiparametric):
         # writes into it before the commit
         self.last = {
             "store": satellites, "before": np.array(satellites, copy=True),
-            "proposal": self.proposal(satellites, k, new),
+            "proposal": self.proposal(satellites, k, new), "k": k,
             "log_old": log_old.copy(), "log_new": log_new.copy(),
         }
         self.calls += 1
         return log_new
 
-    def check_commit(self, acc):
+    def check_commit(self, k, accept):
         last = self.last
-        changed = np.flatnonzero((last["store"] != last["before"]).any(axis=(1, 2)))
-        np.testing.assert_array_equal(changed, acc)
-        np.testing.assert_array_equal(last["store"][acc], last["proposal"][acc])
-        last["acc"] = acc.copy()
+        assert k == last["k"] and accept.dtype == bool
+        changed = (last["store"] != last["before"]).any(axis=(1, 2))
+        np.testing.assert_array_equal(changed, accept)
+        np.testing.assert_array_equal(last["store"][accept], last["proposal"][accept])
+        last["acc"] = accept.copy()
         self.commits += 1
 
 
@@ -288,15 +289,15 @@ class CurrentStateCheck(PairwiseBiparametric):
 def test_hinted_call_sees_the_current_state(monkeypatch, n, dim):
     # a proposal never enters the satellite store: each hinted call sees
     # the chains' current state, and the step loop writes the store, log f~
-    # and the chain state only through the accepted chains' indices
+    # and the chain state only at the chains of the step's acceptance mask
     density = ExponentialDensity(zeta=1.0, n_electrons=n, dim=dim)
     space = SpaceSpec(dim=dim, radius=3.0, n_electrons=n)
     ansatz = CurrentStateCheck(density, space, 1.0, 1.5)
     commit = PairChainState.commit
 
-    def checked_commit(state, acc):
-        ansatz.check_commit(acc)
-        commit(state, acc)
+    def checked_commit(state, k, accept):
+        ansatz.check_commit(k, accept)
+        commit(state, k, accept)
 
     monkeypatch.setattr(PairChainState, "commit", checked_commit)
     settings = SamplerSettings(sigma=0.5, burn_in=40, samples=20, thinning=2, seed=6)
@@ -305,6 +306,54 @@ def test_hinted_call_sees_the_current_state(monkeypatch, n, dim):
     steps = settings.burn_in + settings.samples * settings.thinning
     assert ansatz.calls == ansatz.commits == steps
     assert 0.0 < batch.acceptance.mean() < 1.0
+
+
+class ScanRecorder(ConstTarget):
+    """A flat target with S satellites in 3D that records the hint's k at
+    every step; every move is accepted."""
+
+    family = "scan-toy"
+
+    def __init__(self, density, space, n_sat):
+        super().__init__(density, space)
+        self.n_sat, self.ks = n_sat, []
+
+    @property
+    def n_satellites(self):
+        return self.n_sat
+
+    def log_unnormalized(self, r, satellites, moved=None):
+        if moved is not None:
+            self.ks.append(moved[0])
+            satellites = self.proposal(satellites, moved[0], moved[2])
+        return np.zeros(satellites.shape[0])
+
+    def start_candidates(self, r, rng):
+        return np.zeros((len(r), self.n_sat, 3))
+
+
+@pytest.mark.parametrize("n_sat", [1, 2, 5])
+def test_every_chain_moves_satellite_t_mod_s_and_draws_no_index(n_sat):
+    # at step t every chain moves satellite t mod S, and each block's
+    # stream is its steps, then its uniforms, with no index draw at any S:
+    # on a flat target each satellite's path is the running sum of the
+    # steps of the steps that moved it
+    density = ExponentialDensity(zeta=1.0, n_electrons=2)
+    space = SpaceSpec(dim=3, radius=8.0, n_electrons=2)
+    ansatz = ScanRecorder(density, space, n_sat)
+    m, steps = 16, 23
+    settings = SamplerSettings(sigma=1.0, burn_in=0, samples=steps, thinning=1, seed=5)
+    batch = run_conditional_batch(ansatz, np.zeros((m, 3)), settings, {"sats": _sats})
+    np.testing.assert_array_equal(batch.acceptance, 1.0)
+    assert all(type(k) is int for k in ansatz.ks)
+    assert ansatz.ks == [t % n_sat for t in range(steps)]
+    rng = substream(5, _NS_CHAIN, 0)
+    unit = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), (steps, m, 3))
+    rng.random((steps, m))
+    sats = np.zeros((m, n_sat, 3))
+    for t in range(steps):
+        sats[:, t % n_sat] += unit[t]
+        np.testing.assert_array_equal(batch.values["sats"][t], sats)
 
 
 class CountingPairwise(PairwiseBiparametric):
@@ -612,17 +661,18 @@ def test_pool_thread_only_for_several_step_chunks(monkeypatch):
 
 
 # kept-sample sums, summed acceptance and summed final sigma of two-block
-# pairwise runs, recorded when the proposal steps became uniform; a change
+# pairwise runs, recorded when the proposal steps became uniform (the
+# S >= 2 entries when the satellites began to move in turn); a change
 # to where the chain state or the step loop keeps its terms must not move
 # a result bit.  The entries keyed (family, n, dim) cover 1D pairwise with
 # beta > 0 (the contact masks of the hinted kernel), and the two families
 # without a chain state
 PINNED_BATCH_VALUES = {
     (2, 0.0): (62.812292606288736, 5508.3772102529165, 389.5, 554.41875),
-    (6, 1.5): (859.2103484484682, 81383.65226785341, 450.5625, 686.2328124999999),
-    ("pairwise", 3, 1): (31.336284554928092, 11613.142583760166, 346.0, 443.7533625),
-    ("frozen", 6, 3): (153.20982372572195, 59398.939168175784, 443.9375, 675.33125),
-    ("gaussian-toy", 6, 3): (1538.309128969422, 189544.65016679565, 503.4375, 1006.611328125),
+    (6, 1.5): (-719.931980511436, 81344.84325472669, 447.4375, 684.390625),
+    ("pairwise", 3, 1): (-45.3957851923922, 11463.177684270491, 335.4375, 445.2012125),
+    ("frozen", 6, 3): (-50.998687201690615, 58939.35005766355, 445.0625, 677.828125),
+    ("gaussian-toy", 6, 3): (1760.8533160509191, 189533.9845171774, 515.875, 989.74609375),
 }
 
 
@@ -653,14 +703,15 @@ def _assert_batch_pinned(monkeypatch, key, ansatz, points, settings, runs):
         assert _batch_sums(batch) == PINNED_BATCH_VALUES[key]
 
 
-# the same sums for two-block pooled runs of six step-chunks of 37 steps,
+# the same sums for two-block pooled runs of six step-chunks of 37 steps
+# (the N = 3 entry recorded when the satellites began to move in turn),
 # whose steps the loop scales a window at a time: the 199 steps (burn-in
 # 151, two adaptations) put step-chunk edges and the burn-in's end inside
 # windows, whose length divides _TUNE_INTERVAL (2 steps at 3D and 4 in 1D
 # for 1100 chains)
 PINNED_WINDOW_VALUES = {
     (2, 3): (-97.61259161398212, 11543.205940959435, 427.04166666666663, 571.875),
-    (3, 1): (-703.9147633304649, 22850.07658805867, 303.95833333333337, 507.29),
+    (3, 1): (-762.9698711458485, 22765.49565193334, 305.54166666666663, 504.55),
 }
 
 
@@ -711,9 +762,10 @@ def test_family_batch_values_pinned(monkeypatch, family, n, dim):
 
 # one chain's mean, batch-means stderr and acceptance of a one-chain block,
 # keyed by its chain index, which draws its start and then all its step
-# variates in one step-chunk (recorded when the steps became uniform)
+# variates in one step-chunk (recorded when the steps became uniform, and
+# the N = 3 entry when the satellites began to move in turn)
 ONE_CHAIN_VALUES = {
-    "pairwise-3d": (2.6184255804600594, 0.06865370737498619, 0.408203125),
+    "pairwise-3d": (2.6115826743792936, 0.06461756407249493, 0.396484375),
     "pairwise-1d": (1.7858933013766134, 0.08394524784503955, 0.568359375),
     "gaussian-1d": (0.8316561771966637, 0.09079790552183617, 0.724609375),
 }
@@ -972,11 +1024,12 @@ def test_conditioning_radial_mean():
 
 
 def test_conditioning_uniform_ks():
+    stats = pytest.importorskip("scipy.stats")
     x = np.linspace(0.0, 1.0, 101)
     density = Tabulated1DDensity(x, np.ones_like(x), n_electrons=2)
     rng = np.random.default_rng(8)
     draws = density.sample(100_000, rng)[:, 0]
-    stat = scipy.stats.kstest(draws, "uniform")
+    stat = stats.kstest(draws, "uniform")
     assert stat.pvalue > 0.01
 
 
