@@ -115,21 +115,20 @@ class ConditionalAnsatz:
     S = N - 1; both return results of shape (...) resp. (..., d).
 
     log_unnormalized(r, satellites, moved=None) takes an optional move
-    hint moved = (k, old, new, log_old, state) from the sampler, for m
-    chains with r of shape (m, d) and satellites (m, S, d): satellites is
-    the chains' current state, and the proposal moves satellite k, an
-    int, of every chain from old = satellites[:, k] to new (arrays
-    (m, d)); at step t of a batch k is t mod S.  satellites and old are
-    strided views of the sampler's store, which takes an accepted move in
-    only after the call, and new is a strided view of a buffer that the
-    sampler overwrites in the next step, so a family must not write any
-    of them, nor keep any past the call.  log_old (m,) is the current, finite
-    value, and state is what chain_state(r, current satellites) returned
-    at the batch's start, at the same points r as every hinted call of
-    the batch.  With more than one satellite the sampler keeps it
-    current: after every hinted call it calls state.commit(k, accept),
-    accept the (m,) bool mask of the chains whose move was accepted, when
-    state is not None.  A family may return log_old plus the change in
+    hint moved = (k, new, log_old, state) from the sampler, for m chains
+    with r of shape (m, d) and satellites (m, S, d): satellites is the
+    chains' current state, and the proposal moves satellite k, an int, of
+    every chain from satellites[:, k] to new (m, d); at step t of a batch
+    k is t mod S.  satellites is a strided view of the sampler's store,
+    which takes an accepted move in only after the call, and new is a
+    strided view of a buffer that the sampler overwrites in the next
+    step, so a family must not write either of them, nor keep either past
+    the call.  log_old (m,) is the current, finite value, and state is
+    what chain_state(r, current satellites) returned at the batch's
+    start, at the same points r as every hinted call of the batch.  With
+    more than one satellite the sampler keeps it current: after every
+    hinted call it calls state.commit(k, accept), accept the (m,) bool
+    mask of the chains whose move was accepted, when state is not None.  A family may return log_old plus the change in
     the terms that involve satellite k, or evaluate proposal(satellites,
     k, new) in full; both give the same value up to rounding.  The value
     a hinted call returns may be a buffer of the state that the next
@@ -467,7 +466,7 @@ class PairwiseBiparametric(ConditionalAnsatz):
 
     def log_unnormalized(self, r, satellites, moved=None):
         if moved is not None:
-            k, _, new, log_old, state = moved
+            k, new, log_old, state = moved
             return state.log(satellites, k, new, log_old)
         r, satellites = self._check_shapes(r, satellites)
         e_cond = pair_energy(self.density, self.space, r[..., None, :], satellites)
@@ -543,7 +542,7 @@ class FrozenOrbitalProduct(ConditionalAnsatz):
 
     def log_unnormalized(self, r, satellites, moved=None):
         if moved is not None:
-            satellites = self.proposal(satellites, moved[0], moved[2])
+            satellites = self.proposal(satellites, moved[0], moved[1])
         # np.sum adds 8 or more terms in an order set by the memory layout,
         # so the sampler's chain-last views are summed as a C-ordered copy
         r, satellites = self._check_shapes(r, np.ascontiguousarray(satellites))
@@ -580,7 +579,7 @@ class GaussianToy(ConditionalAnsatz):
 
     def log_unnormalized(self, r, satellites, moved=None):
         if moved is not None:
-            satellites = self.proposal(satellites, moved[0], moved[2])
+            satellites = self.proposal(satellites, moved[0], moved[1])
         r, satellites = self._check_shapes(r, satellites)
         # summed in C order, whatever the layout, as FrozenOrbitalProduct does
         delta = np.subtract(satellites, r[..., None, :], order="C")

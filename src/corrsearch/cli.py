@@ -14,6 +14,10 @@ every command writes its `record.json`, and `optimize` its `trace.csv`,
 through `_write`.  `verify` reads no config and takes only `--out`,
 checked before it computes; without it no record is written.
 
+No command picks the route that estimates Gamma: the family and the
+density do, in `functionals.gamma_correlation`, and each record reports
+the route taken as `method`.
+
 Exit codes: 0 success, 1 invalid input, 2 numerical failure,
 3 tolerance failure in `verify`.
 """
@@ -51,7 +55,6 @@ from .functionals import (
     conditional_moments,
     gamma_from_moments,
     prefactor_value,
-    quadrature_applies,
     total_energy,
 )
 from .optimizer import fresh_estimate, inner_minimize, outer_minimize
@@ -108,17 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_energy = subs.add_parser("energy", help="evaluate the energy once")
     _add_common(p_energy)
-    p_energy.add_argument(
-        "--method",
-        choices=("auto", "mc", "quadrature"),
-        default="auto",
-        help="route for the correlation terms",
-    )
     p_energy.set_defaults(handler=cmd_energy)
 
     p_opt = subs.add_parser("optimize", help="nested variational search")
     _add_common(p_opt)
-    p_opt.add_argument("--method", choices=("auto", "mc", "quadrature"), default="auto")
     p_opt.set_defaults(handler=cmd_optimize)
 
     p_cmp = subs.add_parser("compare-ansatz", help="rank families on one density")
@@ -204,7 +200,7 @@ def cmd_energy(args) -> int:
     ansatz = build_ansatz(cfg.ansatz.family, density, space, cfg.ansatz.gamma, cfg.ansatz.beta)
 
     t0 = time.perf_counter()
-    breakdown = total_energy(density, ansatz, potential, cfg.sampler, method=args.method)
+    breakdown = total_energy(density, ansatz, potential, cfg.sampler)
     elapsed = time.perf_counter() - t0
 
     results = {
@@ -230,11 +226,8 @@ def cmd_optimize(args) -> int:
     cfg, space, density = _setup(args)
     if not density.scale_searched:
         raise ConfigError(f"[density] field 'family': {density.family} has no zeta to search")
-    family = FAMILIES[cfg.ansatz.family]
-    if not family.searchable:
+    if not FAMILIES[cfg.ansatz.family].searchable:
         raise ConfigError("[ansatz] field 'family': not searchable")
-    if args.method == "quadrature" and not quadrature_applies(family, density):
-        raise ConfigError("--method quadrature applies only to the frozen family on 3d densities")
     potential = build_potential(cfg)
     config, seed = cfg.to_dict(), cfg.sampler.seed
 
@@ -247,7 +240,6 @@ def cmd_optimize(args) -> int:
             cfg.ansatz.family,
             cfg.sampler,
             cfg.optimize,
-            method=args.method,
         )
     except (Exception, KeyboardInterrupt) as exc:
         timings = {"optimize_seconds": time.perf_counter() - t0}
@@ -300,10 +292,10 @@ def cmd_compare(args) -> int:
 
     entries = []
     for fam in families:
-        inner = inner_minimize(density, space, fam, cfg.sampler, cfg.optimize, method="auto")
+        inner = inner_minimize(density, space, fam, cfg.sampler, cfg.optimize)
         # the parameter-free families ignore the nan couplings
         ansatz = build_ansatz(fam, density, space, inner.gamma, inner.beta)
-        fresh = fresh_estimate(density, ansatz, cfg.sampler, "auto")
+        fresh = fresh_estimate(density, ansatz, cfg.sampler)
         entries.append(
             {
                 "family": fam,

@@ -38,7 +38,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .ansatz import AnsatzError, ConditionalAnsatz
+from .ansatz import ConditionalAnsatz
 from .domain import (
     Density,
     DomainError,
@@ -279,42 +279,29 @@ def gamma_from_moments(moments: ConditionalMoments, n_electrons: int) -> GammaEs
     )
 
 
-def quadrature_applies(family, density: Density) -> bool:
-    """Whether the deterministic Coulomb route covers the family (class or
-    instance) on this density: the frozen family on a 3D analytic density,
-    one with decay rates."""
-    return family.closed_form_coulomb and density.dim == 3 and bool(density.zetas)
-
-
-def _zero_gamma(method: str) -> GammaEstimate:
-    return GammaEstimate(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, method)
+def quadrature_applies(ansatz: ConditionalAnsatz, density: Density) -> bool:
+    """Whether the deterministic Coulomb route covers the ansatz on this
+    density: the frozen family on a 3D analytic density, one with decay
+    rates."""
+    return ansatz.closed_form_coulomb and density.dim == 3 and bool(density.zetas)
 
 
 def gamma_correlation(
     density: Density,
     ansatz: ConditionalAnsatz,
     settings: SamplerSettings,
-    method: str = "auto",
 ) -> GammaEstimate:
     """Estimate Gamma[f, rho] = Fisher + Coulomb.
 
-    method "mc" runs the two-level sampler; "quadrature" is available for
-    the frozen family on 3D analytic densities (score is identically
-    zero, so Gamma reduces to a deterministic double integral); "auto"
-    picks quadrature exactly in that case.
+    The family and the density pick the route, reported as `method`: with
+    no satellites Gamma is exactly zero; where `quadrature_applies` (the
+    frozen family on a 3D analytic density, whose score is identically
+    zero) it is a deterministic double integral; otherwise the two-level
+    sampler estimates it.
     """
     if ansatz.n_satellites == 0:
-        return _zero_gamma("exact")
-    if method not in ("auto", "mc", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
-    use_quadrature = method != "mc" and quadrature_applies(ansatz, density)
-    if method == "quadrature" and not use_quadrature:
-        raise AnsatzError(
-            "quadrature route applies only to the frozen family "
-            "on 3D analytic densities; use method 'mc' or 'auto'"
-        )
-
-    if use_quadrature:
+        return GammaEstimate(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, "exact")
+    if quadrature_applies(ansatz, density):
         coulomb = frozen_coulomb_quadrature(density)
         return GammaEstimate(
             fisher=0.0,
@@ -506,12 +493,11 @@ def total_energy(
     ansatz: ConditionalAnsatz,
     potential: ExternalPotential | None,
     settings: SamplerSettings,
-    method: str = "auto",
 ) -> EnergyBreakdown:
     """Full energy of (rho, f): deterministic one-body terms
     by quadrature plus the sampled correlation functional."""
     grid = default_grid(density)
     w = weizsacker_term(density, grid)
     ext = external_energy(density, potential, grid) if potential is not None else 0.0
-    gamma = gamma_correlation(density, ansatz, settings, method=method)
+    gamma = gamma_correlation(density, ansatz, settings)
     return EnergyBreakdown.assemble(w, gamma, ext)

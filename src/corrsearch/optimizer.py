@@ -16,6 +16,10 @@ minimizing Weizsacker + external + inner-optimal Gamma.
 Only the winner of a run is re-evaluated on a fresh seed
 (`fresh_estimate`), which removes the selection bias of the search that
 chose it.
+
+Every estimate goes through `gamma_correlation`, whose route (exact zero,
+quadrature or sampler) the family and the density decide; the searches
+take no route of their own.
 """
 
 from __future__ import annotations
@@ -279,7 +283,6 @@ def inner_minimize(
     family: str,
     settings: SamplerSettings,
     opt: OptimizeSpec,
-    method: str = "auto",
 ) -> InnerResult:
     """Minimize Gamma over the family's couplings at fixed density.
 
@@ -301,7 +304,7 @@ def inner_minimize(
         ans = build_ansatz(family, density, space, g, b)
         key = ans.acting_couplings
         if key not in memo:
-            memo[key] = gamma_correlation(density, ans, search_settings, method)
+            memo[key] = gamma_correlation(density, ans, search_settings)
         return memo[key]
 
     trace: list[TraceEntry] = []
@@ -345,12 +348,11 @@ def fresh_estimate(
     density: Density,
     ansatz: ConditionalAnsatz,
     settings: SamplerSettings,
-    method: str = "auto",
 ) -> GammaEstimate:
     """Gamma of a search's winner on the fresh seed of settings.seed (the
     run's one seed), so the value carries no selection bias from the search."""
     eval_settings = replace(settings, seed=fresh_seed(settings.seed))
-    return gamma_correlation(density, ansatz, eval_settings, method)
+    return gamma_correlation(density, ansatz, eval_settings)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +384,6 @@ def outer_minimize(
     family: str,
     settings: SamplerSettings,
     opt: OptimizeSpec,
-    method: str = "auto",
 ) -> OuterResult:
     """Golden-section over zeta of [Weizsacker + external + min_f Gamma].
 
@@ -405,7 +406,7 @@ def outer_minimize(
         grid = default_grid(density)
         w = weizsacker_term(density, grid)
         ext = external_energy(density, potential, grid) if potential else 0.0
-        inner = inner_minimize(density, space, family, settings, opt, method)
+        inner = inner_minimize(density, space, family, settings, opt)
         evaluated[zeta] = (density, w, ext, inner)
         calls += inner.estimator_calls
         first_simplex += inner.first_simplex
@@ -427,7 +428,7 @@ def outer_minimize(
     zeta_best = float(res.x[0])
     density, w, ext, inner = evaluated[zeta_best]
     ansatz = build_ansatz(family, density, space, inner.gamma, inner.beta)
-    fresh = fresh_estimate(density, ansatz, settings, method)
+    fresh = fresh_estimate(density, ansatz, settings)
     boxes = (
         ("zeta", zeta_best, opt.zeta_min, opt.zeta_max),
         ("gamma", inner.gamma, opt.gamma_min, opt.gamma_max),

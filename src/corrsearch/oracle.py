@@ -351,14 +351,15 @@ def system_from_wavefunction(w: Grid1DWavefunction) -> GridSystem1D:
     return GridSystem1D(x=w.x, rho=w.density(), softening=w.softening)
 
 
-def system_from_density_values(x, rho, softening=1.0, n_electrons=2) -> GridSystem1D:
+def system_from_density_values(x, rho, softening=1.0) -> GridSystem1D:
+    """The two-electron grid system of rho's shape, rescaled to integrate to 2."""
     x = np.asarray(x, dtype=float)
     rho = np.asarray(rho, dtype=float)
     h = x[1] - x[0]
     total = float(rho.sum() * h)
     if total <= 0.0:
         raise DomainError("density has no mass")
-    return GridSystem1D(x=x, rho=rho * (n_electrons / total), softening=softening)
+    return GridSystem1D(x=x, rho=rho * (2.0 / total), softening=softening)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ the chain axis last ((S, d, m), (d, m), (steps, d, m), (kept, S, d, m)),
 so every per-step operation runs one long loop over chains; families and
 observables get (m, S, d) and (m, d) views of the store.  Each proposal
 is evaluated with one `log_unnormalized` call that carries the move as a
-hint (moved satellite, its old and new positions, the current log f~ and
-the family's chain state), so a family can add only the terms that
+hint (moved satellite, its new position, the current log f~ and the
+family's chain state), so a family can add only the terms that
 involve the moved satellite; that call is the only one a step makes.
 Every step reuses one set of (d, m) and (m,) buffers: the moved
 coordinates new (old plus the step) and the log f~ change; the current
@@ -266,11 +266,11 @@ def run_conditional_batch(
     accepts = np.empty((_TUNE_INTERVAL, m), bool)
     # every step reuses these buffers: the moved coordinates new and the log
     # f~ change.  The moved satellite's old coordinates are its store row,
-    # held with its transpose for every satellite, and the acceptance row is
-    # read as a (d, m) mask through a broadcast view of each ring row
+    # and the acceptance row is read as a (d, m) mask through a broadcast
+    # view of each ring row
     new = np.empty((d, m))
     gap = np.empty(m)
-    olds = [(row, row.T) for row in sats]
+    olds = list(sats)
     new_t = new.T
     accepts_dm = list(np.broadcast_to(accepts[:, None], (_TUNE_INTERVAL, d, m)))
     # the step's calls, bound once; every ufunc takes its out positionally
@@ -369,9 +369,9 @@ def run_conditional_batch(
                         i0 = i
                     # every chain moves satellite k, in turn
                     k = t % n_sat
-                    old, old_t = olds[k]
+                    old = olds[k]
                     add(old, steps[i - i0], new)
-                    log_new = log_unnormalized(r, cur, moved=(k, old_t, new_t, log_cur, state))
+                    log_new = log_unnormalized(r, cur, moved=(k, new_t, log_cur, state))
                     subtract(log_new, log_cur, gap)
                     row = (t if t < burn_in else t - burn_in) % _TUNE_INTERVAL
                     accept = accepts[row]

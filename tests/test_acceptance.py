@@ -80,13 +80,14 @@ def test_criterion_2_product_pipeline(tmp_path):
         encoding="utf-8",
     )
     out = tmp_path / "run"
-    code = main(
-        ["optimize", "--config", str(cfg), "--method", "quadrature", "--out", str(out)]
-    )
+    code = main(["optimize", "--config", str(cfg), "--out", str(out)])
     assert code == 0
     record = read_record(str(out / "record.json"))
     zeta = record["results"]["zeta"]
-    total = record["results"]["breakdown"]["total"]
+    breakdown = record["results"]["breakdown"]
+    total = breakdown["total"]
+    # the frozen family on a 3D analytic density takes the quadrature route
+    assert breakdown["method"] == "quadrature"
     ok = abs(zeta - 1.6875) <= 0.02 and abs(total - (-2.8477)) <= 0.005
     report(
         2,
@@ -187,11 +188,11 @@ def test_criterion_5_fisher_estimator():
         sigma=1.0,
         seed=3,
     )
-    est = gamma_correlation(density_1d, toy, settings, method="mc")
+    est = gamma_correlation(density_1d, toy, settings)
     z = abs(est.fisher - 0.25) / est.fisher_stderr
 
     frozen = FrozenOrbitalProduct(density_1d, space_1d)
-    frozen_est = gamma_correlation(density_1d, frozen, settings, method="mc")
+    frozen_est = gamma_correlation(density_1d, frozen, settings)
 
     ok = (
         worst_rel <= 1e-5
@@ -222,7 +223,7 @@ def test_criterion_6_grid_hierarchy_and_stationarity():
     worst_excess = -np.inf
     all_converged = True
     for name, rho in densities.items():
-        system = system_from_density_values(x, rho, n_electrons=2)
+        system = system_from_density_values(x, rho)
         for gamma in (1.0, 5.0):
             table = pairwise_table(system, gamma)
             parametric = lattice_gamma(system, table)

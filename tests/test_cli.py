@@ -1,10 +1,12 @@
 """End-to-end tests of the command line interface and run records."""
 
+import argparse
 import configparser
 import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -98,7 +100,7 @@ tol = 1e-4
 def test_missing_n_names_the_field(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("[system]\nz = 2.0\n", encoding="utf-8")
-    code = main(["energy", "--config", str(path), "--method", "quadrature"])
+    code = main(["energy", "--config", str(path)])
     assert code == 1
     err = capsys.readouterr().err
     assert "[system]" in err and "'n'" in err
@@ -121,7 +123,7 @@ def test_out_that_cannot_be_a_directory_rejected_before_sampling(
 
     monkeypatch.setattr(cli, "total_energy", never)
     monkeypatch.setattr(cli, "outer_minimize", never)
-    code = main([command, "--config", cfg, "--method", "quadrature", "--out", out])
+    code = main([command, "--config", cfg, "--out", out])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: --out") and "Traceback" not in err
@@ -325,7 +327,7 @@ def test_version_flag(capsys):
 def test_energy_frozen_quadrature_closed_form(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "run"
-    code = main(["energy", "--config", cfg, "--method", "quadrature", "--out", str(out)])
+    code = main(["energy", "--config", cfg, "--out", str(out)])
     assert code == 0
     record = read_record(str(out / "record.json"))
     assert record["status"] == "ok"
@@ -381,7 +383,7 @@ def test_energy_seed_override_changes_mc_numbers(tmp_path):
     assert results[0] != results[1]
 
 
-# the breakdowns of three small `energy --method mc` runs of the pairwise
+# the breakdowns of three small `energy` runs of the pairwise
 # family, recorded when the proposal steps became uniform (N = 3 and 6 when
 # the satellites began to move in turn).  A change to
 # how the sampler or the hinted evaluation computes must leave them bit
@@ -443,7 +445,7 @@ seed = {40 + n}
     if steps is not None:
         steps_per_chunk(monkeypatch, steps, chains, dim=3)
     out = tmp_path / "run"
-    assert main(["energy", "--config", str(cfg), "--method", "mc", "--out", str(out)]) == 0
+    assert main(["energy", "--config", str(cfg), "--out", str(out)]) == 0
     breakdown = read_record(str(out / "record.json"))["results"]["breakdown"]
     assert breakdown == PINNED_MC_BREAKDOWNS[(n, dimensionality)]
 
@@ -635,9 +637,7 @@ def test_energy_record_states_its_bound(tmp_path, family, n):
 def test_optimize_frozen_recovers_balance_point(tmp_path, capsys):
     cfg = write_config(tmp_path, optimize=OPT_SECTION, seed=11)
     out = tmp_path / "opt"
-    code = main(
-        ["optimize", "--config", cfg, "--method", "quadrature", "--out", str(out)]
-    )
+    code = main(["optimize", "--config", cfg, "--out", str(out)])
     assert code == 0
     record = read_record(str(out / "record.json"))
     assert record["results"]["zeta"] == pytest.approx(1.6875, abs=0.02)
@@ -705,7 +705,7 @@ def test_optimize_says_when_its_winner_hit_the_box(tmp_path, capsys):
         section = f"[optimize]\nzeta_min = {zeta_min}\nzeta_max = {zeta_max}\ntol = 1e-3\n"
         cfg = write_config(tmp_path, optimize=section)
         out = tmp_path / f"box{zeta_min}"
-        assert main(["optimize", "--config", cfg, "--method", "quadrature", "--out", str(out)]) == 0
+        assert main(["optimize", "--config", cfg, "--out", str(out)]) == 0
         results = read_record(str(out / "record.json"))["results"]
         flags.append(results["at_search_bound"])
         printed = capsys.readouterr().out
@@ -719,7 +719,7 @@ def test_optimize_says_when_its_winner_hit_the_box(tmp_path, capsys):
 def test_optimize_trace_header_is_stable(tmp_path):
     cfg = write_config(tmp_path, optimize=OPT_SECTION)
     out = tmp_path / "opt2"
-    assert main(["optimize", "--config", cfg, "--method", "quadrature", "--out", str(out)]) == 0
+    assert main(["optimize", "--config", cfg, "--out", str(out)]) == 0
     with open(out / "trace.csv", encoding="utf-8") as fh:
         header = fh.readline().strip()
     assert header == "iteration,zeta,gamma,beta,energy,stderr"
@@ -741,13 +741,6 @@ def test_optimize_partial_record_on_failure(tmp_path, capsys, monkeypatch):
     assert record["status"] == "partial"
     assert "RuntimeError" in record["results"]["error"]
     assert load_trace(str(out / "trace.csv")) == []
-
-
-def test_forced_quadrature_needs_frozen_family(tmp_path, capsys):
-    cfg = write_config(tmp_path, family="pairwise", optimize=OPT_SECTION)
-    assert main(["energy", "--config", cfg, "--method", "quadrature"]) == 1
-    assert main(["optimize", "--config", cfg, "--method", "quadrature"]) == 1
-    assert "quadrature" in capsys.readouterr().err
 
 
 def test_optimize_rejects_unsearchable_configs(tmp_path, capsys):
@@ -810,7 +803,7 @@ def test_sample_diagnostics_reads_the_estimators_chains(tmp_path, capsys):
     space, density = build_space(loaded), build_density(loaded)
     ansatz = build_ansatz("pairwise", density, space, loaded.ansatz.gamma, loaded.ansatz.beta)
     settings = build_sampler_settings(loaded)
-    direct = gamma_correlation(density, ansatz, settings, method="mc")
+    direct = gamma_correlation(density, ansatz, settings)
     assert record["results"]["gamma"] == direct.to_dict()
 
 
@@ -953,10 +946,27 @@ def test_readme_config_block_lists_every_key():
             assert getattr(getattr(cfg, name), f.name) == f.default, (name, f.name)
 
 
+def test_readme_command_line_matches_the_parser():
+    # every flag the README's command-line section names exists on some
+    # subcommand, and every option of a config-driven command is named there
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        command: {s for s in sub._option_string_actions if s.startswith("--")} - {"--help"}
+        for command, sub in subs.choices.items()
+    }
+    assert named <= set().union(*flags.values())
+    for command in ("energy", "optimize", "compare-ansatz", "sample-diagnostics"):
+        assert flags[command] <= named, command
+
+
 def test_retired_keys_load_and_are_dropped(tmp_path):
     cfg = write_config(tmp_path, workers=2, optimize="[optimize]\ncrn = false\n")
     out = tmp_path / "out"
-    assert main(["energy", "--config", cfg, "--method", "quadrature", "--out", str(out)]) == 0
+    assert main(["energy", "--config", cfg, "--out", str(out)]) == 0
     config = read_record(str(out / "record.json"))["config"]
     assert "workers" not in config["sampler"] and "crn" not in config["optimize"]
 
@@ -987,6 +997,14 @@ def test_test_mode_flag_is_gone(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["energy", "optimize"])
+def test_method_flag_is_gone(tmp_path, capsys, command):
+    # the family and the density pick the estimator's route; no flag does
+    cfg = write_config(tmp_path, optimize=OPT_SECTION)
+    assert main([command, "--config", cfg, "--method", "mc"]) == 1
+    assert "--method" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # records
 # ---------------------------------------------------------------------------
@@ -1000,7 +1018,7 @@ def test_default_run_directory_is_unique(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(records.time, "strftime", lambda fmt, t=None: "20260101-000000")
     cfg = write_config(tmp_path)
     for _ in range(2):
-        assert main(["energy", "--config", cfg, "--method", "quadrature", "--seed", "4"]) == 0
+        assert main(["energy", "--config", cfg, "--seed", "4"]) == 0
     capsys.readouterr()
     runs = sorted(p.name for p in (tmp_path / "runs").iterdir())
     assert runs == ["20260101-000000-4", "20260101-000000-4-2"]
@@ -1009,7 +1027,7 @@ def test_default_run_directory_is_unique(tmp_path, monkeypatch, capsys):
     # an explicit --out is reused
     out = tmp_path / "given"
     for _ in range(2):
-        assert main(["energy", "--config", cfg, "--method", "quadrature", "--out", str(out)]) == 0
+        assert main(["energy", "--config", cfg, "--out", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == ["record.json"]
     capsys.readouterr()
 

@@ -7,7 +7,6 @@ import pytest
 
 from corrsearch import sampler
 from corrsearch.ansatz import (
-    AnsatzError,
     FrozenOrbitalProduct,
     GaussianToy,
     PairwiseBiparametric,
@@ -19,12 +18,14 @@ from corrsearch.domain import (
     SpaceSpec,
     Tabulated1DDensity,
     default_grid,
+    external_energy,
 )
 from corrsearch.functionals import (
     EnergyBreakdown,
     conditional_moments,
     frozen_coulomb_quadrature,
     gamma_correlation,
+    gamma_from_moments,
     prefactor_value,
     total_energy,
     weizsacker_term,
@@ -103,10 +104,16 @@ def test_frozen_coulomb_quadrature_vs_closed_form():
     assert val == pytest.approx(5.0 * 1.6875 / 8.0, abs=1e-3)
 
 
+def frozen_mc(density, frozen, settings):
+    """The sampled Gamma of the frozen family, which gamma_correlation routes
+    to quadrature on a 3D analytic density: an independent check of it."""
+    return gamma_from_moments(conditional_moments(density, frozen, settings), 2)
+
+
 def test_frozen_coulomb_mc_vs_closed_form():
     density, space = he_system()
     frozen = FrozenOrbitalProduct(density, space)
-    est = gamma_correlation(density, frozen, mc_settings(), method="mc")
+    est = frozen_mc(density, frozen, mc_settings())
     assert est.coulomb_stderr > 0.0
     assert abs(est.coulomb - HE_PAIR_INTEGRAL) <= 3.0 * est.coulomb_stderr
 
@@ -115,10 +122,9 @@ def test_single_electron_terms_vanish():
     density = ExponentialDensity(zeta=1.0, n_electrons=1)
     space = SpaceSpec(dim=3, radius=10.0, n_electrons=1)
     frozen = FrozenOrbitalProduct(density, space)
-    for method in ("mc", "auto"):
-        est = gamma_correlation(density, frozen, fast_settings(), method=method)
-        assert est.fisher == 0.0 and est.coulomb == 0.0
-        assert est.value == 0.0 and est.stderr == 0.0 and est.method == "exact"
+    est = gamma_correlation(density, frozen, fast_settings())
+    assert est.fisher == 0.0 and est.coulomb == 0.0
+    assert est.value == 0.0 and est.stderr == 0.0 and est.method == "exact"
 
 
 def test_prefactor_values():
@@ -137,7 +143,7 @@ def test_frozen_fisher_exactly_zero():
     density, space = he_system()
     frozen = FrozenOrbitalProduct(density, space)
     settings = mc_settings(conditioning_points=64, samples=32)
-    est = gamma_correlation(density, frozen, settings, method="mc")
+    est = frozen_mc(density, frozen, settings)
     assert est.fisher == 0.0
     assert est.fisher_stderr == 0.0
 
@@ -147,7 +153,7 @@ def test_gaussian_toy_fisher_quarter():
     density = ExponentialDensity(zeta=1.0, n_electrons=2, dim=1)
     space = SpaceSpec(dim=1, radius=8.0, n_electrons=2)
     toy = GaussianToy(density, space, width=1.0)
-    est = gamma_correlation(density, toy, mc_settings(conditioning_points=512), method="mc")
+    est = gamma_correlation(density, toy, mc_settings(conditioning_points=512))
     assert est.fisher_stderr > 0.0
     assert abs(est.fisher - 0.25) <= 3.0 * est.fisher_stderr
     assert est.fisher_stderr < 0.01
@@ -157,7 +163,7 @@ def test_pairwise_fisher_vanishes_with_gamma():
     density, space = he_system()
     weak = PairwiseBiparametric(density, space, gamma=1e-4, beta=0.0)
     settings = mc_settings(conditioning_points=128, samples=64)
-    est = gamma_correlation(density, weak, settings, method="mc")
+    est = gamma_correlation(density, weak, settings)
     assert abs(est.fisher) <= max(3.0 * est.fisher_stderr, 1e-6)
 
 
@@ -165,7 +171,7 @@ def test_fisher_nonnegative_mean():
     density, space = he_system()
     pairwise = PairwiseBiparametric(density, space, gamma=1.0, beta=0.5)
     settings = mc_settings(conditioning_points=128, samples=64)
-    est = gamma_correlation(density, pairwise, settings, method="mc")
+    est = gamma_correlation(density, pairwise, settings)
     assert est.fisher >= -3.0 * est.fisher_stderr
     assert est.fisher > 0.0
 
@@ -319,7 +325,7 @@ def test_fisher_term_carries_no_autocorrelation_bias(n, dim):
     density = ExponentialDensity(zeta=1.0, n_electrons=n, dim=dim)
     space = SpaceSpec(dim=dim, radius=8.0, n_electrons=n)
     toy = GaussianToy(density, space, width=1.0)
-    est = gamma_correlation(density, toy, SamplerSettings(seed=1), method="mc")
+    est = gamma_correlation(density, toy, SamplerSettings(seed=1))
     assert abs(est.fisher - n * (n - 1) * dim / 8.0) <= 3.0 * est.fisher_stderr
 
 
@@ -333,7 +339,7 @@ def test_conditional_moments_needs_two_samples_per_quarter():
 def test_gamma_auto_uses_quadrature_for_frozen():
     density, space = he_system()
     frozen = FrozenOrbitalProduct(density, space)
-    est = gamma_correlation(density, frozen, fast_settings(), method="auto")
+    est = gamma_correlation(density, frozen, fast_settings())
     assert est.method == "quadrature"
     assert est.stderr == 0.0
     assert est.value == pytest.approx(HE_PAIR_INTEGRAL, abs=1e-3)
@@ -351,37 +357,32 @@ def test_gamma_additivity():
 def test_gamma_frozen_mc_matches_oracle_sum():
     density, space = he_system()
     frozen = FrozenOrbitalProduct(density, space)
-    est = gamma_correlation(density, frozen, mc_settings(), method="mc")
+    est = frozen_mc(density, frozen, mc_settings())
     assert est.method == "mc"
     assert abs(est.value - HE_PAIR_INTEGRAL) <= 3.0 * est.stderr
 
 
-def test_gamma_unknown_method():
-    density, space = he_system()
-    frozen = FrozenOrbitalProduct(density, space)
-    with pytest.raises(ValueError):
-        gamma_correlation(density, frozen, fast_settings(), method="exactly")
-
-
 def test_quadrature_route_rejects_conditioning_dependent_families():
-    # forcing the deterministic route must never silently drop the
-    # Fisher term of a family whose f depends on the conditioning point
+    # the deterministic route must never silently drop the Fisher term of
+    # a family whose f depends on the conditioning point, nor take a
+    # density it has no rule for: pairwise in 3D and frozen in 1D sample
     density, space = he_system()
+    settings = fast_settings()
     pair = PairwiseBiparametric(density, space, 1.0, 0.5)
-    with pytest.raises(AnsatzError, match="quadrature"):
-        gamma_correlation(density, pair, fast_settings(), method="quadrature")
+    assert gamma_correlation(density, pair, settings).method == "mc"
     density_1d = ExponentialDensity(zeta=1.0, n_electrons=2, dim=1)
     space_1d = SpaceSpec(dim=1, radius=8.0, n_electrons=2)
     frozen_1d = FrozenOrbitalProduct(density_1d, space_1d)
-    with pytest.raises(AnsatzError, match="quadrature"):
-        gamma_correlation(density_1d, frozen_1d, fast_settings(), method="quadrature")
+    assert gamma_correlation(density_1d, frozen_1d, settings).method == "mc"
+    frozen = FrozenOrbitalProduct(density, space)
+    assert gamma_correlation(density, frozen, settings).method == "quadrature"
 
 
 def test_total_energy_hartree_product_quadrature():
     density, space = he_system()
     frozen = FrozenOrbitalProduct(density, space)
     v = ExternalPotential(kind="coulomb-nucleus", z=2.0)
-    out = total_energy(density, frozen, v, fast_settings(), method="auto")
+    out = total_energy(density, frozen, v, fast_settings())
     assert out.method == "quadrature"
     assert out.weizsacker == pytest.approx(2.84765625, abs=1e-5)
     assert out.external == pytest.approx(-6.75, abs=1e-6)
@@ -393,7 +394,12 @@ def test_total_energy_hartree_product_mc():
     density, space = he_system()
     frozen = FrozenOrbitalProduct(density, space)
     v = ExternalPotential(kind="coulomb-nucleus", z=2.0)
-    out = total_energy(density, frozen, v, mc_settings(), method="mc")
+    grid = default_grid(density)
+    out = EnergyBreakdown.assemble(
+        weizsacker_term(density, grid),
+        frozen_mc(density, frozen, mc_settings()),
+        external_energy(density, v, grid),
+    )
     assert out.method == "mc"
     assert abs(out.total - (-2.84765625)) <= 3.0 * out.total_stderr
     assert out.total == out.weizsacker + out.fisher + out.coulomb + out.external

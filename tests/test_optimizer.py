@@ -162,9 +162,9 @@ def test_inner_synthetic_recovery(monkeypatch):
     )
     target = lambda g, b: (g - 2.0) ** 2 + (b - 0.7) ** 2
 
-    def synthetic(density, ansatz, settings, method):
+    def synthetic(density, ansatz, settings):
         value = target(*ansatz.acting_couplings)
-        return GammaEstimate(0.0, 0.0, value, 0.0, 0.0, value, 0.0, method)
+        return GammaEstimate(0.0, 0.0, value, 0.0, 0.0, value, 0.0, "mc")
 
     monkeypatch.setattr(optimizer, "gamma_correlation", synthetic)
     res = inner_minimize(density, space, "pairwise", search_settings(), opt)
@@ -355,9 +355,9 @@ def test_outer_counts_inner_searches_that_never_moved(monkeypatch, slope, counte
     make = lambda zeta: ExponentialDensity(zeta=zeta, n_electrons=2)
     opt = OptimizeSpec(max_iter_inner=8, max_iter_outer=4)
 
-    def synthetic(density, ansatz, settings, method):
+    def synthetic(density, ansatz, settings):
         value = slope * ansatz.acting_couplings[0]
-        return GammaEstimate(0.0, 0.0, value, 0.0, 0.0, value, 0.0, method)
+        return GammaEstimate(0.0, 0.0, value, 0.0, 0.0, value, 0.0, "mc")
 
     monkeypatch.setattr(optimizer, "gamma_correlation", synthetic)
     res = outer_minimize(make, None, space, "pairwise", search_settings(), opt)

@@ -263,7 +263,7 @@ def test_lattice_terms_match_solver_energies(symmetry, m, extent):
 
 def test_system_from_density_values_normalizes():
     x = np.linspace(-5.0, 5.0, 16)
-    system = system_from_density_values(x, np.full(16, 0.37), n_electrons=2)
+    system = system_from_density_values(x, np.full(16, 0.37))
     assert float(np.sum(system.rho) * system.h) == pytest.approx(2.0, rel=1e-12)
     with pytest.raises(DomainError):
         system_from_density_values(x, np.zeros(16))

@@ -42,7 +42,7 @@ class LineToy(ConditionalAnsatz):
 
     def log_unnormalized(self, r, satellites, moved=None):
         if moved is not None:
-            satellites = self.proposal(satellites, moved[0], moved[2])
+            satellites = self.proposal(satellites, moved[0], moved[1])
         r, satellites = self._check_shapes(r, satellites)
         return self.log_f(satellites[..., 0, 0])
 
@@ -205,7 +205,7 @@ class StaleCheckPairwise(PairwiseBiparametric):
 
     def log_unnormalized(self, r, satellites, moved=None):
         if moved is not None:
-            k, old, new, log_old, state = moved
+            k, new, log_old, state = moved
             current = np.array(satellites, copy=True)  # the hint's current state
             full = super().log_unnormalized(r, current)
             self.scale = np.maximum(self.scale, np.abs(full))
@@ -242,7 +242,6 @@ def test_chain_log_f_never_stale(n, beta, dim):
 
 class CurrentStateCheck(PairwiseBiparametric):
     """Asserts, at every hinted call, that k is the int t mod S at step t,
-    that satellites is the chains' current state, with old at satellite k,
     and that log_old took the last call's value exactly at the chains the
     last commit's mask set; and, at every commit(k, accept), that the
     store changed to the proposal at the chains accept sets and nowhere
@@ -255,9 +254,8 @@ class CurrentStateCheck(PairwiseBiparametric):
     def log_unnormalized(self, r, satellites, moved=None):
         if moved is None:
             return super().log_unnormalized(r, satellites)
-        k, old, new, log_old = moved[:4]
+        k, new, log_old = moved[:3]
         assert type(k) is int and k == self.calls % self.n_satellites
-        np.testing.assert_array_equal(satellites[:, k], old)
         if self.last is not None:
             expected = self.last["log_old"].copy()
             acc = self.last["acc"]
@@ -325,7 +323,7 @@ class ScanRecorder(ConstTarget):
     def log_unnormalized(self, r, satellites, moved=None):
         if moved is not None:
             self.ks.append(moved[0])
-            satellites = self.proposal(satellites, moved[0], moved[2])
+            satellites = self.proposal(satellites, moved[0], moved[1])
         return np.zeros(satellites.shape[0])
 
     def start_candidates(self, r, rng):
@@ -499,7 +497,7 @@ def test_stderr_squared_halves_when_samples_double():
 # ---------------------------------------------------------------------------
 
 
-def test_worker_count_does_not_change_results(monkeypatch):
+def test_pool_thread_does_not_change_results(monkeypatch):
     # two blocks and 96 steps in chunks of 20, so the batch starts its
     # pool thread; the pooled run, a rerun and the synchronous stand-in agree
     density, space = line_pair()
@@ -516,7 +514,7 @@ def test_worker_count_does_not_change_results(monkeypatch):
     np.testing.assert_array_equal(outs[0].acceptance, outs[2].acceptance)
 
 
-def test_worker_count_and_rerun_pairwise_n6(monkeypatch):
+def test_pool_thread_and_rerun_pairwise_n6(monkeypatch):
     # the hinted kernel path: N = 6 with satellite pairs, over two blocks
     # and two step-chunks, so the batch starts its pool thread
     density = ExponentialDensity(zeta=1.5, n_electrons=6)
@@ -540,7 +538,7 @@ def test_worker_count_and_rerun_pairwise_n6(monkeypatch):
         np.testing.assert_array_equal(outs[0].sigma_final, other.sigma_final)
 
 
-def test_worker_count_does_not_change_results_over_blocks_and_step_chunks(monkeypatch):
+def test_pool_thread_does_not_change_results_over_blocks_and_step_chunks(monkeypatch):
     # blocks of 8 chains: 30 chains make three full blocks and a last one
     # of 6; 120 steps in chunks of 20 make 6 step-chunks, so the pool thread
     # draws ahead and observes behind many times.  N = 3 with beta > 0 runs
@@ -819,7 +817,6 @@ def test_variate_chunk_edges_skip_and_reuse_nothing(monkeypatch):
             rng = substream(0, _NS_CHAIN, first)
             steps = []
             for n in [7] * 28 + [4]:
-                rng.integers(1, size=(n, block))
                 steps.append(rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), (n, block, 1))[..., 0])
                 rng.random((n, block))
             np.testing.assert_array_equal(
@@ -852,7 +849,6 @@ def test_observations_at_step_chunk_edges(monkeypatch):
     rng = substream(0, _NS_CHAIN, 0)
     steps = []
     for n in [7] * 22 + [1]:
-        rng.integers(1, size=(n, m))
         steps.append(rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), (n, m, 1))[..., 0])
         rng.random((n, m))
     path = np.cumsum(np.concatenate(steps), axis=0)

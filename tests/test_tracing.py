@@ -50,7 +50,7 @@ def test_traced_cli_calls_record_every_boundary(tracing, tmp_path, capsys):
     tracing.install_all(tracer)
     try:
         for command in ("energy", "optimize"):
-            argv = [command, "--config", str(cfg), "--method", "quadrature"]
+            argv = [command, "--config", str(cfg)]
             assert main([*argv, "--out", str(tmp_path / command)]) == 0
     finally:
         tracer.uninstall()
