@@ -170,7 +170,7 @@ class ExponentialDensity(Density):
     zeta: float
     n_electrons: int
     dim: int = 3
-    family: str = "exponential"
+    family = "exponential"
     scale_searched = True
 
     @classmethod
@@ -240,7 +240,7 @@ class ExponentialMixtureDensity(Density):
     weights: tuple[float, ...]
     n_electrons: int
     dim: int = 3
-    family: str = "exponential-mixture"
+    family = "exponential-mixture"
 
     @classmethod
     def from_section(cls, section, space):

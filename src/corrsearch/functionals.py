@@ -491,13 +491,14 @@ class EnergyBreakdown:
 def total_energy(
     density: Density,
     ansatz: ConditionalAnsatz,
-    potential: ExternalPotential | None,
+    potential: ExternalPotential,
     settings: SamplerSettings,
 ) -> EnergyBreakdown:
     """Full energy of (rho, f): deterministic one-body terms
-    by quadrature plus the sampled correlation functional."""
+    by quadrature plus the sampled correlation functional.  potential is
+    always an ExternalPotential; kind "none" gives an external term of 0."""
     grid = default_grid(density)
     w = weizsacker_term(density, grid)
-    ext = external_energy(density, potential, grid) if potential is not None else 0.0
+    ext = external_energy(density, potential, grid)
     gamma = gamma_correlation(density, ansatz, settings)
     return EnergyBreakdown.assemble(w, gamma, ext)

@@ -379,7 +379,7 @@ class OuterResult:
 
 def outer_minimize(
     make_density,
-    potential: ExternalPotential | None,
+    potential: ExternalPotential,
     space: SpaceSpec,
     family: str,
     settings: SamplerSettings,
@@ -387,12 +387,13 @@ def outer_minimize(
 ) -> OuterResult:
     """Golden-section over zeta of [Weizsacker + external + min_f Gamma].
 
-    make_density maps zeta to a Density.  All of the run's streams come
-    from settings.seed: inner searches run with common random numbers
-    derived from it, so the outer objective is a deterministic function of
-    zeta during the search; the winner alone is re-evaluated on its fresh
-    seed and assembled with the Weizsacker and external terms computed
-    when its zeta was evaluated.
+    make_density maps zeta to a Density, and potential is always an
+    ExternalPotential (kind "none" for no external term).  All of the run's
+    streams come from settings.seed: inner searches run with common random
+    numbers derived from it, so the outer objective is a deterministic
+    function of zeta during the search; the winner alone is re-evaluated on
+    its fresh seed and assembled with the Weizsacker and external terms
+    computed when its zeta was evaluated.
     """
     trace: list[TraceEntry] = []
     # zeta -> (density, Weizsacker, external, inner result), for the winner
@@ -405,7 +406,7 @@ def outer_minimize(
         density = make_density(zeta)
         grid = default_grid(density)
         w = weizsacker_term(density, grid)
-        ext = external_energy(density, potential, grid) if potential else 0.0
+        ext = external_energy(density, potential, grid)
         inner = inner_minimize(density, space, family, settings, opt)
         evaluated[zeta] = (density, w, ext, inner)
         calls += inner.estimator_calls

@@ -22,7 +22,7 @@ side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -335,6 +335,13 @@ class GridSystem1D:
             raise DomainError("x and rho must be matching 1D arrays")
         if self.x.size > 64:
             raise DomainError("grid oracle supports at most 64 points")
+        if self.x.size < 2:
+            raise DomainError("grid oracle needs at least 2 points")
+        # h is x[1] - x[0], so every spacing must equal it, to
+        # Tabulated1DDensity's tolerance
+        h = np.diff(self.x)
+        if not (h[0] > 0.0 and np.allclose(h, h[0], rtol=1e-10, atol=1e-12)):
+            raise DomainError("grid must be increasing and uniform")
         if np.any(self.rho < 0.0):
             raise DomainError("rho must be non-negative")
 
@@ -353,13 +360,11 @@ def system_from_wavefunction(w: Grid1DWavefunction) -> GridSystem1D:
 
 def system_from_density_values(x, rho, softening=1.0) -> GridSystem1D:
     """The two-electron grid system of rho's shape, rescaled to integrate to 2."""
-    x = np.asarray(x, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    h = x[1] - x[0]
-    total = float(rho.sum() * h)
+    system = GridSystem1D(np.asarray(x, dtype=float), np.asarray(rho, dtype=float), softening)
+    total = float(system.rho.sum() * system.h)
     if total <= 0.0:
         raise DomainError("density has no mass")
-    return GridSystem1D(x=x, rho=rho * (2.0 / total), softening=softening)
+    return replace(system, rho=system.rho * (2.0 / total))
 
 
 # ---------------------------------------------------------------------------

@@ -55,15 +55,13 @@ def save_record(record: RunRecord, path: str):
 
 
 def save_trace(rows, path: str):
-    """Write TraceEntry dataclasses or dicts as CSV under the TRACE_COLUMNS header."""
+    """Write optimizer.TraceEntry rows as CSV under the TRACE_COLUMNS header."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
         for row in rows:
-            if not isinstance(row, dict):
-                row = asdict(row)
-            writer.writerow([row[c] for c in TRACE_COLUMNS])
+            writer.writerow([getattr(row, c) for c in TRACE_COLUMNS])
 
 
 def run_directory(base: str | None, seed: int) -> str:

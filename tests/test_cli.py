@@ -28,7 +28,7 @@ from corrsearch.config import (
     parse_config,
 )
 from corrsearch.functionals import gamma_correlation
-from corrsearch.optimizer import build_ansatz
+from corrsearch.optimizer import TraceEntry, build_ansatz
 from corrsearch.records import RunRecord, save_record, save_trace
 
 from conftest import pooled_runs, read_record, steps_per_chunk
@@ -317,6 +317,25 @@ def test_missing_required_flag_is_validation_error(capsys):
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "corrsearch" in capsys.readouterr().out
+
+
+def test_package_root_holds_only_the_version():
+    """Each name has one import path, its module: a fresh import of the
+    package loads no submodule and exposes nothing but __version__."""
+    probe = (
+        "import sys, corrsearch; "
+        "print(sorted(m for m in sys.modules if m.startswith('corrsearch.'))); "
+        "print(sorted(n for n in vars(corrsearch) if not n.startswith('_')), "
+        "hasattr(corrsearch, '__all__'), isinstance(corrsearch.__version__, str))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    submodules, public = proc.stdout.splitlines()
+    assert submodules == "[]"
+    assert public == "[] False True"
 
 
 # ---------------------------------------------------------------------------
@@ -1053,10 +1072,7 @@ def test_reproducible_view_strips_clock_fields(tmp_path):
 
 
 def test_trace_round_trip(tmp_path):
-    rows = [
-        {"iteration": 0, "zeta": 1.0, "gamma": 2.0, "beta": 0.0, "energy": -1.0, "stderr": 0.1},
-        {"iteration": 1, "zeta": 1.1, "gamma": 2.1, "beta": 0.0, "energy": -1.2, "stderr": 0.1},
-    ]
+    rows = [TraceEntry(0, 1.0, 2.0, 0.0, -1.0, 0.1), TraceEntry(1, 1.1, 2.1, 0.0, -1.2, 0.1)]
     path = str(tmp_path / "trace.csv")
     save_trace(rows, path)
     loaded = load_trace(path)

@@ -411,7 +411,10 @@ def test_total_energy_uniform_no_potential_is_coulomb_only():
     space = SpaceSpec(dim=1, radius=3.0, n_electrons=2)
     frozen = FrozenOrbitalProduct(density, space)
     out = total_energy(
-        density, frozen, None, mc_settings(conditioning_points=64, samples=32)
+        density,
+        frozen,
+        ExternalPotential(kind="none", z=0.0),
+        mc_settings(conditioning_points=64, samples=32),
     )
     assert out.weizsacker == 0.0
     assert out.external == 0.0

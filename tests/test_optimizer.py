@@ -360,7 +360,8 @@ def test_outer_counts_inner_searches_that_never_moved(monkeypatch, slope, counte
         return GammaEstimate(0.0, 0.0, value, 0.0, 0.0, value, 0.0, "mc")
 
     monkeypatch.setattr(optimizer, "gamma_correlation", synthetic)
-    res = outer_minimize(make, None, space, "pairwise", search_settings(), opt)
+    none = ExternalPotential(kind="none", z=0.0)
+    res = outer_minimize(make, none, space, "pairwise", search_settings(), opt)
     assert res.n_eval == 4
     assert res.inner_first_simplex == (res.n_eval if counted else 0)
 

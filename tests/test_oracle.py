@@ -278,6 +278,18 @@ def test_grid_system_guards():
         GridSystem1D(x=x, rho=-np.ones_like(x))
 
 
+@pytest.mark.parametrize(
+    "x",
+    [np.array([0.0, 1.0, 3.0, 4.0, 5.0, 6.0]), np.array([0.0]), np.linspace(5.0, -5.0, 16)],
+    ids=["uneven", "one-point", "decreasing"],
+)
+def test_grid_system_rejects_a_grid_its_h_misreads(x):
+    # h is x[1] - x[0]: an uneven grid would give every lattice term the
+    # wrong spacing, one point has no spacing, and a decreasing grid a negative one
+    with pytest.raises(DomainError, match="grid"):
+        system_from_density_values(x, np.ones_like(x))
+
+
 def criterion_6_systems():
     """The uniform, solver-extracted and Gaussian densities on M = 16."""
     x = np.linspace(-5.0, 5.0, 16)

@@ -968,7 +968,7 @@ def test_held_draw_at_most_one_step_chunk(monkeypatch):
     assert sum(x.nbytes for x in held) <= sampler._VARIATE_BYTES
 
 
-def test_held_draw_same_for_every_worker_count(monkeypatch):
+def test_held_draw_same_cold_and_warm_at_every_block_size(monkeypatch):
     # a held draw is one step-chunk, so its batch starts no pool thread,
     # also when it spans five blocks of 8 chains
     ansatz, points = _pair_n3()
