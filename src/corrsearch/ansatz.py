@@ -59,24 +59,72 @@ def pair_energy(density: Density, space: SpaceSpec, x: np.ndarray, y: np.ndarray
     coincidence with positive density product (signaling value), and the
     finite kernel value otherwise.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _weighted_kernel(space, density.value(x) * density.value(y), x - y)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return _weighted_kernel(space, density.value(x) * density.value(y), x - y)
+
+
+def kernel_steps(space: SpaceSpec):
+    """The pair kernel's two in-place steps, the one statement of its
+    softening, its +inf contact signal and its zero-density rule.
+
+    soften(d2, masks) readies the squared distance d2 for its sqrt, in
+    place; kernel(num, d, out, masks) then writes E_H from num =
+    rho(x) rho(y) >= 0 and that root d to out, overwriting d, and returns
+    out.  masks are two bool buffers of out's shape, read in 1D only.  A
+    3D contact divides by zero and a 3D contact where num = 0 multiplies
+    0 by inf: run both with numpy's divide and invalid errors ignored.
+    Every constant is a 0-d array and every ufunc takes its out
+    positionally, so the hinted evaluator can call them in every step.
+    """
+    # 0-d constants: a ufunc converts a Python float argument on every
+    # call, and a 0-d array costs it nothing
+    zero, one, inf = (np.array(x) for x in (0.0, 1.0, np.inf))
+    multiply, add, divide, fmax = np.multiply, np.add, np.divide, np.fmax
+    greater, equal, bitwise_and, putmask = np.greater, np.equal, np.bitwise_and, np.putmask
+    if space.dim == 3:
+
+        def soften(d2, masks):
+            pass
+
+        def kernel(num, d, out, masks):
+            divide(one, d, d)
+            multiply(num, d, out)
+            # every term is >= 0 except num * (1/d) = 0 * inf = nan at a
+            # contact where num = 0; fmax sets exactly that one to 0, the
+            # value wherever num = 0
+            return fmax(out, zero, out)
+
+        return soften, kernel
+    soft2 = np.array(space.softening**2)
+
+    def soften(d2, masks):
+        equal(d2, zero, masks[0])  # the contacts, before the softening
+        add(d2, soft2, d2)
+
+    def kernel(num, d, out, masks):
+        # the softened kernel is finite, so num = 0 already gives 0, and
+        # the signaling convention reports +inf at a contact where num > 0,
+        # so that coincidence always maps to f = 0
+        contact, positive = masks
+        greater(num, zero, positive)
+        bitwise_and(contact, positive, contact)
+        divide(one, d, d)
+        multiply(num, d, out)
+        putmask(out, contact, inf)
+        return out
+
+    return soften, kernel
 
 
 def _weighted_kernel(space: SpaceSpec, num: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """E_H from the density product num = rho(x) rho(y) and delta = x - y.
-    In 3D a contact divides by zero: call it with those errors ignored."""
-    d2 = sq_norm(delta)
-    # in 3D 1/d is +inf at contact, so num * w is already the +inf signal
-    # there wherever num > 0
-    out = np.where(num == 0.0, 0.0, num * space.interaction(d2))
-    if space.dim == 3:
-        return out
-    # softened kernel is finite at contact; the signaling convention still
-    # reports +inf there so that coincidence always maps to f = 0
-    return np.where((d2 == 0.0) & (num > 0.0), np.inf, out)
+    """E_H from the density product num = rho(x) rho(y) and delta = x - y:
+    kernel_steps run on fresh arrays of delta's leading shape."""
+    soften, kernel = kernel_steps(space)
+    d2 = np.asarray(sq_norm(delta))  # an array even for one pair of points
+    masks = [np.empty(d2.shape, bool) for _ in range(2)]
+    with np.errstate(divide="ignore", invalid="ignore"):  # as in the step loop
+        soften(d2, masks)
+        return kernel(num, np.sqrt(d2, d2), np.empty(d2.shape), masks)
 
 
 def pair_energy_grad_x(density: Density, space: SpaceSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -85,10 +133,8 @@ def pair_energy_grad_x(density: Density, space: SpaceSpec, x: np.ndarray, y: np.
     In 3D an exact contact x = y gives nan in every component: the kernel
     is infinite there and f = 0, so the gradient has no value.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    rho_x = density.value(x)
-    rho_y = density.value(y)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    rho_x, rho_y = density.value(x), density.value(y)
     grad_rho_x = density.gradient(x)
     delta = x - y
     kern = space.interaction(sq_norm(delta))
@@ -295,8 +341,9 @@ class PairChainState:
         single term and is kept, as (-gamma) E_H, so the value is a fresh
         evaluation's 0 - gamma E_H up to the sign of a zero.
 
-        The arithmetic is _weighted_kernel's and the full formula's, in
-        the same order, so every term is bit for bit an unhinted call's.
+        The kernel is kernel_steps', which _weighted_kernel runs too, and
+        the rest is the full formula's arithmetic in the same order, so
+        every term is bit for bit an unhinted call's.
         Everything a step needs is bound here once: the buffers, the 0-d
         constants, the row views and the ufuncs, each called with its
         out positional.  A squared norm is one add-reduce over the
@@ -311,18 +358,14 @@ class PairChainState:
         # 0-d constants: a ufunc converts a Python float argument on every
         # call, and a 0-d array costs it nothing
         neg_gamma, beta = np.array(-family.gamma), np.array(family.beta)
-        omega_r2 = np.array(family.space.omega_radius**2)
-        zero, one, inf, neg_inf = (np.array(x) for x in (0.0, 1.0, np.inf, -np.inf))
-        multiply, subtract, add, divide = np.multiply, np.subtract, np.add, np.divide
-        sqrt, fmax, greater, equal = np.sqrt, np.fmax, np.greater, np.equal
-        bitwise_and, putmask, reduce = np.bitwise_and, np.putmask, np.add.reduce
+        omega_r2, neg_inf = np.array(family.space.omega_radius**2), np.array(-np.inf)
+        multiply, subtract, add = np.multiply, np.subtract, np.add
+        sqrt, greater, putmask, reduce = np.sqrt, np.greater, np.putmask, np.add.reduce
         # scratch: the squared coordinates of new and new - r, their sums
         # and then their roots, then (m,) terms; row views made once, since
         # a view costs each step as much as a small ufunc
-        sq = np.empty((2, dim, m))
-        sq_new, sq_rel = sq
-        norms = np.empty((2, m))
-        radius, dist = norms
+        sq_new, sq_rel = sq = np.empty((2, dim, m))
+        radius, dist = norms = np.empty((2, m))
         num, change, total = np.empty((3, m))
         rho_new, e_new = self.rho_new, self.e_new
         outside = np.empty(m, bool)
@@ -333,42 +376,10 @@ class PairChainState:
             pair_delta = np.empty((n_sat, dim, m))
             pair_d2, pair_num, pair_old = np.empty((3, n_sat, m))
             pair_new, rho_sat, e_pair = self.pair_new, self.rho_sat, list(self.e_pair)
-        # soften(d2, masks) readies the squared distance d2 for its sqrt, in
-        # place; kernel(num, d, out, masks) then writes E_H from num =
-        # rho(x) rho(y) and that root d to out, overwriting d.  masks are two
-        # bool buffers of out's shape, used in 1D only
-        if dim == 3:
-            cond_masks = pair_masks = None
-
-            def soften(d2, masks):
-                pass
-
-            def kernel(num, d, out, masks):
-                divide(one, d, d)
-                multiply(num, d, out)
-                # every term is >= 0 except num * (1/d) = 0 * inf = nan at a
-                # contact where num = 0; fmax sets exactly that one to 0, which
-                # is _weighted_kernel's value wherever num = 0
-                return fmax(out, zero, out)
-        else:
-            soft2 = np.array(family.space.softening**2)
-            cond_masks = np.empty((2, m), bool)
-            pair_masks = np.empty((2, n_sat, m), bool) if pairs else None
-
-            def soften(d2, masks):
-                equal(d2, zero, masks[0])  # the contacts, before the softening
-                add(d2, soft2, d2)
-
-            def kernel(num, d, out, masks):
-                # the softened kernel is finite, so num = 0 already gives 0,
-                # and a contact where num > 0 carries the +inf signal
-                contact, positive = masks
-                greater(num, zero, positive)
-                bitwise_and(contact, positive, contact)
-                divide(one, d, d)
-                multiply(num, d, out)
-                putmask(out, contact, inf)
-                return out
+        # the kernel's steps and the bool buffers they read in 1D
+        soften, kernel = kernel_steps(family.space)
+        cond_masks = np.empty((2, m), bool)
+        pair_masks = np.empty((2, n_sat, m), bool) if pairs else None
 
         def log(satellites, k, new, log_old):
             new_t = new.T  # (d, m)

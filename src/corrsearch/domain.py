@@ -151,6 +151,16 @@ class Density:
         raise NotImplementedError
 
 
+def grid_spacing(x: np.ndarray) -> float:
+    """The spacing h of the 1D grid x, which must have at least 2 points
+    and be increasing and uniform: every step equals x[1] - x[0] to
+    rtol 1e-10 and atol 1e-12.  The grid rule of every 1D table."""
+    steps = np.diff(x)
+    if x.size < 2 or not (steps[0] > 0.0 and np.allclose(steps, steps[0], rtol=1e-10, atol=1e-12)):
+        raise DomainError("x must be an increasing, uniform grid of at least 2 points")
+    return float(steps[0])
+
+
 def _check_points(points: np.ndarray, dim: int) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     if points.shape[-1] != dim:
@@ -319,19 +329,15 @@ class Tabulated1DDensity(Density):
         return cls(data[:, 0], data[:, 1], space.n_electrons)
 
     def __init__(self, x: np.ndarray, values: np.ndarray, n_electrons: int):
-        x = np.asarray(x, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if x.ndim != 1 or x.shape != values.shape or x.size < 2:
+        x, values = np.asarray(x, dtype=float), np.asarray(values, dtype=float)
+        if x.ndim != 1 or x.shape != values.shape:
             raise DomainError("tabulated density needs matching 1D x/values arrays")
-        h = np.diff(x)
-        if not np.allclose(h, h[0], rtol=1e-10, atol=1e-12):
-            raise DomainError("tabulated density grid must be uniform")
+        self.h = grid_spacing(x)
         if not np.all(np.isfinite(values) & (values >= 0.0)):
             raise DomainError("tabulated density values must be finite and non-negative")
         if n_electrons < 1:
             raise DomainError("n_electrons must be >= 1")
         self.x = x
-        self.h = float(h[0])
         total = float(values.sum() * self.h)
         if total <= 0.0:
             raise DomainError("tabulated density must have positive mass")

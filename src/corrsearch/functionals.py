@@ -51,7 +51,7 @@ from .domain import (
     _gauss_legendre,
     _unit_gauss_legendre,
 )
-from .sampler import SamplerSettings, conditioning_rng, run_conditional_batch, substream
+from .sampler import SamplerSettings, conditioning_rng, probe_rng, run_conditional_batch
 
 
 def prefactor_value(n_electrons: int) -> float:
@@ -412,8 +412,9 @@ def check_conditions(ansatz: ConditionalAnsatz, settings: SamplerSettings) -> Co
     collapsed before the mean and its error over points are taken, as
     the energy's are.  The coincidence checks put a satellite on r, and
     then one satellite on another, at the first four of those points,
-    in starting configurations drawn from the seed's own 0xC3 stream,
-    and require log f~ = -inf.
+    in starting configurations drawn from the seed's condition-probe
+    stream (`sampler.probe_rng`; the sampler module's "Randomness
+    discipline" lists the whole stream tree), and require log f~ = -inf.
     """
     density, n_sat = ansatz.density, ansatz.n_satellites
     r_points = density.sample(settings.conditioning_points, conditioning_rng(settings.seed))
@@ -429,7 +430,7 @@ def check_conditions(ansatz: ConditionalAnsatz, settings: SamplerSettings) -> Co
     with np.errstate(divide="ignore", invalid="ignore"):
         z = (mean - 0.5) / stderr
 
-    rng = substream(settings.seed, 0xC3)
+    rng = probe_rng(settings.seed)
 
     def vanishes(r, j):
         """f~ = 0 with satellite 0 put on r (j None) or on satellite j."""

@@ -1,21 +1,23 @@
 """Nested variational optimization.  All of a run's streams come from
-its one seed, `SamplerSettings.seed`.
+its one seed, `SamplerSettings.seed`, through the stream tree that the
+sampler module's "Randomness discipline" lists.
 
 Inner loop: Nelder-Mead over the ansatz couplings (gamma, beta) at fixed
 density, minimizing the sampled correlation functional.  Every
-evaluation inside one search reuses one seed derived from the run's
-(common random numbers), so the search sees a deterministic surface.
-Because that surface is deterministic, each search keeps its estimates
-keyed by the couplings that act on f, and a repeated point costs nothing:
-a Nelder-Mead contraction that returns to a vertex, or at N = 2 (where
-beta is inert) any point that differs only in beta.
+evaluation inside one search reuses one seed derived from the run's,
+`sampler.crn_seed` (common random numbers), so the search sees a
+deterministic surface.  Because that surface is deterministic, each
+search keeps its estimates keyed by the couplings that act on f, and a
+repeated point costs nothing: a Nelder-Mead contraction that returns to
+a vertex, or at N = 2 (where beta is inert) any point that differs only
+in beta.
 
 Outer loop: golden-section over the single density parameter zeta,
 minimizing Weizsacker + external + inner-optimal Gamma.
 
-Only the winner of a run is re-evaluated on a fresh seed
-(`fresh_estimate`), which removes the selection bias of the search that
-chose it.
+Only the winner of a run is re-evaluated on a fresh seed,
+`sampler.fresh_seed` (`fresh_estimate`), which removes the selection
+bias of the search that chose it.
 
 Every estimate goes through `gamma_correlation`, whose route (exact zero,
 quadrature or sampler) the family and the density decide; the searches
@@ -36,9 +38,7 @@ from .functionals import (
     gamma_correlation,
     weizsacker_term,
 )
-from .sampler import SamplerSettings, fresh_seed, substream
-
-_NS_CRN = 0x63726E
+from .sampler import SamplerSettings, crn_seed, fresh_seed
 
 
 @dataclass(frozen=True)
@@ -294,8 +294,7 @@ def inner_minimize(
     evaluation budget, but samples nothing.  The returned estimate is the
     search's own at the winner; `fresh_estimate` re-evaluates it.
     """
-    crn_seed = int(substream(settings.seed, _NS_CRN).integers(0, 2**63 - 1))
-    search_settings = replace(settings, seed=crn_seed)
+    search_settings = replace(settings, seed=crn_seed(settings.seed))
     memo: dict[tuple[float, ...], GammaEstimate] = {}
 
     def search_estimate(g, b) -> GammaEstimate:

@@ -26,8 +26,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domain import DomainError, _gauss_legendre, radial_cutoff
+from .domain import DomainError, _gauss_legendre, grid_spacing, radial_cutoff
 from .functionals import prefactor_value, radial_pair_integral
+from .sampler import restart_rng
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +336,7 @@ class GridSystem1D:
             raise DomainError("x and rho must be matching 1D arrays")
         if self.x.size > 64:
             raise DomainError("grid oracle supports at most 64 points")
-        if self.x.size < 2:
-            raise DomainError("grid oracle needs at least 2 points")
-        # h is x[1] - x[0], so every spacing must equal it, to
-        # Tabulated1DDensity's tolerance
-        h = np.diff(self.x)
-        if not (h[0] > 0.0 and np.allclose(h, h[0], rtol=1e-10, atol=1e-12)):
-            raise DomainError("grid must be increasing and uniform")
+        grid_spacing(self.x)  # h is x[1] - x[0], so every spacing must equal it
         if np.any(self.rho < 0.0):
             raise DomainError("rho must be non-negative")
 
@@ -599,10 +594,7 @@ def representable_inner_min(
         inits.append(p0)
     inits.append(space.start(np.ones((m, m))))
     for k in range(n_restarts):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(0xB8, k))
-        )
-        raw = rng.random((m, m)) + 1e-3
+        raw = restart_rng(seed, k).random((m, m)) + 1e-3
         inits.append(space.start(raw + raw.T))
 
     best = None

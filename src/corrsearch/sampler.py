@@ -43,10 +43,30 @@ once per batch from the final starts, and with more than one satellite
 the sampler commits each step's move into it, as k and the acceptance
 row.
 
-Randomness discipline: chains are split into blocks of a fixed `_CHUNK`
-chains, and each block owns one generator derived from the master seed
-and the block's first chain index through a counter-based seed split.
-Blocks are stream units only.  A block draws all its start candidates in
+Randomness discipline: every stream of a run is a slot of one tree,
+derived from the run's one seed by `substream`, a counter-based seed
+split keyed by a namespace tag and, below it, an index.  This module
+holds every tag and every accessor, and no other module calls
+`substream`, so two streams are disjoint by construction:
+
+- chain blocks, (_NS_CHAIN, first chain index): each batch's starts and
+  step variates, as below;
+- conditioning points, (_NS_CONDITIONING,): `conditioning_rng`, the
+  estimator's draws from rho/N;
+- fresh seed, (_NS_FRESH, 0): `fresh_seed`, the seed of the one
+  re-evaluation of a search's winner;
+- CRN seed, (_NS_CRN,): `crn_seed`, the seed that every estimate of an
+  inner search shares (common random numbers);
+- condition probes, (_NS_PROBE,): `probe_rng`, the starting
+  configurations of `check_conditions`' coincidence probes;
+- grid restarts, (_NS_RESTART, k): `restart_rng`, the k-th random start
+  of the oracle's representable grid search.
+
+A derived seed roots a tree of its own, so a search's estimates and the
+fresh re-evaluation draw their chain blocks and conditioning points from
+the CRN and fresh seeds.  Chains are split into blocks of a fixed `_CHUNK`
+chains, and each block owns one generator, the slot of the seed and the
+block's first chain index.  Blocks are stream units only.  A block draws all its start candidates in
 one call, then redraws, in chain order, the starts of its chains whose
 candidate has f~ = 0, and then draws its share of the step variates one
 step-chunk at a time, whatever the accept/reject outcomes: the chunk's
@@ -110,10 +130,14 @@ import numpy as np
 
 from .ansatz import ConditionalAnsatz, EstimatorError
 
-# namespace tags for seed splitting; distinct integers keep streams disjoint
+# the stream tree's namespace tags, one per kind of stream (see "Randomness
+# discipline"); distinct integers keep the streams disjoint
 _NS_CHAIN = 0x636861
 _NS_CONDITIONING = 0x636F6E
 _NS_FRESH = 0x667265
+_NS_CRN = 0x63726E
+_NS_PROBE = 0xC3
+_NS_RESTART = 0xB8
 
 # chains per random-stream block; fixed, so results never depend on the
 # pool thread
@@ -141,6 +165,21 @@ def conditioning_rng(seed: int) -> np.random.Generator:
 def fresh_seed(seed: int) -> int:
     """A reproducible but independent seed for post-search re-evaluation."""
     return int(substream(seed, _NS_FRESH, 0).integers(0, 2**63 - 1))
+
+
+def crn_seed(seed: int) -> int:
+    """The seed every estimate of one inner search shares (common random numbers)."""
+    return int(substream(seed, _NS_CRN).integers(0, 2**63 - 1))
+
+
+def probe_rng(seed: int) -> np.random.Generator:
+    """The stream of the coincidence probes' starting configurations."""
+    return substream(seed, _NS_PROBE)
+
+
+def restart_rng(seed: int, k: int) -> np.random.Generator:
+    """The stream of the grid search's k-th random starting table."""
+    return substream(seed, _NS_RESTART, k)
 
 
 @dataclass(frozen=True)

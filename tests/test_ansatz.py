@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import corrsearch
+from corrsearch import sampler
 from corrsearch.ansatz import (
     FAMILIES,
     AnsatzError,
@@ -326,6 +327,61 @@ def test_hinted_kernel_does_not_depend_on_layout(n, dim, beta):
         store[..., accept] = proposal[..., accept]
         log_cur = np.where(accept, got[0], log_cur)
     assert 0 < accept.sum() < m
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_hinted_kernel_where_the_density_vanishes(n):
+    # the hinted evaluator and the full formula share kernel_steps: on a
+    # table with zero tails, moves into the tails, onto r and onto another
+    # satellite in the tails give the full formula's value (bit for bit
+    # at one satellite), and a contact where rho = 0 is E_H = 0, not +inf
+    x = np.linspace(-3.0, 3.0, 61)
+    density = Tabulated1DDensity(x, np.where(np.abs(x) < 1.5, np.cos(np.pi * x / 3) ** 2, 0.0), n)
+    space = SpaceSpec(dim=1, radius=4.0 * n, n_electrons=n)
+    ans = PairwiseBiparametric(density, space, gamma=0.8, beta=1.5)
+    n_sat, m = n - 1, 64
+    rng = np.random.default_rng(30 + n)
+    r = density.sample(m, rng)
+    cur = np.stack([ans.initial_satellites(r[c], rng) for c in range(m)])
+    cur[:, 0, 0] = 2.0 + rng.random(m)  # satellite 0 starts in the zero tail
+    tail = np.array([2.5])
+    assert density.value(tail) == 0.0 and pair_energy(density, space, tail, tail) == 0.0
+    log_cur = ans.log_unnormalized(r, cur)
+    assert np.all(np.isfinite(log_cur))
+    state = ans.chain_state(r, cur)
+    scale, zero_contacts = np.abs(log_cur), 0
+    for step in range(90):
+        k = step % n_sat
+        kind = (step // n_sat) % 3  # each kind meets every k
+        new = 1.6 + 2.0 * rng.random((m, 1))  # into the tail, inside omega
+        if kind == 1:
+            new[::3] = r[::3]
+        elif kind == 2 and n_sat > 1:
+            new[:] = cur[:, 1 - k]
+        proposal = cur.copy()
+        proposal[:, k] = new
+        with np.errstate(divide="ignore", invalid="ignore"):  # as in the step loop
+            hinted = ans.log_unnormalized(r, cur, moved=(k, new, log_cur, state))
+        full = ans.log_unnormalized(r, proposal)
+        if n_sat == 1:
+            np.testing.assert_array_equal(hinted, full)
+        np.testing.assert_array_equal(np.isneginf(hinted), np.isneginf(full))
+        assert np.all(np.isneginf(full[::3])) if kind == 1 else np.all(np.isfinite(full))
+        finite = np.isfinite(full)
+        err = np.abs(hinted[finite] - full[finite])
+        assert np.all(err <= 1e-12 * np.maximum(np.abs(full), scale)[finite])
+        if kind == 2 and n_sat > 1:
+            # a contact in the tail: a zero pair term, pending for commit
+            in_tail = density.value(new) == 0.0
+            np.testing.assert_array_equal(state.pair_new[1 - k][in_tail], 0.0)
+            zero_contacts += int(in_tail.sum())
+        accept = np.log(rng.random(m)) < hinted - log_cur
+        cur[accept] = proposal[accept]
+        log_cur = np.where(accept, hinted, log_cur)
+        if n_sat > 1:
+            state.commit(k, accept)
+        scale = np.maximum(scale, np.abs(log_cur))
+    assert zero_contacts > 0 or n_sat == 1
 
 
 @pytest.mark.parametrize("n", [3, 6])
@@ -732,6 +788,36 @@ def test_family_names_appear_only_in_the_registry():
     # attributes: a family name compared or listed, or a family class in an
     # isinstance check, is a second copy of what the registry knows
     assert not registry_offenders("ansatz.py", FAMILIES)
+
+
+def test_stream_tags_and_substreams_live_only_in_the_sampler():
+    # every random stream is a slot of one tree, keyed by a namespace tag:
+    # outside sampler.py no module calls substream (or seeds a generator
+    # itself) or defines a _NS_ tag, so no two streams can coincide by
+    # accident, and inside it every substream call is keyed by a tag
+    tags, offenders = {}, []
+    for path in sorted(Path(corrsearch.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Assign):
+                for name in [t.id for t in node.targets if isinstance(t, ast.Name)]:
+                    if name.startswith("_NS_"):
+                        tags[name] = ast.literal_eval(node.value)
+                        if path.name != "sampler.py":
+                            offenders.append(f"{where} defines {name}")
+            if not isinstance(node, ast.Call):
+                continue
+            func = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if path.name != "sampler.py" and func in ("substream", "SeedSequence"):
+                offenders.append(f"{where} calls {func}")
+            if path.name == "sampler.py" and func == "substream":
+                key = node.args[1] if len(node.args) > 1 else None
+                if not (isinstance(key, ast.Name) and key.id.startswith("_NS_")):
+                    offenders.append(f"{where} calls substream without a tag")
+    assert not offenders
+    assert len(tags) == len(set(tags.values())) >= 5
+    for seed in range(100):
+        assert len({sampler.crn_seed(seed), sampler.fresh_seed(seed), seed}) == 3
 
 
 def test_density_names_appear_only_in_the_registry():

@@ -302,6 +302,15 @@ def test_bad_density_table_fails_at_load(tmp_path, capsys, command, case):
     assert not out.exists()
 
 
+def test_decreasing_density_table_names_the_grid_rule(tmp_path, capsys):
+    # a table written from large x to small has a uniform, negative spacing
+    table = "".join(f"{x} {1.0 - abs(x) / 3.0}\n" for x in (2, 1, 0, -1, -2))
+    cfg = tabulated_config(tmp_path, table, "rho.txt", "1d")
+    assert main(["energy", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "[density]" in err and "increasing, uniform grid" in err
+
+
 def test_good_density_table_loads(tmp_path):
     loaded = load_config(tabulated_config(tmp_path, GOOD_TABLE, "rho.txt", "1d"))
     density = build_density(loaded)

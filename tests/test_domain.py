@@ -148,6 +148,18 @@ def test_uniform_tabulated_gradient_is_zero():
     np.testing.assert_array_equal(rho.gradient(pts), 0.0)
 
 
+@pytest.mark.parametrize(
+    "x",
+    [np.linspace(3.0, -3.0, 61), np.array([0.0, 1.0, 3.0]), np.array([0.5])],
+    ids=["decreasing", "uneven", "one-point"],
+)
+def test_tabulated_grid_must_be_increasing_and_uniform(x):
+    # a decreasing table has a uniform but negative spacing: it must fail on
+    # the grid rule that the grid oracle shares, not later on its mass
+    with pytest.raises(DomainError, match="increasing, uniform grid"):
+        Tabulated1DDensity(x, np.ones_like(x), 2)
+
+
 def test_tabulated_normalization_and_interpolation():
     x = np.linspace(-6.0, 6.0, 241)
     vals = np.exp(-np.abs(x))

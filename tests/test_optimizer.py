@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from corrsearch import optimizer
+from corrsearch import optimizer, sampler
 from corrsearch.domain import ExponentialDensity, ExternalPotential, SpaceSpec
 from corrsearch.domain import default_grid, external_energy
 from corrsearch.functionals import (
@@ -227,7 +227,7 @@ def test_inner_search_samples_each_acting_point_once(monkeypatch, n):
     monkeypatch.setattr(optimizer, "gamma_correlation", counting)
     res = inner_minimize(density, space, "pairwise", settings, opt)
 
-    crn_seed = int(substream(settings.seed, optimizer._NS_CRN).integers(0, 2**63 - 1))
+    crn_seed = int(substream(settings.seed, sampler._NS_CRN).integers(0, 2**63 - 1))
     direct_settings = replace(settings, seed=crn_seed)
     keys = set()
     for row in res.trace:
