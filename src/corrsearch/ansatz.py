@@ -34,6 +34,8 @@ downstream code consumes as f = 0 (log f = -inf).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .domain import Density, SpaceSpec, sq_norm
@@ -57,12 +59,21 @@ def pair_energy(density: Density, space: SpaceSpec, x: np.ndarray, y: np.ndarray
 
     Returns 0 where the density product vanishes, +inf at exact
     coincidence with positive density product (signaling value), and the
-    finite kernel value otherwise.
+    finite kernel value otherwise: kernel_steps run on fresh arrays of
+    the points' broadcast leading shape.  The full formula's one E_H
+    route, for log_unnormalized and chain_state alike.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    return _weighted_kernel(space, density.value(x) * density.value(y), x - y)
+    num = density.value(x) * density.value(y)
+    soften, kernel = kernel_steps(space)
+    d2 = np.asarray(sq_norm(x - y))  # an array even for one pair of points
+    masks = [np.empty(d2.shape, bool) for _ in range(2)]
+    with np.errstate(divide="ignore", invalid="ignore"):  # as in the step loop
+        soften(d2, masks)
+        return kernel(num, np.sqrt(d2, d2), np.empty(d2.shape), masks)
 
 
+@functools.lru_cache(maxsize=None)
 def kernel_steps(space: SpaceSpec):
     """The pair kernel's two in-place steps, the one statement of its
     softening, its +inf contact signal and its zero-density rule.
@@ -75,6 +86,9 @@ def kernel_steps(space: SpaceSpec):
     0 by inf: run both with numpy's divide and invalid errors ignored.
     Every constant is a 0-d array and every ufunc takes its out
     positionally, so the hinted evaluator can call them in every step.
+    The pair is cached per space, a frozen SpaceSpec: the steps only read
+    their constants and write only to what the caller passes, so the step
+    loop and the pool thread may share one pair.
     """
     # 0-d constants: a ufunc converts a Python float argument on every
     # call, and a 0-d array costs it nothing
@@ -116,17 +130,6 @@ def kernel_steps(space: SpaceSpec):
     return soften, kernel
 
 
-def _weighted_kernel(space: SpaceSpec, num: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """E_H from the density product num = rho(x) rho(y) and delta = x - y:
-    kernel_steps run on fresh arrays of delta's leading shape."""
-    soften, kernel = kernel_steps(space)
-    d2 = np.asarray(sq_norm(delta))  # an array even for one pair of points
-    masks = [np.empty(d2.shape, bool) for _ in range(2)]
-    with np.errstate(divide="ignore", invalid="ignore"):  # as in the step loop
-        soften(d2, masks)
-        return kernel(num, np.sqrt(d2, d2), np.empty(d2.shape), masks)
-
-
 def pair_energy_grad_x(density: Density, space: SpaceSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gradient of pair_energy with respect to its first argument x.
 
@@ -142,11 +145,6 @@ def pair_energy_grad_x(density: Density, space: SpaceSpec, x: np.ndarray, y: np.
     kern = np.where(kern == np.inf, np.nan, kern)
     dkern = -delta * (kern**3)[..., None]
     return (rho_y * kern)[..., None] * grad_rho_x + (rho_x * rho_y)[..., None] * dkern
-
-
-def _satellite_pairs(n_sat: int):
-    """Index pairs (i, j) with i < j among satellites."""
-    return np.triu_indices(n_sat, k=1)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +185,6 @@ class ConditionalAnsatz:
     """
 
     family: str = "base"
-    confined: bool = False  # satellites restricted to the omega region
     couplings: tuple[str, ...] = ()  # searched constructor parameters, see check_couplings
     searchable: bool = True  # may be optimized and compared
     closed_form_coulomb: bool = False  # Coulomb term has a quadrature route
@@ -276,13 +273,6 @@ class ConditionalAnsatz:
             )
         return r, satellites
 
-    def _support_log(self, satellites: np.ndarray) -> np.ndarray:
-        """0 inside the support, -inf outside (confined families only)."""
-        if not self.confined:
-            return np.zeros(satellites.shape[:-2])
-        inside = self.space.in_omega(satellites).all(axis=-1)
-        return np.where(inside, 0.0, -np.inf)
-
 
 class PairChainState:
     """The pairwise family's per-chain terms of one sampler batch, chain
@@ -341,7 +331,7 @@ class PairChainState:
         single term and is kept, as (-gamma) E_H, so the value is a fresh
         evaluation's 0 - gamma E_H up to the sign of a zero.
 
-        The kernel is kernel_steps', which _weighted_kernel runs too, and
+        The kernel is kernel_steps', which pair_energy runs too, and
         the rest is the full formula's arithmetic in the same order, so
         every term is bit for bit an unhinted call's.
         Everything a step needs is bound here once: the buffers, the 0-d
@@ -445,7 +435,6 @@ class PairwiseBiparametric(ConditionalAnsatz):
     """
 
     family = "pairwise"
-    confined = True
     couplings = ("gamma", "beta")
 
     def __init__(self, density, space, gamma: float, beta: float):
@@ -481,9 +470,10 @@ class PairwiseBiparametric(ConditionalAnsatz):
             return state.log(satellites, k, new, log_old)
         r, satellites = self._check_shapes(r, satellites)
         e_cond = pair_energy(self.density, self.space, r[..., None, :], satellites)
-        total = self._support_log(satellites) - self.gamma * np.sum(e_cond, axis=-1)
+        support = np.where(self.space.in_omega(satellites).all(axis=-1), 0.0, -np.inf)
+        total = support - self.gamma * np.sum(e_cond, axis=-1)
         if self.beta > 0.0 and self.n_satellites >= 2:
-            ii, jj = _satellite_pairs(self.n_satellites)
+            ii, jj = np.triu_indices(self.n_satellites, k=1)
             e_sat = pair_energy(
                 self.density, self.space, satellites[..., ii, :], satellites[..., jj, :]
             )
@@ -492,19 +482,15 @@ class PairwiseBiparametric(ConditionalAnsatz):
 
     def chain_state(self, r, satellites):
         r, satellites = self._check_shapes(r, satellites)
-        space, n_sat = self.space, self.n_satellites
-        rho_r = self.density.value(r)
+        density, space, n_sat = self.density, self.space, self.n_satellites
+        rho_r = density.value(r)
         rho_sat = e_cond = e_pair = None
         if n_sat >= 2:
-            rho = self.density.value(satellites)
-            e_cond = _weighted_kernel(space, rho_r[:, None] * rho, satellites - r[:, None, :])
-            e_cond = e_cond.T.copy()
+            e_cond = pair_energy(density, space, r[:, None, :], satellites).T.copy()
             if self.beta > 0.0:
-                ii, jj = _satellite_pairs(n_sat)
-                e = _weighted_kernel(
-                    space, rho[:, ii] * rho[:, jj], satellites[:, ii] - satellites[:, jj]
-                ).T
-                rho_sat = rho.T.copy()
+                ii, jj = np.triu_indices(n_sat, k=1)
+                e = pair_energy(density, space, satellites[:, ii], satellites[:, jj]).T
+                rho_sat = density.value(satellites).T.copy()
                 e_pair = np.zeros((n_sat, n_sat, len(r)))
                 e_pair[ii, jj] = e_pair[jj, ii] = e
         return PairChainState(self, r, rho_r, rho_sat, e_cond, e_pair)

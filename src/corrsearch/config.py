@@ -20,6 +20,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 from .ansatz import FAMILIES
 from .domain import DENSITIES, Density, ExternalPotential, SpaceSpec
+from .functionals import MIN_KEPT_SAMPLES
 from .optimizer import OptimizeSpec
 from .sampler import SamplerSettings
 
@@ -166,8 +167,12 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
 
 
 def load_config(path: str, overrides: dict | None = None) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), overrides)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
+    return parse_config(text, overrides)
 
 
 def _validate(cfg: RunConfig):
@@ -192,10 +197,8 @@ def _validate(cfg: RunConfig):
     family = FAMILIES[cfg.ansatz.family]
     if family.couplings:
         _in_section("ansatz", family.check_couplings, gamma=cfg.ansatz.gamma, beta=cfg.ansatz.beta)
-    if cfg.sampler.samples < 8:
-        # the score variance is extrapolated from the series' quarters,
-        # and each quarter's variance needs two kept samples
-        raise ConfigError("[sampler] samples must be >= 8")
+    if cfg.sampler.samples < MIN_KEPT_SAMPLES:
+        raise ConfigError(f"[sampler] samples must be >= {MIN_KEPT_SAMPLES}")
 
 
 # ---------------------------------------------------------------------------

@@ -456,7 +456,7 @@ def _gauss_legendre(n: int, lo: float, hi: float):
     return lo + half * (x + 1.0), half * w
 
 
-def radial_grid(r_max: float = 30.0, n_radial: int = 128) -> QuadratureGrid:
+def radial_grid(r_max: float, n_radial: int = 128) -> QuadratureGrid:
     """A radial Gauss-Legendre rule over the 3D ball of radius r_max, for
     spherically symmetric integrands only: its nodes, placed on the z axis,
     with weights 4 pi r^2 w_r.  The angular weights of a radial-angular
@@ -468,20 +468,20 @@ def radial_grid(r_max: float = 30.0, n_radial: int = 128) -> QuadratureGrid:
     return QuadratureGrid("radial", nodes, 4.0 * np.pi * (wr * r * r))
 
 
-def uniform_1d_grid(radius: float, n: int = 2048) -> QuadratureGrid:
+def uniform_1d_grid(radius: float, n: int) -> QuadratureGrid:
     """Midpoint rule on [-radius, radius]."""
     h = 2.0 * radius / n
     x = -radius + h * (np.arange(n) + 0.5)
     return QuadratureGrid("uniform-1d", x[:, None], np.full(n, h))
 
 
-def line_grid(radius: float, n_half: int = 160) -> QuadratureGrid:
-    """Gauss-Legendre panels [-radius, 0] and [0, radius].
+def line_grid(radius: float) -> QuadratureGrid:
+    """Gauss-Legendre panels [-radius, 0] and [0, radius], 160 nodes each.
 
     Splitting at the origin keeps each panel smooth for densities with an
     |x| cusp, so normalization converges far past the 1e-8 contract.
     """
-    xr, wr = _gauss_legendre(n_half, 0.0, radius)
+    xr, wr = _gauss_legendre(160, 0.0, radius)
     x = np.concatenate([-xr[::-1], xr])
     w = np.concatenate([wr[::-1], wr])
     return QuadratureGrid("line-gauss", x[:, None], w)

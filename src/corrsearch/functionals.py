@@ -53,6 +53,10 @@ from .domain import (
 )
 from .sampler import SamplerSettings, conditioning_rng, probe_rng, run_conditional_batch
 
+# the floor on kept samples per chain: the score variance is extrapolated
+# from the series' four quarters, and each quarter's variance needs two
+MIN_KEPT_SAMPLES = 8
+
 
 def prefactor_value(n_electrons: int) -> float:
     """P(N) = (N-1)/2: each of the N(N-1)/2 electron pairs counted once."""
@@ -164,8 +168,10 @@ def conditional_moments(
     and LeVeque's shifted-data sums).  Each kept pair row is added, in
     kept order, into one per-chain sum: its mean is bit for bit that of
     a stored (K, chains) series."""
-    if settings.samples < 8:
-        raise ValueError("need at least 8 kept samples: two per quarter of the series")
+    if settings.samples < MIN_KEPT_SAMPLES:
+        raise ValueError(
+            f"need at least {MIN_KEPT_SAMPLES} kept samples: two per quarter of the series"
+        )
     space = ansatz.space
     rng = conditioning_rng(settings.seed)
     r_points = density.sample(settings.conditioning_points, rng)

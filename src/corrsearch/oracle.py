@@ -63,7 +63,7 @@ class Grid1DWavefunction:
         m = self.x.size
         if self.psi.shape != (m, m):
             raise DomainError("psi must be (M, M)")
-        self.h = float(self.x[1] - self.x[0])
+        self.h = grid_spacing(self.x)
         norm = float(np.sum(self.psi**2) * self.h**2)
         self.psi = self.psi / np.sqrt(norm)
 

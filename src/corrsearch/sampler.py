@@ -445,10 +445,11 @@ def run_conditional_batch(
 # ---------------------------------------------------------------------------
 
 
-def batch_means_stderr(series: np.ndarray, n_batches: int = 32) -> float:
-    """Standard error of the mean from disjoint batch means."""
+def batch_means_stderr(series: np.ndarray) -> float:
+    """Standard error of the mean from 32 disjoint batch means (one per
+    sample when the series is shorter)."""
     n = series.size
-    n_batches = min(n_batches, n)
+    n_batches = min(32, n)
     usable = (n // n_batches) * n_batches
     batches = series[:usable].reshape(n_batches, -1).mean(axis=1)
     if n_batches < 2:

@@ -19,6 +19,7 @@ from corrsearch.ansatz import (
     PairwiseBiparametric,
     SimpleFactorized,
     build_ansatz,
+    kernel_steps,
     pair_energy,
     pair_energy_grad_x,
 )
@@ -110,6 +111,27 @@ def test_pair_energy_divergence_near_contact():
         for eps in (1e-2, 1e-5, 1e-8)
     ]
     assert vals[0] < vals[1] < vals[2]
+
+
+def test_kernel_steps_built_once_per_space():
+    # the kernel's steps are cached on the frozen SpaceSpec: equal specs
+    # share one pair, each softening has its own, and the values that the
+    # shared steps give stay pinned, a contact's +inf included, on every call
+    d3 = ExponentialDensity(zeta=1.0, n_electrons=2)
+    s3 = SpaceSpec(dim=3, radius=10.0, n_electrons=2)
+    d1 = ExponentialDensity(zeta=1.0, n_electrons=2, dim=1)
+    s1 = SpaceSpec(dim=1, radius=6.0, n_electrons=2)
+    twin = SpaceSpec(dim=1, radius=6.0, n_electrons=2)
+    soft = dataclasses.replace(s1, softening=0.5)
+    assert twin is not s1 and kernel_steps(twin) is kernel_steps(s1)
+    assert kernel_steps(soft) is not kernel_steps(s1) is not kernel_steps(s3)
+    x3 = np.array([[0.1, 0.2, 0.3], [0.5, -0.5, 0.0]])
+    y3 = np.array([[-0.4, 0.0, 0.5], [0.5, -0.5, 0.0]])
+    x1, y1 = np.array([[0.4], [-0.2]]), np.array([[-0.3], [-0.2]])
+    for _ in range(2):
+        assert pair_energy(d3, s3, x3, y3).tolist() == [0.09275530121607561, np.inf]
+        assert pair_energy(d1, s1, x1, y1).tolist() == [0.8080804174561873, np.inf]
+        assert pair_energy(d1, soft, x1, y1).tolist() == [1.14665259118426, np.inf]
 
 
 def test_pair_energy_gradient_matches_fd():
@@ -818,6 +840,40 @@ def test_stream_tags_and_substreams_live_only_in_the_sampler():
     assert len(tags) == len(set(tags.values())) >= 5
     for seed in range(100):
         assert len({sampler.crn_seed(seed), sampler.fresh_seed(seed), seed}) == 3
+
+
+def test_pair_kernel_has_one_full_formula_route():
+    # kernel_steps has two callers: pair_energy, the full formula's one E_H
+    # route, and the hinted evaluator; a second route or the retired
+    # support flag and its helper must not come back
+    allowed = {("ansatz.py", "pair_energy"), ("ansatz.py", "PairChainState._evaluator")}
+    retired = {"_weighted_kernel", "_support_log"}
+    callers, offenders = set(), []
+
+    def walk(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+                if child.name in retired:
+                    offenders.append(f"{path.name} defines {inner}")
+            if isinstance(child, ast.ClassDef):
+                for item in child.body:
+                    targets = getattr(item, "targets", [getattr(item, "target", None)])
+                    if any(getattr(t, "id", None) == "confined" for t in targets):
+                        offenders.append(f"{path.name} sets {inner}.confined")
+            if isinstance(child, ast.Call):
+                func = getattr(child.func, "id", getattr(child.func, "attr", None))
+                if func == "kernel_steps":
+                    callers.add((path.name, scope))
+                elif func in retired:
+                    offenders.append(f"{path.name} calls {func} in {scope}")
+            walk(child, path, inner)
+
+    for path in sorted(Path(corrsearch.__file__).parent.glob("*.py")):
+        walk(ast.parse(path.read_text(encoding="utf-8")), path, "")
+    assert not offenders
+    assert callers == allowed
 
 
 def test_density_names_appear_only_in_the_registry():

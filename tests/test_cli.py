@@ -155,6 +155,25 @@ def test_missing_config_file(tmp_path):
     assert main(["energy", "--config", str(tmp_path / "nope.cfg")]) == 1
 
 
+@pytest.mark.parametrize("case", ["directory", "not-utf8"])
+def test_unreadable_config_exits_1_without_a_traceback(tmp_path, case):
+    # a --config that names a directory, or a file that is not UTF-8 text,
+    # is a validation error that names the path, not a crash
+    path = tmp_path / "run.cfg"
+    if case == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"[system]\nn = 2\nz = \xff\n")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "corrsearch.cli", "energy", "--config", str(path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and str(path) in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_unparseable_value_names_field(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("[system]\nn = two\nz = 2.0\n", encoding="utf-8")

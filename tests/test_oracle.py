@@ -148,6 +148,18 @@ def test_grid_wavefunction_shape_guard():
         Grid1DWavefunction(x=x, psi=np.ones((4, 5)), softening=1.0)
 
 
+@pytest.mark.parametrize(
+    "x",
+    [np.array([0.0, 1.0, 3.0, 4.0, 5.0, 6.0]), np.array([0.0]), np.linspace(5.0, -5.0, 16)],
+    ids=["uneven", "one-point", "decreasing"],
+)
+def test_grid_wavefunction_rejects_a_grid_its_h_misreads(x):
+    # the wavefunction is normalized with h = x[1] - x[0], as the grid
+    # system's lattice terms are: the same three grids must fail the same rule
+    with pytest.raises(DomainError, match="grid"):
+        Grid1DWavefunction(x=x, psi=np.ones((x.size, x.size)), softening=1.0)
+
+
 # ---------------------------------------------------------------------------
 # decomposition identity on the grid
 # ---------------------------------------------------------------------------
