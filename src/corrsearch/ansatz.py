@@ -208,10 +208,11 @@ class ConditionalAnsatz:
 
     @property
     def acting_couplings(self) -> tuple[float, ...]:
-        """The coupling values that act on f at this N.  Two instances that
-        build_ansatz made for one family, density and space with equal
-        acting couplings are the same f, so every estimate at fixed
-        settings is equal; empty for the families without couplings."""
+        """The coupling values that act on f at this N, a prefix of the
+        family's `couplings`.  Two instances that build_ansatz made for one
+        family, density and space with equal acting couplings are the same
+        f, so every estimate at fixed settings is equal; empty for the
+        families without couplings."""
         return ()
 
     @property
@@ -510,21 +511,6 @@ class PairwiseBiparametric(ConditionalAnsatz):
         return self.space.uniform_omega(shape[0] * shape[1], rng).reshape(shape)
 
 
-class SimpleFactorized(PairwiseBiparametric):
-    """One-factor-per-satellite family, log f~ = -sum_n E_H(r, s_n): the
-    pairwise family fixed at gamma = 1, beta = 0.
-
-    Satellite pairs are uncorrelated, so satellite-satellite coincidences
-    carry finite weight: the family is not fermionic-compatible.
-    """
-
-    family = "simple"
-    couplings = ()
-
-    def __init__(self, density, space):
-        super().__init__(density, space, 1.0, 0.0)
-
-
 class FrozenOrbitalProduct(ConditionalAnsatz):
     """Debug family: satellites i.i.d. from rho/N, independent of r.
 
@@ -597,7 +583,7 @@ class GaussianToy(ConditionalAnsatz):
 # the registry: the one place that maps family names to their classes
 FAMILIES = {
     cls.family: cls
-    for cls in (PairwiseBiparametric, SimpleFactorized, FrozenOrbitalProduct, GaussianToy)
+    for cls in (PairwiseBiparametric, FrozenOrbitalProduct, GaussianToy)
 }
 
 

@@ -385,6 +385,14 @@ class ConditionsReport:
     vanishes_at_satellite_pairs: f = 0 at satellite-satellite contact;
         None when N < 3 leaves nothing to check.
     fermionic_compatible: structural flag of the family.
+
+    The marginal is the gate: it is the one constraint of the Levy-Lieb
+    search (Levy 1979; Lieb 1983), which runs over every f whose pair
+    density has density rho.  The other three fields are information
+    only.  The search needs no zero at coincidence, and the exact helium
+    singlet has P(r, r) > 0 (Kato 1957); from N = 3 on no spin-free f
+    gives a fermionic bound, and fermionic_compatible is reported on
+    its own.
     """
 
     marginal_u: float
@@ -399,14 +407,9 @@ class ConditionsReport:
     def marginal(self) -> bool:
         return abs(self.marginal_z) <= self.marginal_cut
 
-    @property
-    def all_pass(self) -> bool:
-        pairs_ok = self.vanishes_at_satellite_pairs in (True, None)
-        return self.marginal and self.vanishes_at_conditioning and pairs_ok
-
     def to_dict(self) -> dict:
-        """The record's `conditions`: the fields, `marginal` and `all_pass`."""
-        return asdict(self) | {"marginal": self.marginal, "all_pass": self.all_pass}
+        """The record's `conditions`: the fields and `marginal`."""
+        return asdict(self) | {"marginal": self.marginal}
 
 
 def check_conditions(ansatz: ConditionalAnsatz, settings: SamplerSettings) -> ConditionsReport:

@@ -265,8 +265,11 @@ def golden_section(
 
 @dataclass
 class InnerResult:
+    # the winner's acting couplings, then nan for each that does not act
+    # (beta at N = 2, both for a family without couplings)
     gamma: float
     beta: float
+    ansatz: ConditionalAnsatz  # the winner, built at the point the search ended on
     estimate: GammaEstimate  # the search's estimate at the winner (CRN seed)
     trace: list[TraceEntry]
     n_eval: int
@@ -287,12 +290,13 @@ def inner_minimize(
     """Minimize Gamma over the family's couplings at fixed density.
 
     A family with couplings searches (gamma, beta) with Nelder-Mead; the
-    parameter-free families evaluate once and report nan couplings.  A
-    search point whose acting couplings
-    (`ConditionalAnsatz.acting_couplings`) were already evaluated reuses
-    that estimate: it still adds a trace row and counts toward the
-    evaluation budget, but samples nothing.  The returned estimate is the
-    search's own at the winner; `fresh_estimate` re-evaluates it.
+    parameter-free families evaluate once.  A coupling that does not act
+    on the winner is reported as nan.  A search point whose acting
+    couplings (`ConditionalAnsatz.acting_couplings`) were already
+    evaluated reuses that estimate: it still adds a trace row and counts
+    toward the evaluation budget, but samples nothing.  The returned
+    estimate is the search's own at the winner; `fresh_estimate`
+    re-evaluates it.
     """
     search_settings = replace(settings, seed=crn_seed(settings.seed))
     memo: dict[tuple[float, ...], GammaEstimate] = {}
@@ -330,11 +334,14 @@ def inner_minimize(
         x = np.full(2, np.nan)
         res = MinimizeResult(x=x, value=search_fn(x), n_eval=1, converged=True)
         first_simplex = False
-    g_best, b_best = float(res.x[0]), float(res.x[1])
+    winner = build_ansatz(family, density, space, float(res.x[0]), float(res.x[1]))
+    acting = winner.acting_couplings
+    gamma, beta = acting + (float("nan"),) * (2 - len(acting))
     return InnerResult(
-        gamma=g_best,
-        beta=b_best,
-        estimate=search_estimate(g_best, b_best),
+        gamma=gamma,
+        beta=beta,
+        ansatz=winner,
+        estimate=memo[acting],
         trace=trace,
         n_eval=res.n_eval,
         converged=res.converged,
@@ -371,8 +378,8 @@ class OuterResult:
     estimator_calls: int  # gamma_correlation calls: every inner search and the fresh one
     inner_first_simplex: int  # inner searches that converged on their initial simplex
     # per searched coordinate (zeta, gamma, beta): the winner lies within
-    # tol of a bound of its box; false for a coupling the run did not
-    # search (nan, or equal bounds)
+    # tol of a bound of its box; false for a coupling that is nan (it does
+    # not act) or that the run did not search (equal bounds)
     at_search_bound: dict[str, bool]
 
 
@@ -427,8 +434,7 @@ def outer_minimize(
     )
     zeta_best = float(res.x[0])
     density, w, ext, inner = evaluated[zeta_best]
-    ansatz = build_ansatz(family, density, space, inner.gamma, inner.beta)
-    fresh = fresh_estimate(density, ansatz, settings)
+    fresh = fresh_estimate(density, inner.ansatz, settings)
     boxes = (
         ("zeta", zeta_best, opt.zeta_min, opt.zeta_max),
         ("gamma", inner.gamma, opt.gamma_min, opt.gamma_max),

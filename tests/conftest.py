@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from corrsearch import sampler
-from corrsearch.ansatz import AnsatzError, EstimatorError, SimpleFactorized, pair_energy
+from corrsearch.ansatz import AnsatzError, EstimatorError, PairwiseBiparametric, pair_energy
 from corrsearch.domain import ExponentialDensity, QuadratureGrid, SpaceSpec, _gauss_legendre
 from corrsearch.sampler import SamplerSettings
 
@@ -106,21 +106,24 @@ def radial_angular_grid(
     return QuadratureGrid("radial-angular", nodes, ww.reshape(-1))
 
 
-def normalization_simple(ansatz: SimpleFactorized, r: np.ndarray, grid: QuadratureGrid) -> float:
-    """Per-satellite log normalization Ebar(r) of the simple family, which
-    the quadrature reference for its sampled satellite marginal divides by.
+def unit_pairwise_normalization(
+    ansatz: PairwiseBiparametric, r: np.ndarray, grid: QuadratureGrid
+) -> float:
+    """Per-satellite log normalization Ebar(r) of pairwise at (gamma, beta)
+    = (1, 0), one factor per satellite, which the quadrature reference for
+    its sampled satellite marginal divides by.
 
     Defined by exp(-Ebar(r)) = integral over omega of exp(-E_H(r, s)) ds,
     evaluated by quadrature on a grid covering omega.  The normalized
     density is then f = prod_n exp(Ebar(r)) exp(-E_H(r, s_n)).
     """
-    if not isinstance(ansatz, SimpleFactorized):
-        raise AnsatzError("normalization_simple requires the simple family")
+    if not (isinstance(ansatz, PairwiseBiparametric) and (ansatz.gamma, ansatz.beta) == (1.0, 0.0)):
+        raise AnsatzError("unit_pairwise_normalization requires pairwise at (1, 0)")
     r = np.asarray(r, dtype=float)
     e = pair_energy(ansatz.density, ansatz.space, r[None, :], grid.nodes)
     val = float(np.sum(grid.weights * np.exp(-e)))
     if not val > 0.0:
-        raise EstimatorError("simple-family normalization integral vanished")
+        raise EstimatorError("unit pairwise normalization integral vanished")
     return -np.log(val)
 
 

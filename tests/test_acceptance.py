@@ -18,7 +18,6 @@ from corrsearch.ansatz import (
     FrozenOrbitalProduct,
     GaussianToy,
     PairwiseBiparametric,
-    SimpleFactorized,
 )
 from corrsearch.cli import main
 from corrsearch.domain import (
@@ -134,18 +133,19 @@ def test_criterion_4_conditional_density_conditions():
     # the coincidence probes read only the run's first four points
     settings = SamplerSettings(conditioning_points=16, samples=8, burn_in=0, seed=0)
     pair_rep = check_conditions(PairwiseBiparametric(density, space, 0.5, 0.5), settings)
-    simple_rep = check_conditions(SimpleFactorized(density, space), settings)
+    # at beta = 0 no satellite pair is weighed, so (iii) must be flagged
+    unpaired_rep = check_conditions(PairwiseBiparametric(density, space, 1.0, 0.0), settings)
     ok = (
         pair_rep.vanishes_at_conditioning
         and pair_rep.vanishes_at_satellite_pairs
-        and simple_rep.vanishes_at_conditioning
-        and simple_rep.vanishes_at_satellite_pairs is False
+        and unpaired_rep.vanishes_at_conditioning
+        and unpaired_rep.vanishes_at_satellite_pairs is False
     )
     report(
         4,
         ok,
-        "pairwise: (ii)/(iii) exact; simple flagged for (iii): "
-        f"{simple_rep.vanishes_at_satellite_pairs is False}",
+        "pairwise: (ii)/(iii) exact; pairwise at beta = 0 flagged for (iii): "
+        f"{unpaired_rep.vanishes_at_satellite_pairs is False}",
     )
 
 

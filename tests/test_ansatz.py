@@ -17,7 +17,6 @@ from corrsearch.ansatz import (
     FrozenOrbitalProduct,
     GaussianToy,
     PairwiseBiparametric,
-    SimpleFactorized,
     build_ansatz,
     kernel_steps,
     pair_energy,
@@ -40,7 +39,7 @@ from corrsearch.functionals import (
     student_t_isf,
 )
 
-from conftest import HE_ZETA, fast_settings, normalization_simple, radial_angular_grid
+from conftest import HE_ZETA, fast_settings, radial_angular_grid, unit_pairwise_normalization
 
 
 def he_pair():
@@ -186,9 +185,9 @@ def test_satellite_coincidence_pairwise_vs_simple():
     s = np.array([0.8, 0.0, -0.3])
     sats = np.stack([s, s])
     pairwise = PairwiseBiparametric(density, space, gamma=1.0, beta=1.0)
-    simple = SimpleFactorized(density, space)
+    unpaired = PairwiseBiparametric(density, space, gamma=1.0, beta=0.0)
     assert pairwise.log_unnormalized(r, sats) == -np.inf
-    assert np.isfinite(simple.log_unnormalized(r, sats))
+    assert np.isfinite(unpaired.log_unnormalized(r, sats))
 
 
 def test_confined_support():
@@ -208,7 +207,7 @@ def test_permutation_symmetry():
     sats = space.uniform_omega(3, rng)
     for ans in (
         PairwiseBiparametric(density, space, gamma=0.7, beta=0.4),
-        SimpleFactorized(density, space),
+        PairwiseBiparametric(density, space, gamma=1.0, beta=0.0),
         FrozenOrbitalProduct(density, space),
     ):
         base = ans.log_unnormalized(r, sats)
@@ -226,8 +225,8 @@ def _hint_family(name, n, dim):
         return PairwiseBiparametric(density, space, gamma=0.8, beta=0.0)
     if name == "pairwise":
         return PairwiseBiparametric(density, space, gamma=0.8, beta=1.5)
-    if name == "simple":
-        return SimpleFactorized(density, space)
+    if name == "simple":  # pairwise at (gamma, beta) = (1, 0)
+        return PairwiseBiparametric(density, space, gamma=1.0, beta=0.0)
     if name == "frozen":
         return FrozenOrbitalProduct(density, space)
     return GaussianToy(density, space, width=0.7)
@@ -454,19 +453,19 @@ def test_parameter_validation():
         PairwiseBiparametric(density, space, gamma=np.inf, beta=0.0)
     other_space = SpaceSpec(dim=3, radius=10.0, n_electrons=3)
     with pytest.raises(AnsatzError):
-        SimpleFactorized(density, other_space)
+        PairwiseBiparametric(density, other_space, gamma=1.0, beta=0.0)
 
 
 def test_shape_guard():
     density, space = lithium_like()
-    ans = SimpleFactorized(density, space)
+    ans = PairwiseBiparametric(density, space, gamma=1.0, beta=0.0)
     r = np.zeros(3)
     with pytest.raises(AnsatzError):
         ans.log_unnormalized(r, np.zeros((1, 3)))  # needs 2 satellites
 
 
 # ---------------------------------------------------------------------------
-# the simple family's normalization, the quadrature reference
+# pairwise at (gamma, beta) = (1, 0): its normalization, the quadrature reference
 # ---------------------------------------------------------------------------
 
 
@@ -476,9 +475,9 @@ def test_normalization_simple_zero_density():
     x = np.linspace(-1.0, 1.0, 21)
     density = Tabulated1DDensity(x, np.ones_like(x), n_electrons=2)
     space = SpaceSpec(dim=1, radius=4.0, n_electrons=2)  # omega = [-2, 2]
-    ans = SimpleFactorized(density, space)
+    ans = PairwiseBiparametric(density, space, gamma=1.0, beta=0.0)
     grid = uniform_1d_grid(space.omega_radius, n=512)
-    ebar = normalization_simple(ans, np.array([3.0]), grid)
+    ebar = unit_pairwise_normalization(ans, np.array([3.0]), grid)
     assert ebar == pytest.approx(-np.log(4.0), abs=1e-12)
 
 
@@ -487,39 +486,42 @@ def test_normalization_simple_unit_volume():
     x = np.linspace(-0.3, 0.3, 13)
     density = Tabulated1DDensity(x, np.ones_like(x), n_electrons=2)
     space = SpaceSpec(dim=1, radius=1.0, n_electrons=2)  # omega = [-1/2, 1/2]
-    ans = SimpleFactorized(density, space)
+    ans = PairwiseBiparametric(density, space, gamma=1.0, beta=0.0)
     grid = uniform_1d_grid(space.omega_radius, n=512)
-    ebar = normalization_simple(ans, np.array([0.9]), grid)
+    ebar = unit_pairwise_normalization(ans, np.array([0.9]), grid)
     assert 2.0 * space.omega_radius == pytest.approx(1.0)
     assert ebar == pytest.approx(0.0, abs=1e-12)
 
 
 def test_normalization_simple_requires_simple():
     density, space = he_pair()
-    ans = PairwiseBiparametric(density, space, gamma=1.0, beta=0.0)
     grid = radial_angular_grid(space.omega_radius, 48, 16, 16)
-    with pytest.raises(AnsatzError):
-        normalization_simple(ans, np.zeros(3), grid)
+    for ans in (
+        PairwiseBiparametric(density, space, gamma=0.5, beta=0.0),
+        FrozenOrbitalProduct(density, space),
+    ):
+        with pytest.raises(AnsatzError):
+            unit_pairwise_normalization(ans, np.zeros(3), grid)
 
 
 def test_pairwise_matches_simple_at_n2():
-    # N = 2 pairwise at gamma = 1 is the simple family at any beta, so its
-    # sampled satellite marginal is the simple family's mean of u = F(|s|),
+    # N = 2 pairwise at gamma = 1 is one f at any beta, so its sampled
+    # satellite marginal is the mean of u = F(|s|) at (gamma, beta) = (1, 0),
     # here by quadrature: over |r| by a radial rule, and over s in omega
-    # by the product rule, normalized per r by normalization_simple.  At
+    # by the product rule, normalized per r by unit_pairwise_normalization.  At
     # radius 1.3 omega cuts into rho, and the mean sits below 1/2; finer
     # rules (96 x 64 x 24 x 24, 128 x 96 x 32 x 32) move it by < 1e-6
     density = ExponentialDensity(zeta=HE_ZETA, n_electrons=2)
     space = SpaceSpec(dim=3, radius=1.3, n_electrons=2)
     pairwise = PairwiseBiparametric(density, space, gamma=1.0, beta=3.0)
-    simple = SimpleFactorized(density, space)
+    unpaired = PairwiseBiparametric(density, space, gamma=1.0, beta=0.0)
     outer = radial_grid(20.0, 64)
     inner = radial_angular_grid(space.omega_radius, 48, 16, 16)
     u = density.cdf(inner.nodes)
     cond = []
     for r in outer.nodes:
         e = pair_energy(density, space, r[None, :], inner.nodes)
-        scale = np.exp(normalization_simple(simple, r, inner))
+        scale = np.exp(unit_pairwise_normalization(unpaired, r, inner))
         cond.append(scale * np.sum(inner.weights * np.exp(-e) * u))
     quad = float(np.sum(outer.weights * density.value(outer.nodes) / 2.0 * np.array(cond)))
     assert quad == pytest.approx(0.49641, abs=1e-5)
@@ -557,8 +559,8 @@ def test_score_is_gradient_of_log_f(family):
     density, space = lithium_like()
     if family == "pairwise":
         ans = PairwiseBiparametric(density, space, gamma=0.8, beta=0.5)
-    else:
-        ans = SimpleFactorized(density, space)
+    else:  # pairwise at (gamma, beta) = (1, 0)
+        ans = PairwiseBiparametric(density, space, gamma=1.0, beta=0.0)
     rng = np.random.default_rng(23)
     step = 1e-5
     worst = 0.0
@@ -595,28 +597,29 @@ def test_conditions_pairwise_has_the_zeros_but_not_the_marginal():
     assert report.vanishes_at_conditioning
     assert report.vanishes_at_satellite_pairs is True
     assert report.fermionic_compatible
-    assert not report.all_pass
 
 
 def test_conditions_simple_fails_satellite_contact():
+    # pairwise at (gamma, beta) = (1, 0): no satellite pair is weighed
     density, space = lithium_like()
-    ans = SimpleFactorized(density, space)
+    ans = PairwiseBiparametric(density, space, gamma=1.0, beta=0.0)
     report = check_conditions(ans, fast_settings())
     assert not report.marginal
     assert report.vanishes_at_conditioning
     assert report.vanishes_at_satellite_pairs is False
     assert not report.fermionic_compatible
-    assert not report.all_pass
 
 
 def test_conditions_frozen():
+    # the marginal is the search's one constraint, and frozen meets it
+    # without either coincidence zero, which are information only
     density, space = lithium_like()
     ans = FrozenOrbitalProduct(density, space)
     report = check_conditions(ans, fast_settings())
     assert report.marginal
     assert not report.vanishes_at_conditioning
     assert report.vanishes_at_satellite_pairs is False
-    assert not report.all_pass
+    assert report.to_dict() == dataclasses.asdict(report) | {"marginal": True}
 
 
 def test_conditions_two_electron_case():
@@ -625,7 +628,6 @@ def test_conditions_two_electron_case():
     density, space = he_pair()
     for ans in (
         PairwiseBiparametric(density, space, gamma=1.0, beta=0.0),
-        SimpleFactorized(density, space),
         FrozenOrbitalProduct(density, space),
     ):
         report = check_conditions(ans, fast_settings(conditioning_points=16, seed=1))
@@ -677,7 +679,7 @@ def test_default_helium_pairwise_fails_the_marginal():
     space = SpaceSpec(dim=3, radius=10.0, n_electrons=2)
     report = check_conditions(PairwiseBiparametric(density, space, 1.0, 1.0), fast_settings())
     assert report.marginal_u > 0.99
-    assert report.marginal_z > 100.0 and not report.all_pass
+    assert report.marginal_z > 100.0 and not report.marginal
 
 
 @pytest.mark.parametrize("name", [n for n, cls in FAMILIES.items() if cls.marginal_matched])
@@ -694,7 +696,6 @@ def test_fermionic_compatibility_rules():
     density, space = lithium_like()
     assert PairwiseBiparametric(density, space, 1.0, 1.0).fermionic_compatible
     assert not PairwiseBiparametric(density, space, 1.0, 0.0).fermionic_compatible
-    assert not SimpleFactorized(density, space).fermionic_compatible
     assert not FrozenOrbitalProduct(density, space).fermionic_compatible
 
 
@@ -718,43 +719,6 @@ def test_build_ansatz_unknown_family_raises_ansatz_error():
         build_ansatz("hartree-fock", density, space)
 
 
-@pytest.mark.parametrize("n", [2, 6])
-def test_simple_is_pairwise_at_unit_gamma_zero_beta(n):
-    density = ExponentialDensity(zeta=1.0, n_electrons=n)
-    space = SpaceSpec(dim=3, radius=4.0, n_electrons=n)
-    simple = SimpleFactorized(density, space)
-    pair = PairwiseBiparametric(density, space, 1.0, 0.0)
-    n_sat, m = n - 1, 64
-    rng = np.random.default_rng(n)
-    r = density.sample(m, rng)
-    cur = space.uniform_omega(m * n_sat, rng).reshape(m, n_sat, 3)
-    log_cur = pair.log_unnormalized(r, cur)
-    proposals = []
-    for k in range(n_sat):
-        new = cur[:, k] + 0.6 * rng.standard_normal((m, 3))
-        # exact zero-weight proposals: onto r, onto another satellite, outside omega
-        new[0::5] = r[0::5]
-        if n_sat > 1:
-            new[1::5] = cur[1::5, (k + 1) % n_sat]
-        new[2::5] = 1.5 * space.omega_radius
-        proposals.append(cur.copy())
-        proposals[k][:, k] = new
-    for sats in [cur] + proposals:
-        np.testing.assert_array_equal(
-            simple.log_unnormalized(r, sats), pair.log_unnormalized(r, sats)
-        )
-        np.testing.assert_array_equal(simple.score(r, sats), pair.score(r, sats))
-    for k, proposal in enumerate(proposals):
-        new = proposal[:, k]
-        hint = (k, new, log_cur)
-        with np.errstate(divide="ignore", invalid="ignore"):  # as in the step loop
-            np.testing.assert_array_equal(
-                simple.log_unnormalized(r, cur, moved=hint + (simple.chain_state(r, cur),)),
-                pair.log_unnormalized(r, cur, moved=hint + (pair.chain_state(r, cur),)),
-            )
-    assert simple.fermionic_compatible == pair.fermionic_compatible
-
-
 def test_acting_couplings_key_equal_estimates():
     # the optimizer's memo rests on this: at N = 2 beta weighs no satellite
     # pair, so pairwise at any beta is one f with one estimate; at N = 3 it
@@ -768,7 +732,7 @@ def test_acting_couplings_key_equal_estimates():
             ans = PairwiseBiparametric(density, space, 1.5, beta)
             keys[n, beta] = ans.acting_couplings
             estimates[n, beta] = gamma_correlation(density, ans, settings).to_dict()
-        assert SimpleFactorized(density, space).acting_couplings == (1.0, 0.0)[: n - 1]
+        assert PairwiseBiparametric(density, space, 1.0, 0.0).acting_couplings == (1.0, 0.0)[: n - 1]
         assert FrozenOrbitalProduct(density, space).acting_couplings == ()
         assert GaussianToy(density, space).acting_couplings == ()
     assert keys[2, 0.0] == keys[2, 0.5] == keys[2, 5.0] == (1.5,)

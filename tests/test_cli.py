@@ -27,7 +27,8 @@ from corrsearch.config import (
     load_config,
     parse_config,
 )
-from corrsearch.functionals import gamma_correlation
+from corrsearch.domain import DENSITIES
+from corrsearch.functionals import GammaEstimate, gamma_correlation
 from corrsearch.optimizer import TraceEntry, build_ansatz
 from corrsearch.records import RunRecord, save_record, save_trace
 
@@ -610,16 +611,15 @@ def test_compare_duplicate_family_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_compare_equal_families_are_tied(tmp_path, capsys):
-    # a pairwise search pinned at gamma = 1, beta = 0 is the simple family
-    pinned = (
-        "[optimize]\ngamma_min = 1.0\ngamma_max = 1.0\ngamma_init = 1.0\n"
-        "beta_min = 0.0\nbeta_max = 0.0\nbeta_init = 0.0\nmax_iter_inner = 4\n"
-    )
+def test_compare_equal_families_are_tied(tmp_path, capsys, monkeypatch):
+    # two families whose fresh estimates are equal tie
+    estimate = GammaEstimate(0.1, 0.01, 0.5, 0.02, 0.0, 0.6, 0.03, "mc")
+    monkeypatch.setattr(cli, "fresh_estimate", lambda *args: estimate)
+    pinned = "[optimize]\nmax_iter_outer = 2\nmax_iter_inner = 4\n"
     cfg = write_config(tmp_path, family="pairwise", optimize=pinned)
     out = tmp_path / "cmp"
     code = main(
-        ["compare-ansatz", "--config", cfg, "--families", "pairwise,simple", "--out", str(out)]
+        ["compare-ansatz", "--config", cfg, "--families", "pairwise,frozen", "--out", str(out)]
     )
     assert code == 0
     ranking = read_record(str(out / "record.json"))["results"]["ranking"]
@@ -643,17 +643,19 @@ def test_compare_ranks_families(tmp_path, capsys):
     by_family = {e["family"]: e for e in ranking}
     # the conditioning-independent family keeps its closed-form repulsion
     assert by_family["frozen"]["value"] == pytest.approx(5.0 * HE_ZETA / 8.0, abs=1e-3)
-    # frozen lacks the conditioning zero; pairwise has it, but its
-    # satellites spread over omega, far past rho's mass
+    # the marginal is the gate: frozen meets it without the conditioning
+    # zero; pairwise has the zero, but its satellites spread over omega,
+    # far past rho's mass
     frozen, pairwise = by_family["frozen"]["conditions"], by_family["pairwise"]["conditions"]
-    assert frozen["vanishes_at_conditioning"] is False and frozen["all_pass"] is False
+    assert frozen["vanishes_at_conditioning"] is False and frozen["marginal"] is True
     assert pairwise["marginal"] is False and pairwise["marginal_z"] > 100.0
-    assert pairwise["vanishes_at_conditioning"] is True and pairwise["all_pass"] is False
+    assert pairwise["vanishes_at_conditioning"] is True
+    assert "all_pass" not in frozen and "all_pass" not in pairwise
     # two satellites never collide when there is only one of them
     assert frozen["fermionic_compatible"] is True
     assert pairwise["fermionic_compatible"] is True
-    lines = capsys.readouterr().out.splitlines()
-    assert all("conditions-fail" in line for line in lines if "frozen" in line or "pairwise" in line)
+    flags = {line.split()[1]: line.split()[4:] for line in capsys.readouterr().out.splitlines()[1:3]}
+    assert flags == {"frozen": [], "pairwise": ["marginal-fail"]}
     assert by_family["frozen"]["bound"] == "variational"
     assert by_family["pairwise"]["bound"] == "none"
 
@@ -721,11 +723,12 @@ def test_optimize_pins_a_tiny_helium_search(tmp_path, capsys):
     assert main(["optimize", "--config", str(path), "--out", str(out)]) == 0
     capsys.readouterr()
     results = read_record(str(out / "record.json"))["results"]
-    search = {key: results[key] for key in ("zeta", "gamma", "beta", "estimator_calls")}
+    search = {key: results[key] for key in ("zeta", "gamma", "estimator_calls")}
     assert search == pytest.approx(
-        {"zeta": 1.5729490168751576, "gamma": 1.0, "beta": 1.0, "estimator_calls": 7},
+        {"zeta": 1.5729490168751576, "gamma": 1.0, "estimator_calls": 7},
         rel=1e-12,
     )
+    assert results["beta"] is None  # beta does not act at N = 2
     breakdown = dict(results["breakdown"])
     assert breakdown.pop("method") == "mc"
     assert breakdown == pytest.approx(
@@ -741,6 +744,37 @@ def test_optimize_pins_a_tiny_helium_search(tmp_path, capsys):
         },
         rel=1e-12,
     )
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_optimize_reports_a_coupling_that_does_not_act_as_null(tmp_path, capsys, n):
+    # the search starts on beta_max; at N = 2 beta weighs no satellite pair,
+    # so the record holds null for it, its trace column nan, its box flag
+    # false, and stdout no beta* line; at N = 3 beta acts and is reported
+    path = tmp_path / "tiny.cfg"
+    path.write_text(
+        f"[system]\nn = {n}\nz = {float(n)}\nradius = 1.3\n"
+        "[ansatz]\nfamily = pairwise\n"
+        "[sampler]\nconditioning_points = 16\nsamples = 8\nburn_in = 16\nthinning = 1\n"
+        "seed = 1\n"
+        "[optimize]\nbeta_max = 1.0\nmax_iter_outer = 2\nmax_iter_inner = 4\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "opt"
+    assert main(["optimize", "--config", str(path), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    results = read_record(str(out / "record.json"))["results"]
+    betas = [float(row["beta"]) for row in load_trace(str(out / "trace.csv"))]
+    assert np.isfinite(results["gamma"]) and "gamma*" in printed
+    if n == 2:
+        assert results["beta"] is None
+        assert results["at_search_bound"]["beta"] is False
+        assert all(np.isnan(b) for b in betas)
+        assert "beta*" not in printed
+    else:
+        assert 0.0 <= results["beta"] <= 1.0
+        assert all(np.isfinite(b) for b in betas)
+        assert f"beta*               {results['beta']:.6f}" in printed
 
 
 def test_optimize_says_when_its_winner_hit_the_box(tmp_path, capsys):
@@ -903,7 +937,7 @@ weights = 0.25 0.75
 table_path = tables/rho.txt
 
 [ansatz]
-family = simple
+family = frozen
 gamma = 2.5
 beta = 0.25
 
@@ -1008,6 +1042,27 @@ def test_readme_command_line_matches_the_parser():
     assert named <= set().union(*flags.values())
     for command in ("energy", "optimize", "compare-ansatz", "sample-diagnostics"):
         assert flags[command] <= named, command
+
+
+def test_readme_names_only_registered_families_and_densities():
+    # the config block's family comments list each registry exactly, and
+    # the module table and the compare-ansatz lines name only what is there
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    listed, section = {}, None
+    for line in block.splitlines():
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif line.startswith("family"):
+            listed[section] = {name.strip() for name in line.split("#", 1)[1].split("|")}
+    assert listed == {"density": set(DENSITIES), "ansatz": set(FAMILIES)}
+    row = next(line for line in readme.splitlines() if line.startswith("| `corrsearch.ansatz`"))
+    named = re.search(r"conditional families \(([^)]*)\)", row).group(1)
+    assert set(re.findall(r"`([\w-]+)`", named)) == set(FAMILIES)
+    compared = re.findall(r"--families ([\w,-]+)", readme)
+    assert compared
+    for families in compared:
+        assert set(families.split(",")) <= set(cli.SEARCHABLE), families
 
 
 def test_retired_keys_load_and_are_dropped(tmp_path):
