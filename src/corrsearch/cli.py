@@ -330,9 +330,10 @@ def cmd_compare(args) -> int:
             flags.append("marginal-fail")
         if not cond["fermionic_compatible"]:
             flags.append("not-fermionic")
+        # an unflagged row ends at its stderr, with no empty flags column
         print(
             f"{entry['rank']:<5}{entry['family']:<10}"
-            f"{entry['value']:>12.6f}{entry['stderr']:>11.2e}  {' '.join(flags)}"
+            f"{entry['value']:>12.6f}{entry['stderr']:>11.2e}  {' '.join(flags)}".rstrip()
         )
     print(f"record              {outdir}/record.json")
     return EXIT_OK

@@ -5,8 +5,10 @@ against quantities computed another way:
 
 * product wavefunctions with exponential orbitals, where kinetic and
   interaction expectations reduce to radial quadratures;
-* exact diagonalization of the two-particle softened-interaction
-  Hamiltonian on a 1D grid, with the three-point Dirichlet Laplacian;
+* the exact two-particle softened-interaction ground state on a 1D
+  grid, with the three-point Dirichlet Laplacian: one matrix-free
+  Lanczos iteration on the (M, M) amplitude table, projected onto the
+  exchange sector, gives both its energy and its vector;
 * the decomposition identity <T + V_ee> = Weizsacker + Fisher + Coulomb
   evaluated on the conditional density extracted from a wavefunction;
 * a lattice form of the correlation functional that reproduces the grid
@@ -44,8 +46,8 @@ class ProductWavefunction:
     n_electrons: int
 
     def __post_init__(self):
-        if self.zeta <= 0.0 or self.n_electrons < 2:
-            raise DomainError("need zeta > 0 and N >= 2")
+        if not 0.0 < self.zeta < np.inf or self.n_electrons < 2:
+            raise DomainError("need a finite zeta > 0 and N >= 2")
 
     def orbital_sq(self, r: np.ndarray) -> np.ndarray:
         return self.zeta**3 / np.pi * np.exp(-2.0 * self.zeta * np.asarray(r))
@@ -147,56 +149,42 @@ def direct_expectation_grid(w: Grid1DWavefunction) -> DirectExpectation:
 # ---------------------------------------------------------------------------
 
 
-def _sector_hamiltonian(kin, potential_sum, ii, jj, sign):
-    """H = K x 1 + 1 x K + D on one exchange sector, from the pair list.
+def _sector_operator(kin, diagonal, sign):
+    """H = K x 1 + 1 x K + D as a map on flattened (M, M) amplitude tables.
 
-    Pair p = (ii[p], jj[p]), i < j (i <= j for bosons), is the state
-    (|ij> + sign |ji>)/sqrt 2, or |ii>.  Its matrix elements are
-    <ij|H|kl> = g g' (d_jl K_ik + d_ik K_jl + sign (d_jk K_il + d_il K_jk))
-    + d_(ij),(kl) D_ij, with g = 1, or 1/sqrt 2 on a diagonal pair.  The
-    matrix is filled hop by hop from the pair list, so the M^2 x M^2
-    product-space matrix is never built.  potential_sum holds
-    D_ij = v_i + v_j + w_ij per pair.
+    A table psi goes to K psi + psi K + D o psi, with D_ij = v_i + v_j +
+    w_ij, projected by (P + sign P^T)/2 onto the exchange sector (sign
+    +1 bosons, -1 fermions), so rounding never leaks into the other
+    sector.  No matrix over grid pairs is built.
     """
-    m, n_pairs = kin.shape[0], ii.size
-    index = np.full((m, m), -1)
-    index[ii, jj] = np.arange(n_pairs)
-    g = np.where(ii == jj, np.sqrt(0.5), 1.0)
-    rows = np.broadcast_to(np.arange(n_pairs)[:, None], (n_pairs, m))
-    free = np.arange(m)[None, :]
-    ham = np.zeros((n_pairs, n_pairs))
-    # the hops i -> k (terms d_jl K_ik and sign d_jk K_il) and j -> k
-    # (d_ik K_jl and sign d_il K_jk), each landing on the sorted pair
-    for first, second, amp in (
-        (free, jj[:, None], kin[ii]),
-        (ii[:, None], free, kin[jj]),
-        (jj[:, None], free, sign * kin[ii]),
-        (free, ii[:, None], sign * kin[jj]),
-    ):
-        target = index[first, second]
-        hit = target >= 0
-        p, q = rows[hit], target[hit]
-        ham[p, q] += amp[hit] * g[p] * g[q]
-    ham[np.arange(n_pairs), np.arange(n_pairs)] += potential_sum
-    return ham
+
+    def matvec(vec):
+        psi = vec.reshape(diagonal.shape)
+        out = kin @ psi + psi @ kin + diagonal * psi
+        return (0.5 * (out + sign * out.T)).ravel()
+
+    return matvec
 
 
-def _lowest_eigenvalue(ham: np.ndarray, tol: float = 1e-10) -> float:
-    """The lowest eigenvalue of a symmetric matrix by Lanczos iteration
-    with full reorthogonalisation, where eigvalsh would compute the whole
-    spectrum.  It starts from the all-ones vector, which overlaps the
-    ground state of every sector matrix _sector_hamiltonian builds: their
-    off-diagonal elements are <= 0, so that state has one sign.  It stops
-    when the lowest Ritz pair's residual norm, which bounds that Ritz
-    value's distance to an eigenvalue, is at most tol max(1, |value|), and
-    raises LinAlgError if it never is."""
-    n = len(ham)
-    basis = np.empty((n, n))
+def _lowest_eigenpair(matvec, start, tol: float = 1e-10):
+    """The lowest eigenvalue and its unit Ritz vector of a symmetric
+    operator, by Lanczos iteration with full reorthogonalisation from
+    `start`.  It stops when the lowest Ritz pair's residual norm, which
+    bounds that Ritz value's distance to an eigenvalue, is at most
+    tol max(1, |value|), and raises LinAlgError if it never is.  The
+    check runs every 8 steps and at breakdown, where beta falls to
+    tol max(1, |alpha|): a sector's Krylov space stops growing at the
+    sector's dimension, below the vector length."""
+    n = start.size
+    basis = np.empty((0, n))
     alpha, beta = np.empty(n), np.empty(n)
-    v = np.full(n, 1.0 / np.sqrt(n))
+    v = start / np.linalg.norm(start)
     for j in range(n):
+        if j == len(basis):
+            # room for 32 more: the basis holds only the vectors built so far
+            basis = np.concatenate([basis, np.empty((32, n))])
         basis[j] = v
-        w = ham @ v
+        w = matvec(v)
         # Gram-Schmidt against every basis vector, twice: the second pass
         # removes what rounding left of the first
         done = basis[: j + 1]
@@ -205,25 +193,13 @@ def _lowest_eigenvalue(ham: np.ndarray, tol: float = 1e-10) -> float:
         again = done @ w
         w -= again @ done
         alpha[j], beta[j] = coef[j] + again[j], np.linalg.norm(w)
-        if j % 8 == 7 or j == n - 1 or beta[j] == 0.0:
+        if j % 8 == 7 or j == n - 1 or beta[j] <= tol * max(1.0, abs(alpha[j])):
             tri = np.diag(alpha[: j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
             values, vectors = np.linalg.eigh(tri)
             if abs(beta[j] * vectors[-1, 0]) <= tol * max(1.0, abs(values[0])):
-                return float(values[0])
+                return float(values[0]), vectors[:, 0] @ done
         v = w / beta[j]
     raise np.linalg.LinAlgError("Lanczos iteration did not converge")
-
-
-def _ground_state(ham: np.ndarray) -> np.ndarray:
-    """The unit eigenvector of the lowest eigenvalue of a symmetric matrix,
-    with its largest-magnitude component positive: a Lanczos iteration
-    gives the eigenvalue and one step of inverse iteration just below it
-    the vector, where eigh would compute every eigenvector."""
-    e0 = _lowest_eigenvalue(ham)
-    # the step damps every other eigenvector by about 1e-12 |e0| / gap
-    shifted = ham - (e0 - 1e-12 * max(1.0, abs(e0))) * np.eye(len(ham))
-    vec = np.linalg.solve(shifted, np.ones(len(ham)))
-    return vec / (np.linalg.norm(vec) * np.sign(vec[np.argmax(np.abs(vec))]))
 
 
 def solve_two_particle_1d(
@@ -238,7 +214,12 @@ def solve_two_particle_1d(
     Three-point Laplacian with Dirichlet boundaries on [-extent, extent].
     `potential` maps an (M,) position array to v values.  symmetry
     "fermion" restricts to the antisymmetric two-particle sector,
-    "boson" to the symmetric one.
+    "boson" to the symmetric one.  One Lanczos iteration on the (M, M)
+    amplitude table gives the energy and the vector.  It starts from the
+    sector's all-ones table (sign(j - i) for fermions), which overlaps
+    the ground state: H's hops are <= 0 between sector states, so that
+    state has one sign above the diagonal, and its largest-magnitude
+    entry there is made positive.
     """
     if n_points < 4 or n_points > 64:
         raise DomainError("grid oracle supports 4..64 points")
@@ -248,17 +229,19 @@ def solve_two_particle_1d(
         raise DomainError("extent and softening must be finite and > 0")
     m = n_points
     x = np.linspace(-extent, extent, m)
-    h = x[1] - x[0]
     v = np.asarray(potential(x), dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise DomainError("the potential must be finite at every grid point")
 
     sign = -1.0 if symmetry == "fermion" else 1.0
-    ii, jj = np.triu_indices(m, k=1 if symmetry == "fermion" else 0)
-    potential_sum = v[ii] + v[jj] + soft_kernel(x, softening)[ii, jj]
-    h_sector = _sector_hamiltonian(kinetic_matrix(m, h), potential_sum, ii, jj, sign)
-    ground = _ground_state(h_sector) * np.where(ii == jj, 1.0, 1.0 / np.sqrt(2.0))
-    psi = np.zeros((m, m))
-    psi[ii, jj] = ground
-    psi[jj, ii] = sign * ground
+    diagonal = v[:, None] + v[None, :] + soft_kernel(x, softening)
+    matvec = _sector_operator(kinetic_matrix(m, x[1] - x[0]), diagonal, sign)
+    idx = np.arange(m)
+    start = np.ones((m, m)) if sign > 0.0 else np.sign(idx[None, :] - idx[:, None])
+    _, ground = _lowest_eigenpair(matvec, start.ravel())
+    psi = ground.reshape(m, m)
+    upper = psi[np.triu_indices(m, k=1)]
+    psi = psi * np.sign(upper[np.argmax(np.abs(upper))])
     return Grid1DWavefunction(x=x, psi=psi, softening=softening)
 
 

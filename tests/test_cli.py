@@ -576,6 +576,11 @@ def test_verify_takes_only_the_out_flag(capsys):
 def test_verify_invalid_parameters_exit_validation(capsys):
     assert main(["verify", "--zeta", "-1.0"]) == 1
     assert main(["verify", "--grid-points", "80"]) == 1
+    # a non-finite orbital exponent or well depth is a bad input, not a
+    # failed tolerance or an unconverged solve
+    for flag in ("--zeta", "--z"):
+        for value in ("nan", "inf"):
+            assert main(["verify", flag, value]) == 1
     for flag in ("--extent", "--softening"):
         for value in ("0", "-3", "nan", "inf"):
             assert main(["verify", flag, value]) == 1
@@ -654,8 +659,11 @@ def test_compare_ranks_families(tmp_path, capsys):
     # two satellites never collide when there is only one of them
     assert frozen["fermionic_compatible"] is True
     assert pairwise["fermionic_compatible"] is True
-    flags = {line.split()[1]: line.split()[4:] for line in capsys.readouterr().out.splitlines()[1:3]}
+    lines = capsys.readouterr().out.splitlines()
+    flags = {line.split()[1]: line.split()[4:] for line in lines[1:3]}
     assert flags == {"frozen": [], "pairwise": ["marginal-fail"]}
+    # an unflagged row prints no empty flags column
+    assert [line for line in lines if line != line.rstrip()] == []
     assert by_family["frozen"]["bound"] == "variational"
     assert by_family["pairwise"]["bound"] == "none"
 

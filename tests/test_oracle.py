@@ -6,6 +6,8 @@ and a conditional density with zero score.  The grid cases are checked
 against exact diagonalization on the same stencil.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,9 +20,8 @@ from corrsearch.oracle import (
     direct_expectation_grid,
     direct_expectation_product,
     grid_coulomb_expectation,
-    _ground_state,
-    _lowest_eigenvalue,
-    _sector_hamiltonian,
+    _lowest_eigenpair,
+    _sector_operator,
     soft_kernel,
     kinetic_matrix,
     lattice_fisher,
@@ -165,9 +166,38 @@ def test_grid_wavefunction_rejects_a_grid_its_h_misreads(x):
 # ---------------------------------------------------------------------------
 
 
+def sector_column(m, sign, i, j):
+    """(|ij> + sign |ji>)/sqrt 2 for i < j, or |ii>, on the M^2 product space."""
+    col = np.zeros((m, m))
+    col[i, j] += 1.0 if i == j else np.sqrt(0.5)
+    col[j, i] += 0.0 if i == j else sign * np.sqrt(0.5)
+    return col.ravel()
+
+
+def sector_pairs(m, sign):
+    return np.triu_indices(m, k=1 if sign < 0.0 else 0)
+
+
+def sector_basis(m, sign):
+    return np.column_stack([sector_column(m, sign, i, j) for i, j in zip(*sector_pairs(m, sign))])
+
+
+def product_hamiltonian(kin, diagonal):
+    """K x 1 + 1 x K + diag(D) as an M^2 x M^2 matrix, by Kronecker products."""
+    eye = np.eye(kin.shape[0])
+    return np.kron(kin, eye) + np.kron(eye, kin) + np.diag(diagonal.ravel())
+
+
+def soft_atom_operator(m):
+    x = np.linspace(-6.0, 6.0, m)
+    v = soft_atom(x)
+    diagonal = v[:, None] + v[None, :] + soft_kernel(x, 1.0)
+    return x, kinetic_matrix(m, x[1] - x[0]), diagonal
+
+
 @pytest.mark.parametrize("symmetry", ["boson", "fermion"])
 def test_sector_hamiltonian_matches_projected_product_space(symmetry):
-    # the pair-list assembly against B^T H B, with H built by Kronecker
+    # the matrix-free operator against B^T H B, with H built by Kronecker
     # products on the M^2 product space and B the sector's basis columns
     m = 7
     rng = np.random.default_rng(7)
@@ -176,53 +206,83 @@ def test_sector_hamiltonian_matches_projected_product_space(symmetry):
     w = rng.random((m, m))
     w = w + w.T
     sign = -1.0 if symmetry == "fermion" else 1.0
-    ii, jj = np.triu_indices(m, k=1 if symmetry == "fermion" else 0)
-    ham = np.kron(kin, np.eye(m)) + np.kron(np.eye(m), kin)
-    ham += np.diag((v[:, None] + v[None, :] + w).ravel())
-    basis = np.zeros((m * m, ii.size))
-    for p, (i, j) in enumerate(zip(ii, jj)):
-        basis[i * m + j, p] += 1.0 if i == j else np.sqrt(0.5)
-        basis[j * m + i, p] += 0.0 if i == j else sign * np.sqrt(0.5)
-    got = _sector_hamiltonian(kin, v[ii] + v[jj] + w[ii, jj], ii, jj, sign)
-    np.testing.assert_allclose(got, basis.T @ ham @ basis, rtol=0.0, atol=1e-13)
+    diagonal = v[:, None] + v[None, :] + w
+    basis = sector_basis(m, sign)
+    ham = product_hamiltonian(kin, diagonal)
+    apply = _sector_operator(kin, diagonal, sign)
+    out = np.column_stack([apply(col) for col in basis.T])
+    np.testing.assert_allclose(basis.T @ out, basis.T @ ham @ basis, rtol=0.0, atol=1e-13)
+    # a table off the sector maps to the sector's part of H psi
+    off = rng.standard_normal(m * m)
+    np.testing.assert_allclose(apply(off), basis @ basis.T @ ham @ off, rtol=0.0, atol=1e-13)
+    out = np.column_stack([out, apply(off)])
+    # every output lies in the sector: psi(x', x) = sign psi(x, x') exactly
+    tables = out.T.reshape(-1, m, m)
+    np.testing.assert_array_equal(tables, sign * tables.transpose(0, 2, 1))
 
 
 @pytest.mark.parametrize("m", [8, 32])
 @pytest.mark.parametrize("symmetry", ["boson", "fermion"])
 def test_ground_state_matches_full_diagonalization(symmetry, m):
-    # the solver's ground state (Lanczos plus inverse iteration) against
-    # the lowest eigenpair of eigh on the same sector matrix
-    x = np.linspace(-6.0, 6.0, m)
+    # the solver's matrix-free ground state against the lowest eigenpair
+    # of eigh on B^T H B, with H assembled by Kronecker products
     sign = -1.0 if symmetry == "fermion" else 1.0
-    ii, jj = np.triu_indices(m, k=1 if symmetry == "fermion" else 0)
-    potential = soft_atom(x)[ii] + soft_atom(x)[jj] + soft_kernel(x, 1.0)[ii, jj]
-    ham = _sector_hamiltonian(kinetic_matrix(m, x[1] - x[0]), potential, ii, jj, sign)
-    values, vectors = np.linalg.eigh(ham)
-    vec = _ground_state(ham)
+    x, kin, diagonal = soft_atom_operator(m)
+    ham = product_hamiltonian(kin, diagonal)
+    basis = sector_basis(m, sign)
+    values, vectors = np.linalg.eigh(basis.T @ ham @ basis)
+    w = solve_two_particle_1d(m, 6.0, soft_atom, symmetry=symmetry)
+    np.testing.assert_array_equal(w.x, x)
+    vec = w.psi.ravel() * w.h  # unit in the product space
     assert abs(vec @ ham @ vec - values[0]) <= 1e-12 * abs(values[0])
-    assert abs(np.linalg.eigvalsh(ham)[0] - values[0]) <= 1e-12 * abs(values[0])
-    assert vec[np.argmax(np.abs(vec))] > 0.0
-    want = vectors[:, 0] * np.sign(vectors[np.argmax(np.abs(vectors[:, 0])), 0])
-    np.testing.assert_allclose(vec, want, rtol=0.0, atol=1e-11)
+    upper = w.psi[np.triu_indices(m, k=1)]
+    assert upper[np.argmax(np.abs(upper))] > 0.0
+    want = (basis @ vectors[:, 0]).reshape(m, m)
+    want_upper = want[np.triu_indices(m, k=1)]
+    want *= np.sign(want_upper[np.argmax(np.abs(want_upper))])
+    np.testing.assert_allclose(w.psi * w.h, want, rtol=0.0, atol=1e-11)
 
 
 @pytest.mark.parametrize("m", [16, 32, 48, 64])
 @pytest.mark.parametrize("symmetry", ["boson", "fermion"])
 def test_lanczos_lowest_eigenvalue_matches_eigvalsh(symmetry, m):
-    x = np.linspace(-6.0, 6.0, m)
+    # the sector matrix is assembled column by column from the operator's
+    # outputs packed onto the pair basis, <b_(ij)|out> = sqrt 2 out_ij
+    # off the diagonal: the M^2 x M^2 matrix would take 134 MB at M = 64
     sign = -1.0 if symmetry == "fermion" else 1.0
-    ii, jj = np.triu_indices(m, k=1 if symmetry == "fermion" else 0)
-    potential = soft_atom(x)[ii] + soft_atom(x)[jj] + soft_kernel(x, 1.0)[ii, jj]
-    ham = _sector_hamiltonian(kinetic_matrix(m, x[1] - x[0]), potential, ii, jj, sign)
+    _, kin, diagonal = soft_atom_operator(m)
+    apply = _sector_operator(kin, diagonal, sign)
+    ii, jj = sector_pairs(m, sign)
+    scale = np.where(ii == jj, 1.0, np.sqrt(2.0))
+    packed = [apply(sector_column(m, sign, i, j)).reshape(m, m)[ii, jj] for i, j in zip(ii, jj)]
+    ham = np.column_stack(packed) * scale[:, None]
     want = np.linalg.eigvalsh(ham)[0]
-    assert abs(_lowest_eigenvalue(ham) - want) <= 1e-10 * abs(want)
+    idx = np.arange(m)
+    start = np.ones((m, m)) if sign > 0.0 else np.sign(idx[None, :] - idx[:, None])
+    value, vec = _lowest_eigenpair(apply, start.ravel())
+    assert abs(value - want) <= 1e-10 * abs(want)
+    assert np.linalg.norm(vec) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_lanczos_raises_when_its_residual_never_converges():
     # at tol = 0 the residual must vanish exactly, which rounding prevents
     a = np.random.default_rng(3).standard_normal((12, 12))
+    sym = a + a.T
     with pytest.raises(np.linalg.LinAlgError, match="Lanczos"):
-        _lowest_eigenvalue(a + a.T, tol=0.0)
+        _lowest_eigenpair(lambda v: sym @ v, np.ones(12), tol=0.0)
+
+
+@pytest.mark.parametrize("symmetry", ["boson", "fermion"])
+def test_solver_memory_stays_at_table_size(symmetry):
+    # a matrix over grid pairs at M = 64 alone takes 31-33 MiB; the M x M
+    # tables and the Lanczos basis of the vectors built so far stay under 16
+    tracemalloc.start()
+    try:
+        solve_two_particle_1d(64, 6.0, soft_atom, symmetry=symmetry)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 @pytest.mark.parametrize("m", [4, 16, 32, 64])
